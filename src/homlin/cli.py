@@ -30,7 +30,7 @@ from .matrixword import (
     parse_projection,
     parse_word,
 )
-from .poly import Polynomial, format_poly, parse_poly
+from .poly import LimitDiverges, Polynomial, format_poly, parse_poly
 from .transforms import PASS_NAMES, PassReport, run_pass
 from .verify import (
     DEFAULT_PRIME,
@@ -215,25 +215,21 @@ def _compile_target(target: Sequence[str], c: Circuit, d: Optional[int]):
 
 
 def _verify_compiled(obj, f: Polynomial, mode: str, args) -> VerifyReport:
-    if mode == "border":
-        if args.mod_eps is not None:
-            value = border_value(obj).mod_eps(args.mod_eps)
-            return verify_exact(value.eps_limit(), f)
+    if mode == "border" and args.mod_eps is None:
         return verify_border(obj, f)
-    value = border_value(obj)
-    if isinstance(obj, (MatrixWord, Projection)):
-        try:
-            value = value.eps_limit()
-        except Exception as exc:
-            return VerifyReport(mode, False, witness=f"LimitDiverges: {exc}")
-    if mode == "exact":
-        return verify_exact(value, f)
+    if mode not in ("border", "exact", "random"):
+        raise CliError(f"unknown verify mode {mode!r}")
+    # exact and random compare the eps-limit, which is read off mod eps^1
+    below = args.mod_eps if mode == "border" else 1
+    try:
+        value = border_value(obj, below=below).eps_limit()
+    except LimitDiverges as exc:
+        return VerifyReport(mode, False, witness=f"LimitDiverges: {exc}")
     if mode == "random":
         prime = _parse_field(args.field)
-        if prime is None:
-            return verify_exact(value, f)
-        return verify_random(value, f, seed=args.seed, prime=prime)
-    raise CliError(f"unknown verify mode {mode!r}")
+        if prime is not None:
+            return verify_random(value, f, seed=args.seed, prime=prime)
+    return verify_exact(value, f)
 
 
 def cmd_compile(args) -> int:

@@ -18,11 +18,14 @@ nceL, nceGeneric and C return 1 at degree 0 (empty-product convention).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import bisect
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import accumulate
+from typing import Callable, List, Optional, Sequence, Union
 
-from .poly import Coeff, Polynomial
+from .poly import Coeff, Polynomial, dot
 
 FAMILY_TAGS = ("IMM", "nceGeneric", "nceL", "Ccomb", "Cmatrix", "C", "E", "P", "Q")
 
@@ -34,41 +37,104 @@ class InvalidParameters(ValueError):
 Matrix = List[List[Polynomial]]
 
 
-def _zeros(k: int) -> Matrix:
+# ---------------------------------------------------------------------------
+# matrix-product engine
+# ---------------------------------------------------------------------------
+#
+# Every border value is  scalar * L(M)  for a matrix product M: a word of
+# id + A_i factors, or the elementary symmetric sum of a factor list.  Its
+# eps-limit reads only the terms below eps^1, so the engine computes M mod
+# eps^K.  A term of a partial product reaches the end only through the
+# factors still to come, whose entries have bounded-below eps exponents, so a
+# term whose exponent plus the cheapest completion is K or more is dropped as
+# soon as it would be formed; every term kept is exact (Bini 1980's
+# exact-from-approximate argument).  With ``below=None`` nothing is dropped:
+# that exact route is the oracle the truncated one is tested against.
+
+
+def zeros(k: int) -> Matrix:
     return [[Polynomial.zero() for _ in range(k)] for _ in range(k)]
 
 
-def _identity(k: int) -> Matrix:
-    m = _zeros(k)
+def identity(k: int) -> Matrix:
+    m = zeros(k)
     for i in range(k):
         m[i][i] = Polynomial.const(1)
     return m
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def mat_mul(
+    a: Matrix, b: Matrix, below: Optional[float] = None, acc: Optional[Matrix] = None
+) -> Matrix:
+    """``acc + a * b`` (``acc`` defaults to zero), exact mod eps^below.
+
+    Product terms at eps^below or above are never formed; an entry of
+    ``acc`` that no product reaches is passed on as it is."""
     k = len(a)
-    out = _zeros(k)
-    for i in range(k):
-        for j in range(k):
-            acc = Polynomial.zero()
-            for t in range(k):
-                if a[i][t].is_zero() or b[t][j].is_zero():
-                    continue
-                acc = acc + a[i][t] * b[t][j]
-            out[i][j] = acc
+    out = zeros(k) if acc is None else [row[:] for row in acc]
+    for j in range(k):
+        col = [(t, b[t][j]) for t in range(k) if b[t][j].terms]
+        if not col:
+            continue
+        for i in range(k):
+            out[i][j] = dot(
+                ((a[i][t], x) for t, x in col),
+                below,
+                acc[i][j] if acc is not None else None,
+            )
     return out
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    k = len(a)
-    return [[a[i][j] + b[i][j] for j in range(k)] for i in range(k)]
+def _mod_eps(m: Matrix, below: Optional[int]) -> Matrix:
+    if below is None:
+        return m
+    return [[p.mod_eps(below) for p in row] for row in m]
 
 
-def nce_matrices(factors: Sequence[Matrix], d: int) -> Matrix:
-    """Noncommutative elementary symmetric polynomial of matrix arguments.
+def _min_eps(m: Matrix) -> float:
+    """The smallest eps exponent among the entries of m; inf if m is zero."""
+    return min(
+        (e for row in m for p in row for (_mono, e, _a) in p.terms), default=math.inf
+    )
+
+
+def word_product(factors: Sequence[Matrix], dim: int, below: Optional[int] = None) -> Matrix:
+    """The product of the ``id + A`` factors, exact mod eps^below.
+
+    With m_j the smallest eps exponent among the entries of factor j, a term
+    of the prefix ending at factor i is kept only if its exponent plus the
+    sum over j > i of min(0, m_j) stays below ``below``."""
+    lows = [min(0, _min_eps(a)) for a in factors]
+    rest = sum(lows)
+    acc = identity(dim)
+    for a, low in zip(factors, lows):
+        rest -= low
+        acc = mat_mul(acc, a, None if below is None else below - rest, acc)
+    return _mod_eps(acc, below)
+
+
+def _cheapest_completions(lows: Sequence[float], d: int) -> List[List[float]]:
+    """out[i][n]: the smallest sum of n of the exponents lows[i:], for
+    n <= d; inf when fewer than n are left."""
+    out = [[0] + [math.inf] * d]
+    best: List[float] = []
+    for low in reversed(lows):
+        bisect.insort(best, low)
+        del best[d:]
+        out.append([0, *accumulate(best)] + [math.inf] * (d - len(best)))
+    out.reverse()
+    return out
+
+
+def nce_matrices(factors: Sequence[Matrix], d: int, below: Optional[int] = None) -> Matrix:
+    """Noncommutative elementary symmetric polynomial of matrix arguments,
+    exact mod eps^below.
 
     Sum over increasing index sequences I_1 < ... < I_d of X_{I_1} ... X_{I_d},
-    computed by one left-to-right dynamic-programming sweep.
+    computed by one left-to-right dynamic-programming sweep.  ``dp[t]`` still
+    needs d - t of the later factors, so its terms are kept only if their
+    exponent plus the smallest sum of d - t later entry exponents stays below
+    ``below``; it is cleared when fewer than d - t factors remain.
     """
     if d < 0:
         raise InvalidParameters("degree must be nonnegative")
@@ -76,11 +142,39 @@ def nce_matrices(factors: Sequence[Matrix], d: int) -> Matrix:
         k = 1
     else:
         k = len(factors[0])
-    dp: List[Matrix] = [_identity(k)] + [_zeros(k) for _ in range(d)]
-    for X in factors:
-        for j in range(min(d, len(factors)), 0, -1):
-            dp[j] = mat_add(dp[j], mat_mul(dp[j - 1], X))
-    return dp[d]
+    completions = _cheapest_completions([_min_eps(x) for x in factors], d)
+    dp: List[Matrix] = [identity(k)] + [zeros(k) for _ in range(d)]
+    for i, X in enumerate(factors):
+        for t in range(min(d, i + 1), 0, -1):
+            bound = None if below is None else below - completions[i + 1][d - t]
+            if bound == -math.inf:
+                dp[t] = zeros(k)
+            else:
+                dp[t] = mat_mul(dp[t - 1], X, bound, dp[t])
+    return _mod_eps(dp[d], below)
+
+
+def border_functional(
+    product: Callable[[Optional[int]], Matrix],
+    weights: LWeights,
+    scalar: Coeff,
+    below: Optional[int] = None,
+) -> Polynomial:
+    """``scalar * L(M)`` mod eps^below, where ``product(k)`` returns M exact
+    mod eps^k.
+
+    L and the scalar lower an exponent by at most the smallest exponent of a
+    nonzero weight and of the scalar, so M is asked for to that much higher
+    order."""
+    weights = [[_as_coeff(w) for w in row] for row in weights]
+    w_low = min((e for row in weights for w in row for (e, _a) in w.terms), default=None)
+    if scalar.is_zero() or w_low is None:
+        return Polynomial.zero()
+    if below is None:
+        return apply_L(product(None), weights).scale(scalar)
+    s_low = min(e for (e, _a) in scalar.terms)
+    value = apply_L(product(below - s_low - w_low), weights).scale(scalar)
+    return value.mod_eps(below)
 
 
 def _var(*idx: int) -> Polynomial:
@@ -196,12 +290,12 @@ def L_sum() -> LWeights:
     return [[1] * 3 for _ in range(3)]
 
 
-def L_trace() -> LWeights:
-    return [[1 if r == c else 0 for c in range(3)] for r in range(3)]
+def L_trace(dim: int = 3) -> LWeights:
+    return [[1 if r == c else 0 for c in range(dim)] for r in range(dim)]
 
 
-def L_entry(i: int, j: int) -> LWeights:
-    return [[1 if (r, c) == (i - 1, j - 1) else 0 for c in range(3)] for r in range(3)]
+def L_entry(i: int, j: int, dim: int = 3) -> LWeights:
+    return [[1 if (r, c) == (i - 1, j - 1) else 0 for c in range(dim)] for r in range(dim)]
 
 
 def zero_diag_factor(i: int) -> Matrix:
@@ -214,14 +308,19 @@ def zero_diag_factor(i: int) -> Matrix:
     ]
 
 
+def _as_coeff(w: Union[Coeff, int, Fraction]) -> Coeff:
+    return w if isinstance(w, Coeff) else Coeff.from_rational(w)
+
+
 def apply_L(A: Matrix, weights: LWeights) -> Polynomial:
+    """The linear functional sum_{r,c} weights[r][c] * A[r][c]."""
     out = Polynomial.zero()
     for r in range(len(A)):
         for c in range(len(A)):
-            w = weights[r][c]
-            if not isinstance(w, Coeff):
-                w = Coeff.from_rational(w)
-            if not w.is_zero():
+            w = _as_coeff(weights[r][c])
+            if w.is_one():
+                out = out + A[r][c]
+            elif not w.is_zero():
                 out = out + A[r][c].scale(w)
     return out
 
@@ -240,7 +339,7 @@ def gen_E(n: int, d: int) -> Polynomial:
     """Homogeneous degree-d part of the sum of the entries of the product of
     n all-ones-diagonal 3x3 factors, minus the identity."""
     _check(n, d)
-    prod = _identity(3)
+    prod = identity(3)
     for i in range(1, n + 1):
         factor = [
             [

@@ -28,7 +28,18 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .circuit import Circuit, FNode, circuit_to_tree, tree_to_circuit, GradedArity3Repr
-from .families import gen_C_comb, gen_nce_L, LWeights
+from .families import (
+    L_entry,
+    L_sum,
+    L_trace,
+    LWeights,
+    border_functional,
+    gen_C_comb,
+    gen_nce_L,
+    nce_matrices,
+    word_product,
+    zeros,
+)
 from .poly import (
     COEFF_ONE,
     COEFF_ZERO,
@@ -149,8 +160,9 @@ class Projection:
             if a != b
         ]
 
-    def value(self) -> Polynomial:
-        """The projected family value, scaled.
+    def value(self, below: Optional[int] = None) -> Polynomial:
+        """The projected family value, scaled; exact mod eps^below, or in
+        full when ``below`` is None.
 
         Evaluated directly on the substituted forms (matrix product for the
         parity-alternating family, elementary-symmetric matrix recurrence for
@@ -159,10 +171,8 @@ class Projection:
         routes agree and are cross-checked on small instances in the tests.
         """
         if self.family_tag == "C":
-            return _c_family_value(self.forms, self.d).scale(self.scalar)
+            return _c_family_value(self.forms, self.d, self.scalar, below)
         if self.family_tag == "nceL":
-            from .families import apply_L, nce_matrices, L_sum
-
             factors = []
             it = iter(self.forms)
             for _ in range(self.n):
@@ -183,13 +193,13 @@ class Projection:
                         for a in range(1, 4)
                     ]
                 )
-            val = apply_L(
-                nce_matrices(factors, self.d),
+            return border_functional(
+                lambda k: nce_matrices(factors, self.d, k),
                 self.weights if self.weights is not None else L_sum(),
+                self.scalar,
+                below,
             )
-            return val.scale(self.scalar)
-        sigma = dict(zip(self.slot_names(), self.forms))
-        return self.family_poly().substitute(sigma).scale(self.scalar)
+        raise ValueError(f"unknown family tag {self.family_tag!r}")
 
     def value_by_substitution(self) -> Polynomial:
         """Reference route: substitute forms into the family's monomial
@@ -198,13 +208,16 @@ class Projection:
         return self.family_poly().substitute(sigma).scale(self.scalar)
 
 
-def _c_family_value(forms: Sequence[LinearForm], d: int) -> Polynomial:
-    """Parity-alternating elementary-symmetric value on the given forms,
-    via the degree-graded 2x2 matrix recurrence."""
-    from .families import nce_matrices
+# the parity-alternating value is the sum of the top row of the recurrence
+_C_WEIGHTS = [[1, 1], [0, 0]]
 
-    if d == 0:
-        return Polynomial.const(1)
+
+def _c_family_value(
+    forms: Sequence[LinearForm], d: int, scalar: Coeff, below: Optional[int]
+) -> Polynomial:
+    """Parity-alternating elementary-symmetric value on the given forms,
+    scaled, via the degree-graded 2x2 matrix recurrence; exact mod
+    eps^below."""
     zero = Polynomial.zero()
     factors = []
     for idx, lf in enumerate(forms, start=1):
@@ -213,80 +226,45 @@ def _c_family_value(forms: Sequence[LinearForm], d: int) -> Polynomial:
             factors.append([[zero, p], [zero, zero]])
         else:
             factors.append([[zero, zero], [p, zero]])
-    a = nce_matrices(factors, d)
-    return a[0][0] + a[0][1]
+    # a zero factor changes no degree-d sum and fixes the shape of an empty word
+    factors = factors or [zeros(2)]
+    return border_functional(
+        lambda k: nce_matrices(factors, d, k), _C_WEIGHTS, scalar, below
+    )
 
 
-def _identity(dim: int) -> Matrix:
-    return [
-        [Polynomial.const(1) if i == j else Polynomial.zero() for j in range(dim)]
-        for i in range(dim)
-    ]
+def expand_word(w: MatrixWord, below: Optional[int] = None) -> Matrix:
+    """Product of the ``id + A_i`` factors, exact mod eps^below (in full
+    when ``below`` is None)."""
+    return word_product(w.factors, w.dim, below)
 
 
-def _zeros(dim: int) -> Matrix:
-    return [[Polynomial.zero() for _ in range(dim)] for _ in range(dim)]
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    k = len(a)
-    out = _zeros(k)
-    for i in range(k):
-        for j in range(k):
-            acc = Polynomial.zero()
-            for t in range(k):
-                if a[i][t].is_zero() or b[t][j].is_zero():
-                    continue
-                acc = acc + a[i][t] * b[t][j]
-            out[i][j] = acc
-    return out
-
-
-def expand_word(w: MatrixWord) -> Matrix:
-    """Exact product of the ``id + A_i`` factors."""
-    acc = _identity(w.dim)
-    for a in w.factors:
-        factor = [
-            [
-                a[i][j] + (Polynomial.const(1) if i == j else Polynomial.zero())
-                for j in range(w.dim)
-            ]
-            for i in range(w.dim)
-        ]
-        acc = _mat_mul(acc, factor)
-    return acc
-
-
-def apply_target(m: Matrix, target: Target, dim: int) -> Polynomial:
+def target_weights(target: Target, dim: int) -> LWeights:
+    """The functional's weights, as a dim x dim matrix."""
     if target[0] == "entry":
-        return m[target[1] - 1][target[2] - 1]
+        return L_entry(target[1], target[2], dim)
     if target[0] == "trace":
-        out = Polynomial.zero()
-        for i in range(dim):
-            out = out + m[i][i]
-        return out
+        return L_trace(dim)
     if target[0] == "functional":
-        weights = target[1]
-        out = Polynomial.zero()
-        for i in range(dim):
-            for j in range(dim):
-                wgt = weights[i * dim + j]
-                if not isinstance(wgt, Coeff):
-                    wgt = Coeff.from_rational(wgt)
-                if not wgt.is_zero():
-                    out = out + m[i][j].scale(wgt)
-        return out
+        return [list(target[1][i * dim:(i + 1) * dim]) for i in range(dim)]
     raise ValueError(f"unknown target {target!r}")
 
 
-def border_value(obj: Union[MatrixWord, Projection]) -> Polynomial:
-    """Scalar times functional of (product - id), before any eps-limit."""
+def border_value(obj: Union[MatrixWord, Projection], below: Optional[int] = None) -> Polynomial:
+    """Scalar times functional of (product - id), before any eps-limit;
+    exact mod eps^below, or in full when ``below`` is None."""
     if isinstance(obj, Projection):
-        return obj.value()
-    m = expand_word(obj)
-    for i in range(obj.dim):
-        m[i][i] = m[i][i] - Polynomial.const(1)
-    return apply_target(m, obj.target, obj.dim).scale(obj.global_scalar)
+        return obj.value(below)
+
+    def residue(k: Optional[int]) -> Matrix:
+        m = expand_word(obj, k)
+        for i in range(obj.dim):
+            m[i][i] = m[i][i] - Polynomial.const(1)
+        return m
+
+    return border_functional(
+        residue, target_weights(obj.target, obj.dim), obj.global_scalar, below
+    )
 
 
 def transpose_reverse(w: MatrixWord) -> MatrixWord:
@@ -352,7 +330,7 @@ def _require_ihl_formula(c: Circuit, who: str):
 
 
 def _e_factor(i: int, j: int, p: Polynomial) -> Matrix:
-    m = _zeros(3)
+    m = zeros(3)
     m[i - 1][j - 1] = p
     return m
 
@@ -461,7 +439,7 @@ def word2_to_matrix_word(forms: Sequence[LinearForm],
                          scalar: Coeff = COEFF_ONE) -> MatrixWord:
     factors = []
     for idx, lf in enumerate(forms, start=1):
-        m = _zeros(2)
+        m = zeros(2)
         if idx % 2 == 1:
             m[0][1] = lf.to_poly()
         else:
@@ -470,26 +448,12 @@ def word2_to_matrix_word(forms: Sequence[LinearForm],
     return MatrixWord(2, factors, scalar, entry_target(1, 2))
 
 
-def _expand2(forms: Sequence[LinearForm]) -> Matrix:
-    return expand_word(word2_to_matrix_word(forms))
-
-
 def _word2_invariant_holds(forms: Sequence[LinearForm], expected: Polynomial) -> bool:
-    """Check: limit of (product - id) exists and equals expected * E_upper."""
-    m = _expand2(forms)
-    targets = [
-        (m[0][0] - Polynomial.const(1), Polynomial.zero()),
-        (m[0][1], expected),
-        (m[1][0], Polynomial.zero()),
-        (m[1][1] - Polynomial.const(1), Polynomial.zero()),
-    ]
-    for got, want in targets:
-        diff = got - want
-        if diff.is_zero():
-            continue
-        if diff.min_eps_exp() < 1:
-            return False
-    return True
+    """Check: limit of (product - id) exists and equals expected * E_upper,
+    i.e. the product is id + expected * E_upper mod eps^1."""
+    one, zero = Polynomial.const(1), Polynomial.zero()
+    m = expand_word(word2_to_matrix_word(forms), below=1)
+    return m == [[one, expected.mod_eps(1)], [zero, one]]
 
 
 _ALPHA = Coeff.alpha(1)
@@ -637,18 +601,7 @@ def word_to_projection(
     if n < r:
         raise ValueError(f"need at least {r} factor slots, got {n}")
     if weights is None:
-        if w.target[0] == "entry":
-            from .families import L_entry
-
-            weights = L_entry(w.target[1], w.target[2])
-        elif w.target[0] == "trace":
-            from .families import L_trace
-
-            weights = L_trace()
-        else:
-            weights = [
-                [w.target[1][i * 3 + j] for j in range(3)] for i in range(3)
-            ]
+        weights = target_weights(w.target, 3)
     forms_by_factor: List[Dict[Tuple[int, int], LinearForm]] = []
     for a in w.factors:
         entries: Dict[Tuple[int, int], LinearForm] = {}
@@ -719,7 +672,7 @@ def parse_word(text: str) -> MatrixWord:
         elif line.startswith("factor:"):
             if dim is None:
                 raise ValueError("'dim' must precede factors")
-            m = _zeros(dim)
+            m = zeros(dim)
             body = line[len("factor:"):].strip()
             if body:
                 for part in body.split(";"):

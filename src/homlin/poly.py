@@ -18,6 +18,7 @@ construction and every operation is a pure function.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple, Union
@@ -165,6 +166,13 @@ class Polynomial:
         self.terms = {k: v for k, v in clean.items() if v != 0}
 
     # -- constructors -----------------------------------------------------
+    @staticmethod
+    def _normalised(terms: Dict[Tuple[Mono, int, int], Fraction]) -> "Polynomial":
+        """Wrap a term dict that already holds only nonzero Fractions."""
+        p = object.__new__(Polynomial)
+        p.terms = terms
+        return p
+
     @staticmethod
     def zero() -> "Polynomial":
         return Polynomial()
@@ -405,6 +413,39 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial<{format_poly(self)}>"
+
+
+def _eps_of(item) -> int:
+    return item[0][1]
+
+
+def dot(
+    pairs: Iterable[Tuple[Polynomial, Polynomial]],
+    below: int | float | None = None,
+    start: Polynomial | None = None,
+) -> Polynomial:
+    """``start`` plus the sum of ``a * b`` over the pairs, reduced mod
+    eps^below (negative powers kept, as in ``mod_eps``).
+
+    Two terms whose eps exponents sum to ``below`` or more are never
+    multiplied; with ``below=None`` every term is kept."""
+    top = math.inf if below is None else below
+    out: Dict[Tuple[Mono, int, int], Fraction] = {}
+    if start is not None:
+        out = {k: c for k, c in start.terms.items() if k[1] < top}
+    get = out.get
+    for a, b in pairs:
+        if not a.terms or not b.terms:
+            continue
+        inner = sorted(b.terms.items(), key=_eps_of)
+        for (m1, e1, a1), c1 in a.terms.items():
+            lim = top - e1
+            for (m2, e2, a2), c2 in inner:
+                if e2 >= lim:
+                    break
+                key = (_mono_mul(m1, m2), e1 + e2, a1 + a2)
+                out[key] = get(key, 0) + c1 * c2
+    return Polynomial._normalised({k: c for k, c in out.items() if c})
 
 
 class LinearForm:

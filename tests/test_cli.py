@@ -7,7 +7,9 @@ import pytest
 from homlin.circuit import FNode, parse_circuit, print_circuit, tree_to_circuit
 from homlin.cli import main
 from homlin.families import gen_C_comb
+from homlin.matrixword import border_value, parse_word
 from homlin.poly import format_poly, parse_poly
+from homlin.verify import verify_exact
 
 
 def run(capsys, *argv):
@@ -170,6 +172,21 @@ def test_compile_trace3_border_and_mod_eps(capsys, product_circ, tmp_path):
     code, stdout, _ = run(capsys, "compile", "--target", "trace3",
                           "--in", product_circ, "--verify", "border",
                           "--mod-eps", "1", "--out", str(out))
+    assert code == 0 and "verdict=pass" in stdout
+
+
+def test_compile_mod_eps_matches_full_expansion(capsys, tmp_path):
+    c = tree_to_circuit(
+        FNode.add(FNode.mul(FNode.var("x1"), FNode.var("x2")), FNode.var("x3")), "arity2")
+    path = tmp_path / "c.circ"
+    path.write_text(print_circuit(c))
+    out = tmp_path / "w.txt"
+    code, stdout, _ = run(capsys, "compile", "--target", "trace3", "--in", str(path),
+                          "--verify", "border", "--mod-eps", "3", "--out", str(out))
+    w = parse_word(out.read_text())
+    full = border_value(w).mod_eps(3)
+    assert border_value(w, below=3) == full
+    assert verify_exact(full.eps_limit(), c.eval()).verdict
     assert code == 0 and "verdict=pass" in stdout
 
 

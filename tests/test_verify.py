@@ -78,6 +78,25 @@ def test_border_wrong_target_gives_monomial_witness():
     assert not rep.verdict and rep.witness
 
 
+def test_border_fails_on_a_component_at_another_degree():
+    # the limit is x1*x2 + x3: its degree-1 part is not the target's
+    a = [[Polynomial.zero(), P("x1*x2 + x3")], [Polynomial.zero(), Polynomial.zero()]]
+    w = MatrixWord(2, [a], Coeff.from_rational(1), ("entry", 1, 2))
+    rep = verify_border(w, P("x1*x2"))
+    assert not rep.verdict and "x3" in rep.witness
+    assert rep.details["degreesCompared"] == [1, 2]
+
+
+def test_border_truncated_value_keeps_a_diverging_term():
+    # (id + eps^-1 x1 E12)(id + x2 E21) - id has eps^-1 x1*x2 at (1,1)
+    z = Polynomial.zero()
+    w = MatrixWord(2, [[[z, P("eps^-1*x1")], [z, z]], [[z, z], [P("x2"), z]]],
+                   Coeff.from_rational(1), ("entry", 1, 1))
+    rep = verify_border(w, P("x1*x2"))
+    assert not rep.verdict and rep.witness.startswith("LimitDiverges")
+    assert "eps^-1" in rep.witness
+
+
 def test_border_rejects_eps_target():
     c = tree_to_circuit(FNode.var("x1"), "arity2")
     with pytest.raises(ValueError):
@@ -85,9 +104,12 @@ def test_border_rejects_eps_target():
 
 
 def test_border_restricts_to_homogeneous_degree():
+    # the whole limit is compared: the details name the truncation order and
+    # every degree checked, and no degree is dropped
     c = tree_to_circuit(FNode.mul(FNode.var("x1"), FNode.var("x2")), "arity2")
     rep = verify_border(compile_trace3(c), P("x1*x2"))
-    assert rep.details.get("restrictedToDegree") == 2
+    assert rep.verdict
+    assert rep.details == {"truncationOrder": 1, "degreesCompared": [2]}
 
 
 # ---------------------------------------------------------------------------
