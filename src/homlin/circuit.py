@@ -75,6 +75,14 @@ class Gate:
     scale: Optional[Fraction] = None
 
 
+def affine_poly(lin: Optional[LinearForm], const: Optional[Coeff]) -> Polynomial:
+    """The value ``lin + const`` of an input leaf; either part may be absent."""
+    p = lin.to_poly() if lin else Polynomial.zero()
+    if const is not None and not const.is_zero():
+        p = p + const.to_poly()
+    return p
+
+
 class Circuit:
     """Topologically ordered gate list with a designated output."""
 
@@ -117,9 +125,7 @@ class Circuit:
         vals: Dict[str, Polynomial] = {}
         for g in self.gates:
             if g.kind == "input":
-                p = g.lin.to_poly() if g.lin else Polynomial.zero()
-                if g.const is not None and not g.const.is_zero():
-                    p = p + g.const.to_poly()
+                p = affine_poly(g.lin, g.const)
             elif g.kind == "alpha":
                 p = Polynomial.alpha(1)
             elif g.kind == "zvar":
@@ -344,9 +350,7 @@ class FNode:
 
     @staticmethod
     def constant(c) -> "FNode":
-        if not isinstance(c, Coeff):
-            c = Coeff.from_rational(c)
-        return FNode("leaf", lin=LinearForm.zero(), const=c)
+        return FNode("leaf", lin=LinearForm.zero(), const=Coeff.of(c))
 
     @staticmethod
     def add(a: "FNode", b: "FNode") -> "FNode":
@@ -366,9 +370,7 @@ class FNode:
 
     def eval(self) -> Polynomial:
         if self.kind == "leaf":
-            p = self.lin.to_poly() if self.lin else Polynomial.zero()
-            if self.const is not None and not self.const.is_zero():
-                p = p + self.const.to_poly()
+            p = affine_poly(self.lin, self.const)
         elif self.kind == "alpha":
             p = Polynomial.alpha(1)
         elif self.kind == "zvar":
@@ -395,9 +397,6 @@ class FNode:
         if not self.children:
             return 0
         return 1 + max(ch.depth() for ch in self.children)
-
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 def balanced_add(nodes: Sequence[FNode]) -> FNode:
@@ -473,20 +472,13 @@ def circuit_to_tree(c: Circuit) -> FNode:
 # ---------------------------------------------------------------------------
 
 
-def _format_affine(lin: Optional[LinearForm], const: Optional[Coeff]) -> str:
-    p = lin.to_poly() if lin else Polynomial.zero()
-    if const is not None and not const.is_zero():
-        p = p + const.to_poly()
-    return format_poly(p)
-
-
 def print_circuit(c: Circuit) -> str:
     lines = [f"shape {c.shape}", f"basis {c.basis}"]
     if c.variables:
         lines.append("var " + " ".join(c.variables))
     for g in c.gates:
         if g.kind == "input":
-            body = "input " + _format_affine(g.lin, g.const)
+            body = "input " + format_poly(affine_poly(g.lin, g.const))
         elif g.kind in ("alpha", "zvar"):
             body = g.kind
         else:

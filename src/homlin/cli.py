@@ -14,9 +14,15 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from .circuit import Circuit, CircuitSyntaxError, parse_circuit, print_circuit
+from .circuit import (
+    Circuit,
+    CircuitSyntaxError,
+    GradedArity3Repr,
+    parse_circuit,
+    print_circuit,
+)
 from .families import FAMILY_TAGS, FamilySpec, gen_family
 from .matrixword import (
     MatrixWord,
@@ -31,7 +37,7 @@ from .matrixword import (
     parse_word,
 )
 from .poly import LimitDiverges, Polynomial, format_poly, parse_poly
-from .transforms import PASS_NAMES, PassReport, run_pass
+from .transforms import PASS_NAMES, ParityPair, PassReport, run_pass
 from .verify import (
     DEFAULT_PRIME,
     DEFAULT_TRIALS,
@@ -170,7 +176,7 @@ def cmd_transform(args) -> int:
     sys.stdout.write(_render_pass_report(report))
     if isinstance(result, Circuit):
         _write_text(args.out, print_circuit(result))
-    elif result.__class__.__name__ == "ParityPair":
+    elif isinstance(result, ParityPair):
         if args.out is None:
             raise CliError("parity needs --out to name the two outputs")
         for tag, part in (("odd", result.odd), ("even", result.even)):
@@ -179,7 +185,7 @@ def cmd_transform(args) -> int:
                 print(f"wrote {args.out}.{tag}")
             else:
                 print(f"{tag} component: zero (not written)")
-    elif result.__class__.__name__ == "GradedArity3Repr":
+    elif isinstance(result, GradedArity3Repr):
         if args.out is None:
             raise CliError("vf-to-v3p needs --out as an output prefix")
         _write_text(f"{args.out}.const", format_poly(result.constant_part.to_poly()) + "\n")
@@ -394,23 +400,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, infile=True):
+    def infile(p):
+        p.add_argument("--in", dest="infile", required=True,
+                       help="input artifact ('-' for stdin)")
+
+    def seed(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=["text"], default="text")
-        p.add_argument("--mod-eps", dest="mod_eps", type=int, default=None,
-                       metavar="K", help="truncate eps powers >= K")
+
+    def field(p):
         p.add_argument("--field", default="prime:%d" % DEFAULT_PRIME,
                        help="rational | prime:P (random verification)")
-        if infile:
-            p.add_argument("--in", dest="infile", required=True,
-                           help="input artifact ('-' for stdin)")
+
+    def mod_eps(p):
+        p.add_argument("--mod-eps", dest="mod_eps", type=int, default=None,
+                       metavar="K", help="truncate eps powers >= K")
 
     g = sub.add_parser("gen", help="emit a reference family polynomial")
     g.add_argument("--family", required=True, choices=sorted(FAMILY_TAGS))
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--out", default=None)
-    common(g, infile=False)
+    mod_eps(g)
     g.set_defaults(fn=cmd_gen)
 
     t = sub.add_parser("transform", help="run a named transformation pass")
@@ -419,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", default=None)
     t.add_argument("--alpha", default=None, help="scalar for the rescale pass")
     t.add_argument("--var", default=None, help="variable for the derivative pass")
-    common(t)
+    infile(t)
     t.set_defaults(fn=cmd_transform)
 
     c = sub.add_parser("compile", help="compile a circuit to a word/projection")
@@ -429,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", default=None)
     c.add_argument("--verify", choices=["none", "exact", "border", "random"],
                    default="none")
-    common(c)
+    for opt in (infile, seed, field, mod_eps):
+        opt(c)
     c.set_defaults(fn=cmd_compile)
 
     v = sub.add_parser("verify", help="verify two artifacts against each other")
@@ -441,11 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=int, default=None)
     v.add_argument("--d", type=int, default=None)
     v.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    common(v)
+    for opt in (infile, seed, field):
+        opt(v)
     v.set_defaults(fn=cmd_verify)
 
     a = sub.add_parser("audit", help="re-assert a bound from a JSON report")
-    common(a)
+    infile(a)
     a.set_defaults(fn=cmd_audit)
 
     p = sub.add_parser("pipeline", help="run passes, compile, verify, report")
@@ -458,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--verify", choices=["exact", "border", "random"],
                    default="border")
-    common(p)
+    for opt in (infile, seed, field, mod_eps):
+        opt(p)
     p.set_defaults(fn=cmd_pipeline)
 
     return top

@@ -166,7 +166,7 @@ def border_functional(
     L and the scalar lower an exponent by at most the smallest exponent of a
     nonzero weight and of the scalar, so M is asked for to that much higher
     order."""
-    weights = [[_as_coeff(w) for w in row] for row in weights]
+    weights = [[Coeff.of(w) for w in row] for row in weights]
     w_low = min((e for row in weights for w in row for (e, _a) in w.terms), default=None)
     if scalar.is_zero() or w_low is None:
         return Polynomial.zero()
@@ -247,11 +247,15 @@ def gen_C_comb(n: int, d: int) -> Polynomial:
     return out
 
 
-def _parity_factor(i: int) -> Matrix:
-    x = _var(i)
-    if i % 2 == 1:  # odd index: upper-triangular shape
-        return [[Polynomial.zero(), x], [Polynomial.zero(), Polynomial.zero()]]
-    return [[Polynomial.zero(), Polynomial.zero()], [x, Polynomial.zero()]]
+def parity_factor(i: int, p: Polynomial) -> Matrix:
+    """The 2x2 factor at (1-based) slot i of a parity-alternating word: p in
+    the upper-triangular position for odd i, the lower one for even i."""
+    m = zeros(2)
+    if i % 2 == 1:
+        m[0][1] = p
+    else:
+        m[1][0] = p
+    return m
 
 
 def gen_C_matrix(n: int, d: int) -> Polynomial:
@@ -261,7 +265,7 @@ def gen_C_matrix(n: int, d: int) -> Polynomial:
     _check(n, d)
     if d == 0:
         return Polynomial.const(1)
-    A = nce_matrices([_parity_factor(i) for i in range(1, n + 1)], d)
+    A = nce_matrices([parity_factor(i, _var(i)) for i in range(1, n + 1)], d)
     return A[0][0] + A[0][1]
 
 
@@ -298,18 +302,17 @@ def L_entry(i: int, j: int, dim: int = 3) -> LWeights:
     return [[1 if (r, c) == (i - 1, j - 1) else 0 for c in range(dim)] for r in range(dim)]
 
 
-def zero_diag_factor(i: int) -> Matrix:
-    return [
-        [
-            Polynomial.zero() if a == b else _var(a, b, i)
-            for b in range(1, 4)
-        ]
-        for a in range(1, 4)
-    ]
+# the (row, column) positions of a zero-diagonal 3x3 factor, in the order its
+# entries are listed: the nceL variable slots and a projection's forms
+OFF_DIAGONAL = tuple((a, b) for a in range(1, 4) for b in range(1, 4) if a != b)
 
 
-def _as_coeff(w: Union[Coeff, int, Fraction]) -> Coeff:
-    return w if isinstance(w, Coeff) else Coeff.from_rational(w)
+def zero_diag_factor(entries: Sequence[Polynomial]) -> Matrix:
+    """The 3x3 factor with zero diagonal and ``entries`` at OFF_DIAGONAL."""
+    m = zeros(3)
+    for (a, b), p in zip(OFF_DIAGONAL, entries, strict=True):
+        m[a - 1][b - 1] = p
+    return m
 
 
 def apply_L(A: Matrix, weights: LWeights) -> Polynomial:
@@ -317,7 +320,7 @@ def apply_L(A: Matrix, weights: LWeights) -> Polynomial:
     out = Polynomial.zero()
     for r in range(len(A)):
         for c in range(len(A)):
-            w = _as_coeff(weights[r][c])
+            w = Coeff.of(weights[r][c])
             if w.is_one():
                 out = out + A[r][c]
             elif not w.is_zero():
@@ -331,7 +334,10 @@ def gen_nce_L(n: int, d: int, weights: LWeights | None = None) -> Polynomial:
     _check(n, d)
     if d == 0:
         return Polynomial.const(1)
-    A = nce_matrices([zero_diag_factor(i) for i in range(1, n + 1)], d)
+    factors = [
+        zero_diag_factor([_var(a, b, i) for a, b in OFF_DIAGONAL]) for i in range(1, n + 1)
+    ]
+    A = nce_matrices(factors, d)
     return apply_L(A, weights if weights is not None else L_sum())
 
 
@@ -405,9 +411,7 @@ def varphi_combine(
     """The associated ungraded family: sum over i <= d(n) of a(n,i) * gen(m(n), i)."""
     out = Polynomial.zero()
     for i in range(0, d(n) + 1):
-        coeff = a(n, i)
-        if not isinstance(coeff, Coeff):
-            coeff = Coeff.from_rational(coeff)
+        coeff = Coeff.of(a(n, i))
         if coeff.is_zero():
             continue
         out = out + gen(m(n), i).scale(coeff)

@@ -22,7 +22,6 @@ through the formal ``alpha`` parameter and eliminated by the final
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -33,16 +32,18 @@ from .families import (
     L_sum,
     L_trace,
     LWeights,
+    OFF_DIAGONAL,
     border_functional,
     gen_C_comb,
     gen_nce_L,
     nce_matrices,
+    parity_factor,
     word_product,
+    zero_diag_factor,
     zeros,
 )
 from .poly import (
     COEFF_ONE,
-    COEFF_ZERO,
     Coeff,
     LinearForm,
     Polynomial,
@@ -53,7 +54,13 @@ from .poly import (
     _var_key,
 )
 
-DEFAULT_MAX_K = 4096
+# cap on the adaptive eps-precision exponent of the negative-cube case
+MAX_K = 4096
+
+# exact-expansion re-verification of the eps-precision congruence is run only
+# for words up to this many factors; longer words rely on the proven
+# exponent-accounting bound for k (see the negcube case)
+EXACT_CHECK_MAX = 120
 
 
 class NotIHL(ValueError):
@@ -80,20 +87,6 @@ class DiagonalNonzero(ValueError):
     pass
 
 
-def _max_k() -> int:
-    return int(os.environ.get("HOMLIN_MAX_K", DEFAULT_MAX_K))
-
-
-# exact-expansion re-verification of the eps-precision congruence is run only
-# for words up to this many factors; longer words rely on the proven
-# exponent-accounting bound for k (see the negcube case)
-DEFAULT_EXACT_CHECK_MAX = 120
-
-
-def _exact_check_max() -> int:
-    return int(os.environ.get("HOMLIN_EXACT_CHECK_MAX", DEFAULT_EXACT_CHECK_MAX))
-
-
 # ---------------------------------------------------------------------------
 # word and projection types
 # ---------------------------------------------------------------------------
@@ -106,10 +99,6 @@ Target = Tuple
 
 def entry_target(i: int, j: int) -> Target:
     return ("entry", i, j)
-
-
-def trace_target() -> Target:
-    return ("trace",)
 
 
 @dataclass
@@ -152,13 +141,7 @@ class Projection:
     def slot_names(self) -> List[str]:
         if self.family_tag == "C":
             return [f"x{i}" for i in range(1, self.n + 1)]
-        return [
-            f"x{a}_{b}_{i}"
-            for i in range(1, self.n + 1)
-            for a in range(1, 4)
-            for b in range(1, 4)
-            if a != b
-        ]
+        return [f"x{a}_{b}_{i}" for i in range(1, self.n + 1) for a, b in OFF_DIAGONAL]
 
     def value(self, below: Optional[int] = None) -> Polynomial:
         """The projected family value, scaled; exact mod eps^below, or in
@@ -170,29 +153,16 @@ class Projection:
         monomial expansion, whose size explodes with the slot count; the two
         routes agree and are cross-checked on small instances in the tests.
         """
+        if len(self.forms) != len(self.slot_names()):
+            raise ValueError(
+                f"{self.family_tag} projection with n = {self.n} has {len(self.forms)} forms"
+            )
         if self.family_tag == "C":
             return _c_family_value(self.forms, self.d, self.scalar, below)
         if self.family_tag == "nceL":
-            factors = []
-            it = iter(self.forms)
-            for _ in range(self.n):
-                entries = {
-                    (a, b): next(it)
-                    for a in range(1, 4)
-                    for b in range(1, 4)
-                    if a != b
-                }
-                factors.append(
-                    [
-                        [
-                            entries[(a, b)].to_poly()
-                            if a != b
-                            else Polynomial.zero()
-                            for b in range(1, 4)
-                        ]
-                        for a in range(1, 4)
-                    ]
-                )
+            k = len(OFF_DIAGONAL)
+            polys = [lf.to_poly() for lf in self.forms]
+            factors = [zero_diag_factor(polys[k * i:k * (i + 1)]) for i in range(self.n)]
             return border_functional(
                 lambda k: nce_matrices(factors, self.d, k),
                 self.weights if self.weights is not None else L_sum(),
@@ -218,14 +188,7 @@ def _c_family_value(
     """Parity-alternating elementary-symmetric value on the given forms,
     scaled, via the degree-graded 2x2 matrix recurrence; exact mod
     eps^below."""
-    zero = Polynomial.zero()
-    factors = []
-    for idx, lf in enumerate(forms, start=1):
-        p = lf.to_poly()
-        if idx % 2 == 1:
-            factors.append([[zero, p], [zero, zero]])
-        else:
-            factors.append([[zero, zero], [p, zero]])
+    factors = [parity_factor(i, lf.to_poly()) for i, lf in enumerate(forms, start=1)]
     # a zero factor changes no degree-d sum and fixes the shape of an empty word
     factors = factors or [zeros(2)]
     return border_functional(
@@ -277,32 +240,8 @@ def transpose_reverse(w: MatrixWord) -> MatrixWord:
 
 
 # ---------------------------------------------------------------------------
-# coefficient-ring helpers
+# eps-exponent bound of a form list
 # ---------------------------------------------------------------------------
-
-
-def _coeff_subst_eps_power(c: Coeff, m: int) -> Coeff:
-    return Coeff({(e * m, a): v for (e, a), v in c.terms.items()})
-
-
-def _coeff_subst_alpha(c: Coeff, rep: Coeff) -> Coeff:
-    out = COEFF_ZERO
-    for (e, a), v in c.terms.items():
-        term = Coeff({(e, 0): v})
-        out = out + term * (rep ** a if a else COEFF_ONE)
-    return out
-
-
-def _lf_map(lf: LinearForm, fn) -> LinearForm:
-    return LinearForm({v: fn(c) for v, c in lf.coeffs.items()})
-
-
-def _lf_subst_eps_power(lf: LinearForm, m: int) -> LinearForm:
-    return _lf_map(lf, lambda c: _coeff_subst_eps_power(c, m))
-
-
-def _lf_subst_alpha(lf: LinearForm, rep: Coeff) -> LinearForm:
-    return _lf_map(lf, lambda c: _coeff_subst_alpha(c, rep))
 
 
 def _max_abs_eps_exp(forms: Sequence[LinearForm]) -> int:
@@ -370,9 +309,7 @@ def compile_offdiag3(
     _require_ihl_formula(c, "compile_offdiag3")
     if c.basis != "arity2":
         raise NotFormula("compile_offdiag3 expects the arity-2 basis")
-    if not isinstance(thread_scalar, Coeff):
-        thread_scalar = Coeff.from_rational(thread_scalar)
-    plus, _minus = _offdiag_lists(circuit_to_tree(c), (i, j), thread_scalar)
+    plus, _minus = _offdiag_lists(circuit_to_tree(c), (i, j), Coeff.of(thread_scalar))
     return MatrixWord(3, plus, COEFF_ONE, entry_target(i, j))
 
 
@@ -428,23 +365,16 @@ def compile_trace3(c: Circuit) -> MatrixWord:
 # 2x2 alternating-word border construction
 # ---------------------------------------------------------------------------
 #
-# A 2x2 word is kept as a list of linear forms; the form at (1-based) slot i
-# sits in the upper-triangular position for odd i and the lower-triangular
-# position for even i.  Every recursive invariant word has odd length, starts
+# A 2x2 word is kept as a list of linear forms, laid out as matrices by
+# ``parity_factor`` (upper-triangular at odd slots, lower-triangular at even
+# ones).  Every recursive invariant word has odd length, starts
 # upper-triangular, and satisfies: the eps-limit of (product - id) exists and
 # equals alpha * value * E_upper exactly.
 
 
 def word2_to_matrix_word(forms: Sequence[LinearForm],
                          scalar: Coeff = COEFF_ONE) -> MatrixWord:
-    factors = []
-    for idx, lf in enumerate(forms, start=1):
-        m = zeros(2)
-        if idx % 2 == 1:
-            m[0][1] = lf.to_poly()
-        else:
-            m[1][0] = lf.to_poly()
-        factors.append(m)
+    factors = [parity_factor(i, lf.to_poly()) for i, lf in enumerate(forms, start=1)]
     return MatrixWord(2, factors, scalar, entry_target(1, 2))
 
 
@@ -485,31 +415,20 @@ def _cont_odd_word(node: FNode, s: Fraction) -> List[LinearForm]:
             if any(a >= 1 for (_e, a) in c.terms)
         )
         k = max(2 * (1 + _max_abs_eps_exp(base)), a_max + 2)
-        cap = _max_k()
-        check = 3 * len(base) <= _exact_check_max()
+        check = 3 * len(base) <= EXACT_CHECK_MAX
         while True:
-            block1 = [
-                _lf_subst_alpha(_lf_subst_eps_power(lf, k), Coeff.eps(-1))
-                for lf in base
-            ]
-            block3 = [
-                _lf_subst_alpha(_lf_subst_eps_power(lf, k), -Coeff.eps(-1))
-                for lf in base
-            ]
+            block1 = [lf.subst(k, Coeff.eps(-1)) for lf in base]
+            block3 = [lf.subst(k, -Coeff.eps(-1)) for lf in base]
             middle_alpha = Coeff({(2, 1): s})  # eps^2 * s * alpha
-            block2 = [
-                _lf_subst_alpha(_lf_subst_eps_power(lf, 3), middle_alpha)
-                for lf in reversed(base)
-            ]
+            block2 = [lf.subst(3, middle_alpha) for lf in reversed(base)]
             word = block1 + block2 + block3
             if not check or _word2_invariant_holds(word, expected):
                 return word
-            if k >= cap:
+            if k >= MAX_K:
                 raise PrecisionExhausted(
-                    f"adaptive eps-precision exceeded the cap {cap} "
-                    "(set HOMLIN_MAX_K to raise it)"
+                    f"adaptive eps-precision exceeded the cap {MAX_K}"
                 )
-            k = min(2 * k, cap)
+            k = min(2 * k, MAX_K)
     raise NotFormula(
         f"continuant compilation expects add/negative-cube gates, got {node.kind}"
     )
@@ -530,7 +449,7 @@ def compile_continuant_odd(c: Circuit, d: Optional[int] = None) -> Projection:
     if not f.is_zero() and degs != [d]:
         raise NotOddDegree(f"formula is not homogeneous of degree {d}")
     word = _cont_odd_word(circuit_to_tree(c), Fraction(1))
-    forms = [_lf_subst_alpha(lf, COEFF_ONE) for lf in word]
+    forms = [lf.subst(alpha=1) for lf in word]
     return Projection("C", len(forms), d, forms, COEFF_ONE, border=True)
 
 
@@ -558,20 +477,14 @@ def compile_continuant_even(g: GradedArity3Repr, d: int) -> Projection:
             continue
         base = _odd_word_for_arity3_circuit(part, Fraction(1, d))
         # b-blocks: eps -> eps^3, alpha -> +-eps, transposed and reversed
-        b_plus = [
-            _lf_subst_alpha(_lf_subst_eps_power(lf, 3), eps)
-            for lf in reversed(base)
-        ]
-        b_minus = [
-            _lf_subst_alpha(_lf_subst_eps_power(lf, 3), -eps)
-            for lf in reversed(base)
-        ]
+        b_plus = [lf.subst(3, eps) for lf in reversed(base)]
+        b_minus = [lf.subst(3, -eps) for lf in reversed(base)]
         a_minus = LinearForm.variable(v, -eps)
         a_plus = LinearForm.variable(v, eps)
         forms += [a_minus] + b_minus + [a_plus] + b_plus
     if not forms:
         forms = [LinearForm.zero()]
-    forms = [_lf_subst_eps_power(lf, d // 2) for lf in forms]
+    forms = [lf.subst(d // 2) for lf in forms]
     return Projection("C", len(forms), d, forms, Coeff.eps(-d), border=True)
 
 
@@ -602,34 +515,18 @@ def word_to_projection(
         raise ValueError(f"need at least {r} factor slots, got {n}")
     if weights is None:
         weights = target_weights(w.target, 3)
-    forms_by_factor: List[Dict[Tuple[int, int], LinearForm]] = []
-    for a in w.factors:
-        entries: Dict[Tuple[int, int], LinearForm] = {}
-        for i in range(3):
-            for j in range(3):
-                p = a[i][j]
-                if p.is_zero():
-                    continue
-                if i == j:
-                    raise DiagonalNonzero(
-                        f"factor entry ({i + 1},{j + 1}) = {format_poly(p)}"
-                    )
-                if not p.constant_part().is_zero() or p.degree() > 1:
-                    raise ValueError(
-                        "entry is not homogeneous linear: " + format_poly(p)
-                    )
-                entries[(i + 1, j + 1)] = LinearForm.from_poly(p)
-        forms_by_factor.append(entries)
     forms: List[LinearForm] = []
-    for i in range(1, n + 1):
-        entries = forms_by_factor[i - 1] if i <= r else {}
-        for a in range(1, 4):
-            for b in range(1, 4):
-                if a == b:
-                    continue
-                lf = entries.get((a, b), LinearForm.zero())
-                forms.append(_lf_subst_eps_power(lf, d))
-    scalar = _coeff_subst_eps_power(w.global_scalar, d)
+    for a in w.factors:
+        for i in range(3):
+            if not a[i][i].is_zero():
+                raise DiagonalNonzero(f"factor entry ({i + 1},{i + 1}) = {format_poly(a[i][i])}")
+        for i, j in OFF_DIAGONAL:
+            p = a[i - 1][j - 1]
+            if not p.constant_part().is_zero() or p.degree() > 1:
+                raise ValueError("entry is not homogeneous linear: " + format_poly(p))
+            forms.append(LinearForm.from_poly(p).subst(d))
+    forms += [LinearForm.zero()] * (len(OFF_DIAGONAL) * (n - r))
+    scalar = w.global_scalar.subst(d)
     return Projection("nceL", n, d, forms, scalar, border=True, weights=weights)
 
 
@@ -653,7 +550,7 @@ def format_word(w: MatrixWord) -> str:
     elif w.target[0] == "trace":
         lines.append("target: trace")
     else:
-        ws = ",".join(format_coeff(Coeff.from_rational(x) if not isinstance(x, Coeff) else x).replace(" ", "") for x in w.target[1])
+        ws = ",".join(format_coeff(Coeff.of(x)).replace(" ", "") for x in w.target[1])
         lines.append(f"target: L({ws})")
     return "\n".join(lines) + "\n"
 
@@ -709,12 +606,12 @@ def format_projection(p: Projection) -> str:
     ]
     if p.weights is not None:
         ws = ",".join(
-            format_coeff(x if isinstance(x, Coeff) else Coeff.from_rational(x)).replace(" ", "")
+            format_coeff(Coeff.of(x)).replace(" ", "")
             for row in p.weights
             for x in row
         )
         lines.append(f"weights: {ws}")
-    for name, lf in zip(p.slot_names(), p.forms):
+    for name, lf in zip(p.slot_names(), p.forms, strict=True):
         lines.append(f"form {name}: {format_poly(lf.to_poly())}")
     return "\n".join(lines) + "\n"
 

@@ -79,6 +79,11 @@ class Coeff:
         return Coeff({(0, 0): Fraction(c)})
 
     @staticmethod
+    def of(x: Union["Coeff", Rat]) -> "Coeff":
+        """``x`` itself if it is a Coeff, else the constant rational ``x``."""
+        return x if isinstance(x, Coeff) else Coeff.from_rational(x)
+
+    @staticmethod
     def eps(k: int = 1) -> "Coeff":
         return Coeff({(k, 0): Fraction(1)})
 
@@ -105,8 +110,7 @@ class Coeff:
         return self + (-other)
 
     def __mul__(self, other: Union["Coeff", Rat]) -> "Coeff":
-        if not isinstance(other, Coeff):
-            other = Coeff.from_rational(other)
+        other = Coeff.of(other)
         out: Dict[Tuple[int, int], Fraction] = {}
         for (e1, a1), c1 in self.terms.items():
             for (e2, a2), c2 in other.terms.items():
@@ -132,13 +136,14 @@ class Coeff:
             out = out * self
         return out
 
-    def as_rational(self) -> Fraction:
-        """The value as a plain rational; raises if eps or alpha appears."""
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) != {(0, 0)}:
-            raise ValueError("coefficient is not a plain rational")
-        return self.terms[(0, 0)]
+    def subst(self, eps_power: int = 1, alpha: Union["Coeff", Rat, None] = None) -> "Coeff":
+        """The ring map eps -> eps^eps_power, alpha -> ``alpha`` (alpha is
+        kept when None).  The image of alpha is not itself substituted."""
+        image = Coeff.alpha() if alpha is None else Coeff.of(alpha)
+        out = COEFF_ZERO
+        for (e, a), c in self.terms.items():
+            out = out + Coeff({(e * eps_power, 0): c}) * image ** a
+        return out
 
     def to_poly(self) -> "Polynomial":
         return Polynomial({((), e, a): c for (e, a), c in self.terms.items()})
@@ -213,9 +218,7 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: Union["Polynomial", Coeff, Rat]) -> "Polynomial":
-        if isinstance(other, Coeff):
-            other = other.to_poly()
-        elif not isinstance(other, Polynomial):
+        if not isinstance(other, Polynomial):
             other = Polynomial.const(other)
         if not self.terms or not other.terms:
             return Polynomial()
@@ -237,7 +240,7 @@ class Polynomial:
         return out
 
     def scale(self, c: Union[Coeff, Rat]) -> "Polynomial":
-        return self * (c if isinstance(c, Coeff) else Coeff.from_rational(c))
+        return self * Coeff.of(c)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms
@@ -353,35 +356,6 @@ class Polynomial:
         """Drop all terms whose eps exponent is >= k (negatives kept)."""
         return Polynomial({key: c for key, c in self.terms.items() if key[1] < k})
 
-    def subst_alpha(self, c: Union[Coeff, Rat]) -> "Polynomial":
-        if not isinstance(c, Coeff):
-            c = Coeff.from_rational(c)
-        out = Polynomial()
-        grouped: Dict[int, Dict[Tuple[Mono, int, int], Fraction]] = {}
-        for (m, e, a), v in self.terms.items():
-            grouped.setdefault(a, {})[(m, e, 0)] = v
-        capow = COEFF_ONE
-        for a in range(0, max(grouped, default=0) + 1):
-            if a in grouped:
-                out = out + Polynomial(grouped[a]).scale(capow)
-            capow = capow * c
-        return out
-
-    def subst_eps_power(self, m: int) -> "Polynomial":
-        """The ring endomorphism eps -> eps^m."""
-        return Polynomial({(mo, e * m, a): c for (mo, e, a), c in self.terms.items()})
-
-    def subst_eps(self, c: Union[Coeff, Rat]) -> "Polynomial":
-        """Substitute an arbitrary scalar for eps (requires no negative powers)."""
-        if not isinstance(c, Coeff):
-            c = Coeff.from_rational(c)
-        out = Polynomial()
-        for (m, e, a), v in self.terms.items():
-            if e < 0:
-                raise LimitDiverges("cannot substitute into a negative eps power")
-            out = out + Polynomial({(m, 0, a): v}).scale(c ** e if e else COEFF_ONE)
-        return out
-
     def eval_random(self, point: Mapping[str, Rat], field=None) -> Dict[int, object]:
         """Evaluate x-variables numerically, leaving eps symbolic.
 
@@ -457,8 +431,7 @@ class LinearForm:
         clean: Dict[str, Coeff] = {}
         if coeffs:
             for v, c in coeffs.items():
-                if not isinstance(c, Coeff):
-                    c = Coeff.from_rational(c)
+                c = Coeff.of(c)
                 if not c.is_zero():
                     clean[v] = c
         self.coeffs = clean
@@ -497,17 +470,12 @@ class LinearForm:
         return self + (-other)
 
     def scale(self, c: Union[Coeff, Rat]) -> "LinearForm":
-        if not isinstance(c, Coeff):
-            c = Coeff.from_rational(c)
+        c = Coeff.of(c)
         return LinearForm({v: k * c for v, k in self.coeffs.items()})
 
-    def subst_eps_power(self, m: int) -> "LinearForm":
-        return LinearForm(
-            {
-                v: Coeff({(e * m, a): x for (e, a), x in c.terms.items()})
-                for v, c in self.coeffs.items()
-            }
-        )
+    def subst(self, eps_power: int = 1, alpha: Union[Coeff, Rat, None] = None) -> "LinearForm":
+        """``Coeff.subst`` applied to every coefficient."""
+        return LinearForm({v: c.subst(eps_power, alpha) for v, c in self.coeffs.items()})
 
     def to_poly(self) -> Polynomial:
         out = {}
@@ -686,7 +654,3 @@ def parse_linear_form(text: str) -> LinearForm:
 
 def format_coeff(c: Coeff) -> str:
     return format_poly(c.to_poly())
-
-
-def format_linear_form(f: LinearForm) -> str:
-    return format_poly(f.to_poly())

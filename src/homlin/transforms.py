@@ -186,9 +186,7 @@ def _rescale_tree(node: FNode, alpha: Coeff) -> FNode:
 
 def rescale_formula(c: Circuit, alpha: Union[Coeff, Rat]) -> Tuple[Circuit, PassReport]:
     _require(c.shape == "formula", "rescaleFormula expects a formula")
-    if not isinstance(alpha, Coeff):
-        alpha = Coeff.from_rational(alpha)
-    out_tree = _rescale_tree(circuit_to_tree(c), alpha)
+    out_tree = _rescale_tree(circuit_to_tree(c), Coeff.of(alpha))
     out = tree_to_circuit(out_tree, c.basis, "formula", c.variables)
     im, om = _metrics(c), _metrics(out)
     report = PassReport(

@@ -12,9 +12,9 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from .circuit import Circuit, FNode, Gate, balanced_add
+from .circuit import Circuit, FNode, Gate
 from .poly import (
     COEFF_ZERO,
     Coeff,

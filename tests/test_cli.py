@@ -134,6 +134,19 @@ def test_transform_parity_writes_components(capsys, tmp_path):
     assert even.eval() == parse_poly("x1*x2")
 
 
+def test_transform_vf_to_v3p_writes_components(capsys, tmp_path):
+    t = FNode.add(FNode.var("x3"), FNode.mul(FNode.var("x1"), FNode.var("x2")))
+    path = tmp_path / "mixed.circ"
+    path.write_text(print_circuit(tree_to_circuit(t, "arity2")))
+    out = tmp_path / "v3p"
+    code, stdout, _ = run(capsys, "transform", "--pass", "vf-to-v3p",
+                          "--in", str(path), "--out", str(out))
+    assert code == 0 and "wrote components" in stdout
+    assert parse_poly((tmp_path / "v3p.const").read_text()) == parse_poly("0")
+    assert parse_circuit((tmp_path / "v3p.odd.1").read_text()).eval() == parse_poly("x3")
+    assert parse_circuit((tmp_path / "v3p.even.2.x1").read_text()).eval() == parse_poly("x2")
+
+
 def test_transform_rejects_polynomial_input(capsys, tmp_path):
     p = tmp_path / "p.txt"
     p.write_text("x1 + x2\n")
@@ -146,6 +159,19 @@ def test_transform_precondition_violation_exit_2(capsys, negcube_circ):
     code, _o, err = run(capsys, "transform", "--pass", "brent",
                         "--in", negcube_circ)
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--pass", "brent", "--format", "text"],
+    ["transform", "--pass", "brent", "--seed", "1"],
+    ["audit", "--mod-eps", "1"],
+    ["audit", "--field", "rational"],
+])
+def test_options_outside_their_subcommand_exit_2(capsys, product_circ, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--in", product_circ])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

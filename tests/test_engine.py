@@ -106,3 +106,33 @@ def test_dot_skips_pairs_at_or_above_the_order():
     x = Polynomial.variable("x1")
     got = dot([(x * e(-1) + x * e(1), x + x * e(2))], below=1)
     assert got == (x * x * e(-1) + x * x * e(1)).mod_eps(1)
+
+
+# ---------------------------------------------------------------------------
+# the eps/alpha substitution map
+# ---------------------------------------------------------------------------
+
+POWERS = st.integers(-2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs(3), coeffs(3), POWERS, coeffs(2))
+def test_coeff_subst_is_a_ring_map(x, y, m, c):
+    assert (x + y).subst(m, c) == x.subst(m, c) + y.subst(m, c)
+    assert (x * y).subst(m, c) == x.subst(m, c) * y.subst(m, c)
+    assert (x + y).subst(m) == x.subst(m) + y.subst(m)
+    assert (x * y).subst(m) == x.subst(m) * y.subst(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs(3), POWERS, coeffs(2))
+def test_coeff_subst_is_eps_then_alpha(x, m, c):
+    assert x.subst(m, c) == x.subst(m).subst(alpha=c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(forms(), POWERS, st.one_of(st.none(), coeffs(2)))
+def test_linear_form_subst_maps_each_coefficient(lf, m, c):
+    got = lf.subst(m, c)
+    for v in VARS:
+        assert got.coeffs.get(v, Coeff()) == lf.coeffs.get(v, Coeff()).subst(m, c)

@@ -462,6 +462,15 @@ def test_word_to_projection_keeps_trace3_scalar():
     assert verify_border(p, P("x1*x2")).verdict
 
 
+@pytest.mark.parametrize("tag,count", [("nceL", 5), ("nceL", 7), ("C", 2)])
+def test_projection_with_wrong_form_count_fails_loudly(tag, count):
+    p = Projection(tag, 1, 1, [LinearForm.variable("x1")] * count)
+    with pytest.raises(ValueError):
+        p.value()
+    with pytest.raises(ValueError):
+        format_projection(p)
+
+
 def test_word_to_projection_rejects_nonzero_diagonal():
     m = [[Polynomial.zero()] * 3 for _ in range(3)]
     m = [row[:] for row in m]

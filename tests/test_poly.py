@@ -86,8 +86,8 @@ def test_limit_diverges_on_negative_eps():
 
 
 def test_subst_eps_power():
-    p = EPS(2) * X1 + EPS(-1) * X2
-    assert p.subst_eps_power(3) == EPS(6) * X1 + EPS(-3) * X2
+    lf = LinearForm.from_poly(EPS(2) * X1 + EPS(-1) * X2)
+    assert lf.subst(3) == LinearForm.from_poly(EPS(6) * X1 + EPS(-3) * X2)
 
 
 def test_mod_eps_keeps_negative_exponents():
@@ -96,10 +96,10 @@ def test_mod_eps_keeps_negative_exponents():
 
 
 def test_subst_alpha():
-    p = Polynomial.alpha(2) * X1 + Polynomial.alpha(1) * X2 + X3
+    lf = LinearForm.from_poly(Polynomial.alpha(2) * X1 + Polynomial.alpha(1) * X2 + X3)
     c = Coeff.from_rational(Fraction(1, 2))
     expected = Fraction(1, 4) * X1 + Fraction(1, 2) * X2 + X3
-    assert p.subst_alpha(c) == expected
+    assert lf.subst(alpha=c) == LinearForm.from_poly(expected)
 
 
 def test_eval_random_rational():
