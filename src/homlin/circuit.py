@@ -4,8 +4,9 @@ Two views of the same objects:
 
 * ``Circuit`` — a topologically ordered gate list (the serialized, shared-DAG
   form used by circuit passes and the text exchange format);
-* ``FNode`` — a plain recursive tree (the convenient form for formula passes,
-  which rewrite structurally).
+* ``FNode`` — a recursive tree (the convenient form for formula passes,
+  which rewrite structurally).  A node is a value: no pass mutates a node
+  after it is built, so trees share subtrees instead of copying them.
 
 Gate kinds: ``input`` (affine form: homogeneous linear part + constant),
 ``add`` (binary, optional per-edge scalars in circuit shape), ``mul`` (binary),
@@ -17,7 +18,7 @@ consumed by alpha-threading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -332,6 +333,12 @@ class FNode:
 
     kind in {leaf, add, mul, mul3, negcube, alpha, zvar}; ``lin``/``const``
     only for leaves; ``scale`` is a rational gate tag (addNegCube basis only).
+
+    A node is never mutated after it is built: passes build new nodes (for
+    example with ``scaled``) and share unchanged subtrees, so one node may
+    sit under several parents.  ``size`` and ``depth`` are those of the tree
+    it spells out (a shared subtree counts at every position), computed once
+    from the children when the node is built.
     """
 
     kind: str
@@ -339,6 +346,16 @@ class FNode:
     lin: Optional[LinearForm] = None
     const: Optional[Coeff] = None
     scale: Fraction = Fraction(1)
+    _size: int = field(init=False, repr=False, compare=False)
+    _depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        kids = self.children
+        if kids:
+            self._size = 1 + sum(ch._size for ch in kids)
+            self._depth = 1 + max(ch._depth for ch in kids)
+        else:
+            self._size, self._depth = 1, 0
 
     @staticmethod
     def leaf(lin: LinearForm, const: Coeff | None = None) -> "FNode":
@@ -390,24 +407,29 @@ class FNode:
             p = p * self.scale
         return p
 
+    def scaled(self, s) -> "FNode":
+        """This node with its scale tag multiplied by ``s``."""
+        if s == 1:
+            return self
+        return FNode(self.kind, self.children, self.lin, self.const, self.scale * s)
+
     def size(self) -> int:
-        return 1 + sum(ch.size() for ch in self.children)
+        return self._size
 
     def depth(self) -> int:
-        if not self.children:
-            return 0
-        return 1 + max(ch.depth() for ch in self.children)
+        return self._depth
 
 
-def balanced_add(nodes: Sequence[FNode]) -> FNode:
-    """Combine a nonempty list of summands into a balanced binary add tree."""
+def balanced_add(nodes: Sequence[FNode], op=FNode.add) -> FNode:
+    """Combine a nonempty list of operands into a balanced binary tree of
+    ``op`` (sums by default)."""
     nodes = list(nodes)
     if not nodes:
         raise ValueError("nothing to add")
     while len(nodes) > 1:
         nxt = []
         for i in range(0, len(nodes) - 1, 2):
-            nxt.append(FNode.add(nodes[i], nodes[i + 1]))
+            nxt.append(op(nodes[i], nodes[i + 1]))
         if len(nodes) % 2:
             nxt.append(nodes[-1])
         nodes = nxt
@@ -443,7 +465,8 @@ def tree_to_circuit(
 
 
 def circuit_to_tree(c: Circuit) -> FNode:
-    """Expand a circuit into a tree (shared gates are copied)."""
+    """The tree view of a circuit.  A gate read by several gates becomes one
+    subtree shared by their nodes (built once, through the memo)."""
 
     memo: Dict[str, FNode] = {}
 
@@ -460,7 +483,7 @@ def circuit_to_tree(c: Circuit) -> FNode:
         else:
             node = FNode(g.kind, tuple(build(ch) for ch in g.children))
         if g.scale is not None:
-            node = FNode(node.kind, node.children, lin=node.lin, const=node.const, scale=Fraction(g.scale))
+            node = node.scaled(Fraction(g.scale))
         memo[gid] = node
         return node
 

@@ -4,8 +4,8 @@ pipelines with serialized artifacts.
 
 Exit codes: 0 all pass, 1 verification failure, 2 invalid input.
 
-All artifacts are deterministic given the configuration and seed: reports
-written to files carry no timing information.
+All artifacts are deterministic given the configuration: reports written to
+files carry no timing information.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .families import FAMILY_TAGS, FamilySpec, gen_family
 from .matrixword import (
     MatrixWord,
     Projection,
-    border_value,
     compile_continuant_odd,
     compile_offdiag3,
     compile_trace3,
@@ -36,7 +35,7 @@ from .matrixword import (
     parse_projection,
     parse_word,
 )
-from .poly import LimitDiverges, Polynomial, format_poly, parse_poly
+from .poly import Polynomial, format_poly, parse_poly
 from .transforms import PASS_NAMES, ParityPair, PassReport, run_pass
 from .verify import (
     DEFAULT_PRIME,
@@ -155,8 +154,6 @@ def _parse_field(text: str) -> Optional[int]:
 def cmd_gen(args) -> int:
     spec = FamilySpec(args.family, args.n, args.d)
     p = gen_family(spec)
-    if args.mod_eps is not None:
-        p = p.mod_eps(args.mod_eps)
     _write_text(args.out, format_poly(p) + "\n")
     return 0
 
@@ -220,24 +217,6 @@ def _compile_target(target: Sequence[str], c: Circuit, d: Optional[int]):
     raise CliError(f"unknown compile target {name!r}")
 
 
-def _verify_compiled(obj, f: Polynomial, mode: str, args) -> VerifyReport:
-    if mode == "border" and args.mod_eps is None:
-        return verify_border(obj, f)
-    if mode not in ("border", "exact", "random"):
-        raise CliError(f"unknown verify mode {mode!r}")
-    # exact and random compare the eps-limit, which is read off mod eps^1
-    below = args.mod_eps if mode == "border" else 1
-    try:
-        value = border_value(obj, below=below).eps_limit()
-    except LimitDiverges as exc:
-        return VerifyReport(mode, False, witness=f"LimitDiverges: {exc}")
-    if mode == "random":
-        prime = _parse_field(args.field)
-        if prime is not None:
-            return verify_random(value, f, seed=args.seed, prime=prime)
-    return verify_exact(value, f)
-
-
 def cmd_compile(args) -> int:
     c = load_artifact(args.infile)
     if not isinstance(c, Circuit):
@@ -252,8 +231,8 @@ def cmd_compile(args) -> int:
     else:
         print(f"compiled {args.target[0]}: r = {obj.n} forms at degree {obj.d}")
         _write_text(args.out, format_projection(obj))
-    if args.verify != "none":
-        rep = _verify_compiled(obj, c.eval(), args.verify, args)
+    if args.verify == "border":
+        rep = verify_border(obj, c.eval())
         sys.stdout.write(_render_verify(rep))
         if not rep.verdict:
             return 1
@@ -329,7 +308,7 @@ def cmd_pipeline(args) -> int:
             raise CliError(f"unknown pass {name!r}")
 
     report_lines = [
-        f"pipeline input={args.infile} seed={args.seed}",
+        f"pipeline input={args.infile}",
         f"  passes: {' '.join(passes) if passes else '(none)'}",
         f"  target: {' '.join(args.target) if args.target else '(none)'}",
     ]
@@ -372,10 +351,10 @@ def cmd_pipeline(args) -> int:
                 f"  compile {args.target[0]}: r = {obj.n}, d = {obj.d} "
                 "-> projection.txt"
             )
-        rep = _verify_compiled(obj, f, args.verify, args)
+        rep = verify_border(obj, f)
         verdict_ok = rep.verdict
         report_lines.append(
-            f"  verify ({args.verify}): {'pass' if rep.verdict else 'FAIL'}"
+            f"  verify (border): {'pass' if rep.verdict else 'FAIL'}"
             + (f"; witness: {rep.witness}" if rep.witness else "")
         )
 
@@ -404,23 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="infile", required=True,
                        help="input artifact ('-' for stdin)")
 
-    def seed(p):
-        p.add_argument("--seed", type=int, default=0)
-
-    def field(p):
-        p.add_argument("--field", default="prime:%d" % DEFAULT_PRIME,
-                       help="rational | prime:P (random verification)")
-
-    def mod_eps(p):
-        p.add_argument("--mod-eps", dest="mod_eps", type=int, default=None,
-                       metavar="K", help="truncate eps powers >= K")
-
     g = sub.add_parser("gen", help="emit a reference family polynomial")
     g.add_argument("--family", required=True, choices=sorted(FAMILY_TAGS))
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--out", default=None)
-    mod_eps(g)
     g.set_defaults(fn=cmd_gen)
 
     t = sub.add_parser("transform", help="run a named transformation pass")
@@ -437,10 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="offdiag3 I J | trace3 | continuant")
     c.add_argument("--d", type=int, default=None)
     c.add_argument("--out", default=None)
-    c.add_argument("--verify", choices=["none", "exact", "border", "random"],
-                   default="none")
-    for opt in (infile, seed, field, mod_eps):
-        opt(c)
+    c.add_argument("--verify", choices=["none", "border"], default="none")
+    infile(c)
     c.set_defaults(fn=cmd_compile)
 
     v = sub.add_parser("verify", help="verify two artifacts against each other")
@@ -452,8 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=int, default=None)
     v.add_argument("--d", type=int, default=None)
     v.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    for opt in (infile, seed, field):
-        opt(v)
+    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--field", default="prime:%d" % DEFAULT_PRIME,
+                   help="rational | prime:P (random verification)")
+    infile(v)
     v.set_defaults(fn=cmd_verify)
 
     a = sub.add_parser("audit", help="re-assert a bound from a JSON report")
@@ -468,10 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="offdiag3 I J | trace3 | continuant")
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--verify", choices=["exact", "border", "random"],
-                   default="border")
-    for opt in (infile, seed, field, mod_eps):
-        opt(p)
+    infile(p)
     p.set_defaults(fn=cmd_pipeline)
 
     return top
@@ -479,7 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a bad flag (2) or --help (0)
+        return exc.code
     try:
         return args.fn(args)
     except CliError as exc:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .circuit import Circuit, FNode, circuit_to_tree, tree_to_circuit, GradedArity3Repr
+from .circuit import Circuit, FNode, circuit_to_tree, GradedArity3Repr
 from .families import (
     L_entry,
     L_sum,
@@ -53,6 +53,7 @@ from .poly import (
     parse_poly,
     _var_key,
 )
+from .transforms import _to_anc
 
 # cap on the adaptive eps-precision exponent of the negative-cube case
 MAX_K = 4096
@@ -453,15 +454,6 @@ def compile_continuant_odd(c: Circuit, d: Optional[int] = None) -> Projection:
     return Projection("C", len(forms), d, forms, COEFF_ONE, border=True)
 
 
-def _odd_word_for_arity3_circuit(part: Circuit, s: Fraction) -> List[LinearForm]:
-    """Invariant word for alpha * s * eval(part) from an arity-3 IHL circuit."""
-    from .transforms import to_add_negcube
-
-    tree = circuit_to_tree(part)
-    anc, _report = to_add_negcube(tree_to_circuit(tree, "arity3"))
-    return _cont_odd_word(circuit_to_tree(anc), s)
-
-
 def compile_continuant_even(g: GradedArity3Repr, d: int) -> Projection:
     """Border projection for the even homogeneous degree-d component, built
     from the per-variable derivative circuits via the telescoping diagonal
@@ -475,7 +467,8 @@ def compile_continuant_even(g: GradedArity3Repr, d: int) -> Projection:
         part = per_var[v]
         if part.eval().is_zero():
             continue
-        base = _odd_word_for_arity3_circuit(part, Fraction(1, d))
+        # invariant word for alpha * eval(part) / d
+        base = _cont_odd_word(_to_anc(circuit_to_tree(part)), Fraction(1, d))
         # b-blocks: eps -> eps^3, alpha -> +-eps, transposed and reversed
         b_plus = [lf.subst(3, eps) for lf in reversed(base)]
         b_minus = [lf.subst(3, -eps) for lf in reversed(base)]

@@ -5,7 +5,10 @@ All passes are pure: they take a ``Circuit`` and return a fresh ``Circuit``
 size/depth bound the pass promises and whether the output met it.
 
 Formula passes operate on the ``FNode`` tree view internally; circuit passes
-sweep the topologically ordered gate list.
+sweep the topologically ordered gate list.  Trees are shared values: no pass
+mutates a node, so a pass reuses the subtrees it does not change, and a
+rewrite names the subtree it replaces by its position (a path of child
+indices from the root), never by object identity.
 """
 
 from __future__ import annotations
@@ -58,16 +61,6 @@ def _require(cond: bool, msg: str):
 # ---------------------------------------------------------------------------
 
 
-def copy_tree(n: FNode) -> FNode:
-    return FNode(
-        n.kind,
-        tuple(copy_tree(ch) for ch in n.children),
-        lin=n.lin,
-        const=n.const,
-        scale=n.scale,
-    )
-
-
 def _is_zero_leaf(n: FNode) -> bool:
     return (
         n.kind == "leaf"
@@ -86,62 +79,48 @@ def _is_one_leaf(n: FNode) -> bool:
     )
 
 
-def _apply_scale(n: Optional[FNode], s: Fraction) -> Optional[FNode]:
-    if n is None or s == 1:
-        return n
-    n.scale = n.scale * s
-    return n
-
-
 def simplify(node: FNode) -> Optional[FNode]:
     """The fixed simplifier: ternary product with a zero factor vanishes, an
     addition with a zero child collapses to the other child, a ternary
     product with two constant-1 factors is its third factor, and vanished
     gates are removed transitively.  ``None`` encodes the zero formula."""
     if node.kind == "leaf":
-        return None if _is_zero_leaf(node) else copy_tree(node)
+        return None if _is_zero_leaf(node) else node
     if node.kind in ("alpha", "zvar"):
-        return copy_tree(node)
+        return node
     kids = [simplify(ch) for ch in node.children]
     if node.kind == "add":
         a, b = kids
-        if a is None:
-            return _apply_scale(b, node.scale)
-        if b is None:
-            return _apply_scale(a, node.scale)
-        return FNode("add", (a, b), scale=node.scale)
-    if node.kind in ("mul", "mul3"):
+        if a is None or b is None:
+            rest = b if a is None else a
+            return None if rest is None else rest.scaled(node.scale)
+    elif node.kind in ("mul", "mul3"):
         if any(k is None for k in kids):
             return None
         if node.kind == "mul3":
             ones = [i for i, k in enumerate(kids) if _is_one_leaf(k)]
             if len(ones) >= 2:
                 rest = [k for i, k in enumerate(kids) if i not in ones[:2]]
-                return _apply_scale(rest[0], node.scale)
-        return FNode(node.kind, tuple(kids), scale=node.scale)
-    if node.kind == "negcube":
-        return None if kids[0] is None else FNode("negcube", tuple(kids), scale=node.scale)
-    raise ValueError(node.kind)  # pragma: no cover
+                return rest[0].scaled(node.scale)
+    elif node.kind == "negcube":
+        if kids[0] is None:
+            return None
+    else:  # pragma: no cover
+        raise ValueError(node.kind)
+    if all(k is ch for k, ch in zip(kids, node.children)):
+        return node
+    return FNode(node.kind, tuple(kids), scale=node.scale)
 
 
-def _subst_nodes(node: FNode, repl: Dict[int, Optional[FNode]]) -> Optional[FNode]:
-    """Rebuild ``node`` with the identified subtrees replaced (``None`` = 0),
-    running the simplifier on the way up."""
-    if id(node) in repl:
-        r = repl[id(node)]
-        return None if r is None else copy_tree(r)
-    if not node.children:
-        return simplify(node)
-    rebuilt = FNode(
-        node.kind,
-        tuple(
-            _subst_nodes(ch, repl) or FNode.constant(0) for ch in node.children
-        ),
-        lin=node.lin,
-        const=node.const,
-        scale=node.scale,
-    )
-    return simplify(rebuilt)
+def _subst_path(steps: list, repl: Optional[FNode]) -> Optional[FNode]:
+    """The tree at the root of ``steps`` with the subtree at the end of the
+    path replaced by ``repl`` (``None`` = 0), simplified.  Only the nodes on
+    the path are rebuilt; ``simplify`` is idempotent, so one run over the
+    result equals simplifying every rebuilt level on the way up."""
+    cur = FNode.constant(0) if repl is None else repl
+    for n, ci in reversed(steps):
+        cur = FNode(n.kind, n.children[:ci] + (cur,) + n.children[ci + 1:], scale=n.scale)
+    return simplify(cur)
 
 
 def _zero_circuit(variables: Sequence[str] = (), shape: str = "formula",
@@ -162,20 +141,18 @@ def _tree_or_zero(t: Optional[FNode], c: Circuit, basis: str) -> Circuit:
 
 
 def _rescale_tree(node: FNode, alpha: Coeff) -> FNode:
+    """alpha * node: the scalar goes into both summands of an addition and
+    the first factor of a product; gate scale tags are kept."""
     if node.kind == "leaf":
         lin = node.lin.scale(alpha) if node.lin else LinearForm.zero()
         const = (node.const * alpha) if node.const is not None else COEFF_ZERO
-        return FNode("leaf", lin=lin, const=const)
+        return FNode("leaf", lin=lin, const=const, scale=node.scale)
     if node.kind == "add":
-        return FNode.add(
-            _rescale_tree(node.children[0], alpha),
-            _rescale_tree(node.children[1], alpha),
-        )
+        kids = (_rescale_tree(node.children[0], alpha), _rescale_tree(node.children[1], alpha))
+        return FNode("add", kids, scale=node.scale)
     if node.kind in ("mul", "mul3"):
-        kids = (_rescale_tree(node.children[0], alpha),) + tuple(
-            copy_tree(ch) for ch in node.children[1:]
-        )
-        return FNode(node.kind, kids)
+        kids = (_rescale_tree(node.children[0], alpha),) + node.children[1:]
+        return FNode(node.kind, kids, scale=node.scale)
     if node.kind == "negcube":
         raise NeedsRootExtraction(
             "rescaling through a negative cube needs a cube root; "
@@ -201,23 +178,17 @@ def rescale_formula(c: Circuit, alpha: Union[Coeff, Rat]) -> Tuple[Circuit, Pass
 # ---------------------------------------------------------------------------
 
 
-def _sizes(node: FNode, out: Dict[int, int]) -> int:
-    s = 1 + sum(_sizes(ch, out) for ch in node.children)
-    out[id(node)] = s
-    return s
-
-
-def _separator_steps(root: FNode, sizes: Dict[int, int]) -> Tuple[list, FNode]:
+def _separator_steps(root: FNode) -> Tuple[list, FNode]:
     """Walk from the root into the largest child (ties toward the first)
     until the subformula size drops to at most 2s/3.  Returns the list of
     (node, child index) steps and the separator node."""
-    s = sizes[id(root)]
+    s = root.size()
     steps = []
     cur = root
-    while 3 * sizes[id(cur)] > 2 * s:
+    while 3 * cur.size() > 2 * s:
         idx = max(
             range(len(cur.children)),
-            key=lambda i: (sizes[id(cur.children[i])], -i),
+            key=lambda i: (cur.children[i].size(), -i),
         )
         steps.append((cur, idx))
         cur = cur.children[idx]
@@ -227,11 +198,9 @@ def _separator_steps(root: FNode, sizes: Dict[int, int]) -> Tuple[list, FNode]:
 def _brent2(node: FNode, audit: List[Dict[str, int]]) -> FNode:
     s = node.size()
     if s <= 3:
-        return copy_tree(node)
-    sizes: Dict[int, int] = {}
-    _sizes(node, sizes)
-    steps, v = _separator_steps(node, sizes)
-    b_tree = _subst_nodes(node, {id(v): None})
+        return node
+    steps, v = _separator_steps(node)
+    b_tree = _subst_path(steps, None)
 
     def prune(i: int) -> Optional[FNode]:
         if i == len(steps):
@@ -239,7 +208,7 @@ def _brent2(node: FNode, audit: List[Dict[str, int]]) -> FNode:
         n, ci = steps[i]
         if n.kind == "add":
             return prune(i + 1)
-        other = copy_tree(n.children[1 - ci])
+        other = n.children[1 - ci]
         rest = prune(i + 1)
         return other if rest is None else FNode.mul(rest, other)
 
@@ -306,11 +275,11 @@ def _ihl_pair(node: FNode) -> Tuple[Coeff, Optional[FNode]]:
         cb, hb = _ihl_pair(node.children[1])
         terms: List[FNode] = []
         if ha is not None and hb is not None:
-            terms.append(FNode.mul(copy_tree(ha), copy_tree(hb)))
+            terms.append(FNode.mul(ha, hb))
         if hb is not None and not ca.is_zero():
-            terms.append(_rescale_tree(copy_tree(hb), ca))
+            terms.append(_rescale_tree(hb, ca))
         if ha is not None and not cb.is_zero():
-            terms.append(_rescale_tree(copy_tree(ha), cb))
+            terms.append(_rescale_tree(ha, cb))
         hat = balanced_add(terms) if terms else None
         return ca * cb, hat
     raise BasisViolation(f"input homogenization expects arity-2 gates, got {node.kind}")
@@ -493,20 +462,15 @@ _CUBE_SIGNS = [
 
 def _to_anc(node: FNode) -> FNode:
     if node.kind == "leaf":
-        return copy_tree(node)
+        return node
     if node.kind == "add":
         return FNode.add(_to_anc(node.children[0]), _to_anc(node.children[1]))
     if node.kind == "mul3":
         conv = [_to_anc(ch) for ch in node.children]
-        cubes = []
-        for signs, tag in _CUBE_SIGNS:
-            parts = []
-            for s, t in zip(signs, conv):
-                t2 = copy_tree(t)
-                if s == -1:
-                    t2.scale = t2.scale * -1
-                parts.append(t2)
-            cubes.append(FNode.negcube(balanced_add(parts), scale=tag))
+        cubes = [
+            FNode.negcube(balanced_add([t.scaled(s) for s, t in zip(signs, conv)]), scale=tag)
+            for signs, tag in _CUBE_SIGNS
+        ]
         return balanced_add(cubes)
     raise BasisViolation(f"toAddNegCube expects arity-3 gates, got {node.kind}")
 
@@ -538,7 +502,7 @@ class ParityPair:
 
 def _parity_tree(node: FNode) -> Tuple[Optional[FNode], Optional[FNode]]:
     if node.kind == "leaf":
-        return copy_tree(node), None
+        return node, None
     if node.kind == "add":
         o1, e1 = _parity_tree(node.children[0])
         o2, e2 = _parity_tree(node.children[1])
@@ -563,7 +527,7 @@ def _add_opt(a: Optional[FNode], b: Optional[FNode]) -> Optional[FNode]:
 def _mul_opt(a: Optional[FNode], b: Optional[FNode]) -> Optional[FNode]:
     if a is None or b is None:
         return None
-    return FNode.mul(copy_tree(a), copy_tree(b))
+    return FNode.mul(a, b)
 
 
 def parity_homogenize(c: Circuit) -> Tuple[ParityPair, PassReport]:
@@ -639,11 +603,9 @@ def _lowest_mul3(steps: list) -> Optional[int]:
 def _brent3(node: FNode, audit: List[Dict[str, object]]) -> FNode:
     s = node.size()
     if s <= 3:
-        return copy_tree(node)
-    sizes: Dict[int, int] = {}
-    _sizes(node, sizes)
-    steps, v = _separator_steps(node, sizes)
-    b_tree = _subst_nodes(node, {id(v): None})
+        return node
+    steps, v = _separator_steps(node)
+    b_tree = _subst_path(steps, None)
     pidx = _lowest_mul3(steps)
 
     if pidx is None:
@@ -666,12 +628,12 @@ def _brent3(node: FNode, audit: List[Dict[str, object]]) -> FNode:
 
     def prune(i: int) -> FNode:
         if i == pidx:
-            return copy_tree(y_node)
+            return y_node
         n, ci = steps[i]
         if n.kind == "add":
             return prune(i + 1)
         rest = prune(i + 1)
-        kept = [copy_tree(ch) for j, ch in enumerate(n.children) if j != ci]
+        kept = [ch for j, ch in enumerate(n.children) if j != ci]
         return FNode.mul3(rest, kept[0], kept[1])
 
     d_tree = prune(0)
@@ -717,34 +679,24 @@ def brent3_linearization(tree: FNode):
     if its lowest strict ancestor product exists, return (v, x, F11, F00)
     where F11/F00 are realized through the simplifier rules.  Returns None in
     the additions-only case."""
-    sizes: Dict[int, int] = {}
-    _sizes(tree, sizes)
-    steps, v = _separator_steps(tree, sizes)
+    steps, v = _separator_steps(tree)
     pidx = _lowest_mul3(steps)
     if pidx is None:
         return None
     p_node, pci = steps[pidx]
-    x_node = [ch for i, ch in enumerate(p_node.children) if i != pci][0]
+    xi = 1 if pci == 0 else 0
     one = FNode.constant(1)
-    f11 = _subst_nodes(tree, {id(v): one, id(x_node): one})
-    f00 = _subst_nodes(tree, {id(v): None})
-    return v, x_node, f11, f00
+    # F(1,1): x, the product's first other child, becomes 1 as well
+    p11 = FNode("mul3", p_node.children[:xi] + (one,) + p_node.children[xi + 1:],
+                scale=p_node.scale)
+    f11 = _subst_path(steps[:pidx] + [(p11, pci)] + steps[pidx + 1:], one)
+    f00 = _subst_path(steps, None)
+    return v, p_node.children[xi], f11, f00
 
 
 # ---------------------------------------------------------------------------
 # formulas to graded arity-3 circuits
 # ---------------------------------------------------------------------------
-
-
-def _balanced_mul(nodes: List[FNode]) -> FNode:
-    while len(nodes) > 1:
-        nxt = []
-        for i in range(0, len(nodes) - 1, 2):
-            nxt.append(FNode.mul(nodes[i], nodes[i + 1]))
-        if len(nodes) % 2:
-            nxt.append(nodes[-1])
-        nodes = nxt
-    return nodes[0]
 
 
 def formula_from_poly(p: Polynomial) -> Optional[FNode]:
@@ -761,7 +713,7 @@ def formula_from_poly(p: Polynomial) -> Optional[FNode]:
             terms.append(FNode.constant(c))
             continue
         leaves[0] = FNode.leaf(LinearForm.variable(mono[0][0], c))
-        terms.append(_balanced_mul(leaves))
+        terms.append(balanced_add(leaves, FNode.mul))
     return balanced_add(terms) if terms else None
 
 
@@ -853,7 +805,7 @@ def vf_to_v3p(c: Circuit) -> Tuple[GradedArity3Repr, PassReport]:
         else:
             per_var: Dict[str, Circuit] = {}
             for v in sorted(fd.variables(), key=_var_key):
-                dtree = _ddx(copy_tree(base), v)
+                dtree = _ddx(base, v)
                 if dtree is None:
                     continue
                 ihl = input_homogenize_tree(dtree)

@@ -10,7 +10,7 @@ import random
 import time
 from itertools import combinations
 
-from homlin.circuit import Circuit, FNode, tree_to_circuit
+from homlin.circuit import FNode, tree_to_circuit
 from homlin.families import gen_C_comb, gen_C_matrix
 from homlin.matrixword import (
     MatrixWord,
@@ -20,7 +20,7 @@ from homlin.matrixword import (
     compile_trace3,
     expand_word,
 )
-from homlin.poly import LinearForm, Polynomial, parse_poly
+from homlin.poly import Polynomial
 from homlin.transforms import (
     _descendants,
     bracket_poly,

@@ -216,10 +216,11 @@ def test_round_trip_preserves_eval_random_trees():
         assert c2.eval() == c.eval()
 
 
-def test_circuit_to_tree_copies_shared_gates():
+def test_circuit_to_tree_shares_shared_gates():
     g1 = Gate("g1", "input", lin=LinearForm.variable("x1"), const=Coeff())
     g2 = Gate("g2", "mul", children=("g1", "g1"))
     c = Circuit([g1, g2], "g2", "circuit", "arity2")
     t = circuit_to_tree(c)
     assert t.eval() == X1 * X1
     assert t.size() == 3
+    assert t.children[0] is t.children[1]

@@ -12,11 +12,11 @@ from homlin.circuit import (
     Circuit,
     FNode,
     Gate,
-    balanced_add,
-    circuit_to_tree,
+    parse_circuit,
     tree_to_circuit,
 )
 from homlin.poly import COEFF_ZERO, Coeff, LinearForm, Polynomial, parse_poly
+from homlin import transforms
 from homlin.transforms import (
     PASS_NAMES,
     NeedsRootExtraction,
@@ -36,7 +36,9 @@ from homlin.transforms import (
     to_add_negcube,
     vf_to_v3p,
     vsbr_arity3,
+    _brent2,
     _descendants,
+    input_homogenize_tree,
 )
 from homlin.verify import (
     random_arity2_circuit,
@@ -97,6 +99,18 @@ def test_rescale_negcube_needs_root_extraction():
         rescale_formula(c, 2)
 
 
+def test_rescale_keeps_gate_scale_tags():
+    c = parse_circuit(
+        "shape formula\nbasis addNegCube\n"
+        "gate g1 = input x1 scale 2\ngate g2 = input x2\n"
+        "gate g3 = add g1 g2 scale 1/3\noutput g3\n"
+    )
+    out, rep = rescale_formula(c, 5)
+    assert out.eval() == Fraction(10, 3) * X1 + Fraction(5, 3) * X2
+    assert out.eval() == c.eval() * 5
+    assert rep.bound_satisfied
+
+
 def test_rescale_random_semantics():
     rng = random.Random(11)
     for _ in range(50):
@@ -153,6 +167,15 @@ def test_brent_random_semantics_and_bound():
         assert out.eval() == c.eval()
         assert rep.bound_satisfied
         assert all(st["withinTwoThirds"] for st in rep.details["recursionSteps"])
+
+
+def test_brent_and_ihl_on_a_repeated_subtree():
+    # one node under both children of the root: the separator is the first
+    # occurrence, and zeroing it must leave the second one in place
+    m = FNode.mul(FNode.leaf(LinearForm.variable("x1"), Coeff.of(1)), leaf("x2"))
+    t = FNode.add(m, m)
+    assert _brent2(t, []).eval() == 2 * (X1 + Polynomial.const(1)) * X2
+    assert input_homogenize_tree(t).eval() == 2 * (X1 + Polynomial.const(1)) * X2
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +418,15 @@ def test_brent3_random_semantics_and_depth():
         assert rep.details["allStepsWithinTwoThirds"]
 
 
+def _replace_nodes(node, repl):
+    """``node`` with the subtrees whose ids key ``repl`` replaced; an identity
+    walk is valid here because the generated trees share no subtree."""
+    if id(node) in repl:
+        return repl[id(node)]
+    kids = tuple(_replace_nodes(ch, repl) for ch in node.children)
+    return FNode(node.kind, kids, node.lin, node.const, node.scale)
+
+
 def test_brent3_linearization_identity():
     # F(a, b) == a*b*(F(1,1) - F(0,0)) + F(0,0) with fresh variables a, b
     # substituted for the separator and its product sibling.
@@ -407,12 +439,7 @@ def test_brent3_linearization_identity():
         if res is None:
             continue
         v, x, f11, f00 = res
-        from homlin.transforms import _subst_nodes
-
-        fa = FNode.var("a")
-        fb = FNode.var("b")
-        fab = _subst_nodes(t, {id(v): fa, id(x): fb})
-        lhs = fab.eval() if fab is not None else Polynomial.zero()
+        lhs = _replace_nodes(t, {id(v): FNode.var("a"), id(x): FNode.var("b")}).eval()
         p11 = f11.eval() if f11 is not None else Polynomial.zero()
         p00 = f00.eval() if f00 is not None else Polynomial.zero()
         ab = Polynomial.variable("a") * Polynomial.variable("b")
@@ -602,6 +629,43 @@ def test_simplify_rules():
     # two constant-1 factors drop out
     t = FNode.mul3(FNode.constant(1), FNode.constant(1), leaf("x2"))
     assert simplify(t).eval() == X2
+
+
+def _snapshot(n):
+    return (n.kind, n.lin, n.const, n.scale, n.size(), n.depth(),
+            tuple(_snapshot(ch) for ch in n.children))
+
+
+def test_tree_passes_leave_their_input_tree_unchanged(monkeypatch):
+    # capture every tree a pass builds from its input (circuit_to_tree, and
+    # formula_from_poly for vf-to-v3p) and compare it after the pass
+    seen = []
+
+    def capturing(fn):
+        def wrapped(*args):
+            t = fn(*args)
+            if t is not None:
+                seen.append((t, _snapshot(t)))
+            return t
+        return wrapped
+
+    for name in ("circuit_to_tree", "formula_from_poly"):
+        monkeypatch.setattr(transforms, name, capturing(getattr(transforms, name)))
+    rng = random.Random(89)
+    for _ in range(15):
+        c2 = as_formula(random_formula(rng, rng.randint(1, 40), 4))
+        ci = as_formula(random_ihl_formula(rng, rng.randint(1, 40), 4))
+        c3 = tree_to_circuit(random_graded_arity3_formula(rng, 5, rng.randint(10, 40), 4), "arity3")
+        small = as_formula(random_formula(rng, rng.randint(1, 16), 3))
+        runs = [("rescale", c2, {"alpha": 3}), ("brent", c2, {}), ("ihl-formula", c2, {}),
+                ("derivative", c2, {"var": "x1"}), ("parity", ci, {}),
+                ("add-negcube", c3, {}), ("brent3", c3, {}), ("vf-to-v3p", small, {})]
+        for name, c, kwargs in runs:
+            before = len(seen)
+            run_pass(name, c, **kwargs)
+            assert len(seen) > before, name
+    for t, snap in seen:
+        assert _snapshot(t) == snap
 
 
 def test_run_pass_dispatch():

@@ -6,7 +6,7 @@ import pytest
 
 from homlin.circuit import FNode, tree_to_circuit
 from homlin.matrixword import MatrixWord, compile_continuant_odd, compile_trace3
-from homlin.poly import Coeff, LinearForm, Polynomial, parse_poly
+from homlin.poly import Coeff, Polynomial, parse_poly
 from homlin.transforms import input_homogenize_circuit
 from homlin.verify import (
     DEFAULT_PRIME,
