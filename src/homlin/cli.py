@@ -441,10 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# parse_args leaves a parser unchanged, so every call of main shares one.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # a bad flag (2) or --help (0)
         return exc.code
     try:

@@ -88,6 +88,11 @@ class DiagonalNonzero(ValueError):
     pass
 
 
+class EntryNotHomogeneousLinear(ValueError):
+    """A factor entry that a family projection cannot carry as a linear form
+    (such as the constant eps^2 of trace3's degree-one gadget)."""
+
+
 # ---------------------------------------------------------------------------
 # word and projection types
 # ---------------------------------------------------------------------------
@@ -509,14 +514,16 @@ def word_to_projection(
     if weights is None:
         weights = target_weights(w.target, 3)
     forms: List[LinearForm] = []
-    for a in w.factors:
+    for k, a in enumerate(w.factors, 1):
         for i in range(3):
             if not a[i][i].is_zero():
                 raise DiagonalNonzero(f"factor entry ({i + 1},{i + 1}) = {format_poly(a[i][i])}")
         for i, j in OFF_DIAGONAL:
             p = a[i - 1][j - 1]
             if not p.constant_part().is_zero() or p.degree() > 1:
-                raise ValueError("entry is not homogeneous linear: " + format_poly(p))
+                raise EntryNotHomogeneousLinear(
+                    f"factor {k} entry ({i},{j}) is not homogeneous linear: {format_poly(p)}"
+                )
             forms.append(LinearForm.from_poly(p).subst(d))
     forms += [LinearForm.zero()] * (len(OFF_DIAGONAL) * (n - r))
     scalar = w.global_scalar.subst(d)

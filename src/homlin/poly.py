@@ -2,15 +2,23 @@
 
 Coefficients live in the ring of Laurent polynomials in a degeneration
 parameter ``eps`` (integer exponents, possibly negative) further extended by a
-formal scalar ``alpha`` (nonnegative exponents), with rational (Fraction)
-constants.  Variables are named by strings (``x1``, ``x1_2_3``, ...) and are
-totally ordered by a natural sort of their numeric components.
+formal scalar ``alpha`` (nonnegative exponents), with rational constants.
+Variables are named by strings (``x1``, ``x1_2_3``, ...) and are totally
+ordered by a natural sort of their numeric components.
 
 Representation:
 
-  Coeff       = {(epsExp, alphaExp): Fraction}      (no zero entries)
+  Rational    = int | Fraction     (integral values are always int)
+  Coeff       = {(epsExp, alphaExp): Rational}      (no zero entries)
   Monomial    = tuple of (varName, positiveExp) pairs, sorted canonically
-  Polynomial  = {(Monomial, epsExp, alphaExp): Fraction}   (flat, no zeros)
+  Polynomial  = {(Monomial, epsExp, alphaExp): Rational}   (flat, no zeros)
+
+The public constructors ``Coeff(...)`` and ``Polynomial(...)`` accept any
+rational values and normalise them.  Every internal result is wrapped by the
+trusted constructors ``Coeff._normalised`` and ``Polynomial._normalised``,
+which take a term dict as it is: its values must already be nonzero, with
+integral ones as ``int``.  Integer arithmetic is native, so the common
+integral coefficients never pay for ``Fraction`` normalisation.
 
 The zero polynomial is the empty mapping.  All values are immutable after
 construction and every operation is a pure function.
@@ -36,26 +44,72 @@ class PrimeTooSmall(Exception):
 
 
 _VAR_CHUNKS = re.compile(r"(\d+)")
+_VAR_KEYS: Dict[str, tuple] = {}
 
 
 def _var_key(name: str):
-    """Natural-sort key so x2 < x10 and x1_2 < x1_10."""
-    return tuple(int(c) if c.isdigit() else c for c in _VAR_CHUNKS.split(name))
+    """Natural-sort key so x2 < x10 and x1_2 < x1_10, computed once per name.
+
+    The name itself breaks ties, so names that differ only in leading zeros
+    (x01, x1) are still ordered and every monomial has one canonical form."""
+    key = _VAR_KEYS.get(name)
+    if key is None:
+        chunks = tuple(int(c) if c.isdigit() else c for c in _VAR_CHUNKS.split(name))
+        key = _VAR_KEYS[name] = (chunks, name)
+    return key
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
+    """The product of two canonical monomials: a merge of their sorted
+    variable lists."""
     if not a:
         return b
     if not b:
         return a
-    exps: Dict[str, int] = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items(), key=lambda it: _var_key(it[0])))
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        x, y = a[i], b[j]
+        if x[0] == y[0]:
+            out.append((x[0], x[1] + y[1]))
+            i += 1
+            j += 1
+        elif _var_key(x[0]) < _var_key(y[0]):
+            out.append(x)
+            i += 1
+        else:
+            out.append(y)
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 def _mono_deg(m: Mono) -> int:
     return sum(e for _, e in m)
+
+
+def _rat(c) -> Rat:
+    """``c`` as an exact rational: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _clean(terms: dict) -> dict:
+    """The nonzero entries of a summed term dict, integral values as int."""
+    return {
+        k: c if type(c) is int or c.denominator != 1 else c.numerator
+        for k, c in terms.items()
+        if c
+    }
+
+
+def _add_terms(x: dict, y: dict) -> dict:
+    """The term-wise sum of two normalised term dicts, normalised."""
+    out = dict(x)
+    for k, c in y.items():
+        out[k] = out.get(k, 0) + c
+    return _clean(out)
 
 
 class Coeff:
@@ -64,19 +118,27 @@ class Coeff:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Tuple[int, int], Rat] | None = None):
-        clean: Dict[Tuple[int, int], Fraction] = {}
+        clean: Dict[Tuple[int, int], Rat] = {}
         if terms:
             for (e, a), c in terms.items():
                 if a < 0:
                     raise ValueError("alpha exponent must be nonnegative")
-                c = Fraction(c)
-                if c != 0:
-                    clean[(e, a)] = clean.get((e, a), Fraction(0)) + c
-        self.terms = {k: v for k, v in clean.items() if v != 0}
+                c = _rat(c)
+                if c:
+                    clean[(e, a)] = c
+        self.terms = clean
+
+    @staticmethod
+    def _normalised(terms: Dict[Tuple[int, int], Rat]) -> "Coeff":
+        """Wrap a term dict that already holds only nonzero normalised values."""
+        c = object.__new__(Coeff)
+        c.terms = terms
+        return c
 
     @staticmethod
     def from_rational(c: Rat) -> "Coeff":
-        return Coeff({(0, 0): Fraction(c)})
+        c = _rat(c)
+        return Coeff._normalised({(0, 0): c} if c else {})
 
     @staticmethod
     def of(x: Union["Coeff", Rat]) -> "Coeff":
@@ -85,38 +147,36 @@ class Coeff:
 
     @staticmethod
     def eps(k: int = 1) -> "Coeff":
-        return Coeff({(k, 0): Fraction(1)})
+        return Coeff._normalised({(k, 0): 1})
 
     @staticmethod
     def alpha(k: int = 1) -> "Coeff":
-        return Coeff({(0, k): Fraction(1)})
+        return Coeff({(0, k): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0, 0): Fraction(1)}
+        return self.terms == {(0, 0): 1}
 
     def __add__(self, other: "Coeff") -> "Coeff":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return Coeff(out)
+        return Coeff._normalised(_add_terms(self.terms, other.terms))
 
     def __neg__(self) -> "Coeff":
-        return Coeff({k: -c for k, c in self.terms.items()})
+        return Coeff._normalised({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "Coeff") -> "Coeff":
         return self + (-other)
 
     def __mul__(self, other: Union["Coeff", Rat]) -> "Coeff":
         other = Coeff.of(other)
-        out: Dict[Tuple[int, int], Fraction] = {}
+        out: Dict[Tuple[int, int], Rat] = {}
+        get = out.get
         for (e1, a1), c1 in self.terms.items():
             for (e2, a2), c2 in other.terms.items():
                 k = (e1 + e2, a1 + a2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return Coeff(out)
+                out[k] = get(k, 0) + c1 * c2
+        return Coeff._normalised(_clean(out))
 
     __rmul__ = __mul__
 
@@ -140,13 +200,16 @@ class Coeff:
         """The ring map eps -> eps^eps_power, alpha -> ``alpha`` (alpha is
         kept when None).  The image of alpha is not itself substituted."""
         image = Coeff.alpha() if alpha is None else Coeff.of(alpha)
-        out = COEFF_ZERO
+        out: Dict[Tuple[int, int], Rat] = {}
+        get = out.get
         for (e, a), c in self.terms.items():
-            out = out + Coeff({(e * eps_power, 0): c}) * image ** a
-        return out
+            for (e2, a2), c2 in (image ** a).terms.items():
+                k = (e * eps_power + e2, a2)
+                out[k] = get(k, 0) + c * c2
+        return Coeff._normalised(_clean(out))
 
     def to_poly(self) -> "Polynomial":
-        return Polynomial({((), e, a): c for (e, a), c in self.terms.items()})
+        return Polynomial._normalised({((), e, a): c for (e, a), c in self.terms.items()})
 
     def __repr__(self):
         return f"Coeff({self.terms!r})"
@@ -162,43 +225,44 @@ class Polynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Tuple[Mono, int, int], Rat] | None = None):
-        clean: Dict[Tuple[Mono, int, int], Fraction] = {}
+        clean: Dict[Tuple[Mono, int, int], Rat] = {}
         if terms:
             for key, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    clean[key] = clean.get(key, Fraction(0)) + c
-        self.terms = {k: v for k, v in clean.items() if v != 0}
+                c = _rat(c)
+                if c:
+                    clean[key] = c
+        self.terms = clean
 
     # -- constructors -----------------------------------------------------
     @staticmethod
-    def _normalised(terms: Dict[Tuple[Mono, int, int], Fraction]) -> "Polynomial":
-        """Wrap a term dict that already holds only nonzero Fractions."""
+    def _normalised(terms: Dict[Tuple[Mono, int, int], Rat]) -> "Polynomial":
+        """Wrap a term dict that already holds only nonzero normalised values."""
         p = object.__new__(Polynomial)
         p.terms = terms
         return p
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial()
+        return Polynomial._normalised({})
 
     @staticmethod
     def const(c: Union[Rat, Coeff]) -> "Polynomial":
         if isinstance(c, Coeff):
             return c.to_poly()
-        return Polynomial({((), 0, 0): Fraction(c)})
+        c = _rat(c)
+        return Polynomial._normalised({((), 0, 0): c} if c else {})
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
-        return Polynomial({(((name, 1),), 0, 0): Fraction(1)})
+        return Polynomial._normalised({(((name, 1),), 0, 0): 1})
 
     @staticmethod
     def eps(k: int = 1) -> "Polynomial":
-        return Polynomial({((), k, 0): Fraction(1)})
+        return Polynomial._normalised({((), k, 0): 1})
 
     @staticmethod
     def alpha(k: int = 1) -> "Polynomial":
-        return Polynomial({((), 0, k): Fraction(1)})
+        return Polynomial._normalised({((), 0, k): 1})
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -206,13 +270,10 @@ class Polynomial:
             return self
         if not self.terms:
             return other
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return Polynomial(out)
+        return Polynomial._normalised(_add_terms(self.terms, other.terms))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({k: -c for k, c in self.terms.items()})
+        return Polynomial._normalised({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -220,14 +281,7 @@ class Polynomial:
     def __mul__(self, other: Union["Polynomial", Coeff, Rat]) -> "Polynomial":
         if not isinstance(other, Polynomial):
             other = Polynomial.const(other)
-        if not self.terms or not other.terms:
-            return Polynomial()
-        out: Dict[Tuple[Mono, int, int], Fraction] = {}
-        for (m1, e1, a1), c1 in self.terms.items():
-            for (m2, e2, a2), c2 in other.terms.items():
-                k = (_mono_mul(m1, m2), e1 + e2, a1 + a2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return Polynomial(out)
+        return dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -266,11 +320,9 @@ class Polynomial:
         return out
 
     def coeff_of_mono(self, m: Mono) -> Coeff:
-        out = {}
-        for (m2, e, a), c in self.terms.items():
-            if m2 == m:
-                out[(e, a)] = c
-        return Coeff(out)
+        return Coeff._normalised(
+            {(e, a): c for (m2, e, a), c in self.terms.items() if m2 == m}
+        )
 
     def constant_part(self) -> Coeff:
         """The monomial-free part (may still carry eps/alpha)."""
@@ -286,7 +338,7 @@ class Polynomial:
     def homog_component(self, d: int) -> "Polynomial":
         if d < 0:
             raise ValueError("degree must be nonnegative")
-        return Polynomial(
+        return Polynomial._normalised(
             {k: c for k, c in self.terms.items() if _mono_deg(k[0]) == d}
         )
 
@@ -300,20 +352,15 @@ class Polynomial:
         return degs == [d] if d is not None else len(degs) == 1
 
     def partial_derivative(self, v: str) -> "Polynomial":
-        out: Dict[Tuple[Mono, int, int], Fraction] = {}
+        out: Dict[Tuple[Mono, int, int], Rat] = {}
         for (m, e, a), c in self.terms.items():
-            exps = dict(m)
-            dexp = exps.get(v, 0)
-            if dexp == 0:
-                continue
-            if dexp == 1:
-                del exps[v]
-            else:
-                exps[v] = dexp - 1
-            mono = tuple(sorted(exps.items(), key=lambda it: _var_key(it[0])))
-            key = (mono, e, a)
-            out[key] = out.get(key, Fraction(0)) + c * dexp
-        return Polynomial(out)
+            for i, (w, x) in enumerate(m):
+                if w == v:
+                    # Lowering one exponent keeps the variable order.
+                    rest = m[i + 1:] if x == 1 else ((v, x - 1),) + m[i + 1:]
+                    out[(m[:i] + rest, e, a)] = c * x
+                    break
+        return Polynomial._normalised(_clean(out))
 
     def substitute(self, sigma: Mapping[str, Union["Polynomial", "LinearForm"]]) -> "Polynomial":
         """Substitute polynomials (or linear forms) for variables.
@@ -323,10 +370,10 @@ class Polynomial:
         images: Dict[str, Polynomial] = {}
         for v, img in sigma.items():
             images[v] = img.to_poly() if isinstance(img, LinearForm) else img
-        out = Polynomial()
+        out = Polynomial.zero()
         cache: Dict[Tuple[str, int], Polynomial] = {}
         for (m, e, a), c in self.terms.items():
-            term = Polynomial({((), e, a): c})
+            term = Polynomial._normalised({((), e, a): c})
             for v, exp in m:
                 if v in images:
                     key = (v, exp)
@@ -334,7 +381,7 @@ class Polynomial:
                         cache[key] = images[v] ** exp
                     term = term * cache[key]
                 else:
-                    term = term * Polynomial({(((v, exp),), 0, 0): Fraction(1)})
+                    term = term * Polynomial._normalised({(((v, exp),), 0, 0): 1})
                 if not term.terms:
                     break
             out = out + term
@@ -350,11 +397,13 @@ class Polynomial:
                 )
             if e == 0:
                 out[(m, 0, a)] = c
-        return Polynomial(out)
+        return Polynomial._normalised(out)
 
     def mod_eps(self, k: int) -> "Polynomial":
         """Drop all terms whose eps exponent is >= k (negatives kept)."""
-        return Polynomial({key: c for key, c in self.terms.items() if key[1] < k})
+        return Polynomial._normalised(
+            {key: c for key, c in self.terms.items() if key[1] < k}
+        )
 
     def eval_random(self, point: Mapping[str, Rat], field=None) -> Dict[int, object]:
         """Evaluate x-variables numerically, leaving eps symbolic.
@@ -402,16 +451,17 @@ def dot(
     eps^below (negative powers kept, as in ``mod_eps``).
 
     Two terms whose eps exponents sum to ``below`` or more are never
-    multiplied; with ``below=None`` every term is kept."""
+    multiplied; with ``below=None`` every term is kept.  This is the one
+    product loop of the kernel: ``Polynomial.__mul__`` is ``dot`` of one pair."""
     top = math.inf if below is None else below
-    out: Dict[Tuple[Mono, int, int], Fraction] = {}
+    out: Dict[Tuple[Mono, int, int], Rat] = {}
     if start is not None:
         out = {k: c for k, c in start.terms.items() if k[1] < top}
     get = out.get
     for a, b in pairs:
         if not a.terms or not b.terms:
             continue
-        inner = sorted(b.terms.items(), key=_eps_of)
+        inner = b.terms.items() if below is None else sorted(b.terms.items(), key=_eps_of)
         for (m1, e1, a1), c1 in a.terms.items():
             lim = top - e1
             for (m2, e2, a2), c2 in inner:
@@ -419,7 +469,7 @@ def dot(
                     break
                 key = (_mono_mul(m1, m2), e1 + e2, a1 + a2)
                 out[key] = get(key, 0) + c1 * c2
-    return Polynomial._normalised({k: c for k, c in out.items() if c})
+    return Polynomial._normalised(_clean(out))
 
 
 class LinearForm:
@@ -446,13 +496,12 @@ class LinearForm:
 
     @staticmethod
     def from_poly(p: Polynomial) -> "LinearForm":
-        out: Dict[str, Coeff] = {}
+        out: Dict[str, Dict[Tuple[int, int], Rat]] = {}
         for (m, e, a), c in p.terms.items():
             if len(m) != 1 or m[0][1] != 1:
                 raise ValueError("polynomial is not homogeneous linear")
-            v = m[0][0]
-            out[v] = out.get(v, COEFF_ZERO) + Coeff({(e, a): c})
-        return LinearForm(out)
+            out.setdefault(m[0][0], {})[(e, a)] = c
+        return LinearForm({v: Coeff._normalised(t) for v, t in out.items()})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -478,11 +527,13 @@ class LinearForm:
         return LinearForm({v: c.subst(eps_power, alpha) for v, c in self.coeffs.items()})
 
     def to_poly(self) -> Polynomial:
-        out = {}
-        for v, c in self.coeffs.items():
-            for (e, a), x in c.terms.items():
-                out[(((v, 1),), e, a)] = x
-        return Polynomial(out)
+        return Polynomial._normalised(
+            {
+                (((v, 1),), e, a): x
+                for v, c in self.coeffs.items()
+                for (e, a), x in c.terms.items()
+            }
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearForm) and self.coeffs == other.coeffs
@@ -530,9 +581,7 @@ def _tokenize(text: str):
 
 def parse_poly(text: str) -> Polynomial:
     toks = _tokenize(text)
-    if not toks:
-        return Polynomial.zero()
-    out = Polynomial.zero()
+    out: Dict[Tuple[Mono, int, int], Rat] = {}
     i = 0
     sign = 1
     while i < len(toks) and toks[i][0] == "op" and toks[i][1] in "+-":
@@ -540,8 +589,8 @@ def parse_poly(text: str) -> Polynomial:
             sign = -sign
         i += 1
     while i < len(toks):
-        term, i = _parse_term(toks, i)
-        out = out + term.scale(sign)
+        key, c, i = _parse_term(toks, i)
+        out[key] = out.get(key, 0) + sign * c
         sign = 1
         while i < len(toks) and toks[i][0] == "op" and toks[i][1] in "+-":
             if toks[i][1] == "-":
@@ -551,11 +600,15 @@ def parse_poly(text: str) -> Polynomial:
                 raise PolySyntaxError("dangling sign at end of input")
         if i < len(toks) and toks[i][0] == "op" and toks[i][1] == "*":
             raise PolySyntaxError("unexpected '*'")
-    return out
+    return Polynomial._normalised(_clean(out))
 
 
 def _parse_term(toks, i):
-    term = Polynomial.const(1)
+    """One product term starting at token i: (its term key, its rational
+    coefficient, the index after it)."""
+    c: Rat = 1
+    exps: Dict[str, int] = {}
+    eps_exp = alpha_exp = 0
     expect_factor = True
     while expect_factor:
         if i >= len(toks):
@@ -563,7 +616,7 @@ def _parse_term(toks, i):
         kind, val = toks[i]
         if kind == "rat":
             i += 1
-            term = term * Polynomial.const(Fraction(val))
+            c *= Fraction(val) if "/" in val else int(val)
         elif kind == "name":
             name = val
             i += 1
@@ -581,22 +634,23 @@ def _parse_term(toks, i):
                     exp = -exp
                 i += 1
             if name == "eps":
-                term = term * Polynomial.eps(exp)
+                eps_exp += exp
             elif name == "alpha":
                 if exp < 0:
                     raise PolySyntaxError("alpha exponent must be nonnegative")
-                term = term * Polynomial.alpha(exp)
+                alpha_exp += exp
             else:
                 if exp < 0:
                     raise PolySyntaxError("variable exponent must be positive")
-                term = term * (Polynomial.variable(name) ** exp)
+                exps[name] = exps.get(name, 0) + exp
         else:
             raise PolySyntaxError(f"unexpected token {val!r}")
         expect_factor = False
         if i < len(toks) and toks[i] == ("op", "*"):
             i += 1
             expect_factor = True
-    return term, i
+    mono = tuple(sorted(((v, x) for v, x in exps.items() if x), key=lambda t: _var_key(t[0])))
+    return (mono, eps_exp, alpha_exp), _rat(c), i
 
 
 def format_mono(m: Mono) -> str:
@@ -645,7 +699,7 @@ def parse_coeff(text: str) -> Coeff:
         if m:
             raise PolySyntaxError("expected a scalar (no variables)")
         out[(e, a)] = c
-    return Coeff(out)
+    return Coeff._normalised(out)
 
 
 def parse_linear_form(text: str) -> LinearForm:

@@ -180,12 +180,13 @@ def rescale_formula(c: Circuit, alpha: Union[Coeff, Rat]) -> Tuple[Circuit, Pass
 
 def _separator_steps(root: FNode) -> Tuple[list, FNode]:
     """Walk from the root into the largest child (ties toward the first)
-    until the subformula size drops to at most 2s/3.  Returns the list of
-    (node, child index) steps and the separator node."""
+    until the subformula size drops to at most 2s/3, or to a leaf (a 1-node
+    tree is never at most 2/3 of itself).  Returns the list of (node, child
+    index) steps and the separator node."""
     s = root.size()
     steps = []
     cur = root
-    while 3 * cur.size() > 2 * s:
+    while 3 * cur.size() > 2 * s and cur.children:
         idx = max(
             range(len(cur.children)),
             key=lambda i: (cur.children[i].size(), -i),

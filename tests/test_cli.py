@@ -193,6 +193,18 @@ def test_help_exits_0(capsys):
     assert code == 0 and "--verify" in out
 
 
+def test_consecutive_calls_share_one_parser(capsys, product_circ, tmp_path):
+    word = tmp_path / "w.txt"
+    assert run(capsys, "gen", "--family", "P", "--n", "2", "--d", "3")[0] == 0
+    assert run(capsys, "compile", "--target", "trace3", "--in", product_circ,
+               "--out", str(word))[0] == 0
+    assert run(capsys, "compile", "--target", "trace3", "--in", product_circ,
+               "--seed", "1")[0] == 2
+    code, _o, _e = run(capsys, "verify", "--mode", "border", "--in", str(word),
+                       "--against", product_circ)
+    assert code == 0
+
+
 # ---------------------------------------------------------------------------
 # compile
 # ---------------------------------------------------------------------------

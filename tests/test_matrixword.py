@@ -11,6 +11,7 @@ from homlin.circuit import FNode, circuit_to_tree, tree_to_circuit
 from homlin.families import L_entry, gen_nce_L
 from homlin.matrixword import (
     DiagonalNonzero,
+    EntryNotHomogeneousLinear,
     MatrixWord,
     NotEvenDegree,
     NotFormula,
@@ -477,6 +478,13 @@ def test_word_to_projection_rejects_nonzero_diagonal():
     m[1][1] = Polynomial.variable("x1")
     w = MatrixWord(3, [m], COEFF_ONE, entry_target(1, 1))
     with pytest.raises(DiagonalNonzero):
+        word_to_projection(w, d=1)
+
+
+def test_word_to_projection_names_a_constant_gadget_entry():
+    # a degree-1 summand compiles to a gadget with the constant entry eps^2
+    w = compile_trace3(as_formula(X("x1")))
+    with pytest.raises(EntryNotHomogeneousLinear, match=r"factor 2 entry \(2,1\).*eps\^2"):
         word_to_projection(w, d=1)
 
 

@@ -1,5 +1,6 @@
 """Unit and property tests for the exact polynomial ring."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from homlin.poly import (
     LinearForm,
     Polynomial,
     PrimeTooSmall,
+    dot,
     format_poly,
     parse_coeff,
     parse_linear_form,
@@ -241,3 +243,149 @@ def test_schwartz_zippel_frequency_estimate():
         if a.eval_random(pt, field=P) == b.eval_random(pt, field=P):
             agree += 1
     assert agree / trials <= 3 / P + 0.01
+
+
+# ---------------------------------------------------------------------------
+# the kernel against a plain Fraction-dict oracle
+# ---------------------------------------------------------------------------
+#
+# The oracle keys a term by (frozenset of (var, exp), epsExp, alphaExp), so it
+# needs no variable order, and sums and multiplies Fractions only.
+
+_KVARS = ("x1", "x2", "x10")
+
+
+def _natural(v):
+    return tuple(int(t) if t.isdigit() else t for t in re.split(r"(\d+)", v))
+
+
+def oracle_terms(p):
+    """The kernel's terms in the oracle's form, after checking that every
+    monomial is in canonical order and every coefficient is normalised."""
+    out = {}
+    for (m, e, a), c in p.terms.items():
+        names = [v for v, _ in m]
+        assert names == sorted(names, key=_natural) and len(set(names)) == len(names)
+        assert all(x > 0 for _, x in m)
+        assert c != 0
+        assert type(c) is int if Fraction(c).denominator == 1 else type(c) is Fraction
+        out[(frozenset(m), e, a)] = Fraction(c)
+    return out
+
+
+def oracle_add(*dicts):
+    out = {}
+    for d in dicts:
+        for k, c in d.items():
+            out[k] = out.get(k, Fraction(0)) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def oracle_mul(x, y):
+    out = {}
+    for (m1, e1, a1), c1 in x.items():
+        for (m2, e2, a2), c2 in y.items():
+            exps = dict(m1)
+            for v, k in m2:
+                exps[v] = exps.get(v, 0) + k
+            key = (frozenset(exps.items()), e1 + e2, a1 + a2)
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def oracle_scalar(c):
+    """A Coeff's terms in the oracle's form."""
+    return oracle_terms(c.to_poly())
+
+
+# ints, Fractions and integral Fractions such as 4/2
+_mixed = st.one_of(
+    st.integers(-4, 4), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+)
+
+
+@st.composite
+def mixed_polys(draw):
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exps = {v: draw(st.integers(0, 2)) for v in _KVARS}
+        mono = tuple(sorted(((v, x) for v, x in exps.items() if x), key=lambda t: _natural(t[0])))
+        terms[(mono, draw(st.integers(-2, 2)), draw(st.integers(0, 1)))] = draw(_mixed)
+    return Polynomial(terms)
+
+
+@st.composite
+def mixed_coeffs(draw):
+    return Coeff({
+        (draw(st.integers(-2, 2)), draw(st.integers(0, 2))): draw(_mixed)
+        for _ in range(draw(st.integers(0, 3)))
+    })
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_polys(), mixed_polys(), mixed_polys(), mixed_polys(), mixed_polys(),
+       st.sampled_from([None, 0, 1, 3]))
+def test_kernel_matches_fraction_dict_oracle(a, b, c, d, start, below):
+    A, B, C, D, S = map(oracle_terms, (a, b, c, d, start))
+    assert oracle_terms(a + b) == oracle_add(A, B)
+    assert oracle_terms(a - b) == oracle_add(A, {k: -x for k, x in B.items()})
+    assert oracle_terms(a * b) == oracle_mul(A, B)
+    want = oracle_add(S, oracle_mul(A, B), oracle_mul(C, D))
+    if below is not None:
+        want = {k: x for k, x in want.items() if k[1] < below}
+    assert oracle_terms(dot([(a, b), (c, d)], below, start)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_polys(), _mixed, mixed_coeffs())
+def test_kernel_scale_matches_oracle(p, r, k):
+    P = oracle_terms(p)
+    assert oracle_terms(p.scale(r)) == oracle_mul(P, {(frozenset(), 0, 0): Fraction(r)})
+    assert oracle_terms(p.scale(k)) == oracle_mul(P, oracle_scalar(k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(_KVARS), mixed_coeffs()),
+       st.integers(-1, 2), st.one_of(st.none(), _mixed, mixed_coeffs()))
+def test_linear_form_subst_matches_oracle(coeffs, power, alpha):
+    lf = LinearForm(coeffs)
+    if alpha is None:
+        image = {(frozenset(), 0, 1): Fraction(1)}
+    else:
+        image = oracle_scalar(Coeff.of(alpha))
+    want = {}
+    for v, c in lf.coeffs.items():
+        total = {}
+        for (e, a), x in c.terms.items():
+            term = {(frozenset(), e * power, 0): Fraction(x)}
+            for _ in range(a):
+                term = oracle_mul(term, image)
+            total = oracle_add(total, term)
+        want = oracle_add(want, oracle_mul(total, {(frozenset([(v, 1)]), 0, 0): Fraction(1)}))
+    assert oracle_terms(lf.subst(power, alpha).to_poly()) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_polys())
+def test_kernel_text_round_trip_keeps_normal_form(p):
+    q = parse_poly(format_poly(p))
+    assert q == p
+    assert oracle_terms(q) == oracle_terms(p)
+
+
+def test_parse_repeated_and_cancelling_monomials():
+    p = parse_poly("x1 + x1 - 2*x1 + x2 + 1/2*x3 + 3/2 * x3")
+    assert p.terms == {((("x2", 1),), 0, 0): 1, ((("x3", 1),), 0, 0): 2}
+    assert all(type(c) is int for c in p.terms.values())
+    assert parse_poly("x1*x1*x1^0 - x1^2") == Polynomial.zero()
+
+
+def test_every_monomial_has_one_canonical_order():
+    # x01 and x1 split into the same digit chunks; the product must not
+    # depend on the order of its factors
+    assert parse_poly("x01 * x1") == parse_poly("x1 * x01")
+    assert Polynomial.variable("x1") * Polynomial.variable("x01") == parse_poly("x01*x1")
+    # names with and without digits compare
+    p = parse_poly("x1 * x * y2 * y")
+    assert format_poly(p) == "x * x1 * y * y2"
+    assert p == Polynomial.variable("y") * Polynomial.variable("x1") * parse_poly("y2 * x")

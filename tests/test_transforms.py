@@ -447,6 +447,11 @@ def test_brent3_linearization_identity():
         checked += 1
 
 
+@pytest.mark.parametrize("tree", [leaf("x1"), FNode.add(leaf("x1"), leaf("x2"))])
+def test_brent3_linearization_without_a_product_is_none(tree):
+    assert brent3_linearization(tree) is None
+
+
 # ---------------------------------------------------------------------------
 # vfToV3p
 # ---------------------------------------------------------------------------
