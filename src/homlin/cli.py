@@ -2,7 +2,8 @@
 word/projection compilers, verification, bound audits, and canonical
 pipelines with serialized artifacts.
 
-Exit codes: 0 all pass, 1 verification failure, 2 invalid input.
+Exit codes: 0 all pass, 1 verification failure, 2 invalid input, 3 internal
+error (an exception the program did not expect, reported in one line).
 
 All artifacts are deterministic given the configuration: reports written to
 files carry no timing information.
@@ -461,6 +462,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash must not read as a failed verification (1)
+        message = str(exc).replace("\n", " ")
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from .poly import Coeff, Polynomial, dot
+from .poly import COEFF_ONE, Coeff, Polynomial, dot
 
 FAMILY_TAGS = ("IMM", "nceGeneric", "nceL", "Ccomb", "Cmatrix", "C", "E", "P", "Q")
 
@@ -35,6 +35,12 @@ class InvalidParameters(ValueError):
 
 
 Matrix = List[List[Polynomial]]
+# A sparse row of a matrix: column -> entry, with no zero entries.
+Row = Dict[int, Polynomial]
+# The rows of a matrix that were asked for: row index -> its sparse row.
+Rows = Dict[int, Row]
+# A factor's nonzero entries in one column j: (j, [(t, a[t][j]), ...]).
+Column = Tuple[int, List[Tuple[int, Polynomial]]]
 
 
 # ---------------------------------------------------------------------------
@@ -42,75 +48,105 @@ Matrix = List[List[Polynomial]]
 # ---------------------------------------------------------------------------
 #
 # Every border value is  scalar * L(M)  for a matrix product M: a word of
-# id + A_i factors, or the elementary symmetric sum of a factor list.  Its
-# eps-limit reads only the terms below eps^1, so the engine computes M mod
-# eps^K.  A term of a partial product reaches the end only through the
-# factors still to come, whose entries have bounded-below eps exponents, so a
-# term whose exponent plus the cheapest completion is K or more is dropped as
-# soon as it would be formed; every term kept is exact (Bini 1980's
-# exact-from-approximate argument).  With ``below=None`` nothing is dropped:
-# that exact route is the oracle the truncated one is tested against.
+# id + A_i factors, or the elementary symmetric sum of a factor list.  Both are
+# left-to-right products, so row r of M depends only on row r of each prefix:
+# the engine carries only the rows L reads, each as a sparse row, and
+# multiplies it by a factor's nonzero entries alone, grouped by column once
+# per factor.  Its eps-limit reads only the terms below eps^1, so the engine
+# computes M mod eps^K.  A term of a partial product reaches the end only
+# through the factors still to come, whose entries have bounded-below eps
+# exponents, so a term whose exponent plus the cheapest completion is K or
+# more is dropped as soon as it would be formed; every term kept is exact
+# (Bini 1980's exact-from-approximate argument).  With ``below=None`` nothing
+# is dropped: that exact route is what the truncated one is tested against.
 
 
 def zeros(k: int) -> Matrix:
     return [[Polynomial.zero() for _ in range(k)] for _ in range(k)]
 
 
-def identity(k: int) -> Matrix:
-    m = zeros(k)
-    for i in range(k):
-        m[i][i] = Polynomial.const(1)
-    return m
-
-
-def mat_mul(
-    a: Matrix, b: Matrix, below: Optional[float] = None, acc: Optional[Matrix] = None
-) -> Matrix:
-    """``acc + a * b`` (``acc`` defaults to zero), exact mod eps^below.
-
-    Product terms at eps^below or above are never formed; an entry of
-    ``acc`` that no product reaches is passed on as it is."""
-    k = len(a)
-    out = zeros(k) if acc is None else [row[:] for row in acc]
-    for j in range(k):
-        col = [(t, b[t][j]) for t in range(k) if b[t][j].terms]
-        if not col:
-            continue
-        for i in range(k):
-            out[i][j] = dot(
-                ((a[i][t], x) for t, x in col),
-                below,
-                acc[i][j] if acc is not None else None,
-            )
+def _columns(a: Matrix) -> List[Column]:
+    """The nonzero entries of a factor, grouped by column."""
+    out = []
+    for j in range(len(a)):
+        col = [(t, row[j]) for t, row in enumerate(a) if row[j].terms]
+        if col:
+            out.append((j, col))
     return out
 
 
-def _mod_eps(m: Matrix, below: Optional[int]) -> Matrix:
-    if below is None:
-        return m
-    return [[p.mod_eps(below) for p in row] for row in m]
-
-
-def _min_eps(m: Matrix) -> float:
-    """The smallest eps exponent among the entries of m; inf if m is zero."""
+def _min_eps(cols: Sequence[Column]) -> float:
+    """The smallest eps exponent among a factor's entries; inf if it is zero."""
     return min(
-        (e for row in m for p in row for (_mono, e, _a) in p.terms), default=math.inf
+        (e for _j, col in cols for _t, p in col for (_mono, e, _a) in p.terms),
+        default=math.inf,
     )
 
 
-def word_product(factors: Sequence[Matrix], dim: int, below: Optional[int] = None) -> Matrix:
+def _row_times(row: Row, cols: Sequence[Column], below: Optional[float], acc: Row) -> Row:
+    """``acc + row * a`` exact mod eps^below, for the factor ``a`` given by
+    its columns.
+
+    Only pairs of nonzero entries are multiplied, and product terms at
+    eps^below or above are never formed; an entry of ``acc`` that no pair
+    reaches is passed on as it is (``acc`` itself when none is reached)."""
+    out = acc
+    for j, col in cols:
+        pairs = [(row[t], x) for t, x in col if t in row]
+        if not pairs:
+            continue
+        p = dot(pairs, below, acc.get(j))
+        if out is acc:
+            out = dict(acc)
+        if p.terms:
+            out[j] = p
+        else:
+            out.pop(j, None)
+    return out
+
+
+def _identity_rows(rows: Iterable[int]) -> Rows:
+    one = Polynomial.const(1)
+    return {r: {r: one} for r in rows}
+
+
+def _finish(m: Rows, dim: int, below: Optional[int], as_matrix: bool) -> Union[Rows, Matrix]:
+    """Reduce the carried rows mod eps^below; as a dim x dim matrix when
+    every row was carried."""
+    if below is not None:
+        m = {
+            r: {c: q for c, p in row.items() if (q := p.mod_eps(below)).terms}
+            for r, row in m.items()
+        }
+    if not as_matrix:
+        return m
+    zero = Polynomial.zero()
+    return [[m[r].get(c, zero) for c in range(dim)] for r in range(dim)]
+
+
+def word_product(
+    factors: Sequence[Matrix],
+    dim: int,
+    below: Optional[int] = None,
+    rows: Optional[Iterable[int]] = None,
+) -> Union[Matrix, Rows]:
     """The product of the ``id + A`` factors, exact mod eps^below.
 
-    With m_j the smallest eps exponent among the entries of factor j, a term
-    of the prefix ending at factor i is kept only if its exponent plus the
-    sum over j > i of min(0, m_j) stays below ``below``."""
-    lows = [min(0, _min_eps(a)) for a in factors]
+    Given ``rows``, only those rows are carried, and they are returned as
+    sparse rows; otherwise the whole matrix is returned.  With m_j the
+    smallest eps exponent among the entries of factor j, a term of the
+    prefix ending at factor i is kept only if its exponent plus the sum over
+    j > i of min(0, m_j) stays below ``below``."""
+    cols = [_columns(a) for a in factors]
+    lows = [min(0, _min_eps(c)) for c in cols]
     rest = sum(lows)
-    acc = identity(dim)
-    for a, low in zip(factors, lows):
+    acc = _identity_rows(range(dim) if rows is None else rows)
+    for c, low in zip(cols, lows):
         rest -= low
-        acc = mat_mul(acc, a, None if below is None else below - rest, acc)
-    return _mod_eps(acc, below)
+        bound = None if below is None else below - rest
+        # acc * (id + A) = acc + acc * A, row by row
+        acc = {r: _row_times(row, c, bound, row) for r, row in acc.items()}
+    return _finish(acc, dim, below, rows is None)
 
 
 def _cheapest_completions(lows: Sequence[float], d: int) -> List[List[float]]:
@@ -126,54 +162,67 @@ def _cheapest_completions(lows: Sequence[float], d: int) -> List[List[float]]:
     return out
 
 
-def nce_matrices(factors: Sequence[Matrix], d: int, below: Optional[int] = None) -> Matrix:
-    """Noncommutative elementary symmetric polynomial of matrix arguments,
-    exact mod eps^below.
+def nce_matrices(
+    factors: Sequence[Matrix],
+    d: int,
+    below: Optional[int] = None,
+    *,
+    dim: Optional[int] = None,
+    rows: Optional[Iterable[int]] = None,
+) -> Union[Matrix, Rows]:
+    """Noncommutative elementary symmetric polynomial of dim x dim matrix
+    arguments, exact mod eps^below; ``dim`` defaults to the factors' size.
 
     Sum over increasing index sequences I_1 < ... < I_d of X_{I_1} ... X_{I_d},
     computed by one left-to-right dynamic-programming sweep.  ``dp[t]`` still
     needs d - t of the later factors, so its terms are kept only if their
     exponent plus the smallest sum of d - t later entry exponents stays below
-    ``below``; it is cleared when fewer than d - t factors remain.
+    ``below``; it is cleared when fewer than d - t factors remain.  Given
+    ``rows``, only those rows are carried and returned, as sparse rows.
     """
     if d < 0:
         raise InvalidParameters("degree must be nonnegative")
-    if not factors:
-        k = 1
-    else:
-        k = len(factors[0])
-    completions = _cheapest_completions([_min_eps(x) for x in factors], d)
-    dp: List[Matrix] = [identity(k)] + [zeros(k) for _ in range(d)]
-    for i, X in enumerate(factors):
+    if dim is None:
+        if not factors:
+            raise InvalidParameters("an empty factor list needs its dimension")
+        dim = len(factors[0])
+    carried = list(range(dim) if rows is None else rows)
+    cols = [_columns(x) for x in factors]
+    completions = _cheapest_completions([_min_eps(c) for c in cols], d)
+    dp: List[Rows] = [_identity_rows(carried)] + [{r: {} for r in carried} for _ in range(d)]
+    for i, c in enumerate(cols):
         for t in range(min(d, i + 1), 0, -1):
             bound = None if below is None else below - completions[i + 1][d - t]
             if bound == -math.inf:
-                dp[t] = zeros(k)
+                dp[t] = {r: {} for r in carried}
             else:
-                dp[t] = mat_mul(dp[t - 1], X, bound, dp[t])
-    return _mod_eps(dp[d], below)
+                prev, cur = dp[t - 1], dp[t]
+                dp[t] = {r: _row_times(prev[r], c, bound, cur[r]) for r in carried}
+    return _finish(dp[d], dim, below, rows is None)
 
 
 def border_functional(
-    product: Callable[[Optional[int]], Matrix],
+    product: Callable[[Optional[int], Set[int]], Rows],
     weights: LWeights,
     scalar: Coeff,
     below: Optional[int] = None,
 ) -> Polynomial:
-    """``scalar * L(M)`` mod eps^below, where ``product(k)`` returns M exact
-    mod eps^k.
+    """``scalar * L(M)`` mod eps^below, where ``product(k, rows)`` returns
+    the given rows of M, exact mod eps^k, as sparse rows.
 
-    L and the scalar lower an exponent by at most the smallest exponent of a
-    nonzero weight and of the scalar, so M is asked for to that much higher
-    order."""
+    L reads only the rows that hold a nonzero weight, so only those are
+    asked for.  L and the scalar lower an exponent by at most the smallest
+    exponent of a nonzero weight and of the scalar, so M is asked for to
+    that much higher order."""
     weights = [[Coeff.of(w) for w in row] for row in weights]
+    read = {r for r, row in enumerate(weights) if any(w.terms for w in row)}
     w_low = min((e for row in weights for w in row for (e, _a) in w.terms), default=None)
     if scalar.is_zero() or w_low is None:
         return Polynomial.zero()
     if below is None:
-        return apply_L(product(None), weights).scale(scalar)
+        return apply_L(product(None, read), weights).scale(scalar)
     s_low = min(e for (e, _a) in scalar.terms)
-    value = apply_L(product(below - s_low - w_low), weights).scale(scalar)
+    value = apply_L(product(below - s_low - w_low, read), weights).scale(scalar)
     return value.mod_eps(below)
 
 
@@ -315,16 +364,17 @@ def zero_diag_factor(entries: Sequence[Polynomial]) -> Matrix:
     return m
 
 
-def apply_L(A: Matrix, weights: LWeights) -> Polynomial:
-    """The linear functional sum_{r,c} weights[r][c] * A[r][c]."""
+def apply_L(m: Rows, weights: LWeights) -> Polynomial:
+    """The linear functional sum_{r,c} weights[r][c] * M[r][c], over the
+    sparse rows of M that are given."""
     out = Polynomial.zero()
-    for r in range(len(A)):
-        for c in range(len(A)):
+    for r, row in m.items():
+        for c, p in row.items():
             w = Coeff.of(weights[r][c])
             if w.is_one():
-                out = out + A[r][c]
+                out = out + p
             elif not w.is_zero():
-                out = out + A[r][c].scale(w)
+                out = out + p.scale(w)
     return out
 
 
@@ -337,28 +387,23 @@ def gen_nce_L(n: int, d: int, weights: LWeights | None = None) -> Polynomial:
     factors = [
         zero_diag_factor([_var(a, b, i) for a, b in OFF_DIAGONAL]) for i in range(1, n + 1)
     ]
-    A = nce_matrices(factors, d)
-    return apply_L(A, weights if weights is not None else L_sum())
+    return border_functional(
+        lambda k, rows: nce_matrices(factors, d, k, rows=rows),
+        weights if weights is not None else L_sum(),
+        COEFF_ONE,
+    )
 
 
 def gen_E(n: int, d: int) -> Polynomial:
     """Homogeneous degree-d part of the sum of the entries of the product of
     n all-ones-diagonal 3x3 factors, minus the identity."""
     _check(n, d)
-    prod = identity(3)
-    for i in range(1, n + 1):
-        factor = [
-            [
-                Polynomial.const(1) if r == c else _var(i, r + 1, c + 1)
-                for c in range(3)
-            ]
-            for r in range(3)
-        ]
-        prod = mat_mul(prod, factor)
-    total = Polynomial.zero()
-    for r in range(3):
-        for c in range(3):
-            total = total + prod[r][c]
+    factors = [
+        zero_diag_factor([_var(i, a, b) for a, b in OFF_DIAGONAL]) for i in range(1, n + 1)
+    ]
+    total = border_functional(
+        lambda k, rows: word_product(factors, 3, k, rows), L_sum(), COEFF_ONE
+    )
     total = total - Polynomial.const(3)  # subtract the identity's entry sum
     return total.homog_component(d)
 

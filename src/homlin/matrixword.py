@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .circuit import Circuit, FNode, circuit_to_tree, GradedArity3Repr
 from .families import (
@@ -32,7 +32,9 @@ from .families import (
     L_sum,
     L_trace,
     LWeights,
+    Matrix,
     OFF_DIAGONAL,
+    Rows,
     border_functional,
     gen_C_comb,
     gen_nce_L,
@@ -96,8 +98,6 @@ class EntryNotHomogeneousLinear(ValueError):
 # ---------------------------------------------------------------------------
 # word and projection types
 # ---------------------------------------------------------------------------
-
-Matrix = List[List[Polynomial]]
 
 # target is ("entry", i, j) | ("trace",) | ("functional", weights row-major)
 Target = Tuple
@@ -170,7 +170,7 @@ class Projection:
             polys = [lf.to_poly() for lf in self.forms]
             factors = [zero_diag_factor(polys[k * i:k * (i + 1)]) for i in range(self.n)]
             return border_functional(
-                lambda k: nce_matrices(factors, self.d, k),
+                lambda k, rows: nce_matrices(factors, self.d, k, dim=3, rows=rows),
                 self.weights if self.weights is not None else L_sum(),
                 self.scalar,
                 below,
@@ -195,17 +195,21 @@ def _c_family_value(
     scaled, via the degree-graded 2x2 matrix recurrence; exact mod
     eps^below."""
     factors = [parity_factor(i, lf.to_poly()) for i, lf in enumerate(forms, start=1)]
-    # a zero factor changes no degree-d sum and fixes the shape of an empty word
-    factors = factors or [zeros(2)]
     return border_functional(
-        lambda k: nce_matrices(factors, d, k), _C_WEIGHTS, scalar, below
+        lambda k, rows: nce_matrices(factors, d, k, dim=2, rows=rows),
+        _C_WEIGHTS,
+        scalar,
+        below,
     )
 
 
-def expand_word(w: MatrixWord, below: Optional[int] = None) -> Matrix:
+def expand_word(
+    w: MatrixWord, below: Optional[int] = None, rows: Optional[Iterable[int]] = None
+) -> Union[Matrix, Rows]:
     """Product of the ``id + A_i`` factors, exact mod eps^below (in full
-    when ``below`` is None)."""
-    return word_product(w.factors, w.dim, below)
+    when ``below`` is None); only the given rows, as sparse rows, when
+    ``rows`` is given."""
+    return word_product(w.factors, w.dim, below, rows)
 
 
 def target_weights(target: Target, dim: int) -> LWeights:
@@ -225,10 +229,14 @@ def border_value(obj: Union[MatrixWord, Projection], below: Optional[int] = None
     if isinstance(obj, Projection):
         return obj.value(below)
 
-    def residue(k: Optional[int]) -> Matrix:
-        m = expand_word(obj, k)
-        for i in range(obj.dim):
-            m[i][i] = m[i][i] - Polynomial.const(1)
+    def residue(k: Optional[int], rows: Set[int]) -> Rows:
+        m = expand_word(obj, k, rows)
+        for r, row in m.items():
+            p = row.get(r, Polynomial.zero()) - Polynomial.const(1)
+            if p.terms:
+                row[r] = p
+            else:
+                del row[r]
         return m
 
     return border_functional(

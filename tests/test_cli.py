@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from homlin import cli
 from homlin.circuit import FNode, parse_circuit, print_circuit, tree_to_circuit
 from homlin.cli import main
 from homlin.families import gen_C_comb
+from homlin.matrixword import PrecisionExhausted
 from homlin.poly import format_poly, parse_poly
 
 
@@ -157,6 +159,39 @@ def test_transform_precondition_violation_exit_2(capsys, negcube_circ):
     code, _o, err = run(capsys, "transform", "--pass", "brent",
                         "--in", negcube_circ)
     assert code == 2 and "error" in err
+
+
+def _caterpillar_text(depth: int) -> str:
+    """A formula text whose depth is ``depth``: alternating add and mul
+    gates, each combining the running value with a fresh leaf."""
+    lines = ["shape formula", "basis arity2",
+             "var " + " ".join(f"x{i}" for i in range(depth + 1)), "gate g0 = input x0"]
+    for i in range(1, depth + 1):
+        lines.append(f"gate l{i} = input x{i}")
+        lines.append(f"gate g{i} = {'add' if i % 2 else 'mul'} g{i - 1} l{i}")
+    return "\n".join(lines + [f"output g{depth}"]) + "\n"
+
+
+def test_recursion_error_is_an_internal_error_exit_3(capsys, tmp_path):
+    # past the recursion limit brent raises RecursionError; that is a crash,
+    # not a failed verification (1) and not invalid input (2)
+    path = tmp_path / "deep.circ"
+    path.write_text(_caterpillar_text(700))
+    code, _o, err = run(capsys, "transform", "--pass", "brent", "--in", str(path))
+    assert code == 3
+    assert err.startswith("error: internal: RecursionError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_precision_exhausted_is_an_internal_error_exit_3(capsys, negcube_circ, monkeypatch):
+    def exhausted(*_args):
+        raise PrecisionExhausted("adaptive eps-precision exceeded the cap 4096")
+
+    monkeypatch.setattr(cli, "compile_continuant_odd", exhausted)
+    code, _o, err = run(capsys, "compile", "--target", "continuant", "--in", negcube_circ)
+    assert code == 3
+    assert err == "error: internal: PrecisionExhausted: " \
+        "adaptive eps-precision exceeded the cap 4096\n"
 
 
 _COMPILE = ["compile", "--target", "trace3", "--in", "CIRC"]

@@ -1,11 +1,20 @@
 """Property tests for the eps-truncated matrix-product engine: every value
-computed mod eps^K equals the exact route's value (``below=None``, the
-oracle) reduced mod eps^K."""
+computed mod eps^K equals the exact route's value (``below=None``) reduced
+mod eps^K, and equals an independent dense oracle written here, which
+carries every row, reduced mod eps^K."""
+
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
 from homlin.families import nce_matrices
-from homlin.matrixword import MatrixWord, Projection, border_value, expand_word
+from homlin.matrixword import (
+    MatrixWord,
+    Projection,
+    border_value,
+    expand_word,
+    target_weights,
+)
 from homlin.poly import Coeff, LinearForm, Polynomial, dot
 
 VARS = ("x1", "x2", "x3")
@@ -91,7 +100,157 @@ def test_projection_engine_matches_exact_route(p, k):
        st.integers(0, 4), ORDERS)
 def test_nce_engine_matches_exact_route(flat, d, k):
     factors = [[row[:2], row[2:]] for row in flat]
-    assert nce_matrices(factors, d, k) == mod(nce_matrices(factors, d), k)
+    assert nce_matrices(factors, d, k, dim=2) == mod(nce_matrices(factors, d, dim=2), k)
+
+
+# ---------------------------------------------------------------------------
+# the dense test oracle: every row of every product, no truncation
+# ---------------------------------------------------------------------------
+
+
+def oracle_identity(k):
+    one, zero = Polynomial.const(1), Polynomial.zero()
+    return [[one if i == j else zero for j in range(k)] for i in range(k)]
+
+
+def oracle_mat_mul(a, b):
+    """Test oracle: the plain dense triple-loop product of square matrices."""
+    k = len(a)
+    return [
+        [sum((a[i][t] * b[t][j] for t in range(k)), Polynomial.zero()) for j in range(k)]
+        for i in range(k)
+    ]
+
+
+def oracle_word_product(factors, dim):
+    """Test oracle: the product of the id + A factors, left to right."""
+    one = Polynomial.const(1)
+    acc = oracle_identity(dim)
+    for a in factors:
+        step = [[p + one if i == j else p for j, p in enumerate(row)] for i, row in enumerate(a)]
+        acc = oracle_mat_mul(acc, step)
+    return acc
+
+
+def oracle_nce(factors, d, dim):
+    """Test oracle: the elementary symmetric sum, one product per index
+    subset (small n only)."""
+    total = [[Polynomial.zero()] * dim for _ in range(dim)]
+    for subset in combinations(range(len(factors)), d):
+        prod = oracle_identity(dim)
+        for i in subset:
+            prod = oracle_mat_mul(prod, factors[i])
+        total = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, prod)]
+    return total
+
+
+def oracle_L(m, weights):
+    """Test oracle: sum_{r,c} weights[r][c] * m[r][c] over every entry."""
+    out = Polynomial.zero()
+    for row, wrow in zip(m, weights):
+        for p, w in zip(row, wrow):
+            out = out + p.scale(Coeff.of(w))
+    return out
+
+
+def oracle_word_value(w):
+    one = Polynomial.const(1)
+    m = oracle_word_product(w.factors, w.dim)
+    m = [[p - one if i == j else p for j, p in enumerate(row)] for i, row in enumerate(m)]
+    return oracle_L(m, target_weights(w.target, w.dim)).scale(w.global_scalar)
+
+
+# positions of the zero-diagonal and parity-alternating factors, laid out here
+# independently of the library's layout helpers
+OFF = [(a, b) for a in range(3) for b in range(3) if a != b]
+
+
+def oracle_projection_value(p):
+    polys = [lf.to_poly() for lf in p.forms]
+    if p.family_tag == "C":
+        factors = []
+        for i, q in enumerate(polys, start=1):
+            m = [[Polynomial.zero()] * 2 for _ in range(2)]
+            m[0 if i % 2 else 1][1 if i % 2 else 0] = q
+            factors.append(m)
+        weights, dim = [[1, 1], [0, 0]], 2
+    else:
+        factors = []
+        for i in range(p.n):
+            m = [[Polynomial.zero()] * 3 for _ in range(3)]
+            for (a, b), q in zip(OFF, polys[6 * i:6 * i + 6]):
+                m[a][b] = q
+            factors.append(m)
+        weights, dim = p.weights, 3
+    return oracle_L(oracle_nce(factors, p.d, dim), weights).scale(p.scalar)
+
+
+@st.composite
+def sparse_weights(draw, dim):
+    """Weights with some rows and columns all zero, so the engine leaves
+    rows out; the other weights are drawn freely (zero included)."""
+    zero_rows = draw(st.sets(st.integers(0, dim - 1)))
+    zero_cols = draw(st.sets(st.integers(0, dim - 1)))
+    return [
+        [Coeff() if r in zero_rows or c in zero_cols else draw(coeffs()) for c in range(dim)]
+        for r in range(dim)
+    ]
+
+
+@st.composite
+def sparse_words(draw):
+    w = draw(words())
+    if draw(st.booleans()):
+        flat = [x for row in draw(sparse_weights(w.dim)) for x in row]
+        w.target = ("functional", flat)
+    return w
+
+
+@st.composite
+def sparse_projections(draw):
+    p = draw(projections())
+    if p.family_tag == "nceL":
+        p.weights = draw(sparse_weights(3))
+    return p
+
+
+ORACLE_ORDERS = st.sampled_from([None, 0, 1, 3])
+
+
+def reduce(p, k):
+    return p if k is None else p.mod_eps(k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_words(), ORACLE_ORDERS)
+def test_word_value_matches_dense_oracle(w, k):
+    assert border_value(w, k) == reduce(oracle_word_value(w), k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_projections(), ORACLE_ORDERS)
+def test_projection_value_matches_dense_oracle(p, k):
+    assert border_value(p, k) == reduce(oracle_projection_value(p), k)
+
+
+@st.composite
+def small_projections(draw):
+    """C projections with n <= 5 and nceL projections with n <= 2, small
+    enough for the monomial expansion."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        fs = [draw(forms()) for _ in range(n)]
+        return Projection("C", n, draw(st.integers(0, 3)), fs, draw(coeffs(2)))
+    n = draw(st.integers(1, 2))
+    fs = [draw(forms()) for _ in range(6 * n)]
+    return Projection("nceL", n, draw(st.integers(1, 2)), fs, draw(coeffs(2)),
+                      weights=draw(sparse_weights(3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_projections(), ORACLE_ORDERS)
+def test_projection_value_matches_substitution(p, k):
+    assert border_value(p, k) == reduce(p.value_by_substitution(), k)
 
 
 def test_nce_clears_states_that_cannot_reach_degree_d():
