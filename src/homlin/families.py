@@ -59,6 +59,15 @@ Column = Tuple[int, List[Tuple[int, Polynomial]]]
 # more is dropped as soon as it would be formed; every term kept is exact
 # (Bini 1980's exact-from-approximate argument).  With ``below=None`` nothing
 # is dropped: that exact route is what the truncated one is tested against.
+#
+# The products run on integers.  x -> D*x is a ring automorphism of
+# Q[eps, eps^-1][alpha][x], so M(D*x) is the same product of the factors
+# A_i(D*x); with D the lcm of the denominators of the entries' non-constant
+# coefficients, every such coefficient of A_i(D*x) is an integer.  The engine
+# multiplies those and maps the result back once, at the end, by x -> x/D.
+# The map leaves eps and alpha exponents alone, so the truncation bounds are
+# the same in both coordinates.  (The aim of fraction-free elimination,
+# Bareiss 1968: keep the arithmetic on integers.)
 
 
 def zeros(k: int) -> Matrix:
@@ -75,6 +84,21 @@ def _columns(a: Matrix) -> List[Column]:
     return out
 
 
+def _integral_columns(factors: Sequence[Matrix]) -> Tuple[List[List[Column]], int]:
+    """Each factor's columns under x -> D*x, and D: the lcm of the
+    denominators of the entries' non-constant coefficients."""
+    cols = [_columns(a) for a in factors]
+    scale = math.lcm(*{
+        c.denominator
+        for fc in cols for _j, col in fc for _t, p in col
+        for (mono, _e, _a), c in p.terms.items()
+        if mono and type(c) is not int
+    })
+    if scale != 1:
+        cols = [[(j, [(t, p.scale_vars(scale)) for t, p in col]) for j, col in fc] for fc in cols]
+    return cols, scale
+
+
 def _min_eps(cols: Sequence[Column]) -> float:
     """The smallest eps exponent among a factor's entries; inf if it is zero."""
     return min(
@@ -83,6 +107,10 @@ def _min_eps(cols: Sequence[Column]) -> float:
     )
 
 
+# ``dot`` copies the entry of ``acc`` it adds to, and that copy is where the
+# terms at eps^below or above are pruned.  ``below`` tightens as the product
+# goes on, so an accumulator updated in place would keep those stale terms,
+# and every later step would carry them and visit them again.
 def _row_times(row: Row, cols: Sequence[Column], below: Optional[float], acc: Row) -> Row:
     """``acc + row * a`` exact mod eps^below, for the factor ``a`` given by
     its columns.
@@ -110,14 +138,19 @@ def _identity_rows(rows: Iterable[int]) -> Rows:
     return {r: {r: one} for r in rows}
 
 
-def _finish(m: Rows, dim: int, below: Optional[int], as_matrix: bool) -> Union[Rows, Matrix]:
-    """Reduce the carried rows mod eps^below; as a dim x dim matrix when
-    every row was carried."""
+def _finish(
+    m: Rows, dim: int, below: Optional[int], scale: int, as_matrix: bool
+) -> Union[Rows, Matrix]:
+    """Reduce the carried rows mod eps^below and map them back by
+    x -> x/scale; as a dim x dim matrix when every row was carried."""
     if below is not None:
         m = {
             r: {c: q for c, p in row.items() if (q := p.mod_eps(below)).terms}
             for r, row in m.items()
         }
+    if scale != 1:
+        back = Fraction(1, scale)
+        m = {r: {c: p.scale_vars(back) for c, p in row.items()} for r, row in m.items()}
     if not as_matrix:
         return m
     zero = Polynomial.zero()
@@ -137,7 +170,7 @@ def word_product(
     smallest eps exponent among the entries of factor j, a term of the
     prefix ending at factor i is kept only if its exponent plus the sum over
     j > i of min(0, m_j) stays below ``below``."""
-    cols = [_columns(a) for a in factors]
+    cols, scale = _integral_columns(factors)
     lows = [min(0, _min_eps(c)) for c in cols]
     rest = sum(lows)
     acc = _identity_rows(range(dim) if rows is None else rows)
@@ -146,7 +179,7 @@ def word_product(
         bound = None if below is None else below - rest
         # acc * (id + A) = acc + acc * A, row by row
         acc = {r: _row_times(row, c, bound, row) for r, row in acc.items()}
-    return _finish(acc, dim, below, rows is None)
+    return _finish(acc, dim, below, scale, rows is None)
 
 
 def _cheapest_completions(lows: Sequence[float], d: int) -> List[List[float]]:
@@ -187,7 +220,7 @@ def nce_matrices(
             raise InvalidParameters("an empty factor list needs its dimension")
         dim = len(factors[0])
     carried = list(range(dim) if rows is None else rows)
-    cols = [_columns(x) for x in factors]
+    cols, scale = _integral_columns(factors)
     completions = _cheapest_completions([_min_eps(c) for c in cols], d)
     dp: List[Rows] = [_identity_rows(carried)] + [{r: {} for r in carried} for _ in range(d)]
     for i, c in enumerate(cols):
@@ -198,7 +231,7 @@ def nce_matrices(
             else:
                 prev, cur = dp[t - 1], dp[t]
                 dp[t] = {r: _row_times(prev[r], c, bound, cur[r]) for r in carried}
-    return _finish(dp[d], dim, below, rows is None)
+    return _finish(dp[d], dim, below, scale, rows is None)
 
 
 def border_functional(

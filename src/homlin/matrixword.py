@@ -509,7 +509,11 @@ def word_to_projection(
     degree d: each factor's six off-diagonal entries fill one factor's
     variable slots (after the eps -> eps^d substitution), unused factors get
     zero forms, and the word's scalar is kept separate (no d-th root is ever
-    taken)."""
+    taken).
+
+    A word whose factors and scalar carry no eps, as every
+    ``compile_offdiag3`` word, maps to an exact projection (``border 0``)
+    with its entries as they are."""
     if w.dim != 3:
         raise ValueError("family projection needs a 3x3 word")
     if d < 1:
@@ -521,6 +525,9 @@ def word_to_projection(
         raise ValueError(f"need at least {r} factor slots, got {n}")
     if weights is None:
         weights = target_weights(w.target, 3)
+    border = any(e for (e, _a) in w.global_scalar.terms) or any(
+        e for a in w.factors for row in a for p in row for (_m, e, _a) in p.terms
+    )
     forms: List[LinearForm] = []
     for k, a in enumerate(w.factors, 1):
         for i in range(3):
@@ -532,10 +539,11 @@ def word_to_projection(
                 raise EntryNotHomogeneousLinear(
                     f"factor {k} entry ({i},{j}) is not homogeneous linear: {format_poly(p)}"
                 )
-            forms.append(LinearForm.from_poly(p).subst(d))
+            lf = LinearForm.from_poly(p)
+            forms.append(lf.subst(d) if border else lf)
     forms += [LinearForm.zero()] * (len(OFF_DIAGONAL) * (n - r))
-    scalar = w.global_scalar.subst(d)
-    return Projection("nceL", n, d, forms, scalar, border=True, weights=weights)
+    scalar = w.global_scalar.subst(d) if border else w.global_scalar
+    return Projection("nceL", n, d, forms, scalar, border=border, weights=weights)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,13 @@ class LimitDiverges(Exception):
     """An eps -> 0 limit was requested but a negative eps power survives."""
 
 
-class PrimeTooSmall(Exception):
+class PrimeTooSmall(ValueError):
     """Modular evaluation prime is too small for a Schwartz-Zippel guarantee."""
+
+
+class DenominatorDivisibleByPrime(ValueError):
+    """A coefficient has no image mod the evaluation prime: the prime divides
+    its denominator."""
 
 
 _VAR_CHUNKS = re.compile(r"(\d+)")
@@ -296,6 +301,14 @@ class Polynomial:
     def scale(self, c: Union[Coeff, Rat]) -> "Polynomial":
         return self * Coeff.of(c)
 
+    def scale_vars(self, c: Rat) -> "Polynomial":
+        """``p(c*x)``: each term of x-degree k times c^k; eps and alpha are
+        left alone.  ``p`` itself when c == 1."""
+        if c == 1:
+            return self
+        out = {key: v * c ** _mono_deg(key[0]) for key, v in self.terms.items()}
+        return Polynomial._normalised(_clean(out))
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms
 
@@ -426,9 +439,12 @@ class Polynomial:
                     val *= Fraction(point[v]) ** exp
                 out[e] = out.get(e, Fraction(0)) + val
             else:
-                num = c.numerator % prime
-                den = pow(c.denominator % prime, prime - 2, prime)
-                val = num * den % prime
+                if c.denominator % prime == 0:
+                    raise DenominatorDivisibleByPrime(
+                        f"coefficient {c} has no value mod {prime}: "
+                        f"{prime} divides its denominator"
+                    )
+                val = c.numerator * pow(c.denominator, -1, prime) % prime
                 for v, exp in m:
                     val = val * pow(int(point[v]) % prime, exp, prime) % prime
                 out[e] = (out.get(e, 0) + val) % prime

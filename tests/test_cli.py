@@ -106,6 +106,32 @@ def test_verify_missing_reference_exit_2(capsys, product_circ):
     assert code == 2 and "against" in err
 
 
+def verify_random_field(capsys, tmp_path, a_text, b_text, field):
+    a, b = tmp_path / "a.poly", tmp_path / "b.poly"
+    a.write_text(a_text)
+    b.write_text(b_text)
+    return run(capsys, "verify", "--mode", "random", "--in", str(a), "--against", str(b),
+               "--field", field)
+
+
+def test_verify_random_prime_dividing_a_denominator_exit_2(capsys, tmp_path):
+    # 1/3 has no value mod 3; read as 0 it would pass x2 + 1/3*x1 = x2
+    code, out, err = verify_random_field(capsys, tmp_path, "x2 + 1/3*x1\n", "x2\n", "prime:3")
+    assert code == 2 and "pass" not in out
+    assert "1/3" in err and "mod 3" in err
+
+
+def test_verify_random_composite_modulus_exit_2(capsys, tmp_path):
+    code, out, err = verify_random_field(capsys, tmp_path, "x1\n", "x1\n", "prime:4")
+    assert code == 2 and out == "" and "prime 4" in err
+
+
+def test_verify_random_prime_below_the_degree_exit_2(capsys, tmp_path):
+    code, out, err = verify_random_field(capsys, tmp_path, "x1^3\n", "x1^3\n", "prime:2")
+    assert code == 2 and out == ""
+    assert "internal" not in err and "prime 2 <= degree 3" in err
+
+
 # ---------------------------------------------------------------------------
 # transform
 # ---------------------------------------------------------------------------
@@ -368,3 +394,14 @@ def test_pipeline_bad_pass_combination_exit_2(capsys, negcube_circ, tmp_path):
     code, _o, err = run(capsys, "pipeline", "--in", negcube_circ,
                         "--pass", "brent", "--out", str(out))
     assert code == 2 and "error" in err
+
+
+def test_prime_test_matches_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))
+
+    assert all(cli._is_prime(n) == by_trial_division(n) for n in range(-2, 3000))
+    assert cli._is_prime((1 << 61) - 1)
+    # strong pseudoprimes to the bases 2..7, 2..37 and the 2^61 - 1 neighbour
+    for n in (3215031751, 318665857834031151167461, (1 << 61) + 1):
+        assert not cli._is_prime(n)

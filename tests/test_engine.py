@@ -1,8 +1,13 @@
 """Property tests for the eps-truncated matrix-product engine: every value
 computed mod eps^K equals the exact route's value (``below=None``) reduced
 mod eps^K, and equals an independent dense oracle written here, which
-carries every row, reduced mod eps^K."""
+carries every row, reduced mod eps^K.
 
+Coefficients are rationals with denominators 1, 2, 3, 5 and 24, on terms of
+every x-degree (fractional constants included), so the engine's integral
+coordinates x -> D*x and its map back are exercised."""
+
+from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
@@ -20,6 +25,12 @@ from homlin.poly import Coeff, LinearForm, Polynomial, dot
 VARS = ("x1", "x2", "x3")
 MONOS = ((), (("x1", 1),), (("x2", 1),), (("x1", 1), ("x3", 1)))
 ORDERS = st.sampled_from([0, 1, 3])
+RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5, 24]))
+
+
+def assert_normalised(p):
+    """Every integral coefficient of an engine result is stored as an int."""
+    assert all(type(c) is int or c.denominator != 1 for c in p.terms.values()), p.terms
 
 
 @st.composite
@@ -27,7 +38,7 @@ def coeffs(draw, max_terms=2):
     """Zero, one or several terms; eps exponents of both signs."""
     n = draw(st.integers(0, max_terms))
     return Coeff({
-        (draw(st.integers(-2, 3)), draw(st.integers(0, 1))): draw(st.integers(-3, 3))
+        (draw(st.integers(-2, 3)), draw(st.integers(0, 1))): draw(RATIONALS)
         for _ in range(n)
     })
 
@@ -38,7 +49,7 @@ def entries(draw):
         return Polynomial.zero()
     return Polynomial({
         (draw(st.sampled_from(MONOS)), draw(st.integers(-2, 2)), draw(st.integers(0, 1))):
-            draw(st.integers(-3, 3))
+            draw(RATIONALS)
         for _ in range(draw(st.integers(1, 2)))
     })
 
@@ -100,7 +111,12 @@ def test_projection_engine_matches_exact_route(p, k):
        st.integers(0, 4), ORDERS)
 def test_nce_engine_matches_exact_route(flat, d, k):
     factors = [[row[:2], row[2:]] for row in flat]
-    assert nce_matrices(factors, d, k, dim=2) == mod(nce_matrices(factors, d, dim=2), k)
+    got = nce_matrices(factors, d, k, dim=2)
+    assert got == mod(nce_matrices(factors, d, dim=2), k)
+    assert got == mod(oracle_nce(factors, d, 2), k)
+    for row in got:
+        for p in row:
+            assert_normalised(p)
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +240,22 @@ def reduce(p, k):
 @settings(max_examples=150, deadline=None)
 @given(sparse_words(), ORACLE_ORDERS)
 def test_word_value_matches_dense_oracle(w, k):
-    assert border_value(w, k) == reduce(oracle_word_value(w), k)
+    got = border_value(w, k)
+    assert got == reduce(oracle_word_value(w), k)
+    assert_normalised(got)
+    m = expand_word(w, k)
+    assert m == [[reduce(p, k) for p in row] for row in oracle_word_product(w.factors, w.dim)]
+    for row in m:
+        for p in row:
+            assert_normalised(p)
 
 
 @settings(max_examples=100, deadline=None)
 @given(sparse_projections(), ORACLE_ORDERS)
 def test_projection_value_matches_dense_oracle(p, k):
-    assert border_value(p, k) == reduce(oracle_projection_value(p), k)
+    got = border_value(p, k)
+    assert got == reduce(oracle_projection_value(p), k)
+    assert_normalised(got)
 
 
 @st.composite
@@ -250,7 +275,9 @@ def small_projections(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_projections(), ORACLE_ORDERS)
 def test_projection_value_matches_substitution(p, k):
-    assert border_value(p, k) == reduce(p.value_by_substitution(), k)
+    got = border_value(p, k)
+    assert got == reduce(p.value_by_substitution(), k)
+    assert_normalised(got)
 
 
 def test_nce_clears_states_that_cannot_reach_degree_d():

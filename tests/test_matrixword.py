@@ -446,6 +446,25 @@ def test_word_to_projection_offdiag_product():
     assert p.value() == p.value_by_substitution()
 
 
+@pytest.mark.parametrize("tree", [
+    FNode.add(FNode.mul(X("x1"), X("x2")), FNode.mul(X("x3"), X("x1"))),
+    FNode.mul(FNode.mul(X("x1"), X("x2")), FNode.add(X("x3"), X("x2"))),
+])
+def test_word_to_projection_of_an_eps_free_word_is_exact(tree):
+    # e_d of the factors of id + f * E(1,3) is f * E(1,3): no eps, no limit
+    c = as_formula(tree)
+    f = c.eval()
+    p = word_to_projection(compile_offdiag3(c, (1, 3)), d=f.degree())
+    assert p.border is False and p.scalar == COEFF_ONE
+    assert p.value() == f
+    text = format_projection(p)
+    assert text.startswith(f"projection nceL n {p.n} d {p.d} border 0\n")
+    q = parse_projection(text)
+    assert q.border is False and q.forms == p.forms and q.weights == p.weights
+    assert format_projection(q) == text
+    assert q.value() == f
+
+
 def test_word_to_projection_zero_slot_padding():
     c = as_formula(FNode.mul(X("x1"), X("x2")))
     w = compile_offdiag3(c, (1, 3))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from homlin.poly import (
     Coeff,
+    DenominatorDivisibleByPrime,
     LimitDiverges,
     LinearForm,
     Polynomial,
@@ -117,6 +118,29 @@ def test_eval_random_prime_field():
 def test_eval_random_prime_too_small():
     with pytest.raises(PrimeTooSmall):
         (X1 ** 5).eval_random({"x1": 1}, field=3)
+    assert issubclass(PrimeTooSmall, ValueError)
+
+
+def test_eval_random_fraction_mod_prime():
+    # 1/3 = 34 mod 101, and 34 * 3 = 102 = 1 mod 101
+    assert parse_poly("1/3*x1").eval_random({"x1": 3}, field=101) == {0: 1}
+    assert parse_poly("1/3*x1").eval_random({"x1": 1}, field=101) == {0: 34}
+
+
+def test_eval_random_rejects_a_prime_dividing_a_denominator():
+    with pytest.raises(DenominatorDivisibleByPrime, match=r"1/3 .* mod 3"):
+        parse_poly("x2 + 1/3*x1").eval_random({"x1": 1, "x2": 1}, field=3)
+    assert issubclass(DenominatorDivisibleByPrime, ValueError)
+
+
+def test_scale_vars_scales_each_term_by_its_degree():
+    p = parse_poly("1/2*x1*x2*eps^-1 + 1/3*x1 + 1/5 + 7*x2^3*alpha")
+    assert p.scale_vars(6) == parse_poly("18*x1*x2*eps^-1 + 2*x1 + 1/5 + 1512*x2^3*alpha")
+    assert p.scale_vars(6).scale_vars(Fraction(1, 6)) == p
+    assert p.scale_vars(1) is p
+    # integral results are stored as int
+    assert {type(c) for c in p.scale_vars(30).terms.values()} == {int, Fraction}
+    assert type(p.scale_vars(30).terms[((("x1", 1),), 0, 0)]) is int
 
 
 def test_eval_random_rejects_alpha():
