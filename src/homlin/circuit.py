@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .poly import (
     COEFF_ONE,
@@ -33,6 +33,7 @@ from .poly import (
     format_poly,
     parse_coeff,
     parse_poly,
+    parse_rational,
 )
 
 Z_NAME = "z"
@@ -63,10 +64,14 @@ class DegreeMismatch(ValueError):
 LEAF_KINDS = ("input", "alpha", "zvar")
 GATE_KINDS = LEAF_KINDS + ("add", "mul", "mul3", "negcube")
 _ARITY = {"add": 2, "mul": 2, "mul3": 3, "negcube": 1}
+_MUL_KINDS = frozenset(("mul", "mul3", "negcube"))
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
+    """One gate; immutable.  A NamedTuple rather than a frozen dataclass:
+    parsing and the passes build tens of thousands of gates per circuit, and
+    a NamedTuple costs under a third as much to build."""
+
     id: str
     kind: str
     children: Tuple[str, ...] = ()
@@ -77,11 +82,15 @@ class Gate:
 
 
 def affine_poly(lin: Optional[LinearForm], const: Optional[Coeff]) -> Polynomial:
-    """The value ``lin + const`` of an input leaf; either part may be absent."""
-    p = lin.to_poly() if lin else Polynomial.zero()
-    if const is not None and not const.is_zero():
-        p = p + const.to_poly()
-    return p
+    """The value ``lin + const`` of an input leaf; either part may be absent.
+    The two parts share no term key, so their terms are merged, not added."""
+    terms = {} if lin is None else {
+        (((v, 1),), e, a): x for v, c in lin.coeffs.items() for (e, a), x in c.terms.items()
+    }
+    if const is not None:
+        for (e, a), x in const.terms.items():
+            terms[((), e, a)] = x
+    return Polynomial._normalised(terms)
 
 
 class Circuit:
@@ -101,24 +110,25 @@ class Circuit:
             raise ValueError(f"unknown basis {basis!r}")
         self.gates: Tuple[Gate, ...] = tuple(gates)
         self.by_id: Dict[str, Gate] = {}
-        for g in self.gates:
-            if g.id in self.by_id:
-                raise ValueError(f"duplicate gate id {g.id}")
-            for ch in g.children:
-                if ch not in self.by_id:
-                    raise CycleError(f"gate {g.id} references {ch} before definition")
-            self.by_id[g.id] = g
-        if output_id not in self.by_id:
-            raise ValueError(f"unknown output gate {output_id}")
-        self.output_id = output_id
-        self.shape = shape
-        self.basis = basis
+        by_id = self.by_id
         vs = set(variables)
         for g in self.gates:
+            gid = g.id
+            if gid in by_id:
+                raise ValueError(f"duplicate gate id {gid}")
+            for ch in g.children:
+                if ch not in by_id:
+                    raise CycleError(f"gate {gid} references {ch} before definition")
+            by_id[gid] = g
             if g.lin is not None:
                 vs.update(g.lin.coeffs)
             if g.kind == "zvar":
                 vs.add(Z_NAME)
+        if output_id not in by_id:
+            raise ValueError(f"unknown output gate {output_id}")
+        self.output_id = output_id
+        self.shape = shape
+        self.basis = basis
         self.variables: Tuple[str, ...] = tuple(sorted(vs, key=_var_key))
 
     # -- evaluation ----------------------------------------------------------
@@ -160,18 +170,22 @@ class Circuit:
     def size(self) -> int:
         return len(self.gates)
 
-    def depth(self) -> int:
-        d: Dict[str, int] = {}
+    def depths(self) -> Tuple[int, int]:
+        """(depth, mulDepth) of the output, in one sweep over the gates."""
+        depth: Dict[str, int] = {}
+        mul: Dict[str, int] = {}
+        dget, mget = depth.__getitem__, mul.__getitem__
         for g in self.gates:
-            d[g.id] = 0 if not g.children else 1 + max(d[ch] for ch in g.children)
-        return d[self.output_id]
+            kids = g.children
+            if kids:
+                depth[g.id] = 1 + max(map(dget, kids))
+                mul[g.id] = (g.kind in _MUL_KINDS) + max(map(mget, kids))
+            else:
+                depth[g.id] = mul[g.id] = 0
+        return depth[self.output_id], mul[self.output_id]
 
-    def mul_depth(self) -> int:
-        d: Dict[str, int] = {}
-        for g in self.gates:
-            inc = 1 if g.kind in ("mul", "mul3", "negcube") else 0
-            d[g.id] = inc if not g.children else inc + max(d[ch] for ch in g.children)
-        return d[self.output_id]
+    def depth(self) -> int:
+        return self.depths()[0]
 
     def syntactic_degrees(self) -> Dict[str, int]:
         """Per-gate syntactic degree for graded arity-3 IHL circuits.
@@ -201,11 +215,8 @@ class Circuit:
         return deg
 
     def metrics(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "size": self.size(),
-            "depth": self.depth(),
-            "mulDepth": self.mul_depth(),
-        }
+        depth, mul_depth = self.depths()
+        out: Dict[str, object] = {"size": self.size(), "depth": depth, "mulDepth": mul_depth}
         try:
             out["syntacticDegreePerGate"] = self.syntactic_degrees()
         except DegreeMismatch:
@@ -351,11 +362,15 @@ class FNode:
 
     def __post_init__(self):
         kids = self.children
-        if kids:
-            self._size = 1 + sum(ch._size for ch in kids)
-            self._depth = 1 + max(ch._depth for ch in kids)
-        else:
+        if not kids:
             self._size, self._depth = 1, 0
+        elif len(kids) == 2:
+            a, b = kids
+            self._size = 1 + a._size + b._size
+            self._depth = 1 + (a._depth if a._depth > b._depth else b._depth)
+        else:
+            self._size = 1 + sum([ch._size for ch in kids])
+            self._depth = 1 + max([ch._depth for ch in kids])
 
     @staticmethod
     def leaf(lin: LinearForm, const: Coeff | None = None) -> "FNode":
@@ -439,25 +454,27 @@ def balanced_add(nodes: Sequence[FNode], op=FNode.add) -> FNode:
 def tree_to_circuit(
     root: FNode, basis: str, shape: str = "formula", variables: Sequence[str] = ()
 ) -> Circuit:
+    """The gate list of a tree, children first; gate ``g<k>`` is the k-th
+    node in post-order.  A shared subtree is written out at every position."""
     gates: List[Gate] = []
-    counter = [0]
-
-    def fresh() -> str:
-        counter[0] += 1
-        return f"g{counter[0]}"
+    append = gates.append
 
     def walk(node: FNode) -> str:
-        child_ids = tuple(walk(ch) for ch in node.children)
-        gid = fresh()
-        scale = None if node.scale == 1 else node.scale
-        if node.kind == "leaf":
-            gates.append(
-                Gate(gid, "input", lin=node.lin, const=node.const, scale=scale)
-            )
-        elif node.kind in ("alpha", "zvar"):
-            gates.append(Gate(gid, node.kind, scale=scale))
+        kids = node.children
+        if not kids:
+            ids = ()
+        elif len(kids) == 2:
+            ids = (walk(kids[0]), walk(kids[1]))
         else:
-            gates.append(Gate(gid, node.kind, children=child_ids, scale=scale))
+            ids = tuple([walk(ch) for ch in kids])
+        gid = f"g{len(gates) + 1}"
+        s = node.scale
+        scale = None if s == 1 else s
+        kind = node.kind
+        if kind == "leaf":
+            append(Gate(gid, "input", (), None, node.lin, node.const, scale))
+        else:
+            append(Gate(gid, kind, ids, None, None, None, scale))
         return gid
 
     out = walk(root)
@@ -499,17 +516,30 @@ def print_circuit(c: Circuit) -> str:
     lines = [f"shape {c.shape}", f"basis {c.basis}"]
     if c.variables:
         lines.append("var " + " ".join(c.variables))
+    # Each distinct leaf and edge scalar is formatted once.  Leaves are keyed
+    # by the identity of their parts, which passes share between gates; the
+    # gates keep those parts alive while this runs, so no id is reused.
+    leaf_text: Dict[Tuple[int, int], str] = {}
+    scalar_text: Dict[Coeff, str] = {}
     for g in c.gates:
-        if g.kind == "input":
-            body = "input " + format_poly(affine_poly(g.lin, g.const))
-        elif g.kind in ("alpha", "zvar"):
-            body = g.kind
+        kind = g.kind
+        if kind == "input":
+            key = (id(g.lin), id(g.const))
+            body = leaf_text.get(key)
+            if body is None:
+                body = leaf_text[key] = "input " + format_poly(affine_poly(g.lin, g.const))
+        elif kind == "alpha" or kind == "zvar":
+            body = kind
         else:
-            body = g.kind + " " + " ".join(g.children)
+            body = kind + " " + " ".join(g.children)
             if g.edge_scalars is not None:
-                body += " [" + " ".join(
-                    format_coeff(s).replace(" ", "") for s in g.edge_scalars
-                ) + "]"
+                texts = []
+                for s in g.edge_scalars:
+                    t = scalar_text.get(s)
+                    if t is None:
+                        t = scalar_text[s] = format_coeff(s).replace(" ", "")
+                    texts.append(t)
+                body += " [" + " ".join(texts) + "]"
         if g.scale is not None:
             body += f" scale {g.scale}"
         lines.append(f"gate {g.id} = {body}")
@@ -518,20 +548,44 @@ def print_circuit(c: Circuit) -> str:
 
 
 def parse_circuit(text: str) -> Circuit:
+    """Read the circuit text format (see ``print_circuit``).  Each line is
+    split once; a gate line into at most five fields, the last of which is
+    the input form or the child list, read as it stands."""
     shape = None
     basis = None
     variables: List[str] = []
     gates: List[Gate] = []
-    seen: Dict[str, int] = {}
+    seen: Set[str] = set()
+    # each distinct input form and edge scalar is parsed once per circuit;
+    # the values are immutable, so gates with the same text share them
+    forms: Dict[str, Tuple[LinearForm, Coeff]] = {}
+    scalars: Dict[str, Coeff] = {}
     output_id = None
+    lines = text.splitlines()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, raw in enumerate(lines, start=1):
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        words = raw.split(None, 4)
+        if not words:
             continue
-        words = line.split()
         head = words[0]
-        if head == "shape":
+        if head == "gate":
+            if len(words) < 4 or words[2] != "=":
+                raise CircuitSyntaxError("expected 'gate <id> = <kind> ...'", lineno)
+            gid = words[1]
+            if gid in seen:
+                raise CircuitSyntaxError(f"duplicate gate id {gid}", lineno)
+            try:
+                gate = _parse_gate(gid, words[3], words[4] if len(words) == 5 else "",
+                                   lineno, seen, forms, scalars)
+            except (CircuitSyntaxError, CycleError):
+                raise
+            except ValueError as exc:
+                raise CircuitSyntaxError(str(exc), lineno) from exc
+            seen.add(gid)
+            gates.append(gate)
+        elif head == "shape":
             if len(words) != 2 or words[1] not in SHAPES:
                 raise CircuitSyntaxError("expected 'shape formula|circuit'", lineno)
             shape = words[1]
@@ -542,32 +596,7 @@ def parse_circuit(text: str) -> Circuit:
                 )
             basis = words[1]
         elif head == "var":
-            variables.extend(words[1:])
-        elif head == "gate":
-            if len(words) < 4 or words[2] != "=":
-                raise CircuitSyntaxError("expected 'gate <id> = <kind> ...'", lineno)
-            gid = words[1]
-            if gid in seen:
-                raise CircuitSyntaxError(f"duplicate gate id {gid}", lineno)
-            kind = words[3]
-            rest = words[4:]
-            scale = None
-            if "scale" in rest:
-                i = rest.index("scale")
-                if i != len(rest) - 2:
-                    raise CircuitSyntaxError("'scale' takes one rational", lineno)
-                scale = Fraction(rest[i + 1])
-                rest = rest[:i]
-            try:
-                gate = _parse_gate_body(gid, kind, rest, line, lineno, seen, scale)
-            except CircuitSyntaxError:
-                raise
-            except CycleError:
-                raise
-            except ValueError as exc:
-                raise CircuitSyntaxError(str(exc), lineno) from exc
-            seen[gid] = lineno
-            gates.append(gate)
+            variables.extend(raw.split()[1:])
         elif head == "output":
             if len(words) != 2:
                 raise CircuitSyntaxError("expected 'output <id>'", lineno)
@@ -576,7 +605,7 @@ def parse_circuit(text: str) -> Circuit:
             raise CircuitSyntaxError(f"unknown directive {head!r}", lineno)
 
     if output_id is None:
-        raise CircuitSyntaxError("missing 'output' line", len(text.splitlines()) + 1)
+        raise CircuitSyntaxError("missing 'output' line", len(lines) + 1)
     if output_id not in seen:
         raise CircuitSyntaxError(f"output gate {output_id} never defined", 1)
 
@@ -589,18 +618,24 @@ def parse_circuit(text: str) -> Circuit:
         else:
             basis = "arity2"
     if shape is None:
-        shape = "circuit"
-        c = Circuit(gates, output_id, shape, basis, variables)
-        parents = c.parents()
-        tree = all(
-            parents[g.id] == (0 if g.id == output_id else 1) for g in c.gates
-        ) and all(g.edge_scalars is None for g in c.gates)
-        if tree:
-            shape = "formula"
+        shape = "formula" if _is_tree(gates, output_id) else "circuit"
 
     c = Circuit(gates, output_id, shape, basis, variables)
     _check_basis(c)
     return c
+
+
+def _is_tree(gates: Sequence[Gate], output_id: str) -> bool:
+    """Every gate but the output read exactly once, the output never, and
+    no edge scalars."""
+    parents = dict.fromkeys((g.id for g in gates), 0)
+    for g in gates:
+        if g.edge_scalars is not None:
+            return False
+        for ch in g.children:
+            parents[ch] += 1
+    parents[output_id] += 1
+    return all(n == 1 for n in parents.values())
 
 
 def _check_basis(c: Circuit):
@@ -624,57 +659,78 @@ def _check_basis(c: Circuit):
                 )
 
 
-def _parse_gate_body(gid, kind, rest, line, lineno, seen, scale) -> Gate:
+def _affine_leaf(text: str, lineno: int) -> Tuple[LinearForm, Coeff]:
+    """The linear part and the constant of an input form."""
+    lin: Dict[str, Dict[Tuple[int, int], object]] = {}
+    const: Dict[Tuple[int, int], object] = {}
+    for (m, e, a), x in parse_poly(text).terms.items():
+        if not m:
+            const[(e, a)] = x
+        elif len(m) == 1 and m[0][1] == 1:
+            lin.setdefault(m[0][0], {})[(e, a)] = x
+        else:
+            raise CircuitSyntaxError("input form must be affine", lineno)
+    # parse_poly's values are normalised and nonzero: no re-normalising
+    form = LinearForm._normalised({v: Coeff._normalised(t) for v, t in lin.items()})
+    return form, Coeff._normalised(const)
+
+
+def _parse_gate(gid: str, kind: str, rest: str, lineno: int, seen: Set[str],
+                forms: Dict[str, Tuple[LinearForm, Coeff]],
+                scalars: Dict[str, Coeff]) -> Gate:
+    """One gate from its kind and the text after it: an input form or a
+    child list, either followed by ``scale <rational>``."""
+    scale = None
+    if "scale" in rest:
+        words = rest.split()
+        if "scale" in words:
+            if words.index("scale") != len(words) - 2:
+                raise CircuitSyntaxError("'scale' takes one rational", lineno)
+            scale = parse_rational(words[-1])
+            rest = rest[: rest.rindex("scale")]
     if kind == "input":
-        form_text = line.split("=", 1)[1].strip()
-        assert form_text.startswith("input")
-        form_text = form_text[len("input"):].strip()
-        fwords = form_text.split()
-        if "scale" in fwords:
-            form_text = " ".join(fwords[: fwords.index("scale")])
-        p = parse_poly(form_text)
-        lin_terms = {}
-        const_terms = {}
-        for (m, e, a), coeff in p.terms.items():
-            if not m:
-                const_terms[(e, a)] = coeff
-            elif len(m) == 1 and m[0][1] == 1:
-                v = m[0][0]
-                lin_terms.setdefault(v, {})[(e, a)] = coeff
-            else:
-                raise CircuitSyntaxError("input form must be affine", lineno)
-        lin = LinearForm({v: Coeff(t) for v, t in lin_terms.items()})
-        return Gate(gid, "input", lin=lin, const=Coeff(const_terms), scale=scale)
-    if kind in ("alpha", "zvar"):
-        if rest:
+        leaf = forms.get(rest)
+        if leaf is None:
+            leaf = forms[rest] = _affine_leaf(rest, lineno)
+        return Gate(gid, "input", (), None, leaf[0], leaf[1], scale)
+    if kind == "alpha" or kind == "zvar":
+        if rest.strip():
             raise CircuitSyntaxError(f"{kind} takes no arguments", lineno)
-        return Gate(gid, kind, scale=scale)
-    if kind not in _ARITY:
+        return Gate(gid, kind, (), None, None, None, scale)
+    arity = _ARITY.get(kind)
+    if arity is None:
         raise CircuitSyntaxError(f"unknown gate kind {kind!r}", lineno)
-    arity = _ARITY[kind]
     edge_scalars = None
-    if "[" in " ".join(rest):
-        joined = " ".join(rest)
-        open_i = joined.index("[")
-        close_i = joined.rindex("]") if "]" in joined else -1
+    if "[" in rest:
+        open_i = rest.index("[")
+        close_i = rest.rfind("]")
         if close_i < open_i:
             raise CircuitSyntaxError("unbalanced '[' in edge scalars", lineno)
-        scalar_text = joined[open_i + 1 : close_i].split()
-        rest = joined[:open_i].split()
+        if rest[close_i + 1:].strip():
+            raise CircuitSyntaxError("unexpected text after ']'", lineno)
+        texts = rest[open_i + 1 : close_i].split()
+        rest = rest[:open_i]
         if kind not in ("add", "mul"):
             raise CircuitSyntaxError("edge scalars only on add/mul gates", lineno)
-        if len(scalar_text) != arity:
+        if len(texts) != arity:
             raise CircuitSyntaxError(
-                f"expected {arity} edge scalars, got {len(scalar_text)}", lineno
+                f"expected {arity} edge scalars, got {len(texts)}", lineno
             )
-        edge_scalars = tuple(parse_coeff(t) for t in scalar_text)
-    if len(rest) != arity:
+        values = []
+        for t in texts:
+            s = scalars.get(t)
+            if s is None:
+                s = scalars[t] = parse_coeff(t)
+            values.append(s)
+        edge_scalars = tuple(values)
+    children = tuple(rest.split())
+    if len(children) != arity:
         raise CircuitSyntaxError(
-            f"{kind} expects {arity} children, got {len(rest)}", lineno
+            f"{kind} expects {arity} children, got {len(children)}", lineno
         )
-    for ch in rest:
+    for ch in children:
         if ch not in seen:
             raise CycleError(
                 f"line {lineno}: gate {gid} references {ch} before its definition"
             )
-    return Gate(gid, kind, children=tuple(rest), edge_scalars=edge_scalars, scale=scale)
+    return Gate(gid, kind, children, edge_scalars, None, None, scale)

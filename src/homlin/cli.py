@@ -36,7 +36,7 @@ from .matrixword import (
     parse_projection,
     parse_word,
 )
-from .poly import Polynomial, format_poly, parse_poly
+from .poly import Polynomial, format_poly, parse_poly, parse_rational
 from .transforms import PASS_NAMES, ParityPair, PassReport, run_pass
 from .verify import (
     DEFAULT_PRIME,
@@ -193,9 +193,7 @@ def cmd_transform(args) -> int:
         raise CliError("transform expects a circuit artifact")
     kwargs = {}
     if args.alpha is not None:
-        from fractions import Fraction
-
-        kwargs["alpha"] = Fraction(args.alpha)
+        kwargs["alpha"] = parse_rational(args.alpha)
     if args.var is not None:
         kwargs["var"] = args.var
     result, report = run_pass(args.pass_name, c, **kwargs)

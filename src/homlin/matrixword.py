@@ -571,45 +571,90 @@ def format_word(w: MatrixWord) -> str:
     return "\n".join(lines) + "\n"
 
 
+class ArtifactSyntaxError(ValueError):
+    """A malformed word or projection line; the message names the line."""
+
+    def __init__(self, msg: str, line: int):
+        super().__init__(f"line {line}: {msg}")
+        self.line = line
+
+
+def _lines(text: str):
+    """(line number, line) for each line that is not blank once its
+    comment is cut off."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _int(text: str, what: str, lineno: int, low: int, high: Optional[int] = None) -> int:
+    """``text`` as an integer in low..high (no upper end when None)."""
+    try:
+        k = int(text)
+    except ValueError:
+        raise ArtifactSyntaxError(f"{what}: expected an integer, got {text.strip()!r}",
+                                  lineno) from None
+    if k < low or (high is not None and k > high):
+        span = f"{low}..{high}" if high is not None else f">= {low}"
+        raise ArtifactSyntaxError(f"{what} {k} outside {span}", lineno)
+    return k
+
+
+def _entry_index(text: str, dim: int, lineno: int) -> Tuple[int, int]:
+    """``(i,j)`` with both indices in 1..dim."""
+    if not (text.startswith("(") and text.endswith(")")) or text.count(",") != 1:
+        raise ArtifactSyntaxError(f"expected an entry '(i,j)', got {text!r}", lineno)
+    i, j = text[1:-1].split(",")
+    return _int(i, "row index", lineno, 1, dim), _int(j, "column index", lineno, 1, dim)
+
+
 def parse_word(text: str) -> MatrixWord:
     dim = None
     factors: List[Matrix] = []
     scalar = COEFF_ONE
     target: Target = ("trace",)
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("dim"):
-            dim = int(line.split()[1])
-        elif line.startswith("factor:"):
-            if dim is None:
-                raise ValueError("'dim' must precede factors")
-            m = zeros(dim)
-            body = line[len("factor:"):].strip()
-            if body:
-                for part in body.split(";"):
-                    part = part.strip()
-                    lhs, rhs = part.split("=", 1)
-                    i, j = lhs.strip().lstrip("(").rstrip(")").split(",")
-                    m[int(i) - 1][int(j) - 1] = parse_poly(rhs.strip())
-            factors.append(m)
-        elif line.startswith("scalar:"):
-            scalar = parse_coeff(line[len("scalar:"):].strip())
-        elif line.startswith("target:"):
-            body = line[len("target:"):].strip()
-            if body == "trace":
-                target = ("trace",)
-            elif body.startswith("entry"):
-                i, j = body[len("entry("):-1].split(",")
-                target = ("entry", int(i), int(j))
-            elif body.startswith("L("):
-                ws = [parse_coeff(t) for t in body[2:-1].split(",")]
-                target = ("functional", ws)
+    for lineno, line in _lines(text):
+        head, _, body = line.partition(":") if ":" in line else line.partition(" ")
+        head, body = head.strip(), body.strip()
+        try:
+            if head == "dim":
+                if dim is not None:
+                    raise ArtifactSyntaxError("'dim' given twice", lineno)
+                dim = _int(body, "dim", lineno, 1)
+            elif dim is None:
+                raise ArtifactSyntaxError("'dim' must come first", lineno)
+            elif head == "factor":
+                m = zeros(dim)
+                for part in body.split(";") if body else ():
+                    lhs, eq, rhs = part.partition("=")
+                    if not eq:
+                        raise ArtifactSyntaxError(
+                            f"expected '(i,j)=<entry>', got {part.strip()!r}", lineno)
+                    i, j = _entry_index(lhs.strip(), dim, lineno)
+                    m[i - 1][j - 1] = parse_poly(rhs)
+                factors.append(m)
+            elif head == "scalar":
+                scalar = parse_coeff(body)
+            elif head == "target":
+                if body == "trace":
+                    target = ("trace",)
+                elif body.startswith("entry(") and body.endswith(")"):
+                    target = ("entry", *_entry_index(body[len("entry"):], dim, lineno))
+                elif body.startswith("L(") and body.endswith(")"):
+                    ws = [parse_coeff(t) for t in body[2:-1].split(",")]
+                    if len(ws) != dim * dim:
+                        raise ArtifactSyntaxError(
+                            f"expected {dim * dim} functional weights, got {len(ws)}", lineno)
+                    target = ("functional", ws)
+                else:
+                    raise ArtifactSyntaxError(f"unknown target {body!r}", lineno)
             else:
-                raise ValueError(f"unknown target {body!r}")
-        else:
-            raise ValueError(f"unknown word directive {line!r}")
+                raise ArtifactSyntaxError(f"unknown word directive {line!r}", lineno)
+        except ArtifactSyntaxError:
+            raise
+        except ValueError as exc:
+            raise ArtifactSyntaxError(str(exc), lineno) from exc
     if dim is None:
         raise ValueError("missing 'dim'")
     return MatrixWord(dim, factors, scalar, target)
@@ -636,30 +681,50 @@ def parse_projection(text: str) -> Projection:
     tag = n = d = border = None
     scalar = COEFF_ONE
     weights = None
-    forms: Dict[str, LinearForm] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("projection"):
-            words = line.split()
-            tag = words[1]
-            n = int(words[words.index("n") + 1])
-            d = int(words[words.index("d") + 1])
-            border = bool(int(words[words.index("border") + 1]))
-        elif line.startswith("scalar:"):
-            scalar = parse_coeff(line[len("scalar:"):].strip())
-        elif line.startswith("weights:"):
-            flat = [parse_coeff(t) for t in line[len("weights:"):].strip().split(",")]
-            weights = [flat[i * 3:(i + 1) * 3] for i in range(3)]
-        elif line.startswith("form "):
-            head, body = line.split(":", 1)
-            name = head[len("form "):].strip()
-            forms[name] = LinearForm.from_poly(parse_poly(body.strip()))
-        else:
-            raise ValueError(f"unknown projection directive {line!r}")
+    forms: Dict[str, Tuple[int, LinearForm]] = {}
+    for lineno, line in _lines(text):
+        try:
+            if line.startswith("projection"):
+                if tag is not None:
+                    raise ArtifactSyntaxError("projection header given twice", lineno)
+                words = line.split()
+                if len(words) != 8 or words[2::2] != ["n", "d", "border"]:
+                    raise ArtifactSyntaxError(
+                        "expected 'projection C|nceL n <n> d <d> border 0|1'", lineno)
+                tag = words[1]
+                if tag not in ("C", "nceL"):
+                    raise ArtifactSyntaxError(f"unknown family tag {tag!r}", lineno)
+                n = _int(words[3], "n", lineno, 1)
+                d = _int(words[5], "d", lineno, 0)
+                border = bool(_int(words[7], "border", lineno, 0, 1))
+            elif line.startswith("scalar:"):
+                scalar = parse_coeff(line[len("scalar:"):])
+            elif line.startswith("weights:"):
+                flat = [parse_coeff(t) for t in line[len("weights:"):].split(",")]
+                if len(flat) != 9:
+                    raise ArtifactSyntaxError(f"expected 9 weights, got {len(flat)}", lineno)
+                weights = [flat[i * 3:(i + 1) * 3] for i in range(3)]
+            elif line.startswith("form "):
+                head, colon, body = line.partition(":")
+                name = head[len("form "):].strip()
+                if not colon:
+                    raise ArtifactSyntaxError("expected 'form <slot>: <form>'", lineno)
+                if name in forms:
+                    raise ArtifactSyntaxError(f"form {name} given twice", lineno)
+                forms[name] = (lineno, LinearForm.from_poly(parse_poly(body)))
+            else:
+                raise ArtifactSyntaxError(f"unknown projection directive {line!r}", lineno)
+        except ArtifactSyntaxError:
+            raise
+        except ValueError as exc:
+            raise ArtifactSyntaxError(str(exc), lineno) from exc
     if tag is None:
         raise ValueError("missing projection header")
     p = Projection(tag, n, d, [], scalar, border, weights)
-    p.forms = [forms.get(name, LinearForm.zero()) for name in p.slot_names()]
+    slots = p.slot_names()
+    known = set(slots)
+    for name, (lineno, _) in forms.items():
+        if name not in known:
+            raise ArtifactSyntaxError(f"{tag} projection with n = {n} has no slot {name}", lineno)
+    p.forms = [forms[name][1] if name in forms else LinearForm.zero() for name in slots]
     return p

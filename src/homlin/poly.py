@@ -13,9 +13,10 @@ Representation:
   Monomial    = tuple of (varName, positiveExp) pairs, sorted canonically
   Polynomial  = {(Monomial, epsExp, alphaExp): Rational}   (flat, no zeros)
 
-The public constructors ``Coeff(...)`` and ``Polynomial(...)`` accept any
-rational values and normalise them.  Every internal result is wrapped by the
-trusted constructors ``Coeff._normalised`` and ``Polynomial._normalised``,
+The public constructors ``Coeff(...)``, ``Polynomial(...)`` and
+``LinearForm(...)`` accept any rational values and normalise them.  Every
+internal result is wrapped by the trusted constructors ``Coeff._normalised``,
+``Polynomial._normalised`` and ``LinearForm._normalised``,
 which take a term dict as it is: its values must already be nonzero, with
 integral ones as ``int``.  Integer arithmetic is native, so the common
 integral coefficients never pay for ``Fraction`` normalisation.
@@ -503,6 +504,13 @@ class LinearForm:
         self.coeffs = clean
 
     @staticmethod
+    def _normalised(coeffs: Dict[str, Coeff]) -> "LinearForm":
+        """Wrap a dict whose coefficients are all nonzero Coeffs."""
+        f = object.__new__(LinearForm)
+        f.coeffs = coeffs
+        return f
+
+    @staticmethod
     def variable(name: str, c: Union[Coeff, Rat] = 1) -> "LinearForm":
         return LinearForm({name: c})
 
@@ -517,7 +525,7 @@ class LinearForm:
             if len(m) != 1 or m[0][1] != 1:
                 raise ValueError("polynomial is not homogeneous linear")
             out.setdefault(m[0][0], {})[(e, a)] = c
-        return LinearForm({v: Coeff._normalised(t) for v, t in out.items()})
+        return LinearForm._normalised({v: Coeff._normalised(t) for v, t in out.items()})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -564,109 +572,116 @@ class LinearForm:
 # ---------------------------------------------------------------------------
 # Text syntax: terms joined by +/-; each term `c * x3^2 * eps^-1 * alpha^2`
 # with `c` a rational literal p/q.  Whitespace insignificant.
+#
+# One compiled pattern splits the whole text into tokens in a single C-level
+# scan; its last alternative takes any other non-space character, so no
+# character is skipped and a stray one still reaches the parser, which
+# reports its offset.  Terms are built straight from the token list.
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<rat>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[\^*+()-]))"
-)
+_TOKEN = re.compile(r"\s*(\d+(?:/\d+)?|[A-Za-z_][A-Za-z_0-9]*|\S)")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_OPS = frozenset("^*+()-")
 
 
 class PolySyntaxError(ValueError):
     pass
 
 
-def _tokenize(text: str):
-    pos = 0
-    toks = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise PolySyntaxError(f"bad character at offset {pos}: {text[pos]!r}")
-            break
-        pos = m.end()
-        if m.lastgroup == "rat":
-            toks.append(("rat", m.group("rat")))
-        elif m.lastgroup == "name":
-            toks.append(("name", m.group("name")))
-        else:
-            toks.append(("op", m.group("op")))
-    return toks
+def parse_rational(text: str) -> Fraction:
+    """A rational literal (``3``, ``-1/2``, ...); a zero denominator or any
+    other malformed text is a PolySyntaxError."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise PolySyntaxError(f"bad rational {text!r}") from None
+
+
+def _literal(tok: str) -> Rat:
+    """The value of a rational token ``p/q``, normalised."""
+    p, q = tok.split("/")
+    if int(q) == 0:
+        raise PolySyntaxError(f"zero denominator in {tok!r}")
+    return _rat(Fraction(int(p), int(q)))
+
+
+def _unexpected(text: str, toks: list, i: int, what: str) -> PolySyntaxError:
+    """The error for token ``i``: a stray character is named with its offset
+    (found by a second scan, on this error path only)."""
+    tok = toks[i]
+    if tok[0] in _NAME_START or tok[0].isdecimal() or tok in _OPS:
+        return PolySyntaxError(f"{what} {tok!r}")
+    offset = list(_TOKEN.finditer(text))[i].start(1)
+    return PolySyntaxError(f"bad character at offset {offset}: {tok!r}")
 
 
 def parse_poly(text: str) -> Polynomial:
-    toks = _tokenize(text)
+    toks = _TOKEN.findall(text)
+    n = len(toks)
     out: Dict[Tuple[Mono, int, int], Rat] = {}
+    get = out.get
     i = 0
-    sign = 1
-    while i < len(toks) and toks[i][0] == "op" and toks[i][1] in "+-":
-        if toks[i][1] == "-":
-            sign = -sign
-        i += 1
-    while i < len(toks):
-        key, c, i = _parse_term(toks, i)
-        out[key] = out.get(key, 0) + sign * c
-        sign = 1
-        while i < len(toks) and toks[i][0] == "op" and toks[i][1] in "+-":
-            if toks[i][1] == "-":
-                sign = -sign
+    while i < n:
+        # the signs in front of a term
+        c: Rat = 1
+        tok = toks[i]
+        while tok == "+" or tok == "-":
+            if tok == "-":
+                c = -c
             i += 1
-            if i >= len(toks):
+            if i == n:
                 raise PolySyntaxError("dangling sign at end of input")
-        if i < len(toks) and toks[i][0] == "op" and toks[i][1] == "*":
-            raise PolySyntaxError("unexpected '*'")
-    return Polynomial._normalised(_clean(out))
-
-
-def _parse_term(toks, i):
-    """One product term starting at token i: (its term key, its rational
-    coefficient, the index after it)."""
-    c: Rat = 1
-    exps: Dict[str, int] = {}
-    eps_exp = alpha_exp = 0
-    expect_factor = True
-    while expect_factor:
-        if i >= len(toks):
-            raise PolySyntaxError("expected a factor")
-        kind, val = toks[i]
-        if kind == "rat":
+            tok = toks[i]
+        # one term: factors joined by '*'.  Most terms have at most one
+        # variable, held in var/xv; a dict is made only for a second one.
+        var = None
+        xv = e = a = 0
+        exps = None
+        while True:
             i += 1
-            c *= Fraction(val) if "/" in val else int(val)
-        elif kind == "name":
-            name = val
-            i += 1
-            exp = 1
-            if i < len(toks) and toks[i] == ("op", "^"):
-                i += 1
-                neg = False
-                if i < len(toks) and toks[i] == ("op", "-"):
-                    neg = True
+            if tok[0] in _NAME_START:
+                x = 1
+                if i < n and toks[i] == "^":
+                    neg = i + 1 < n and toks[i + 1] == "-"
+                    i += 2 if neg else 1
+                    if i == n or not toks[i][0].isdecimal() or "/" in toks[i]:
+                        raise PolySyntaxError("expected integer exponent after '^'")
+                    x = -int(toks[i]) if neg else int(toks[i])
                     i += 1
-                if i >= len(toks) or toks[i][0] != "rat" or "/" in toks[i][1]:
-                    raise PolySyntaxError("expected integer exponent after '^'")
-                exp = int(toks[i][1])
-                if neg:
-                    exp = -exp
-                i += 1
-            if name == "eps":
-                eps_exp += exp
-            elif name == "alpha":
-                if exp < 0:
-                    raise PolySyntaxError("alpha exponent must be nonnegative")
-                alpha_exp += exp
-            else:
-                if exp < 0:
+                if tok == "eps":
+                    e += x
+                elif tok == "alpha":
+                    if x < 0:
+                        raise PolySyntaxError("alpha exponent must be nonnegative")
+                    a += x
+                elif x < 0:
                     raise PolySyntaxError("variable exponent must be positive")
-                exps[name] = exps.get(name, 0) + exp
-        else:
-            raise PolySyntaxError(f"unexpected token {val!r}")
-        expect_factor = False
-        if i < len(toks) and toks[i] == ("op", "*"):
+                elif var is None:
+                    var, xv = tok, x
+                else:
+                    if exps is None:
+                        exps = {var: xv}
+                    exps[tok] = exps.get(tok, 0) + x
+            elif tok[0].isdecimal():
+                c *= int(tok) if "/" not in tok else _literal(tok)
+            else:
+                raise _unexpected(text, toks, i - 1, "unexpected token")
+            if i == n or toks[i] != "*":
+                break
             i += 1
-            expect_factor = True
-    mono = tuple(sorted(((v, x) for v, x in exps.items() if x), key=lambda t: _var_key(t[0])))
-    return (mono, eps_exp, alpha_exp), _rat(c), i
+            if i == n:
+                raise PolySyntaxError("expected a factor")
+            tok = toks[i]
+        if exps is not None:
+            mono: Mono = tuple(sorted(((v, x) for v, x in exps.items() if x),
+                                      key=lambda t: _var_key(t[0])))
+        else:
+            mono = ((var, xv),) if xv else ()
+        key = (mono, e, a)
+        out[key] = get(key, 0) + c
+        if i < n and toks[i] != "+" and toks[i] != "-":
+            raise _unexpected(text, toks, i, "expected '+' or '-' between terms, got")
+    return Polynomial._normalised(_clean(out))
 
 
 def format_mono(m: Mono) -> str:
@@ -675,37 +690,62 @@ def format_mono(m: Mono) -> str:
     return " * ".join(v if e == 1 else f"{v}^{e}" for v, e in m)
 
 
-def _term_key(key):
-    m, e, a = key
-    return (_mono_deg(m), tuple((_var_key(v), x) for v, x in m), e, a)
+def _term_order(terms) -> list:
+    """The (key, value) items of a term dict in print order: by x-degree,
+    then by monomial (variables in natural order, then exponents), then by
+    eps and alpha exponents.  Each variable's sort key is looked up once,
+    as its rank among the variables present."""
+    items = list(terms.items())
+    if len(items) < 2:
+        return items
+    names = {v for (m, _, _) in terms for v, _ in m}
+    rank = {v: r for r, v in enumerate(sorted(names, key=_var_key))}
+
+    def key(item):
+        m, e, a = item[0]
+        if not m:
+            return 0, (), e, a
+        if len(m) == 1:
+            (v, x), = m
+            return x, (rank[v], x), e, a
+        flat = []
+        for v, x in m:
+            flat += (rank[v], x)
+        return sum(flat[1::2]), tuple(flat), e, a
+
+    items.sort(key=key)
+    return items
 
 
 def format_poly(p: Polynomial) -> str:
     if not p.terms:
         return "0"
     pieces = []
-    for (m, e, a) in sorted(p.terms, key=_term_key):
-        c = p.terms[(m, e, a)]
-        factors = []
+    for (m, e, a), c in _term_order(p.terms):
         if m:
-            factors.append(format_mono(m))
-        if e:
-            factors.append(f"eps^{e}" if e != 1 else "eps")
-        if a:
-            factors.append(f"alpha^{a}" if a != 1 else "alpha")
-        mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = " * ".join(factors)
+            body = format_mono(m)
+            if e:
+                body += f" * eps^{e}" if e != 1 else " * eps"
+        elif e:
+            body = f"eps^{e}" if e != 1 else "eps"
         else:
-            body = str(mag) + " * " + " * ".join(factors)
-        pieces.append(("-" if c < 0 else "+", body))
-    sign0, body0 = pieces[0]
-    text = ("-" if sign0 == "-" else "") + body0
-    for sign, body in pieces[1:]:
-        text += f" {sign} {body}"
-    return text
+            body = ""
+        if a:
+            alpha = f"alpha^{a}" if a != 1 else "alpha"
+            body = f"{body} * {alpha}" if body else alpha
+        if c < 0:
+            c = -c
+            sign = " - "
+        else:
+            sign = " + "
+        if not body:
+            body = str(c)
+        elif c != 1:
+            body = f"{c} * {body}"
+        pieces.append(sign)
+        pieces.append(body)
+    pieces[0] = "" if pieces[0] == " + " else "-"
+    return "".join(pieces)
 
 
 def parse_coeff(text: str) -> Coeff:

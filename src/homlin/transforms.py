@@ -48,7 +48,8 @@ class PassReport:
 
 
 def _metrics(c: Circuit) -> Dict[str, int]:
-    return {"size": c.size(), "depth": c.depth(), "mulDepth": c.mul_depth()}
+    depth, mul_depth = c.depths()
+    return {"size": c.size(), "depth": depth, "mulDepth": mul_depth}
 
 
 def _require(cond: bool, msg: str):
@@ -327,10 +328,7 @@ class _CBuilder:
     def emit(self, kind: str, children: Tuple[str, ...] = (),
              edge_scalars=None, lin=None, const=None, scale=None) -> str:
         gid = self._fresh()
-        self.gates.append(
-            Gate(gid, kind, children=children, edge_scalars=edge_scalars,
-                 lin=lin, const=const, scale=scale)
-        )
+        self.gates.append(Gate(gid, kind, children, edge_scalars, lin, const, scale))
         return gid
 
     def input(self, lin: LinearForm) -> str:

@@ -21,8 +21,8 @@ from .poly import (
     LimitDiverges,
     LinearForm,
     Polynomial,
+    _term_order,
     format_poly,
-    _term_key,
 )
 from .transforms import PassReport, _restrict_reachable
 
@@ -46,8 +46,8 @@ class VerifyReport:
 
 
 def _first_differing_monomial(diff: Polynomial) -> str:
-    key = sorted(diff.terms, key=_term_key)[0]
-    return format_poly(Polynomial({key: diff.terms[key]}))
+    key, c = _term_order(diff.terms)[0]
+    return format_poly(Polynomial._normalised({key: c}))
 
 
 def verify_exact(a: Polynomial, b: Polynomial) -> VerifyReport:

@@ -224,3 +224,77 @@ def test_circuit_to_tree_shares_shared_gates():
     assert t.eval() == X1 * X1
     assert t.size() == 3
     assert t.children[0] is t.children[1]
+
+
+def test_juxtaposed_input_terms_are_a_syntax_error_with_line():
+    with pytest.raises(CircuitSyntaxError) as exc:
+        parse_circuit("gate g1 = input x1\ngate g2 = input 2 x1\noutput g2\n")
+    assert exc.value.line == 2 and "between terms" in str(exc.value)
+
+
+@pytest.mark.parametrize("line", [
+    "gate g2 = negcube g1 scale 1/0",
+    "gate g2 = negcube g1 scale abc",
+    "gate g2 = input 1/0 * x1",
+    "gate g2 = add g1 g1 [1/0 1]",
+])
+def test_malformed_numbers_are_syntax_errors_with_line(line):
+    text = f"basis addNegCube\ngate g1 = input x1\n{line}\noutput g2\n"
+    with pytest.raises(CircuitSyntaxError) as exc:
+        parse_circuit(text)
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("line, message", [
+    ("gate g2 = add g1 g1 [1 1] g1", "after ']'"),
+    ("gate g2 = add g1 g1 [1 1", "unbalanced"),
+    ("gate g2 = add g1 g1 scale", "'scale' takes one rational"),
+    ("gate g2 = add g1 g1 scale 2 3", "'scale' takes one rational"),
+    ("gate g2 = alpha g1", "takes no arguments"),
+    ("gate g2 = input x1 * x1", "affine"),
+    ("gate g2 = mul g1", "expects 2 children"),
+    ("gate g2 = pow g1 g1", "unknown gate kind"),
+    ("gate g2 add g1 g1", "expected 'gate <id> = <kind> ...'"),
+    ("gate g1 = input x2", "duplicate gate id"),
+])
+def test_malformed_gate_lines_name_line_and_defect(line, message):
+    with pytest.raises(CircuitSyntaxError) as exc:
+        parse_circuit(f"gate g1 = input x1\n{line}\noutput g2\n")
+    assert exc.value.line == 2 and message in str(exc.value)
+
+
+def test_gate_id_with_equals_sign_is_a_plain_gate():
+    c = parse_circuit("gate a=b = input x1 # one leaf\noutput a=b\n")
+    assert c.eval() == X1
+
+
+def test_repeated_input_forms_and_edge_scalars_are_parsed_once_and_shared():
+    text = (
+        "shape circuit\n"
+        "gate g1 = input 2 * x1 - 1\n"
+        "gate g2 = input 2 * x1 - 1\n"
+        "gate g3 = add g1 g2 [1/2 1/2]\n"
+        "output g3\n"
+    )
+    c = parse_circuit(text)
+    g1, g2, g3 = c.gates
+    assert g1.lin is g2.lin and g1.const is g2.const
+    assert g3.edge_scalars[0] is g3.edge_scalars[1]
+    assert c.eval() == parse_poly("2 * x1 - 1")
+    assert print_circuit(c) == text.replace("input 2 * x1 - 1", "input -1 + 2 * x1").replace(
+        "shape circuit\n", "shape circuit\nbasis arity2\nvar x1\n")
+
+
+def test_gate_is_an_immutable_value_with_keyword_construction():
+    g = Gate("g1", "input", lin=LinearForm.variable("x1"), const=Coeff())
+    assert (g.id, g.kind, g.children, g.edge_scalars, g.scale) == ("g1", "input", (), None, None)
+    with pytest.raises(AttributeError):
+        g.kind = "add"
+    assert g == Gate("g1", "input", lin=LinearForm.variable("x1"), const=Coeff())
+
+
+def test_depths_counts_all_gates_and_product_gates_in_one_sweep():
+    t = FNode.add(FNode.mul(_leaf("x1"), FNode.negcube(_leaf("x2"))), _leaf("x3"))
+    c = tree_to_circuit(t, "arity2")
+    assert c.depths() == (3, 2) and c.depth() == 3
+    assert c.metrics()["mulDepth"] == 2

@@ -405,3 +405,60 @@ def test_prime_test_matches_trial_division():
     # strong pseudoprimes to the bases 2..7, 2..37 and the 2^61 - 1 neighbour
     for n in (3215031751, 318665857834031151167461, (1 << 61) + 1):
         assert not cli._is_prime(n)
+
+
+# ---------------------------------------------------------------------------
+# malformed artifacts exit 2
+# ---------------------------------------------------------------------------
+
+
+def _circuit_with(tmp_path, gate_line, basis="addNegCube"):
+    path = tmp_path / "bad.circ"
+    path.write_text(f"shape formula\nbasis {basis}\ngate g1 = input x1\n{gate_line}\n"
+                    "output g2\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("gate_line", [
+    "gate g2 = negcube g1 scale 1/0",
+    "gate g2 = negcube g1 scale abc",
+    "gate g2 = input 1/0 * x1",
+    "gate g2 = input 2 x1",
+])
+def test_malformed_circuit_numbers_exit_2_with_line(capsys, tmp_path, gate_line):
+    code, _o, err = run(capsys, "transform", "--pass", "parity",
+                        "--in", _circuit_with(tmp_path, gate_line), "--out", str(tmp_path / "o"))
+    assert code == 2 and "line 4" in err and "internal" not in err
+
+
+@pytest.mark.parametrize("text", ["1/0 * x1\n", "x1 x2\n", "1e3\n"])
+def test_malformed_polynomial_exit_2(capsys, tmp_path, text):
+    a, b = tmp_path / "a.poly", tmp_path / "b.poly"
+    a.write_text(text)
+    b.write_text("x1\n")
+    code, out, err = run(capsys, "verify", "--mode", "exact", "--in", str(a), "--against", str(b))
+    assert code == 2 and out == "" and "internal" not in err
+
+
+@pytest.mark.parametrize("alpha", ["1/0", "abc"])
+def test_rescale_with_malformed_alpha_exit_2(capsys, product_circ, alpha):
+    code, _o, err = run(capsys, "transform", "--pass", "rescale", "--alpha", alpha,
+                        "--in", product_circ)
+    assert code == 2 and "internal" not in err and alpha in err
+
+
+@pytest.mark.parametrize("old, new", [
+    ("(1,2)=x1", "(0,2)=x1"), ("(2,3)=x2", "(4,3)=x2"), ("entry(1,3)", "entry(0,0)"),
+])
+def test_word_with_index_outside_the_matrix_exit_2(capsys, product_circ, tmp_path, old, new):
+    word = tmp_path / "w.txt"
+    assert run(capsys, "compile", "--target", "offdiag3", "1", "3", "--in", product_circ,
+               "--out", str(word))[0] == 0
+    text = word.read_text()
+    assert old in text
+    word.write_text(text.replace(old, new, 1))
+    target = tmp_path / "t.poly"
+    target.write_text("x1 * x2\n")
+    code, out, err = run(capsys, "verify", "--mode", "border", "--in", str(word),
+                         "--against", str(target))
+    assert code == 2 and out == "" and "line " in err

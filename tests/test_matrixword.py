@@ -10,6 +10,7 @@ import pytest
 from homlin.circuit import FNode, circuit_to_tree, tree_to_circuit
 from homlin.families import L_entry, gen_nce_L
 from homlin.matrixword import (
+    ArtifactSyntaxError,
     DiagonalNonzero,
     EntryNotHomogeneousLinear,
     MatrixWord,
@@ -557,3 +558,77 @@ def test_border_value_on_projection_equals_value():
     c = as_formula(FNode.negcube(X("x1")), "addNegCube")
     p = compile_continuant_odd(c)
     assert border_value(p) == p.value()
+
+
+_WORD = "dim 3\nfactor: (1,2)=x1 * eps\nfactor: (2,1)=x2\nscalar: eps^-1\ntarget: entry(1,1)\n"
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("(1,2)=x1", "(0,2)=x1", 2),     # index 0 must not wrap round to row 3
+    ("(2,1)=x2", "(4,1)=x2", 3),     # past dim 3
+    ("(2,1)=x2", "(2,-1)=x2", 3),
+    ("entry(1,1)", "entry(0,0)", 5),  # not a zero read-out, which fails verification
+    ("entry(1,1)", "entry(1,4)", 5),
+    ("(1,2)=x1", "(1,2,3)=x1", 2),
+    ("(1,2)=x1", "1,2=x1", 2),
+    ("(1,2)=x1", "(1,a)=x1", 2),
+])
+def test_word_indices_outside_the_matrix_are_rejected_with_line(old, new, line):
+    with pytest.raises(ArtifactSyntaxError) as exc:
+        parse_word(_WORD.replace(old, new))
+    assert exc.value.line == line and isinstance(exc.value, ValueError)
+    assert str(exc.value).startswith(f"line {line}:")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("factor: (1,2)=x1\n", 1),                  # no dim
+    ("dim 3\ndim 3\n", 2),
+    ("dim 0\n", 1),
+    ("dim three\n", 1),
+    ("dim 2\ntarget: L(1,0,0)\n", 2),           # 4 weights for dim 2
+    ("dim 2\ntarget: entry(1,1\n", 2),
+    ("dim 2\nfactor: (1,2)=x1 x2\n", 2),        # juxtaposed terms
+    ("dim 2\nfactor: (1,2)\n", 2),
+    ("dim 2\nscalar: x1\n", 2),
+    ("dim 2\nwhat: 1\n", 2),
+])
+def test_malformed_word_lines_are_rejected_with_line(text, line):
+    with pytest.raises(ArtifactSyntaxError) as exc:
+        parse_word(text)
+    assert exc.value.line == line
+
+
+def test_word_functional_target_round_trips():
+    w = MatrixWord(2, [[[Polynomial.zero(), parse_poly("x1")], [parse_poly("x2"),
+                                                               Polynomial.zero()]]],
+                   COEFF_ONE, ("functional", [Coeff.of(1), Coeff.of(0), Coeff.of(0),
+                                              Coeff.of(Fraction(1, 2))]))
+    assert format_word(parse_word(format_word(w))) == format_word(w)
+
+
+_PROJ = "projection C n 2 d 1 border 1\nscalar: eps^-1\nform x1: x1 * eps\nform x2: x2 * eps\n"
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("C n 2", "D n 2", 1),
+    ("n 2", "n 0", 1),
+    ("d 1", "d -1", 1),
+    ("border 1", "border 2", 1),
+    ("border 1", "border", 1),
+    ("n 2 d 1", "d 1 n 2", 1),
+    ("form x2:", "form x3:", 4),          # no such slot: not silently dropped
+    ("form x2:", "form x1:", 4),
+    ("form x2:", "form x2", 4),
+    ("x2 * eps\n", "x2 * eps + 1\n", 4),
+])
+def test_malformed_projection_lines_are_rejected_with_line(old, new, line):
+    with pytest.raises(ArtifactSyntaxError) as exc:
+        parse_projection(_PROJ.replace(old, new))
+    assert exc.value.line == line
+
+
+def test_projection_weights_need_nine_entries():
+    text = "projection nceL n 1 d 1 border 0\nweights: 1,0,0\n"
+    with pytest.raises(ArtifactSyntaxError) as exc:
+        parse_projection(text)
+    assert exc.value.line == 2 and "9 weights" in str(exc.value)

@@ -16,8 +16,10 @@ from homlin.poly import (
     dot,
     format_poly,
     parse_coeff,
+    PolySyntaxError,
     parse_linear_form,
     parse_poly,
+    parse_rational,
 )
 
 X1 = Polynomial.variable("x1")
@@ -413,3 +415,61 @@ def test_every_monomial_has_one_canonical_order():
     p = parse_poly("x1 * x * y2 * y")
     assert format_poly(p) == "x * x1 * y * y2"
     assert p == Polynomial.variable("y") * Polynomial.variable("x1") * parse_poly("y2 * x")
+
+
+@pytest.mark.parametrize("text", ["x1 x2", "1e3", "2 x1", "x1 + 2 3", "x1^2 x2", "eps alpha"])
+def test_juxtaposed_terms_are_a_syntax_error(text):
+    # a missing '+' or '-' between two terms must not be read as '+'
+    with pytest.raises(PolySyntaxError, match="between terms"):
+        parse_poly(text)
+
+
+def test_separated_terms_still_parse():
+    assert parse_poly("x1 + x2") == X1 + X2
+    assert parse_poly("1 - - x1") == Polynomial.const(1) + X1
+    assert parse_poly("2 * x1 * 3") == 6 * X1
+    assert parse_poly("x1^0 + eps^0") == Polynomial.const(2)
+
+
+@pytest.mark.parametrize("text", ["1/0", "x1 + 1/0 * x2", "1/0 * eps"])
+def test_zero_denominator_is_a_syntax_error(text):
+    with pytest.raises(PolySyntaxError, match="zero denominator"):
+        parse_poly(text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "abc", "", "1//2"])
+def test_parse_rational_rejects_malformed_numbers(text):
+    with pytest.raises(PolySyntaxError):
+        parse_rational(text)
+    assert issubclass(PolySyntaxError, ValueError)
+
+
+def test_parse_rational_reads_signed_fractions():
+    assert parse_rational("-3/6") == Fraction(-1, 2)
+    assert parse_rational("4") == 4
+
+
+@pytest.mark.parametrize("text, offset, char", [
+    ("x1 + $", 5, "$"), ("x1 $", 3, "$"), ("2 * x1 / 3", 7, "/"), ("x\u00e9", 1, "\u00e9"),
+])
+def test_bad_character_is_reported_with_its_offset(text, offset, char):
+    with pytest.raises(PolySyntaxError) as exc:
+        parse_poly(text)
+    assert str(exc.value) == f"bad character at offset {offset}: {char!r}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1 +", "dangling sign"),
+    ("-", "dangling sign"),
+    ("x1 *", "expected a factor"),
+    ("x1 * * x2", "unexpected token '*'"),
+    ("x1^", "integer exponent"),
+    ("x1^1/2", "integer exponent"),
+    ("x1^-1", "variable exponent must be positive"),
+    ("alpha^-1", "alpha exponent must be nonnegative"),
+    ("(x1)", "unexpected token '('"),
+    ("x1^2^3", "between terms, got '^'"),
+])
+def test_malformed_polynomials_name_their_defect(text, message):
+    with pytest.raises(PolySyntaxError, match=re.escape(message)):
+        parse_poly(text)
