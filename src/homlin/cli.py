@@ -479,13 +479,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CircuitSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash must not read as a failed verification (1)

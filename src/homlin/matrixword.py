@@ -57,14 +57,6 @@ from .poly import (
 )
 from .transforms import _to_anc
 
-# cap on the adaptive eps-precision exponent of the negative-cube case
-MAX_K = 4096
-
-# exact-expansion re-verification of the eps-precision congruence is run only
-# for words up to this many factors; longer words rely on the proven
-# exponent-accounting bound for k (see the negcube case)
-EXACT_CHECK_MAX = 120
-
 
 class NotIHL(ValueError):
     pass
@@ -79,10 +71,6 @@ class NotOddDegree(ValueError):
 
 
 class NotEvenDegree(ValueError):
-    pass
-
-
-class PrecisionExhausted(RuntimeError):
     pass
 
 
@@ -392,14 +380,6 @@ def word2_to_matrix_word(forms: Sequence[LinearForm],
     return MatrixWord(2, factors, scalar, entry_target(1, 2))
 
 
-def _word2_invariant_holds(forms: Sequence[LinearForm], expected: Polynomial) -> bool:
-    """Check: limit of (product - id) exists and equals expected * E_upper,
-    i.e. the product is id + expected * E_upper mod eps^1."""
-    one, zero = Polynomial.const(1), Polynomial.zero()
-    m = expand_word(word2_to_matrix_word(forms), below=1)
-    return m == [[one, expected.mod_eps(1)], [zero, one]]
-
-
 _ALPHA = Coeff.alpha(1)
 
 
@@ -416,8 +396,6 @@ def _cont_odd_word(node: FNode, s: Fraction) -> List[LinearForm]:
         return w1 + [LinearForm.zero()] + w2  # pad to keep strict alternation
     if node.kind == "negcube":
         base = _cont_odd_word(node.children[0], Fraction(1))
-        g = node.children[0].eval()
-        expected = (g * g * g).scale(_ALPHA * (-s))
         # every error term of the base product is eps^e * alpha^a with e >= 1
         # (exact-limit invariant) and a at most the number of alpha-carrying
         # forms; eps -> eps^k, alpha -> eps^-1 sends it to eps^(ke-a), so any
@@ -429,20 +407,11 @@ def _cont_odd_word(node: FNode, s: Fraction) -> List[LinearForm]:
             if any(a >= 1 for (_e, a) in c.terms)
         )
         k = max(2 * (1 + _max_abs_eps_exp(base)), a_max + 2)
-        check = 3 * len(base) <= EXACT_CHECK_MAX
-        while True:
-            block1 = [lf.subst(k, Coeff.eps(-1)) for lf in base]
-            block3 = [lf.subst(k, -Coeff.eps(-1)) for lf in base]
-            middle_alpha = Coeff({(2, 1): s})  # eps^2 * s * alpha
-            block2 = [lf.subst(3, middle_alpha) for lf in reversed(base)]
-            word = block1 + block2 + block3
-            if not check or _word2_invariant_holds(word, expected):
-                return word
-            if k >= MAX_K:
-                raise PrecisionExhausted(
-                    f"adaptive eps-precision exceeded the cap {MAX_K}"
-                )
-            k = min(2 * k, MAX_K)
+        block1 = [lf.subst(k, Coeff.eps(-1)) for lf in base]
+        middle_alpha = Coeff({(2, 1): s})  # eps^2 * s * alpha
+        block2 = [lf.subst(3, middle_alpha) for lf in reversed(base)]
+        block3 = [lf.subst(k, -Coeff.eps(-1)) for lf in base]
+        return block1 + block2 + block3
     raise NotFormula(
         f"continuant compilation expects add/negative-cube gates, got {node.kind}"
     )
@@ -621,7 +590,7 @@ def parse_word(text: str) -> MatrixWord:
             if head == "dim":
                 if dim is not None:
                     raise ArtifactSyntaxError("'dim' given twice", lineno)
-                dim = _int(body, "dim", lineno, 1)
+                dim = _int(body, "dim", lineno, 1, 3)
             elif dim is None:
                 raise ArtifactSyntaxError("'dim' must come first", lineno)
             elif head == "factor":

@@ -1016,27 +1016,7 @@ def vsbr_arity3(c: Circuit) -> Tuple[Circuit, PassReport]:
             t1 = H(u, w, u3)
             if t1 is None:
                 continue
-            if deg[w2] == 1:
-                t3: Optional[str] = U(w2)
-            else:
-                m2 = -((-2 * deg[w2]) // 3)
-                inner = []
-                for y in front(m2):
-                    if y not in desc[w2]:
-                        continue
-                    gy = c.by_id[y]
-                    ykids = list(gy.children)
-                    j3 = min(range(3), key=lambda i: (deg[ykids[i]], i))
-                    y3 = ykids[j3]
-                    y1, y2 = [ykids[i] for i in range(3) if i != j3]
-                    s3, s2v, s1v = U(y3), U(y2), U(y1)
-                    if s3 is None or s2v is None or s1v is None:
-                        continue
-                    s1 = H(w2, y, s3)
-                    if s1 is None:
-                        continue
-                    inner.append(b.emit("mul3", (s1, s2v, s1v)))
-                t3 = b.balanced_sum(inner)
+            t3 = U(w2)
             if t3 is None:
                 continue
             terms.append(b.emit("mul3", (t1, t2, t3)))

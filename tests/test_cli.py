@@ -8,7 +8,6 @@ from homlin import cli
 from homlin.circuit import FNode, parse_circuit, print_circuit, tree_to_circuit
 from homlin.cli import main
 from homlin.families import gen_C_comb
-from homlin.matrixword import PrecisionExhausted
 from homlin.poly import format_poly, parse_poly
 
 
@@ -209,15 +208,15 @@ def test_recursion_error_is_an_internal_error_exit_3(capsys, tmp_path):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_precision_exhausted_is_an_internal_error_exit_3(capsys, negcube_circ, monkeypatch):
-    def exhausted(*_args):
-        raise PrecisionExhausted("adaptive eps-precision exceeded the cap 4096")
+def test_unexpected_compiler_exception_is_an_internal_error_exit_3(
+        capsys, negcube_circ, monkeypatch):
+    def broken(*_args):
+        raise RuntimeError("compiler bug")
 
-    monkeypatch.setattr(cli, "compile_continuant_odd", exhausted)
+    monkeypatch.setattr(cli, "compile_continuant_odd", broken)
     code, _o, err = run(capsys, "compile", "--target", "continuant", "--in", negcube_circ)
     assert code == 3
-    assert err == "error: internal: PrecisionExhausted: " \
-        "adaptive eps-precision exceeded the cap 4096\n"
+    assert err == "error: internal: RuntimeError: compiler bug\n"
 
 
 _COMPILE = ["compile", "--target", "trace3", "--in", "CIRC"]
@@ -449,6 +448,7 @@ def test_rescale_with_malformed_alpha_exit_2(capsys, product_circ, alpha):
 
 @pytest.mark.parametrize("old, new", [
     ("(1,2)=x1", "(0,2)=x1"), ("(2,3)=x2", "(4,3)=x2"), ("entry(1,3)", "entry(0,0)"),
+    ("dim 3", "dim 300"),
 ])
 def test_word_with_index_outside_the_matrix_exit_2(capsys, product_circ, tmp_path, old, new):
     word = tmp_path / "w.txt"

@@ -1,7 +1,10 @@
-"""Every imported name in the package modules and the tests is used."""
+"""Every imported name in the package modules and the tests is used, and
+every entry point the benchmark's tracer wraps exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,3 +37,14 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_entry_point_the_bench_tracer_wraps_exists():
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    H = SimpleNamespace(**{m: importlib.import_module(f"homlin.{m}")
+                           for m in spans.LAYER_MODULES})
+    missing = [(owner, attr) for owner, attr, _name, _counter in spans.targets(H)
+               if attr not in vars(owner)]
+    assert missing == []

@@ -19,6 +19,7 @@ from homlin.matrixword import (
     NotIHL,
     NotOddDegree,
     Projection,
+    _cont_odd_word,
     _offdiag_lists,
     border_value,
     compile_continuant_even,
@@ -359,6 +360,54 @@ def test_continuant_alternation_zero_padding_invariance():
     assert padded.value() == p.value()
 
 
+def word2_invariant_holds(forms, expected):
+    """Test oracle for the proven eps-precision of ``_cont_odd_word``: the
+    limit of (product - id) exists and equals expected * E_upper, i.e. the
+    whole 2x2 product is id + expected * E_upper mod eps^1."""
+    one, zero = Polynomial.const(1), Polynomial.zero()
+    m = expand_word(word2_to_matrix_word(forms), below=1)
+    return m == [[one, expected.mod_eps(1)], [zero, one]]
+
+
+# the oracle expands the whole product, whose cost grows steeply with the
+# word length (seconds for one 200-factor cube word); longer words are left
+# to verify_border on the projection of their formula
+ORACLE_MAX_FACTORS = 120
+
+
+def _subtrees(node, seen):
+    if id(node) not in seen:
+        seen[id(node)] = node
+        for ch in node.children:
+            _subtrees(ch, seen)
+    return seen.values()
+
+
+def test_cont_odd_word_meets_the_invariant_with_the_proven_precision():
+    trees = [
+        FNode.negcube(FNode.add(FNode.negcube(X("x1"), Fraction(1, 3)), X("x2")),
+                      Fraction(-1, 24)),
+        FNode.negcube(FNode.negcube(FNode.leaf(LinearForm.variable("x1", Fraction(2, 5))))),
+        FNode.add(FNode.negcube(FNode.add(X("x1"), X("x2")), Fraction(3, 2)),
+                  FNode.negcube(FNode.negcube(X("x3")), Fraction(-1))),
+    ]
+    rng = random.Random(5)
+    for d in (3, 5, 7):
+        for _ in range(3):
+            t = random_graded_arity3_formula(rng, d, rng.randint(3, 9), 3)
+            anc, _rep = to_add_negcube(tree_to_circuit(t, "arity3"))
+            trees.append(circuit_to_tree(anc))
+    cubes = 0
+    for tree in trees:
+        for t in _subtrees(tree, {}):
+            word = _cont_odd_word(t, Fraction(1))
+            if len(word) > ORACLE_MAX_FACTORS:
+                continue
+            assert word2_invariant_holds(word, t.eval().scale(Coeff.alpha(1))), t
+            cubes += t.kind == "negcube"
+    assert cubes >= 200
+
+
 # ---------------------------------------------------------------------------
 # compile_continuant_even
 # ---------------------------------------------------------------------------
@@ -584,6 +633,7 @@ def test_word_indices_outside_the_matrix_are_rejected_with_line(old, new, line):
     ("factor: (1,2)=x1\n", 1),                  # no dim
     ("dim 3\ndim 3\n", 2),
     ("dim 0\n", 1),
+    ("dim 4\n", 1),                           # no compiler writes more than 3
     ("dim three\n", 1),
     ("dim 2\ntarget: L(1,0,0)\n", 2),           # 4 weights for dim 2
     ("dim 2\ntarget: entry(1,1\n", 2),

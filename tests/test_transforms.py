@@ -619,6 +619,18 @@ def test_vsbr_random_semantics():
         assert rep.details["fittedC"] >= 0
 
 
+def test_vsbr_high_degree_semantics_and_shared_inner_sums():
+    # at these degrees a bracket's middle child w2 often has degree > 1;
+    # its value is U(w2), built once and shared, not rebuilt per bracket
+    for seed in range(12):
+        for d in (15, 17, 19, 21):
+            c = random_graded_arity3_circuit(random.Random(seed), d, 30 * d, 4)
+            out, _rep = vsbr_arity3(c)
+            assert out.eval() == c.eval(), (seed, d)
+    c = random_graded_arity3_circuit(random.Random(2), 19, 570, 4)
+    assert vsbr_arity3(c)[0].size() <= 40
+
+
 # ---------------------------------------------------------------------------
 # simplifier and registry
 # ---------------------------------------------------------------------------
