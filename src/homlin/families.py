@@ -19,13 +19,14 @@ nceL, nceGeneric and C return 1 at degree 0 (empty-product convention).
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from .poly import COEFF_ONE, Coeff, Polynomial, dot
+from .poly import COEFF_ONE, Coeff, Polynomial, Rat, _clean, _var_key
 
 FAMILY_TAGS = ("IMM", "nceGeneric", "nceL", "Ccomb", "Cmatrix", "C", "E", "P", "Q")
 
@@ -39,8 +40,6 @@ Matrix = List[List[Polynomial]]
 Row = Dict[int, Polynomial]
 # The rows of a matrix that were asked for: row index -> its sparse row.
 Rows = Dict[int, Row]
-# A factor's nonzero entries in one column j: (j, [(t, a[t][j]), ...]).
-Column = Tuple[int, List[Tuple[int, Polynomial]]]
 
 
 # ---------------------------------------------------------------------------
@@ -68,93 +67,215 @@ Column = Tuple[int, List[Tuple[int, Polynomial]]]
 # The map leaves eps and alpha exponents alone, so the truncation bounds are
 # the same in both coordinates.  (The aim of fraction-free elimination,
 # Bareiss 1968: keep the arithmetic on integers.)
+#
+# Each term is one integer key, its exponents packed side by side (Johnson,
+# "Sparse polynomial arithmetic", 1974; Monagan and Pearce's POLY, 2012):
+#
+#   key(x^m * eps^e * alpha^a) = (e << S) + (a << SA) + sum_v (m_v << off_v)
+#
+# with the variables in ``_var_key`` order from bit 0 up, alpha above them
+# and the signed eps exponent on top.  Each field below S is as wide as the
+# largest value it can take in a product term (``_Packing``), so fields never
+# carry into one another: the key of a product of terms is the sum of their
+# keys.  The fields below S hold a number in [0, 2^S), so e < K exactly when
+# key < K << S, and truncation is one integer comparison.
+#
+# Packing (``_Packing``) and unpacking (``_finish``) are the one seam between
+# Polynomial terms and the keys the sweeps work on.
+#
+# Partial products are accumulated in place, into dicts that belong to one
+# state alone.  A state's bound only tightens as the sweep goes on, and the
+# state is pruned to the new bound exactly when it does, so later steps do
+# not visit terms that can no longer reach the output.  A pruned term lies
+# at or above K minus the cheapest exponent sum still to come, so every term
+# it could lead to lies at or above K and would be dropped at the end anyway.
+
+# A packed polynomial: key -> coefficient, with no zero coefficients.
+Terms = Dict[int, Rat]
+# A packed factor entry: its (key, coefficient) pairs, sorted by key.
+Entry = List[Tuple[int, Rat]]
+# A factor's nonzero entries in one column j: (j, [(t, a[t][j]), ...]).
+Column = Tuple[int, List[Tuple[int, Polynomial]]]
+PackedColumn = Tuple[int, List[Tuple[int, Entry]]]
+# A sparse row of packed entries: column -> its terms.
+PackedRow = Dict[int, Terms]
 
 
 def zeros(k: int) -> Matrix:
-    return [[Polynomial.zero() for _ in range(k)] for _ in range(k)]
+    """The k x k zero matrix; its entries are one shared zero, which no
+    operation mutates."""
+    zero = Polynomial.zero()
+    return [[zero] * k for _ in range(k)]
 
 
 def _columns(a: Matrix) -> List[Column]:
     """The nonzero entries of a factor, grouped by column."""
-    out = []
-    for j in range(len(a)):
-        col = [(t, row[j]) for t, row in enumerate(a) if row[j].terms]
-        if col:
-            out.append((j, col))
-    return out
+    cols: Dict[int, List[Tuple[int, Polynomial]]] = {}
+    for t, row in enumerate(a):
+        for j, p in enumerate(row):
+            if p.terms:
+                cols.setdefault(j, []).append((t, p))
+    return sorted(cols.items())
 
 
-def _integral_columns(factors: Sequence[Matrix]) -> Tuple[List[List[Column]], int]:
-    """Each factor's columns under x -> D*x, and D: the lcm of the
-    denominators of the entries' non-constant coefficients."""
-    cols = [_columns(a) for a in factors]
-    scale = math.lcm(*{
-        c.denominator
-        for fc in cols for _j, col in fc for _t, p in col
-        for (mono, _e, _a), c in p.terms.items()
-        if mono and type(c) is not int
-    })
-    if scale != 1:
-        cols = [[(j, [(t, p.scale_vars(scale)) for t, p in col]) for j, col in fc] for fc in cols]
-    return cols, scale
+class _Packing:
+    """A factor list packed for the engine: each factor's nonzero entries,
+    grouped by column, as sorted (key, coefficient) lists under x -> D*x;
+    ``scale`` is D, the lcm of the denominators of the entries' non-constant
+    coefficients, and ``lows`` holds each factor's smallest eps exponent
+    (inf for a zero factor).
+
+    The key layout serves products of at most ``count`` terms, each from a
+    different factor.  Such a product's exponent of a variable (or of alpha)
+    is a sum of one exponent per factor it draws on, so it is at most the
+    sum of the ``count`` largest per-factor maxima of that exponent; its
+    field is given just enough bits to hold that bound."""
+
+    def __init__(self, factors: Sequence[Matrix], count: int):
+        cols = [_columns(a) for a in factors]
+        # one scan of every term: per factor, the largest exponent of each
+        # variable, of alpha and of eps, and the smallest of eps
+        maxima: Dict[str, List[int]] = {}
+        alphas: List[int] = []
+        self.lows: List[float] = []
+        high = 0
+        dens = set()
+        for fc in cols:
+            most: Dict[str, int] = {}
+            a_most, e_most, low = 0, 0, math.inf
+            for _j, col in fc:
+                for _t, p in col:
+                    for (mono, e, a), c in p.terms.items():
+                        if e < low:
+                            low = e
+                        if e > e_most:
+                            e_most = e
+                        if a > a_most:
+                            a_most = a
+                        if mono and type(c) is not int:
+                            dens.add(c.denominator)
+                        for v, x in mono:
+                            if x > most.get(v, 0):
+                                most[v] = x
+            for v, x in most.items():
+                maxima.setdefault(v, []).append(x)
+            alphas.append(a_most)
+            self.lows.append(low)
+            high += e_most
+        self.scale = scale = math.lcm(*dens)
+        names = sorted(maxima, key=_var_key)
+        widths = [sum(heapq.nlargest(count, maxima[v])).bit_length() for v in names]
+        widths.append(sum(heapq.nlargest(count, alphas)).bit_length())
+        offsets = [0, *accumulate(widths)]
+        self.fields = [(v, offsets[i], (1 << widths[i]) - 1) for i, v in enumerate(names)]
+        self.alpha_shift = offsets[-2]
+        self.shift = offsets[-1]
+        # a product term's eps exponent is at most the sum of the factors'
+        # largest positive ones, so no key reaches this one
+        self.ceiling = (high + 1) << self.shift
+        offset = {v: off for v, off, _mask in self.fields}
+        shift, alpha_shift = self.shift, self.alpha_shift
+
+        def entry(p: Polynomial) -> Entry:
+            out = []
+            for (mono, e, a), c in p.terms.items():
+                k = (e << shift) + (a << alpha_shift)
+                for v, x in mono:
+                    k += x << offset[v]
+                if mono and scale != 1:
+                    # c * D^deg is an integer: D is a multiple of c's denominator
+                    m = scale ** sum(x for _v, x in mono)
+                    c = c * m if type(c) is int else c.numerator * (m // c.denominator)
+                out.append((k, c))
+            out.sort()
+            return out
+
+        self.columns: List[List[PackedColumn]] = [
+            [(j, [(t, entry(p)) for t, p in col]) for j, col in fc] for fc in cols
+        ]
+
+    def top(self, below: Optional[int]) -> int:
+        """The key bound of eps^below; the ceiling when ``below`` is None."""
+        return self.ceiling if below is None else below << self.shift
+
+    def polynomial(self, terms: Terms, below: Optional[int]) -> Polynomial:
+        """The packed terms as a Polynomial, reduced mod eps^below and mapped
+        back by x -> x/D."""
+        shift, alpha_shift, fields = self.shift, self.alpha_shift, self.fields
+        top = self.top(below)
+        out = {}
+        for k, c in terms.items():
+            if k >= top:
+                continue
+            e = k >> shift
+            low = k - (e << shift)
+            mono = []
+            for v, off, mask in fields:
+                x = (low >> off) & mask
+                if x:
+                    mono.append((v, x))
+            out[(tuple(mono), e, low >> alpha_shift)] = c
+        return Polynomial._normalised(_clean(out)).scale_vars(Fraction(1, self.scale))
 
 
-def _min_eps(cols: Sequence[Column]) -> float:
-    """The smallest eps exponent among a factor's entries; inf if it is zero."""
-    return min(
-        (e for _j, col in cols for _t, p in col for (_mono, e, _a) in p.terms),
-        default=math.inf,
-    )
+def _add_row_times(out: PackedRow, row: PackedRow, cols: Sequence[PackedColumn], top: int):
+    """``out += row * a`` in place, for the factor ``a`` given by its packed
+    columns; only product keys below ``top`` are formed.
 
-
-# ``dot`` copies the entry of ``acc`` it adds to, and that copy is where the
-# terms at eps^below or above are pruned.  ``below`` tightens as the product
-# goes on, so an accumulator updated in place would keep those stale terms,
-# and every later step would carry them and visit them again.
-def _row_times(row: Row, cols: Sequence[Column], below: Optional[float], acc: Row) -> Row:
-    """``acc + row * a`` exact mod eps^below, for the factor ``a`` given by
-    its columns.
-
-    Only pairs of nonzero entries are multiplied, and product terms at
-    eps^below or above are never formed; an entry of ``acc`` that no pair
-    reaches is passed on as it is (``acc`` itself when none is reached)."""
-    out = acc
+    Only pairs of nonzero entries are multiplied, and each factor entry is
+    sorted, so the scan of its terms stops at the first key at or above
+    ``top - k1``."""
     for j, col in cols:
-        pairs = [(row[t], x) for t, x in col if t in row]
-        if not pairs:
-            continue
-        p = dot(pairs, below, acc.get(j))
-        if out is acc:
-            out = dict(acc)
-        if p.terms:
-            out[j] = p
+        for t, b in col:
+            a = row.get(t)
+            if not a:
+                continue
+            acc = out.setdefault(j, {})
+            get = acc.get
+            for k1, c1 in a.items():
+                lim = top - k1
+                for k2, c2 in b:
+                    if k2 >= lim:
+                        break
+                    k = k1 + k2
+                    if c := get(k, 0) + c1 * c2:
+                        acc[k] = c
+                    else:
+                        del acc[k]
+
+
+def _prune(row: PackedRow, top: int):
+    """Drop a row's terms at or above ``top``, in place; an entry left
+    empty is removed."""
+    for j, terms in list(row.items()):
+        kept = {k: c for k, c in terms.items() if k < top}
+        if kept:
+            row[j] = kept
         else:
-            out.pop(j, None)
-    return out
+            del row[j]
 
 
-def _identity_rows(rows: Iterable[int]) -> Rows:
-    one = Polynomial.const(1)
-    return {r: {r: one} for r in rows}
+def _identity_rows(rows: Iterable[int]) -> Dict[int, PackedRow]:
+    """The given rows of the identity, packed; no dict is shared."""
+    return {r: {r: {0: 1}} for r in rows}
 
 
 def _finish(
-    m: Rows, dim: int, below: Optional[int], scale: int, as_matrix: bool
+    m: Dict[int, PackedRow], packing: _Packing, dim: int, below: Optional[int], as_matrix: bool
 ) -> Union[Rows, Matrix]:
-    """Reduce the carried rows mod eps^below and map them back by
-    x -> x/scale; as a dim x dim matrix when every row was carried."""
-    if below is not None:
-        m = {
-            r: {c: q for c, p in row.items() if (q := p.mod_eps(below)).terms}
-            for r, row in m.items()
-        }
-    if scale != 1:
-        back = Fraction(1, scale)
-        m = {r: {c: p.scale_vars(back) for c, p in row.items()} for r, row in m.items()}
+    """The carried rows unpacked, mod eps^below and in the original
+    coordinates; as a dim x dim matrix when every row was carried."""
+    out: Rows = {}
+    for r, row in m.items():
+        out[r] = {}
+        for c, terms in row.items():
+            p = packing.polynomial(terms, below)
+            if p.terms:
+                out[r][c] = p
     if not as_matrix:
-        return m
+        return out
     zero = Polynomial.zero()
-    return [[m[r].get(c, zero) for c in range(dim)] for r in range(dim)]
+    return [[out[r].get(c, zero) for c in range(dim)] for r in range(dim)]
 
 
 def word_product(
@@ -170,16 +291,27 @@ def word_product(
     smallest eps exponent among the entries of factor j, a term of the
     prefix ending at factor i is kept only if its exponent plus the sum over
     j > i of min(0, m_j) stays below ``below``."""
-    cols, scale = _integral_columns(factors)
-    lows = [min(0, _min_eps(c)) for c in cols]
+    packing = _Packing(factors, len(factors))
+    lows = [min(0, low) for low in packing.lows]
     rest = sum(lows)
     acc = _identity_rows(range(dim) if rows is None else rows)
-    for c, low in zip(cols, lows):
+    for c, low in zip(packing.columns, lows):
         rest -= low
-        bound = None if below is None else below - rest
-        # acc * (id + A) = acc + acc * A, row by row
-        acc = {r: _row_times(row, c, bound, row) for r, row in acc.items()}
-    return _finish(acc, dim, below, scale, rows is None)
+        top = packing.top(None if below is None else below - rest)
+        # acc * (id + A) = acc + acc * A, row by row.  An entry this factor
+        # both reads and writes is read from a copy taken before the step.
+        # The terms carried over from acc were kept under the previous bound,
+        # so they are pruned after the step when the bound has tightened.
+        written = {j for j, _col in c}
+        both = written.intersection(t for _j, col in c for t, _b in col)
+        for row in acc.values():
+            before = row
+            if both:
+                before = {**row, **{t: dict(row[t]) for t in both if t in row}}
+            _add_row_times(row, before, c, top)
+            if low and below is not None:
+                _prune(row, top)
+    return _finish(acc, packing, dim, below, rows is None)
 
 
 def _cheapest_completions(lows: Sequence[float], d: int) -> List[List[float]]:
@@ -210,8 +342,9 @@ def nce_matrices(
     computed by one left-to-right dynamic-programming sweep.  ``dp[t]`` still
     needs d - t of the later factors, so its terms are kept only if their
     exponent plus the smallest sum of d - t later entry exponents stays below
-    ``below``; it is cleared when fewer than d - t factors remain.  Given
-    ``rows``, only those rows are carried and returned, as sparse rows.
+    ``below``; it is pruned when that sum grows, and cleared when fewer than
+    d - t factors remain.  Given ``rows``, only those rows are carried and
+    returned, as sparse rows.
     """
     if d < 0:
         raise InvalidParameters("degree must be nonnegative")
@@ -220,18 +353,26 @@ def nce_matrices(
             raise InvalidParameters("an empty factor list needs its dimension")
         dim = len(factors[0])
     carried = list(range(dim) if rows is None else rows)
-    cols, scale = _integral_columns(factors)
-    completions = _cheapest_completions([_min_eps(c) for c in cols], d)
-    dp: List[Rows] = [_identity_rows(carried)] + [{r: {} for r in carried} for _ in range(d)]
-    for i, c in enumerate(cols):
+    packing = _Packing(factors, d)
+    completions = _cheapest_completions(packing.lows, d)
+    dp = [_identity_rows(carried)] + [{r: {} for r in carried} for _ in range(d)]
+    for i, c in enumerate(packing.columns):
+        if not c:
+            continue  # a zero factor adds nothing and leaves every bound as it is
+        # descending t: dp[t - 1] is read before this factor updates it
         for t in range(min(d, i + 1), 0, -1):
-            bound = None if below is None else below - completions[i + 1][d - t]
-            if bound == -math.inf:
+            need = completions[i + 1][d - t]
+            if need == math.inf:
                 dp[t] = {r: {} for r in carried}
-            else:
-                prev, cur = dp[t - 1], dp[t]
-                dp[t] = {r: _row_times(prev[r], c, bound, cur[r]) for r in carried}
-    return _finish(dp[d], dim, below, scale, rows is None)
+                continue
+            top = packing.top(None if below is None else below - need)
+            if below is not None and need != completions[i][d - t]:
+                for row in dp[t].values():
+                    _prune(row, top)
+            prev, cur = dp[t - 1], dp[t]
+            for r in carried:
+                _add_row_times(cur[r], prev[r], c, top)
+    return _finish(dp[d], packing, dim, below, rows is None)
 
 
 def border_functional(

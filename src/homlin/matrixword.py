@@ -36,8 +36,6 @@ from .families import (
     OFF_DIAGONAL,
     Rows,
     border_functional,
-    gen_C_comb,
-    gen_nce_L,
     nce_matrices,
     parity_factor,
     word_product,
@@ -125,13 +123,6 @@ class Projection:
     border: bool = True
     weights: Optional[LWeights] = None  # nceL functional
 
-    def family_poly(self) -> Polynomial:
-        if self.family_tag == "C":
-            return gen_C_comb(self.n, self.d)
-        if self.family_tag == "nceL":
-            return gen_nce_L(self.n, self.d, self.weights)
-        raise ValueError(f"unknown family tag {self.family_tag!r}")
-
     def slot_names(self) -> List[str]:
         if self.family_tag == "C":
             return [f"x{i}" for i in range(1, self.n + 1)]
@@ -164,12 +155,6 @@ class Projection:
                 below,
             )
         raise ValueError(f"unknown family tag {self.family_tag!r}")
-
-    def value_by_substitution(self) -> Polynomial:
-        """Reference route: substitute forms into the family's monomial
-        expansion; exponential in the slot count, for cross-checks only."""
-        sigma = dict(zip(self.slot_names(), self.forms))
-        return self.family_poly().substitute(sigma).scale(self.scalar)
 
 
 # the parity-alternating value is the sum of the top row of the recurrence
@@ -230,15 +215,6 @@ def border_value(obj: Union[MatrixWord, Projection], below: Optional[int] = None
     return border_functional(
         residue, target_weights(obj.target, obj.dim), obj.global_scalar, below
     )
-
-
-def transpose_reverse(w: MatrixWord) -> MatrixWord:
-    """Reverse the word and transpose each factor; expansion transposes."""
-    factors = [
-        [[a[j][i] for j in range(w.dim)] for i in range(w.dim)]
-        for a in reversed(w.factors)
-    ]
-    return MatrixWord(w.dim, factors, w.global_scalar, w.target)
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,9 @@ construction and every operation is a pure function.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 Mono = Tuple[Tuple[str, int], ...]
 Rat = Union[int, Fraction]
@@ -287,7 +286,13 @@ class Polynomial:
     def __mul__(self, other: Union["Polynomial", Coeff, Rat]) -> "Polynomial":
         if not isinstance(other, Polynomial):
             other = Polynomial.const(other)
-        return dot(((self, other),))
+        out: Dict[Tuple[Mono, int, int], Rat] = {}
+        get = out.get
+        for (m1, e1, a1), c1 in self.terms.items():
+            for (m2, e2, a2), c2 in other.terms.items():
+                key = (_mono_mul(m1, m2), e1 + e2, a1 + a2)
+                out[key] = get(key, 0) + c1 * c2
+        return Polynomial._normalised(_clean(out))
 
     __rmul__ = __mul__
 
@@ -453,40 +458,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial<{format_poly(self)}>"
-
-
-def _eps_of(item) -> int:
-    return item[0][1]
-
-
-def dot(
-    pairs: Iterable[Tuple[Polynomial, Polynomial]],
-    below: int | float | None = None,
-    start: Polynomial | None = None,
-) -> Polynomial:
-    """``start`` plus the sum of ``a * b`` over the pairs, reduced mod
-    eps^below (negative powers kept, as in ``mod_eps``).
-
-    Two terms whose eps exponents sum to ``below`` or more are never
-    multiplied; with ``below=None`` every term is kept.  This is the one
-    product loop of the kernel: ``Polynomial.__mul__`` is ``dot`` of one pair."""
-    top = math.inf if below is None else below
-    out: Dict[Tuple[Mono, int, int], Rat] = {}
-    if start is not None:
-        out = {k: c for k, c in start.terms.items() if k[1] < top}
-    get = out.get
-    for a, b in pairs:
-        if not a.terms or not b.terms:
-            continue
-        inner = b.terms.items() if below is None else sorted(b.terms.items(), key=_eps_of)
-        for (m1, e1, a1), c1 in a.terms.items():
-            lim = top - e1
-            for (m2, e2, a2), c2 in inner:
-                if e2 >= lim:
-                    break
-                key = (_mono_mul(m1, m2), e1 + e2, a1 + a2)
-                out[key] = get(key, 0) + c1 * c2
-    return Polynomial._normalised(_clean(out))
 
 
 class LinearForm:

@@ -5,14 +5,17 @@ carries every row, reduced mod eps^K.
 
 Coefficients are rationals with denominators 1, 2, 3, 5 and 24, on terms of
 every x-degree (fractional constants included), so the engine's integral
-coordinates x -> D*x and its map back are exercised."""
+coordinates x -> D*x and its map back are exercised.  Monomials reach x1^3
+and x1^2*x2, alpha^2 and eps^-3..eps^3, on up to eight 2x2 factors (five
+3x3 ones), so the bounds that size the engine's packed exponent fields land
+on and just past powers of two."""
 
 from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from homlin.families import nce_matrices
+from homlin.families import nce_matrices, word_product
 from homlin.matrixword import (
     MatrixWord,
     Projection,
@@ -20,10 +23,14 @@ from homlin.matrixword import (
     expand_word,
     target_weights,
 )
-from homlin.poly import Coeff, LinearForm, Polynomial, dot
+from homlin.poly import Coeff, LinearForm, Polynomial, parse_poly
+from test_matrixword import oracle_value_by_substitution
 
 VARS = ("x1", "x2", "x3")
-MONOS = ((), (("x1", 1),), (("x2", 1),), (("x1", 1), ("x3", 1)))
+MONOS = (
+    (), (("x1", 1),), (("x2", 1),), (("x1", 1), ("x3", 1)),
+    (("x1", 2),), (("x1", 3),), (("x1", 2), ("x2", 1)),
+)
 ORDERS = st.sampled_from([0, 1, 3])
 RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5, 24]))
 
@@ -38,7 +45,7 @@ def coeffs(draw, max_terms=2):
     """Zero, one or several terms; eps exponents of both signs."""
     n = draw(st.integers(0, max_terms))
     return Coeff({
-        (draw(st.integers(-2, 3)), draw(st.integers(0, 1))): draw(RATIONALS)
+        (draw(st.integers(-3, 3)), draw(st.integers(0, 2))): draw(RATIONALS)
         for _ in range(n)
     })
 
@@ -48,7 +55,7 @@ def entries(draw):
     if draw(st.integers(0, 2)) == 0:
         return Polynomial.zero()
     return Polynomial({
-        (draw(st.sampled_from(MONOS)), draw(st.integers(-2, 2)), draw(st.integers(0, 1))):
+        (draw(st.sampled_from(MONOS)), draw(st.integers(-3, 3)), draw(st.integers(0, 2))):
             draw(RATIONALS)
         for _ in range(draw(st.integers(1, 2)))
     })
@@ -57,9 +64,10 @@ def entries(draw):
 @st.composite
 def words(draw):
     dim = draw(st.sampled_from([2, 3]))
+    # a long 3x3 word of dense entries has too many terms to expand exactly
     factors = [
         [[draw(entries()) for _ in range(dim)] for _ in range(dim)]
-        for _ in range(draw(st.integers(0, 4)))
+        for _ in range(draw(st.integers(0, 8 if dim == 2 else 5)))
     ]
     kind = draw(st.sampled_from(["entry", "trace", "functional"]))
     if kind == "entry":
@@ -107,7 +115,7 @@ def test_projection_engine_matches_exact_route(p, k):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(entries(), min_size=4, max_size=4), max_size=5),
+@given(st.lists(st.lists(entries(), min_size=4, max_size=4), max_size=8),
        st.integers(0, 4), ORDERS)
 def test_nce_engine_matches_exact_route(flat, d, k):
     factors = [[row[:2], row[2:]] for row in flat]
@@ -276,7 +284,7 @@ def small_projections(draw):
 @given(small_projections(), ORACLE_ORDERS)
 def test_projection_value_matches_substitution(p, k):
     got = border_value(p, k)
-    assert got == reduce(p.value_by_substitution(), k)
+    assert got == reduce(oracle_value_by_substitution(p), k)
     assert_normalised(got)
 
 
@@ -287,11 +295,30 @@ def test_nce_clears_states_that_cannot_reach_degree_d():
     assert nce_matrices([x, x], 3, 1) == [[Polynomial.zero()] * 2] * 2
 
 
-def test_dot_skips_pairs_at_or_above_the_order():
+def test_word_engine_skips_pairs_at_or_above_the_order():
     e = Polynomial.eps
     x = Polynomial.variable("x1")
-    got = dot([(x * e(-1) + x * e(1), x + x * e(2))], below=1)
-    assert got == (x * x * e(-1) + x * x * e(1)).mod_eps(1)
+    a, b = x * e(-1) + x * e(1), x + x * e(2)
+    w = MatrixWord(1, [[[a]], [[b]]])
+    # (1 + a)(1 + b) = 1 + a + b + a*b, and a*b = x1^2 (eps^-1 + 2 eps + eps^3)
+    assert expand_word(w, 1) == [[Polynomial.const(1) + x * e(-1) + x + x * x * e(-1)]]
+
+
+def test_packed_fields_hold_the_proven_exponent_bound():
+    # Four factors x1^2 * x2 * alpha * eps^-1: the packed fields of x1, x2 and
+    # alpha must hold 8, 4 and 4, powers of two that need one bit more than
+    # the values below them, and the product reaches each bound exactly.
+    factors = [[[parse_poly("x1^2*x2*alpha*eps^-1")]] for _ in range(4)]
+    want = parse_poly("x1^8*x2^4*alpha^4*eps^-4")
+    assert nce_matrices(factors, 4) == [[want]]
+    assert nce_matrices(factors, 4, -3) == [[want]]
+    assert nce_matrices(factors, 4, -4) == [[Polynomial.zero()]]
+    binomial = parse_poly(
+        "1 + 4*x1^2*x2*alpha*eps^-1 + 6*x1^4*x2^2*alpha^2*eps^-2"
+        " + 4*x1^6*x2^3*alpha^3*eps^-3 + x1^8*x2^4*alpha^4*eps^-4"
+    )
+    assert word_product(factors, 1) == [[binomial]]
+    assert word_product(factors, 1, -2) == [[binomial.mod_eps(-2)]]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from homlin.circuit import FNode, circuit_to_tree, tree_to_circuit
-from homlin.families import L_entry, gen_nce_L
+from homlin.families import L_entry, gen_C_comb, gen_nce_L
 from homlin.matrixword import (
     ArtifactSyntaxError,
     DiagonalNonzero,
@@ -32,7 +32,6 @@ from homlin.matrixword import (
     format_word,
     parse_projection,
     parse_word,
-    transpose_reverse,
     word2_to_matrix_word,
     word_to_projection,
 )
@@ -44,7 +43,7 @@ from homlin.poly import (
     format_poly,
     parse_poly,
 )
-from homlin.transforms import to_add_negcube, vf_to_v3p
+from homlin.transforms import run_pass, to_add_negcube, vf_to_v3p
 from homlin.verify import (
     random_graded_arity3_formula,
     random_ihl_formula,
@@ -198,13 +197,31 @@ def test_offdiag_duality_minus_word():
                     assert m[i][j] == want
 
 
+def oracle_transpose_reverse(w):
+    """Test oracle: the word reversed, each factor transposed; its expansion
+    is the transpose of the word's."""
+    factors = [
+        [[a[j][i] for j in range(w.dim)] for i in range(w.dim)]
+        for a in reversed(w.factors)
+    ]
+    return MatrixWord(w.dim, factors, w.global_scalar, w.target)
+
+
+def oracle_value_by_substitution(p):
+    """Test oracle: a projection's value by substituting its forms into the
+    family's monomial expansion; exponential in the slot count, so for small
+    n only."""
+    family = gen_C_comb(p.n, p.d) if p.family_tag == "C" else gen_nce_L(p.n, p.d, p.weights)
+    return family.substitute(dict(zip(p.slot_names(), p.forms))).scale(p.scalar)
+
+
 def test_transpose_reverse_symmetry():
     rng = random.Random(5)
     for _ in range(8):
         t = random_ihl_formula(rng, rng.randint(1, 9), 3)
         w = compile_offdiag3(as_formula(t), (1, 3))
         m = expand_word(w)
-        mt = expand_word(transpose_reverse(w))
+        mt = expand_word(oracle_transpose_reverse(w))
         for i in range(3):
             for j in range(3):
                 assert mt[i][j] == m[j][i]
@@ -280,6 +297,18 @@ def test_trace3_random_border():
         w = compile_trace3(c)
         rep = verify_border(w, c.eval())
         assert rep.verdict, rep.witness
+
+
+def test_trace3_border_verifies_a_large_word():
+    c = as_formula(random_ihl_formula(random.Random(51), 51, 6))
+    for name in ("brent", "ihl-formula"):
+        c, _report = run_pass(name, c)
+    w = compile_trace3(c)
+    assert w.r() == 502
+    f = c.eval()
+    assert verify_border(w, f).verdict
+    rep = verify_border(w, f + P("x1^2*x2"))
+    assert not rep.verdict and rep.witness
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +522,7 @@ def test_word_to_projection_offdiag_product():
     assert p.weights == L_entry(1, 3)
     assert p.value().eps_limit() == P("x1*x2")
     # cross-check against the monomial-expansion route
-    assert p.value() == p.value_by_substitution()
+    assert p.value() == oracle_value_by_substitution(p)
 
 
 @pytest.mark.parametrize("tree", [
