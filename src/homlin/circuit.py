@@ -401,26 +401,9 @@ class FNode:
         return FNode("negcube", (a,), scale=scale)
 
     def eval(self) -> Polynomial:
-        if self.kind == "leaf":
-            p = affine_poly(self.lin, self.const)
-        elif self.kind == "alpha":
-            p = Polynomial.alpha(1)
-        elif self.kind == "zvar":
-            p = Polynomial.variable(Z_NAME)
-        elif self.kind == "add":
-            p = self.children[0].eval() + self.children[1].eval()
-        elif self.kind == "mul":
-            p = self.children[0].eval() * self.children[1].eval()
-        elif self.kind == "mul3":
-            p = self.children[0].eval() * self.children[1].eval() * self.children[2].eval()
-        elif self.kind == "negcube":
-            a = self.children[0].eval()
-            p = -(a * a * a)
-        else:  # pragma: no cover
-            raise ValueError(self.kind)
-        if self.scale != 1:
-            p = p * self.scale
-        return p
+        """The tree's polynomial, evaluated through its gate list (the
+        add/negative-cube basis is the one that admits every scale tag)."""
+        return tree_to_circuit(self, "addNegCube").eval()
 
     def scaled(self, s) -> "FNode":
         """This node with its scale tag multiplied by ``s``."""

@@ -35,7 +35,8 @@ class InvalidParameters(ValueError):
     pass
 
 
-Matrix = List[List[Polynomial]]
+# A matrix factor: its nonzero entries, keyed by 0-based (row, column).
+Factor = Dict[Tuple[int, int], Polynomial]
 # A sparse row of a matrix: column -> entry, with no zero entries.
 Row = Dict[int, Polynomial]
 # The rows of a matrix that were asked for: row index -> its sparse row.
@@ -94,27 +95,18 @@ Rows = Dict[int, Row]
 Terms = Dict[int, Rat]
 # A packed factor entry: its (key, coefficient) pairs, sorted by key.
 Entry = List[Tuple[int, Rat]]
-# A factor's nonzero entries in one column j: (j, [(t, a[t][j]), ...]).
+# A factor's nonzero entries in one column j: (j, [(t, a[t, j]), ...]).
 Column = Tuple[int, List[Tuple[int, Polynomial]]]
 PackedColumn = Tuple[int, List[Tuple[int, Entry]]]
 # A sparse row of packed entries: column -> its terms.
 PackedRow = Dict[int, Terms]
 
 
-def zeros(k: int) -> Matrix:
-    """The k x k zero matrix; its entries are one shared zero, which no
-    operation mutates."""
-    zero = Polynomial.zero()
-    return [[zero] * k for _ in range(k)]
-
-
-def _columns(a: Matrix) -> List[Column]:
-    """The nonzero entries of a factor, grouped by column."""
+def _columns(a: Factor) -> List[Column]:
+    """The entries of a factor, grouped by column."""
     cols: Dict[int, List[Tuple[int, Polynomial]]] = {}
-    for t, row in enumerate(a):
-        for j, p in enumerate(row):
-            if p.terms:
-                cols.setdefault(j, []).append((t, p))
+    for t, j in sorted(a):
+        cols.setdefault(j, []).append((t, a[t, j]))
     return sorted(cols.items())
 
 
@@ -131,7 +123,7 @@ class _Packing:
     sum of the ``count`` largest per-factor maxima of that exponent; its
     field is given just enough bits to hold that bound."""
 
-    def __init__(self, factors: Sequence[Matrix], count: int):
+    def __init__(self, factors: Sequence[Factor], count: int):
         cols = [_columns(a) for a in factors]
         # one scan of every term: per factor, the largest exponent of each
         # variable, of alpha and of eps, and the smallest of eps
@@ -260,11 +252,9 @@ def _identity_rows(rows: Iterable[int]) -> Dict[int, PackedRow]:
     return {r: {r: {0: 1}} for r in rows}
 
 
-def _finish(
-    m: Dict[int, PackedRow], packing: _Packing, dim: int, below: Optional[int], as_matrix: bool
-) -> Union[Rows, Matrix]:
+def _finish(m: Dict[int, PackedRow], packing: _Packing, below: Optional[int]) -> Rows:
     """The carried rows unpacked, mod eps^below and in the original
-    coordinates; as a dim x dim matrix when every row was carried."""
+    coordinates."""
     out: Rows = {}
     for r, row in m.items():
         out[r] = {}
@@ -272,29 +262,23 @@ def _finish(
             p = packing.polynomial(terms, below)
             if p.terms:
                 out[r][c] = p
-    if not as_matrix:
-        return out
-    zero = Polynomial.zero()
-    return [[out[r].get(c, zero) for c in range(dim)] for r in range(dim)]
+    return out
 
 
 def word_product(
-    factors: Sequence[Matrix],
-    dim: int,
-    below: Optional[int] = None,
-    rows: Optional[Iterable[int]] = None,
-) -> Union[Matrix, Rows]:
-    """The product of the ``id + A`` factors, exact mod eps^below.
+    factors: Sequence[Factor], below: Optional[int] = None, *, rows: Iterable[int]
+) -> Rows:
+    """The given rows of the product of the ``id + A`` factors, as sparse
+    rows, exact mod eps^below.
 
-    Given ``rows``, only those rows are carried, and they are returned as
-    sparse rows; otherwise the whole matrix is returned.  With m_j the
-    smallest eps exponent among the entries of factor j, a term of the
-    prefix ending at factor i is kept only if its exponent plus the sum over
-    j > i of min(0, m_j) stays below ``below``."""
+    Only those rows are carried.  With m_j the smallest eps exponent among
+    the entries of factor j, a term of the prefix ending at factor i is kept
+    only if its exponent plus the sum over j > i of min(0, m_j) stays below
+    ``below``."""
     packing = _Packing(factors, len(factors))
     lows = [min(0, low) for low in packing.lows]
     rest = sum(lows)
-    acc = _identity_rows(range(dim) if rows is None else rows)
+    acc = _identity_rows(rows)
     for c, low in zip(packing.columns, lows):
         rest -= low
         top = packing.top(None if below is None else below - rest)
@@ -311,7 +295,7 @@ def word_product(
             _add_row_times(row, before, c, top)
             if low and below is not None:
                 _prune(row, top)
-    return _finish(acc, packing, dim, below, rows is None)
+    return _finish(acc, packing, below)
 
 
 def _cheapest_completions(lows: Sequence[float], d: int) -> List[List[float]]:
@@ -328,31 +312,21 @@ def _cheapest_completions(lows: Sequence[float], d: int) -> List[List[float]]:
 
 
 def nce_matrices(
-    factors: Sequence[Matrix],
-    d: int,
-    below: Optional[int] = None,
-    *,
-    dim: Optional[int] = None,
-    rows: Optional[Iterable[int]] = None,
-) -> Union[Matrix, Rows]:
-    """Noncommutative elementary symmetric polynomial of dim x dim matrix
-    arguments, exact mod eps^below; ``dim`` defaults to the factors' size.
+    factors: Sequence[Factor], d: int, below: Optional[int] = None, *, rows: Iterable[int]
+) -> Rows:
+    """The given rows of the noncommutative elementary symmetric polynomial
+    of square matrix arguments, as sparse rows, exact mod eps^below.
 
     Sum over increasing index sequences I_1 < ... < I_d of X_{I_1} ... X_{I_d},
     computed by one left-to-right dynamic-programming sweep.  ``dp[t]`` still
     needs d - t of the later factors, so its terms are kept only if their
     exponent plus the smallest sum of d - t later entry exponents stays below
     ``below``; it is pruned when that sum grows, and cleared when fewer than
-    d - t factors remain.  Given ``rows``, only those rows are carried and
-    returned, as sparse rows.
+    d - t factors remain.  Only the given rows are carried.
     """
     if d < 0:
         raise InvalidParameters("degree must be nonnegative")
-    if dim is None:
-        if not factors:
-            raise InvalidParameters("an empty factor list needs its dimension")
-        dim = len(factors[0])
-    carried = list(range(dim) if rows is None else rows)
+    carried = list(rows)
     packing = _Packing(factors, d)
     completions = _cheapest_completions(packing.lows, d)
     dp = [_identity_rows(carried)] + [{r: {} for r in carried} for _ in range(d)]
@@ -372,7 +346,7 @@ def nce_matrices(
             prev, cur = dp[t - 1], dp[t]
             for r in carried:
                 _add_row_times(cur[r], prev[r], c, top)
-    return _finish(dp[d], packing, dim, below, rows is None)
+    return _finish(dp[d], packing, below)
 
 
 def border_functional(
@@ -470,26 +444,32 @@ def gen_C_comb(n: int, d: int) -> Polynomial:
     return out
 
 
-def parity_factor(i: int, p: Polynomial) -> Matrix:
+def parity_factor(i: int, p: Polynomial) -> Factor:
     """The 2x2 factor at (1-based) slot i of a parity-alternating word: p in
     the upper-triangular position for odd i, the lower one for even i."""
-    m = zeros(2)
-    if i % 2 == 1:
-        m[0][1] = p
-    else:
-        m[1][0] = p
-    return m
+    if not p.terms:
+        return {}
+    return {(0, 1) if i % 2 == 1 else (1, 0): p}
+
+
+LWeights = Sequence[Sequence[Union[Coeff, int, Fraction]]]
+
+# the parity-alternating family is the sum of the two top entries of its
+# 2x2 elementary symmetric product
+C_WEIGHTS: LWeights = ((1, 1), (0, 0))
 
 
 def gen_C_matrix(n: int, d: int) -> Polynomial:
     """The same family through its 2x2 matrix-word definition: the word of
     parity-shaped factors fed to the noncommutative elementary symmetric
-    polynomial; the value is the sum of the two top entries."""
+    polynomial, read off through C_WEIGHTS."""
     _check(n, d)
     if d == 0:
         return Polynomial.const(1)
-    A = nce_matrices([parity_factor(i, _var(i)) for i in range(1, n + 1)], d)
-    return A[0][0] + A[0][1]
+    factors = [parity_factor(i, _var(i)) for i in range(1, n + 1)]
+    return border_functional(
+        lambda k, rows: nce_matrices(factors, d, k, rows=rows), C_WEIGHTS, COEFF_ONE
+    )
 
 
 def gen_nce_generic(n: int, d: int) -> Polynomial:
@@ -499,18 +479,12 @@ def gen_nce_generic(n: int, d: int) -> Polynomial:
     if d == 0:
         return Polynomial.const(1)
     factors = [
-        [[_var(a, b, i) for b in range(1, 4)] for a in range(1, 4)]
+        {(a - 1, b - 1): _var(a, b, i) for a in range(1, 4) for b in range(1, 4)}
         for i in range(1, n + 1)
     ]
-    A = nce_matrices(factors, d)
-    out = Polynomial.zero()
-    for r in range(3):
-        for c in range(3):
-            out = out + A[r][c]
-    return out
-
-
-LWeights = Sequence[Sequence[Union[Coeff, int, Fraction]]]
+    return border_functional(
+        lambda k, rows: nce_matrices(factors, d, k, rows=rows), L_sum(), COEFF_ONE
+    )
 
 
 def L_sum() -> LWeights:
@@ -530,12 +504,11 @@ def L_entry(i: int, j: int, dim: int = 3) -> LWeights:
 OFF_DIAGONAL = tuple((a, b) for a in range(1, 4) for b in range(1, 4) if a != b)
 
 
-def zero_diag_factor(entries: Sequence[Polynomial]) -> Matrix:
+def zero_diag_factor(entries: Sequence[Polynomial]) -> Factor:
     """The 3x3 factor with zero diagonal and ``entries`` at OFF_DIAGONAL."""
-    m = zeros(3)
-    for (a, b), p in zip(OFF_DIAGONAL, entries, strict=True):
-        m[a - 1][b - 1] = p
-    return m
+    return {
+        (a - 1, b - 1): p for (a, b), p in zip(OFF_DIAGONAL, entries, strict=True) if p.terms
+    }
 
 
 def apply_L(m: Rows, weights: LWeights) -> Polynomial:
@@ -576,7 +549,7 @@ def gen_E(n: int, d: int) -> Polynomial:
         zero_diag_factor([_var(i, a, b) for a, b in OFF_DIAGONAL]) for i in range(1, n + 1)
     ]
     total = border_functional(
-        lambda k, rows: word_product(factors, 3, k, rows), L_sum(), COEFF_ONE
+        lambda k, rows: word_product(factors, k, rows=rows), L_sum(), COEFF_ONE
     )
     total = total - Polynomial.const(3)  # subtract the identity's entry sum
     return total.homog_component(d)
@@ -618,20 +591,3 @@ def gen_family(spec: FamilySpec) -> Polynomial:
     if tag == "E":
         return gen_E(n, d)
     raise InvalidParameters(tag)  # pragma: no cover
-
-
-def varphi_combine(
-    gen: Callable[[int, int], Polynomial],
-    a: Callable[[int, int], Union[int, Fraction, Coeff]],
-    m: Callable[[int], int],
-    d: Callable[[int], int],
-    n: int,
-) -> Polynomial:
-    """The associated ungraded family: sum over i <= d(n) of a(n,i) * gen(m(n), i)."""
-    out = Polynomial.zero()
-    for i in range(0, d(n) + 1):
-        coeff = Coeff.of(a(n, i))
-        if coeff.is_zero():
-            continue
-        out = out + gen(m(n), i).scale(coeff)
-    return out

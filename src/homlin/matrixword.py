@@ -28,11 +28,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .circuit import Circuit, FNode, circuit_to_tree, GradedArity3Repr
 from .families import (
+    C_WEIGHTS,
+    Factor,
     L_entry,
     L_sum,
     L_trace,
     LWeights,
-    Matrix,
     OFF_DIAGONAL,
     Rows,
     border_functional,
@@ -40,7 +41,6 @@ from .families import (
     parity_factor,
     word_product,
     zero_diag_factor,
-    zeros,
 )
 from .poly import (
     COEFF_ONE,
@@ -97,13 +97,14 @@ def entry_target(i: int, j: int) -> Target:
 class MatrixWord:
     """A product of ``id + A_i`` factors with a designated read-out.
 
-    Entries of each ``A_i`` are affine in the x-variables over the Laurent
+    Each ``A_i`` is a ``Factor``: its nonzero entries, keyed by 0-based
+    (row, column).  They are affine in the x-variables over the Laurent
     coefficient ring (homogeneous linear everywhere except the documented
     degree-one corner case of the diagonal-functional compiler, which injects
     a constant eps power)."""
 
     dim: int
-    factors: List[Matrix]
+    factors: List[Factor]
     global_scalar: Coeff = field(default_factory=lambda: COEFF_ONE)
     target: Target = ("trace",)
 
@@ -132,57 +133,42 @@ class Projection:
         """The projected family value, scaled; exact mod eps^below, or in
         full when ``below`` is None.
 
-        Evaluated directly on the substituted forms (matrix product for the
-        parity-alternating family, elementary-symmetric matrix recurrence for
-        the zero-diagonal family) rather than by substituting into the
-        monomial expansion, whose size explodes with the slot count; the two
-        routes agree and are cross-checked on small instances in the tests.
+        Evaluated directly on the substituted forms, by the elementary
+        symmetric matrix recurrence over the family's factors (2x2
+        parity-alternating or 3x3 zero-diagonal), rather than by
+        substituting into the monomial expansion, whose size explodes with
+        the slot count; the two routes agree and are cross-checked on small
+        instances in the tests.
         """
         if len(self.forms) != len(self.slot_names()):
             raise ValueError(
                 f"{self.family_tag} projection with n = {self.n} has {len(self.forms)} forms"
             )
+        polys = [lf.to_poly() for lf in self.forms]
         if self.family_tag == "C":
-            return _c_family_value(self.forms, self.d, self.scalar, below)
-        if self.family_tag == "nceL":
+            factors = [parity_factor(i, p) for i, p in enumerate(polys, start=1)]
+            weights = C_WEIGHTS
+        elif self.family_tag == "nceL":
             k = len(OFF_DIAGONAL)
-            polys = [lf.to_poly() for lf in self.forms]
             factors = [zero_diag_factor(polys[k * i:k * (i + 1)]) for i in range(self.n)]
-            return border_functional(
-                lambda k, rows: nce_matrices(factors, self.d, k, dim=3, rows=rows),
-                self.weights if self.weights is not None else L_sum(),
-                self.scalar,
-                below,
-            )
-        raise ValueError(f"unknown family tag {self.family_tag!r}")
-
-
-# the parity-alternating value is the sum of the top row of the recurrence
-_C_WEIGHTS = [[1, 1], [0, 0]]
-
-
-def _c_family_value(
-    forms: Sequence[LinearForm], d: int, scalar: Coeff, below: Optional[int]
-) -> Polynomial:
-    """Parity-alternating elementary-symmetric value on the given forms,
-    scaled, via the degree-graded 2x2 matrix recurrence; exact mod
-    eps^below."""
-    factors = [parity_factor(i, lf.to_poly()) for i, lf in enumerate(forms, start=1)]
-    return border_functional(
-        lambda k, rows: nce_matrices(factors, d, k, dim=2, rows=rows),
-        _C_WEIGHTS,
-        scalar,
-        below,
-    )
+            weights = self.weights if self.weights is not None else L_sum()
+        else:
+            raise ValueError(f"unknown family tag {self.family_tag!r}")
+        return border_functional(
+            lambda order, rows: nce_matrices(factors, self.d, order, rows=rows),
+            weights,
+            self.scalar,
+            below,
+        )
 
 
 def expand_word(
     w: MatrixWord, below: Optional[int] = None, rows: Optional[Iterable[int]] = None
-) -> Union[Matrix, Rows]:
-    """Product of the ``id + A_i`` factors, exact mod eps^below (in full
-    when ``below`` is None); only the given rows, as sparse rows, when
-    ``rows`` is given."""
-    return word_product(w.factors, w.dim, below, rows)
+) -> Rows:
+    """The given rows (all ``w.dim`` of them by default) of the product of
+    the ``id + A_i`` factors, as sparse rows, exact mod eps^below (in full
+    when ``below`` is None)."""
+    return word_product(w.factors, below, rows=range(w.dim) if rows is None else rows)
 
 
 def target_weights(target: Target, dim: int) -> LWeights:
@@ -235,7 +221,7 @@ def _max_abs_eps_exp(forms: Sequence[LinearForm]) -> int:
 # 3x3 off-diagonal construction (exact)
 # ---------------------------------------------------------------------------
 
-FactorList = List[Matrix]
+FactorList = List[Factor]
 
 
 def _require_ihl_formula(c: Circuit, who: str):
@@ -246,10 +232,8 @@ def _require_ihl_formula(c: Circuit, who: str):
         raise NotIHL(f"{who} expects an IHL formula (gate {gid}: {reason})")
 
 
-def _e_factor(i: int, j: int, p: Polynomial) -> Matrix:
-    m = zeros(3)
-    m[i - 1][j - 1] = p
-    return m
+def _e_factor(i: int, j: int, p: Polynomial) -> Factor:
+    return {(i - 1, j - 1): p} if p.terms else {}
 
 
 def _third_index(i: int, j: int) -> int:
@@ -348,12 +332,6 @@ def compile_trace3(c: Circuit) -> MatrixWord:
 # ones).  Every recursive invariant word has odd length, starts
 # upper-triangular, and satisfies: the eps-limit of (product - id) exists and
 # equals alpha * value * E_upper exactly.
-
-
-def word2_to_matrix_word(forms: Sequence[LinearForm],
-                         scalar: Coeff = COEFF_ONE) -> MatrixWord:
-    factors = [parity_factor(i, lf.to_poly()) for i, lf in enumerate(forms, start=1)]
-    return MatrixWord(2, factors, scalar, entry_target(1, 2))
 
 
 _ALPHA = Coeff.alpha(1)
@@ -471,15 +449,16 @@ def word_to_projection(
     if weights is None:
         weights = target_weights(w.target, 3)
     border = any(e for (e, _a) in w.global_scalar.terms) or any(
-        e for a in w.factors for row in a for p in row for (_m, e, _a) in p.terms
+        e for a in w.factors for p in a.values() for (_m, e, _a) in p.terms
     )
+    zero = Polynomial.zero()
     forms: List[LinearForm] = []
     for k, a in enumerate(w.factors, 1):
         for i in range(3):
-            if not a[i][i].is_zero():
-                raise DiagonalNonzero(f"factor entry ({i + 1},{i + 1}) = {format_poly(a[i][i])}")
+            if (i, i) in a:
+                raise DiagonalNonzero(f"factor entry ({i + 1},{i + 1}) = {format_poly(a[i, i])}")
         for i, j in OFF_DIAGONAL:
-            p = a[i - 1][j - 1]
+            p = a.get((i - 1, j - 1), zero)
             if not p.constant_part().is_zero() or p.degree() > 1:
                 raise EntryNotHomogeneousLinear(
                     f"factor {k} entry ({i},{j}) is not homogeneous linear: {format_poly(p)}"
@@ -499,11 +478,7 @@ def word_to_projection(
 def format_word(w: MatrixWord) -> str:
     lines = [f"dim {w.dim}"]
     for a in w.factors:
-        parts = []
-        for i in range(w.dim):
-            for j in range(w.dim):
-                if not a[i][j].is_zero():
-                    parts.append(f"({i + 1},{j + 1})={format_poly(a[i][j])}")
+        parts = [f"({i + 1},{j + 1})={format_poly(p)}" for (i, j), p in sorted(a.items())]
         lines.append("factor: " + "; ".join(parts))
     lines.append(f"scalar: {format_coeff(w.global_scalar)}")
     if w.target[0] == "entry":
@@ -556,7 +531,7 @@ def _entry_index(text: str, dim: int, lineno: int) -> Tuple[int, int]:
 
 def parse_word(text: str) -> MatrixWord:
     dim = None
-    factors: List[Matrix] = []
+    factors: List[Factor] = []
     scalar = COEFF_ONE
     target: Target = ("trace",)
     for lineno, line in _lines(text):
@@ -570,14 +545,19 @@ def parse_word(text: str) -> MatrixWord:
             elif dim is None:
                 raise ArtifactSyntaxError("'dim' must come first", lineno)
             elif head == "factor":
-                m = zeros(dim)
+                m: Factor = {}
                 for part in body.split(";") if body else ():
                     lhs, eq, rhs = part.partition("=")
                     if not eq:
                         raise ArtifactSyntaxError(
                             f"expected '(i,j)=<entry>', got {part.strip()!r}", lineno)
                     i, j = _entry_index(lhs.strip(), dim, lineno)
-                    m[i - 1][j - 1] = parse_poly(rhs)
+                    p = parse_poly(rhs)
+                    # a repeated entry replaces the earlier one; a zero one clears it
+                    if p.terms:
+                        m[i - 1, j - 1] = p
+                    else:
+                        m.pop((i - 1, j - 1), None)
                 factors.append(m)
             elif head == "scalar":
                 scalar = parse_coeff(body)

@@ -193,22 +193,18 @@ class Coeff:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __pow__(self, n: int) -> "Coeff":
-        if n < 0:
-            raise ValueError("negative scalar power")
-        out = COEFF_ONE
-        for _ in range(n):
-            out = out * self
-        return out
-
     def subst(self, eps_power: int = 1, alpha: Union["Coeff", Rat, None] = None) -> "Coeff":
         """The ring map eps -> eps^eps_power, alpha -> ``alpha`` (alpha is
         kept when None).  The image of alpha is not itself substituted."""
         image = Coeff.alpha() if alpha is None else Coeff.of(alpha)
+        # image ** a for every alpha exponent a that occurs, built up once
+        powers = [COEFF_ONE]
+        for _ in range(max((a for _e, a in self.terms), default=0)):
+            powers.append(powers[-1] * image)
         out: Dict[Tuple[int, int], Rat] = {}
         get = out.get
         for (e, a), c in self.terms.items():
-            for (e2, a2), c2 in (image ** a).terms.items():
+            for (e2, a2), c2 in powers[a].terms.items():
                 k = (e * eps_power + e2, a2)
                 out[k] = get(k, 0) + c * c2
         return Coeff._normalised(_clean(out))

@@ -866,36 +866,6 @@ def _bracket_child_order(g: Gate, deg: Dict[str, int]) -> Tuple[str, str, str]:
     return kids[i1], u2, u3
 
 
-def bracket_poly(c: Circuit, uid: str, vid: str,
-                 _memo: Optional[Dict[str, Polynomial]] = None) -> Polynomial:
-    """The bracket polynomial [u:v] (linear in the placeholder variable z)."""
-    vals = c.eval_gates()
-    deg = c.syntactic_degrees()
-    memo: Dict[str, Polynomial] = {} if _memo is None else _memo
-
-    def rec(u: str) -> Polynomial:
-        if u in memo:
-            return memo[u]
-        if u == vid:
-            p = Polynomial.variable("z")
-        else:
-            g = c.by_id[u]
-            if g.kind in ("input", "zvar", "alpha"):
-                p = Polynomial.zero()
-            elif g.kind == "add":
-                s1, s2 = g.edge_scalars or (COEFF_ONE, COEFF_ONE)
-                p = rec(g.children[0]).scale(s1) + rec(g.children[1]).scale(s2)
-            elif g.kind == "mul3":
-                u1, u2, u3 = _bracket_child_order(g, deg)
-                p = rec(u1) * vals[u2] * vals[u3]
-            else:
-                raise BasisViolation(f"bracket over arity-3 basis only, got {g.kind}")
-        memo[u] = p
-        return p
-
-    return rec(uid)
-
-
 def vsbr_arity3(c: Circuit) -> Tuple[Circuit, PassReport]:
     _require(c.basis == "arity3", "vsbrArity3 expects the arity-3 basis")
     ok, gid, reason = c.validate("IHL")

@@ -10,7 +10,7 @@ import random
 import time
 from itertools import combinations
 
-from homlin.circuit import FNode, tree_to_circuit
+from homlin.circuit import BasisViolation, FNode, tree_to_circuit
 from homlin.families import gen_C_comb, gen_C_matrix
 from homlin.matrixword import (
     MatrixWord,
@@ -20,10 +20,10 @@ from homlin.matrixword import (
     compile_trace3,
     expand_word,
 )
-from homlin.poly import Polynomial
+from homlin.poly import COEFF_ONE, Polynomial
 from homlin.transforms import (
+    _bracket_child_order,
     _descendants,
-    bracket_poly,
     brent_arity3,
     frontier,
     input_homogenize_circuit,
@@ -40,6 +40,7 @@ from homlin.verify import (
     random_graded_arity3_formula,
     verify_border,
 )
+from test_matrixword import dense
 
 
 def _ihl_formula_of_depth(rng, depth, n_vars):
@@ -79,7 +80,7 @@ def test_criterion_2_offdiag_exact():
     for c in _criterion_2_3_formulas():
         w = compile_offdiag3(c, (1, 3))
         assert w.r() <= 4 ** c.depth()
-        m = expand_word(w)
+        m = dense(expand_word(w), 3)
         for i in range(3):
             m[i][i] = m[i][i] - Polynomial.const(1)
         assert m[0][2] == c.eval()
@@ -170,6 +171,37 @@ def _z_subst(p, q):
     return p.substitute({"z": q})
 
 
+def oracle_bracket_poly(c, uid, vid):
+    """Test oracle: the bracket polynomial [u:v] of an arity-3 circuit,
+    linear in the placeholder variable z, by the recursion that defines it
+    (vsbr3 computes only its constant coefficients)."""
+    vals = c.eval_gates()
+    deg = c.syntactic_degrees()
+    memo = {}
+
+    def rec(u):
+        if u in memo:
+            return memo[u]
+        if u == vid:
+            p = Polynomial.variable("z")
+        else:
+            g = c.by_id[u]
+            if g.kind in ("input", "zvar", "alpha"):
+                p = Polynomial.zero()
+            elif g.kind == "add":
+                s1, s2 = g.edge_scalars or (COEFF_ONE, COEFF_ONE)
+                p = rec(g.children[0]).scale(s1) + rec(g.children[1]).scale(s2)
+            elif g.kind == "mul3":
+                u1, u2, u3 = _bracket_child_order(g, deg)
+                p = rec(u1) * vals[u2] * vals[u3]
+            else:
+                raise BasisViolation(f"bracket over arity-3 basis only, got {g.kind}")
+        memo[u] = p
+        return p
+
+    return rec(uid)
+
+
 def test_criterion_7_usum_lemma_samples():
     rng = random.Random(717)
     samples = 0
@@ -187,7 +219,7 @@ def test_criterion_7_usum_lemma_samples():
         acc = Polynomial.zero()
         for w in frontier(c, deg, m):
             if w in desc[u]:
-                acc = acc + _z_subst(bracket_poly(c, u, w), vals[w])
+                acc = acc + _z_subst(oracle_bracket_poly(c, u, w), vals[w])
         assert acc == vals[u], (u, m)
         samples += 1
 
@@ -210,11 +242,11 @@ def test_criterion_7_uvsum_lemma_samples():
             continue
         u, v = rng.choice(pairs)
         m = rng.randint(deg[v], deg[u] - 1)
-        lhs = bracket_poly(c, u, v)
+        lhs = oracle_bracket_poly(c, u, v)
         acc = Polynomial.zero()
         for w in frontier(c, deg, m):
             if w in desc[u]:
-                acc = acc + _z_subst(bracket_poly(c, u, w), bracket_poly(c, w, v))
+                acc = acc + _z_subst(oracle_bracket_poly(c, u, w), oracle_bracket_poly(c, w, v))
         assert acc == lhs, (u, v, m)
         samples += 1
 
@@ -260,15 +292,12 @@ def test_criterion_10_identity_fixtures():
     f, g = Polynomial.variable("f"), Polynomial.variable("g")
 
     def factor(i, j, p):
-        m = [[Polynomial.zero()] * 3 for _ in range(3)]
-        m = [row[:] for row in m]
-        m[i - 1][j - 1] = p
-        return m
+        return {(i - 1, j - 1): p}
 
     w = MatrixWord(
         3, [factor(1, 2, f), factor(2, 3, g), factor(1, 2, -f), factor(2, 3, -g)]
     )
-    m = expand_word(w)
+    m = dense(expand_word(w), 3)
     for i in range(3):
         for j in range(3):
             if (i, j) == (0, 2):

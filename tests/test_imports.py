@@ -39,12 +39,38 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_every_entry_point_the_bench_tracer_wraps_exists():
+def bench_spans():
+    """The benchmark's tracer module and the homlin modules it wraps."""
     spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     H = SimpleNamespace(**{m: importlib.import_module(f"homlin.{m}")
                            for m in spans.LAYER_MODULES})
+    return spans, H
+
+
+def test_every_entry_point_the_bench_tracer_wraps_exists():
+    spans, H = bench_spans()
     missing = [(owner, attr) for owner, attr, _name, _counter in spans.targets(H)
                if attr not in vars(owner)]
     assert missing == []
+
+
+def test_the_bench_tracer_counts_engine_steps():
+    # the tracer reads nce_matrices' factors and degree by position, so a
+    # keyword call of it would raise inside every traced instance
+    spans, H = bench_spans()
+    mw, var = H.matrixword, H.poly.LinearForm.variable
+    objs = [
+        mw.Projection("C", 3, 1, [var("x1"), var("x2"), var("x3")]),
+        mw.Projection("nceL", 1, 1, [var(f"x{i}") for i in range(1, 7)]),
+        mw.MatrixWord(2, [{(0, 1): H.poly.Polynomial.variable("x1")}], target=("entry", 1, 2)),
+    ]
+    tracer = spans.Tracer()
+    tracer.install(H)
+    try:
+        values = [mw.border_value(obj, 1) for obj in objs]
+    finally:
+        tracer.uninstall()
+    assert all(not v.is_zero() for v in values)
+    assert tracer.layer_metrics()["families.nce_matrices.steps"] > 0

@@ -32,7 +32,6 @@ from homlin.matrixword import (
     format_word,
     parse_projection,
     parse_word,
-    word2_to_matrix_word,
     word_to_projection,
 )
 from homlin.poly import (
@@ -63,6 +62,42 @@ def P(text):
     return parse_poly(text)
 
 
+def sparse(m):
+    """A dense matrix as a factor: its nonzero entries, keyed by 0-based
+    (row, column)."""
+    return {(i, j): p for i, row in enumerate(m) for j, p in enumerate(row) if p.terms}
+
+
+def dense(m, dim):
+    """Sparse rows ({row: {column: entry}}) or a factor ({(row, column):
+    entry}) as a dim x dim list of lists, its zero entries filled in."""
+    zero = Polynomial.zero()
+    out = [[zero] * dim for _ in range(dim)]
+    for key, value in m.items():
+        if isinstance(key, tuple):
+            out[key[0]][key[1]] = value
+        else:
+            for c, p in value.items():
+                out[key][c] = p
+    return out
+
+
+def oracle_word2(forms):
+    """Test oracle: the 2x2 word of a list of forms, laid out here
+    independently of the library: the form at (1-based) slot i is the (1,2)
+    entry of its factor for odd i and the (2,1) entry for even i."""
+    factors = []
+    for i, lf in enumerate(forms, start=1):
+        p = lf.to_poly()
+        factors.append({(0, 1) if i % 2 else (1, 0): p} if p.terms else {})
+    return MatrixWord(2, factors, COEFF_ONE, entry_target(1, 2))
+
+
+def expand(w, below=None):
+    """The whole product of a word, as a dense matrix."""
+    return dense(expand_word(w, below), w.dim)
+
+
 def matrices_equal(m, expect):
     return all(
         m[i][j] == P(expect[i][j]) for i in range(len(m)) for j in range(len(m))
@@ -75,13 +110,13 @@ def matrices_equal(m, expect):
 
 
 def test_expand_empty_word_is_identity():
-    m = expand_word(MatrixWord(3, []))
+    m = expand(MatrixWord(3, []))
     assert matrices_equal(m, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
 
 
 def test_expand_two_factor_2x2():
-    w = word2_to_matrix_word([LinearForm.variable("x1"), LinearForm.variable("x2")])
-    m = expand_word(w)
+    w = oracle_word2([LinearForm.variable("x1"), LinearForm.variable("x2")])
+    m = expand(w)
     assert matrices_equal(m, [["1 + x1*x2", "x1"], ["x2", "1"]])
 
 
@@ -91,13 +126,10 @@ def test_expand_four_factor_commutator_symbolic():
     zero = Polynomial.zero()
 
     def e(i, j, p):
-        m = [[zero] * 3 for _ in range(3)]
-        m = [row[:] for row in m]
-        m[i - 1][j - 1] = p
-        return m
+        return {(i - 1, j - 1): p}
 
     w = MatrixWord(3, [e(1, 2, f), e(2, 3, g), e(1, 2, -f), e(2, 3, -g)])
-    m = expand_word(w)
+    m = expand(w)
     assert m[0][2] == f * g
     for i in range(3):
         for j in range(3):
@@ -113,7 +145,7 @@ def test_expand_four_factor_commutator_symbolic():
 
 def offdiag_residue(c, target=(1, 3), thread=1):
     w = compile_offdiag3(c, target, thread)
-    m = expand_word(w)
+    m = expand(w)
     for i in range(3):
         m[i][i] = m[i][i] - Polynomial.const(1)
     return w, m
@@ -188,7 +220,7 @@ def test_offdiag_duality_minus_word():
         t = random_ihl_formula(rng, rng.randint(1, 9), 3)
         c = as_formula(t)
         _plus, minus = _offdiag_lists(circuit_to_tree(c), (1, 3), COEFF_ONE)
-        m = expand_word(MatrixWord(3, minus))
+        m = expand(MatrixWord(3, minus))
         assert m[0][2] == -c.eval()
         for i in range(3):
             for j in range(3):
@@ -200,10 +232,7 @@ def test_offdiag_duality_minus_word():
 def oracle_transpose_reverse(w):
     """Test oracle: the word reversed, each factor transposed; its expansion
     is the transpose of the word's."""
-    factors = [
-        [[a[j][i] for j in range(w.dim)] for i in range(w.dim)]
-        for a in reversed(w.factors)
-    ]
+    factors = [{(j, i): p for (i, j), p in a.items()} for a in reversed(w.factors)]
     return MatrixWord(w.dim, factors, w.global_scalar, w.target)
 
 
@@ -220,8 +249,8 @@ def test_transpose_reverse_symmetry():
     for _ in range(8):
         t = random_ihl_formula(rng, rng.randint(1, 9), 3)
         w = compile_offdiag3(as_formula(t), (1, 3))
-        m = expand_word(w)
-        mt = expand_word(oracle_transpose_reverse(w))
+        m = expand(w)
+        mt = expand(oracle_transpose_reverse(w))
         for i in range(3):
             for j in range(3):
                 assert mt[i][j] == m[j][i]
@@ -238,13 +267,7 @@ def test_trace3_single_product_gadget():
     assert w.r() == 4
     assert w.global_scalar == Coeff.eps(-2)
     assert w.target == ("entry", 1, 1)
-    entries = [
-        a[i][j]
-        for a in w.factors
-        for i in range(3)
-        for j in range(3)
-        if not a[i][j].is_zero()
-    ]
+    entries = [p for a in w.factors for p in a.values()]
     eps = Coeff.eps(1)
     want = [
         P("x1").scale(eps), P("x2").scale(eps),
@@ -259,7 +282,7 @@ def test_trace3_full_limit_is_difference_of_diagonal_entries():
     # (1,1) and -f at (2,2), so the (1,1) entry is the sound read-out
     c = as_formula(FNode.mul(X("x1"), X("x2")))
     w = compile_trace3(c)
-    m = expand_word(w)
+    m = expand(w)
     for i in range(3):
         m[i][i] = m[i][i] - Polynomial.const(1)
     f = P("x1*x2")
@@ -394,7 +417,7 @@ def word2_invariant_holds(forms, expected):
     limit of (product - id) exists and equals expected * E_upper, i.e. the
     whole 2x2 product is id + expected * E_upper mod eps^1."""
     one, zero = Polynomial.const(1), Polynomial.zero()
-    m = expand_word(word2_to_matrix_word(forms), below=1)
+    m = expand(oracle_word2(forms), below=1)
     return m == [[one, expected.mod_eps(1)], [zero, one]]
 
 
@@ -495,13 +518,13 @@ def test_even_gadget_telescopes_mod_eps3():
         e2 = Polynomial.eps(2)
         return [[one + e2 * p, Polynomial.zero()], [Polynomial.zero(), one - e2 * p]]
 
-    m1 = expand_word(word2_to_matrix_word(gadget("a1", "b1")))
+    m1 = expand(oracle_word2(gadget("a1", "b1")))
     want1 = m_of(P("a1*b1"))
     for i in range(2):
         for j in range(2):
             assert m1[i][j].mod_eps(3) == want1[i][j].mod_eps(3)
 
-    both = expand_word(word2_to_matrix_word(gadget("a1", "b1") + gadget("a2", "b2")))
+    both = expand(oracle_word2(gadget("a1", "b1") + gadget("a2", "b2")))
     want = m_of(P("a1*b1 + a2*b2"))
     for i in range(2):
         for j in range(2):
@@ -571,9 +594,7 @@ def test_projection_with_wrong_form_count_fails_loudly(tag, count):
 
 
 def test_word_to_projection_rejects_nonzero_diagonal():
-    m = [[Polynomial.zero()] * 3 for _ in range(3)]
-    m = [row[:] for row in m]
-    m[1][1] = Polynomial.variable("x1")
+    m = {(1, 1): Polynomial.variable("x1")}
     w = MatrixWord(3, [m], COEFF_ONE, entry_target(1, 1))
     with pytest.raises(DiagonalNonzero):
         word_to_projection(w, d=1)
@@ -638,6 +659,12 @@ def test_border_value_on_projection_equals_value():
     assert border_value(p) == p.value()
 
 
+def test_word_factor_entry_given_twice_keeps_the_last_and_zero_is_absent():
+    w = parse_word("dim 2\nfactor: (1,2)=x1; (1,2)=x2; (2,1)=0\nfactor: (1,2)=x1; (1,2)=0\n")
+    assert w.factors == [{(0, 1): P("x2")}, {}]
+    assert format_word(w) == "dim 2\nfactor: (1,2)=x2\nfactor: \nscalar: 1\ntarget: trace\n"
+
+
 _WORD = "dim 3\nfactor: (1,2)=x1 * eps\nfactor: (2,1)=x2\nscalar: eps^-1\ntarget: entry(1,1)\n"
 
 
@@ -678,8 +705,7 @@ def test_malformed_word_lines_are_rejected_with_line(text, line):
 
 
 def test_word_functional_target_round_trips():
-    w = MatrixWord(2, [[[Polynomial.zero(), parse_poly("x1")], [parse_poly("x2"),
-                                                               Polynomial.zero()]]],
+    w = MatrixWord(2, [{(0, 1): parse_poly("x1"), (1, 0): parse_poly("x2")}],
                    COEFF_ONE, ("functional", [Coeff.of(1), Coeff.of(0), Coeff.of(0),
                                               Coeff.of(Fraction(1, 2))]))
     assert format_word(parse_word(format_word(w))) == format_word(w)

@@ -80,8 +80,7 @@ def test_border_wrong_target_gives_monomial_witness():
 
 def test_border_fails_on_a_component_at_another_degree():
     # the limit is x1*x2 + x3: its degree-1 part is not the target's
-    a = [[Polynomial.zero(), P("x1*x2 + x3")], [Polynomial.zero(), Polynomial.zero()]]
-    w = MatrixWord(2, [a], Coeff.from_rational(1), ("entry", 1, 2))
+    w = MatrixWord(2, [{(0, 1): P("x1*x2 + x3")}], Coeff.from_rational(1), ("entry", 1, 2))
     rep = verify_border(w, P("x1*x2"))
     assert not rep.verdict and "x3" in rep.witness
     assert rep.details["degreesCompared"] == [1, 2]
@@ -89,8 +88,7 @@ def test_border_fails_on_a_component_at_another_degree():
 
 def test_border_truncated_value_keeps_a_diverging_term():
     # (id + eps^-1 x1 E12)(id + x2 E21) - id has eps^-1 x1*x2 at (1,1)
-    z = Polynomial.zero()
-    w = MatrixWord(2, [[[z, P("eps^-1*x1")], [z, z]], [[z, z], [P("x2"), z]]],
+    w = MatrixWord(2, [{(0, 1): P("eps^-1*x1")}, {(1, 0): P("x2")}],
                    Coeff.from_rational(1), ("entry", 1, 1))
     rep = verify_border(w, P("x1*x2"))
     assert not rep.verdict and rep.witness.startswith("LimitDiverges")
