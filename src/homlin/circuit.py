@@ -26,7 +26,6 @@ from .poly import (
     COEFF_ONE,
     COEFF_ZERO,
     Coeff,
-    LinearForm,
     Polynomial,
     _var_key,
     format_coeff,
@@ -76,17 +75,15 @@ class Gate(NamedTuple):
     kind: str
     children: Tuple[str, ...] = ()
     edge_scalars: Optional[Tuple[Coeff, ...]] = None
-    lin: Optional[LinearForm] = None
+    lin: Optional[Polynomial] = None
     const: Optional[Coeff] = None
     scale: Optional[Fraction] = None
 
 
-def affine_poly(lin: Optional[LinearForm], const: Optional[Coeff]) -> Polynomial:
+def affine_poly(lin: Optional[Polynomial], const: Optional[Coeff]) -> Polynomial:
     """The value ``lin + const`` of an input leaf; either part may be absent.
     The two parts share no term key, so their terms are merged, not added."""
-    terms = {} if lin is None else {
-        (((v, 1),), e, a): x for v, c in lin.coeffs.items() for (e, a), x in c.terms.items()
-    }
+    terms = {} if lin is None else dict(lin.terms)
     if const is not None:
         for (e, a), x in const.terms.items():
             terms[((), e, a)] = x
@@ -121,7 +118,7 @@ class Circuit:
                     raise CycleError(f"gate {gid} references {ch} before definition")
             by_id[gid] = g
             if g.lin is not None:
-                vs.update(g.lin.coeffs)
+                vs.update(g.lin.variables())
             if g.kind == "zvar":
                 vs.add(Z_NAME)
         if output_id not in by_id:
@@ -213,15 +210,6 @@ class Circuit:
             else:
                 deg[g.id] = sum(deg[ch] for ch in g.children)
         return deg
-
-    def metrics(self) -> Dict[str, object]:
-        depth, mul_depth = self.depths()
-        out: Dict[str, object] = {"size": self.size(), "depth": depth, "mulDepth": mul_depth}
-        try:
-            out["syntacticDegreePerGate"] = self.syntactic_degrees()
-        except DegreeMismatch:
-            out["syntacticDegreePerGate"] = None
-        return out
 
     # -- validation --------------------------------------------------------------
     def parents(self) -> Dict[str, int]:
@@ -354,7 +342,7 @@ class FNode:
 
     kind: str
     children: Tuple["FNode", ...] = ()
-    lin: Optional[LinearForm] = None
+    lin: Optional[Polynomial] = None
     const: Optional[Coeff] = None
     scale: Fraction = Fraction(1)
     _size: int = field(init=False, repr=False, compare=False)
@@ -373,16 +361,16 @@ class FNode:
             self._depth = 1 + max([ch._depth for ch in kids])
 
     @staticmethod
-    def leaf(lin: LinearForm, const: Coeff | None = None) -> "FNode":
+    def leaf(lin: Polynomial, const: Coeff | None = None) -> "FNode":
         return FNode("leaf", lin=lin, const=const or COEFF_ZERO)
 
     @staticmethod
     def var(name: str, c=1) -> "FNode":
-        return FNode("leaf", lin=LinearForm.variable(name, c), const=COEFF_ZERO)
+        return FNode("leaf", lin=Polynomial.variable(name).scale(c), const=COEFF_ZERO)
 
     @staticmethod
     def constant(c) -> "FNode":
-        return FNode("leaf", lin=LinearForm.zero(), const=Coeff.of(c))
+        return FNode("leaf", lin=Polynomial.zero(), const=Coeff.of(c))
 
     @staticmethod
     def add(a: "FNode", b: "FNode") -> "FNode":
@@ -475,7 +463,7 @@ def circuit_to_tree(c: Circuit) -> FNode:
             return memo[gid]
         g = c.by_id[gid]
         if g.kind == "input":
-            node = FNode("leaf", lin=g.lin or LinearForm.zero(), const=g.const or COEFF_ZERO)
+            node = FNode("leaf", lin=g.lin or Polynomial.zero(), const=g.const or COEFF_ZERO)
         elif g.kind in ("alpha", "zvar"):
             node = FNode(g.kind)
         elif g.kind in ("add", "mul") and g.edge_scalars is not None:
@@ -541,7 +529,7 @@ def parse_circuit(text: str) -> Circuit:
     seen: Set[str] = set()
     # each distinct input form and edge scalar is parsed once per circuit;
     # the values are immutable, so gates with the same text share them
-    forms: Dict[str, Tuple[LinearForm, Coeff]] = {}
+    forms: Dict[str, Tuple[Polynomial, Coeff]] = {}
     scalars: Dict[str, Coeff] = {}
     output_id = None
     lines = text.splitlines()
@@ -642,24 +630,24 @@ def _check_basis(c: Circuit):
                 )
 
 
-def _affine_leaf(text: str, lineno: int) -> Tuple[LinearForm, Coeff]:
+def _affine_leaf(text: str, lineno: int) -> Tuple[Polynomial, Coeff]:
     """The linear part and the constant of an input form."""
-    lin: Dict[str, Dict[Tuple[int, int], object]] = {}
+    lin: Dict[Tuple, object] = {}
     const: Dict[Tuple[int, int], object] = {}
-    for (m, e, a), x in parse_poly(text).terms.items():
+    for key, x in parse_poly(text).terms.items():
+        m, e, a = key
         if not m:
             const[(e, a)] = x
         elif len(m) == 1 and m[0][1] == 1:
-            lin.setdefault(m[0][0], {})[(e, a)] = x
+            lin[key] = x
         else:
             raise CircuitSyntaxError("input form must be affine", lineno)
     # parse_poly's values are normalised and nonzero: no re-normalising
-    form = LinearForm._normalised({v: Coeff._normalised(t) for v, t in lin.items()})
-    return form, Coeff._normalised(const)
+    return Polynomial._normalised(lin), Coeff._normalised(const)
 
 
 def _parse_gate(gid: str, kind: str, rest: str, lineno: int, seen: Set[str],
-                forms: Dict[str, Tuple[LinearForm, Coeff]],
+                forms: Dict[str, Tuple[Polynomial, Coeff]],
                 scalars: Dict[str, Coeff]) -> Gate:
     """One gate from its kind and the text after it: an input form or a
     child list, either followed by ``scale <rational>``."""

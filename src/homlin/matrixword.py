@@ -45,7 +45,6 @@ from .families import (
 from .poly import (
     COEFF_ONE,
     Coeff,
-    LinearForm,
     Polynomial,
     format_coeff,
     format_poly,
@@ -119,7 +118,7 @@ class Projection:
     family_tag: str  # "C" | "nceL"
     n: int
     d: int
-    forms: List[LinearForm]
+    forms: List[Polynomial]
     scalar: Coeff = field(default_factory=lambda: COEFF_ONE)
     border: bool = True
     weights: Optional[LWeights] = None  # nceL functional
@@ -144,13 +143,13 @@ class Projection:
             raise ValueError(
                 f"{self.family_tag} projection with n = {self.n} has {len(self.forms)} forms"
             )
-        polys = [lf.to_poly() for lf in self.forms]
+        forms = self.forms
         if self.family_tag == "C":
-            factors = [parity_factor(i, p) for i, p in enumerate(polys, start=1)]
+            factors = [parity_factor(i, p) for i, p in enumerate(forms, start=1)]
             weights = C_WEIGHTS
         elif self.family_tag == "nceL":
             k = len(OFF_DIAGONAL)
-            factors = [zero_diag_factor(polys[k * i:k * (i + 1)]) for i in range(self.n)]
+            factors = [zero_diag_factor(forms[k * i:k * (i + 1)]) for i in range(self.n)]
             weights = self.weights if self.weights is not None else L_sum()
         else:
             raise ValueError(f"unknown family tag {self.family_tag!r}")
@@ -208,13 +207,8 @@ def border_value(obj: Union[MatrixWord, Projection], below: Optional[int] = None
 # ---------------------------------------------------------------------------
 
 
-def _max_abs_eps_exp(forms: Sequence[LinearForm]) -> int:
-    m = 0
-    for lf in forms:
-        for c in lf.coeffs.values():
-            for (e, _a) in c.terms:
-                m = max(m, abs(e))
-    return m
+def _max_abs_eps_exp(forms: Sequence[Polynomial]) -> int:
+    return max((abs(e) for p in forms for (_m, e, _a) in p.terms), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +241,7 @@ def _offdiag_lists(
     ``id + scal*g*E(pos)`` and ``id - scal*g*E(pos)``."""
     i, j = pos
     if node.kind == "leaf":
-        p = (node.lin or LinearForm.zero()).scale(scal).to_poly()
+        p = (node.lin or Polynomial.zero()).scale(scal)
         return [_e_factor(i, j, p)], [_e_factor(i, j, -p)]
     if node.kind == "add":
         p1, m1 = _offdiag_lists(node.children[0], pos, scal)
@@ -308,7 +302,7 @@ def compile_trace3(c: Circuit) -> MatrixWord:
             # degree-1 corner: no product pair exists under IHL, so use the
             # pair (eps^-1 * l, eps): gadget entries are l and the constant
             # eps^2, and every entry of the gadget stays O(eps^2)
-            lf = (s.lin or LinearForm.zero()).to_poly()
+            lf = s.lin or Polynomial.zero()
             e2 = Polynomial.eps(2)
             factors += [
                 _e_factor(1, 2, lf),
@@ -337,29 +331,24 @@ def compile_trace3(c: Circuit) -> MatrixWord:
 _ALPHA = Coeff.alpha(1)
 
 
-def _cont_odd_word(node: FNode, s: Fraction) -> List[LinearForm]:
+def _cont_odd_word(node: FNode, s: Fraction) -> List[Polynomial]:
     """Word for alpha * s * eval_raw(node); the node's own scale tag is
     folded into s."""
     s = s * node.scale
     if node.kind == "leaf":
-        lf = (node.lin or LinearForm.zero()).scale(_ALPHA * s)
-        return [lf]
+        return [(node.lin or Polynomial.zero()).scale(_ALPHA * s)]
     if node.kind == "add":
         w1 = _cont_odd_word(node.children[0], s)
         w2 = _cont_odd_word(node.children[1], s)
-        return w1 + [LinearForm.zero()] + w2  # pad to keep strict alternation
+        return w1 + [Polynomial.zero()] + w2  # pad to keep strict alternation
     if node.kind == "negcube":
         base = _cont_odd_word(node.children[0], Fraction(1))
         # every error term of the base product is eps^e * alpha^a with e >= 1
         # (exact-limit invariant) and a at most the number of alpha-carrying
-        # forms; eps -> eps^k, alpha -> eps^-1 sends it to eps^(ke-a), so any
-        # k >= a_max + 2 provably yields the required congruence mod eps^2
-        a_max = sum(
-            1
-            for lf in base
-            for c in lf.coeffs.values()
-            if any(a >= 1 for (_e, a) in c.terms)
-        )
+        # (form, variable) pairs; eps -> eps^k, alpha -> eps^-1 sends it to
+        # eps^(ke-a), so any k >= a_max + 2 provably yields the required
+        # congruence mod eps^2
+        a_max = sum(len({m for (m, _e, a) in lf.terms if a}) for lf in base)
         k = max(2 * (1 + _max_abs_eps_exp(base)), a_max + 2)
         block1 = [lf.subst(k, Coeff.eps(-1)) for lf in base]
         middle_alpha = Coeff({(2, 1): s})  # eps^2 * s * alpha
@@ -398,7 +387,7 @@ def compile_continuant_even(g: GradedArity3Repr, d: int) -> Projection:
         raise NotEvenDegree(f"degree {d} is not a positive even number")
     per_var = g.even_parts.get(d, {})
     eps = Coeff.eps(1)
-    forms: List[LinearForm] = []
+    forms: List[Polynomial] = []
     for v in sorted(per_var, key=_var_key):
         part = per_var[v]
         if part.eval().is_zero():
@@ -408,11 +397,11 @@ def compile_continuant_even(g: GradedArity3Repr, d: int) -> Projection:
         # b-blocks: eps -> eps^3, alpha -> +-eps, transposed and reversed
         b_plus = [lf.subst(3, eps) for lf in reversed(base)]
         b_minus = [lf.subst(3, -eps) for lf in reversed(base)]
-        a_minus = LinearForm.variable(v, -eps)
-        a_plus = LinearForm.variable(v, eps)
+        a_plus = Polynomial.variable(v).scale(eps)
+        a_minus = -a_plus
         forms += [a_minus] + b_minus + [a_plus] + b_plus
     if not forms:
-        forms = [LinearForm.zero()]
+        forms = [Polynomial.zero()]
     forms = [lf.subst(d // 2) for lf in forms]
     return Projection("C", len(forms), d, forms, Coeff.eps(-d), border=True)
 
@@ -452,7 +441,7 @@ def word_to_projection(
         e for a in w.factors for p in a.values() for (_m, e, _a) in p.terms
     )
     zero = Polynomial.zero()
-    forms: List[LinearForm] = []
+    forms: List[Polynomial] = []
     for k, a in enumerate(w.factors, 1):
         for i in range(3):
             if (i, i) in a:
@@ -463,10 +452,11 @@ def word_to_projection(
                 raise EntryNotHomogeneousLinear(
                     f"factor {k} entry ({i},{j}) is not homogeneous linear: {format_poly(p)}"
                 )
-            lf = LinearForm.from_poly(p)
-            forms.append(lf.subst(d) if border else lf)
-    forms += [LinearForm.zero()] * (len(OFF_DIAGONAL) * (n - r))
-    scalar = w.global_scalar.subst(d) if border else w.global_scalar
+            forms.append(p.subst(d) if border else p)
+    forms += [zero] * (len(OFF_DIAGONAL) * (n - r))
+    scalar = w.global_scalar
+    if border:
+        scalar = scalar.to_poly().subst(d).constant_part()
     return Projection("nceL", n, d, forms, scalar, border=border, weights=weights)
 
 
@@ -598,7 +588,7 @@ def format_projection(p: Projection) -> str:
         )
         lines.append(f"weights: {ws}")
     for name, lf in zip(p.slot_names(), p.forms, strict=True):
-        lines.append(f"form {name}: {format_poly(lf.to_poly())}")
+        lines.append(f"form {name}: {format_poly(lf)}")
     return "\n".join(lines) + "\n"
 
 
@@ -606,7 +596,7 @@ def parse_projection(text: str) -> Projection:
     tag = n = d = border = None
     scalar = COEFF_ONE
     weights = None
-    forms: Dict[str, Tuple[int, LinearForm]] = {}
+    forms: Dict[str, Tuple[int, Polynomial]] = {}
     for lineno, line in _lines(text):
         try:
             if line.startswith("projection"):
@@ -636,7 +626,10 @@ def parse_projection(text: str) -> Projection:
                     raise ArtifactSyntaxError("expected 'form <slot>: <form>'", lineno)
                 if name in forms:
                     raise ArtifactSyntaxError(f"form {name} given twice", lineno)
-                forms[name] = (lineno, LinearForm.from_poly(parse_poly(body)))
+                lf = parse_poly(body)
+                if any(len(m) != 1 or m[0][1] != 1 for (m, _e, _a) in lf.terms):
+                    raise ArtifactSyntaxError("polynomial is not homogeneous linear", lineno)
+                forms[name] = (lineno, lf)
             else:
                 raise ArtifactSyntaxError(f"unknown projection directive {line!r}", lineno)
         except ArtifactSyntaxError:
@@ -651,5 +644,5 @@ def parse_projection(text: str) -> Projection:
     for name, (lineno, _) in forms.items():
         if name not in known:
             raise ArtifactSyntaxError(f"{tag} projection with n = {n} has no slot {name}", lineno)
-    p.forms = [forms[name][1] if name in forms else LinearForm.zero() for name in slots]
+    p.forms = [forms[name][1] if name in forms else Polynomial.zero() for name in slots]
     return p

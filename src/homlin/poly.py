@@ -13,10 +13,14 @@ Representation:
   Monomial    = tuple of (varName, positiveExp) pairs, sorted canonically
   Polynomial  = {(Monomial, epsExp, alphaExp): Rational}   (flat, no zeros)
 
-The public constructors ``Coeff(...)``, ``Polynomial(...)`` and
-``LinearForm(...)`` accept any rational values and normalise them.  Every
-internal result is wrapped by the trusted constructors ``Coeff._normalised``,
-``Polynomial._normalised`` and ``LinearForm._normalised``,
+A homogeneous linear form (a leaf's linear part, a projection slot) is a
+``Polynomial`` whose monomials all have the form ``((varName, 1),)``.
+``Polynomial.subst`` is the one eps/alpha ring map; a scalar goes through it
+as a constant polynomial.
+
+The public constructors ``Coeff(...)`` and ``Polynomial(...)`` accept any
+rational values and normalise them.  Every internal result is wrapped by the
+trusted constructors ``Coeff._normalised`` and ``Polynomial._normalised``,
 which take a term dict as it is: its values must already be nonzero, with
 integral ones as ``int``.  Integer arithmetic is native, so the common
 integral coefficients never pay for ``Fraction`` normalisation.
@@ -193,22 +197,6 @@ class Coeff:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def subst(self, eps_power: int = 1, alpha: Union["Coeff", Rat, None] = None) -> "Coeff":
-        """The ring map eps -> eps^eps_power, alpha -> ``alpha`` (alpha is
-        kept when None).  The image of alpha is not itself substituted."""
-        image = Coeff.alpha() if alpha is None else Coeff.of(alpha)
-        # image ** a for every alpha exponent a that occurs, built up once
-        powers = [COEFF_ONE]
-        for _ in range(max((a for _e, a in self.terms), default=0)):
-            powers.append(powers[-1] * image)
-        out: Dict[Tuple[int, int], Rat] = {}
-        get = out.get
-        for (e, a), c in self.terms.items():
-            for (e2, a2), c2 in powers[a].terms.items():
-                k = (e * eps_power + e2, a2)
-                out[k] = get(k, 0) + c * c2
-        return Coeff._normalised(_clean(out))
-
     def to_poly(self) -> "Polynomial":
         return Polynomial._normalised({((), e, a): c for (e, a), c in self.terms.items()})
 
@@ -377,23 +365,20 @@ class Polynomial:
                     break
         return Polynomial._normalised(_clean(out))
 
-    def substitute(self, sigma: Mapping[str, Union["Polynomial", "LinearForm"]]) -> "Polynomial":
-        """Substitute polynomials (or linear forms) for variables.
+    def substitute(self, sigma: Mapping[str, "Polynomial"]) -> "Polynomial":
+        """Substitute polynomials for variables.
 
         Unmapped variables substitute to themselves.
         """
-        images: Dict[str, Polynomial] = {}
-        for v, img in sigma.items():
-            images[v] = img.to_poly() if isinstance(img, LinearForm) else img
         out = Polynomial.zero()
         cache: Dict[Tuple[str, int], Polynomial] = {}
         for (m, e, a), c in self.terms.items():
             term = Polynomial._normalised({((), e, a): c})
             for v, exp in m:
-                if v in images:
+                if v in sigma:
                     key = (v, exp)
                     if key not in cache:
-                        cache[key] = images[v] ** exp
+                        cache[key] = sigma[v] ** exp
                     term = term * cache[key]
                 else:
                     term = term * Polynomial._normalised({(((v, exp),), 0, 0): 1})
@@ -401,6 +386,24 @@ class Polynomial:
                     break
             out = out + term
         return out
+
+    def subst(self, eps_power: int = 1, alpha: Union[Coeff, Rat, None] = None) -> "Polynomial":
+        """The ring map eps -> eps^eps_power, alpha -> ``alpha`` (alpha is
+        kept when None); the x-variables are fixed.  The image of alpha is
+        not itself substituted."""
+        image = Coeff.alpha() if alpha is None else Coeff.of(alpha)
+        # image ** a for every alpha exponent a that occurs, built up once
+        powers = [COEFF_ONE]
+        for _ in range(max((a for _m, _e, a in self.terms), default=0)):
+            powers.append(powers[-1] * image)
+        out: Dict[Tuple[Mono, int, int], Rat] = {}
+        get = out.get
+        for (m, e, a), c in self.terms.items():
+            e *= eps_power
+            for (e2, a2), c2 in powers[a].terms.items():
+                key = (m, e + e2, a2)
+                out[key] = get(key, 0) + c * c2
+        return Polynomial._normalised(_clean(out))
 
     def eps_limit(self) -> "Polynomial":
         """Set eps = 0: keep epsExp 0 parts, error on surviving negatives."""
@@ -454,86 +457,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial<{format_poly(self)}>"
-
-
-class LinearForm:
-    """A homogeneous degree-1 polynomial: {varName: Coeff}, no constant term."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[str, Union[Coeff, Rat]] | None = None):
-        clean: Dict[str, Coeff] = {}
-        if coeffs:
-            for v, c in coeffs.items():
-                c = Coeff.of(c)
-                if not c.is_zero():
-                    clean[v] = c
-        self.coeffs = clean
-
-    @staticmethod
-    def _normalised(coeffs: Dict[str, Coeff]) -> "LinearForm":
-        """Wrap a dict whose coefficients are all nonzero Coeffs."""
-        f = object.__new__(LinearForm)
-        f.coeffs = coeffs
-        return f
-
-    @staticmethod
-    def variable(name: str, c: Union[Coeff, Rat] = 1) -> "LinearForm":
-        return LinearForm({name: c})
-
-    @staticmethod
-    def zero() -> "LinearForm":
-        return LinearForm()
-
-    @staticmethod
-    def from_poly(p: Polynomial) -> "LinearForm":
-        out: Dict[str, Dict[Tuple[int, int], Rat]] = {}
-        for (m, e, a), c in p.terms.items():
-            if len(m) != 1 or m[0][1] != 1:
-                raise ValueError("polynomial is not homogeneous linear")
-            out.setdefault(m[0][0], {})[(e, a)] = c
-        return LinearForm._normalised({v: Coeff._normalised(t) for v, t in out.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        out = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            out[v] = out.get(v, COEFF_ZERO) + c
-        return LinearForm(out)
-
-    def __neg__(self) -> "LinearForm":
-        return LinearForm({v: -c for v, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return self + (-other)
-
-    def scale(self, c: Union[Coeff, Rat]) -> "LinearForm":
-        c = Coeff.of(c)
-        return LinearForm({v: k * c for v, k in self.coeffs.items()})
-
-    def subst(self, eps_power: int = 1, alpha: Union[Coeff, Rat, None] = None) -> "LinearForm":
-        """``Coeff.subst`` applied to every coefficient."""
-        return LinearForm({v: c.subst(eps_power, alpha) for v, c in self.coeffs.items()})
-
-    def to_poly(self) -> Polynomial:
-        return Polynomial._normalised(
-            {
-                (((v, 1),), e, a): x
-                for v, c in self.coeffs.items()
-                for (e, a), x in c.terms.items()
-            }
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinearForm) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __repr__(self):
-        return f"LinearForm<{format_poly(self.to_poly())}>"
 
 
 # ---------------------------------------------------------------------------
@@ -723,10 +646,6 @@ def parse_coeff(text: str) -> Coeff:
             raise PolySyntaxError("expected a scalar (no variables)")
         out[(e, a)] = c
     return Coeff._normalised(out)
-
-
-def parse_linear_form(text: str) -> LinearForm:
-    return LinearForm.from_poly(parse_poly(text))
 
 
 def format_coeff(c: Coeff) -> str:

@@ -28,7 +28,7 @@ from .circuit import (
     circuit_to_tree,
     tree_to_circuit,
 )
-from .poly import COEFF_ONE, COEFF_ZERO, Coeff, LinearForm, Polynomial, _var_key
+from .poly import COEFF_ONE, COEFF_ZERO, Coeff, Polynomial, _var_key
 
 Rat = Union[int, Fraction]
 
@@ -126,7 +126,7 @@ def _subst_path(steps: list, repl: Optional[FNode]) -> Optional[FNode]:
 
 def _zero_circuit(variables: Sequence[str] = (), shape: str = "formula",
                   basis: str = "arity2") -> Circuit:
-    g = Gate("g1", "input", lin=LinearForm.zero(), const=COEFF_ZERO)
+    g = Gate("g1", "input", lin=Polynomial.zero(), const=COEFF_ZERO)
     return Circuit([g], "g1", shape, basis, variables)
 
 
@@ -145,7 +145,7 @@ def _rescale_tree(node: FNode, alpha: Coeff) -> FNode:
     """alpha * node: the scalar goes into both summands of an addition and
     the first factor of a product; gate scale tags are kept."""
     if node.kind == "leaf":
-        lin = node.lin.scale(alpha) if node.lin else LinearForm.zero()
+        lin = node.lin.scale(alpha) if node.lin is not None else Polynomial.zero()
         const = (node.const * alpha) if node.const is not None else COEFF_ZERO
         return FNode("leaf", lin=lin, const=const, scale=node.scale)
     if node.kind == "add":
@@ -331,7 +331,7 @@ class _CBuilder:
         self.gates.append(Gate(gid, kind, children, edge_scalars, lin, const, scale))
         return gid
 
-    def input(self, lin: LinearForm) -> str:
+    def input(self, lin: Polynomial) -> str:
         return self.emit("input", lin=lin, const=COEFF_ZERO)
 
     def scaled(self, gid: str, c: Coeff) -> str:
@@ -560,8 +560,8 @@ def parity_homogenize(c: Circuit) -> Tuple[ParityPair, PassReport]:
 
 def _ddx(node: FNode, v: str) -> Optional[FNode]:
     if node.kind == "leaf":
-        coeff = node.lin.coeffs.get(v) if node.lin is not None else None
-        if coeff is None or coeff.is_zero():
+        coeff = node.lin.coeff_of_mono(((v, 1),)) if node.lin is not None else COEFF_ZERO
+        if coeff.is_zero():
             return None
         return FNode.constant(coeff)
     if node.kind == "add":
@@ -673,26 +673,6 @@ def brent_arity3(c: Circuit) -> Tuple[Circuit, PassReport]:
     return out, report
 
 
-def brent3_linearization(tree: FNode):
-    """Expose the case-2 linearization for inspection: find the separator, and
-    if its lowest strict ancestor product exists, return (v, x, F11, F00)
-    where F11/F00 are realized through the simplifier rules.  Returns None in
-    the additions-only case."""
-    steps, v = _separator_steps(tree)
-    pidx = _lowest_mul3(steps)
-    if pidx is None:
-        return None
-    p_node, pci = steps[pidx]
-    xi = 1 if pci == 0 else 0
-    one = FNode.constant(1)
-    # F(1,1): x, the product's first other child, becomes 1 as well
-    p11 = FNode("mul3", p_node.children[:xi] + (one,) + p_node.children[xi + 1:],
-                scale=p_node.scale)
-    f11 = _subst_path(steps[:pidx] + [(p11, pci)] + steps[pidx + 1:], one)
-    f00 = _subst_path(steps, None)
-    return v, p_node.children[xi], f11, f00
-
-
 # ---------------------------------------------------------------------------
 # formulas to graded arity-3 circuits
 # ---------------------------------------------------------------------------
@@ -711,7 +691,7 @@ def formula_from_poly(p: Polynomial) -> Optional[FNode]:
         if not leaves:
             terms.append(FNode.constant(c))
             continue
-        leaves[0] = FNode.leaf(LinearForm.variable(mono[0][0], c))
+        leaves[0] = FNode.var(mono[0][0], c)
         terms.append(balanced_add(leaves, FNode.mul))
     return balanced_add(terms) if terms else None
 
@@ -881,12 +861,12 @@ def vsbr_arity3(c: Circuit) -> Tuple[Circuit, PassReport]:
     b = _CBuilder()
 
     # accumulated linear forms of the degree-1 region
-    linform: Dict[str, LinearForm] = {}
+    linform: Dict[str, Polynomial] = {}
     for g in c.gates:
         if deg[g.id] != 1:
             continue
         if g.kind == "input":
-            linform[g.id] = g.lin if g.lin is not None else LinearForm.zero()
+            linform[g.id] = g.lin if g.lin is not None else Polynomial.zero()
         elif g.kind == "add":
             s1, s2 = g.edge_scalars or (COEFF_ONE, COEFF_ONE)
             linform[g.id] = linform[g.children[0]].scale(s1) + linform[

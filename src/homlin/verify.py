@@ -19,7 +19,6 @@ from .poly import (
     COEFF_ZERO,
     Coeff,
     LimitDiverges,
-    LinearForm,
     Polynomial,
     _term_order,
     format_poly,
@@ -153,15 +152,11 @@ def audit_bounds(report: Union[PassReport, Mapping[str, object]]) -> VerifyRepor
 # ---------------------------------------------------------------------------
 
 
-def _random_linear(rng: random.Random, n_vars: int, width: int = 2) -> LinearForm:
+def _random_linear(rng: random.Random, n_vars: int, width: int = 2) -> Polynomial:
     """A nonzero linear form in a few of x1..x{n_vars}, small integer coeffs."""
     k = rng.randint(1, min(width, n_vars))
     names = rng.sample([f"x{i}" for i in range(1, n_vars + 1)], k)
-    coeffs = {}
-    for v in names:
-        c = rng.choice([-2, -1, 1, 1, 1, 2, 3])
-        coeffs[v] = c
-    return LinearForm(coeffs)
+    return Polynomial({(((v, 1),), 0, 0): rng.choice([-2, -1, 1, 1, 1, 2, 3]) for v in names})
 
 
 def random_formula(rng: random.Random, size: int, n_vars: int) -> FNode:

@@ -18,7 +18,7 @@ from homlin.circuit import (
     print_circuit,
     tree_to_circuit,
 )
-from homlin.poly import Coeff, LinearForm, Polynomial, parse_poly
+from homlin.poly import Coeff, Polynomial, parse_poly
 
 X1 = Polynomial.variable("x1")
 X2 = Polynomial.variable("x2")
@@ -42,7 +42,7 @@ def test_eval_negcube():
 def test_eval_mul3_distributes():
     # oracle: (x1+x2)*x1*x3 = x1^2 x3 + x1 x2 x3
     t = FNode.mul3(
-        FNode("leaf", lin=LinearForm({"x1": 1, "x2": 1})), _leaf("x1"), _leaf("x3")
+        FNode("leaf", lin=parse_poly("x1 + x2")), _leaf("x1"), _leaf("x3")
     )
     assert t.eval() == X1 * X1 * X3 + X1 * X2 * X3
 
@@ -217,7 +217,7 @@ def test_round_trip_preserves_eval_random_trees():
 
 
 def test_circuit_to_tree_shares_shared_gates():
-    g1 = Gate("g1", "input", lin=LinearForm.variable("x1"), const=Coeff())
+    g1 = Gate("g1", "input", lin=Polynomial.variable("x1"), const=Coeff())
     g2 = Gate("g2", "mul", children=("g1", "g1"))
     c = Circuit([g1, g2], "g2", "circuit", "arity2")
     t = circuit_to_tree(c)
@@ -286,15 +286,14 @@ def test_repeated_input_forms_and_edge_scalars_are_parsed_once_and_shared():
 
 
 def test_gate_is_an_immutable_value_with_keyword_construction():
-    g = Gate("g1", "input", lin=LinearForm.variable("x1"), const=Coeff())
+    g = Gate("g1", "input", lin=Polynomial.variable("x1"), const=Coeff())
     assert (g.id, g.kind, g.children, g.edge_scalars, g.scale) == ("g1", "input", (), None, None)
     with pytest.raises(AttributeError):
         g.kind = "add"
-    assert g == Gate("g1", "input", lin=LinearForm.variable("x1"), const=Coeff())
+    assert g == Gate("g1", "input", lin=Polynomial.variable("x1"), const=Coeff())
 
 
 def test_depths_counts_all_gates_and_product_gates_in_one_sweep():
     t = FNode.add(FNode.mul(_leaf("x1"), FNode.negcube(_leaf("x2"))), _leaf("x3"))
     c = tree_to_circuit(t, "arity2")
     assert c.depths() == (3, 2) and c.depth() == 3
-    assert c.metrics()["mulDepth"] == 2

@@ -36,7 +36,7 @@ from homlin.matrixword import (
     parse_projection,
     parse_word,
 )
-from homlin.poly import Coeff, LinearForm, Polynomial, format_poly
+from homlin.poly import Coeff, Polynomial, format_poly
 from homlin.transforms import to_add_negcube
 from homlin.verify import random_arity2_circuit, random_formula, random_graded_arity3_circuit
 from test_matrixword import sparse
@@ -67,7 +67,10 @@ def coeffs(draw, allow_zero=True):
 
 @st.composite
 def linear_forms(draw):
-    return LinearForm(draw(st.dictionaries(_names, coeffs(), max_size=3)))
+    lin = draw(st.dictionaries(_names, coeffs(), max_size=3))
+    return Polynomial({
+        (((v, 1),), e, a): x for v, c in lin.items() for (e, a), x in c.terms.items()
+    })
 
 
 @st.composite

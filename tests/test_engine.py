@@ -23,7 +23,7 @@ from homlin.matrixword import (
     expand_word,
     target_weights,
 )
-from homlin.poly import Coeff, LinearForm, Polynomial, parse_poly
+from homlin.poly import Coeff, Polynomial, parse_poly
 from test_matrixword import dense, expand, oracle_value_by_substitution, sparse
 
 VARS = ("x1", "x2", "x3")
@@ -81,7 +81,22 @@ def words(draw):
 
 @st.composite
 def forms(draw):
-    return LinearForm({v: draw(coeffs(2)) for v in draw(st.sets(st.sampled_from(VARS)))})
+    """A homogeneous linear form: every term's monomial is one variable."""
+    vs = draw(st.sets(st.sampled_from(VARS)))
+    return Polynomial({
+        (((v, 1),), e, a): x for v in vs for (e, a), x in draw(coeffs(2)).terms.items()
+    })
+
+
+@st.composite
+def polys(draw, max_terms):
+    """Up to ``max_terms`` terms on every monomial of MONOS, the constant one
+    included."""
+    return Polynomial({
+        (draw(st.sampled_from(MONOS)), draw(st.integers(-3, 3)), draw(st.integers(0, 2))):
+            draw(RATIONALS)
+        for _ in range(draw(st.integers(0, max_terms)))
+    })
 
 
 @st.composite
@@ -190,7 +205,7 @@ OFF = [(a, b) for a in range(3) for b in range(3) if a != b]
 
 
 def oracle_projection_value(p):
-    polys = [lf.to_poly() for lf in p.forms]
+    polys = p.forms
     if p.family_tag == "C":
         factors = []
         for i, q in enumerate(polys, start=1):
@@ -329,8 +344,8 @@ POWERS = st.integers(-2, 3)
 
 
 @settings(max_examples=150, deadline=None)
-@given(coeffs(3), coeffs(3), POWERS, coeffs(2))
-def test_coeff_subst_is_a_ring_map(x, y, m, c):
+@given(polys(3), polys(3), POWERS, coeffs(2))
+def test_subst_is_a_ring_map(x, y, m, c):
     assert (x + y).subst(m, c) == x.subst(m, c) + y.subst(m, c)
     assert (x * y).subst(m, c) == x.subst(m, c) * y.subst(m, c)
     assert (x + y).subst(m) == x.subst(m) + y.subst(m)
@@ -338,8 +353,8 @@ def test_coeff_subst_is_a_ring_map(x, y, m, c):
 
 
 @settings(max_examples=150, deadline=None)
-@given(coeffs(3), POWERS, coeffs(2))
-def test_coeff_subst_is_eps_then_alpha(x, m, c):
+@given(polys(3), POWERS, coeffs(2))
+def test_subst_is_eps_then_alpha(x, m, c):
     assert x.subst(m, c) == x.subst(m).subst(alpha=c)
 
 
@@ -347,5 +362,8 @@ def test_coeff_subst_is_eps_then_alpha(x, m, c):
 @given(forms(), POWERS, st.one_of(st.none(), coeffs(2)))
 def test_linear_form_subst_maps_each_coefficient(lf, m, c):
     got = lf.subst(m, c)
+    assert {mono for (mono, _e, _a) in got.terms} <= {((v, 1),) for v in VARS}
     for v in VARS:
-        assert got.coeffs.get(v, Coeff()) == lf.coeffs.get(v, Coeff()).subst(m, c)
+        mono = ((v, 1),)
+        want = lf.coeff_of_mono(mono).to_poly().subst(m, c).constant_part()
+        assert got.coeff_of_mono(mono) == want

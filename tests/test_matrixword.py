@@ -37,7 +37,6 @@ from homlin.matrixword import (
 from homlin.poly import (
     COEFF_ONE,
     Coeff,
-    LinearForm,
     Polynomial,
     format_poly,
     parse_poly,
@@ -87,8 +86,7 @@ def oracle_word2(forms):
     independently of the library: the form at (1-based) slot i is the (1,2)
     entry of its factor for odd i and the (2,1) entry for even i."""
     factors = []
-    for i, lf in enumerate(forms, start=1):
-        p = lf.to_poly()
+    for i, p in enumerate(forms, start=1):
         factors.append({(0, 1) if i % 2 else (1, 0): p} if p.terms else {})
     return MatrixWord(2, factors, COEFF_ONE, entry_target(1, 2))
 
@@ -115,7 +113,7 @@ def test_expand_empty_word_is_identity():
 
 
 def test_expand_two_factor_2x2():
-    w = oracle_word2([LinearForm.variable("x1"), LinearForm.variable("x2")])
+    w = oracle_word2([Polynomial.variable("x1"), Polynomial.variable("x2")])
     m = expand(w)
     assert matrices_equal(m, [["1 + x1*x2", "x1"], ["x2", "1"]])
 
@@ -152,7 +150,7 @@ def offdiag_residue(c, target=(1, 3), thread=1):
 
 
 def test_offdiag_leaf():
-    c = as_formula(FNode.leaf(LinearForm.variable("x1", 2)))
+    c = as_formula(FNode.leaf(Polynomial.variable("x1").scale(2)))
     w, m = offdiag_residue(c)
     assert w.r() == 1
     assert m[0][2] == P("2*x1")
@@ -190,7 +188,7 @@ def test_offdiag_other_targets():
 def test_offdiag_rejects_bad_input():
     with pytest.raises(ValueError):
         compile_offdiag3(as_formula(X("x1")), (2, 2))
-    affine = as_formula(FNode.leaf(LinearForm.variable("x1"), Coeff.from_rational(1)))
+    affine = as_formula(FNode.leaf(Polynomial.variable("x1"), Coeff.from_rational(1)))
     with pytest.raises(NotIHL):
         compile_offdiag3(affine, (1, 3))
     from homlin.verify import random_arity2_circuit
@@ -300,7 +298,7 @@ def test_trace3_sum_of_products():
 
 
 def test_trace3_bare_leaf():
-    c = as_formula(FNode.leaf(LinearForm({"x1": 2, "x2": -1})))
+    c = as_formula(FNode.leaf(parse_poly("2*x1 - x2")))
     w = compile_trace3(c)
     assert w.r() == 4
     assert border_value(w).eps_limit() == P("2*x1 - x2")
@@ -340,10 +338,10 @@ def test_trace3_border_verifies_a_large_word():
 
 
 def test_continuant_odd_leaf():
-    c = as_formula(FNode.leaf(LinearForm.variable("x1", 2)), "addNegCube")
+    c = as_formula(FNode.leaf(Polynomial.variable("x1").scale(2)), "addNegCube")
     p = compile_continuant_odd(c)
     assert (p.family_tag, p.n, p.d, p.border) == ("C", 1, 1, True)
-    assert p.forms == [LinearForm.variable("x1", 2)]
+    assert p.forms == [Polynomial.variable("x1").scale(2)]
     assert p.value() == P("2*x1")  # C_{1,1}(2x1), exact without a limit
 
 
@@ -374,12 +372,11 @@ def test_continuant_odd_alpha_fully_substituted():
     c = as_formula(FNode.negcube(X("x1")), "addNegCube")
     p = compile_continuant_odd(c)
     for lf in p.forms:
-        for coeff in lf.coeffs.values():
-            assert all(a == 0 for (_e, a) in coeff.terms)
+        assert all(a == 0 for (_m, _e, a) in lf.terms)
 
 
 def test_continuant_odd_rejects_even_degree_request():
-    c = as_formula(FNode.leaf(LinearForm.variable("x1")), "addNegCube")
+    c = as_formula(FNode.leaf(Polynomial.variable("x1")), "addNegCube")
     with pytest.raises(NotOddDegree):
         compile_continuant_odd(c, 2)
 
@@ -406,7 +403,7 @@ def test_continuant_alternation_zero_padding_invariance():
     c = as_formula(FNode.negcube(X("x1")), "addNegCube")
     p = compile_continuant_odd(c)
     padded = Projection(
-        "C", p.n + 2, p.d, list(p.forms) + [LinearForm.zero()] * 2,
+        "C", p.n + 2, p.d, list(p.forms) + [Polynomial.zero()] * 2,
         p.scalar, p.border,
     )
     assert padded.value() == p.value()
@@ -439,7 +436,7 @@ def test_cont_odd_word_meets_the_invariant_with_the_proven_precision():
     trees = [
         FNode.negcube(FNode.add(FNode.negcube(X("x1"), Fraction(1, 3)), X("x2")),
                       Fraction(-1, 24)),
-        FNode.negcube(FNode.negcube(FNode.leaf(LinearForm.variable("x1", Fraction(2, 5))))),
+        FNode.negcube(FNode.negcube(FNode.leaf(Polynomial.variable("x1").scale(Fraction(2, 5))))),
         FNode.add(FNode.negcube(FNode.add(X("x1"), X("x2")), Fraction(3, 2)),
                   FNode.negcube(FNode.negcube(X("x3")), Fraction(-1))),
     ]
@@ -507,10 +504,10 @@ def test_even_gadget_telescopes_mod_eps3():
 
     def gadget(av, bv):
         return [
-            LinearForm.variable(av, -eps),
-            LinearForm.variable(bv, -eps),
-            LinearForm.variable(av, eps),
-            LinearForm.variable(bv, eps),
+            Polynomial.variable(av).scale(-eps),
+            Polynomial.variable(bv).scale(-eps),
+            Polynomial.variable(av).scale(eps),
+            Polynomial.variable(bv).scale(eps),
         ]
 
     def m_of(p):
@@ -586,7 +583,7 @@ def test_word_to_projection_keeps_trace3_scalar():
 
 @pytest.mark.parametrize("tag,count", [("nceL", 5), ("nceL", 7), ("C", 2)])
 def test_projection_with_wrong_form_count_fails_loudly(tag, count):
-    p = Projection(tag, 1, 1, [LinearForm.variable("x1")] * count)
+    p = Projection(tag, 1, 1, [Polynomial.variable("x1")] * count)
     with pytest.raises(ValueError):
         p.value()
     with pytest.raises(ValueError):
@@ -615,7 +612,7 @@ def test_nce_projection_matches_family_oracle():
         for a in range(1, 4):
             for b in range(1, 4):
                 if a != b:
-                    forms.append(LinearForm.variable(f"x{a}_{b}_{i}"))
+                    forms.append(Polynomial.variable(f"x{a}_{b}_{i}"))
     p = Projection("nceL", n, d, forms, weights=L_entry(1, 2))
     assert p.value() == gen_nce_L(n, d, L_entry(1, 2))
 
@@ -725,6 +722,7 @@ _PROJ = "projection C n 2 d 1 border 1\nscalar: eps^-1\nform x1: x1 * eps\nform 
     ("form x2:", "form x1:", 4),
     ("form x2:", "form x2", 4),
     ("x2 * eps\n", "x2 * eps + 1\n", 4),
+    ("x2 * eps\n", "x1 * x2 * eps\n", 4),
 ])
 def test_malformed_projection_lines_are_rejected_with_line(old, new, line):
     with pytest.raises(ArtifactSyntaxError) as exc:

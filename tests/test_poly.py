@@ -6,17 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homlin.matrixword import parse_projection
 from homlin.poly import (
     Coeff,
     DenominatorDivisibleByPrime,
     LimitDiverges,
-    LinearForm,
     Polynomial,
     PrimeTooSmall,
     format_poly,
     parse_coeff,
     PolySyntaxError,
-    parse_linear_form,
     parse_poly,
     parse_rational,
 )
@@ -24,6 +23,8 @@ from homlin.poly import (
 X1 = Polynomial.variable("x1")
 X2 = Polynomial.variable("x2")
 X3 = Polynomial.variable("x3")
+Y1 = Polynomial.variable("y1")
+Y2 = Polynomial.variable("y2")
 EPS = Polynomial.eps
 
 
@@ -90,8 +91,11 @@ def test_limit_diverges_on_negative_eps():
 
 
 def test_subst_eps_power():
-    lf = LinearForm.from_poly(EPS(2) * X1 + EPS(-1) * X2)
-    assert lf.subst(3) == LinearForm.from_poly(EPS(6) * X1 + EPS(-3) * X2)
+    lf = EPS(2) * X1 + EPS(-1) * X2
+    assert lf.subst(3) == EPS(6) * X1 + EPS(-3) * X2
+    five = Polynomial.const(5)
+    p = EPS(2) * X1 * X2 ** 2 + EPS(-1) * X3 + EPS(1) * Polynomial.alpha(1) + five
+    assert p.subst(3) == EPS(6) * X1 * X2 ** 2 + EPS(-3) * X3 + EPS(3) * Polynomial.alpha(1) + five
 
 
 def test_mod_eps_keeps_negative_exponents():
@@ -100,10 +104,14 @@ def test_mod_eps_keeps_negative_exponents():
 
 
 def test_subst_alpha():
-    lf = LinearForm.from_poly(Polynomial.alpha(2) * X1 + Polynomial.alpha(1) * X2 + X3)
+    lf = Polynomial.alpha(2) * X1 + Polynomial.alpha(1) * X2 + X3
     c = Coeff.from_rational(Fraction(1, 2))
     expected = Fraction(1, 4) * X1 + Fraction(1, 2) * X2 + X3
-    assert lf.subst(alpha=c) == LinearForm.from_poly(expected)
+    assert lf.subst(alpha=c) == expected
+    p = Polynomial.alpha(2) * X1 * X2 + EPS(1) * Polynomial.alpha(1) * X3 ** 2 + Polynomial.alpha(1)
+    half = Polynomial.const(Fraction(1, 2))
+    expected = Fraction(1, 4) * X1 * X2 + half * EPS(1) * X3 ** 2 + half
+    assert p.subst(alpha=c) == expected
 
 
 def test_eval_random_rational():
@@ -207,9 +215,9 @@ def test_euler_identity(p):
 @given(small_polys(), st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
 def test_linear_substitution_preserves_homogeneous_degree(p, c1, c2, c3):
     sigma = {
-        "x1": LinearForm({"y1": c1, "y2": c2}),
-        "x2": LinearForm({"y1": c3}),
-        "x3": LinearForm({"y2": 1}),
+        "x1": c1 * Y1 + c2 * Y2,
+        "x2": c3 * Y1,
+        "x3": Y2,
     }
     for d in p.homog_degrees():
         q = p.homog_component(d).substitute(sigma)
@@ -246,10 +254,11 @@ def test_parse_examples():
 
 def test_parse_coeff_and_linear_form():
     assert parse_coeff("1/2 * eps^2") == Coeff({(2, 0): Fraction(1, 2)})
-    lf = parse_linear_form("2 * x1 - eps * x2")
-    assert lf.to_poly() == 2 * X1 - EPS(1) * X2
+    form = "projection C n 1 d 1 border 1\nform x1: {}\n"
+    lf = parse_projection(form.format("2 * x1 - eps * x2")).forms[0]
+    assert lf == 2 * X1 - EPS(1) * X2
     with pytest.raises(ValueError):
-        parse_linear_form("x1 + 1")
+        parse_projection(form.format("x1 + 1"))
 
 
 def test_schwartz_zippel_frequency_estimate():
@@ -330,12 +339,12 @@ _mixed = st.one_of(
 
 
 @st.composite
-def mixed_polys(draw):
+def mixed_polys(draw, max_alpha=1):
     terms = {}
     for _ in range(draw(st.integers(0, 5))):
         exps = {v: draw(st.integers(0, 2)) for v in _KVARS}
         mono = tuple(sorted(((v, x) for v, x in exps.items() if x), key=lambda t: _natural(t[0])))
-        terms[(mono, draw(st.integers(-2, 2)), draw(st.integers(0, 1)))] = draw(_mixed)
+        terms[(mono, draw(st.integers(-2, 2)), draw(st.integers(0, max_alpha)))] = draw(_mixed)
     return Polynomial(terms)
 
 
@@ -365,24 +374,21 @@ def test_kernel_scale_matches_oracle(p, r, k):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.dictionaries(st.sampled_from(_KVARS), mixed_coeffs()),
-       st.integers(-1, 2), st.one_of(st.none(), _mixed, mixed_coeffs()))
-def test_linear_form_subst_matches_oracle(coeffs, power, alpha):
-    lf = LinearForm(coeffs)
+@given(mixed_polys(max_alpha=2), st.integers(-1, 2),
+       st.one_of(st.none(), _mixed, mixed_coeffs()))
+def test_subst_matches_oracle(p, power, alpha):
+    # term by term: x^m * eps^e * alpha^a -> x^m * eps^(e*power) * image^a
     if alpha is None:
         image = {(frozenset(), 0, 1): Fraction(1)}
     else:
         image = oracle_scalar(Coeff.of(alpha))
     want = {}
-    for v, c in lf.coeffs.items():
-        total = {}
-        for (e, a), x in c.terms.items():
-            term = {(frozenset(), e * power, 0): Fraction(x)}
-            for _ in range(a):
-                term = oracle_mul(term, image)
-            total = oracle_add(total, term)
-        want = oracle_add(want, oracle_mul(total, {(frozenset([(v, 1)]), 0, 0): Fraction(1)}))
-    assert oracle_terms(lf.subst(power, alpha).to_poly()) == want
+    for (m, e, a), x in p.terms.items():
+        term = {(frozenset(m), e * power, 0): Fraction(x)}
+        for _ in range(a):
+            term = oracle_mul(term, image)
+        want = oracle_add(want, term)
+    assert oracle_terms(p.subst(power, alpha)) == want
 
 
 @settings(max_examples=100, deadline=None)

@@ -15,12 +15,11 @@ from homlin.circuit import (
     parse_circuit,
     tree_to_circuit,
 )
-from homlin.poly import COEFF_ZERO, Coeff, LinearForm, Polynomial, parse_poly
+from homlin.poly import COEFF_ZERO, Coeff, Polynomial, parse_poly
 from homlin import transforms
 from homlin.transforms import (
     PASS_NAMES,
     NeedsRootExtraction,
-    brent3_linearization,
     brent_arity3,
     brent_formula,
     derivative_formula,
@@ -37,6 +36,9 @@ from homlin.transforms import (
     vsbr_arity3,
     _brent2,
     _descendants,
+    _lowest_mul3,
+    _separator_steps,
+    _subst_path,
     input_homogenize_tree,
 )
 from homlin.verify import (
@@ -79,14 +81,14 @@ def test_rescale_mul_left_child_convention():
     assert out.eval() == 2 * X1 * X2
     first_leaf = out.gates[0]
     assert first_leaf.kind == "input"
-    assert first_leaf.lin == LinearForm.variable("x1", 2)
+    assert first_leaf.lin == Polynomial.variable("x1").scale(2)
 
 
 def test_rescale_add_both_children():
     out, _ = rescale_formula(as_formula(FNode.add(leaf("x1"), leaf("x2"))), -1)
     assert out.eval() == -(X1 + X2)
     assert all(
-        g.lin in (LinearForm.variable("x1", -1), LinearForm.variable("x2", -1))
+        g.lin in (Polynomial.variable("x1").scale(-1), Polynomial.variable("x2").scale(-1))
         for g in out.gates
         if g.kind == "input"
     )
@@ -172,7 +174,7 @@ def test_brent_random_semantics_and_bound():
 def test_brent_and_ihl_on_a_repeated_subtree():
     # one node under both children of the root: the separator is the first
     # occurrence, and zeroing it must leave the second one in place
-    m = FNode.mul(FNode.leaf(LinearForm.variable("x1"), Coeff.of(1)), leaf("x2"))
+    m = FNode.mul(FNode.leaf(Polynomial.variable("x1"), Coeff.of(1)), leaf("x2"))
     t = FNode.add(m, m)
     assert _brent2(t, []).eval() == 2 * (X1 + Polynomial.const(1)) * X2
     assert input_homogenize_tree(t).eval() == 2 * (X1 + Polynomial.const(1)) * X2
@@ -192,8 +194,8 @@ def test_ihl_formula_strips_constant():
 
 def test_ihl_formula_affine_product():
     t = FNode.mul(
-        FNode.leaf(LinearForm.variable("x1"), Coeff.from_rational(1)),
-        FNode.leaf(LinearForm.variable("x2"), Coeff.from_rational(2)),
+        FNode.leaf(Polynomial.variable("x1"), Coeff.from_rational(1)),
+        FNode.leaf(Polynomial.variable("x2"), Coeff.from_rational(2)),
     )
     out, _ = input_homogenize_formula(as_formula(t))
     assert out.eval() == parse_poly("x1*x2 + 2*x1 + x2")
@@ -223,7 +225,7 @@ def test_ihl_formula_random_semantics():
 
 
 def test_ihl_circuit_strips_constant():
-    g = Gate("g1", "input", lin=LinearForm.variable("x1", 2),
+    g = Gate("g1", "input", lin=Polynomial.variable("x1").scale(2),
              const=Coeff.from_rational(7))
     c = Circuit([g], "g1", "circuit", "arity2")
     out, rep = input_homogenize_circuit(c)
@@ -233,7 +235,7 @@ def test_ihl_circuit_strips_constant():
 
 
 def test_ihl_circuit_shared_square():
-    g1 = Gate("g1", "input", lin=LinearForm.variable("x1"),
+    g1 = Gate("g1", "input", lin=Polynomial.variable("x1"),
               const=Coeff.from_rational(1))
     g2 = Gate("g2", "mul", children=("g1", "g1"))
     c = Circuit([g1, g2], "g2", "circuit", "arity2")
@@ -427,6 +429,26 @@ def _replace_nodes(node, repl):
     return FNode(node.kind, kids, node.lin, node.const, node.scale)
 
 
+def oracle_brent3_linearization(tree):
+    """Test oracle for the case-2 linearization of ``_brent3``: find the
+    separator and, if its lowest strict ancestor product exists, return
+    (v, x, F11, F00), where F11/F00 are realized through the simplifier
+    rules.  None in the additions-only case."""
+    steps, v = _separator_steps(tree)
+    pidx = _lowest_mul3(steps)
+    if pidx is None:
+        return None
+    p_node, pci = steps[pidx]
+    xi = 1 if pci == 0 else 0
+    one = FNode.constant(1)
+    # F(1,1): x, the product's first other child, becomes 1 as well
+    p11 = FNode("mul3", p_node.children[:xi] + (one,) + p_node.children[xi + 1:],
+                scale=p_node.scale)
+    f11 = _subst_path(steps[:pidx] + [(p11, pci)] + steps[pidx + 1:], one)
+    f00 = _subst_path(steps, None)
+    return v, p_node.children[xi], f11, f00
+
+
 def test_brent3_linearization_identity():
     # F(a, b) == a*b*(F(1,1) - F(0,0)) + F(0,0) with fresh variables a, b
     # substituted for the separator and its product sibling.
@@ -435,7 +457,7 @@ def test_brent3_linearization_identity():
     while checked < 20:
         d = rng.choice([3, 5])
         t = random_graded_arity3_formula(rng, d, rng.randint(12, 40), 3)
-        res = brent3_linearization(t)
+        res = oracle_brent3_linearization(t)
         if res is None:
             continue
         v, x, f11, f00 = res
@@ -449,7 +471,7 @@ def test_brent3_linearization_identity():
 
 @pytest.mark.parametrize("tree", [leaf("x1"), FNode.add(leaf("x1"), leaf("x2"))])
 def test_brent3_linearization_without_a_product_is_none(tree):
-    assert brent3_linearization(tree) is None
+    assert oracle_brent3_linearization(tree) is None
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +546,9 @@ def test_vsbr_nested_mul3():
 
 
 def test_vsbr_shared_gate_degree_nine():
-    g1 = Gate("g1", "input", lin=LinearForm.variable("x1"), const=COEFF_ZERO)
-    g2 = Gate("g2", "input", lin=LinearForm.variable("x2"), const=COEFF_ZERO)
-    g3 = Gate("g3", "input", lin=LinearForm.variable("x3"), const=COEFF_ZERO)
+    g1 = Gate("g1", "input", lin=Polynomial.variable("x1"), const=COEFF_ZERO)
+    g2 = Gate("g2", "input", lin=Polynomial.variable("x2"), const=COEFF_ZERO)
+    g3 = Gate("g3", "input", lin=Polynomial.variable("x3"), const=COEFF_ZERO)
     g4 = Gate("g4", "mul3", children=("g1", "g2", "g3"))
     g5 = Gate("g5", "mul3", children=("g4", "g4", "g4"))
     c = Circuit([g1, g2, g3, g4, g5], "g5", "circuit", "arity3")
@@ -542,9 +564,9 @@ def test_bracket_self_is_z():
 
 
 def test_bracket_outside_subcircuit_is_zero():
-    g1 = Gate("g1", "input", lin=LinearForm.variable("x1"), const=COEFF_ZERO)
-    g2 = Gate("g2", "input", lin=LinearForm.variable("x2"), const=COEFF_ZERO)
-    g3 = Gate("g3", "input", lin=LinearForm.variable("x3"), const=COEFF_ZERO)
+    g1 = Gate("g1", "input", lin=Polynomial.variable("x1"), const=COEFF_ZERO)
+    g2 = Gate("g2", "input", lin=Polynomial.variable("x2"), const=COEFF_ZERO)
+    g3 = Gate("g3", "input", lin=Polynomial.variable("x3"), const=COEFF_ZERO)
     g4 = Gate("g4", "mul3", children=("g1", "g2", "g3"))
     c = Circuit([g1, g2, g3, g4], "g4", "circuit", "arity3")
     # g4 is not below g1
