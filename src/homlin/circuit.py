@@ -8,12 +8,13 @@ Two views of the same objects:
   which rewrite structurally).  A node is a value: no pass mutates a node
   after it is built, so trees share subtrees instead of copying them.
 
-Gate kinds: ``input`` (affine form: homogeneous linear part + constant),
-``add`` (binary, optional per-edge scalars in circuit shape), ``mul`` (binary),
-``mul3`` (ternary), ``negcube`` (unary, computes -x^3), ``alpha`` (the formal
-scalar leaf), ``zvar`` (the placeholder variable leaf).  Gate-level rational
-scale tags are only legal in the add/negative-cube basis, where they are later
-consumed by alpha-threading.
+Gate kinds, shared by both views: ``input`` (a leaf holding one affine
+``form``: a ``Polynomial`` whose terms all have x-degree at most 1, so its
+monomial-free terms are its constant), ``add`` (binary, optional per-edge
+scalars in circuit shape), ``mul`` (binary), ``mul3`` (ternary), ``negcube``
+(unary, computes -x^3), ``alpha`` (the formal scalar leaf), ``zvar`` (the
+placeholder variable leaf).  Gate-level rational scale tags are only legal in
+the add/negative-cube basis, where they are later consumed by alpha-threading.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .poly import (
     COEFF_ONE,
-    COEFF_ZERO,
     Coeff,
     Polynomial,
     _var_key,
@@ -75,19 +75,8 @@ class Gate(NamedTuple):
     kind: str
     children: Tuple[str, ...] = ()
     edge_scalars: Optional[Tuple[Coeff, ...]] = None
-    lin: Optional[Polynomial] = None
-    const: Optional[Coeff] = None
+    form: Optional[Polynomial] = None  # an input's affine form
     scale: Optional[Fraction] = None
-
-
-def affine_poly(lin: Optional[Polynomial], const: Optional[Coeff]) -> Polynomial:
-    """The value ``lin + const`` of an input leaf; either part may be absent.
-    The two parts share no term key, so their terms are merged, not added."""
-    terms = {} if lin is None else dict(lin.terms)
-    if const is not None:
-        for (e, a), x in const.terms.items():
-            terms[((), e, a)] = x
-    return Polynomial._normalised(terms)
 
 
 class Circuit:
@@ -117,9 +106,9 @@ class Circuit:
                 if ch not in by_id:
                     raise CycleError(f"gate {gid} references {ch} before definition")
             by_id[gid] = g
-            if g.lin is not None:
-                vs.update(g.lin.variables())
-            if g.kind == "zvar":
+            if g.kind == "input":
+                vs.update(g.form.variables())
+            elif g.kind == "zvar":
                 vs.add(Z_NAME)
         if output_id not in by_id:
             raise ValueError(f"unknown output gate {output_id}")
@@ -133,7 +122,7 @@ class Circuit:
         vals: Dict[str, Polynomial] = {}
         for g in self.gates:
             if g.kind == "input":
-                p = affine_poly(g.lin, g.const)
+                p = g.form
             elif g.kind == "alpha":
                 p = Polynomial.alpha(1)
             elif g.kind == "zvar":
@@ -226,9 +215,10 @@ class Circuit:
                 if g.kind == "alpha":
                     return False, g.id, "alpha leaf is a constant"
                 if g.kind == "input":
-                    if g.const is not None and not g.const.is_zero():
+                    terms = g.form.terms
+                    if any(not m for m, _e, _a in terms):
                         return False, g.id, "leaf has a constant part"
-                    if (g.lin is None or g.lin.is_zero()) and len(self.gates) > 1:
+                    if not terms and len(self.gates) > 1:
                         # a lone zero leaf is the canonical zero formula
                         return False, g.id, "leaf is not homogeneous linear"
             return True, None, ""
@@ -281,12 +271,12 @@ class GradedArity3Repr:
     component with respect to x_i (homogeneous of odd degree d-1).
     """
 
-    constant_part: Coeff
+    constant_part: Polynomial
     odd_parts: Dict[int, "Circuit"]
     even_parts: Dict[int, Dict[str, "Circuit"]]
 
     def reassemble(self) -> Polynomial:
-        out = self.constant_part.to_poly()
+        out = self.constant_part
         for d in sorted(self.odd_parts):
             out = out + self.odd_parts[d].eval()
         for d in sorted(self.even_parts):
@@ -330,8 +320,9 @@ class GradedArity3Repr:
 class FNode:
     """Formula tree node.
 
-    kind in {leaf, add, mul, mul3, negcube, alpha, zvar}; ``lin``/``const``
-    only for leaves; ``scale`` is a rational gate tag (addNegCube basis only).
+    ``kind`` is one of the gate kinds; an ``input`` node holds its affine
+    ``form``, as an input gate does; ``scale`` is a rational gate tag
+    (addNegCube basis only).
 
     A node is never mutated after it is built: passes build new nodes (for
     example with ``scaled``) and share unchanged subtrees, so one node may
@@ -342,8 +333,7 @@ class FNode:
 
     kind: str
     children: Tuple["FNode", ...] = ()
-    lin: Optional[Polynomial] = None
-    const: Optional[Coeff] = None
+    form: Optional[Polynomial] = None
     scale: Fraction = Fraction(1)
     _size: int = field(init=False, repr=False, compare=False)
     _depth: int = field(init=False, repr=False, compare=False)
@@ -361,16 +351,16 @@ class FNode:
             self._depth = 1 + max([ch._depth for ch in kids])
 
     @staticmethod
-    def leaf(lin: Polynomial, const: Coeff | None = None) -> "FNode":
-        return FNode("leaf", lin=lin, const=const or COEFF_ZERO)
+    def leaf(form: Polynomial) -> "FNode":
+        return FNode("input", form=form)
 
     @staticmethod
     def var(name: str, c=1) -> "FNode":
-        return FNode("leaf", lin=Polynomial.variable(name).scale(c), const=COEFF_ZERO)
+        return FNode("input", form=Polynomial.variable(name).scale(c))
 
     @staticmethod
     def constant(c) -> "FNode":
-        return FNode("leaf", lin=Polynomial.zero(), const=Coeff.of(c))
+        return FNode("input", form=Polynomial.const(c))
 
     @staticmethod
     def add(a: "FNode", b: "FNode") -> "FNode":
@@ -397,7 +387,7 @@ class FNode:
         """This node with its scale tag multiplied by ``s``."""
         if s == 1:
             return self
-        return FNode(self.kind, self.children, self.lin, self.const, self.scale * s)
+        return FNode(self.kind, self.children, self.form, self.scale * s)
 
     def size(self) -> int:
         return self._size
@@ -440,12 +430,7 @@ def tree_to_circuit(
             ids = tuple([walk(ch) for ch in kids])
         gid = f"g{len(gates) + 1}"
         s = node.scale
-        scale = None if s == 1 else s
-        kind = node.kind
-        if kind == "leaf":
-            append(Gate(gid, "input", (), None, node.lin, node.const, scale))
-        else:
-            append(Gate(gid, kind, ids, None, None, None, scale))
+        append(Gate(gid, node.kind, ids, None, node.form, None if s == 1 else s))
         return gid
 
     out = walk(root)
@@ -462,14 +447,9 @@ def circuit_to_tree(c: Circuit) -> FNode:
         if gid in memo:
             return memo[gid]
         g = c.by_id[gid]
-        if g.kind == "input":
-            node = FNode("leaf", lin=g.lin or Polynomial.zero(), const=g.const or COEFF_ZERO)
-        elif g.kind in ("alpha", "zvar"):
-            node = FNode(g.kind)
-        elif g.kind in ("add", "mul") and g.edge_scalars is not None:
+        if g.edge_scalars is not None:
             raise BasisViolation("edge scalars have no tree form; fold them first")
-        else:
-            node = FNode(g.kind, tuple(build(ch) for ch in g.children))
+        node = FNode(g.kind, tuple(build(ch) for ch in g.children), g.form)
         if g.scale is not None:
             node = node.scaled(Fraction(g.scale))
         memo[gid] = node
@@ -488,17 +468,17 @@ def print_circuit(c: Circuit) -> str:
     if c.variables:
         lines.append("var " + " ".join(c.variables))
     # Each distinct leaf and edge scalar is formatted once.  Leaves are keyed
-    # by the identity of their parts, which passes share between gates; the
-    # gates keep those parts alive while this runs, so no id is reused.
-    leaf_text: Dict[Tuple[int, int], str] = {}
+    # by the identity of their form, which passes share between gates; the
+    # gates keep the forms alive while this runs, so no id is reused.
+    leaf_text: Dict[int, str] = {}
     scalar_text: Dict[Coeff, str] = {}
     for g in c.gates:
         kind = g.kind
         if kind == "input":
-            key = (id(g.lin), id(g.const))
+            key = id(g.form)
             body = leaf_text.get(key)
             if body is None:
-                body = leaf_text[key] = "input " + format_poly(affine_poly(g.lin, g.const))
+                body = leaf_text[key] = "input " + format_poly(g.form)
         elif kind == "alpha" or kind == "zvar":
             body = kind
         else:
@@ -529,7 +509,7 @@ def parse_circuit(text: str) -> Circuit:
     seen: Set[str] = set()
     # each distinct input form and edge scalar is parsed once per circuit;
     # the values are immutable, so gates with the same text share them
-    forms: Dict[str, Tuple[Polynomial, Coeff]] = {}
+    forms: Dict[str, Polynomial] = {}
     scalars: Dict[str, Coeff] = {}
     output_id = None
     lines = text.splitlines()
@@ -630,24 +610,17 @@ def _check_basis(c: Circuit):
                 )
 
 
-def _affine_leaf(text: str, lineno: int) -> Tuple[Polynomial, Coeff]:
-    """The linear part and the constant of an input form."""
-    lin: Dict[Tuple, object] = {}
-    const: Dict[Tuple[int, int], object] = {}
-    for key, x in parse_poly(text).terms.items():
-        m, e, a = key
-        if not m:
-            const[(e, a)] = x
-        elif len(m) == 1 and m[0][1] == 1:
-            lin[key] = x
-        else:
+def _affine_leaf(text: str, lineno: int) -> Polynomial:
+    """An input form, checked to be affine: no term of x-degree above 1."""
+    form = parse_poly(text)
+    for m, _e, _a in form.terms:
+        if m and (len(m) > 1 or m[0][1] != 1):
             raise CircuitSyntaxError("input form must be affine", lineno)
-    # parse_poly's values are normalised and nonzero: no re-normalising
-    return Polynomial._normalised(lin), Coeff._normalised(const)
+    return form
 
 
 def _parse_gate(gid: str, kind: str, rest: str, lineno: int, seen: Set[str],
-                forms: Dict[str, Tuple[Polynomial, Coeff]],
+                forms: Dict[str, Polynomial],
                 scalars: Dict[str, Coeff]) -> Gate:
     """One gate from its kind and the text after it: an input form or a
     child list, either followed by ``scale <rational>``."""
@@ -660,14 +633,13 @@ def _parse_gate(gid: str, kind: str, rest: str, lineno: int, seen: Set[str],
             scale = parse_rational(words[-1])
             rest = rest[: rest.rindex("scale")]
     if kind == "input":
-        leaf = forms.get(rest)
-        if leaf is None:
-            leaf = forms[rest] = _affine_leaf(rest, lineno)
-        return Gate(gid, "input", (), None, leaf[0], leaf[1], scale)
+        if rest not in forms:
+            forms[rest] = _affine_leaf(rest, lineno)
+        return Gate(gid, "input", (), None, forms[rest], scale)
     if kind == "alpha" or kind == "zvar":
         if rest.strip():
             raise CircuitSyntaxError(f"{kind} takes no arguments", lineno)
-        return Gate(gid, kind, (), None, None, None, scale)
+        return Gate(gid, kind, (), None, None, scale)
     arity = _ARITY.get(kind)
     if arity is None:
         raise CircuitSyntaxError(f"unknown gate kind {kind!r}", lineno)
@@ -704,4 +676,4 @@ def _parse_gate(gid: str, kind: str, rest: str, lineno: int, seen: Set[str],
             raise CycleError(
                 f"line {lineno}: gate {gid} references {ch} before its definition"
             )
-    return Gate(gid, kind, children, edge_scalars, None, None, scale)
+    return Gate(gid, kind, children, edge_scalars, None, scale)

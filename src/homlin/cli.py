@@ -212,7 +212,7 @@ def cmd_transform(args) -> int:
     elif isinstance(result, GradedArity3Repr):
         if args.out is None:
             raise CliError("vf-to-v3p needs --out as an output prefix")
-        _write_text(f"{args.out}.const", format_poly(result.constant_part.to_poly()) + "\n")
+        _write_text(f"{args.out}.const", format_poly(result.constant_part) + "\n")
         for d in sorted(result.odd_parts):
             _write_text(f"{args.out}.odd.{d}", print_circuit(result.odd_parts[d]))
         for d in sorted(result.even_parts):

@@ -240,8 +240,8 @@ def _offdiag_lists(
     """Dual word lists (plus, minus) whose products are exactly
     ``id + scal*g*E(pos)`` and ``id - scal*g*E(pos)``."""
     i, j = pos
-    if node.kind == "leaf":
-        p = (node.lin or Polynomial.zero()).scale(scal)
+    if node.kind == "input":
+        p = node.form.scale(scal)
         return [_e_factor(i, j, p)], [_e_factor(i, j, -p)]
     if node.kind == "add":
         p1, m1 = _offdiag_lists(node.children[0], pos, scal)
@@ -298,11 +298,11 @@ def compile_trace3(c: Circuit) -> MatrixWord:
             pg, mg = _offdiag_lists(g, (1, 2), eps)
             ph, mh = _offdiag_lists(h, (2, 1), eps)
             factors += pg + ph + mg + mh
-        elif s.kind == "leaf":
+        elif s.kind == "input":
             # degree-1 corner: no product pair exists under IHL, so use the
             # pair (eps^-1 * l, eps): gadget entries are l and the constant
             # eps^2, and every entry of the gadget stays O(eps^2)
-            lf = s.lin or Polynomial.zero()
+            lf = s.form
             e2 = Polynomial.eps(2)
             factors += [
                 _e_factor(1, 2, lf),
@@ -335,8 +335,8 @@ def _cont_odd_word(node: FNode, s: Fraction) -> List[Polynomial]:
     """Word for alpha * s * eval_raw(node); the node's own scale tag is
     folded into s."""
     s = s * node.scale
-    if node.kind == "leaf":
-        return [(node.lin or Polynomial.zero()).scale(_ALPHA * s)]
+    if node.kind == "input":
+        return [node.form.scale(_ALPHA * s)]
     if node.kind == "add":
         w1 = _cont_odd_word(node.children[0], s)
         w2 = _cont_odd_word(node.children[1], s)

@@ -13,8 +13,9 @@ Representation:
   Monomial    = tuple of (varName, positiveExp) pairs, sorted canonically
   Polynomial  = {(Monomial, epsExp, alphaExp): Rational}   (flat, no zeros)
 
-A homogeneous linear form (a leaf's linear part, a projection slot) is a
-``Polynomial`` whose monomials all have the form ``((varName, 1),)``.
+A linear form (an input leaf's form, a projection slot) is a ``Polynomial``
+whose monomials all have the form ``((varName, 1),)``, plus, in a leaf's form,
+the empty monomial of its constant.
 ``Polynomial.subst`` is the one eps/alpha ring map; a scalar goes through it
 as a constant polynomial.
 
@@ -121,6 +122,9 @@ def _add_terms(x: dict, y: dict) -> dict:
     return _clean(out)
 
 
+_UNIT = {(0, 0): 1}  # the term dict of the scalar 1
+
+
 class Coeff:
     """An element of Q[eps, eps^-1][alpha]; the scalar ring of this artifact."""
 
@@ -166,7 +170,7 @@ class Coeff:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0, 0): 1}
+        return self.terms == _UNIT
 
     def __add__(self, other: "Coeff") -> "Coeff":
         return Coeff._normalised(_add_terms(self.terms, other.terms))
@@ -179,6 +183,13 @@ class Coeff:
 
     def __mul__(self, other: Union["Coeff", Rat]) -> "Coeff":
         other = Coeff.of(other)
+        # values are immutable, so a unit or zero factor returns an operand
+        if not self.terms or not other.terms:
+            return COEFF_ZERO
+        if other.terms == _UNIT:
+            return self
+        if self.terms == _UNIT:
+            return other
         out: Dict[Tuple[int, int], Rat] = {}
         get = out.get
         for (e1, a1), c1 in self.terms.items():

@@ -62,22 +62,15 @@ def _require(cond: bool, msg: str):
 # ---------------------------------------------------------------------------
 
 
+_ONE = Polynomial.const(1)
+
+
 def _is_zero_leaf(n: FNode) -> bool:
-    return (
-        n.kind == "leaf"
-        and (n.lin is None or n.lin.is_zero())
-        and (n.const is None or n.const.is_zero())
-    )
+    return n.kind == "input" and not n.form.terms
 
 
 def _is_one_leaf(n: FNode) -> bool:
-    return (
-        n.kind == "leaf"
-        and (n.lin is None or n.lin.is_zero())
-        and n.const is not None
-        and n.const.is_one()
-        and n.scale == 1
-    )
+    return n.kind == "input" and n.form == _ONE and n.scale == 1
 
 
 def simplify(node: FNode) -> Optional[FNode]:
@@ -85,7 +78,7 @@ def simplify(node: FNode) -> Optional[FNode]:
     addition with a zero child collapses to the other child, a ternary
     product with two constant-1 factors is its third factor, and vanished
     gates are removed transitively.  ``None`` encodes the zero formula."""
-    if node.kind == "leaf":
+    if node.kind == "input":
         return None if _is_zero_leaf(node) else node
     if node.kind in ("alpha", "zvar"):
         return node
@@ -126,7 +119,7 @@ def _subst_path(steps: list, repl: Optional[FNode]) -> Optional[FNode]:
 
 def _zero_circuit(variables: Sequence[str] = (), shape: str = "formula",
                   basis: str = "arity2") -> Circuit:
-    g = Gate("g1", "input", lin=Polynomial.zero(), const=COEFF_ZERO)
+    g = Gate("g1", "input", form=Polynomial.zero())
     return Circuit([g], "g1", shape, basis, variables)
 
 
@@ -144,10 +137,8 @@ def _tree_or_zero(t: Optional[FNode], c: Circuit, basis: str) -> Circuit:
 def _rescale_tree(node: FNode, alpha: Coeff) -> FNode:
     """alpha * node: the scalar goes into both summands of an addition and
     the first factor of a product; gate scale tags are kept."""
-    if node.kind == "leaf":
-        lin = node.lin.scale(alpha) if node.lin is not None else Polynomial.zero()
-        const = (node.const * alpha) if node.const is not None else COEFF_ZERO
-        return FNode("leaf", lin=lin, const=const, scale=node.scale)
+    if node.kind == "input":
+        return FNode("input", form=node.form.scale(alpha), scale=node.scale)
     if node.kind == "add":
         kids = (_rescale_tree(node.children[0], alpha), _rescale_tree(node.children[1], alpha))
         return FNode("add", kids, scale=node.scale)
@@ -258,12 +249,9 @@ def brent_formula(c: Circuit) -> Tuple[Circuit, PassReport]:
 
 def _ihl_pair(node: FNode) -> Tuple[Coeff, Optional[FNode]]:
     """Split a formula into (constant value, IHL formula for g - g(0))."""
-    if node.kind == "leaf":
-        const = node.const if node.const is not None else COEFF_ZERO
-        hat = None
-        if node.lin is not None and not node.lin.is_zero():
-            hat = FNode.leaf(node.lin)
-        return const, hat
+    if node.kind == "input":
+        lin = node.form.homog_component(1)
+        return node.form.constant_part(), (FNode.leaf(lin) if lin.terms else None)
     if node.kind == "add":
         ca, ha = _ihl_pair(node.children[0])
         cb, hb = _ihl_pair(node.children[1])
@@ -326,13 +314,13 @@ class _CBuilder:
         return f"g{self._n}"
 
     def emit(self, kind: str, children: Tuple[str, ...] = (),
-             edge_scalars=None, lin=None, const=None, scale=None) -> str:
+             edge_scalars=None, form=None, scale=None) -> str:
         gid = self._fresh()
-        self.gates.append(Gate(gid, kind, children, edge_scalars, lin, const, scale))
+        self.gates.append(Gate(gid, kind, children, edge_scalars, form, scale))
         return gid
 
-    def input(self, lin: Polynomial) -> str:
-        return self.emit("input", lin=lin, const=COEFF_ZERO)
+    def input(self, form: Polynomial) -> str:
+        return self.emit("input", form=form)
 
     def scaled(self, gid: str, c: Coeff) -> str:
         if c.is_one():
@@ -400,10 +388,9 @@ def input_homogenize_circuit(c: Circuit) -> Tuple[Circuit, PassReport]:
     hat: Dict[str, Optional[str]] = {}
     for g in c.gates:
         if g.kind == "input":
-            const[g.id] = g.const if g.const is not None else COEFF_ZERO
-            hat[g.id] = (
-                b.input(g.lin) if g.lin is not None and not g.lin.is_zero() else None
-            )
+            const[g.id] = g.form.constant_part()
+            lin = g.form.homog_component(1)
+            hat[g.id] = b.input(lin) if lin.terms else None
         elif g.kind == "add":
             s1, s2 = g.edge_scalars or (COEFF_ONE, COEFF_ONE)
             a, bb = g.children
@@ -460,7 +447,7 @@ _CUBE_SIGNS = [
 
 
 def _to_anc(node: FNode) -> FNode:
-    if node.kind == "leaf":
+    if node.kind == "input":
         return node
     if node.kind == "add":
         return FNode.add(_to_anc(node.children[0]), _to_anc(node.children[1]))
@@ -500,7 +487,7 @@ class ParityPair:
 
 
 def _parity_tree(node: FNode) -> Tuple[Optional[FNode], Optional[FNode]]:
-    if node.kind == "leaf":
+    if node.kind == "input":
         return node, None
     if node.kind == "add":
         o1, e1 = _parity_tree(node.children[0])
@@ -559,11 +546,9 @@ def parity_homogenize(c: Circuit) -> Tuple[ParityPair, PassReport]:
 
 
 def _ddx(node: FNode, v: str) -> Optional[FNode]:
-    if node.kind == "leaf":
-        coeff = node.lin.coeff_of_mono(((v, 1),)) if node.lin is not None else COEFF_ZERO
-        if coeff.is_zero():
-            return None
-        return FNode.constant(coeff)
+    if node.kind == "input":
+        d = node.form.partial_derivative(v)
+        return FNode.leaf(d) if d.terms else None
     if node.kind == "add":
         return _add_opt(_ddx(node.children[0], v), _ddx(node.children[1], v))
     if node.kind == "mul":
@@ -683,15 +668,15 @@ def formula_from_poly(p: Polynomial) -> Optional[FNode]:
     folded into the first leaf)."""
     terms = []
     for (mono, e, a), coeff in sorted(p.terms.items()):
-        c = Coeff({(e, a): coeff})
+        c = Polynomial._normalised({((), e, a): coeff})
         leaves: List[FNode] = []
         for var, k in mono:
             for _ in range(k):
                 leaves.append(FNode.var(var))
         if not leaves:
-            terms.append(FNode.constant(c))
+            terms.append(FNode.leaf(c))
             continue
-        leaves[0] = FNode.var(mono[0][0], c)
+        leaves[0] = FNode.leaf(Polynomial.variable(mono[0][0]) * c)
         terms.append(balanced_add(leaves, FNode.mul))
     return balanced_add(terms) if terms else None
 
@@ -716,8 +701,8 @@ class _SpliceBuilder(_CBuilder):
 
 def _splice(node: FNode, b: _SpliceBuilder) -> Tuple[str, int, Set[str]]:
     """Returns (gate id, parity (1 odd / 0 even), set of open z gates)."""
-    if node.kind == "leaf":
-        return b.input(node.lin), 1, set()
+    if node.kind == "input":
+        return b.input(node.form), 1, set()
     if node.kind == "add":
         g1, p1, z1 = _splice(node.children[0], b)
         g2, p2, z2 = _splice(node.children[1], b)
@@ -761,7 +746,7 @@ def _odd_tree_to_arity3(tree: FNode, variables: Sequence[str]) -> Circuit:
         if g.id in res:
             continue  # aliased zvar placeholder
         kids = tuple(res.get(ch, ch) for ch in g.children)
-        gates.append(Gate(g.id, g.kind, children=kids, lin=g.lin, const=g.const))
+        gates.append(g._replace(children=kids))
     gates = _topo_restrict(gates, out_gid)
     return Circuit(gates, out_gid, "circuit", "arity3", variables)
 
@@ -770,7 +755,7 @@ def vf_to_v3p(c: Circuit) -> Tuple[GradedArity3Repr, PassReport]:
     _require(c.shape == "formula", "vfToV3p expects a formula")
     _require(c.basis == "arity2", "vfToV3p expects arity-2 gates")
     f = c.eval()
-    const = f.constant_part()
+    const = f.homog_component(0)
     odd_parts: Dict[int, Circuit] = {}
     even_parts: Dict[int, Dict[str, Circuit]] = {}
     for d in f.homog_degrees():
@@ -866,7 +851,7 @@ def vsbr_arity3(c: Circuit) -> Tuple[Circuit, PassReport]:
         if deg[g.id] != 1:
             continue
         if g.kind == "input":
-            linform[g.id] = g.lin if g.lin is not None else Polynomial.zero()
+            linform[g.id] = g.form
         elif g.kind == "add":
             s1, s2 = g.edge_scalars or (COEFF_ONE, COEFF_ONE)
             linform[g.id] = linform[g.children[0]].scale(s1) + linform[

@@ -14,16 +14,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from .circuit import Circuit, FNode, Gate
+from .circuit import Circuit, FNode
 from .poly import (
-    COEFF_ZERO,
     Coeff,
     LimitDiverges,
     Polynomial,
     _term_order,
     format_poly,
 )
-from .transforms import PassReport, _restrict_reachable
+from .transforms import PassReport, _CBuilder, _restrict_reachable
 
 # 2^61 - 1: single-machine-word Mersenne prime; error probability per trial is
 # degree/P, negligible at the sizes this tool handles.
@@ -164,8 +163,7 @@ def random_formula(rng: random.Random, size: int, n_vars: int) -> FNode:
     nodes."""
     if size <= 1:
         lin = _random_linear(rng, n_vars)
-        const = Coeff.from_rational(rng.choice([0, 0, 1, -1, 2]))
-        return FNode.leaf(lin, const)
+        return FNode.leaf(lin + Polynomial.const(rng.choice([0, 0, 1, -1, 2])))
     left = rng.randint(1, size - 1)
     op = FNode.add if rng.random() < 0.5 else FNode.mul
     return op(
@@ -231,24 +229,14 @@ def random_graded_arity3_circuit(
     output homogeneous of odd degree d."""
     if d < 1 or d % 2 == 0:
         raise ValueError("degree must be odd and positive")
-    gates: List[Gate] = []
-    counter = [0]
+    cb = _CBuilder()
     pool: Dict[int, List[str]] = {}
-
-    def emit(kind, children=(), scalars=None, lin=None) -> str:
-        counter[0] += 1
-        gid = f"g{counter[0]}"
-        gates.append(
-            Gate(gid, kind, children=children, edge_scalars=scalars, lin=lin,
-                 const=COEFF_ZERO if kind == "input" else None)
-        )
-        return gid
 
     def add_to_pool(deg: int, gid: str):
         pool.setdefault(deg, []).append(gid)
 
     for _ in range(max(3, n_vars)):
-        add_to_pool(1, emit("input", lin=_random_linear(rng, n_vars)))
+        add_to_pool(1, cb.input(_random_linear(rng, n_vars)))
 
     def rand_scalars() -> Optional[Tuple[Coeff, Coeff]]:
         if not edge_scalars or rng.random() < 0.6:
@@ -262,16 +250,16 @@ def random_graded_arity3_circuit(
         """A pool gate of the exact odd degree, built bottom-up if missing."""
         if deg in pool:
             return rng.choice(pool[deg])
-        gid = emit("mul3", (ensure(deg - 2), ensure(1), ensure(1)))
+        gid = cb.emit("mul3", (ensure(deg - 2), ensure(1), ensure(1)))
         add_to_pool(deg, gid)
         return gid
 
-    while counter[0] < size:
+    while len(cb.gates) < size:
         if rng.random() < 0.4:
             deg = rng.choice(list(pool))
             a = rng.choice(pool[deg])
             b = rng.choice(pool[deg])
-            add_to_pool(deg, emit("add", (a, b), scalars=rand_scalars()))
+            add_to_pool(deg, cb.emit("add", (a, b), rand_scalars()))
         else:
             degs = list(pool)
             d1 = rng.choice(degs)
@@ -282,39 +270,28 @@ def random_graded_arity3_circuit(
             cap = rest - d2
             opts = [x for x in degs if x <= cap]
             d3 = rng.choice(opts) if opts else 1
-            gid = emit(
+            gid = cb.emit(
                 "mul3",
                 (rng.choice(pool[d1]), rng.choice(pool[d2]), ensure(d3)),
             )
             add_to_pool(d1 + d2 + d3, gid)
 
     out = ensure(d)
-    gates = _restrict_reachable(gates, out)
+    gates = _restrict_reachable(cb.gates, out)
     return Circuit(gates, out, "circuit", "arity3")
 
 
 def random_arity2_circuit(rng: random.Random, size: int, n_vars: int) -> Circuit:
     """An arity-2 circuit with shared gates, affine inputs, and random edge
     scalars on additions."""
-    gates: List[Gate] = []
-    counter = [0]
+    cb = _CBuilder()
     pool: List[str] = []
 
-    def emit(kind, children=(), scalars=None, lin=None, const=None) -> str:
-        counter[0] += 1
-        gid = f"g{counter[0]}"
-        gates.append(
-            Gate(gid, kind, children=children, edge_scalars=scalars, lin=lin,
-                 const=const)
-        )
-        pool.append(gid)
-        return gid
-
     for _ in range(max(2, n_vars // 2 + 1)):
-        const = Coeff.from_rational(rng.choice([0, 0, 0, 1, -1, 2]))
-        emit("input", lin=_random_linear(rng, n_vars), const=const)
+        const = Polynomial.const(rng.choice([0, 0, 0, 1, -1, 2]))
+        pool.append(cb.input(_random_linear(rng, n_vars) + const))
 
-    while counter[0] < size:
+    while len(cb.gates) < size:
         a, b = rng.choice(pool), rng.choice(pool)
         if rng.random() < 0.55:
             scalars = None
@@ -323,10 +300,10 @@ def random_arity2_circuit(rng: random.Random, size: int, n_vars: int) -> Circuit
                     Coeff.from_rational(rng.choice([1, 2, -1, Fraction(1, 2)])),
                     Coeff.from_rational(rng.choice([1, 1, 3, -2])),
                 )
-            emit("add", (a, b), scalars=scalars)
+            pool.append(cb.emit("add", (a, b), scalars))
         else:
-            emit("mul", (a, b))
+            pool.append(cb.emit("mul", (a, b)))
 
     out = pool[-1]
-    gates = _restrict_reachable(gates, out)
+    gates = _restrict_reachable(cb.gates, out)
     return Circuit(gates, out, "circuit", "arity2")

@@ -18,7 +18,7 @@ from homlin.circuit import (
     print_circuit,
     tree_to_circuit,
 )
-from homlin.poly import Coeff, Polynomial, parse_poly
+from homlin.poly import Polynomial, parse_poly
 
 X1 = Polynomial.variable("x1")
 X2 = Polynomial.variable("x2")
@@ -42,7 +42,7 @@ def test_eval_negcube():
 def test_eval_mul3_distributes():
     # oracle: (x1+x2)*x1*x3 = x1^2 x3 + x1 x2 x3
     t = FNode.mul3(
-        FNode("leaf", lin=parse_poly("x1 + x2")), _leaf("x1"), _leaf("x3")
+        FNode.leaf(parse_poly("x1 + x2")), _leaf("x1"), _leaf("x3")
     )
     assert t.eval() == X1 * X1 * X3 + X1 * X2 * X3
 
@@ -84,6 +84,18 @@ def test_validate_ihl():
     bad = tree_to_circuit(FNode.add(_leaf("x1"), FNode.constant(3)), "arity2")
     ok, gid, _ = bad.validate("IHL")
     assert not ok and gid is not None
+
+
+@pytest.mark.parametrize("form, reason", [
+    ("x1 + 3", "leaf has a constant part"),
+    ("x1 + eps", "leaf has a constant part"),
+    ("x1 + alpha", "leaf has a constant part"),
+    ("0", "leaf is not homogeneous linear"),
+])
+def test_ihl_rejects_a_leaf_with_a_constant_or_a_zero_leaf(form, reason):
+    c = parse_circuit(f"gate g1 = input x2\ngate g2 = input {form}\n"
+                      "gate g3 = add g1 g2\noutput g3\n")
+    assert c.validate("IHL") == (False, "g2", reason)
 
 
 def test_validate_arity3():
@@ -203,6 +215,21 @@ def test_golden_round_trip_byte_identical():
     assert again.eval() == c.eval() == X1 * X2 * X3 + X1 - X2
 
 
+@pytest.mark.parametrize("form, printed", [
+    ("x1 + 2*eps^-1 - alpha", "2 * eps^-1 - alpha + x1"),
+    ("2 * x1 - 1", "-1 + 2 * x1"),
+    ("x1", "x1"),
+])
+def test_an_affine_leaf_round_trips_byte_identically(form, printed):
+    def text(f):
+        return f"shape formula\nbasis arity2\nvar x1\ngate g1 = input {f}\noutput g1\n"
+
+    c = parse_circuit(text(form))
+    assert c.eval() == parse_poly(form)
+    assert print_circuit(c) == text(printed)
+    assert print_circuit(parse_circuit(text(printed))) == text(printed)
+
+
 def test_round_trip_preserves_eval_random_trees():
     import random
 
@@ -217,7 +244,7 @@ def test_round_trip_preserves_eval_random_trees():
 
 
 def test_circuit_to_tree_shares_shared_gates():
-    g1 = Gate("g1", "input", lin=Polynomial.variable("x1"), const=Coeff())
+    g1 = Gate("g1", "input", form=Polynomial.variable("x1"))
     g2 = Gate("g2", "mul", children=("g1", "g1"))
     c = Circuit([g1, g2], "g2", "circuit", "arity2")
     t = circuit_to_tree(c)
@@ -252,6 +279,7 @@ def test_malformed_numbers_are_syntax_errors_with_line(line):
     ("gate g2 = add g1 g1 scale 2 3", "'scale' takes one rational"),
     ("gate g2 = alpha g1", "takes no arguments"),
     ("gate g2 = input x1 * x1", "affine"),
+    ("gate g2 = input x1*x2", "input form must be affine"),
     ("gate g2 = mul g1", "expects 2 children"),
     ("gate g2 = pow g1 g1", "unknown gate kind"),
     ("gate g2 add g1 g1", "expected 'gate <id> = <kind> ...'"),
@@ -278,7 +306,7 @@ def test_repeated_input_forms_and_edge_scalars_are_parsed_once_and_shared():
     )
     c = parse_circuit(text)
     g1, g2, g3 = c.gates
-    assert g1.lin is g2.lin and g1.const is g2.const
+    assert g1.form is g2.form
     assert g3.edge_scalars[0] is g3.edge_scalars[1]
     assert c.eval() == parse_poly("2 * x1 - 1")
     assert print_circuit(c) == text.replace("input 2 * x1 - 1", "input -1 + 2 * x1").replace(
@@ -286,11 +314,11 @@ def test_repeated_input_forms_and_edge_scalars_are_parsed_once_and_shared():
 
 
 def test_gate_is_an_immutable_value_with_keyword_construction():
-    g = Gate("g1", "input", lin=Polynomial.variable("x1"), const=Coeff())
+    g = Gate("g1", "input", form=Polynomial.variable("x1"))
     assert (g.id, g.kind, g.children, g.edge_scalars, g.scale) == ("g1", "input", (), None, None)
     with pytest.raises(AttributeError):
         g.kind = "add"
-    assert g == Gate("g1", "input", lin=Polynomial.variable("x1"), const=Coeff())
+    assert g == Gate("g1", "input", form=Polynomial.variable("x1"))
 
 
 def test_depths_counts_all_gates_and_product_gates_in_one_sweep():

@@ -74,6 +74,12 @@ def linear_forms(draw):
 
 
 @st.composite
+def affine_forms(draw):
+    """An input leaf's form: a linear form plus a constant."""
+    return draw(linear_forms()) + draw(coeffs()).to_poly()
+
+
+@st.composite
 def polys(draw):
     p = Polynomial.zero()
     for _ in range(draw(st.integers(0, 4))):
@@ -87,7 +93,7 @@ def polys(draw):
 @st.composite
 def circuits(draw):
     """A shared-gate circuit over any basis, in the form the parser builds:
-    inputs carry both a linear part and a constant."""
+    an input's form carries both linear terms and a constant."""
     basis = draw(st.sampled_from(BASES))
     kinds = {"arity2": ["add", "mul"], "arity3": ["add", "mul3"],
              "addNegCube": ["add", "negcube"]}[basis]
@@ -99,8 +105,7 @@ def circuits(draw):
         kind = draw(st.sampled_from(["input", "input", "alpha", "zvar"]
                                     + (kinds if gates else [])))
         if kind == "input":
-            gates.append(Gate(gid, "input", lin=draw(linear_forms()), const=draw(coeffs()),
-                              scale=scale))
+            gates.append(Gate(gid, "input", form=draw(affine_forms()), scale=scale))
         elif kind in ("alpha", "zvar"):
             gates.append(Gate(gid, kind, scale=scale))
         else:
@@ -158,7 +163,7 @@ def test_circuit_text_round_trip(c):
         c.output_id, c.shape, c.basis, c.variables)
 
 
-_leaves = st.builds(FNode.leaf, linear_forms(), coeffs())
+_leaves = st.builds(FNode.leaf, affine_forms())
 _add_negcube_trees = st.recursive(
     _leaves,
     lambda t: st.builds(FNode.add, t, t) | st.builds(FNode.negcube, t, _rationals),

@@ -188,7 +188,7 @@ def test_offdiag_other_targets():
 def test_offdiag_rejects_bad_input():
     with pytest.raises(ValueError):
         compile_offdiag3(as_formula(X("x1")), (2, 2))
-    affine = as_formula(FNode.leaf(Polynomial.variable("x1"), Coeff.from_rational(1)))
+    affine = as_formula(FNode.leaf(P("x1 + 1")))
     with pytest.raises(NotIHL):
         compile_offdiag3(affine, (1, 3))
     from homlin.verify import random_arity2_circuit

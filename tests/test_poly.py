@@ -114,6 +114,21 @@ def test_subst_alpha():
     assert p.subst(alpha=c) == expected
 
 
+_SCALARS = [Coeff(), Coeff.from_rational(1), Coeff.from_rational(-1),
+            Coeff.eps(1), parse_coeff("2 * alpha + eps^-1"), parse_coeff("1/2 - eps^3")]
+
+
+@pytest.mark.parametrize("a", _SCALARS, ids=repr)
+@pytest.mark.parametrize("b", _SCALARS + [0, 1, Fraction(1, 2)], ids=repr)
+def test_coeff_product_with_a_unit_or_zero_factor_equals_the_full_product(a, b):
+    # the full product, term by term, through the polynomial ring
+    want = a.to_poly() * Coeff.of(b).to_poly()
+    assert (a * b).to_poly() == want
+    assert (b * a).to_poly() == want
+    if b == 1 and not a.is_zero():
+        assert a * b is a  # the other operand itself, not a copy
+
+
 def test_eval_random_rational():
     assert (X1 * X2).eval_random({"x1": 2, "x2": 3}) == {0: Fraction(6)}
     assert (EPS(1) * X1).eval_random({"x1": 5}) == {1: Fraction(5)}

@@ -15,7 +15,7 @@ from homlin.circuit import (
     parse_circuit,
     tree_to_circuit,
 )
-from homlin.poly import COEFF_ZERO, Coeff, Polynomial, parse_poly
+from homlin.poly import Polynomial, parse_poly
 from homlin import transforms
 from homlin.transforms import (
     PASS_NAMES,
@@ -81,14 +81,14 @@ def test_rescale_mul_left_child_convention():
     assert out.eval() == 2 * X1 * X2
     first_leaf = out.gates[0]
     assert first_leaf.kind == "input"
-    assert first_leaf.lin == Polynomial.variable("x1").scale(2)
+    assert first_leaf.form == Polynomial.variable("x1").scale(2)
 
 
 def test_rescale_add_both_children():
     out, _ = rescale_formula(as_formula(FNode.add(leaf("x1"), leaf("x2"))), -1)
     assert out.eval() == -(X1 + X2)
     assert all(
-        g.lin in (Polynomial.variable("x1").scale(-1), Polynomial.variable("x2").scale(-1))
+        g.form in (Polynomial.variable("x1").scale(-1), Polynomial.variable("x2").scale(-1))
         for g in out.gates
         if g.kind == "input"
     )
@@ -174,7 +174,7 @@ def test_brent_random_semantics_and_bound():
 def test_brent_and_ihl_on_a_repeated_subtree():
     # one node under both children of the root: the separator is the first
     # occurrence, and zeroing it must leave the second one in place
-    m = FNode.mul(FNode.leaf(Polynomial.variable("x1"), Coeff.of(1)), leaf("x2"))
+    m = FNode.mul(FNode.leaf(parse_poly("x1 + 1")), leaf("x2"))
     t = FNode.add(m, m)
     assert _brent2(t, []).eval() == 2 * (X1 + Polynomial.const(1)) * X2
     assert input_homogenize_tree(t).eval() == 2 * (X1 + Polynomial.const(1)) * X2
@@ -194,8 +194,8 @@ def test_ihl_formula_strips_constant():
 
 def test_ihl_formula_affine_product():
     t = FNode.mul(
-        FNode.leaf(Polynomial.variable("x1"), Coeff.from_rational(1)),
-        FNode.leaf(Polynomial.variable("x2"), Coeff.from_rational(2)),
+        FNode.leaf(parse_poly("x1 + 1")),
+        FNode.leaf(parse_poly("x2 + 2")),
     )
     out, _ = input_homogenize_formula(as_formula(t))
     assert out.eval() == parse_poly("x1*x2 + 2*x1 + x2")
@@ -219,14 +219,25 @@ def test_ihl_formula_random_semantics():
         assert rep.bound_satisfied
 
 
+@pytest.mark.parametrize("form", ["2*x1 + 7", "x1 + 2*eps^-1 - alpha", "x1 - x2 + eps^2*alpha"])
+@pytest.mark.parametrize("run", [input_homogenize_formula, input_homogenize_circuit],
+                         ids=["ihl-formula", "ihl-circuit"])
+def test_ihl_passes_subtract_a_leaf_constant_that_carries_eps(run, form):
+    c = parse_circuit(f"gate g1 = input {form}\ngate g2 = input x2 + eps\n"
+                      "gate g3 = mul g1 g2\noutput g3\n")
+    out, _ = run(c)
+    f = c.eval()
+    assert out.eval() == f - f.homog_component(0)
+    assert out.validate("IHL")[0]
+
+
 # ---------------------------------------------------------------------------
 # inputHomogenizeCircuit
 # ---------------------------------------------------------------------------
 
 
 def test_ihl_circuit_strips_constant():
-    g = Gate("g1", "input", lin=Polynomial.variable("x1").scale(2),
-             const=Coeff.from_rational(7))
+    g = Gate("g1", "input", form=parse_poly("2*x1 + 7"))
     c = Circuit([g], "g1", "circuit", "arity2")
     out, rep = input_homogenize_circuit(c)
     assert out.eval() == 2 * X1
@@ -235,8 +246,7 @@ def test_ihl_circuit_strips_constant():
 
 
 def test_ihl_circuit_shared_square():
-    g1 = Gate("g1", "input", lin=Polynomial.variable("x1"),
-              const=Coeff.from_rational(1))
+    g1 = Gate("g1", "input", form=parse_poly("x1 + 1"))
     g2 = Gate("g2", "mul", children=("g1", "g1"))
     c = Circuit([g1, g2], "g2", "circuit", "arity2")
     out, _ = input_homogenize_circuit(c)
@@ -426,7 +436,7 @@ def _replace_nodes(node, repl):
     if id(node) in repl:
         return repl[id(node)]
     kids = tuple(_replace_nodes(ch, repl) for ch in node.children)
-    return FNode(node.kind, kids, node.lin, node.const, node.scale)
+    return FNode(node.kind, kids, node.form, node.scale)
 
 
 def oracle_brent3_linearization(tree):
@@ -546,9 +556,9 @@ def test_vsbr_nested_mul3():
 
 
 def test_vsbr_shared_gate_degree_nine():
-    g1 = Gate("g1", "input", lin=Polynomial.variable("x1"), const=COEFF_ZERO)
-    g2 = Gate("g2", "input", lin=Polynomial.variable("x2"), const=COEFF_ZERO)
-    g3 = Gate("g3", "input", lin=Polynomial.variable("x3"), const=COEFF_ZERO)
+    g1 = Gate("g1", "input", form=Polynomial.variable("x1"))
+    g2 = Gate("g2", "input", form=Polynomial.variable("x2"))
+    g3 = Gate("g3", "input", form=Polynomial.variable("x3"))
     g4 = Gate("g4", "mul3", children=("g1", "g2", "g3"))
     g5 = Gate("g5", "mul3", children=("g4", "g4", "g4"))
     c = Circuit([g1, g2, g3, g4, g5], "g5", "circuit", "arity3")
@@ -564,9 +574,9 @@ def test_bracket_self_is_z():
 
 
 def test_bracket_outside_subcircuit_is_zero():
-    g1 = Gate("g1", "input", lin=Polynomial.variable("x1"), const=COEFF_ZERO)
-    g2 = Gate("g2", "input", lin=Polynomial.variable("x2"), const=COEFF_ZERO)
-    g3 = Gate("g3", "input", lin=Polynomial.variable("x3"), const=COEFF_ZERO)
+    g1 = Gate("g1", "input", form=Polynomial.variable("x1"))
+    g2 = Gate("g2", "input", form=Polynomial.variable("x2"))
+    g3 = Gate("g3", "input", form=Polynomial.variable("x3"))
     g4 = Gate("g4", "mul3", children=("g1", "g2", "g3"))
     c = Circuit([g1, g2, g3, g4], "g4", "circuit", "arity3")
     # g4 is not below g1
@@ -671,7 +681,7 @@ def test_simplify_rules():
 
 
 def _snapshot(n):
-    return (n.kind, n.lin, n.const, n.scale, n.size(), n.depth(),
+    return (n.kind, n.form, n.scale, n.size(), n.depth(),
             tuple(_snapshot(ch) for ch in n.children))
 
 
