@@ -363,8 +363,14 @@ def cmd_pipeline(args) -> int:
 
     verdict_ok = True
     if args.target is not None:
+        d = args.d
+        if d is None and args.target[0] == "continuant":
+            # the passes preserve f, so the degree the compiler would take
+            # from its input's value is f's top degree (at least 1); given
+            # it, a graded input is not evaluated again
+            d = max([1, *f.homog_degrees()])
         try:
-            obj = _compile_target(args.target, current, args.d)
+            obj = _compile_target(args.target, current, d)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         if isinstance(obj, MatrixWord):

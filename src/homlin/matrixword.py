@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from .circuit import Circuit, FNode, circuit_to_tree, GradedArity3Repr
+from .circuit import Circuit, DegreeMismatch, FNode, circuit_to_tree, GradedArity3Repr
 from .families import (
     C_WEIGHTS,
     Factor,
@@ -46,10 +46,13 @@ from .poly import (
     COEFF_ONE,
     Coeff,
     Polynomial,
+    Rat,
     format_coeff,
     format_poly,
     parse_coeff,
     parse_poly,
+    _clean,
+    _rat,
     _var_key,
 )
 from .transforms import _to_anc
@@ -203,15 +206,6 @@ def border_value(obj: Union[MatrixWord, Projection], below: Optional[int] = None
 
 
 # ---------------------------------------------------------------------------
-# eps-exponent bound of a form list
-# ---------------------------------------------------------------------------
-
-
-def _max_abs_eps_exp(forms: Sequence[Polynomial]) -> int:
-    return max((abs(e) for p in forms for (_m, e, _a) in p.terms), default=0)
-
-
-# ---------------------------------------------------------------------------
 # 3x3 off-diagonal construction (exact)
 # ---------------------------------------------------------------------------
 
@@ -326,56 +320,130 @@ def compile_trace3(c: Circuit) -> MatrixWord:
 # ones).  Every recursive invariant word has odd length, starts
 # upper-triangular, and satisfies: the eps-limit of (product - id) exists and
 # equals alpha * value * E_upper exactly.
+#
+# While a word is built, each slot is an entry (form, c, e, a) standing for
+# form * c * eps^e * alpha^a, where ``form`` is a leaf's form, free of eps and
+# alpha.  Every alpha image the compilers use is one term ic * eps^ie *
+# alpha^ia: eps^-1 and -eps^-1 in a cube's outer blocks, s * eps^2 * alpha in
+# its middle block, +-eps in the even b-blocks, and alpha itself under a plain
+# eps power.  So the ring map eps -> eps^k, alpha -> that image sends an entry
+# to (form, c * ic^a, k*e + ie*a, ia*a), and ``_forms`` builds each form once,
+# at the end.  A leaf whose form carries eps or alpha is kept whole, as
+# (form, None, 0, 0), and mapped by ``Polynomial.subst``.
 
+Entry = Tuple[Polynomial, Optional[Rat], int, int]
+Image = Tuple[Rat, int, int]  # (ic, ie, ia): the alpha image ic * eps^ie * alpha^ia
 
 _ALPHA = Coeff.alpha(1)
+_PAD: Entry = (Polynomial.zero(), 0, 0, 0)  # zero form that keeps strict alternation
 
 
-def _cont_odd_word(node: FNode, s: Fraction) -> List[Polynomial]:
+def _mapped(entries: Sequence[Entry], k: int, image: Image) -> List[Entry]:
+    """The entries under the ring map eps -> eps^k, alpha -> image."""
+    ic, ie, ia = image
+    whole = Coeff({(ie, ia): ic})
+    return [
+        (form.subst(k, whole), None, 0, 0) if c is None
+        else (form, c * ic ** a if a else c, k * e + ie * a, ia * a)
+        for form, c, e, a in entries
+    ]
+
+
+def _forms(entries: Sequence[Entry]) -> List[Polynomial]:
+    """Each entry as a polynomial; a zero scalar gives the zero form."""
+    out = []
+    for form, c, e, a in entries:
+        if c is None:
+            out.append(form)
+        elif not c:
+            out.append(Polynomial.zero())
+        else:
+            terms = {(m, e, a): v * c for (m, _, _), v in form.terms.items()}
+            out.append(Polynomial._normalised(terms if c == 1 else _clean(terms)))
+    return out
+
+
+def _cube_power(base: Sequence[Entry]) -> int:
+    """The eps power k of a negative cube over the word ``base``.
+
+    Every error term of the base product is eps^e * alpha^a with e >= 1
+    (exact-limit invariant) and a at most the number of alpha-carrying
+    (form, variable) pairs; eps -> eps^k, alpha -> eps^-1 sends it to
+    eps^(ke-a), so any k >= a_max + 2 provably yields the required congruence
+    mod eps^2.  An entry with a nonzero form has the one eps exponent e and
+    len(form.terms) such pairs when a > 0."""
+    top = a_max = 0
+    for form, c, e, a in base:
+        if c is None:
+            top = max(top, max((abs(e2) for (_m, e2, _a) in form.terms), default=0))
+            a_max += len({m for (m, _e, a2) in form.terms if a2})
+        elif c and form.terms:
+            top = max(top, abs(e))
+            if a:
+                a_max += len(form.terms)
+    return max(2 * (1 + top), a_max + 2)
+
+
+def _cont_odd_entries(node: FNode, s: Fraction) -> List[Entry]:
     """Word for alpha * s * eval_raw(node); the node's own scale tag is
     folded into s."""
     s = s * node.scale
     if node.kind == "input":
-        return [node.form.scale(_ALPHA * s)]
+        form = node.form
+        if any(e or a for (_m, e, a) in form.terms):
+            return [(form.scale(_ALPHA * s), None, 0, 0)]
+        return [(form, _rat(s), 0, 1)]
     if node.kind == "add":
-        w1 = _cont_odd_word(node.children[0], s)
-        w2 = _cont_odd_word(node.children[1], s)
-        return w1 + [Polynomial.zero()] + w2  # pad to keep strict alternation
+        w1 = _cont_odd_entries(node.children[0], s)
+        w2 = _cont_odd_entries(node.children[1], s)
+        return w1 + [_PAD] + w2
     if node.kind == "negcube":
-        base = _cont_odd_word(node.children[0], Fraction(1))
-        # every error term of the base product is eps^e * alpha^a with e >= 1
-        # (exact-limit invariant) and a at most the number of alpha-carrying
-        # (form, variable) pairs; eps -> eps^k, alpha -> eps^-1 sends it to
-        # eps^(ke-a), so any k >= a_max + 2 provably yields the required
-        # congruence mod eps^2
-        a_max = sum(len({m for (m, _e, a) in lf.terms if a}) for lf in base)
-        k = max(2 * (1 + _max_abs_eps_exp(base)), a_max + 2)
-        block1 = [lf.subst(k, Coeff.eps(-1)) for lf in base]
-        middle_alpha = Coeff({(2, 1): s})  # eps^2 * s * alpha
-        block2 = [lf.subst(3, middle_alpha) for lf in reversed(base)]
-        block3 = [lf.subst(k, -Coeff.eps(-1)) for lf in base]
-        return block1 + block2 + block3
+        base = _cont_odd_entries(node.children[0], Fraction(1))
+        k = _cube_power(base)
+        return (
+            _mapped(base, k, (1, -1, 0))
+            + _mapped(base[::-1], 3, (_rat(s), 2, 1))
+            + _mapped(base, k, (-1, -1, 0))
+        )
     raise NotFormula(
         f"continuant compilation expects add/negative-cube gates, got {node.kind}"
     )
 
 
+def _graded_degree(c: Circuit) -> Optional[int]:
+    """The output's syntactic degree, or None if the circuit is not graded."""
+    try:
+        return c.syntactic_degrees()[c.output_id]
+    except DegreeMismatch:
+        return None
+
+
 def compile_continuant_odd(c: Circuit, d: Optional[int] = None) -> Projection:
     """Border projection of the parity-alternating family computing the odd
-    homogeneous degree-d polynomial of an add/negative-cube IHL formula."""
+    homogeneous degree-d polynomial of an add/negative-cube IHL formula.
+
+    When ``d`` is the formula's syntactic degree, the formula is not
+    evaluated: a graded IHL formula computes zero or a homogeneous form of
+    that degree.  Otherwise ``d`` (by default the top degree of the value, or
+    1 for zero) is checked against the evaluated value."""
     _require_ihl_formula(c, "compile_continuant_odd")
     if c.basis != "addNegCube":
         raise NotFormula("compile_continuant_odd expects the add/neg-cube basis")
-    f = c.eval()
-    degs = f.homog_degrees()
-    if d is None:
-        d = degs[-1] if degs else 1
+    if d is not None and d < 1:
+        raise NotOddDegree(f"degree {d} is not positive")
+    homogeneous = True
+    if d is None or d != _graded_degree(c):
+        f = c.eval()
+        degs = f.homog_degrees()
+        if d is None:
+            d = degs[-1] if degs else 1
+        homogeneous = f.is_zero() or degs == [d]
     if d % 2 == 0:
         raise NotOddDegree(f"degree {d} is even")
-    if not f.is_zero() and degs != [d]:
+    if not homogeneous:
         raise NotOddDegree(f"formula is not homogeneous of degree {d}")
-    word = _cont_odd_word(circuit_to_tree(c), Fraction(1))
-    forms = [lf.subst(alpha=1) for lf in word]
+    entries = _cont_odd_entries(circuit_to_tree(c), Fraction(1))
+    forms = _forms(_mapped(entries, 1, (1, 0, 0)))  # alpha -> 1
     return Projection("C", len(forms), d, forms, COEFF_ONE, border=True)
 
 
@@ -386,23 +454,21 @@ def compile_continuant_even(g: GradedArity3Repr, d: int) -> Projection:
     if d % 2 == 1 or d < 2:
         raise NotEvenDegree(f"degree {d} is not a positive even number")
     per_var = g.even_parts.get(d, {})
-    eps = Coeff.eps(1)
-    forms: List[Polynomial] = []
+    entries: List[Entry] = []
     for v in sorted(per_var, key=_var_key):
         part = per_var[v]
         if part.eval().is_zero():
             continue
         # invariant word for alpha * eval(part) / d
-        base = _cont_odd_word(_to_anc(circuit_to_tree(part)), Fraction(1, d))
-        # b-blocks: eps -> eps^3, alpha -> +-eps, transposed and reversed
-        b_plus = [lf.subst(3, eps) for lf in reversed(base)]
-        b_minus = [lf.subst(3, -eps) for lf in reversed(base)]
-        a_plus = Polynomial.variable(v).scale(eps)
-        a_minus = -a_plus
-        forms += [a_minus] + b_minus + [a_plus] + b_plus
-    if not forms:
-        forms = [Polynomial.zero()]
-    forms = [lf.subst(d // 2) for lf in forms]
+        base = _cont_odd_entries(_to_anc(circuit_to_tree(part)), Fraction(1, d))
+        # b-blocks: eps -> eps^3, alpha -> +-eps, transposed and reversed;
+        # between them the slots -x_v * eps and x_v * eps
+        x_v = Polynomial.variable(v)
+        entries.append((x_v, -1, 1, 0))
+        entries += _mapped(base[::-1], 3, (-1, 1, 0))
+        entries.append((x_v, 1, 1, 0))
+        entries += _mapped(base[::-1], 3, (1, 1, 0))
+    forms = _forms(_mapped(entries or [_PAD], d // 2, (1, 0, 1)))
     return Projection("C", len(forms), d, forms, Coeff.eps(-d), border=True)
 
 

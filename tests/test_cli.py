@@ -5,7 +5,7 @@ import json
 import pytest
 
 from homlin import cli
-from homlin.circuit import FNode, parse_circuit, print_circuit, tree_to_circuit
+from homlin.circuit import Circuit, FNode, parse_circuit, print_circuit, tree_to_circuit
 from homlin.cli import main
 from homlin.families import gen_C_comb
 from homlin.poly import format_poly, parse_poly
@@ -297,6 +297,40 @@ def test_compile_continuant(capsys, negcube_circ, tmp_path):
     assert out.read_text().startswith("projection C")
 
 
+def _circ(tmp_path, name, tree, basis):
+    path = tmp_path / name
+    path.write_text(print_circuit(tree_to_circuit(tree, basis)))
+    return str(path)
+
+
+def _projection_degree(path):
+    return path.read_text().splitlines()[0].split(" d ")[1].split()[0]
+
+
+# -(x1)^3 + -(-x1)^3: graded of degree 3, value zero
+_CUBES_THAT_CANCEL = FNode.add(FNode.negcube(FNode.var("x1")), FNode.negcube(FNode.var("x1", -1)))
+
+
+@pytest.mark.parametrize("d", ["-1", "-3"])
+def test_compile_continuant_rejects_a_degree_below_1(capsys, tmp_path, d):
+    out = tmp_path / "p.txt"
+    src = _circ(tmp_path, "z.circ", _CUBES_THAT_CANCEL, "addNegCube")
+    code, _o, err = run(capsys, "compile", "--target", "continuant", "--d", d,
+                        "--in", src, "--out", str(out))
+    assert code == 2 and f"degree {d} " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tree", [_CUBES_THAT_CANCEL, FNode.negcube(FNode.var("x1"), scale=0)],
+                         ids=["cubes-that-cancel", "scale-0-cube"])
+def test_compile_continuant_of_a_zero_formula_is_degree_1(capsys, tmp_path, tree):
+    out = tmp_path / "p.txt"
+    code, _o, _e = run(capsys, "compile", "--target", "continuant",
+                       "--in", _circ(tmp_path, "z.circ", tree, "addNegCube"),
+                       "--out", str(out))
+    assert code == 0 and _projection_degree(out) == "1"
+
+
 def test_compile_unknown_target_exit_2(capsys, product_circ):
     code, _o, err = run(capsys, "compile", "--target", "nonsense",
                         "--in", product_circ)
@@ -364,6 +398,38 @@ def test_pipeline_continuant(capsys, tmp_path):
     report = (out / "report.txt").read_text()
     assert "brent3" in report and "add-negcube" in report
     assert "verify (border): pass" in report
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+    eval_gates = Circuit.eval_gates
+
+    def counted(self):
+        calls.append(self)
+        return eval_gates(self)
+
+    monkeypatch.setattr(Circuit, "eval_gates", counted)
+    return calls
+
+
+def test_pipeline_continuant_evaluates_a_graded_formula_once(capsys, tmp_path, monkeypatch):
+    x = [FNode.var(f"x{i}") for i in (1, 2, 3)]
+    src = _circ(tmp_path, "m.circ", FNode.add(FNode.mul3(*x), FNode.mul3(x[0], x[0], x[1])),
+                "arity3")
+    calls = _count_evaluations(monkeypatch)
+    code, _o, _e = run(capsys, "pipeline", "--in", src, "--target", "continuant",
+                       "--out", str(tmp_path / "run"))
+    assert code == 0
+    assert len(calls) == 1  # the target f, before the passes
+
+
+def test_pipeline_continuant_of_a_zero_formula_is_degree_1(capsys, tmp_path):
+    x1 = FNode.var("x1")
+    t = FNode.add(FNode.mul3(x1, x1, x1), FNode.mul3(FNode.var("x1", -1), x1, x1))
+    out = tmp_path / "run"
+    code, _o, _e = run(capsys, "pipeline", "--in", _circ(tmp_path, "z.circ", t, "arity3"),
+                       "--target", "continuant", "--out", str(out))
+    assert code == 0 and _projection_degree(out / "projection.txt") == "1"
 
 
 def test_pipeline_deterministic_artifacts(capsys, product_circ, tmp_path):

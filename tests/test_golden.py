@@ -20,6 +20,7 @@ from homlin.matrixword import (
     format_word,
     word_to_projection,
 )
+from homlin.poly import Coeff
 from homlin.transforms import vf_to_v3p
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -62,6 +63,20 @@ def _scaled_cubes():
     )
 
 
+def _nested_cubes():
+    # -((3/2) * -(x1 + eps*x2)^3 + -(x3)^3)^3: a cube inside a cube, so the
+    # inner cube's scale tag and eps power reach the outer one's blocks
+    return tree_to_circuit(
+        FNode.negcube(
+            FNode.add(
+                FNode.negcube(FNode.add(X("x1"), X("x2", Coeff.eps(1))), scale=Fraction(3, 2)),
+                FNode.negcube(X("x3")),
+            )
+        ),
+        "addNegCube",
+    )
+
+
 def _even_product():
     # (x1 + x2) * x3
     c = tree_to_circuit(FNode.mul(FNode.add(X("x1"), X("x2")), X("x3")), "arity2")
@@ -79,6 +94,9 @@ ARTIFACTS = {
         compile_continuant_odd(_scaled_cubes())
     ),
     "continuant_even.projection": lambda: format_projection(_even_product()),
+    "continuant_nested.projection": lambda: format_projection(
+        compile_continuant_odd(_nested_cubes())
+    ),
 }
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from homlin.circuit import FNode, circuit_to_tree, tree_to_circuit
+from homlin.circuit import Circuit, FNode, circuit_to_tree, tree_to_circuit
 from homlin.families import L_entry, gen_C_comb, gen_nce_L
 from homlin.matrixword import (
     ArtifactSyntaxError,
@@ -19,7 +19,9 @@ from homlin.matrixword import (
     NotIHL,
     NotOddDegree,
     Projection,
-    _cont_odd_word,
+    _cont_odd_entries,
+    _forms,
+    _mapped,
     _offdiag_lists,
     border_value,
     compile_continuant_even,
@@ -381,6 +383,22 @@ def test_continuant_odd_rejects_even_degree_request():
         compile_continuant_odd(c, 2)
 
 
+def test_continuant_odd_evaluates_only_off_the_graded_route(monkeypatch):
+    calls = []
+    eval_gates = Circuit.eval_gates
+    monkeypatch.setattr(Circuit, "eval_gates", lambda c: calls.append(c) or eval_gates(c))
+    cube = as_formula(FNode.negcube(FNode.add(X("x1"), X("x2"))), "addNegCube")
+    assert compile_continuant_odd(cube, 3).d == 3 and not calls  # graded, d given
+    assert compile_continuant_odd(cube).d == 3 and len(calls) == 1  # d from the value
+    # -(x1)^3 + (x2 - x2) is not graded but computes a form of degree 3
+    ungraded = as_formula(
+        FNode.add(FNode.negcube(X("x1")), FNode.add(X("x2"), FNode.var("x2", -1))),
+        "addNegCube")
+    assert compile_continuant_odd(ungraded, 3).d == 3 and len(calls) == 2
+    with pytest.raises(NotOddDegree, match="not homogeneous of degree 5"):
+        compile_continuant_odd(ungraded, 5)
+
+
 def test_continuant_odd_rejects_wrong_basis():
     c = as_formula(FNode.mul(X("x1"), X("x2")))
     with pytest.raises(NotFormula):
@@ -410,7 +428,7 @@ def test_continuant_alternation_zero_padding_invariance():
 
 
 def word2_invariant_holds(forms, expected):
-    """Test oracle for the proven eps-precision of ``_cont_odd_word``: the
+    """Test oracle for the proven eps-precision of the continuant word: the
     limit of (product - id) exists and equals expected * E_upper, i.e. the
     whole 2x2 product is id + expected * E_upper mod eps^1."""
     one, zero = Polynomial.const(1), Polynomial.zero()
@@ -449,12 +467,66 @@ def test_cont_odd_word_meets_the_invariant_with_the_proven_precision():
     cubes = 0
     for tree in trees:
         for t in _subtrees(tree, {}):
-            word = _cont_odd_word(t, Fraction(1))
+            word = _forms(_cont_odd_entries(t, Fraction(1)))
             if len(word) > ORACLE_MAX_FACTORS:
                 continue
             assert word2_invariant_holds(word, t.eval().scale(Coeff.alpha(1))), t
             cubes += t.kind == "negcube"
     assert cubes >= 200
+
+
+def oracle_cont_odd_word(node, s):
+    """Test oracle: the continuant word for alpha * s * eval_raw(node), built
+    by substituting into whole forms at every negative cube."""
+    s = s * node.scale
+    if node.kind == "input":
+        return [node.form.scale(Coeff.alpha(1) * s)]
+    if node.kind == "add":
+        w1 = oracle_cont_odd_word(node.children[0], s)
+        w2 = oracle_cont_odd_word(node.children[1], s)
+        return w1 + [Polynomial.zero()] + w2
+    base = oracle_cont_odd_word(node.children[0], Fraction(1))
+    top = max((abs(e) for p in base for (_m, e, _a) in p.terms), default=0)
+    a_max = sum(len({m for (m, _e, a) in lf.terms if a}) for lf in base)
+    k = max(2 * (1 + top), a_max + 2)
+    block1 = [lf.subst(k, Coeff.eps(-1)) for lf in base]
+    block2 = [lf.subst(3, Coeff({(2, 1): s})) for lf in reversed(base)]
+    block3 = [lf.subst(k, -Coeff.eps(-1)) for lf in base]
+    return block1 + block2 + block3
+
+
+# leaf scalars: rational, and carrying eps, eps^-1 or alpha
+_LEAF_SCALARS = [1, 2, Fraction(-3, 5), Coeff.eps(1), Coeff.eps(-1), Coeff.alpha(1),
+                 Coeff({(1, 1): 2, (0, 0): 1})]
+_SCALE_TAGS = [Fraction(1), Fraction(0), Fraction(-1, 24), Fraction(3, 2)]
+
+
+def random_anc_tree(rng, depth):
+    """A random add/neg-cube tree, unhomogeneous in general, with scale tags
+    on leaves and cubes."""
+    if depth == 0 or rng.random() < 0.25:
+        form = Polynomial.zero()
+        for v in rng.sample(["x1", "x2", "x3"], rng.randint(1, 2)):
+            form = form + Polynomial.variable(v).scale(rng.choice(_LEAF_SCALARS))
+        return FNode.leaf(form).scaled(rng.choice(_SCALE_TAGS))
+    if rng.random() < 0.5:
+        return FNode.add(random_anc_tree(rng, depth - 1), random_anc_tree(rng, depth - 1))
+    return FNode.negcube(random_anc_tree(rng, depth - 1), rng.choice(_SCALE_TAGS))
+
+
+def test_cont_odd_word_equals_the_substitution_oracle_term_for_term():
+    rng = random.Random(15)
+    cubes = 0
+    for _ in range(150):
+        tree = random_anc_tree(rng, rng.randint(1, 4))
+        s = rng.choice(_SCALE_TAGS)
+        want = oracle_cont_odd_word(tree, s)
+        entries = _cont_odd_entries(tree, s)
+        assert _forms(entries) == want
+        # the odd compiler's final alpha -> 1, on entries and on whole forms
+        assert _forms(_mapped(entries, 1, (1, 0, 0))) == [lf.subst(alpha=1) for lf in want]
+        cubes += sum(t.kind == "negcube" for t in _subtrees(tree, {}))
+    assert cubes >= 150
 
 
 # ---------------------------------------------------------------------------
