@@ -2,8 +2,9 @@
 word/projection compilers, verification, bound audits, and canonical
 pipelines with serialized artifacts.
 
-Exit codes: 0 all pass, 1 verification failure, 2 invalid input, 3 internal
-error (an exception the program did not expect, reported in one line).
+Exit codes: 0 all pass, 1 verification failure, 2 invalid input or an
+output that cannot be written, 3 internal error (an exception the program
+did not expect, reported in one line).
 
 All artifacts are deterministic given the configuration: reports written to
 files carry no timing information.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from typing import List, Optional, Sequence
 
@@ -69,11 +71,29 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: Optional[str], text: str):
+    """Write ``text`` to ``path`` (stdout for None or '-').  This is the one
+    place the package writes a file.
+
+    An existing file is overwritten in place and then cut to the new length,
+    not truncated on open: on ext4 (``auto_da_alloc``), truncating a
+    non-empty file to zero makes ``close()`` start writeback of the new
+    data, which took a third to a half of a small trace3 pipeline rerun
+    into the same directory.  The bytes, and the mode of a new file (0o666
+    less the umask), are those of ``open(path, "w")``.  Like that, the write
+    is neither atomic nor durable: there is no fsync, and a run killed
+    mid-write leaves a partial file.  Only a regular file is cut, since
+    ``ftruncate`` fails on ``/dev/null`` or a pipe."""
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def load_artifact(path: str):
@@ -225,7 +245,8 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _compile_target(target: Sequence[str], c: Circuit, d: Optional[int]):
+def _compile_target(target: Sequence[str], c: Circuit, d: Optional[int],
+                    value: Optional[Polynomial]):
     name = target[0]
     if name == "offdiag3":
         if len(target) != 3:
@@ -240,7 +261,7 @@ def _compile_target(target: Sequence[str], c: Circuit, d: Optional[int]):
     if name == "trace3":
         return compile_trace3(c)
     if name == "continuant":
-        return compile_continuant_odd(c, d)
+        return compile_continuant_odd(c, d, value)
     raise CliError(f"unknown compile target {name!r}")
 
 
@@ -248,8 +269,9 @@ def cmd_compile(args) -> int:
     c = load_artifact(args.infile)
     if not isinstance(c, Circuit):
         raise CliError("compile expects a circuit artifact")
+    f = c.eval() if args.verify == "border" else None
     try:
-        obj = _compile_target(args.target, c, args.d)
+        obj = _compile_target(args.target, c, args.d, f)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     if isinstance(obj, MatrixWord):
@@ -258,8 +280,8 @@ def cmd_compile(args) -> int:
     else:
         print(f"compiled {args.target[0]}: r = {obj.n} forms at degree {obj.d}")
         _write_text(args.out, format_projection(obj))
-    if args.verify == "border":
-        rep = verify_border(obj, c.eval())
+    if f is not None:
+        rep = verify_border(obj, f)
         sys.stdout.write(_render_verify(rep))
         if not rep.verdict:
             return 1
@@ -326,7 +348,10 @@ def cmd_pipeline(args) -> int:
     if not isinstance(c, Circuit):
         raise CliError("pipeline expects a circuit artifact")
     outdir = args.out
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create directory {outdir}: {exc.strerror or exc}") from exc
     passes: List[str] = list(args.passes or [])
     if not passes and args.target is not None:
         passes = CANONICAL_PASSES.get(args.target[0], [])
@@ -363,14 +388,9 @@ def cmd_pipeline(args) -> int:
 
     verdict_ok = True
     if args.target is not None:
-        d = args.d
-        if d is None and args.target[0] == "continuant":
-            # the passes preserve f, so the degree the compiler would take
-            # from its input's value is f's top degree (at least 1); given
-            # it, a graded input is not evaluated again
-            d = max([1, *f.homog_degrees()])
         try:
-            obj = _compile_target(args.target, current, d)
+            # the passes preserve f, so it is the value of current as well
+            obj = _compile_target(args.target, current, args.d, f)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         if isinstance(obj, MatrixWord):

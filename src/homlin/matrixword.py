@@ -418,22 +418,25 @@ def _graded_degree(c: Circuit) -> Optional[int]:
         return None
 
 
-def compile_continuant_odd(c: Circuit, d: Optional[int] = None) -> Projection:
+def compile_continuant_odd(
+    c: Circuit, d: Optional[int] = None, value: Optional[Polynomial] = None
+) -> Projection:
     """Border projection of the parity-alternating family computing the odd
     homogeneous degree-d polynomial of an add/negative-cube IHL formula.
 
-    When ``d`` is the formula's syntactic degree, the formula is not
-    evaluated: a graded IHL formula computes zero or a homogeneous form of
-    that degree.  Otherwise ``d`` (by default the top degree of the value, or
-    1 for zero) is checked against the evaluated value."""
+    ``d`` (by default the top degree of the value, or 1 for zero) is checked
+    against the formula's value: ``value`` when the caller holds it (it must
+    be ``c.eval()``), else the evaluated formula.  When no value is given and
+    ``d`` is the formula's syntactic degree, the formula is not evaluated: a
+    graded IHL formula computes zero or a homogeneous form of that degree."""
     _require_ihl_formula(c, "compile_continuant_odd")
     if c.basis != "addNegCube":
         raise NotFormula("compile_continuant_odd expects the add/neg-cube basis")
     if d is not None and d < 1:
         raise NotOddDegree(f"degree {d} is not positive")
     homogeneous = True
-    if d is None or d != _graded_degree(c):
-        f = c.eval()
+    if value is not None or d is None or d != _graded_degree(c):
+        f = c.eval() if value is None else value
         degs = f.homog_degrees()
         if d is None:
             d = degs[-1] if degs else 1

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line front end."""
 
 import json
+import os
 
 import pytest
 
@@ -423,6 +424,30 @@ def test_pipeline_continuant_evaluates_a_graded_formula_once(capsys, tmp_path, m
     assert len(calls) == 1  # the target f, before the passes
 
 
+def test_pipeline_continuant_hands_the_compiler_its_value(capsys, tmp_path, monkeypatch):
+    # x1 * x2 * (x1 x2 x3): add-negcube writes Waring cubes of mixed-degree
+    # sums, so the compiled formula is not graded
+    x = [FNode.var(f"x{i}") for i in (1, 2, 3)]
+    src = _circ(tmp_path, "m.circ", FNode.mul3(x[0], x[1], FNode.mul3(*x)), "arity3")
+    calls = _count_evaluations(monkeypatch)
+    out = tmp_path / "run"
+    code, _o, _e = run(capsys, "pipeline", "--in", src, "--target", "continuant",
+                       "--out", str(out))
+    assert code == 0 and _projection_degree(out / "projection.txt") == "5"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d", [[], ["--d", "3"]], ids=["no-d", "d-3"])
+def test_compile_continuant_border_verify_evaluates_once(capsys, tmp_path, monkeypatch, d):
+    x1, x2 = FNode.var("x1"), FNode.var("x2")
+    src = _circ(tmp_path, "c.circ", FNode.negcube(FNode.add(x1, x2)), "addNegCube")
+    calls = _count_evaluations(monkeypatch)
+    code, stdout, _e = run(capsys, "compile", "--target", "continuant", *d, "--in", src,
+                           "--verify", "border", "--out", str(tmp_path / "p.txt"))
+    assert code == 0 and "verdict=pass" in stdout
+    assert len(calls) == 1
+
+
 def test_pipeline_continuant_of_a_zero_formula_is_degree_1(capsys, tmp_path):
     x1 = FNode.var("x1")
     t = FNode.add(FNode.mul3(x1, x1, x1), FNode.mul3(FNode.var("x1", -1), x1, x1))
@@ -442,6 +467,67 @@ def test_pipeline_deterministic_artifacts(capsys, product_circ, tmp_path):
         outs.append(out)
     for art in ("word.txt", "report.txt", "01-brent.circ", "02-ihl-formula.circ"):
         assert (outs[0] / art).read_bytes() == (outs[1] / art).read_bytes()
+
+
+def test_pipeline_rerun_into_one_directory_rewrites_identical_bytes(capsys, product_circ,
+                                                                   tmp_path):
+    x = [FNode.var(f"x{i}") for i in range(1, 5)]
+    longer = _circ(tmp_path, "a-longer-name.circ",
+                   FNode.mul(FNode.add(x[0], x[1]), FNode.add(x[2], x[3])), "arity2")
+
+    def pipeline(src, out):
+        code, _o, _e = run(capsys, "pipeline", "--in", src, "--target", "trace3",
+                           "--out", str(out))
+        assert code == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    shared = tmp_path / "shared"
+    first = pipeline(longer, shared)
+    assert pipeline(longer, shared) == first
+    # shorter artifacts over longer ones leave exactly the shorter bytes
+    fresh = pipeline(product_circ, tmp_path / "fresh")
+    assert all(len(fresh[n]) < len(first[n]) for n in fresh)
+    assert pipeline(product_circ, shared) == fresh
+
+
+def test_rewriting_a_file_with_shorter_text_leaves_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "a.txt"
+    cli._write_text(str(path), "x1 + x2 + x3 + x4 + x5 + x6\n")
+    cli._write_text(str(path), "\u03b5 x1\n")
+    assert path.read_bytes() == "\u03b5 x1\n".encode("utf-8")
+
+
+def test_a_new_file_gets_the_mode_open_w_gives(tmp_path):
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "by-open", "w", encoding="utf-8") as fh:
+            fh.write("x1\n")
+        cli._write_text(str(tmp_path / "by-cli"), "x1\n")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "by-cli").stat().st_mode == (tmp_path / "by-open").stat().st_mode
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs /dev/null")
+def test_gen_out_dev_null_exits_0(capsys):
+    code, out, err = run(capsys, "gen", "--family", "P", "--n", "2", "--d", "2",
+                         "--out", os.devnull)
+    assert (code, out, err) == (0, "", "")
+
+
+@pytest.mark.parametrize("command", ["gen", "pipeline"])
+def test_an_unwritable_output_exits_2_naming_the_path(capsys, product_circ, tmp_path, command):
+    (tmp_path / "file").write_text("x1\n")
+    if command == "gen":
+        target = str(tmp_path / "no-such-dir" / "x")
+        argv = ["gen", "--family", "P", "--n", "2", "--d", "2", "--out", target]
+    else:  # an output directory below a regular file
+        target = str(tmp_path / "file" / "run")
+        argv = ["pipeline", "--in", product_circ, "--target", "trace3", "--out", target]
+    code, _o, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert target in err and "internal" not in err
 
 
 def test_pipeline_empty_is_header_only(capsys, product_circ, tmp_path):

@@ -153,3 +153,47 @@ def test_the_bench_tracer_counts_engine_steps():
         tracer.uninstall()
     assert all(not v.is_zero() for v in values)
     assert tracer.layer_metrics()["families.nce_matrices.steps"] > 0
+
+
+def file_writes(sources):
+    """``module.function`` (or ``module`` at top level) of every ``os.open``
+    call and every ``open`` call whose mode is not a constant read-only mode
+    in the given ``{module: source}``."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Call):
+            fn = node.func
+            if (isinstance(fn, ast.Attribute) and fn.attr == "open"
+                    and isinstance(fn.value, ast.Name) and fn.value.id == "os"):
+                found.append(where)
+            elif isinstance(fn, ast.Name) and fn.id == "open":
+                modes = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+                mode = modes[0] if modes else ast.Constant("r")
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                        and not set(mode.value) & set("wax+")):
+                    found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for mod, src in sources.items():
+        visit(ast.parse(src), mod)
+    return sorted(found)
+
+
+def test_write_scanner_flags_every_writing_open():
+    sources = {
+        "a": "def r(p):\n    return open(p).read() + open(p, 'rb').read() + open(p, mode='r')\n",
+        "b": "import os\n\ndef w(p, m):\n    open(p, 'w'); open(p, mode='ab'); open(p, m)\n"
+             "    os.open(p, os.O_RDONLY)\n\nopen('x', 'r+')\n",
+    }
+    assert file_writes(sources) == ["b", "b.w", "b.w", "b.w", "b.w"]
+
+
+def test_every_file_the_package_writes_goes_through_one_writer():
+    # so each artifact is overwritten in place and cut to length, never
+    # truncated on open
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC}
+    assert set(file_writes(sources)) == {"cli._write_text"}

@@ -397,6 +397,13 @@ def test_continuant_odd_evaluates_only_off_the_graded_route(monkeypatch):
     assert compile_continuant_odd(ungraded, 3).d == 3 and len(calls) == 2
     with pytest.raises(NotOddDegree, match="not homogeneous of degree 5"):
         compile_continuant_odd(ungraded, 5)
+    # a value the caller holds replaces the evaluation on every route
+    value, calls[:] = ungraded.eval(), []
+    assert compile_continuant_odd(ungraded, None, value).d == 3
+    assert compile_continuant_odd(ungraded, 3, value).d == 3
+    with pytest.raises(NotOddDegree, match="not homogeneous of degree 5"):
+        compile_continuant_odd(ungraded, 5, value)
+    assert not calls
 
 
 def test_continuant_odd_rejects_wrong_basis():
