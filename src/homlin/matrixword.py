@@ -330,12 +330,32 @@ def compile_trace3(c: Circuit) -> MatrixWord:
 # to (form, c * ic^a, k*e + ie*a, ia*a), and ``_forms`` builds each form once,
 # at the end.  A leaf whose form carries eps or alpha is kept whole, as
 # (form, None, 0, 0), and mapped by ``Polynomial.subst``.
+#
+# ``_forms`` also absorbs every interior zero slot: three slots x, 0, y become
+# the one slot x + y, at the position of x.  This changes neither the word's
+# product nor its elementary symmetric value e_d, for any d.  Slots p and p + 2
+# have the same parity, so they hold x * U and y * U for one nilpotent U
+# (E12 or E21, U^2 = 0), and slot p + 1 is the identity factor (zero matrix):
+#
+# * product: (I + xU) I (I + yU) = I + (x + y)U + xy U^2 = I + (x + y)U;
+# * e_d: a term that uses slot p + 1 is zero, and one that uses both p and
+#   p + 2 holds the adjacent factors xU * yU = 0.  Every other term uses at
+#   most one of the two, at the same place in its product, so the terms sum
+#   to those of the shorter list with (x + y)U at p.
+#
+# The list shrinks by 2, so its length and every later slot keep their
+# parity.  A sum that cancels to zero is absorbed in turn.  Every add
+# pads its two words with a zero slot, so a compiled projection is several
+# times shorter than the word the invariant above is stated for, and holds no
+# interior zero slot.
 
 Entry = Tuple[Polynomial, Optional[Rat], int, int]
 Image = Tuple[Rat, int, int]  # (ic, ie, ia): the alpha image ic * eps^ie * alpha^ia
 
 _ALPHA = Coeff.alpha(1)
-_PAD: Entry = (Polynomial.zero(), 0, 0, 0)  # zero form that keeps strict alternation
+# the zero slot between the two words of an add, which keeps the alternation
+# strict; ``_forms`` absorbs it into its neighbours
+_PAD: Entry = (Polynomial.zero(), 0, 0, 0)
 
 
 def _mapped(entries: Sequence[Entry], k: int, image: Image) -> List[Entry]:
@@ -350,17 +370,29 @@ def _mapped(entries: Sequence[Entry], k: int, image: Image) -> List[Entry]:
 
 
 def _forms(entries: Sequence[Entry]) -> List[Polynomial]:
-    """Each entry as a polynomial; a zero scalar gives the zero form."""
-    out = []
+    """The slots' polynomials, each built once, with every interior zero slot
+    absorbed (x, 0, y -> x + y; see above).  A slot is a term dict free of
+    zero values until the end, where integral values become ints."""
+    slots: List[dict] = []
     for form, c, e, a in entries:
         if c is None:
-            out.append(form)
-        elif not c:
-            out.append(Polynomial.zero())
-        else:
+            terms = dict(form.terms)
+        elif c:
             terms = {(m, e, a): v * c for (m, _, _), v in form.terms.items()}
-            out.append(Polynomial._normalised(terms if c == 1 else _clean(terms)))
-    return out
+        else:
+            terms = {}
+        if len(slots) > 1 and not slots[-1]:
+            slots.pop()
+            acc = slots[-1]
+            for key, v in terms.items():
+                v += acc.get(key, 0)
+                if v:
+                    acc[key] = v
+                else:
+                    del acc[key]
+        else:
+            slots.append(terms)
+    return [Polynomial._normalised(_clean(t)) for t in slots]
 
 
 def _cube_power(base: Sequence[Entry]) -> int:

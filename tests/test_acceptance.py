@@ -135,10 +135,15 @@ def test_criterion_5_continuant_even():
     ]
     for tree, d in fixtures:
         c = tree_to_circuit(tree, "arity2")
+        f = c.eval()
         g, _rep = vf_to_v3p(c)
         p = compile_continuant_even(g, d)
-        rep = verify_border(p, c.eval())
+        rep = verify_border(p, f)
         assert rep.verdict, rep.witness
+        assert not verify_border(p, f + Polynomial.variable("x1") ** d).verdict
+        # zero slots are absorbed, and the length stays even
+        assert not any(lf.is_zero() for lf in p.forms[1:-1])
+        assert p.n % 2 == 0
 
 
 def test_criterion_6_brent_arity3():

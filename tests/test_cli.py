@@ -497,6 +497,24 @@ def test_rewriting_a_file_with_shorter_text_leaves_exactly_the_new_bytes(tmp_pat
     assert path.read_bytes() == "\u03b5 x1\n".encode("utf-8")
 
 
+@pytest.mark.parametrize("first, second", [
+    ("x1 + x2\n", "x3 - x4\n"),  # equal length: nothing to cut
+    ("\u03b5 x1\n", "x1 + x2 + x3 + x4 + x5 + x6\n"),  # longer
+    ("x1 + x2 + x3 + x4 + x5 + x6\n", "\u03b5 x1\n"),  # shorter: cut
+])
+def test_a_rewrite_cuts_the_file_only_when_it_was_longer(tmp_path, monkeypatch, first, second):
+    path = tmp_path / "a.txt"
+    cli._write_text(str(path), first)
+    inode = path.stat().st_ino
+    cuts = []
+    ftruncate = os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda fd, n: cuts.append(n) or ftruncate(fd, n))
+    cli._write_text(str(path), second)
+    new = second.encode("utf-8")
+    assert path.read_bytes() == new and path.stat().st_ino == inode
+    assert cuts == ([len(new)] if len(first.encode("utf-8")) > len(new) else [])
+
+
 def test_a_new_file_gets_the_mode_open_w_gives(tmp_path):
     old = os.umask(0o027)
     try:

@@ -348,10 +348,11 @@ def test_continuant_odd_leaf():
 
 
 def test_continuant_odd_add_with_padding():
+    # the word x1, 0, x2 absorbs its seam zero into the one slot x1 + x2
     c = as_formula(FNode.add(X("x1"), X("x2")), "addNegCube")
     p = compile_continuant_odd(c)
-    assert p.n == 3 and p.forms[1].is_zero()  # zero form at the seam
-    assert p.value().eps_limit() == P("x1 + x2")
+    assert p.n == 1 and p.forms == [P("x1 + x2")]
+    assert p.value() == P("x1 + x2")
 
 
 def test_continuant_odd_negcube():
@@ -474,9 +475,12 @@ def test_cont_odd_word_meets_the_invariant_with_the_proven_precision():
     cubes = 0
     for tree in trees:
         for t in _subtrees(tree, {}):
-            word = _forms(_cont_odd_entries(t, Fraction(1)))
-            if len(word) > ORACLE_MAX_FACTORS:
+            entries = _cont_odd_entries(t, Fraction(1))
+            if len(entries) > ORACLE_MAX_FACTORS:  # the unabsorbed length
                 continue
+            word = _forms(entries)
+            assert_no_interior_zero(word)
+            assert len(word) % 2 == 1
             assert word2_invariant_holds(word, t.eval().scale(Coeff.alpha(1))), t
             cubes += t.kind == "negcube"
     assert cubes >= 200
@@ -521,19 +525,60 @@ def random_anc_tree(rng, depth):
     return FNode.negcube(random_anc_tree(rng, depth - 1), rng.choice(_SCALE_TAGS))
 
 
+def oracle_absorbed(forms):
+    """Test oracle for the zero-slot absorption: rewrite the first interior
+    zero slot of x, 0, y to x + y, by whole-form sums, until none is left."""
+    forms = list(forms)
+    while True:
+        i = next((i for i in range(1, len(forms) - 1) if forms[i].is_zero()), None)
+        if i is None:
+            return forms
+        forms[i - 1:i + 2] = [forms[i - 1] + forms[i + 1]]
+
+
+def assert_no_interior_zero(forms):
+    assert not any(lf.is_zero() for lf in forms[1:-1]), forms
+
+
 def test_cont_odd_word_equals_the_substitution_oracle_term_for_term():
     rng = random.Random(15)
-    cubes = 0
+    cubes = absorbed = 0
     for _ in range(150):
         tree = random_anc_tree(rng, rng.randint(1, 4))
         s = rng.choice(_SCALE_TAGS)
         want = oracle_cont_odd_word(tree, s)
         entries = _cont_odd_entries(tree, s)
-        assert _forms(entries) == want
+        got = _forms(entries)
+        assert got == oracle_absorbed(want)
+        assert_no_interior_zero(got)
+        assert len(got) % 2 == len(want) % 2 == 1
         # the odd compiler's final alpha -> 1, on entries and on whole forms
-        assert _forms(_mapped(entries, 1, (1, 0, 0))) == [lf.subst(alpha=1) for lf in want]
+        assert _forms(_mapped(entries, 1, (1, 0, 0))) == oracle_absorbed(
+            [lf.subst(alpha=1) for lf in want])
         cubes += sum(t.kind == "negcube" for t in _subtrees(tree, {}))
-    assert cubes >= 150
+        absorbed += len(want) - len(got)
+    assert cubes >= 150 and absorbed >= 1000
+
+
+def test_absorbed_projection_has_the_full_value_of_the_unabsorbed_word():
+    # x, 0, y -> x + y leaves e_d unchanged at every d: the compiled
+    # projection's exact value, eps and alpha included, equals the oracle
+    # word's term for term, for words whose leaves carry eps, eps^-1 and alpha
+    rng = random.Random(17)
+    checked = absorbed = 0
+    while checked < 60:
+        tree = random_anc_tree(rng, rng.randint(1, 4))
+        s = rng.choice(_SCALE_TAGS)
+        want = oracle_cont_odd_word(tree, s)
+        if len(want) > ORACLE_MAX_FACTORS:
+            continue
+        got = _forms(_cont_odd_entries(tree, s))
+        for d in (1, 2, 3, 4, 5):
+            assert (Projection("C", len(got), d, got).value()
+                    == Projection("C", len(want), d, want).value()), (tree, d)
+        checked += 1
+        absorbed += len(want) - len(got)
+    assert absorbed >= 400
 
 
 # ---------------------------------------------------------------------------
