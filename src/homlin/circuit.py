@@ -11,10 +11,10 @@ Two views of the same objects:
 Gate kinds, shared by both views: ``input`` (a leaf holding one affine
 ``form``: a ``Polynomial`` whose terms all have x-degree at most 1, so its
 monomial-free terms are its constant), ``add`` (binary, optional per-edge
-scalars in circuit shape), ``mul`` (binary), ``mul3`` (ternary), ``negcube``
-(unary, computes -x^3), ``alpha`` (the formal scalar leaf), ``zvar`` (the
-placeholder variable leaf).  Gate-level rational scale tags are only legal in
-the add/negative-cube basis, where they are later consumed by alpha-threading.
+scalars in circuit shape), ``mul`` (binary), ``mul3`` (ternary) and
+``negcube`` (unary, computes -x^3).  ``input`` is the one leaf kind.
+Gate-level rational scale tags are only legal in the add/negative-cube basis,
+where they are later consumed by alpha-threading.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from .poly import (
     parse_poly,
     parse_rational,
 )
-
-Z_NAME = "z"
 
 SHAPES = ("formula", "circuit")
 BASES = ("arity2", "arity3", "addNegCube")
@@ -60,8 +58,6 @@ class DegreeMismatch(ValueError):
     pass
 
 
-LEAF_KINDS = ("input", "alpha", "zvar")
-GATE_KINDS = LEAF_KINDS + ("add", "mul", "mul3", "negcube")
 _ARITY = {"add": 2, "mul": 2, "mul3": 3, "negcube": 1}
 _MUL_KINDS = frozenset(("mul", "mul3", "negcube"))
 
@@ -108,8 +104,6 @@ class Circuit:
             by_id[gid] = g
             if g.kind == "input":
                 vs.update(g.form.variables())
-            elif g.kind == "zvar":
-                vs.add(Z_NAME)
         if output_id not in by_id:
             raise ValueError(f"unknown output gate {output_id}")
         self.output_id = output_id
@@ -123,10 +117,6 @@ class Circuit:
         for g in self.gates:
             if g.kind == "input":
                 p = g.form
-            elif g.kind == "alpha":
-                p = Polynomial.alpha(1)
-            elif g.kind == "zvar":
-                p = Polynomial.variable(Z_NAME)
             elif g.kind == "add":
                 scalars = g.edge_scalars or (COEFF_ONE,) * len(g.children)
                 p = Polynomial.zero()
@@ -181,10 +171,8 @@ class Circuit:
         """
         deg: Dict[str, int] = {}
         for g in self.gates:
-            if g.kind in ("input", "zvar"):
+            if g.kind == "input":
                 deg[g.id] = 1
-            elif g.kind == "alpha":
-                deg[g.id] = 0
             elif g.kind == "add":
                 ds = {deg[ch] for ch in g.children}
                 if len(ds) != 1:
@@ -212,8 +200,6 @@ class Circuit:
         """Returns (ok, witness gate id, reason)."""
         if predicate == "IHL":
             for g in self.gates:
-                if g.kind == "alpha":
-                    return False, g.id, "alpha leaf is a constant"
                 if g.kind == "input":
                     terms = g.form.terms
                     if any(not m for m, _e, _a in terms):
@@ -412,11 +398,10 @@ def balanced_add(nodes: Sequence[FNode], op=FNode.add) -> FNode:
     return nodes[0]
 
 
-def tree_to_circuit(
-    root: FNode, basis: str, shape: str = "formula", variables: Sequence[str] = ()
-) -> Circuit:
-    """The gate list of a tree, children first; gate ``g<k>`` is the k-th
-    node in post-order.  A shared subtree is written out at every position."""
+def tree_to_circuit(root: FNode, basis: str, variables: Sequence[str] = ()) -> Circuit:
+    """The formula-shaped gate list of a tree, children first; gate ``g<k>``
+    is the k-th node in post-order.  A shared subtree is written out at every
+    position."""
     gates: List[Gate] = []
     append = gates.append
 
@@ -434,7 +419,7 @@ def tree_to_circuit(
         return gid
 
     out = walk(root)
-    return Circuit(gates, out, shape, basis, variables)
+    return Circuit(gates, out, "formula", basis, variables)
 
 
 def circuit_to_tree(c: Circuit) -> FNode:
@@ -479,8 +464,6 @@ def print_circuit(c: Circuit) -> str:
             body = leaf_text.get(key)
             if body is None:
                 body = leaf_text[key] = "input " + format_poly(g.form)
-        elif kind == "alpha" or kind == "zvar":
-            body = kind
         else:
             body = kind + " " + " ".join(g.children)
             if g.edge_scalars is not None:
@@ -636,10 +619,6 @@ def _parse_gate(gid: str, kind: str, rest: str, lineno: int, seen: Set[str],
         if rest not in forms:
             forms[rest] = _affine_leaf(rest, lineno)
         return Gate(gid, "input", (), None, forms[rest], scale)
-    if kind == "alpha" or kind == "zvar":
-        if rest.strip():
-            raise CircuitSyntaxError(f"{kind} takes no arguments", lineno)
-        return Gate(gid, kind, (), None, None, scale)
     arity = _ARITY.get(kind)
     if arity is None:
         raise CircuitSyntaxError(f"unknown gate kind {kind!r}", lineno)

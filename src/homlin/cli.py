@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence
 from .circuit import (
     Circuit,
     CircuitSyntaxError,
-    GradedArity3Repr,
     parse_circuit,
     print_circuit,
 )
@@ -135,14 +134,13 @@ def _as_polynomial(obj) -> Polynomial:
     raise CliError("expected a polynomial or circuit artifact")
 
 
-def _render_verify(rep: VerifyReport, with_timing: bool = True) -> str:
+def _render_verify(rep: VerifyReport) -> str:
     lines = [f"verify mode={rep.mode} verdict={'pass' if rep.verdict else 'FAIL'}"]
     if rep.witness:
         lines.append(f"  witness: {rep.witness}")
     for k in sorted(rep.details):
         lines.append(f"  {k}: {rep.details[k]}")
-    if with_timing:
-        lines.append(f"  time: {rep.timing:.3f}s")
+    lines.append(f"  time: {rep.timing:.3f}s")
     return "\n".join(lines) + "\n"
 
 
@@ -235,7 +233,7 @@ def cmd_transform(args) -> int:
                 print(f"wrote {args.out}.{tag}")
             else:
                 print(f"{tag} component: zero (not written)")
-    elif isinstance(result, GradedArity3Repr):
+    else:  # vf-to-v3p's GradedArity3Repr
         if args.out is None:
             raise CliError("vf-to-v3p needs --out as an output prefix")
         _write_text(f"{args.out}.const", format_poly(result.constant_part) + "\n")
@@ -246,9 +244,16 @@ def cmd_transform(args) -> int:
                 _write_text(f"{args.out}.even.{d}.{v}",
                             print_circuit(result.even_parts[d][v]))
         print(f"wrote components under prefix {args.out}")
-    else:  # pragma: no cover - future pass results
-        raise CliError(f"cannot serialize result of pass {args.pass_name}")
     return 0
+
+
+def _check_d(target: Optional[Sequence[str]], d: Optional[int]):
+    """``--d`` is the continuant's degree; no other target reads it."""
+    if d is None or (target is not None and target[0] == "continuant"):
+        return
+    if target is None:
+        raise CliError("--d needs --target continuant; no target was given")
+    raise CliError(f"--d applies only to the continuant target, not {target[0]}")
 
 
 def _compile_target(target: Sequence[str], c: Circuit, d: Optional[int],
@@ -275,6 +280,7 @@ def cmd_compile(args) -> int:
     c = load_artifact(args.infile)
     if not isinstance(c, Circuit):
         raise CliError("compile expects a circuit artifact")
+    _check_d(args.target, args.d)
     f = c.eval() if args.verify == "border" else None
     try:
         obj = _compile_target(args.target, c, args.d, f)
@@ -353,6 +359,7 @@ def cmd_pipeline(args) -> int:
     c = load_artifact(args.infile)
     if not isinstance(c, Circuit):
         raise CliError("pipeline expects a circuit artifact")
+    _check_d(args.target, args.d)
     outdir = args.out
     try:
         os.makedirs(outdir, exist_ok=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .circuit import (
     BasisViolation,
@@ -80,8 +80,6 @@ def simplify(node: FNode) -> Optional[FNode]:
     gates are removed transitively.  ``None`` encodes the zero formula."""
     if node.kind == "input":
         return None if _is_zero_leaf(node) else node
-    if node.kind in ("alpha", "zvar"):
-        return node
     kids = [simplify(ch) for ch in node.children]
     if node.kind == "add":
         a, b = kids
@@ -126,7 +124,7 @@ def _zero_circuit(variables: Sequence[str] = (), shape: str = "formula",
 def _tree_or_zero(t: Optional[FNode], c: Circuit, basis: str) -> Circuit:
     if t is None:
         return _zero_circuit(c.variables, "formula", basis)
-    return tree_to_circuit(t, basis, "formula", c.variables)
+    return tree_to_circuit(t, basis, c.variables)
 
 
 # ---------------------------------------------------------------------------
@@ -145,18 +143,16 @@ def _rescale_tree(node: FNode, alpha: Coeff) -> FNode:
     if node.kind in ("mul", "mul3"):
         kids = (_rescale_tree(node.children[0], alpha),) + node.children[1:]
         return FNode(node.kind, kids, scale=node.scale)
-    if node.kind == "negcube":
-        raise NeedsRootExtraction(
-            "rescaling through a negative cube needs a cube root; "
-            "thread the scalar instead"
-        )
-    raise NeedsRootExtraction(f"cannot fold a scalar into a {node.kind} leaf")
+    raise NeedsRootExtraction(
+        "rescaling through a negative cube needs a cube root; "
+        "thread the scalar instead"
+    )
 
 
 def rescale_formula(c: Circuit, alpha: Union[Coeff, Rat]) -> Tuple[Circuit, PassReport]:
     _require(c.shape == "formula", "rescaleFormula expects a formula")
     out_tree = _rescale_tree(circuit_to_tree(c), Coeff.of(alpha))
-    out = tree_to_circuit(out_tree, c.basis, "formula", c.variables)
+    out = tree_to_circuit(out_tree, c.basis, c.variables)
     im, om = _metrics(c), _metrics(out)
     report = PassReport(
         "rescale", im, om, "size = s, depth = delta (structure unchanged)",
@@ -227,7 +223,7 @@ def brent_formula(c: Circuit) -> Tuple[Circuit, PassReport]:
     _require(c.basis == "arity2", "brentFormula expects the arity-2 basis")
     audit: List[Dict[str, int]] = []
     out_tree = _brent2(circuit_to_tree(c), audit)
-    out = tree_to_circuit(out_tree, "arity2", "formula", c.variables)
+    out = tree_to_circuit(out_tree, "arity2", c.variables)
     im, om = _metrics(c), _metrics(out)
     s = max(im["size"], 2)
     bound = 2 * math.log(s, 1.5) + 4
@@ -359,28 +355,6 @@ def _restrict_reachable(gates: List[Gate], output_id: str) -> List[Gate]:
     return [g for g in gates if g.id in needed]
 
 
-def _topo_restrict(gates: List[Gate], output_id: str) -> List[Gate]:
-    """Reachability restriction that also re-sorts children-first (needed
-    after alias rewiring may have broken the emission order)."""
-    by_id = {g.id: g for g in gates}
-    order: List[Gate] = []
-    placed: Set[str] = set()
-    stack: List[Tuple[str, bool]] = [(output_id, False)]
-    while stack:
-        gid, expanded = stack.pop()
-        if gid in placed:
-            continue
-        if expanded:
-            placed.add(gid)
-            order.append(by_id[gid])
-            continue
-        stack.append((gid, True))
-        for ch in by_id[gid].children:
-            if ch not in placed:
-                stack.append((ch, False))
-    return order
-
-
 def input_homogenize_circuit(c: Circuit) -> Tuple[Circuit, PassReport]:
     _require(c.basis == "arity2", "inputHomogenizeCircuit expects arity-2 gates")
     b = _CBuilder()
@@ -465,7 +439,7 @@ def to_add_negcube(c: Circuit) -> Tuple[Circuit, PassReport]:
     _require(c.shape == "formula", "toAddNegCube expects a formula")
     _require(c.basis == "arity3", "toAddNegCube expects the arity-3 basis")
     out_tree = _to_anc(circuit_to_tree(c))
-    out = tree_to_circuit(out_tree, "addNegCube", "formula", c.variables)
+    out = tree_to_circuit(out_tree, "addNegCube", c.variables)
     im, om = _metrics(c), _metrics(out)
     bound = 16 * (4 ** im["mulDepth"]) * im["size"]
     report = PassReport(
@@ -522,8 +496,8 @@ def parity_homogenize(c: Circuit) -> Tuple[ParityPair, PassReport]:
     ok, gid, reason = c.validate("IHL")
     _require(ok, f"parityHomogenize expects an IHL formula (gate {gid}: {reason})")
     odd_t, even_t = _parity_tree(circuit_to_tree(c))
-    odd = None if odd_t is None else tree_to_circuit(odd_t, "arity2", "formula", c.variables)
-    even = None if even_t is None else tree_to_circuit(even_t, "arity2", "formula", c.variables)
+    odd = None if odd_t is None else tree_to_circuit(odd_t, "arity2", c.variables)
+    even = None if even_t is None else tree_to_circuit(even_t, "arity2", c.variables)
     im = _metrics(c)
     total = (odd.size() if odd else 0) + (even.size() if even else 0)
     depth = max(odd.depth() if odd else 0, even.depth() if even else 0)
@@ -643,7 +617,7 @@ def brent_arity3(c: Circuit) -> Tuple[Circuit, PassReport]:
     _require(ok, f"brentArity3 expects an IHL formula (gate {gid}: {reason})")
     audit: List[Dict[str, object]] = []
     out_tree = _brent3(circuit_to_tree(c), audit)
-    out = tree_to_circuit(out_tree, "arity3", "formula", c.variables)
+    out = tree_to_circuit(out_tree, "arity3", c.variables)
     im, om = _metrics(c), _metrics(out)
     s = max(im["size"], 2)
     bound = 2 * math.log(s, 1.5) + 4
@@ -681,53 +655,34 @@ def formula_from_poly(p: Polynomial) -> Optional[FNode]:
     return balanced_add(terms) if terms else None
 
 
-class _SpliceBuilder(_CBuilder):
-    """Builds arity-3 circuits where even-parity fragments carry ``zvar``
-    placeholder gates that later get aliased to another fragment's output."""
-
-    def __init__(self):
-        super().__init__()
-        self.alias: Dict[str, str] = {}
-
-    def resolve(self) -> Dict[str, str]:
-        res = {}
-        for gid in self.alias:
-            cur = gid
-            while cur in self.alias:
-                cur = self.alias[cur]
-            res[gid] = cur
-        return res
-
-
-def _splice(node: FNode, b: _SpliceBuilder) -> Tuple[str, int, Set[str]]:
-    """Returns (gate id, parity (1 odd / 0 even), set of open z gates)."""
+def _splice(node: FNode, b: _CBuilder) -> Union[str, Callable[[str], str]]:
+    """Emit an IHL arity-2 parity tree as arity-3 gates.  An odd fragment is
+    emitted at once and returned as its gate id.  An even fragment computes
+    ``z`` times its value, so it cannot be emitted before ``z`` exists; it is
+    returned as a function that takes ``z``'s gate id, emits the fragment and
+    returns its output gate.  Each such function is called exactly once, after
+    ``z``'s gate exists, so the gates come out children-first."""
     if node.kind == "input":
-        return b.input(node.form), 1, set()
+        return b.input(node.form)
+    if node.kind not in ("add", "mul"):
+        raise BasisViolation(f"vfToV3p expects arity-2 gates, got {node.kind}")
+    f = _splice(node.children[0], b)
+    g = _splice(node.children[1], b)
+    f_odd, g_odd = isinstance(f, str), isinstance(g, str)
     if node.kind == "add":
-        g1, p1, z1 = _splice(node.children[0], b)
-        g2, p2, z2 = _splice(node.children[1], b)
-        if p1 != p2:  # pragma: no cover - guarded by parity homogenization
+        if f_odd != g_odd:  # pragma: no cover - guarded by parity homogenization
             raise BasisViolation("addition mixes parities")
-        return b.emit("add", (g1, g2)), p1, z1 | z2
-    if node.kind == "mul":
-        g1, p1, z1 = _splice(node.children[0], b)
-        g2, p2, z2 = _splice(node.children[1], b)
-        if p1 == 1 and p2 == 1:
-            z0 = b.emit("zvar")
-            return b.emit("mul3", (z0, g1, g2)), 0, {z0}
-        if p1 == 1:  # odd times even: feed the odd output into the z leaves
-            for z in z2:
-                b.alias[z] = g1
-            return g2, 1, set()
-        if p2 == 1:
-            for z in z1:
-                b.alias[z] = g2
-            return g1, 1, set()
-        # even times even: computes z * f * g, keeping the first fragment's z
-        for z in z2:
-            b.alias[z] = g1
-        return g2, 0, z1
-    raise BasisViolation(f"vfToV3p expects arity-2 gates, got {node.kind}")
+        if f_odd:
+            return b.emit("add", (f, g))
+        return lambda z: b.emit("add", (f(z), g(z)))
+    if f_odd and g_odd:
+        return lambda z: b.emit("mul3", (z, f, g))
+    if f_odd:  # odd times even: the odd output is the even fragment's z
+        return g(f)
+    if g_odd:
+        return f(g)
+    # even times even computes z * f * g: f's output is g's z
+    return lambda z: g(f(z))
 
 
 def _odd_tree_to_arity3(tree: FNode, variables: Sequence[str]) -> Circuit:
@@ -736,19 +691,9 @@ def _odd_tree_to_arity3(tree: FNode, variables: Sequence[str]) -> Circuit:
     odd_t, _even_t = _parity_tree(tree)
     if odd_t is None:
         return _zero_circuit(variables, "circuit", "arity3")
-    b = _SpliceBuilder()
-    out_gid, parity, open_z = _splice(odd_t, b)
-    if parity != 1 or open_z:  # pragma: no cover
-        raise BasisViolation("odd conversion left open z leaves")
-    res = b.resolve()
-    gates = []
-    for g in b.gates:
-        if g.id in res:
-            continue  # aliased zvar placeholder
-        kids = tuple(res.get(ch, ch) for ch in g.children)
-        gates.append(g._replace(children=kids))
-    gates = _topo_restrict(gates, out_gid)
-    return Circuit(gates, out_gid, "circuit", "arity3", variables)
+    b = _CBuilder()
+    out_gid = _splice(odd_t, b)
+    return Circuit(b.gates, out_gid, "circuit", "arity3", variables)
 
 
 def vf_to_v3p(c: Circuit) -> Tuple[GradedArity3Repr, PassReport]:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .circuit import Circuit, FNode
+from .matrixword import border_value
 from .poly import (
     Coeff,
     LimitDiverges,
@@ -75,8 +76,6 @@ def verify_border(obj, target: Polynomial) -> VerifyReport:
     """
     if target.max_eps_exp() != 0 or target.min_eps_exp() != 0:
         raise ValueError("border target must be eps-free")
-    from .matrixword import border_value  # local import: matrixword imports verify-free modules
-
     t0 = time.perf_counter()
     p = border_value(obj, below=BORDER_ORDER)
     details: Dict[str, object] = {"truncationOrder": BORDER_ORDER}

@@ -191,7 +191,7 @@ def oracle_bracket_poly(c, uid, vid):
             p = Polynomial.variable("z")
         else:
             g = c.by_id[u]
-            if g.kind in ("input", "zvar", "alpha"):
+            if g.kind == "input":
                 p = Polynomial.zero()
             elif g.kind == "add":
                 s1, s2 = g.edge_scalars or (COEFF_ONE, COEFF_ONE)

@@ -277,7 +277,8 @@ def test_malformed_numbers_are_syntax_errors_with_line(line):
     ("gate g2 = add g1 g1 [1 1", "unbalanced"),
     ("gate g2 = add g1 g1 scale", "'scale' takes one rational"),
     ("gate g2 = add g1 g1 scale 2 3", "'scale' takes one rational"),
-    ("gate g2 = alpha g1", "takes no arguments"),
+    ("gate g2 = alpha", "unknown gate kind"),
+    ("gate g2 = zvar", "unknown gate kind"),
     ("gate g2 = input x1 * x1", "affine"),
     ("gate g2 = input x1*x2", "input form must be affine"),
     ("gate g2 = mul g1", "expects 2 children"),

@@ -338,6 +338,21 @@ def test_compile_unknown_target_exit_2(capsys, product_circ):
     assert code == 2 and "target" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("compile", "--target", "offdiag3", "1", "3"), "offdiag3"),
+    (("compile", "--target", "trace3"), "trace3"),
+    (("pipeline", "--target", "trace3"), "trace3"),
+    (("pipeline",), "no target"),
+], ids=["compile-offdiag3", "compile-trace3", "pipeline-trace3", "pipeline-no-target"])
+def test_d_outside_the_continuant_target_exit_2(capsys, product_circ, tmp_path, argv, named):
+    # only the continuant reads --d; elsewhere it must not be dropped silently
+    out = tmp_path / "out"
+    code, _o, err = run(capsys, *argv, "--d", "3", "--in", product_circ, "--out", str(out))
+    assert code == 2 and err.count("\n") == 1
+    assert "--d" in err and named in err
+    assert not out.exists()
+
+
 def test_compile_malformed_circuit_exit_2_with_location(capsys, tmp_path):
     bad = tmp_path / "bad.circ"
     bad.write_text("shape formula\nbasis arity2\ngate g1 = wat\n")

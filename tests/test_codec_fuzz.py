@@ -102,12 +102,9 @@ def circuits(draw):
     for k in range(1, draw(st.integers(1, 10)) + 1):
         gid = f"g{k}" if draw(st.booleans()) else f"n_{k}"
         scale = draw(st.none() | _rationals) if basis == "addNegCube" else None
-        kind = draw(st.sampled_from(["input", "input", "alpha", "zvar"]
-                                    + (kinds if gates else [])))
+        kind = draw(st.sampled_from(["input", "input"] + (kinds if gates else [])))
         if kind == "input":
             gates.append(Gate(gid, "input", form=draw(affine_forms()), scale=scale))
-        elif kind in ("alpha", "zvar"):
-            gates.append(Gate(gid, kind, scale=scale))
         else:
             kids = tuple(draw(st.sampled_from(gates)).id for _ in range(arity[kind]))
             scalars = None

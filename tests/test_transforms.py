@@ -527,6 +527,36 @@ def test_vf_to_v3p_random_reassembly():
         ok, reason = repr_.validate()
         assert ok, reason
         assert rep.bound_satisfied
+        stored = list(repr_.odd_parts.values()) + [
+            q for per in repr_.even_parts.values() for q in per.values()]
+        for part in stored:
+            assert_spliced(part)
+
+
+def assert_spliced(part):
+    """The splice emits only gates the output reads, in the arity-3 IHL kinds."""
+    assert len(transforms._restrict_reachable(part.gates, part.output_id)) == part.size()
+    assert {g.kind for g in part.gates} <= {"input", "add", "mul3"}
+
+
+def _odd_ihl_formula(rng):
+    while True:
+        odd = transforms._parity_tree(random_ihl_formula(rng, rng.randint(1, 8), 4))[0]
+        if odd is not None:
+            return odd
+
+
+def test_splice_of_an_even_times_odd_product():
+    # with a, b and c odd, (a*b)*c is an even fragment times an odd one: the
+    # fragment's mul3 reads c's gate as its z, and c is spliced after a and b
+    rng = random.Random(73)
+    for _ in range(20):
+        a, b, c = _odd_ihl_formula(rng), _odd_ihl_formula(rng), _odd_ihl_formula(rng)
+        tree = FNode.mul(FNode.mul(a, b), c)
+        assert transforms._parity_tree(tree) == (tree, None)
+        part = transforms._odd_tree_to_arity3(tree, ())
+        assert part.eval() == tree.eval()
+        assert_spliced(part)
 
 
 def test_formula_from_poly_round_trip():
