@@ -211,7 +211,14 @@ def cmd_gen(args) -> int:
     return 0
 
 
+# the pass that reads each pass-specific flag of ``transform``
+_PASS_OPTIONS = {"alpha": "rescale", "var": "derivative"}
+
+
 def cmd_transform(args) -> int:
+    for flag, reader in _PASS_OPTIONS.items():
+        if getattr(args, flag) is not None and args.pass_name != reader:
+            raise CliError(f"--{flag} applies only to the {reader} pass, not {args.pass_name}")
     c = load_artifact(args.infile)
     if not isinstance(c, Circuit):
         raise CliError("transform expects a circuit artifact")
@@ -301,6 +308,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:  # zero trials would pass any pair unchecked
+        raise CliError(f"--trials must be at least 1, got {args.trials}")
     if args.against_oracle is not None:
         if args.n is None or args.d is None:
             raise CliError("--against-oracle needs --n and --d")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .circuit import Circuit, DegreeMismatch, FNode, circuit_to_tree, GradedArity3Repr
 from .families import (
@@ -45,6 +45,7 @@ from .families import (
 from .poly import (
     COEFF_ONE,
     Coeff,
+    Mono,
     Polynomial,
     Rat,
     format_coeff,
@@ -321,21 +322,21 @@ def compile_trace3(c: Circuit) -> MatrixWord:
 # upper-triangular, and satisfies: the eps-limit of (product - id) exists and
 # equals alpha * value * E_upper exactly.
 #
-# While a word is built, each slot is an entry (form, c, e, a) standing for
-# form * c * eps^e * alpha^a, where ``form`` is a leaf's form, free of eps and
-# alpha.  Every alpha image the compilers use is one term ic * eps^ie *
-# alpha^ia: eps^-1 and -eps^-1 in a cube's outer blocks, s * eps^2 * alpha in
-# its middle block, +-eps in the even b-blocks, and alpha itself under a plain
-# eps power.  So the ring map eps -> eps^k, alpha -> that image sends an entry
-# to (form, c * ic^a, k*e + ie*a, ia*a), and ``_forms`` builds each form once,
-# at the end.  A leaf whose form carries eps or alpha is kept whole, as
-# (form, None, 0, 0), and mapped by ``Polynomial.subst``.
+# While a word is built, each slot is a term dict {(m, e, a): v}, free of
+# zero values, standing for the sum of v * m * eps^e * alpha^a.  Every alpha
+# image the compilers use is one term ic * eps^ie * alpha^ia: eps^-1 and
+# -eps^-1 in a cube's outer blocks, s * eps^2 * alpha in its middle block,
+# +-eps in the even b-blocks, and alpha itself under a plain eps power.  So
+# the ring map eps -> eps^k, alpha -> that image sends each term on its own,
+# (m, e, a) -> (m, k*e + ie*a, ia*a) with its value times ic^a, and a slot is
+# never rebuilt through ``Polynomial.subst``.
 #
-# ``_forms`` also absorbs every interior zero slot: three slots x, 0, y become
-# the one slot x + y, at the position of x.  This changes neither the word's
-# product nor its elementary symmetric value e_d, for any d.  Slots p and p + 2
-# have the same parity, so they hold x * U and y * U for one nilpotent U
-# (E12 or E21, U^2 = 0), and slot p + 1 is the identity factor (zero matrix):
+# Every interior zero slot is absorbed as soon as it appears: three slots
+# x, 0, y become the one slot x + y, at the position of x.  This changes
+# neither the word's product nor its elementary symmetric value e_d, for any
+# d.  Slots p and p + 2 have the same parity, so they hold x * U and y * U for
+# one nilpotent U (E12 or E21, U^2 = 0), and slot p + 1 is the identity factor
+# (zero matrix):
 #
 # * product: (I + xU) I (I + yU) = I + (x + y)U + xy U^2 = I + (x + y)U;
 # * e_d: a term that uses slot p + 1 is zero, and one that uses both p and
@@ -344,43 +345,92 @@ def compile_trace3(c: Circuit) -> MatrixWord:
 #   to those of the shorter list with (x + y)U at p.
 #
 # The list shrinks by 2, so its length and every later slot keep their
-# parity.  A sum that cancels to zero is absorbed in turn.  Every add
-# pads its two words with a zero slot, so a compiled projection is several
-# times shorter than the word the invariant above is stated for, and holds no
-# interior zero slot.
+# parity.  A sum that cancels to zero is absorbed in turn.  Absorption
+# happens in two places.  An add joins its two absorbed words around a zero
+# slot, which keeps the alternation strict, so only the seam w1[-1], 0, w2[0]
+# can absorb, cascading outward while the sums cancel.  A cube's three blocks
+# are ring images of an absorbed word, and a map can zero a slot (a
+# scale-0 cube sends alpha to 0) or cancel terms that meet at one key, so
+# every mapped slot is pushed through the same check.  The ring map is a
+# homomorphism that sends 0 to 0 and the rewriting is confluent, so the
+# result is the word built in full and absorbed once at the end, slot for
+# slot and term for term.
+#
+# A cube's eps power k (``_Word.cube_power``) is still read from the word
+# built in full, whose zero slots and cancelled terms count.  So each word
+# carries the summary that reading needs: the number of form terms per
+# (e, a) over the monomial-scalar leaves, each with its one scalar eps^e *
+# alpha^a, and the whole term dicts of leaves whose forms carry eps or alpha.
+# A ring map sends a count's key like a term, (e, a) -> (k*e + ie*a, ia*a),
+# and a zero image (ic = 0) drops the keys with a > 0, whose scalar it zeroes.
 
-Entry = Tuple[Polynomial, Optional[Rat], int, int]
+Terms = Dict[Tuple[Mono, int, int], Rat]
 Image = Tuple[Rat, int, int]  # (ic, ie, ia): the alpha image ic * eps^ie * alpha^ia
 
 _ALPHA = Coeff.alpha(1)
-# the zero slot between the two words of an add, which keeps the alternation
-# strict; ``_forms`` absorbs it into its neighbours
-_PAD: Entry = (Polynomial.zero(), 0, 0, 0)
 
 
-def _mapped(entries: Sequence[Entry], k: int, image: Image) -> List[Entry]:
-    """The entries under the ring map eps -> eps^k, alpha -> image."""
+def _map_terms(terms: Terms, k: int, image: Image) -> Terms:
+    """A slot's terms under the ring map eps -> eps^k, alpha -> image, free
+    of zero values.  Images +-1 skip the rational products."""
     ic, ie, ia = image
-    whole = Coeff({(ie, ia): ic})
-    return [
-        (form.subst(k, whole), None, 0, 0) if c is None
-        else (form, c * ic ** a if a else c, k * e + ie * a, ia * a)
-        for form, c, e, a in entries
-    ]
+    if ic == 1:
+        out = {(m, k * e + ie * a, ia * a): v for (m, e, a), v in terms.items()}
+    elif ic == -1:
+        out = {(m, k * e + ie * a, ia * a): -v if a & 1 else v
+               for (m, e, a), v in terms.items()}
+    elif ic == 0:
+        out = {(m, k * e, 0): v for (m, e, a), v in terms.items() if not a}
+    else:
+        out = {(m, k * e + ie * a, ia * a): v * ic ** a if a else v
+               for (m, e, a), v in terms.items()}
+    # with ia = 1 (or a zero image) the map is injective on keys; otherwise
+    # a shorter dict means two terms met at one key, and they are summed
+    if ia or not ic or len(out) == len(terms):
+        return out
+    out = {}
+    for (m, e, a), v in terms.items():
+        key = (m, k * e + ie * a, 0)
+        out[key] = out.get(key, 0) + v * ic ** a
+    return {key: v for key, v in out.items() if v}
 
 
-def _forms(entries: Sequence[Entry]) -> List[Polynomial]:
-    """The slots' polynomials, each built once, with every interior zero slot
-    absorbed (x, 0, y -> x + y; see above).  A slot is a term dict free of
-    zero values until the end, where integral values become ints."""
-    slots: List[dict] = []
-    for form, c, e, a in entries:
-        if c is None:
-            terms = dict(form.terms)
-        elif c:
-            terms = {(m, e, a): v * c for (m, _, _), v in form.terms.items()}
+class _Word:
+    """A continuant word with its zero slots absorbed as it is built (see
+    above), and the summary of the word built in full that ``cube_power``
+    reads: ``counts`` maps (e, a) to a number of form terms, ``wholes`` holds
+    the term dicts of leaves whose forms carry eps or alpha."""
+
+    __slots__ = ("slots", "counts", "wholes")
+
+    def __init__(self):
+        self.slots: List[Terms] = []
+        self.counts: Dict[Tuple[int, int], int] = {}
+        self.wholes: List[Terms] = []
+
+    @staticmethod
+    def leaf(form: Polynomial, s: Fraction) -> "_Word":
+        """The one-slot word alpha * s * form."""
+        w = _Word()
+        if any(e or a for (_m, e, a) in form.terms):
+            terms = form.scale(_ALPHA * s).terms
+            w.slots.append(dict(terms))
+            if terms:
+                w.wholes.append(terms)
+        elif not s:
+            w.slots.append({})
         else:
-            terms = {}
+            s = _rat(s)
+            w.slots.append({(m, 0, 1): v if s == 1 else v * s
+                            for (m, _e, _a), v in form.terms.items()})
+            if form.terms:
+                w.counts[0, 1] = len(form.terms)
+        return w
+
+    def push(self, terms: Terms) -> None:
+        """Append one slot; if it closes an interior zero slot x, 0, it is
+        added into x instead."""
+        slots = self.slots
         if len(slots) > 1 and not slots[-1]:
             slots.pop()
             acc = slots[-1]
@@ -392,51 +442,86 @@ def _forms(entries: Sequence[Entry]) -> List[Polynomial]:
                     del acc[key]
         else:
             slots.append(terms)
-    return [Polynomial._normalised(_clean(t)) for t in slots]
+
+    def join(self, other: "_Word") -> None:
+        """Append a zero slot and then ``other``, whose slots this word takes
+        over.  Only the seam can absorb: once a pushed slot leaves a nonzero
+        last slot, the rest of ``other`` holds no interior zero."""
+        self.push({})
+        rest = other.slots
+        for i, terms in enumerate(rest):
+            self.push(terms)
+            if self.slots[-1]:
+                self.slots += rest[i + 1:]
+                break
+        counts = self.counts
+        for key, n in other.counts.items():
+            counts[key] = counts.get(key, 0) + n
+        self.wholes += other.wholes
+
+    def extend_mapped(self, word: "_Word", k: int, image: Image, reverse: bool = False) -> None:
+        """Append ``word`` (reversed when asked) under the ring map
+        eps -> eps^k, alpha -> image."""
+        for terms in reversed(word.slots) if reverse else word.slots:
+            self.push(_map_terms(terms, k, image))
+        ic, ie, ia = image
+        counts = self.counts
+        for (e, a), n in word.counts.items():
+            if ic or not a:
+                key = (k * e + ie * a, ia * a)
+                counts[key] = counts.get(key, 0) + n
+        for terms in word.wholes:
+            terms = _map_terms(terms, k, image)
+            if terms:
+                self.wholes.append(terms)
+
+    def mapped(self, k: int, image: Image) -> "_Word":
+        """This word under the ring map eps -> eps^k, alpha -> image."""
+        w = _Word()
+        w.extend_mapped(self, k, image)
+        return w
+
+    def cube_power(self) -> int:
+        """The eps power k of a negative cube over this word.
+
+        Every error term of the base product is eps^e * alpha^a with e >= 1
+        (exact-limit invariant) and a at most the number of alpha-carrying
+        (form, variable) pairs; eps -> eps^k, alpha -> eps^-1 sends it to
+        eps^(ke-a), so any k >= a_max + 2 provably yields the required
+        congruence mod eps^2.  Both bounds are read from the word built in
+        full: a monomial-scalar slot has the one eps exponent e, and
+        len(form) such pairs when a > 0."""
+        top = max((abs(e) for e, _a in self.counts), default=0)
+        a_max = sum(n for (_e, a), n in self.counts.items() if a)
+        for terms in self.wholes:
+            top = max(top, max(abs(e) for (_m, e, _a) in terms))
+            a_max += len({m for (m, _e, a) in terms if a})
+        return max(2 * (1 + top), a_max + 2)
+
+    def forms(self) -> List[Polynomial]:
+        """The slots as polynomials, integral values as ints."""
+        return [Polynomial._normalised(_clean(t)) for t in self.slots]
 
 
-def _cube_power(base: Sequence[Entry]) -> int:
-    """The eps power k of a negative cube over the word ``base``.
-
-    Every error term of the base product is eps^e * alpha^a with e >= 1
-    (exact-limit invariant) and a at most the number of alpha-carrying
-    (form, variable) pairs; eps -> eps^k, alpha -> eps^-1 sends it to
-    eps^(ke-a), so any k >= a_max + 2 provably yields the required congruence
-    mod eps^2.  An entry with a nonzero form has the one eps exponent e and
-    len(form.terms) such pairs when a > 0."""
-    top = a_max = 0
-    for form, c, e, a in base:
-        if c is None:
-            top = max(top, max((abs(e2) for (_m, e2, _a) in form.terms), default=0))
-            a_max += len({m for (m, _e, a2) in form.terms if a2})
-        elif c and form.terms:
-            top = max(top, abs(e))
-            if a:
-                a_max += len(form.terms)
-    return max(2 * (1 + top), a_max + 2)
-
-
-def _cont_odd_entries(node: FNode, s: Fraction) -> List[Entry]:
+def _cont_odd_word(node: FNode, s: Fraction) -> _Word:
     """Word for alpha * s * eval_raw(node); the node's own scale tag is
     folded into s."""
-    s = s * node.scale
+    if node.scale != 1:
+        s = s * node.scale
     if node.kind == "input":
-        form = node.form
-        if any(e or a for (_m, e, a) in form.terms):
-            return [(form.scale(_ALPHA * s), None, 0, 0)]
-        return [(form, _rat(s), 0, 1)]
+        return _Word.leaf(node.form, s)
     if node.kind == "add":
-        w1 = _cont_odd_entries(node.children[0], s)
-        w2 = _cont_odd_entries(node.children[1], s)
-        return w1 + [_PAD] + w2
+        w = _cont_odd_word(node.children[0], s)
+        w.join(_cont_odd_word(node.children[1], s))
+        return w
     if node.kind == "negcube":
-        base = _cont_odd_entries(node.children[0], Fraction(1))
-        k = _cube_power(base)
-        return (
-            _mapped(base, k, (1, -1, 0))
-            + _mapped(base[::-1], 3, (_rat(s), 2, 1))
-            + _mapped(base, k, (-1, -1, 0))
-        )
+        base = _cont_odd_word(node.children[0], Fraction(1))
+        k = base.cube_power()
+        w = _Word()
+        w.extend_mapped(base, k, (1, -1, 0))
+        w.extend_mapped(base, 3, (_rat(s), 2, 1), reverse=True)
+        w.extend_mapped(base, k, (-1, -1, 0))
+        return w
     raise NotFormula(
         f"continuant compilation expects add/negative-cube gates, got {node.kind}"
     )
@@ -477,8 +562,8 @@ def compile_continuant_odd(
         raise NotOddDegree(f"degree {d} is even")
     if not homogeneous:
         raise NotOddDegree(f"formula is not homogeneous of degree {d}")
-    entries = _cont_odd_entries(circuit_to_tree(c), Fraction(1))
-    forms = _forms(_mapped(entries, 1, (1, 0, 0)))  # alpha -> 1
+    word = _cont_odd_word(circuit_to_tree(c), Fraction(1))
+    forms = word.mapped(1, (1, 0, 0)).forms()  # alpha -> 1
     return Projection("C", len(forms), d, forms, COEFF_ONE, border=True)
 
 
@@ -489,21 +574,23 @@ def compile_continuant_even(g: GradedArity3Repr, d: int) -> Projection:
     if d % 2 == 1 or d < 2:
         raise NotEvenDegree(f"degree {d} is not a positive even number")
     per_var = g.even_parts.get(d, {})
-    entries: List[Entry] = []
+    word = _Word()
     for v in sorted(per_var, key=_var_key):
         part = per_var[v]
         if part.eval().is_zero():
             continue
         # invariant word for alpha * eval(part) / d
-        base = _cont_odd_entries(_to_anc(circuit_to_tree(part)), Fraction(1, d))
+        base = _cont_odd_word(_to_anc(circuit_to_tree(part)), Fraction(1, d))
         # b-blocks: eps -> eps^3, alpha -> +-eps, transposed and reversed;
         # between them the slots -x_v * eps and x_v * eps
-        x_v = Polynomial.variable(v)
-        entries.append((x_v, -1, 1, 0))
-        entries += _mapped(base[::-1], 3, (-1, 1, 0))
-        entries.append((x_v, 1, 1, 0))
-        entries += _mapped(base[::-1], 3, (1, 1, 0))
-    forms = _forms(_mapped(entries or [_PAD], d // 2, (1, 0, 1)))
+        x_v = (((v, 1),), 1, 0)
+        word.push({x_v: -1})
+        word.extend_mapped(base, 3, (-1, 1, 0), reverse=True)
+        word.push({x_v: 1})
+        word.extend_mapped(base, 3, (1, 1, 0), reverse=True)
+    if not word.slots:
+        word.push({})
+    forms = word.mapped(d // 2, (1, 0, 1)).forms()
     return Projection("C", len(forms), d, forms, Coeff.eps(-d), border=True)
 
 

@@ -8,6 +8,7 @@ reproduce from a seed.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -108,6 +109,8 @@ def verify_random(
     eps stays symbolic (per-exponent comparison); alpha must already be
     substituted away.
     """
+    if trials < 1:
+        raise ValueError(f"random verification needs at least 1 trial, got {trials}")
     rng = random.Random(seed)
     t0 = time.perf_counter()
     vs = sorted(a.variables() | b.variables())
@@ -136,6 +139,9 @@ def audit_bounds(report: Union[PassReport, Mapping[str, object]]) -> VerifyRepor
         )
     else:
         v, bound = report["value"], report["bound"]
+        for name, x in (("value", v), ("bound", bound)):
+            if type(x) is not int and not (type(x) is float and math.isfinite(x)):
+                raise ValueError(f"audit field {name!r} must be a finite number, got {x!r}")
         ok = v <= bound
         details = dict(report)
         witness = None if ok else f"value {v} exceeds bound {bound}"

@@ -132,6 +132,18 @@ def test_verify_random_prime_below_the_degree_exit_2(capsys, tmp_path):
     assert "internal" not in err and "prime 2 <= degree 3" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_random_with_no_trials_exit_2(capsys, tmp_path, trials):
+    # zero trials check nothing, so x1^2 would pass against x1^3
+    a, b = tmp_path / "a.poly", tmp_path / "b.poly"
+    a.write_text("x1^2\n")
+    b.write_text("x1^3\n")
+    code, out, err = run(capsys, "verify", "--mode", "random", "--trials", trials,
+                         "--in", str(a), "--against", str(b))
+    assert code == 2 and out == ""
+    assert err == f"error: --trials must be at least 1, got {trials}\n"
+
+
 # ---------------------------------------------------------------------------
 # transform
 # ---------------------------------------------------------------------------
@@ -185,6 +197,25 @@ def test_transform_precondition_violation_exit_2(capsys, negcube_circ):
     code, _o, err = run(capsys, "transform", "--pass", "brent",
                         "--in", negcube_circ)
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("pass_name, flag, value, reader", [
+    ("brent", "--alpha", "3", "rescale"),
+    ("derivative", "--alpha", "3", "rescale"),
+    ("brent", "--var", "x1", "derivative"),
+    ("rescale", "--var", "x1", "derivative"),
+])
+def test_transform_flag_the_pass_does_not_read_exit_2(capsys, product_circ, tmp_path,
+                                                      pass_name, flag, value, reader):
+    out = tmp_path / "out.circ"
+    code, stdout, err = run(capsys, "transform", "--pass", pass_name, flag, value,
+                            "--in", product_circ, "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == f"error: {flag} applies only to the {reader} pass, not {pass_name}\n"
+    # checked before any work: the input is not even read
+    code, _o, err = run(capsys, "transform", "--pass", pass_name, flag, value,
+                        "--in", str(tmp_path / "missing.circ"))
+    assert code == 2 and flag in err
 
 
 def _caterpillar_text(depth: int) -> str:
@@ -384,6 +415,24 @@ def test_audit_malformed_json_exit_2(capsys, tmp_path):
     bad = tmp_path / "nope.json"
     bad.write_text("{")
     assert run(capsys, "audit", "--in", str(bad))[0] == 2
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"value": "x", "bound": 3}', "value"),
+    ('{"value": [1], "bound": 3}', "value"),
+    ('{"value": null, "bound": 3}', "value"),
+    ('{"value": true, "bound": 3}', "value"),
+    ('{"value": NaN, "bound": 3}', "value"),
+    ('{"value": 1, "bound": {"b": 3}}', "bound"),
+    ('{"value": 1, "bound": Infinity}', "bound"),
+    ('{"value": 1, "bound": false}', "bound"),
+])
+def test_audit_malformed_field_exit_2(capsys, tmp_path, text, field):
+    path = tmp_path / "audit.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "audit", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: audit field '{field}' must be a finite number")
 
 
 # ---------------------------------------------------------------------------

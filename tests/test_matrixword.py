@@ -19,9 +19,9 @@ from homlin.matrixword import (
     NotIHL,
     NotOddDegree,
     Projection,
-    _cont_odd_entries,
-    _forms,
-    _mapped,
+    _Word,
+    _cont_odd_word,
+    _map_terms,
     _offdiag_lists,
     border_value,
     compile_continuant_even,
@@ -475,10 +475,9 @@ def test_cont_odd_word_meets_the_invariant_with_the_proven_precision():
     cubes = 0
     for tree in trees:
         for t in _subtrees(tree, {}):
-            entries = _cont_odd_entries(t, Fraction(1))
-            if len(entries) > ORACLE_MAX_FACTORS:  # the unabsorbed length
-                continue
-            word = _forms(entries)
+            if len(oracle_cont_odd_word(t, Fraction(1))) > ORACLE_MAX_FACTORS:
+                continue  # the unabsorbed length
+            word = _cont_odd_word(t, Fraction(1)).forms()
             assert_no_interior_zero(word)
             assert len(word) % 2 == 1
             assert word2_invariant_holds(word, t.eval().scale(Coeff.alpha(1))), t
@@ -540,24 +539,88 @@ def assert_no_interior_zero(forms):
     assert not any(lf.is_zero() for lf in forms[1:-1]), forms
 
 
+def assert_matches_oracle(tree, s):
+    """The builder's word for (tree, s), with alpha kept and under the odd
+    compiler's final alpha -> 1, equals the oracle word absorbed once at the
+    end, term for term; returns the unabsorbed and absorbed lengths."""
+    want = oracle_cont_odd_word(tree, s)
+    word = _cont_odd_word(tree, s)
+    got = word.forms()
+    assert got == oracle_absorbed(want), tree
+    assert_no_interior_zero(got)
+    assert len(got) % 2 == len(want) % 2 == 1
+    assert word.mapped(1, (1, 0, 0)).forms() == oracle_absorbed(
+        [lf.subst(alpha=1) for lf in want])
+    return len(want), len(got)
+
+
 def test_cont_odd_word_equals_the_substitution_oracle_term_for_term():
     rng = random.Random(15)
     cubes = absorbed = 0
     for _ in range(150):
         tree = random_anc_tree(rng, rng.randint(1, 4))
-        s = rng.choice(_SCALE_TAGS)
-        want = oracle_cont_odd_word(tree, s)
-        entries = _cont_odd_entries(tree, s)
-        got = _forms(entries)
-        assert got == oracle_absorbed(want)
-        assert_no_interior_zero(got)
-        assert len(got) % 2 == len(want) % 2 == 1
-        # the odd compiler's final alpha -> 1, on entries and on whole forms
-        assert _forms(_mapped(entries, 1, (1, 0, 0))) == oracle_absorbed(
-            [lf.subst(alpha=1) for lf in want])
+        full, kept = assert_matches_oracle(tree, rng.choice(_SCALE_TAGS))
         cubes += sum(t.kind == "negcube" for t in _subtrees(tree, {}))
-        absorbed += len(want) - len(got)
+        absorbed += full - kept
     assert cubes >= 150 and absorbed >= 1000
+
+
+def test_cont_odd_word_equals_the_oracle_on_depth_five_trees():
+    rng = random.Random(19)
+    absorbed = 0
+    for _ in range(1000):
+        full, kept = assert_matches_oracle(random_anc_tree(rng, 5), rng.choice(_SCALE_TAGS))
+        absorbed += full - kept
+    assert absorbed >= 20000
+
+
+def test_a_zero_cube_drops_the_alpha_counts_it_zeroes():
+    # the inner cube's scale 0 sends alpha to 0 in its middle block, so that
+    # slot is zero in the word built in full and adds nothing to the outer
+    # cube's summary: keeping its key (eps^2 alpha) would raise k from 4 to 6
+    tagged = Fraction(-1, 24)
+    x2 = Polynomial.variable("x2")
+    inner = FNode.negcube(FNode.leaf(Polynomial.variable("x1").scale(2)), Fraction(0))
+    tree = FNode.negcube(FNode.add(
+        inner,
+        FNode.add(FNode.leaf(x2.scale(Coeff.eps(1))).scaled(tagged),
+                  FNode.leaf(x2.scale(Coeff.alpha(1))).scaled(tagged))))
+    assert _cont_odd_word(tree.children[0], Fraction(1)).cube_power() == 4
+    assert_matches_oracle(tree, Fraction(1))
+
+
+def test_join_absorbs_at_the_seam_and_cascades_while_sums_cancel():
+    def word(*slots):
+        w = _Word()
+        w.slots = [dict(t) for t in slots]
+        return w
+
+    x, y, z = ((((v, 1),), 0, 0) for v in ("x1", "x2", "x3"))
+    # x, y, 0 | 0 | -y, z: the pad closes 0, 0 -> 0 + (-y); y - y cancels,
+    # which closes x, 0, z -> x + z
+    w = word({x: 1}, {y: 1}, {})
+    w.join(word({}, {y: -1}, {z: 1}))
+    assert w.slots == [{x: 1, z: 1}]
+    # x | y, 0: the pad is absorbed, and the end slot 0 stays
+    w = word({x: 1})
+    w.join(word({y: 1}, {}))
+    assert w.slots == [{x: 1, y: 1}, {}]
+    # 0 | y, z: the first word's end slot 0 is now interior and absorbs too
+    w = word({})
+    w.join(word({y: 1}, {z: 1}))
+    assert w.slots == [{y: 1}, {z: 1}]
+
+
+def test_map_terms_sums_the_terms_a_ring_map_sends_to_one_key():
+    m = (("x1", 1),)
+    terms = {(m, 0, 0): 2, (m, 1, 2): Fraction(1, 3), (m, 0, 1): -1}
+    # eps -> eps^2, alpha -> -eps^-1: eps^1 alpha^2 and eps^0 alpha^0 meet at eps^0
+    assert _map_terms(terms, 2, (-1, -1, 0)) == {
+        (m, 0, 0): Fraction(7, 3), (m, -1, 0): 1}
+    # alpha -> 1 can cancel a slot to zero
+    assert _map_terms({(m, 0, 0): 1, (m, 0, 1): -1}, 1, (1, 0, 0)) == {}
+    # a zero image keeps only the alpha-free terms
+    assert _map_terms(terms, 3, (0, 2, 1)) == {(m, 0, 0): 2}
 
 
 def test_absorbed_projection_has_the_full_value_of_the_unabsorbed_word():
@@ -572,7 +635,7 @@ def test_absorbed_projection_has_the_full_value_of_the_unabsorbed_word():
         want = oracle_cont_odd_word(tree, s)
         if len(want) > ORACLE_MAX_FACTORS:
             continue
-        got = _forms(_cont_odd_entries(tree, s))
+        got = _cont_odd_word(tree, s).forms()
         for d in (1, 2, 3, 4, 5):
             assert (Projection("C", len(got), d, got).value()
                     == Projection("C", len(want), d, want).value()), (tree, d)

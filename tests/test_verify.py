@@ -149,6 +149,20 @@ def test_audit_mapping_pass_and_fail():
     assert not rep.verdict and "70" in rep.witness
 
 
+def test_audit_mapping_takes_finite_ints_and_floats_only():
+    assert audit_bounds({"value": 1.5, "bound": 2}).verdict
+    assert audit_bounds({"value": 10 ** 400, "bound": 10 ** 401}).verdict
+    for bad in ("3", None, True, [1], {"b": 1}, float("nan"), float("-inf")):
+        with pytest.raises(ValueError, match="'bound' must be a finite number"):
+            audit_bounds({"value": 1, "bound": bad})
+
+
+def test_verify_random_rejects_fewer_than_one_trial():
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="at least 1 trial"):
+            verify_random(P("x1^2"), P("x1^3"), trials=trials)
+
+
 def test_audit_pass_report():
     c = random_arity2_circuit(random.Random(3), 10, 3)
     _out, rep = input_homogenize_circuit(c)
