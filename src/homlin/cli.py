@@ -307,9 +307,29 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    if args.trials < 1:  # zero trials would pass any pair unchecked
+def _check_verify_flags(args):
+    """A flag that the chosen verification does not read exits 2."""
+    oracle = args.against_oracle is not None
+    by_prime = args.mode == "random" and args.field != "rational"
+    beside = "does not apply with --against-oracle"
+    random_only = "applies only to --mode random"
+    for flag, value, unread, why in (
+        ("--mode", args.mode, oracle, beside),
+        ("--against", args.against, oracle, beside),
+        ("--n", args.n, not oracle, "needs --against-oracle"),
+        ("--d", args.d, not oracle, "needs --against-oracle"),
+        ("--seed", args.seed, not by_prime, random_only + " over a prime field"),
+        ("--trials", args.trials, not by_prime, random_only + " over a prime field"),
+        ("--field", args.field, args.mode != "random", random_only),
+    ):
+        if value is not None and unread:
+            raise CliError(f"{flag} {why}")
+    if args.trials is not None and args.trials < 1:  # zero trials pass any pair unchecked
         raise CliError(f"--trials must be at least 1, got {args.trials}")
+
+
+def cmd_verify(args) -> int:
+    _check_verify_flags(args)
     if args.against_oracle is not None:
         if args.n is None or args.d is None:
             raise CliError("--against-oracle needs --n and --d")
@@ -330,16 +350,14 @@ def cmd_verify(args) -> int:
     else:
         a = _as_polynomial(left)
         b = _as_polynomial(load_artifact(args.against))
-        if args.mode == "exact":
+        prime = None
+        if args.mode == "random":
+            prime = _parse_field(args.field or "prime:%d" % DEFAULT_PRIME)
+        if prime is None:
             rep = verify_exact(a, b)
         else:
-            prime = _parse_field(args.field)
-            if prime is None:
-                rep = verify_exact(a, b)
-            else:
-                rep = verify_random(
-                    a, b, seed=args.seed, trials=args.trials, prime=prime
-                )
+            rep = verify_random(a, b, seed=args.seed or 0,
+                                trials=args.trials or DEFAULT_TRIALS, prime=prime)
     sys.stdout.write(_render_verify(rep))
     return 0 if rep.verdict else 1
 
@@ -484,17 +502,18 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_compile)
 
     v = sub.add_parser("verify", help="verify two artifacts against each other")
-    v.add_argument("--mode", choices=["exact", "border", "random"],
-                   default="exact")
+    v.add_argument("--mode", choices=["exact", "border", "random"], default=None,
+                   help="exact (the default), border or random")
     v.add_argument("--against", default=None, help="reference artifact")
     v.add_argument("--against-oracle", dest="against_oracle", default=None,
                    choices=sorted(FAMILY_TAGS))
     v.add_argument("--n", type=int, default=None)
     v.add_argument("--d", type=int, default=None)
-    v.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--field", default="prime:%d" % DEFAULT_PRIME,
-                   help="rational | prime:P (random verification)")
+    v.add_argument("--trials", type=int, default=None,
+                   help="random mode: trials (default %d)" % DEFAULT_TRIALS)
+    v.add_argument("--seed", type=int, default=None, help="random mode: seed (default 0)")
+    v.add_argument("--field", default=None,
+                   help="random mode: rational | prime:P (default prime:%d)" % DEFAULT_PRIME)
     infile(v)
     v.set_defaults(fn=cmd_verify)
 

@@ -221,6 +221,15 @@ def _require_ihl_formula(c: Circuit, who: str):
         raise NotIHL(f"{who} expects an IHL formula (gate {gid}: {reason})")
 
 
+def _require_alpha_free(c: Circuit, who: str):
+    """The continuant compilers thread gate scalars through ``alpha``, so an
+    input form that carries ``alpha`` would be conflated with it."""
+    for g in c.gates:
+        if g.kind == "input" and any(a for (_m, _e, a) in g.form.terms):
+            raise ValueError(f"{who}: gate {g.id}'s input form carries alpha, "
+                             "the compiler's own scalar parameter")
+
+
 def _e_factor(i: int, j: int, p: Polynomial) -> Factor:
     return {(i - 1, j - 1): p} if p.terms else {}
 
@@ -356,18 +365,18 @@ def compile_trace3(c: Circuit) -> MatrixWord:
 # result is the word built in full and absorbed once at the end, slot for
 # slot and term for term.
 #
-# A cube's eps power k (``_Word.cube_power``) is still read from the word
-# built in full, whose zero slots and cancelled terms count.  So each word
-# carries the summary that reading needs: the number of form terms per
-# (e, a) over the monomial-scalar leaves, each with its one scalar eps^e *
-# alpha^a, and the whole term dicts of leaves whose forms carry eps or alpha.
-# A ring map sends a count's key like a term, (e, a) -> (k*e + ie*a, ia*a),
-# and a zero image (ic = 0) drops the keys with a > 0, whose scalar it zeroes.
+# A cube's eps power k (``_Word.cube_power``) is read from the absorbed base
+# word: k = 2 + the sum, over its slots, of the largest alpha exponent in the
+# slot.  The base product is id + alpha * value * E_upper + (error terms), and
+# every error term is eps^e * alpha^a with e >= 1 (the invariant).  The
+# absorbed word has the product of the word built in full, and each term of a
+# product entry takes at most one term from each slot, so a <= a_max, the sum
+# above.  The outer blocks map eps -> eps^k, alpha -> +-eps^-1, which sends
+# the error term to eps^(k*e - a) with k*e - a >= k - a_max >= 2: it vanishes
+# mod eps^2, as the cube gadget needs.
 
 Terms = Dict[Tuple[Mono, int, int], Rat]
 Image = Tuple[Rat, int, int]  # (ic, ie, ia): the alpha image ic * eps^ie * alpha^ia
-
-_ALPHA = Coeff.alpha(1)
 
 
 def _map_terms(terms: Terms, k: int, image: Image) -> Terms:
@@ -397,34 +406,20 @@ def _map_terms(terms: Terms, k: int, image: Image) -> Terms:
 
 class _Word:
     """A continuant word with its zero slots absorbed as it is built (see
-    above), and the summary of the word built in full that ``cube_power``
-    reads: ``counts`` maps (e, a) to a number of form terms, ``wholes`` holds
-    the term dicts of leaves whose forms carry eps or alpha."""
+    above)."""
 
-    __slots__ = ("slots", "counts", "wholes")
+    __slots__ = ("slots",)
 
     def __init__(self):
         self.slots: List[Terms] = []
-        self.counts: Dict[Tuple[int, int], int] = {}
-        self.wholes: List[Terms] = []
 
     @staticmethod
     def leaf(form: Polynomial, s: Fraction) -> "_Word":
         """The one-slot word alpha * s * form."""
         w = _Word()
-        if any(e or a for (_m, e, a) in form.terms):
-            terms = form.scale(_ALPHA * s).terms
-            w.slots.append(dict(terms))
-            if terms:
-                w.wholes.append(terms)
-        elif not s:
-            w.slots.append({})
-        else:
-            s = _rat(s)
-            w.slots.append({(m, 0, 1): v if s == 1 else v * s
-                            for (m, _e, _a), v in form.terms.items()})
-            if form.terms:
-                w.counts[0, 1] = len(form.terms)
+        s = _rat(s)
+        w.slots.append({(m, e, a + 1): v * s for (m, e, a), v in form.terms.items()}
+                       if s else {})
         return w
 
     def push(self, terms: Terms) -> None:
@@ -454,26 +449,12 @@ class _Word:
             if self.slots[-1]:
                 self.slots += rest[i + 1:]
                 break
-        counts = self.counts
-        for key, n in other.counts.items():
-            counts[key] = counts.get(key, 0) + n
-        self.wholes += other.wholes
 
     def extend_mapped(self, word: "_Word", k: int, image: Image, reverse: bool = False) -> None:
         """Append ``word`` (reversed when asked) under the ring map
         eps -> eps^k, alpha -> image."""
         for terms in reversed(word.slots) if reverse else word.slots:
             self.push(_map_terms(terms, k, image))
-        ic, ie, ia = image
-        counts = self.counts
-        for (e, a), n in word.counts.items():
-            if ic or not a:
-                key = (k * e + ie * a, ia * a)
-                counts[key] = counts.get(key, 0) + n
-        for terms in word.wholes:
-            terms = _map_terms(terms, k, image)
-            if terms:
-                self.wholes.append(terms)
 
     def mapped(self, k: int, image: Image) -> "_Word":
         """This word under the ring map eps -> eps^k, alpha -> image."""
@@ -482,21 +463,10 @@ class _Word:
         return w
 
     def cube_power(self) -> int:
-        """The eps power k of a negative cube over this word.
-
-        Every error term of the base product is eps^e * alpha^a with e >= 1
-        (exact-limit invariant) and a at most the number of alpha-carrying
-        (form, variable) pairs; eps -> eps^k, alpha -> eps^-1 sends it to
-        eps^(ke-a), so any k >= a_max + 2 provably yields the required
-        congruence mod eps^2.  Both bounds are read from the word built in
-        full: a monomial-scalar slot has the one eps exponent e, and
-        len(form) such pairs when a > 0."""
-        top = max((abs(e) for e, _a in self.counts), default=0)
-        a_max = sum(n for (_e, a), n in self.counts.items() if a)
-        for terms in self.wholes:
-            top = max(top, max(abs(e) for (_m, e, _a) in terms))
-            a_max += len({m for (m, _e, a) in terms if a})
-        return max(2 * (1 + top), a_max + 2)
+        """The eps power k of a negative cube over this word: 2 plus the sum
+        of each slot's largest alpha exponent (the bound proved above)."""
+        return 2 + sum(max((a for (_m, _e, a) in terms), default=0)
+                       for terms in self.slots)
 
     def forms(self) -> List[Polynomial]:
         """The slots as polynomials, integral values as ints."""
@@ -549,6 +519,7 @@ def compile_continuant_odd(
     _require_ihl_formula(c, "compile_continuant_odd")
     if c.basis != "addNegCube":
         raise NotFormula("compile_continuant_odd expects the add/neg-cube basis")
+    _require_alpha_free(c, "compile_continuant_odd")
     if d is not None and d < 1:
         raise NotOddDegree(f"degree {d} is not positive")
     homogeneous = True
@@ -577,6 +548,7 @@ def compile_continuant_even(g: GradedArity3Repr, d: int) -> Projection:
     word = _Word()
     for v in sorted(per_var, key=_var_key):
         part = per_var[v]
+        _require_alpha_free(part, f"compile_continuant_even (part for {v})")
         if part.eval().is_zero():
             continue
         # invariant word for alpha * eval(part) / d

@@ -9,7 +9,7 @@ from homlin import cli
 from homlin.circuit import Circuit, FNode, parse_circuit, print_circuit, tree_to_circuit
 from homlin.cli import main
 from homlin.families import gen_C_comb
-from homlin.poly import format_poly, parse_poly
+from homlin.poly import Coeff, format_poly, parse_poly
 
 
 def run(capsys, *argv):
@@ -142,6 +142,31 @@ def test_verify_random_with_no_trials_exit_2(capsys, tmp_path, trials):
                          "--in", str(a), "--against", str(b))
     assert code == 2 and out == ""
     assert err == f"error: --trials must be at least 1, got {trials}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    # random-mode flags outside random mode, or over the rational field
+    (["--mode", "exact", "--seed", "3", "--trials", "7", "--field", "prime:7"],
+     "--seed applies only to --mode random over a prime field"),
+    (["--mode", "border", "--field", "prime:7"], "--field applies only to --mode random"),
+    (["--mode", "random", "--field", "rational", "--trials", "4"],
+     "--trials applies only to --mode random over a prime field"),
+    (["--trials", "4"], "--trials applies only to --mode random over a prime field"),
+    # --mode and --against beside --against-oracle, --n and --d without it
+    (["--mode", "border", "--against-oracle", "P", "--n", "2", "--d", "1"],
+     "--mode does not apply with --against-oracle"),
+    (["--against-oracle", "P", "--n", "2", "--d", "1", "--against", "B"],
+     "--against does not apply with --against-oracle"),
+    (["--n", "2", "--against", "B"], "--n needs --against-oracle"),
+    (["--mode", "random", "--d", "2", "--against", "B"], "--d needs --against-oracle"),
+])
+def test_verify_flag_its_mode_does_not_read_exit_2(capsys, tmp_path, flags, message):
+    a, b = tmp_path / "a.poly", tmp_path / "b.poly"
+    a.write_text("x1\n")
+    b.write_text("x1\n")
+    flags = [str(b) if f == "B" else f for f in flags]
+    code, out, err = run(capsys, "verify", "--in", str(a), *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +343,19 @@ def test_compile_trace3_border(capsys, product_circ, tmp_path):
                           "--in", product_circ, "--verify", "border",
                           "--out", str(out))
     assert code == 0 and "verdict=pass" in stdout
+
+
+def test_compile_continuant_alpha_carrying_leaf_exit_2(capsys, tmp_path):
+    # alpha is the compiler's scalar parameter: the leaf x1 * alpha is
+    # invalid input, not a projection that fails verification
+    c = tree_to_circuit(
+        FNode.negcube(FNode.leaf(parse_poly("x1").scale(Coeff.alpha(1)))), "addNegCube")
+    src = tmp_path / "c.circ"
+    src.write_text(print_circuit(c))
+    code, out, err = run(capsys, "compile", "--target", "continuant", "--verify", "border",
+                         "--in", str(src), "--out", str(tmp_path / "p.txt"))
+    assert code == 2 and out == ""
+    assert "gate g1's input form carries alpha" in err
 
 
 def test_compile_continuant(capsys, negcube_circ, tmp_path):

@@ -2,8 +2,9 @@
 
 Each file under ``tests/golden/`` holds the ``format_word`` or
 ``format_projection`` text of one small fixed formula.  A change to an
-eps/alpha substitution, a factor layout or a formatter that alters an
-artifact fails here; rewrite a file only for an intended format change."""
+eps/alpha substitution, a factor layout, an eps power or a formatter that
+alters an artifact fails here; rewrite a file only for an intended change
+that ``CHANGES.md`` records, with the file's old and new sha256."""
 
 from fractions import Fraction
 from pathlib import Path

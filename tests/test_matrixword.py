@@ -425,6 +425,17 @@ def test_continuant_odd_random_pipeline():
         assert rep.verdict, rep.witness
 
 
+def test_continuant_compilers_reject_an_alpha_carrying_input_form():
+    # alpha threads the gate scalars, so a leaf carrying it would be read as
+    # one of them: x1 * alpha under a cube compiled to a projection that
+    # failed verification against the formula's own value
+    x1_alpha = FNode.leaf(Polynomial.variable("x1").scale(Coeff.alpha(1)))
+    with pytest.raises(ValueError, match="gate g1's input form carries alpha"):
+        compile_continuant_odd(as_formula(FNode.negcube(x1_alpha), "addNegCube"))
+    with pytest.raises(ValueError, match=r"\(part for x1\): gate g1's input form"):
+        even_projection(FNode.mul(x1_alpha, X("x2")), 2)
+
+
 def test_continuant_alternation_zero_padding_invariance():
     c = as_formula(FNode.negcube(X("x1")), "addNegCube")
     p = compile_continuant_odd(c)
@@ -496,9 +507,10 @@ def oracle_cont_odd_word(node, s):
         w2 = oracle_cont_odd_word(node.children[1], s)
         return w1 + [Polynomial.zero()] + w2
     base = oracle_cont_odd_word(node.children[0], Fraction(1))
-    top = max((abs(e) for p in base for (_m, e, _a) in p.terms), default=0)
-    a_max = sum(len({m for (m, _e, a) in lf.terms if a}) for lf in base)
-    k = max(2 * (1 + top), a_max + 2)
+    # k = 2 + the sum over the absorbed base word's slots of their largest
+    # alpha exponent
+    k = 2 + sum(max((a for (_m, _e, a) in lf.terms), default=0)
+                for lf in oracle_absorbed(base))
     block1 = [lf.subst(k, Coeff.eps(-1)) for lf in base]
     block2 = [lf.subst(3, Coeff({(2, 1): s})) for lf in reversed(base)]
     block3 = [lf.subst(k, -Coeff.eps(-1)) for lf in base]
@@ -574,19 +586,44 @@ def test_cont_odd_word_equals_the_oracle_on_depth_five_trees():
     assert absorbed >= 20000
 
 
-def test_a_zero_cube_drops_the_alpha_counts_it_zeroes():
-    # the inner cube's scale 0 sends alpha to 0 in its middle block, so that
-    # slot is zero in the word built in full and adds nothing to the outer
-    # cube's summary: keeping its key (eps^2 alpha) would raise k from 4 to 6
-    tagged = Fraction(-1, 24)
+def cube_power(tree):
+    return _cont_odd_word(tree, Fraction(1)).cube_power()
+
+
+def test_cube_power_sums_the_largest_alpha_exponent_of_each_absorbed_slot():
+    # x1, 0, x2 absorbs to the one slot alpha * (x1 + x2): k = 2 + 1, where
+    # a count of alpha-carrying terms would give 4
+    assert cube_power(FNode.add(X("x1"), X("x2"))) == 3
+    # a scale-0 inner cube sends alpha to 0 in its middle block, and its
+    # outer blocks x1/eps, 0, -x1/eps cancel: it adds nothing to k; at
+    # scale 1 its middle block carries alpha and adds 1
+    assert cube_power(FNode.add(FNode.negcube(X("x1"), Fraction(0)), X("x2"))) == 3
+    assert cube_power(FNode.add(FNode.negcube(X("x1")), X("x2"))) == 4
+    # a slot's largest exponent counts, not its number of terms
     x2 = Polynomial.variable("x2")
-    inner = FNode.negcube(FNode.leaf(Polynomial.variable("x1").scale(2)), Fraction(0))
-    tree = FNode.negcube(FNode.add(
-        inner,
-        FNode.add(FNode.leaf(x2.scale(Coeff.eps(1))).scaled(tagged),
-                  FNode.leaf(x2.scale(Coeff.alpha(1))).scaled(tagged))))
-    assert _cont_odd_word(tree.children[0], Fraction(1)).cube_power() == 4
-    assert_matches_oracle(tree, Fraction(1))
+    tree = FNode.add(FNode.leaf(x2.scale(Coeff.eps(1))),
+                     FNode.leaf(x2.scale(Coeff.alpha(1)) + Polynomial.variable("x3")))
+    assert cube_power(tree) == 4
+    assert_matches_oracle(FNode.negcube(tree), Fraction(1))
+
+
+@pytest.mark.parametrize("d, size", [(5, 40), (7, 60)])
+def test_nested_cube_formulas_verify_with_one_alpha_per_carrying_slot(d, size):
+    # graded formulas through brent3 nest cubes a few levels deep; their
+    # leaves carry no alpha, so every slot's largest alpha exponent is 0 or 1
+    c = tree_to_circuit(random_graded_arity3_formula(random.Random(d), d, size, 3), "arity3")
+    anc, _rep = run_pass("add-negcube", run_pass("brent3", c)[0])
+    cubes = [t for t in _subtrees(circuit_to_tree(anc), {}) if t.kind == "negcube"]
+    assert len(cubes) >= 20
+    for cube in cubes:
+        base = _cont_odd_word(cube.children[0], Fraction(1))
+        alphas = [max((a for (_m, _e, a) in lf.terms), default=0) for lf in base.forms()]
+        assert max(alphas) == 1
+        assert base.cube_power() == 2 + sum(alphas)
+    f = c.eval()
+    p = compile_continuant_odd(anc, d)
+    assert verify_border(p, f).verdict
+    assert not verify_border(p, f + Polynomial.variable("x1") ** d).verdict
 
 
 def test_join_absorbs_at_the_seam_and_cascades_while_sums_cancel():
