@@ -13,12 +13,17 @@ Gate kinds, shared by both views: ``input`` (a leaf holding one affine
 monomial-free terms are its constant), ``add`` (binary, optional per-edge
 scalars in circuit shape), ``mul`` (binary), ``mul3`` (ternary) and
 ``negcube`` (unary, computes -x^3).  ``input`` is the one leaf kind.
-Gate-level rational scale tags are only legal in the add/negative-cube basis,
-where they are later consumed by alpha-threading.
+
+A ``Circuit`` is valid by construction: each basis admits the kinds that
+``BASIS_KINDS`` gives it, gate-level rational scale tags are only legal in
+the add/negative-cube basis (where alpha-threading consumes them later), and
+a ``formula`` is a tree.  A circuit that breaks one of these rules is never
+built: the constructor raises ``BasisViolation("gate <id>: <reason>")``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -36,7 +41,13 @@ from .poly import (
 )
 
 SHAPES = ("formula", "circuit")
-BASES = ("arity2", "arity3", "addNegCube")
+# basis -> (its name in messages, the gate kinds it admits)
+BASIS_KINDS = {
+    "arity2": ("arity-2", frozenset(("input", "add", "mul"))),
+    "arity3": ("arity-3", frozenset(("input", "add", "mul3"))),
+    "addNegCube": ("add/neg-cube", frozenset(("input", "add", "negcube"))),
+}
+BASES = tuple(BASIS_KINDS)
 
 
 class CircuitSyntaxError(ValueError):
@@ -88,24 +99,36 @@ class Circuit:
     ):
         if shape not in SHAPES:
             raise ValueError(f"unknown shape {shape!r}")
-        if basis not in BASES:
+        if basis not in BASIS_KINDS:
             raise ValueError(f"unknown basis {basis!r}")
+        name, kinds = BASIS_KINDS[basis]
+        scaled = basis == "addNegCube"
         self.gates: Tuple[Gate, ...] = tuple(gates)
         self.by_id: Dict[str, Gate] = {}
         by_id = self.by_id
         vs = set(variables)
         for g in self.gates:
-            gid = g.id
+            gid, kind, children, _edges, form, scale = g
             if gid in by_id:
                 raise ValueError(f"duplicate gate id {gid}")
-            for ch in g.children:
+            for ch in children:
                 if ch not in by_id:
                     raise CycleError(f"gate {gid} references {ch} before definition")
+            if kind not in kinds:
+                raise BasisViolation(f"gate {gid}: {kind} gate not in {name} basis")
+            if scale is not None and not scaled:
+                raise BasisViolation(
+                    f"gate {gid}: scale tags only legal in the addNegCube basis"
+                )
             by_id[gid] = g
-            if g.kind == "input":
-                vs.update(g.form.variables())
+            if kind == "input":
+                vs.update(form.variables())
         if output_id not in by_id:
             raise ValueError(f"unknown output gate {output_id}")
+        if shape == "formula":
+            defect = _formula_defect(self.gates, output_id)
+            if defect is not None:
+                raise BasisViolation(defect)
         self.output_id = output_id
         self.shape = shape
         self.basis = basis
@@ -189,13 +212,6 @@ class Circuit:
         return deg
 
     # -- validation --------------------------------------------------------------
-    def parents(self) -> Dict[str, int]:
-        count = {g.id: 0 for g in self.gates}
-        for g in self.gates:
-            for ch in g.children:
-                count[ch] += 1
-        return count
-
     def validate(self, predicate: str) -> Tuple[bool, Optional[str], str]:
         """Returns (ok, witness gate id, reason)."""
         if predicate == "IHL":
@@ -208,41 +224,12 @@ class Circuit:
                         # a lone zero leaf is the canonical zero formula
                         return False, g.id, "leaf is not homogeneous linear"
             return True, None, ""
-        if predicate == "arity3":
-            for g in self.gates:
-                if g.kind in ("mul", "negcube"):
-                    return False, g.id, f"{g.kind} gate not in arity-3 basis"
-            return True, None, ""
-        if predicate == "addNegCube":
-            for g in self.gates:
-                if g.kind in ("mul", "mul3"):
-                    return False, g.id, f"{g.kind} gate not in add/neg-cube basis"
-            return True, None, ""
-        if predicate == "formulaTree":
-            if self.shape != "formula":
-                return False, self.output_id, "shape is not formula"
-            for g in self.gates:
-                if g.edge_scalars is not None:
-                    return False, g.id, "formulas carry no edge scalars"
-            parents = self.parents()
-            for g in self.gates:
-                if g.id != self.output_id and parents[g.id] != 1:
-                    return False, g.id, f"gate has {parents[g.id]} parents"
-            if parents[self.output_id] != 0:
-                return False, self.output_id, "output gate has a parent"
-            return True, None, ""
         if predicate == "parityHomogeneous":
             vals = self.eval_gates()
             for g in self.gates:
                 degs = [d for d in vals[g.id].homog_degrees()]
                 if any(d % 2 == 0 for d in degs) and any(d % 2 == 1 for d in degs):
                     return False, g.id, "gate mixes even and odd components"
-            return True, None, ""
-        if predicate == "graded":
-            try:
-                self.syntactic_degrees()
-            except DegreeMismatch as exc:
-                return False, None, str(exc)
             return True, None, ""
         raise ValueError(f"unknown predicate {predicate!r}")
 
@@ -276,10 +263,11 @@ class GradedArity3Repr:
         for d, c in self.odd_parts.items():
             if d % 2 != 1:
                 return False, f"odd part at even degree {d}"
-            for pred in ("arity3", "IHL"):
-                ok, gid, reason = c.validate(pred)
-                if not ok:
-                    return False, f"odd part {d}, gate {gid}: {reason}"
+            if c.basis != "arity3":
+                return False, f"odd part {d} is not in the arity-3 basis"
+            ok, gid, reason = c.validate("IHL")
+            if not ok:
+                return False, f"odd part {d}, gate {gid}: {reason}"
             p = c.eval()
             if not p.is_zero() and p.homog_degrees() != [d]:
                 return False, f"odd part {d} is not homogeneous of degree {d}"
@@ -287,10 +275,11 @@ class GradedArity3Repr:
             if d % 2 != 0:
                 return False, f"even part at odd degree {d}"
             for v, c in per_var.items():
-                for pred in ("arity3", "IHL"):
-                    ok, gid, reason = c.validate(pred)
-                    if not ok:
-                        return False, f"even part {d}/{v}, gate {gid}: {reason}"
+                if c.basis != "arity3":
+                    return False, f"even part {d}/{v} is not in the arity-3 basis"
+                ok, gid, reason = c.validate("IHL")
+                if not ok:
+                    return False, f"even part {d}/{v}, gate {gid}: {reason}"
                 p = c.eval()
                 if not p.is_zero() and p.homog_degrees() != [d - 1]:
                     return False, f"even part {d}/{v} not homogeneous of degree {d - 1}"
@@ -365,9 +354,10 @@ class FNode:
         return FNode("negcube", (a,), scale=scale)
 
     def eval(self) -> Polynomial:
-        """The tree's polynomial, evaluated through its gate list (the
-        add/negative-cube basis is the one that admits every scale tag)."""
-        return tree_to_circuit(self, "addNegCube").eval()
+        """The tree's polynomial, evaluated through its gate list in the
+        basis its gates imply (see ``_implied_basis``)."""
+        gates = _tree_gates(self)
+        return Circuit(gates, gates[-1].id, "formula", _implied_basis(gates)).eval()
 
     def scaled(self, s) -> "FNode":
         """This node with its scale tag multiplied by ``s``."""
@@ -399,9 +389,14 @@ def balanced_add(nodes: Sequence[FNode], op=FNode.add) -> FNode:
 
 
 def tree_to_circuit(root: FNode, basis: str, variables: Sequence[str] = ()) -> Circuit:
-    """The formula-shaped gate list of a tree, children first; gate ``g<k>``
-    is the k-th node in post-order.  A shared subtree is written out at every
-    position."""
+    """The formula of a tree, output last (see ``_tree_gates``)."""
+    gates = _tree_gates(root)
+    return Circuit(gates, gates[-1].id, "formula", basis, variables)
+
+
+def _tree_gates(root: FNode) -> List[Gate]:
+    """The gate list of a tree, children first; gate ``g<k>`` is the k-th
+    node in post-order.  A shared subtree is written out at every position."""
     gates: List[Gate] = []
     append = gates.append
 
@@ -418,8 +413,8 @@ def tree_to_circuit(root: FNode, basis: str, variables: Sequence[str] = ()) -> C
         append(Gate(gid, node.kind, ids, None, node.form, None if s == 1 else s))
         return gid
 
-    out = walk(root)
-    return Circuit(gates, out, "formula", basis, variables)
+    walk(root)
+    return gates
 
 
 def circuit_to_tree(c: Circuit) -> FNode:
@@ -544,53 +539,41 @@ def parse_circuit(text: str) -> Circuit:
         raise CircuitSyntaxError(f"output gate {output_id} never defined", 1)
 
     if basis is None:
-        kinds = {g.kind for g in gates}
-        if "negcube" in kinds:
-            basis = "addNegCube"
-        elif "mul3" in kinds:
-            basis = "arity3"
-        else:
-            basis = "arity2"
+        basis = _implied_basis(gates)
     if shape is None:
-        shape = "formula" if _is_tree(gates, output_id) else "circuit"
-
-    c = Circuit(gates, output_id, shape, basis, variables)
-    _check_basis(c)
-    return c
+        shape = "circuit" if _formula_defect(gates, output_id) else "formula"
+    return Circuit(gates, output_id, shape, basis, variables)
 
 
-def _is_tree(gates: Sequence[Gate], output_id: str) -> bool:
-    """Every gate but the output read exactly once, the output never, and
-    no edge scalars."""
-    parents = dict.fromkeys((g.id for g in gates), 0)
+def _implied_basis(gates: Sequence[Gate]) -> str:
+    """The basis a gate list implies when none is named: ``addNegCube`` for
+    a negative cube or a scale tag, else ``arity3`` for a ternary product,
+    else ``arity2``."""
+    kinds = {g.kind for g in gates}
+    if "negcube" in kinds or any(g.scale is not None for g in gates):
+        return "addNegCube"
+    return "arity3" if "mul3" in kinds else "arity2"
+
+
+def _formula_defect(gates: Sequence[Gate], output_id: str) -> Optional[str]:
+    """Why ``gates`` read from ``output_id`` are no formula, as ``"gate <id>:
+    <reason>"``, or None: a formula carries no edge scalars and reads every
+    gate but the output exactly once, the output never.  Every child must be
+    one of the gates, and the gate ids distinct."""
     for g in gates:
         if g.edge_scalars is not None:
-            return False
-        for ch in g.children:
-            parents[ch] += 1
-    parents[output_id] += 1
-    return all(n == 1 for n in parents.values())
-
-
-def _check_basis(c: Circuit):
-    if c.shape == "formula":
-        ok, gid, reason = c.validate("formulaTree")
-        if not ok:
-            raise BasisViolation(f"gate {gid}: {reason}")
-    if c.basis == "arity3":
-        ok, gid, reason = c.validate("arity3")
-        if not ok:
-            raise BasisViolation(f"gate {gid}: {reason}")
-    if c.basis == "addNegCube":
-        ok, gid, reason = c.validate("addNegCube")
-        if not ok:
-            raise BasisViolation(f"gate {gid}: {reason}")
-    if c.basis != "addNegCube":
-        for g in c.gates:
-            if g.scale is not None:
-                raise BasisViolation(
-                    f"gate {g.id}: scale tags only legal in the addNegCube basis"
-                )
+            return f"gate {g.id}: formulas carry no edge scalars"
+    reads = [ch for g in gates for ch in g.children]
+    read = set(reads)
+    # distinct reads, one fewer than the gates and none of the output, are
+    # exactly one read of every other gate
+    if len(read) == len(reads) == len(gates) - 1 and output_id not in read:
+        return None
+    parents = Counter(reads)
+    for g in gates:
+        if g.id != output_id and parents[g.id] != 1:
+            return f"gate {g.id}: gate has {parents[g.id]} parents"
+    return f"gate {output_id}: output gate has a parent"
 
 
 def _affine_leaf(text: str, lineno: int) -> Polynomial:

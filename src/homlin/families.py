@@ -560,7 +560,6 @@ class FamilySpec:
     tag: str
     n: int
     d: int
-    weights: Optional[LWeights] = None
 
     def __post_init__(self):
         if self.tag not in FAMILY_TAGS:
@@ -580,14 +579,14 @@ def gen_family(spec: FamilySpec) -> Polynomial:
         return gen_Q(n, d)
     if tag == "IMM":
         return gen_IMM(n, d)
-    if tag in ("C", "Ccomb"):
-        return gen_C_comb(n, d)
-    if tag == "Cmatrix":
+    if tag in ("C", "Cmatrix"):
         return gen_C_matrix(n, d)
+    if tag == "Ccomb":  # the enumeration, kept as the named oracle
+        return gen_C_comb(n, d)
     if tag == "nceGeneric":
         return gen_nce_generic(n, d)
     if tag == "nceL":
-        return gen_nce_L(n, d, spec.weights)
+        return gen_nce_L(n, d)
     if tag == "E":
         return gen_E(n, d)
     raise InvalidParameters(tag)  # pragma: no cover

@@ -221,13 +221,20 @@ def _require_ihl_formula(c: Circuit, who: str):
         raise NotIHL(f"{who} expects an IHL formula (gate {gid}: {reason})")
 
 
-def _require_alpha_free(c: Circuit, who: str):
+def _require_continuant_leaves(c: Circuit, who: str):
     """The continuant compilers thread gate scalars through ``alpha``, so an
-    input form that carries ``alpha`` would be conflated with it."""
+    input form that carries ``alpha`` would be conflated with it; and the
+    word invariant (every error term carries ``eps^e`` with ``e >= 1``)
+    holds only for input forms with no negative eps power."""
     for g in c.gates:
-        if g.kind == "input" and any(a for (_m, _e, a) in g.form.terms):
-            raise ValueError(f"{who}: gate {g.id}'s input form carries alpha, "
-                             "the compiler's own scalar parameter")
+        if g.kind == "input":
+            for _m, e, a in g.form.terms:
+                if a:
+                    raise ValueError(f"{who}: gate {g.id}'s input form carries alpha, "
+                                     "the compiler's own scalar parameter")
+                if e < 0:
+                    raise ValueError(f"{who}: gate {g.id}'s input form has a negative "
+                                     "eps power, which breaks the word invariant")
 
 
 def _e_factor(i: int, j: int, p: Polynomial) -> Factor:
@@ -519,7 +526,7 @@ def compile_continuant_odd(
     _require_ihl_formula(c, "compile_continuant_odd")
     if c.basis != "addNegCube":
         raise NotFormula("compile_continuant_odd expects the add/neg-cube basis")
-    _require_alpha_free(c, "compile_continuant_odd")
+    _require_continuant_leaves(c, "compile_continuant_odd")
     if d is not None and d < 1:
         raise NotOddDegree(f"degree {d} is not positive")
     homogeneous = True
@@ -548,7 +555,7 @@ def compile_continuant_even(g: GradedArity3Repr, d: int) -> Projection:
     word = _Word()
     for v in sorted(per_var, key=_var_key):
         part = per_var[v]
-        _require_alpha_free(part, f"compile_continuant_even (part for {v})")
+        _require_continuant_leaves(part, f"compile_continuant_even (part for {v})")
         if part.eval().is_zero():
             continue
         # invariant word for alpha * eval(part) / d

@@ -16,8 +16,9 @@ Representation:
 A linear form (an input leaf's form, a projection slot) is a ``Polynomial``
 whose monomials all have the form ``((varName, 1),)``, plus, in a leaf's form,
 the empty monomial of its constant.
-``Polynomial.subst`` is the one eps/alpha ring map; a scalar goes through it
-as a constant polynomial.
+``Polynomial.subst`` is the eps/alpha ring map for forms and scalars (a
+scalar goes through it as a constant polynomial); the continuant compilers
+map their word slots term by term with ``matrixword._map_terms`` instead.
 
 The public constructors ``Coeff(...)`` and ``Polynomial(...)`` accept any
 rational values and normalise them.  Every internal result is wrapped by the
@@ -358,12 +359,6 @@ class Polynomial:
 
     def homog_degrees(self) -> list:
         return sorted({_mono_deg(m) for (m, _, _) in self.terms})
-
-    def is_homogeneous(self, d: int | None = None) -> bool:
-        degs = self.homog_degrees()
-        if not degs:
-            return True
-        return degs == [d] if d is not None else len(degs) == 1
 
     def partial_derivative(self, v: str) -> "Polynomial":
         out: Dict[Tuple[Mono, int, int], Rat] = {}

@@ -271,9 +271,8 @@ def _ihl_pair(node: FNode) -> Tuple[Coeff, Optional[FNode]]:
     raise BasisViolation(f"input homogenization expects arity-2 gates, got {node.kind}")
 
 
-def input_homogenize_tree(node: FNode, audit: Optional[List] = None) -> Optional[FNode]:
-    t = _brent2(node, audit if audit is not None else [])
-    return _ihl_pair(t)[1]
+def input_homogenize_tree(node: FNode) -> Optional[FNode]:
+    return _ihl_pair(_brent2(node, []))[1]
 
 
 def input_homogenize_formula(c: Circuit) -> Tuple[Circuit, PassReport]:
@@ -375,7 +374,7 @@ def input_homogenize_circuit(c: Circuit) -> Tuple[Circuit, PassReport]:
             if hat[bb] is not None:
                 parts.append((hat[bb], s2))
             hat[g.id] = b.linear_combo(parts)
-        elif g.kind == "mul":
+        else:  # mul, the one other kind the arity-2 basis admits
             s1, s2 = g.edge_scalars or (COEFF_ONE, COEFF_ONE)
             a, bb = g.children
             t = s1 * s2
@@ -388,10 +387,6 @@ def input_homogenize_circuit(c: Circuit) -> Tuple[Circuit, PassReport]:
             if hat[a] is not None:
                 parts.append((hat[a], t * const[bb]))
             hat[g.id] = b.linear_combo(parts)
-        else:
-            raise BasisViolation(
-                f"inputHomogenizeCircuit expects add/mul/input gates, got {g.kind}"
-            )
     out_gid = hat[c.output_id]
     if out_gid is None:
         out = _zero_circuit(c.variables, "circuit", "arity2")

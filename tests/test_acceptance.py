@@ -167,7 +167,7 @@ def test_criterion_7_vsbr_semantics_and_depth():
         c = random_graded_arity3_circuit(rng, d, rng.randint(10, 60), 4)
         out, rep = vsbr_arity3(c)
         assert out.eval() == c.eval()
-        assert out.validate("arity3")[0]
+        assert out.basis == "arity3"
         assert out.validate("IHL")[0]
         assert "fittedC" in rep.details  # measured constant, reported not asserted
 

@@ -18,7 +18,7 @@ from homlin.circuit import (
     print_circuit,
     tree_to_circuit,
 )
-from homlin.poly import Polynomial, parse_poly
+from homlin.poly import COEFF_ONE, Polynomial, parse_poly
 
 X1 = Polynomial.variable("x1")
 X2 = Polynomial.variable("x2")
@@ -72,10 +72,8 @@ def test_metrics_nested_mul3_degree():
 def test_degree_mismatch_on_ungraded_add():
     t = FNode.add(_leaf("x1"), FNode.mul3(_leaf("x1"), _leaf("x2"), _leaf("x3")))
     c = tree_to_circuit(t, "arity3")
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(DegreeMismatch, match="add gate g6 has children of degrees"):
         c.syntactic_degrees()
-    ok, _, _ = c.validate("graded")
-    assert not ok
 
 
 def test_validate_ihl():
@@ -98,10 +96,36 @@ def test_ihl_rejects_a_leaf_with_a_constant_or_a_zero_leaf(form, reason):
     assert c.validate("IHL") == (False, "g2", reason)
 
 
-def test_validate_arity3():
-    c = tree_to_circuit(FNode.mul(_leaf("x1"), _leaf("x2")), "arity2")
-    ok, gid, _ = c.validate("arity3")
-    assert not ok
+@pytest.mark.parametrize("tree, basis, reason", [
+    (FNode.mul(_leaf("x1"), _leaf("x2")), "arity3", "gate g3: mul gate not in arity-3 basis"),
+    (FNode.negcube(_leaf("x1")), "arity3", "gate g2: negcube gate not in arity-3 basis"),
+    (FNode.mul3(_leaf("x1"), _leaf("x2"), _leaf("x3")), "addNegCube",
+     "gate g4: mul3 gate not in add/neg-cube basis"),
+    (FNode.negcube(_leaf("x1")), "arity2", "gate g2: negcube gate not in arity-2 basis"),
+    (FNode.mul3(_leaf("x1"), _leaf("x2"), _leaf("x3")), "arity2",
+     "gate g4: mul3 gate not in arity-2 basis"),
+    (FNode.mul(_leaf("x1"), _leaf("x2")).scaled(2), "arity2",
+     "gate g3: scale tags only legal in the addNegCube basis"),
+])
+def test_a_circuit_outside_its_basis_is_never_built(tree, basis, reason):
+    with pytest.raises(BasisViolation) as exc:
+        tree_to_circuit(tree, basis)
+    assert str(exc.value) == reason
+
+
+@pytest.mark.parametrize("gates, output, reason", [
+    ([Gate("g1", "input", form=X1), Gate("g2", "mul", ("g1", "g1"))], "g2",
+     "gate g1: gate has 2 parents"),
+    ([Gate("g1", "input", form=X1), Gate("g2", "input", form=X2)], "g2",
+     "gate g1: gate has 0 parents"),
+    ([Gate("g1", "input", form=X1), Gate("g2", "mul", ("g1", "g1"), (COEFF_ONE, COEFF_ONE))], "g2",
+     "gate g2: formulas carry no edge scalars"),
+])
+def test_a_formula_that_is_no_tree_is_never_built(gates, output, reason):
+    with pytest.raises(BasisViolation) as exc:
+        Circuit(gates, output, "formula", "arity2")
+    assert str(exc.value) == reason
+    assert Circuit(gates, output, "circuit", "arity2").size() == 2
 
 
 def test_validate_parity():
@@ -322,7 +346,17 @@ def test_gate_is_an_immutable_value_with_keyword_construction():
     assert g == Gate("g1", "input", form=Polynomial.variable("x1"))
 
 
-def test_depths_counts_all_gates_and_product_gates_in_one_sweep():
-    t = FNode.add(FNode.mul(_leaf("x1"), FNode.negcube(_leaf("x2"))), _leaf("x3"))
-    c = tree_to_circuit(t, "arity2")
+@pytest.mark.parametrize("product, basis", [
+    (FNode.mul, "arity2"),
+    (lambda a, b: FNode.mul3(a, b, _leaf("x4")), "arity3"),
+])
+def test_depths_counts_all_gates_and_product_gates_in_one_sweep(product, basis):
+    t = FNode.add(product(_leaf("x1"), product(_leaf("x2"), _leaf("x3"))), _leaf("x3"))
+    c = tree_to_circuit(t, basis)
     assert c.depths() == (3, 2) and c.depth() == 3
+
+
+def test_depths_count_a_negative_cube_as_a_product_gate():
+    t = FNode.add(FNode.negcube(FNode.add(FNode.negcube(_leaf("x1")), _leaf("x2"))), _leaf("x3"))
+    c = tree_to_circuit(t, "addNegCube")
+    assert c.depths() == (4, 2) and c.depth() == 4

@@ -10,6 +10,7 @@ from homlin.circuit import Circuit, FNode, parse_circuit, print_circuit, tree_to
 from homlin.cli import main
 from homlin.families import gen_C_comb
 from homlin.poly import Coeff, format_poly, parse_poly
+from homlin.transforms import PASS_NAMES
 
 
 def run(capsys, *argv):
@@ -358,6 +359,18 @@ def test_compile_continuant_alpha_carrying_leaf_exit_2(capsys, tmp_path):
     assert "gate g1's input form carries alpha" in err
 
 
+def test_compile_continuant_negative_eps_leaf_exit_2(capsys, tmp_path):
+    # the word invariant needs leaves with no negative eps power: the cube
+    # of x1 * eps^-1 + x2 was written as forms in eps^-4, with exit 0
+    src = tmp_path / "c.circ"
+    src.write_text("shape formula\nbasis addNegCube\ngate g1 = input x1 * eps^-1 + x2\n"
+                   "gate g2 = negcube g1\noutput g2\n")
+    code, out, err = run(capsys, "compile", "--target", "continuant",
+                         "--in", str(src), "--out", str(tmp_path / "p.txt"))
+    assert code == 2 and out == ""
+    assert "gate g1's input form has a negative eps power" in err
+
+
 def test_compile_continuant(capsys, negcube_circ, tmp_path):
     out = tmp_path / "p.txt"
     code, stdout, _ = run(capsys, "compile", "--target", "continuant",
@@ -688,6 +701,35 @@ def _circuit_with(tmp_path, gate_line, basis="addNegCube"):
     path.write_text(f"shape formula\nbasis {basis}\ngate g1 = input x1\n{gate_line}\n"
                     "output g2\n")
     return str(path)
+
+
+# Formulas declared arity-2 that hold a gate the basis does not admit, with
+# that gate's id.  Before the basis was checked when a circuit is built,
+# brent raised IndexError on the first (exit 3) and wrote x1*x2*x4 for the
+# second (exit 0).
+_OUTSIDE_ARITY2 = {
+    "negcube": ("g4", "gate g1 = input x1\ngate g2 = input x2\ngate g3 = mul g1 g2\n"
+                      "gate g4 = negcube g3\ngate g5 = input x3\ngate g6 = add g4 g5\n"
+                      "output g6\n"),
+    "mul3": ("g4", "gate g1 = input x1\ngate g2 = input x2\ngate g3 = input x3\n"
+                   "gate g4 = mul3 g1 g2 g3\ngate g5 = input x4\ngate g6 = mul g4 g5\n"
+                   "output g6\n"),
+}
+_PASS_FLAGS = {"rescale": ["--alpha", "2"], "derivative": ["--var", "x1"]}
+
+
+@pytest.mark.parametrize("kind", sorted(_OUTSIDE_ARITY2))
+@pytest.mark.parametrize("argv", [
+    *(["transform", "--pass", p, *_PASS_FLAGS.get(p, [])] for p in PASS_NAMES),
+    *(["pipeline", "--target", *t] for t in (["offdiag3", "1", "3"], ["trace3"], ["continuant"])),
+], ids=" ".join)
+def test_a_gate_outside_the_declared_basis_exits_2(capsys, tmp_path, kind, argv):
+    gid, gates = _OUTSIDE_ARITY2[kind]
+    src = tmp_path / "f.circ"
+    src.write_text("shape formula\nbasis arity2\n" + gates)
+    code, out, err = run(capsys, *argv, "--in", str(src), "--out", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err == f"error: {src}: gate {gid}: {kind} gate not in arity-2 basis\n"
 
 
 @pytest.mark.parametrize("gate_line", [

@@ -1,10 +1,11 @@
 """Property tests for the artifact text codec.
 
 Random circuits, words and projections survive a print -> parse -> print
-round trip byte for byte, with equal values.  Single-character mutations of
-valid circuit, word, projection and polynomial texts, sent through the
-command line, exit 0, 1 or 2: a malformed artifact is invalid input, never
-an internal error (exit 3)."""
+round trip byte for byte, with equal values.  A circuit text with any basis
+line and any gate kinds parses only to a circuit whose basis admits every
+gate.  Single-character mutations of valid circuit, word, projection and
+polynomial texts, sent through the command line, exit 0, 1 or 2: a malformed
+artifact is invalid input, never an internal error (exit 3)."""
 
 import io
 import os
@@ -17,7 +18,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from homlin.circuit import (
     BASES,
+    BasisViolation,
     Circuit,
+    CircuitSyntaxError,
     FNode,
     Gate,
     parse_circuit,
@@ -201,6 +204,55 @@ def test_projection_text_round_trip(p):
     assert format_projection(again) == text
     assert (again.family_tag, again.n, again.d, again.border) == (p.family_tag, p.n, p.d, p.border)
     assert (again.forms, again.scalar, again.weights) == (p.forms, p.scalar, p.weights)
+
+
+# the gate kinds each basis admits, written out independently of the parser
+_ADMITS = {"arity2": {"input", "add", "mul"}, "arity3": {"input", "add", "mul3"},
+           "addNegCube": {"input", "add", "negcube"}}
+_ARITY = {"add": 2, "mul": 2, "mul3": 3, "negcube": 1}
+
+
+@st.composite
+def basis_texts(draw):
+    """Circuit text with an optional shape and basis line over gates of any
+    kind, some with edge scalars or scale tags."""
+    lines = []
+    shape = draw(st.sampled_from([None, "formula", "circuit"]))
+    basis = draw(st.sampled_from([None, *BASES]))
+    if shape:
+        lines.append(f"shape {shape}")
+    if basis:
+        lines.append(f"basis {basis}")
+    n = draw(st.integers(1, 7))
+    for k in range(1, n + 1):
+        kind = draw(st.sampled_from(["input", *_ARITY])) if k > 1 else "input"
+        if kind == "input":
+            body = f"input x{draw(st.integers(1, 3))}"
+        else:
+            body = kind + "".join(f" g{draw(st.integers(1, k - 1))}" for _ in range(_ARITY[kind]))
+            if kind in ("add", "mul") and draw(st.integers(0, 3)) == 0:
+                body += " [1 2]"
+        if draw(st.integers(0, 3)) == 0:
+            body += " scale 1/2"
+        lines.append(f"gate g{k} = {body}")
+    return "\n".join(lines) + f"\noutput g{n}\n", shape, basis
+
+
+@ROUND_TRIP
+@given(basis_texts())
+def test_a_parsed_circuit_keeps_its_basis_and_shape(case):
+    text, shape, basis = case
+    try:
+        c = parse_circuit(text)
+    except (BasisViolation, CircuitSyntaxError):
+        return
+    assert c.basis == (basis or c.basis) and c.shape == (shape or c.shape)
+    assert all(g.kind in _ADMITS[c.basis] for g in c.gates)
+    assert c.basis == "addNegCube" or all(g.scale is None for g in c.gates)
+    if c.shape == "formula":
+        reads = [ch for g in c.gates for ch in g.children]
+        assert sorted(reads) == sorted(g.id for g in c.gates if g.id != c.output_id)
+        assert all(g.edge_scalars is None for g in c.gates)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from homlin import families
 from homlin.families import (
     FamilySpec,
     InvalidParameters,
@@ -193,3 +194,17 @@ def test_gen_family_dispatch_and_errors():
         FamilySpec("bogus", 1, 1)
     with pytest.raises(InvalidParameters):
         gen_family(FamilySpec("P", 0, 2))
+
+
+def test_family_C_is_generated_by_the_matrix_recurrence(monkeypatch):
+    # C used to enumerate every index sequence (99.6 s at n = 24, d = 12,
+    # against 0.2 s by the recurrence); the enumeration stays as Ccomb
+    want = gen_C_comb(9, 5)
+
+    def enumeration(n, d):
+        raise AssertionError("the enumeration ran")
+
+    monkeypatch.setattr(families, "gen_C_comb", enumeration)
+    assert gen_family(FamilySpec("C", 9, 5)) == want
+    with pytest.raises(AssertionError, match="the enumeration ran"):
+        gen_family(FamilySpec("Ccomb", 9, 5))

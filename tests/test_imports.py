@@ -48,7 +48,6 @@ SRC = sorted(ROOT.glob("src/homlin/*.py"))
 ENTRY_POINTS = {
     "circuit.GradedArity3Repr.reassemble":
         "the documented inverse of vf-to-v3p's graded decomposition",
-    "poly.Polynomial.is_homogeneous": "kernel predicate over homog_degrees for library callers",
     "matrixword.word_to_projection": "maps a 3x3 word onto the nceL family for library callers",
     "verify.random_formula": "seeded generator of affine arity-2 formulas",
     "verify.random_ihl_formula": "seeded generator of IHL arity-2 formulas",

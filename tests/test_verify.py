@@ -189,7 +189,7 @@ def test_random_formula_sizes():
     for _ in range(10):
         size = rng.randint(1, 25)
         c = tree_to_circuit(random_formula(rng, size, 4), "arity2")
-        assert c.validate("formulaTree")[0]
+        assert c.shape == "formula"
 
 
 def test_random_graded_arity3_formula_homogeneous_odd():
@@ -198,9 +198,9 @@ def test_random_graded_arity3_formula_homogeneous_odd():
         d = rng.choice([1, 3, 5])
         t = random_graded_arity3_formula(rng, d, rng.randint(3, 25), 4)
         c = tree_to_circuit(t, "arity3")
-        assert c.validate("IHL")[0] and c.validate("graded")[0]
+        assert c.validate("IHL")[0] and c.syntactic_degrees()[c.output_id] == d
         f = c.eval()
-        assert f.is_zero() or f.is_homogeneous(d)
+        assert f.is_zero() or f.homog_degrees() == [d]
 
 
 def test_random_graded_arity3_circuit_valid():
@@ -208,6 +208,6 @@ def test_random_graded_arity3_circuit_valid():
     for _ in range(10):
         d = rng.choice([3, 5, 7])
         c = random_graded_arity3_circuit(rng, d, rng.randint(10, 40), 4)
-        assert c.validate("arity3")[0] and c.validate("graded")[0]
+        assert c.basis == "arity3" and c.syntactic_degrees()[c.output_id] == d
         f = c.eval()
-        assert f.is_zero() or f.is_homogeneous(d)
+        assert f.is_zero() or f.homog_degrees() == [d]
