@@ -24,14 +24,17 @@ built: the constructor raises ``BasisViolation("gate <id>: <reason>")``.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .poly import (
-    COEFF_ONE,
     Coeff,
+    KeyLayout,
     Polynomial,
+    Rat,
+    _rat,
     _var_key,
     format_coeff,
     format_poly,
@@ -87,17 +90,18 @@ class Gate(NamedTuple):
 
 
 class Circuit:
-    """Topologically ordered gate list with a designated output."""
+    """Topologically ordered gate list with a designated output.  A shape
+    of None is inferred: a formula when the gates make one, else a circuit."""
 
     def __init__(
         self,
         gates: Sequence[Gate],
         output_id: str,
-        shape: str,
+        shape: Optional[str],
         basis: str,
         variables: Sequence[str] = (),
     ):
-        if shape not in SHAPES:
+        if shape is not None and shape not in SHAPES:
             raise ValueError(f"unknown shape {shape!r}")
         if basis not in BASIS_KINDS:
             raise ValueError(f"unknown basis {basis!r}")
@@ -125,9 +129,11 @@ class Circuit:
                 vs.update(form.variables())
         if output_id not in by_id:
             raise ValueError(f"unknown output gate {output_id}")
-        if shape == "formula":
+        if shape != "circuit":
             defect = _formula_defect(self.gates, output_id)
-            if defect is not None:
+            if shape is None:
+                shape = "circuit" if defect else "formula"
+            elif defect is not None:
                 raise BasisViolation(defect)
         self.output_id = output_id
         self.shape = shape
@@ -135,32 +141,57 @@ class Circuit:
         self.variables: Tuple[str, ...] = tuple(sorted(vs, key=_var_key))
 
     # -- evaluation ----------------------------------------------------------
-    def eval_gates(self) -> Dict[str, Polynomial]:
-        vals: Dict[str, Polynomial] = {}
+    def eval_gates(self) -> Mapping[str, Polynomial]:
+        """Every gate's value, by gate id: the gates are swept once on packed
+        keys (``KeyLayout``), and a value is unpacked when it is read.
+        Every field, alpha's too, holds the largest bound of a gate: a leaf's
+        is the larger of 1 and its largest alpha exponent, an edge scalar
+        adds its own largest, a sum takes its children's largest, a product
+        their sum and a negative cube three times its child's.  No exponent
+        of a gate's value exceeds the gate's bound, so no field carries."""
+        bound: Dict[str, int] = {}
         for g in self.gates:
             if g.kind == "input":
-                p = g.form
-            elif g.kind == "add":
-                scalars = g.edge_scalars or (COEFF_ONE,) * len(g.children)
-                p = Polynomial.zero()
-                for ch, s in zip(g.children, scalars):
-                    p = p + vals[ch].scale(s)
-            elif g.kind == "mul":
-                scalars = g.edge_scalars or (COEFF_ONE,) * 2
-                p = vals[g.children[0]].scale(scalars[0]) * vals[g.children[1]].scale(
-                    scalars[1]
-                )
-            elif g.kind == "mul3":
-                p = vals[g.children[0]] * vals[g.children[1]] * vals[g.children[2]]
-            elif g.kind == "negcube":
-                a = vals[g.children[0]]
-                p = -(a * a * a)
-            else:  # pragma: no cover
-                raise ValueError(f"unknown gate kind {g.kind}")
+                b = 1
+                for _m, _e, a in g.form.terms:
+                    if a > b:
+                        b = a
+            else:
+                bs = [bound[ch] for ch in g.children]
+                if g.edge_scalars is not None:
+                    bs = [b + max((a for _e, a in s.terms), default=0)
+                          for b, s in zip(bs, g.edge_scalars)]
+                b = max(bs) if g.kind == "add" else (3 if g.kind == "negcube" else 1) * sum(bs)
+            bound[g.id] = b
+        top = max(bound.values())
+        layout = KeyLayout(dict.fromkeys(self.variables, top), top)
+        pack = layout.pack
+        vals: Dict[str, Dict[int, Rat]] = {}
+        for g in self.gates:
+            kind = g.kind
+            if kind == "input":
+                p = pack(g.form)
+            else:
+                args = [vals[ch] for ch in g.children]
+                if g.edge_scalars is not None:
+                    args = [p if s.is_one() else _packed_mul(p, pack(s.to_poly()))
+                            for p, s in zip(args, g.edge_scalars)]
+                if kind == "add":
+                    p = dict(args[0])
+                    for k, c in args[1].items():
+                        p[k] = p.get(k, 0) + c
+                    p = {k: c for k, c in p.items() if c}
+                else:  # a product; a negative cube is minus its child's cube
+                    p = args[0]
+                    for q in args[1:] if kind != "negcube" else (p, p):
+                        p = _packed_mul(p, q)
+            s = -1 if kind == "negcube" else 1
             if g.scale is not None:
-                p = p * Fraction(g.scale)
+                s *= _rat(g.scale)
+            if s != 1:
+                p = {k: c * s for k, c in p.items()}
             vals[g.id] = p
-        return vals
+        return _Unpacked(vals, layout)
 
     def eval(self) -> Polynomial:
         return self.eval_gates()[self.output_id]
@@ -232,6 +263,36 @@ class Circuit:
                     return False, g.id, "gate mixes even and odd components"
             return True, None, ""
         raise ValueError(f"unknown predicate {predicate!r}")
+
+
+def _packed_mul(a: Dict[int, Rat], b: Dict[int, Rat]) -> Dict[int, Rat]:
+    """The product of two packed polynomials of one layout."""
+    out: Dict[int, Rat] = {}
+    get = out.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            if c := get(k, 0) + c1 * c2:
+                out[k] = c
+            else:
+                del out[k]
+    return out
+
+
+class _Unpacked(Mapping):
+    """Packed gate values, each unpacked when it is read."""
+
+    def __init__(self, packed: Dict[str, Dict[int, Rat]], layout: KeyLayout):
+        self._packed, self._layout = packed, layout
+
+    def __getitem__(self, gid: str) -> Polynomial:
+        return self._layout.unpack(self._packed[gid])
+
+    def __iter__(self):
+        return iter(self._packed)
+
+    def __len__(self) -> int:
+        return len(self._packed)
 
 
 @dataclass
@@ -540,8 +601,6 @@ def parse_circuit(text: str) -> Circuit:
 
     if basis is None:
         basis = _implied_basis(gates)
-    if shape is None:
-        shape = "circuit" if _formula_defect(gates, output_id) else "formula"
     return Circuit(gates, output_id, shape, basis, variables)
 
 

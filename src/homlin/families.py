@@ -19,14 +19,13 @@ nceL, nceGeneric and C return 1 at degree 0 (empty-product convention).
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from .poly import COEFF_ONE, Coeff, Polynomial, Rat, _clean, _var_key
+from .poly import COEFF_ONE, Coeff, KeyLayout, Polynomial, Rat, _var_key
 
 FAMILY_TAGS = ("IMM", "nceGeneric", "nceL", "Ccomb", "Cmatrix", "C", "E", "P", "Q")
 
@@ -69,20 +68,15 @@ Rows = Dict[int, Row]
 # the same in both coordinates.  (The aim of fraction-free elimination,
 # Bareiss 1968: keep the arithmetic on integers.)
 #
-# Each term is one integer key, its exponents packed side by side (Johnson,
-# "Sparse polynomial arithmetic", 1974; Monagan and Pearce's POLY, 2012):
-#
-#   key(x^m * eps^e * alpha^a) = (e << S) + (a << SA) + sum_v (m_v << off_v)
-#
-# with the variables in ``_var_key`` order from bit 0 up, alpha above them
-# and the signed eps exponent on top.  Each field below S is as wide as the
-# largest value it can take in a product term (``_Packing``), so fields never
-# carry into one another: the key of a product of terms is the sum of their
-# keys.  The fields below S hold a number in [0, 2^S), so e < K exactly when
-# key < K << S, and truncation is one integer comparison.
-#
-# Packing (``_Packing``) and unpacking (``_finish``) are the one seam between
-# Polynomial terms and the keys the sweeps work on.
+# Each term is one integer key (``KeyLayout``), each exponent field wide
+# enough for any product term, the functional's weights and scalar included
+# (``_Packing``): a product's key is the sum of its factors' keys, and the
+# truncation below eps^K is one integer comparison.  Packing (``_Packing``)
+# and the one unpacking of a result by its reader are the one seam between
+# Polynomial terms and the keys the sweeps work on.  The reader is the
+# functional of ``border_functional``, which subtracts the identity, applies
+# the weights and the scalar and truncates on the packed rows before it
+# unpacks, or ``_finish``, which unpacks the rows themselves.
 #
 # Partial products are accumulated in place, into dicts that belong to one
 # state alone.  A state's bound only tightens as the sweep goes on, and the
@@ -95,119 +89,79 @@ Rows = Dict[int, Row]
 Terms = Dict[int, Rat]
 # A packed factor entry: its (key, coefficient) pairs, sorted by key.
 Entry = List[Tuple[int, Rat]]
-# A factor's nonzero entries in one column j: (j, [(t, a[t, j]), ...]).
-Column = Tuple[int, List[Tuple[int, Polynomial]]]
+# A factor's packed entries in one column j: (j, [(t, a[t, j]), ...]).
 PackedColumn = Tuple[int, List[Tuple[int, Entry]]]
 # A sparse row of packed entries: column -> its terms.
 PackedRow = Dict[int, Terms]
 
 
-def _columns(a: Factor) -> List[Column]:
-    """The entries of a factor, grouped by column."""
-    cols: Dict[int, List[Tuple[int, Polynomial]]] = {}
-    for t, j in sorted(a):
-        cols.setdefault(j, []).append((t, a[t, j]))
-    return sorted(cols.items())
-
-
 class _Packing:
-    """A factor list packed for the engine: each factor's nonzero entries,
-    grouped by column, as sorted (key, coefficient) lists under x -> D*x;
-    ``scale`` is D, the lcm of the denominators of the entries' non-constant
-    coefficients, and ``lows`` holds each factor's smallest eps exponent
-    (inf for a zero factor).
+    """A factor list packed for the engine.  Per factor: ``columns``, its
+    nonzero entries grouped by column as sorted (key, coefficient) lists
+    under x -> D*x; ``both``, the rows it reads that it also writes; and
+    ``lows``, its smallest eps exponent (inf for a zero factor).  ``scale``
+    is D, the lcm of the denominators of the entries' non-constant
+    coefficients.
 
     The key layout serves products of at most ``count`` terms, each from a
-    different factor.  Such a product's exponent of a variable (or of alpha)
-    is a sum of one exponent per factor it draws on, so it is at most the
-    sum of the ``count`` largest per-factor maxima of that exponent; its
-    field is given just enough bits to hold that bound."""
+    different factor, times one term of a functional's scalar and weight,
+    which adds at most ``alpha`` to the alpha exponent.  So a product's
+    exponent of a variable (or of alpha) is at most ``count`` times the
+    largest one a factor entry holds (plus ``alpha``), and its field is
+    sized for that one bound."""
 
-    def __init__(self, factors: Sequence[Factor], count: int):
-        cols = [_columns(a) for a in factors]
-        # one scan of every term: per factor, the largest exponent of each
-        # variable, of alpha and of eps, and the smallest of eps
-        maxima: Dict[str, List[int]] = {}
-        alphas: List[int] = []
+    def __init__(self, factors: Sequence[Factor], count: int, alpha: int = 0):
+        # one scan of every term, read from the factor dicts: per field, the
+        # largest exponent; per factor, the smallest and largest eps exponent
+        tops: Dict[str, int] = {}
+        a_top = high = 0
         self.lows: List[float] = []
-        high = 0
         dens = set()
-        for fc in cols:
-            most: Dict[str, int] = {}
-            a_most, e_most, low = 0, 0, math.inf
-            for _j, col in fc:
-                for _t, p in col:
-                    for (mono, e, a), c in p.terms.items():
-                        if e < low:
-                            low = e
-                        if e > e_most:
-                            e_most = e
-                        if a > a_most:
-                            a_most = a
-                        if mono and type(c) is not int:
-                            dens.add(c.denominator)
-                        for v, x in mono:
-                            if x > most.get(v, 0):
-                                most[v] = x
-            for v, x in most.items():
-                maxima.setdefault(v, []).append(x)
-            alphas.append(a_most)
+        for f in factors:
+            e_most, low = 0, math.inf
+            for p in f.values():
+                for (mono, e, a), c in p.terms.items():
+                    if e < low:
+                        low = e
+                    if e > e_most:
+                        e_most = e
+                    if a > a_top:
+                        a_top = a
+                    if mono and type(c) is not int:
+                        dens.add(c.denominator)
+                    for v, x in mono:
+                        if x > tops.get(v, 0):
+                            tops[v] = x
             self.lows.append(low)
             high += e_most
         self.scale = scale = math.lcm(*dens)
-        names = sorted(maxima, key=_var_key)
-        widths = [sum(heapq.nlargest(count, maxima[v])).bit_length() for v in names]
-        widths.append(sum(heapq.nlargest(count, alphas)).bit_length())
-        offsets = [0, *accumulate(widths)]
-        self.fields = [(v, offsets[i], (1 << widths[i]) - 1) for i, v in enumerate(names)]
-        self.alpha_shift = offsets[-2]
-        self.shift = offsets[-1]
+        self.layout = layout = KeyLayout(
+            {v: count * tops[v] for v in sorted(tops, key=_var_key)}, count * a_top + alpha)
         # a product term's eps exponent is at most the sum of the factors'
         # largest positive ones, so no key reaches this one
-        self.ceiling = (high + 1) << self.shift
-        offset = {v: off for v, off, _mask in self.fields}
-        shift, alpha_shift = self.shift, self.alpha_shift
-
-        def entry(p: Polynomial) -> Entry:
-            out = []
-            for (mono, e, a), c in p.terms.items():
-                k = (e << shift) + (a << alpha_shift)
-                for v, x in mono:
-                    k += x << offset[v]
-                if mono and scale != 1:
-                    # c * D^deg is an integer: D is a multiple of c's denominator
-                    m = scale ** sum(x for _v, x in mono)
-                    c = c * m if type(c) is int else c.numerator * (m // c.denominator)
-                out.append((k, c))
-            out.sort()
-            return out
-
-        self.columns: List[List[PackedColumn]] = [
-            [(j, [(t, entry(p)) for t, p in col]) for j, col in fc] for fc in cols
-        ]
+        self.ceiling = (high + 1) << layout.shift
+        self.columns: List[List[PackedColumn]] = []
+        self.both: List[Tuple[int, ...]] = []
+        for f in factors:
+            if len(f) == 1:  # every trace3, offdiag3 and continuant factor
+                ((t, j), p), = f.items()
+                self.columns.append([(j, [(t, sorted(layout.pack(p, scale).items()))])])
+                self.both.append((t,) if t == j else ())
+                continue
+            cols: Dict[int, List[Tuple[int, Entry]]] = {}
+            for t, j in sorted(f):
+                cols.setdefault(j, []).append((t, sorted(layout.pack(f[t, j], scale).items())))
+            self.columns.append(sorted(cols.items()))
+            self.both.append(tuple({t for t, _j in f}.intersection(cols)))
 
     def top(self, below: Optional[int]) -> int:
         """The key bound of eps^below; the ceiling when ``below`` is None."""
-        return self.ceiling if below is None else below << self.shift
+        return self.ceiling if below is None else below << self.layout.shift
 
-    def polynomial(self, terms: Terms, below: Optional[int]) -> Polynomial:
-        """The packed terms as a Polynomial, reduced mod eps^below and mapped
-        back by x -> x/D."""
-        shift, alpha_shift, fields = self.shift, self.alpha_shift, self.fields
-        top = self.top(below)
-        out = {}
-        for k, c in terms.items():
-            if k >= top:
-                continue
-            e = k >> shift
-            low = k - (e << shift)
-            mono = []
-            for v, off, mask in fields:
-                x = (low >> off) & mask
-                if x:
-                    mono.append((v, x))
-            out[(tuple(mono), e, low >> alpha_shift)] = c
-        return Polynomial._normalised(_clean(out)).scale_vars(Fraction(1, self.scale))
+    def polynomial(self, terms: Terms) -> Polynomial:
+        """Packed terms as a Polynomial, mapped back by x -> x/D."""
+        p = self.layout.unpack(terms)
+        return p if self.scale == 1 else p.scale_vars(Fraction(1, self.scale))
 
 
 def _add_row_times(out: PackedRow, row: PackedRow, cols: Sequence[PackedColumn], top: int):
@@ -254,40 +208,73 @@ def _identity_rows(rows: Iterable[int]) -> Dict[int, PackedRow]:
 
 def _finish(m: Dict[int, PackedRow], packing: _Packing, below: Optional[int]) -> Rows:
     """The carried rows unpacked, mod eps^below and in the original
-    coordinates."""
+    coordinates: the engine's result when no reader is given."""
     out: Rows = {}
     for r, row in m.items():
         out[r] = {}
         for c, terms in row.items():
-            p = packing.polynomial(terms, below)
+            p = packing.polynomial(terms)
+            if below is not None:
+                p = p.mod_eps(below)
             if p.terms:
                 out[r][c] = p
     return out
 
 
+class _Functional:
+    """The reader of ``sum_{r,c} w[r][c] * (M - I)[r][c]`` mod eps^below off
+    the engine's packed rows of M, where ``weights`` maps each row r to its
+    nonzero weights, as (c, w[r][c]) pairs (the functional's weights times
+    its scalar, in ``border_functional``), and I is the identity with
+    ``minus_identity``, else zero.  Each read row of M (and of -I) is
+    multiplied into one column by the weights, packed for the engine's
+    layout, so a product key at or above eps^below is never formed; the sum
+    is unpacked once."""
+
+    def __init__(self, weights: Dict[int, List[Tuple[int, Coeff]]], below: Optional[int],
+                 minus_identity: bool):
+        self.weights = weights
+        self.below = below
+        self.minus_identity = minus_identity
+        # the most that a weight adds to an alpha exponent
+        self.alpha = max(a for row in weights.values() for _c, w in row for _e, a in w.terms)
+
+    def __call__(self, m: Dict[int, PackedRow], packing: _Packing) -> Polynomial:
+        pack = packing.layout.pack
+        # not the product's ceiling: a weight can raise an eps exponent past it
+        top = math.inf if self.below is None else packing.top(self.below)
+        out: PackedRow = {}
+        for r, row in self.weights.items():
+            col = [(0, [(c, sorted(pack(w.to_poly()).items())) for c, w in row])]
+            _add_row_times(out, m[r], col, top)
+            if self.minus_identity:
+                _add_row_times(out, {r: {0: -1}}, col, top)
+        return packing.polynomial(out.get(0, {}))
+
+
 def word_product(
-    factors: Sequence[Factor], below: Optional[int] = None, *, rows: Iterable[int]
-) -> Rows:
+    factors: Sequence[Factor], below: Optional[int] = None, *, rows: Iterable[int],
+    read: Optional[_Functional] = None,
+) -> Union[Rows, Polynomial]:
     """The given rows of the product of the ``id + A`` factors, as sparse
-    rows, exact mod eps^below.
+    rows, exact mod eps^below; with ``read``, its value on the packed rows
+    instead.
 
     Only those rows are carried.  With m_j the smallest eps exponent among
     the entries of factor j, a term of the prefix ending at factor i is kept
     only if its exponent plus the sum over j > i of min(0, m_j) stays below
     ``below``."""
-    packing = _Packing(factors, len(factors))
+    packing = _Packing(factors, len(factors), 0 if read is None else read.alpha)
     lows = [min(0, low) for low in packing.lows]
     rest = sum(lows)
     acc = _identity_rows(rows)
-    for c, low in zip(packing.columns, lows):
+    for c, both, low in zip(packing.columns, packing.both, lows):
         rest -= low
         top = packing.top(None if below is None else below - rest)
         # acc * (id + A) = acc + acc * A, row by row.  An entry this factor
         # both reads and writes is read from a copy taken before the step.
         # The terms carried over from acc were kept under the previous bound,
         # so they are pruned after the step when the bound has tightened.
-        written = {j for j, _col in c}
-        both = written.intersection(t for _j, col in c for t, _b in col)
         for row in acc.values():
             before = row
             if both:
@@ -295,7 +282,7 @@ def word_product(
             _add_row_times(row, before, c, top)
             if low and below is not None:
                 _prune(row, top)
-    return _finish(acc, packing, below)
+    return _finish(acc, packing, below) if read is None else read(acc, packing)
 
 
 def _cheapest_completions(lows: Sequence[float], d: int) -> List[List[float]]:
@@ -312,10 +299,12 @@ def _cheapest_completions(lows: Sequence[float], d: int) -> List[List[float]]:
 
 
 def nce_matrices(
-    factors: Sequence[Factor], d: int, below: Optional[int] = None, *, rows: Iterable[int]
-) -> Rows:
+    factors: Sequence[Factor], d: int, below: Optional[int] = None, *, rows: Iterable[int],
+    read: Optional[_Functional] = None,
+) -> Union[Rows, Polynomial]:
     """The given rows of the noncommutative elementary symmetric polynomial
-    of square matrix arguments, as sparse rows, exact mod eps^below.
+    of square matrix arguments, as sparse rows, exact mod eps^below; with
+    ``read``, its value on the packed rows instead.
 
     Sum over increasing index sequences I_1 < ... < I_d of X_{I_1} ... X_{I_d},
     computed by one left-to-right dynamic-programming sweep.  ``dp[t]`` still
@@ -327,7 +316,7 @@ def nce_matrices(
     if d < 0:
         raise InvalidParameters("degree must be nonnegative")
     carried = list(rows)
-    packing = _Packing(factors, d)
+    packing = _Packing(factors, d, 0 if read is None else read.alpha)
     completions = _cheapest_completions(packing.lows, d)
     dp = [_identity_rows(carried)] + [{r: {} for r in carried} for _ in range(d)]
     for i, c in enumerate(packing.columns):
@@ -346,32 +335,35 @@ def nce_matrices(
             prev, cur = dp[t - 1], dp[t]
             for r in carried:
                 _add_row_times(cur[r], prev[r], c, top)
-    return _finish(dp[d], packing, below)
+    return _finish(dp[d], packing, below) if read is None else read(dp[d], packing)
 
 
 def border_functional(
-    product: Callable[[Optional[int], Set[int]], Rows],
+    product: Callable[[Optional[int], Set[int], _Functional], Polynomial],
     weights: LWeights,
     scalar: Coeff,
     below: Optional[int] = None,
+    minus_identity: bool = False,
 ) -> Polynomial:
-    """``scalar * L(M)`` mod eps^below, where ``product(k, rows)`` returns
-    the given rows of M, exact mod eps^k, as sparse rows.
+    """``scalar * L(M)`` mod eps^below, or ``scalar * L(M - id)`` with
+    ``minus_identity``, where ``product(k, rows, read)`` runs the engine on
+    the given rows of M, exact mod eps^k, and returns ``read``'s value on
+    its packed rows.
 
     L reads only the rows that hold a nonzero weight, so only those are
     asked for.  L and the scalar lower an exponent by at most the smallest
     exponent of a nonzero weight and of the scalar, so M is asked for to
     that much higher order."""
-    weights = [[Coeff.of(w) for w in row] for row in weights]
-    read = {r for r, row in enumerate(weights) if any(w.terms for w in row)}
-    w_low = min((e for row in weights for w in row for (e, _a) in w.terms), default=None)
-    if scalar.is_zero() or w_low is None:
+    scaled: Dict[int, List[Tuple[int, Coeff]]] = {}
+    for r, row in enumerate(weights):
+        for c, w in enumerate(row):
+            if (w := Coeff.of(w)).terms and (sw := scalar * w).terms:
+                scaled.setdefault(r, []).append((c, sw))
+    if not scaled:
         return Polynomial.zero()
-    if below is None:
-        return apply_L(product(None, read), weights).scale(scalar)
-    s_low = min(e for (e, _a) in scalar.terms)
-    value = apply_L(product(below - s_low - w_low, read), weights).scale(scalar)
-    return value.mod_eps(below)
+    low = min(e for row in scaled.values() for _c, w in row for e, _a in w.terms)
+    read = _Functional(scaled, below, minus_identity)
+    return product(None if below is None else below - low, set(scaled), read)
 
 
 def _var(*idx: int) -> Polynomial:
@@ -468,7 +460,8 @@ def gen_C_matrix(n: int, d: int) -> Polynomial:
         return Polynomial.const(1)
     factors = [parity_factor(i, _var(i)) for i in range(1, n + 1)]
     return border_functional(
-        lambda k, rows: nce_matrices(factors, d, k, rows=rows), C_WEIGHTS, COEFF_ONE
+        lambda k, rows, read: nce_matrices(factors, d, k, rows=rows, read=read),
+        C_WEIGHTS, COEFF_ONE,
     )
 
 
@@ -483,7 +476,7 @@ def gen_nce_generic(n: int, d: int) -> Polynomial:
         for i in range(1, n + 1)
     ]
     return border_functional(
-        lambda k, rows: nce_matrices(factors, d, k, rows=rows), L_sum(), COEFF_ONE
+        lambda k, rows, read: nce_matrices(factors, d, k, rows=rows, read=read), L_sum(), COEFF_ONE
     )
 
 
@@ -511,20 +504,6 @@ def zero_diag_factor(entries: Sequence[Polynomial]) -> Factor:
     }
 
 
-def apply_L(m: Rows, weights: LWeights) -> Polynomial:
-    """The linear functional sum_{r,c} weights[r][c] * M[r][c], over the
-    sparse rows of M that are given."""
-    out = Polynomial.zero()
-    for r, row in m.items():
-        for c, p in row.items():
-            w = Coeff.of(weights[r][c])
-            if w.is_one():
-                out = out + p
-            elif not w.is_zero():
-                out = out + p.scale(w)
-    return out
-
-
 def gen_nce_L(n: int, d: int, weights: LWeights | None = None) -> Polynomial:
     """L applied to the elementary symmetric polynomial in n zero-diagonal
     3x3 matrices of 6 fresh variables each; degree 0 is fixed to 1."""
@@ -535,7 +514,7 @@ def gen_nce_L(n: int, d: int, weights: LWeights | None = None) -> Polynomial:
         zero_diag_factor([_var(a, b, i) for a, b in OFF_DIAGONAL]) for i in range(1, n + 1)
     ]
     return border_functional(
-        lambda k, rows: nce_matrices(factors, d, k, rows=rows),
+        lambda k, rows, read: nce_matrices(factors, d, k, rows=rows, read=read),
         weights if weights is not None else L_sum(),
         COEFF_ONE,
     )
@@ -549,9 +528,9 @@ def gen_E(n: int, d: int) -> Polynomial:
         zero_diag_factor([_var(i, a, b) for a, b in OFF_DIAGONAL]) for i in range(1, n + 1)
     ]
     total = border_functional(
-        lambda k, rows: word_product(factors, k, rows=rows), L_sum(), COEFF_ONE
+        lambda k, rows, read: word_product(factors, k, rows=rows, read=read),
+        L_sum(), COEFF_ONE, minus_identity=True,
     )
-    total = total - Polynomial.const(3)  # subtract the identity's entry sum
     return total.homog_component(d)
 
 

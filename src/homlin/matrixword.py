@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .circuit import Circuit, DegreeMismatch, FNode, circuit_to_tree, GradedArity3Repr
 from .families import (
@@ -158,7 +158,7 @@ class Projection:
         else:
             raise ValueError(f"unknown family tag {self.family_tag!r}")
         return border_functional(
-            lambda order, rows: nce_matrices(factors, self.d, order, rows=rows),
+            lambda order, rows, read: nce_matrices(factors, self.d, order, rows=rows, read=read),
             weights,
             self.scalar,
             below,
@@ -166,12 +166,14 @@ class Projection:
 
 
 def expand_word(
-    w: MatrixWord, below: Optional[int] = None, rows: Optional[Iterable[int]] = None
-) -> Rows:
+    w: MatrixWord, below: Optional[int] = None, rows: Optional[Iterable[int]] = None,
+    read=None,
+) -> Union[Rows, Polynomial]:
     """The given rows (all ``w.dim`` of them by default) of the product of
     the ``id + A_i`` factors, as sparse rows, exact mod eps^below (in full
-    when ``below`` is None)."""
-    return word_product(w.factors, below, rows=range(w.dim) if rows is None else rows)
+    when ``below`` is None); with ``read``, its value on the packed rows
+    instead (see ``border_functional``)."""
+    return word_product(w.factors, below, rows=range(w.dim) if rows is None else rows, read=read)
 
 
 def target_weights(target: Target, dim: int) -> LWeights:
@@ -190,19 +192,9 @@ def border_value(obj: Union[MatrixWord, Projection], below: Optional[int] = None
     exact mod eps^below, or in full when ``below`` is None."""
     if isinstance(obj, Projection):
         return obj.value(below)
-
-    def residue(k: Optional[int], rows: Set[int]) -> Rows:
-        m = expand_word(obj, k, rows)
-        for r, row in m.items():
-            p = row.get(r, Polynomial.zero()) - Polynomial.const(1)
-            if p.terms:
-                row[r] = p
-            else:
-                del row[r]
-        return m
-
     return border_functional(
-        residue, target_weights(obj.target, obj.dim), obj.global_scalar, below
+        lambda k, rows, read: expand_word(obj, k, rows, read),
+        target_weights(obj.target, obj.dim), obj.global_scalar, below, minus_identity=True,
     )
 
 

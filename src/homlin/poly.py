@@ -465,6 +465,58 @@ class Polynomial:
         return f"Polynomial<{format_poly(self)}>"
 
 
+class KeyLayout:
+    """Packed term keys (Johnson, "Sparse polynomial arithmetic", 1974;
+    Monagan and Pearce's POLY, 2012): x^m * eps^e * alpha^a is the integer
+    (e << shift) + (a << alpha_shift) + sum_v (m_v << off_v), the variables
+    in ``_var_key`` order from bit 0 up, alpha above them and the signed eps
+    exponent on top.  Each field is just wide enough for its bound (a
+    variable's in ``bounds``, given in ``_var_key`` order, and alpha's in
+    ``alpha``).  While no exponent
+    passes its bound no field carries: the key of a product of terms is the
+    sum of their keys, and e < K exactly when key < K << shift."""
+
+    __slots__ = ("fields", "offset", "alpha_shift", "shift")
+
+    def __init__(self, bounds: Mapping[str, int], alpha: int):
+        self.fields, off = [], 0
+        for v, bound in bounds.items():
+            width = bound.bit_length()
+            self.fields.append((v, off, (1 << width) - 1))
+            off += width
+        self.offset = {v: o for v, o, _mask in self.fields}
+        self.alpha_shift, self.shift = off, off + alpha.bit_length()
+
+    def pack(self, p: Polynomial, scale: int = 1) -> Dict[int, Rat]:
+        """The terms of p(scale*x) by key; ``scale`` must make every
+        non-constant coefficient integral or be 1."""
+        shift, alpha_shift, offset = self.shift, self.alpha_shift, self.offset
+        out = {}
+        for (mono, e, a), c in p.terms.items():
+            k = (e << shift) + (a << alpha_shift)
+            for v, x in mono:
+                k += x << offset[v]
+            if mono and scale != 1:
+                m = scale ** _mono_deg(mono)
+                c = c * m if type(c) is int else c.numerator * (m // c.denominator)
+            out[k] = c
+        return out
+
+    def unpack(self, terms: Mapping[int, Rat]) -> Polynomial:
+        """The polynomial of packed terms; zero coefficients are dropped."""
+        shift, alpha_shift, fields = self.shift, self.alpha_shift, self.fields
+        out = {}
+        for k, c in terms.items():
+            e = k >> shift
+            low = k - (e << shift)
+            mono = []
+            for v, off, mask in fields:
+                if x := (low >> off) & mask:
+                    mono.append((v, x))
+            out[(tuple(mono), e, low >> alpha_shift)] = c
+        return Polynomial._normalised(_clean(out))
+
+
 # ---------------------------------------------------------------------------
 # Text syntax: terms joined by +/-; each term `c * x3^2 * eps^-1 * alpha^2`
 # with `c` a rational literal p/q.  Whitespace insignificant.

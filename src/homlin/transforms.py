@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .circuit import (
+    BASIS_KINDS,
     BasisViolation,
     Circuit,
     FNode,
@@ -272,6 +273,16 @@ def _ihl_pair(node: FNode) -> Tuple[Coeff, Optional[FNode]]:
 
 
 def input_homogenize_tree(node: FNode) -> Optional[FNode]:
+    """The IHL tree of ``node - node(0)`` (None for zero).  A gate kind
+    other than arity-2 ones is a BasisViolation, found before ``_brent2``."""
+    stack, seen = [node], set()
+    while stack:
+        n = stack.pop()
+        if n.kind not in BASIS_KINDS["arity2"][1]:
+            raise BasisViolation(f"input homogenization expects arity-2 gates, got {n.kind}")
+        if id(n) not in seen:
+            seen.add(id(n))
+            stack.extend(reversed(n.children))
     return _ihl_pair(_brent2(node, []))[1]
 
 

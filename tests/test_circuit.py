@@ -1,10 +1,13 @@
 """Tests for the circuit IR, evaluation, metrics, validation and text format."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from homlin.circuit import (
+    BASES,
+    BASIS_KINDS,
     BasisViolation,
     Circuit,
     CircuitSyntaxError,
@@ -18,7 +21,7 @@ from homlin.circuit import (
     print_circuit,
     tree_to_circuit,
 )
-from homlin.poly import COEFF_ONE, Polynomial, parse_poly
+from homlin.poly import COEFF_ONE, Coeff, Polynomial, parse_poly
 
 X1 = Polynomial.variable("x1")
 X2 = Polynomial.variable("x2")
@@ -360,3 +363,124 @@ def test_depths_count_a_negative_cube_as_a_product_gate():
     t = FNode.add(FNode.negcube(FNode.add(FNode.negcube(_leaf("x1")), _leaf("x2"))), _leaf("x3"))
     c = tree_to_circuit(t, "addNegCube")
     assert c.depths() == (4, 2) and c.depth() == 4
+
+
+# ---------------------------------------------------------------------------
+# the packed evaluator against the Polynomial sweep
+# ---------------------------------------------------------------------------
+
+
+def oracle_eval_gates(c):
+    """Test oracle: every gate's value by a sweep of Polynomial arithmetic,
+    the evaluator as it was before gates were evaluated on packed keys."""
+    vals = {}
+    for g in c.gates:
+        if g.kind == "input":
+            p = g.form
+        elif g.kind == "add":
+            scalars = g.edge_scalars or (COEFF_ONE,) * len(g.children)
+            p = Polynomial.zero()
+            for ch, s in zip(g.children, scalars):
+                p = p + vals[ch].scale(s)
+        elif g.kind == "mul":
+            scalars = g.edge_scalars or (COEFF_ONE,) * 2
+            p = vals[g.children[0]].scale(scalars[0]) * vals[g.children[1]].scale(scalars[1])
+        elif g.kind == "mul3":
+            p = vals[g.children[0]] * vals[g.children[1]] * vals[g.children[2]]
+        else:
+            a = vals[g.children[0]]
+            p = -(a * a * a)
+        if g.scale is not None:
+            p = p * Fraction(g.scale)
+        vals[g.id] = p
+    return vals
+
+
+RATIONALS = (1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3))
+
+
+def random_scalar(rng):
+    """A scalar of one or two terms, eps^-2..eps^2 and alpha^0..alpha^2."""
+    return Coeff({(rng.randint(-2, 2), rng.randint(0, 2)): rng.choice(RATIONALS)
+                  for _ in range(rng.randint(1, 2))})
+
+
+def random_leaf_form(rng):
+    """An affine form in x1..x3 whose terms carry eps and alpha powers."""
+    monos = ((), (("x1", 1),), (("x2", 1),), (("x3", 1),))
+    return Polynomial({(rng.choice(monos), rng.randint(-2, 2), rng.randint(0, 2)):
+                       rng.choice(RATIONALS) for _ in range(rng.randint(1, 3))})
+
+
+def random_circuit(rng, basis, size, edges):
+    """A circuit over ``basis`` with shared gates, every kind of the basis,
+    scale tags in the add/negative-cube basis, and edge scalars on add and
+    mul gates when ``edges``; the syntactic degree stays at most 9."""
+    kinds = sorted(BASIS_KINDS[basis][1] - {"input"})
+    arity = {"add": 2, "mul": 2, "mul3": 3, "negcube": 1}
+    gates, deg = [], {}
+    while len(gates) < size:
+        gid = f"g{len(gates) + 1}"
+        kind = "input" if len(gates) < 2 or rng.random() < 0.25 else rng.choice(kinds)
+        kids = tuple(rng.choice(gates).id for _ in range(arity.get(kind, 0)))
+        d = [deg[k] for k in kids]
+        deg[gid] = 1 if kind == "input" else max(d) if kind == "add" else (
+            3 * d[0] if kind == "negcube" else sum(d))
+        if deg[gid] > 9:
+            continue
+        scalars = None
+        if edges and kind in ("add", "mul") and rng.random() < 0.5:
+            scalars = tuple(random_scalar(rng) for _ in kids)
+        scale = None
+        if basis == "addNegCube" and rng.random() < 0.3:
+            scale = Fraction(rng.choice([-1, 2, 3]), rng.choice([1, 2, 24]))
+        form = random_leaf_form(rng) if kind == "input" else None
+        gates.append(Gate(gid, kind, kids, scalars, form, scale))
+    return Circuit(gates, gates[-1].id, "circuit", basis)
+
+
+@pytest.mark.parametrize("basis", BASES)
+@pytest.mark.parametrize("seed", range(12))
+def test_packed_evaluator_matches_the_polynomial_sweep(basis, seed):
+    rng = random.Random(f"{basis}-{seed}")
+    c = random_circuit(rng, basis, rng.randint(3, 12), edges=True)
+    want = oracle_eval_gates(c)
+    got = c.eval_gates()
+    assert list(got) == [g.id for g in c.gates] and len(got) == len(c.gates)
+    for g in c.gates:
+        assert got[g.id] == want[g.id], g
+        assert all(type(x) is int or x.denominator != 1 for x in got[g.id].terms.values())
+    assert c.eval() == want[c.output_id]
+    # the tree view carries no edge scalars; its evaluation agrees too
+    bare = random_circuit(rng, basis, rng.randint(3, 12), edges=False)
+    assert circuit_to_tree(bare).eval() == oracle_eval_gates(bare)[bare.output_id]
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_packed_evaluator_on_zero_circuits(basis):
+    zero = Circuit([Gate("g1", "input", form=Polynomial.zero())], "g1", "formula", basis)
+    assert zero.eval() == Polynomial.zero()
+    # a sum that cancels, carrying eps and alpha, and a gate above it
+    top = ("negcube", ("g3",)) if basis == "addNegCube" else ("add", ("g3", "g3"))
+    c = Circuit([
+        Gate("g1", "input", form=parse_poly("x1 * eps * alpha - 2")),
+        Gate("g2", "input", form=parse_poly("2 - x1 * eps * alpha")),
+        Gate("g3", "add", ("g1", "g2")),
+        Gate("g4", *top),
+    ], "g4", "circuit", basis)
+    vals = c.eval_gates()
+    assert vals["g3"] == Polynomial.zero() and vals["g4"] == Polynomial.zero()
+
+
+def test_parse_runs_the_formula_check_once(monkeypatch):
+    from homlin import circuit
+    calls = []
+    check = circuit._formula_defect
+    monkeypatch.setattr(circuit, "_formula_defect", lambda *a: calls.append(a) or check(*a))
+    shared = "gate g1 = input x1\ngate g2 = mul g1 g1\noutput g2\n"
+    assert parse_circuit("gate g1 = input x1\ngate g2 = input x2\n"
+                         "gate g3 = mul g1 g2\noutput g3\n").shape == "formula"
+    assert parse_circuit(shared).shape == "circuit"
+    assert len(calls) == 2
+    assert parse_circuit("shape circuit\n" + shared).shape == "circuit"
+    assert len(calls) == 2

@@ -13,6 +13,7 @@ on and just past powers of two."""
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from homlin.families import nce_matrices, word_product
@@ -23,7 +24,7 @@ from homlin.matrixword import (
     expand_word,
     target_weights,
 )
-from homlin.poly import Coeff, Polynomial, parse_poly
+from homlin.poly import Coeff, Polynomial, parse_coeff, parse_poly
 from test_matrixword import dense, expand, oracle_value_by_substitution, sparse
 
 VARS = ("x1", "x2", "x3")
@@ -334,6 +335,51 @@ def test_packed_fields_hold_the_proven_exponent_bound():
     )
     assert word_product(factors, rows=[0]) == {0: {0: binomial}}
     assert word_product(factors, -2, rows=[0]) == {0: {0: binomial.mod_eps(-2)}}
+
+
+# ---------------------------------------------------------------------------
+# the key layout leaves room for the functional
+# ---------------------------------------------------------------------------
+
+# No factor entry below carries more than alpha^1 or less than eps^-1, while
+# the scalar and the weights reach alpha^3 and eps^-3: a layout sized from the
+# factors alone gives alpha too narrow a field, and alpha carries into eps.
+SCALAR = parse_coeff("alpha^3 * eps^-3 + 2 * alpha")
+WEIGHTS = [[parse_coeff("alpha^3 * eps^-2"), parse_coeff("alpha^2 - eps^-3")],
+           [parse_coeff("3 * alpha^3"), parse_coeff("eps^-1 * alpha")]]
+NCE_WEIGHTS = [[parse_coeff(t) for t in row] for row in (
+    ("alpha^3", "eps^-3 * alpha^2", "1"), ("0", "alpha^3 * eps^-1", "alpha"),
+    ("2 * alpha^2", "0", "eps^-2 * alpha^3"))]
+
+
+def layout_cases(c):
+    """A word, a C projection and an nceL projection whose linear entries
+    carry the coefficient ``c``."""
+    x = parse_poly
+    word = MatrixWord(2, [
+        {(0, 1): x(f"{c} * x1 * alpha + x2 * eps^-1")},
+        {(1, 0): x("x2 * alpha - x1"), (1, 1): x(f"{c} * x1")},
+        {(0, 0): x("x1 * eps^-1 + x2 * alpha")},
+    ], SCALAR, ("functional", [w for row in WEIGHTS for w in row]))
+    forms = [x(f"{c} * x1 * alpha"), x("x2 * eps^-1 + x1"), x(f"x3 * alpha - {c} * x2")]
+    proj_c = Projection("C", 3, 2, forms, SCALAR)
+    proj_l = Projection("nceL", 1, 1, forms * 2, SCALAR, weights=NCE_WEIGHTS)
+    return [word, proj_c, proj_l]
+
+
+@pytest.mark.parametrize("c", [1, "1/2"])
+@pytest.mark.parametrize("k", [None, -4, 0, 1, 3])
+def test_the_key_layout_holds_the_scalar_and_weights(c, k):
+    word, proj_c, proj_l = layout_cases(c)
+    got = border_value(word, k)
+    assert got == reduce(oracle_word_value(word), k)
+    assert got.terms and max(a for _m, _e, a in oracle_word_value(word).terms) >= 7
+    for p in (proj_c, proj_l):
+        assert border_value(p, k) == reduce(oracle_projection_value(p), k)
+    if k is not None:
+        for obj in (word, proj_c, proj_l):
+            assert border_value(obj, k) == border_value(obj).mod_eps(k)
+            assert_normalised(border_value(obj, k))
 
 
 # ---------------------------------------------------------------------------
