@@ -459,44 +459,46 @@ def _tree_gates(root: FNode) -> List[Gate]:
     """The gate list of a tree, children first; gate ``g<k>`` is the k-th
     node in post-order.  A shared subtree is written out at every position."""
     gates: List[Gate] = []
-    append = gates.append
-
-    def walk(node: FNode) -> str:
-        kids = node.children
-        if not kids:
-            ids = ()
-        elif len(kids) == 2:
-            ids = (walk(kids[0]), walk(kids[1]))
-        else:
-            ids = tuple([walk(ch) for ch in kids])
-        gid = f"g{len(gates) + 1}"
-        s = node.scale
-        append(Gate(gid, node.kind, ids, None, node.form, None if s == 1 else s))
-        return gid
-
-    walk(root)
+    _append_gates(root, gates)
     return gates
+
+
+def _append_gates(node: FNode, gates: List[Gate]) -> str:
+    """Append the gates of ``node``'s subtree, children first; its gate id.
+    Module level: a closure over itself is a reference cycle, which would
+    keep ``gates`` alive until the cyclic collector runs."""
+    kids = node.children
+    if not kids:
+        ids = ()
+    elif len(kids) == 2:
+        ids = (_append_gates(kids[0], gates), _append_gates(kids[1], gates))
+    else:
+        ids = tuple([_append_gates(ch, gates) for ch in kids])
+    gid = f"g{len(gates) + 1}"
+    s = node.scale
+    gates.append(Gate(gid, node.kind, ids, None, node.form, None if s == 1 else s))
+    return gid
 
 
 def circuit_to_tree(c: Circuit) -> FNode:
     """The tree view of a circuit.  A gate read by several gates becomes one
     subtree shared by their nodes (built once, through the memo)."""
+    return _tree_node(c.output_id, c.by_id, {})
 
-    memo: Dict[str, FNode] = {}
 
-    def build(gid: str) -> FNode:
-        if gid in memo:
-            return memo[gid]
-        g = c.by_id[gid]
-        if g.edge_scalars is not None:
-            raise BasisViolation("edge scalars have no tree form; fold them first")
-        node = FNode(g.kind, tuple(build(ch) for ch in g.children), g.form)
-        if g.scale is not None:
-            node = node.scaled(Fraction(g.scale))
-        memo[gid] = node
-        return node
-
-    return build(c.output_id)
+def _tree_node(gid: str, by_id: Mapping[str, Gate], memo: Dict[str, FNode]) -> FNode:
+    """The subtree of gate ``gid``, memoized by gate id (module level, as
+    ``_append_gates`` is)."""
+    if gid in memo:
+        return memo[gid]
+    g = by_id[gid]
+    if g.edge_scalars is not None:
+        raise BasisViolation("edge scalars have no tree form; fold them first")
+    node = FNode(g.kind, tuple(_tree_node(ch, by_id, memo) for ch in g.children), g.form)
+    if g.scale is not None:
+        node = node.scaled(Fraction(g.scale))
+    memo[gid] = node
+    return node
 
 
 # ---------------------------------------------------------------------------

@@ -73,10 +73,13 @@ Rows = Dict[int, Row]
 # (``_Packing``): a product's key is the sum of its factors' keys, and the
 # truncation below eps^K is one integer comparison.  Packing (``_Packing``)
 # and the one unpacking of a result by its reader are the one seam between
-# Polynomial terms and the keys the sweeps work on.  The reader is the
-# functional of ``border_functional``, which subtracts the identity, applies
-# the weights and the scalar and truncates on the packed rows before it
-# unpacks, or ``_finish``, which unpacks the rows themselves.
+# Polynomial terms and the keys the sweeps work on.  Packing works once per
+# distinct factor object, which the 3x3 compilers share between the
+# positions of their commutator gadgets; the sweeps still step through every
+# position.  The reader is the functional of ``border_functional``, which
+# subtracts the identity, applies the weights and the scalar and truncates on
+# the packed rows before it unpacks, or ``_finish``, which unpacks the rows
+# themselves.
 #
 # Partial products are accumulated in place, into dicts that belong to one
 # state alone.  A state's bound only tightens as the sweep goes on, and the
@@ -96,7 +99,7 @@ PackedRow = Dict[int, Terms]
 
 
 class _Packing:
-    """A factor list packed for the engine.  Per factor: ``columns``, its
+    """A factor list packed for the engine.  Per position: ``columns``, its
     nonzero entries grouped by column as sorted (key, coefficient) lists
     under x -> D*x; ``both``, the rows it reads that it also writes; and
     ``lows``, its smallest eps exponent (inf for a zero factor).  ``scale``
@@ -111,13 +114,16 @@ class _Packing:
     sized for that one bound."""
 
     def __init__(self, factors: Sequence[Factor], count: int, alpha: int = 0):
+        # each distinct factor, keyed by identity, is scanned and packed
+        # once; ``factors`` keeps them all alive, so no id is reused meanwhile
+        distinct = {id(f): f for f in factors}
         # one scan of every term, read from the factor dicts: per field, the
         # largest exponent; per factor, the smallest and largest eps exponent
         tops: Dict[str, int] = {}
-        a_top = high = 0
-        self.lows: List[float] = []
+        a_top = 0
+        spans: List[Tuple[float, int]] = []
         dens = set()
-        for f in factors:
+        for f in distinct.values():
             e_most, low = 0, math.inf
             for p in f.values():
                 for (mono, e, a), c in p.terms.items():
@@ -132,27 +138,30 @@ class _Packing:
                     for v, x in mono:
                         if x > tops.get(v, 0):
                             tops[v] = x
-            self.lows.append(low)
-            high += e_most
+            spans.append((low, e_most))
         self.scale = scale = math.lcm(*dens)
         self.layout = layout = KeyLayout(
             {v: count * tops[v] for v in sorted(tops, key=_var_key)}, count * a_top + alpha)
-        # a product term's eps exponent is at most the sum of the factors'
-        # largest positive ones, so no key reaches this one
-        self.ceiling = (high + 1) << layout.shift
-        self.columns: List[List[PackedColumn]] = []
-        self.both: List[Tuple[int, ...]] = []
-        for f in factors:
+        steps: Dict[int, Tuple[float, int, List[PackedColumn], Tuple[int, ...]]] = {}
+        for (key, f), (low, e_most) in zip(distinct.items(), spans):
             if len(f) == 1:  # every trace3, offdiag3 and continuant factor
                 ((t, j), p), = f.items()
-                self.columns.append([(j, [(t, sorted(layout.pack(p, scale).items()))])])
-                self.both.append((t,) if t == j else ())
-                continue
-            cols: Dict[int, List[Tuple[int, Entry]]] = {}
-            for t, j in sorted(f):
-                cols.setdefault(j, []).append((t, sorted(layout.pack(f[t, j], scale).items())))
-            self.columns.append(sorted(cols.items()))
-            self.both.append(tuple({t for t, _j in f}.intersection(cols)))
+                cols = [(j, [(t, sorted(layout.pack(p, scale).items()))])]
+                both = (t,) if t == j else ()
+            else:
+                by_col: Dict[int, List[Tuple[int, Entry]]] = {}
+                for t, j in sorted(f):
+                    entry = sorted(layout.pack(f[t, j], scale).items())
+                    by_col.setdefault(j, []).append((t, entry))
+                cols = sorted(by_col.items())
+                both = tuple({t for t, _j in f}.intersection(by_col))
+            steps[key] = low, e_most, cols, both
+        # per position, as the sweeps read them
+        self.lows, highs, self.columns, self.both = (
+            zip(*map(steps.__getitem__, map(id, factors))) if factors else ((),) * 4)
+        # a product term's eps exponent is at most the sum of the factors'
+        # largest positive ones, so no key reaches this one
+        self.ceiling = (sum(highs) + 1) << layout.shift
 
     def top(self, below: Optional[int]) -> int:
         """The key bound of eps^below; the ceiling when ``below`` is None."""

@@ -626,9 +626,16 @@ def word_to_projection(
 
 def format_word(w: MatrixWord) -> str:
     lines = [f"dim {w.dim}"]
+    # Each distinct factor is formatted once.  Compilers share factor dicts
+    # between positions, so a factor is keyed by its identity; the word keeps
+    # its factors alive while this runs, so no id is reused.
+    factor_text: Dict[int, str] = {}
     for a in w.factors:
-        parts = [f"({i + 1},{j + 1})={format_poly(p)}" for (i, j), p in sorted(a.items())]
-        lines.append("factor: " + "; ".join(parts))
+        line = factor_text.get(id(a))
+        if line is None:
+            parts = [f"({i + 1},{j + 1})={format_poly(p)}" for (i, j), p in sorted(a.items())]
+            line = factor_text[id(a)] = "factor: " + "; ".join(parts)
+        lines.append(line)
     lines.append(f"scalar: {format_coeff(w.global_scalar)}")
     if w.target[0] == "entry":
         lines.append(f"target: entry({w.target[1]},{w.target[2]})")
@@ -678,9 +685,27 @@ def _entry_index(text: str, dim: int, lineno: int) -> Tuple[int, int]:
     return _int(i, "row index", lineno, 1, dim), _int(j, "column index", lineno, 1, dim)
 
 
+def _parse_factor(body: str, dim: int, lineno: int) -> Factor:
+    """The factor of a ``factor:`` line's body."""
+    m: Factor = {}
+    for part in body.split(";") if body else ():
+        lhs, eq, rhs = part.partition("=")
+        if not eq:
+            raise ArtifactSyntaxError(f"expected '(i,j)=<entry>', got {part.strip()!r}", lineno)
+        i, j = _entry_index(lhs.strip(), dim, lineno)
+        p = parse_poly(rhs)
+        # a repeated entry replaces the earlier one; a zero one clears it
+        if p.terms:
+            m[i - 1, j - 1] = p
+        else:
+            m.pop((i - 1, j - 1), None)
+    return m
+
+
 def parse_word(text: str) -> MatrixWord:
     dim = None
     factors: List[Factor] = []
+    parsed: Dict[str, Factor] = {}
     scalar = COEFF_ONE
     target: Target = ("trace",)
     for lineno, line in _lines(text):
@@ -694,19 +719,11 @@ def parse_word(text: str) -> MatrixWord:
             elif dim is None:
                 raise ArtifactSyntaxError("'dim' must come first", lineno)
             elif head == "factor":
-                m: Factor = {}
-                for part in body.split(";") if body else ():
-                    lhs, eq, rhs = part.partition("=")
-                    if not eq:
-                        raise ArtifactSyntaxError(
-                            f"expected '(i,j)=<entry>', got {part.strip()!r}", lineno)
-                    i, j = _entry_index(lhs.strip(), dim, lineno)
-                    p = parse_poly(rhs)
-                    # a repeated entry replaces the earlier one; a zero one clears it
-                    if p.terms:
-                        m[i - 1, j - 1] = p
-                    else:
-                        m.pop((i - 1, j - 1), None)
+                # each distinct line is parsed once, and its repeats share
+                # the one factor dict (factors are never mutated)
+                m = parsed.get(body)
+                if m is None:
+                    m = parsed[body] = _parse_factor(body, dim, lineno)
                 factors.append(m)
             elif head == "scalar":
                 scalar = parse_coeff(body)

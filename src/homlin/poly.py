@@ -494,10 +494,12 @@ class KeyLayout:
         out = {}
         for (mono, e, a), c in p.terms.items():
             k = (e << shift) + (a << alpha_shift)
+            deg = 0
             for v, x in mono:
                 k += x << offset[v]
-            if mono and scale != 1:
-                m = scale ** _mono_deg(mono)
+                deg += x
+            if deg and scale != 1:
+                m = scale ** deg
                 c = c * m if type(c) is int else c.numerator * (m // c.denominator)
             out[k] = c
         return out

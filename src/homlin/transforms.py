@@ -185,6 +185,20 @@ def _separator_steps(root: FNode) -> Tuple[list, FNode]:
     return steps, cur
 
 
+def _path_coefficient2(steps: list, i: int) -> Optional[FNode]:
+    """The product of the siblings off the path ``steps[i:]``, which
+    multiplies the separator; None when it is 1.  Module level, as
+    ``circuit._append_gates`` is, and so is ``_path_coefficient3``."""
+    if i == len(steps):
+        return None  # reached v: the coefficient contributes a factor 1
+    n, ci = steps[i]
+    if n.kind == "add":
+        return _path_coefficient2(steps, i + 1)
+    other = n.children[1 - ci]
+    rest = _path_coefficient2(steps, i + 1)
+    return other if rest is None else FNode.mul(rest, other)
+
+
 def _brent2(node: FNode, audit: List[Dict[str, int]]) -> FNode:
     s = node.size()
     if s <= 3:
@@ -192,17 +206,7 @@ def _brent2(node: FNode, audit: List[Dict[str, int]]) -> FNode:
     steps, v = _separator_steps(node)
     b_tree = _subst_path(steps, None)
 
-    def prune(i: int) -> Optional[FNode]:
-        if i == len(steps):
-            return None  # reached v: the coefficient contributes a factor 1
-        n, ci = steps[i]
-        if n.kind == "add":
-            return prune(i + 1)
-        other = n.children[1 - ci]
-        rest = prune(i + 1)
-        return other if rest is None else FNode.mul(rest, other)
-
-    a_tree = prune(0)
+    a_tree = _path_coefficient2(steps, 0)
     pieces = [t for t in (a_tree, v, b_tree) if t is not None]
     audit.append(
         {
@@ -564,6 +568,19 @@ def _lowest_mul3(steps: list) -> Optional[int]:
     return None
 
 
+def _path_coefficient3(steps: list, i: int, pidx: int, y_node: FNode) -> FNode:
+    """The product of the siblings off the path ``steps[i:pidx]``, times
+    ``y_node``, the sibling kept at the lowest ternary product ``pidx``."""
+    if i == pidx:
+        return y_node
+    n, ci = steps[i]
+    if n.kind == "add":
+        return _path_coefficient3(steps, i + 1, pidx, y_node)
+    rest = _path_coefficient3(steps, i + 1, pidx, y_node)
+    kept = [ch for j, ch in enumerate(n.children) if j != ci]
+    return FNode.mul3(rest, kept[0], kept[1])
+
+
 def _brent3(node: FNode, audit: List[Dict[str, object]]) -> FNode:
     s = node.size()
     if s <= 3:
@@ -590,17 +607,7 @@ def _brent3(node: FNode, audit: List[Dict[str, object]]) -> FNode:
     others = [ch for i, ch in enumerate(p_node.children) if i != pci]
     x_node, y_node = others[0], others[1]
 
-    def prune(i: int) -> FNode:
-        if i == pidx:
-            return y_node
-        n, ci = steps[i]
-        if n.kind == "add":
-            return prune(i + 1)
-        rest = prune(i + 1)
-        kept = [ch for j, ch in enumerate(n.children) if j != ci]
-        return FNode.mul3(rest, kept[0], kept[1])
-
-    d_tree = prune(0)
+    d_tree = _path_coefficient3(steps, 0, pidx, y_node)
     pieces = [p for p in (d_tree, v, x_node, b_tree) if p is not None]
     audit.append(
         {
@@ -782,6 +789,132 @@ def _bracket_child_order(g: Gate, deg: Dict[str, int]) -> Tuple[str, str, str]:
     return kids[i1], u2, u3
 
 
+class _Vsbr:
+    """The state of one ``vsbr_arity3`` run.  The mutually recursive ``U``
+    and ``H`` are its methods, not closures over each other, which would
+    form reference cycles that keep every memo alive until the cyclic
+    collector runs."""
+
+    def __init__(self, c: Circuit, deg: Dict[str, int]):
+        self.c = c
+        self.deg = deg
+        self.desc = _descendants(c)
+        self.b = _CBuilder()
+        # accumulated linear forms of the degree-1 region
+        linform: Dict[str, Polynomial] = {}
+        for g in c.gates:
+            if deg[g.id] != 1:
+                continue
+            if g.kind == "input":
+                linform[g.id] = g.form
+            elif g.kind == "add":
+                s1, s2 = g.edge_scalars or (COEFF_ONE, COEFF_ONE)
+                linform[g.id] = linform[g.children[0]].scale(s1) + linform[
+                    g.children[1]
+                ].scale(s2)
+        self.linform = linform
+        self.front_cache: Dict[int, List[str]] = {}
+        self.bracket_const_memo: Dict[Tuple[str, str], Coeff] = {}
+        self.memo_u: Dict[str, Optional[str]] = {}
+        self.memo_h: Dict[Tuple[str, str, str], Optional[str]] = {}
+
+    def front(self, m: int) -> List[str]:
+        if m not in self.front_cache:
+            self.front_cache[m] = frontier(self.c, self.deg, m)
+        return self.front_cache[m]
+
+    def bracket_const(self, u: str, v: str) -> Coeff:
+        """[u:v] when deg u = deg v: a scalar multiple of z (additive paths)."""
+        key = (u, v)
+        if key in self.bracket_const_memo:
+            return self.bracket_const_memo[key]
+        if u == v:
+            res = COEFF_ONE
+        elif v not in self.desc[u]:
+            res = COEFF_ZERO
+        else:
+            g = self.c.by_id[u]
+            if g.kind == "add":
+                s1, s2 = g.edge_scalars or (COEFF_ONE, COEFF_ONE)
+                res = self.bracket_const(g.children[0], v) * s1 + self.bracket_const(
+                    g.children[1], v
+                ) * s2
+            else:
+                # products strictly increase the degree, so no equal-degree
+                # path through them carries the bracket
+                res = COEFF_ZERO
+        self.bracket_const_memo[key] = res
+        return res
+
+    def U(self, u: str) -> Optional[str]:
+        """Gate computing value(u); None when it cancels to zero."""
+        if u in self.memo_u:
+            return self.memo_u[u]
+        deg, b = self.deg, self.b
+        if deg[u] == 1:
+            gid = None if self.linform[u].is_zero() else b.input(self.linform[u])
+        else:
+            m = -((-2 * deg[u]) // 3)
+            terms = []
+            for w in self.front(m):
+                if w not in self.desc[u]:
+                    continue
+                g = self.c.by_id[w]
+                kids = list(g.children)
+                i3 = min(range(3), key=lambda i: (deg[kids[i]], i))
+                w3 = kids[i3]
+                w1, w2 = [kids[i] for i in range(3) if i != i3]
+                u3, u2, u1 = self.U(w3), self.U(w2), self.U(w1)
+                if u3 is None or u2 is None or u1 is None:
+                    continue
+                t1 = self.H(u, w, u3)
+                if t1 is None:
+                    continue
+                terms.append(b.emit("mul3", (t1, u2, u1)))
+            gid = b.balanced_sum(terms)
+        self.memo_u[u] = gid
+        return gid
+
+    def H(self, u: str, v: str, repl: str) -> Optional[str]:
+        if v not in self.desc[u]:
+            return None
+        if u == v:
+            return repl
+        key = (u, v, repl)
+        if key in self.memo_h:
+            return self.memo_h[key]
+        deg, b = self.deg, self.b
+        gap = deg[u] - deg[v]
+        if gap == 0:
+            cst = self.bracket_const(u, v)
+            res = None if cst.is_zero() else b.scaled(repl, cst)
+            self.memo_h[key] = res
+            return res
+        m = deg[u] - (-((-2 * gap) // 3))
+        terms = []
+        for w in self.front(m):
+            if w not in self.desc[u]:
+                continue
+            g = self.c.by_id[w]
+            w1, w2, w3 = _bracket_child_order(g, deg)
+            t2 = self.H(w1, v, repl)
+            if t2 is None:
+                continue
+            u3 = self.U(w3)
+            if u3 is None:
+                continue
+            t1 = self.H(u, w, u3)
+            if t1 is None:
+                continue
+            t3 = self.U(w2)
+            if t3 is None:
+                continue
+            terms.append(b.emit("mul3", (t1, t2, t3)))
+        res = b.balanced_sum(terms)
+        self.memo_h[key] = res
+        return res
+
+
 def vsbr_arity3(c: Circuit) -> Tuple[Circuit, PassReport]:
     _require(c.basis == "arity3", "vsbrArity3 expects the arity-3 basis")
     ok, gid, reason = c.validate("IHL")
@@ -793,128 +926,12 @@ def vsbr_arity3(c: Circuit) -> Tuple[Circuit, PassReport]:
             "vsbrArity3 handles odd degrees; treat the partial derivatives of "
             "an even-degree component independently"
         )
-    desc = _descendants(c)
-    b = _CBuilder()
-
-    # accumulated linear forms of the degree-1 region
-    linform: Dict[str, Polynomial] = {}
-    for g in c.gates:
-        if deg[g.id] != 1:
-            continue
-        if g.kind == "input":
-            linform[g.id] = g.form
-        elif g.kind == "add":
-            s1, s2 = g.edge_scalars or (COEFF_ONE, COEFF_ONE)
-            linform[g.id] = linform[g.children[0]].scale(s1) + linform[
-                g.children[1]
-            ].scale(s2)
-
-    front_cache: Dict[int, List[str]] = {}
-
-    def front(m: int) -> List[str]:
-        if m not in front_cache:
-            front_cache[m] = frontier(c, deg, m)
-        return front_cache[m]
-
-    bracket_const_memo: Dict[Tuple[str, str], Coeff] = {}
-
-    def bracket_const(u: str, v: str) -> Coeff:
-        """[u:v] when deg u = deg v: a scalar multiple of z (additive paths)."""
-        key = (u, v)
-        if key in bracket_const_memo:
-            return bracket_const_memo[key]
-        if u == v:
-            res = COEFF_ONE
-        elif v not in desc[u]:
-            res = COEFF_ZERO
-        else:
-            g = c.by_id[u]
-            if g.kind == "add":
-                s1, s2 = g.edge_scalars or (COEFF_ONE, COEFF_ONE)
-                res = bracket_const(g.children[0], v) * s1 + bracket_const(
-                    g.children[1], v
-                ) * s2
-            else:
-                # products strictly increase the degree, so no equal-degree
-                # path through them carries the bracket
-                res = COEFF_ZERO
-        bracket_const_memo[key] = res
-        return res
-
-    memo_u: Dict[str, Optional[str]] = {}
-    memo_h: Dict[Tuple[str, str, str], Optional[str]] = {}
-
-    def U(u: str) -> Optional[str]:
-        """Gate computing value(u); None when it cancels to zero."""
-        if u in memo_u:
-            return memo_u[u]
-        if deg[u] == 1:
-            gid = None if linform[u].is_zero() else b.input(linform[u])
-        else:
-            m = -((-2 * deg[u]) // 3)
-            terms = []
-            for w in front(m):
-                if w not in desc[u]:
-                    continue
-                g = c.by_id[w]
-                kids = list(g.children)
-                i3 = min(range(3), key=lambda i: (deg[kids[i]], i))
-                w3 = kids[i3]
-                w1, w2 = [kids[i] for i in range(3) if i != i3]
-                u3, u2, u1 = U(w3), U(w2), U(w1)
-                if u3 is None or u2 is None or u1 is None:
-                    continue
-                t1 = H(u, w, u3)
-                if t1 is None:
-                    continue
-                terms.append(b.emit("mul3", (t1, u2, u1)))
-            gid = b.balanced_sum(terms)
-        memo_u[u] = gid
-        return gid
-
-    def H(u: str, v: str, repl: str) -> Optional[str]:
-        if v not in desc[u]:
-            return None
-        if u == v:
-            return repl
-        key = (u, v, repl)
-        if key in memo_h:
-            return memo_h[key]
-        gap = deg[u] - deg[v]
-        if gap == 0:
-            cst = bracket_const(u, v)
-            res = None if cst.is_zero() else b.scaled(repl, cst)
-            memo_h[key] = res
-            return res
-        m = deg[u] - (-((-2 * gap) // 3))
-        terms = []
-        for w in front(m):
-            if w not in desc[u]:
-                continue
-            g = c.by_id[w]
-            w1, w2, w3 = _bracket_child_order(g, deg)
-            t2 = H(w1, v, repl)
-            if t2 is None:
-                continue
-            u3 = U(w3)
-            if u3 is None:
-                continue
-            t1 = H(u, w, u3)
-            if t1 is None:
-                continue
-            t3 = U(w2)
-            if t3 is None:
-                continue
-            terms.append(b.emit("mul3", (t1, t2, t3)))
-        res = b.balanced_sum(terms)
-        memo_h[key] = res
-        return res
-
-    out_gid = U(c.output_id)
+    run = _Vsbr(c, deg)
+    out_gid = run.U(c.output_id)
     if out_gid is None:
         out = _zero_circuit(c.variables, "circuit", "arity3")
     else:
-        gates = _restrict_reachable(b.gates, out_gid)
+        gates = _restrict_reachable(run.b.gates, out_gid)
         out = Circuit(gates, out_gid, "circuit", "arity3", c.variables)
     im, om = _metrics(c), _metrics(out)
     s = max(im["size"], 2)

@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line front end."""
 
+import gc
 import json
 import os
+import random
 
 import pytest
 
@@ -11,6 +13,13 @@ from homlin.cli import main
 from homlin.families import gen_C_comb
 from homlin.poly import Coeff, format_poly, parse_poly
 from homlin.transforms import PASS_NAMES
+from homlin.verify import (
+    random_arity2_circuit,
+    random_formula,
+    random_graded_arity3_circuit,
+    random_graded_arity3_formula,
+    random_ihl_formula,
+)
 
 
 def run(capsys, *argv):
@@ -514,6 +523,46 @@ def test_pipeline_continuant(capsys, tmp_path):
     report = (out / "report.txt").read_text()
     assert "brent3" in report and "add-negcube" in report
     assert "verify (border): pass" in report
+
+
+def _tree_input(make, basis):
+    return lambda rng: tree_to_circuit(make(rng), basis)
+
+
+_GC_CASES = [
+    (["pipeline", "--target", "trace3"],
+     _tree_input(lambda rng: random_ihl_formula(rng, 30, 4), "arity2")),
+    (["pipeline", "--target", "continuant"],
+     _tree_input(lambda rng: random_graded_arity3_formula(rng, 5, 20, 3), "arity3")),
+    (["transform", "--pass", "brent"],
+     _tree_input(lambda rng: random_formula(rng, 40, 4), "arity2")),
+    (["transform", "--pass", "brent3"],
+     _tree_input(lambda rng: random_graded_arity3_formula(rng, 5, 20, 3), "arity3")),
+    (["transform", "--pass", "add-negcube"],
+     _tree_input(lambda rng: random_graded_arity3_formula(rng, 5, 20, 3), "arity3")),
+    (["transform", "--pass", "ihl-circuit"], lambda rng: random_arity2_circuit(rng, 30, 4)),
+    (["transform", "--pass", "vsbr3"], lambda rng: random_graded_arity3_circuit(rng, 7, 30, 3)),
+    (["transform", "--pass", "vf-to-v3p"],
+     _tree_input(lambda rng: random_ihl_formula(rng, 9, 3), "arity2")),
+]
+
+
+@pytest.mark.parametrize("command, make", _GC_CASES, ids=[c[-1] for c, _make in _GC_CASES])
+def test_commands_leave_no_cyclic_garbage(capsys, tmp_path, command, make):
+    # every tree, memo and gate list a command builds is freed by reference
+    # counting alone (no recursive closure holds it in a cycle), so with the
+    # cyclic collector off there is nothing left for it to find
+    src = tmp_path / "in.circ"
+    src.write_text(print_circuit(make(random.Random(5))))
+    gc.collect()
+    gc.disable()
+    try:
+        code = main([*command, "--in", str(src), "--out", str(tmp_path / "out")])
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert code == 0, capsys.readouterr().err
+    assert found == 0
 
 
 def _count_evaluations(monkeypatch):

@@ -2,13 +2,15 @@
 diagonal-functional border words, the 2x2 alternating-word border
 constructions, family projections, and serialization."""
 
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
 from homlin.circuit import Circuit, FNode, circuit_to_tree, tree_to_circuit
-from homlin.families import L_entry, gen_C_comb, gen_nce_L
+from homlin import matrixword
+from homlin.families import L_entry, _Packing, gen_C_comb, gen_nce_L
 from homlin.matrixword import (
     ArtifactSyntaxError,
     DiagonalNonzero,
@@ -869,6 +871,82 @@ def test_word_serialization_round_trip():
         assert len(w2.factors) == len(w.factors)
         assert expand_word(w2) == expand_word(w)
         assert format_word(w2) == format_word(w)
+
+
+def _shared_words():
+    """Words whose factor lists share factor dicts between positions, as
+    the commutator gadgets of both 3x3 compilers do."""
+    words = []
+    for seed in range(4):
+        c = as_formula(random_ihl_formula(random.Random(seed), 9 + 4 * seed, 3))
+        words += [(c, compile_trace3(c)), (c, compile_offdiag3(c, (1, 3)))]
+    assert any(len({id(f) for f in w.factors}) < w.r() for _c, w in words)
+    return words
+
+
+def _unshared(w):
+    """The word with every factor copied on its own: no two positions share
+    a factor dict or an entry."""
+    return MatrixWord(w.dim, [copy.deepcopy(f) for f in w.factors], w.global_scalar, w.target)
+
+
+def _distinct_factor_lines(text):
+    return {line for line in text.splitlines() if line.startswith("factor:")}
+
+
+def test_shared_factors_format_and_parse_like_unshared_ones():
+    for c, w in _shared_words():
+        flat = _unshared(w)
+        text = format_word(w)
+        assert text == format_word(flat)
+        parsed = parse_word(text)
+        assert len({id(f) for f in parsed.factors}) == len(_distinct_factor_lines(text))
+        assert parsed.factors == flat.factors
+        for k in (None, 1):
+            assert border_value(parsed, k) == border_value(flat, k) == border_value(w, k)
+        f = c.eval()
+        assert verify_border(parsed, f).verdict and verify_border(flat, f).verdict
+        assert not verify_border(parsed, f + P("x1")).verdict
+        assert not verify_border(flat, f + P("x1")).verdict
+
+
+def test_shared_factors_pack_like_unshared_ones():
+    # the compilers' factors hold one entry each; a shared factor with
+    # several, which reads and writes a row, takes the column-table branch
+    m = {(0, 0): P("x1"), (0, 1): P("1/2 * x2 * eps"), (1, 1): P("x3 * eps^-1")}
+    words = [w for _c, w in _shared_words()] + [MatrixWord(2, [m, {(1, 0): P("x1")}, m, m])]
+    for w in words:
+        for count in (1, w.r()):
+            a, b = _Packing(w.factors, count, 2), _Packing(_unshared(w).factors, count, 2)
+            assert list(a.lows) == list(b.lows) and list(a.both) == list(b.both)
+            assert list(a.columns) == list(b.columns)
+            assert (a.scale, a.ceiling) == (b.scale, b.ceiling)
+            assert ((a.layout.fields, a.layout.alpha_shift, a.layout.shift)
+                    == (b.layout.fields, b.layout.alpha_shift, b.layout.shift))
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    fn = getattr(matrixword, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(matrixword, name, counted)
+    return calls
+
+
+def test_the_codec_handles_each_distinct_entry_once(monkeypatch):
+    formatted, parsed = _counted(monkeypatch, "format_poly"), _counted(monkeypatch, "parse_poly")
+    for _c, w in _shared_words():
+        formatted.clear()
+        text = format_word(w)
+        assert len(formatted) == sum(len(f) for f in {id(f): f for f in w.factors}.values())
+        parsed.clear()
+        parse_word(text)
+        lines = _distinct_factor_lines(text)
+        assert len(parsed) == sum(line.count("=") for line in lines)
 
 
 def test_projection_serialization_round_trip():
