@@ -213,12 +213,16 @@ def cmd_gen(args) -> int:
 
 # the pass that reads each pass-specific flag of ``transform``
 _PASS_OPTIONS = {"alpha": "rescale", "var": "derivative"}
+# the passes that write several outputs, so need --out to name them
+_OUT_PREFIX = {"parity": "to name the two outputs", "vf-to-v3p": "as an output prefix"}
 
 
 def cmd_transform(args) -> int:
     for flag, reader in _PASS_OPTIONS.items():
         if getattr(args, flag) is not None and args.pass_name != reader:
             raise CliError(f"--{flag} applies only to the {reader} pass, not {args.pass_name}")
+    if args.out is None and args.pass_name in _OUT_PREFIX:
+        raise CliError(f"{args.pass_name} needs --out {_OUT_PREFIX[args.pass_name]}")
     c = load_artifact(args.infile)
     if not isinstance(c, Circuit):
         raise CliError("transform expects a circuit artifact")
@@ -232,8 +236,6 @@ def cmd_transform(args) -> int:
     if isinstance(result, Circuit):
         _write_text(args.out, print_circuit(result))
     elif isinstance(result, ParityPair):
-        if args.out is None:
-            raise CliError("parity needs --out to name the two outputs")
         for tag, part in (("odd", result.odd), ("even", result.even)):
             if part is not None:
                 _write_text(f"{args.out}.{tag}", print_circuit(part))
@@ -241,8 +243,6 @@ def cmd_transform(args) -> int:
             else:
                 print(f"{tag} component: zero (not written)")
     else:  # vf-to-v3p's GradedArity3Repr
-        if args.out is None:
-            raise CliError("vf-to-v3p needs --out as an output prefix")
         _write_text(f"{args.out}.const", format_poly(result.constant_part) + "\n")
         for d in sorted(result.odd_parts):
             _write_text(f"{args.out}.odd.{d}", print_circuit(result.odd_parts[d]))

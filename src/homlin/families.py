@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .poly import COEFF_ONE, Coeff, KeyLayout, Polynomial, Rat, _var_key
 
@@ -36,28 +36,27 @@ class InvalidParameters(ValueError):
 
 # A matrix factor: its nonzero entries, keyed by 0-based (row, column).
 Factor = Dict[Tuple[int, int], Polynomial]
-# A sparse row of a matrix: column -> entry, with no zero entries.
-Row = Dict[int, Polynomial]
-# The rows of a matrix that were asked for: row index -> its sparse row.
-Rows = Dict[int, Row]
+# A functional's weights, as a square matrix: L(M) = sum_{r,c} w[r][c] * M[r][c].
+LWeights = Sequence[Sequence[Union[Coeff, int, Fraction]]]
 
 
 # ---------------------------------------------------------------------------
 # matrix-product engine
 # ---------------------------------------------------------------------------
 #
-# Every border value is  scalar * L(M)  for a matrix product M: a word of
-# id + A_i factors, or the elementary symmetric sum of a factor list.  Both are
-# left-to-right products, so row r of M depends only on row r of each prefix:
-# the engine carries only the rows L reads, each as a sparse row, and
-# multiplies it by a factor's nonzero entries alone, grouped by column once
-# per factor.  Its eps-limit reads only the terms below eps^1, so the engine
-# computes M mod eps^K.  A term of a partial product reaches the end only
-# through the factors still to come, whose entries have bounded-below eps
-# exponents, so a term whose exponent plus the cheapest completion is K or
-# more is dropped as soon as it would be formed; every term kept is exact
-# (Bini 1980's exact-from-approximate argument).  With ``below=None`` nothing
-# is dropped: that exact route is what the truncated one is tested against.
+# Every border value is  scalar * L(M)  for a matrix product M and a
+# ``Functional`` L: M - id for a word of id + A_i factors, or the elementary
+# symmetric sum of a factor list.  Both are left-to-right products, so row r
+# of M depends only on row r of each prefix: the engine carries only the rows
+# L reads, each as a sparse row, and multiplies it by a factor's nonzero
+# entries alone, grouped by column once per factor.  Its eps-limit reads only
+# the terms below eps^1, so the engine computes M mod eps^K.  A term of a
+# partial product reaches the end only through the factors still to come,
+# whose entries have bounded-below eps exponents, so a term whose exponent
+# plus the cheapest completion is K or more is dropped as soon as it would be
+# formed; every term kept is exact (Bini 1980's exact-from-approximate
+# argument).  A functional built with ``below=None`` drops nothing: that
+# exact route is what the truncated one is tested against.
 #
 # The products run on integers.  x -> D*x is a ring automorphism of
 # Q[eps, eps^-1][alpha][x], so M(D*x) is the same product of the factors
@@ -72,14 +71,12 @@ Rows = Dict[int, Row]
 # enough for any product term, the functional's weights and scalar included
 # (``_Packing``): a product's key is the sum of its factors' keys, and the
 # truncation below eps^K is one integer comparison.  Packing (``_Packing``)
-# and the one unpacking of a result by its reader are the one seam between
-# Polynomial terms and the keys the sweeps work on.  Packing works once per
-# distinct factor object, which the 3x3 compilers share between the
+# and the one unpacking of the result by the functional are the one seam
+# between Polynomial terms and the keys the sweeps work on.  Packing works
+# once per distinct factor object, which the 3x3 compilers share between the
 # positions of their commutator gadgets; the sweeps still step through every
-# position.  The reader is the functional of ``border_functional``, which
-# subtracts the identity, applies the weights and the scalar and truncates on
-# the packed rows before it unpacks, or ``_finish``, which unpacks the rows
-# themselves.
+# position.  The functional applies the weights and the scalar and truncates
+# on the packed rows, and unpacks the one polynomial they sum to.
 #
 # Partial products are accumulated in place, into dicts that belong to one
 # state alone.  A state's bound only tightens as the sweep goes on, and the
@@ -215,40 +212,34 @@ def _identity_rows(rows: Iterable[int]) -> Dict[int, PackedRow]:
     return {r: {r: {0: 1}} for r in rows}
 
 
-def _finish(m: Dict[int, PackedRow], packing: _Packing, below: Optional[int]) -> Rows:
-    """The carried rows unpacked, mod eps^below and in the original
-    coordinates: the engine's result when no reader is given."""
-    out: Rows = {}
-    for r, row in m.items():
-        out[r] = {}
-        for c, terms in row.items():
-            p = packing.polynomial(terms)
-            if below is not None:
-                p = p.mod_eps(below)
-            if p.terms:
-                out[r][c] = p
-    return out
+class Functional:
+    """``scalar * L`` mod eps^below (in full when ``below`` is None), for the
+    functional L of the given weights, read off the engine's packed rows of
+    a product: ``word_product`` hands it M - id, ``nce_matrices`` their sum.
 
+    ``weights`` holds the nonzero weights times the scalar, as (c, w[r][c])
+    pairs per row r, so the engine carries only those rows.  L and the
+    scalar lower an eps exponent by at most the smallest exponent among
+    them, so the engine computes M mod eps^``order``, that much higher than
+    ``below``.  ``alpha`` is the most that a weight adds to an alpha
+    exponent."""
 
-class _Functional:
-    """The reader of ``sum_{r,c} w[r][c] * (M - I)[r][c]`` mod eps^below off
-    the engine's packed rows of M, where ``weights`` maps each row r to its
-    nonzero weights, as (c, w[r][c]) pairs (the functional's weights times
-    its scalar, in ``border_functional``), and I is the identity with
-    ``minus_identity``, else zero.  Each read row of M (and of -I) is
-    multiplied into one column by the weights, packed for the engine's
-    layout, so a product key at or above eps^below is never formed; the sum
-    is unpacked once."""
-
-    def __init__(self, weights: Dict[int, List[Tuple[int, Coeff]]], below: Optional[int],
-                 minus_identity: bool):
-        self.weights = weights
+    def __init__(self, weights: LWeights, scalar: Coeff, below: Optional[int] = None):
+        self.weights: Dict[int, List[Tuple[int, Coeff]]] = {}
+        for r, row in enumerate(weights):
+            for c, w in enumerate(row):
+                if (w := Coeff.of(w)).terms and (sw := scalar * w).terms:
+                    self.weights.setdefault(r, []).append((c, sw))
+        terms = [t for row in self.weights.values() for _c, w in row for t in w.terms]
         self.below = below
-        self.minus_identity = minus_identity
-        # the most that a weight adds to an alpha exponent
-        self.alpha = max(a for row in weights.values() for _c, w in row for _e, a in w.terms)
+        self.order = None if below is None else below - min((e for e, _a in terms), default=0)
+        self.alpha = max((a for _e, a in terms), default=0)
 
     def __call__(self, m: Dict[int, PackedRow], packing: _Packing) -> Polynomial:
+        """The value on the rows ``m``: each read row is multiplied into one
+        column by the weights, packed for the engine's layout, so a product
+        key at or above eps^below is never formed; the sum is unpacked
+        once."""
         pack = packing.layout.pack
         # not the product's ceiling: a weight can raise an eps exponent past it
         top = math.inf if self.below is None else packing.top(self.below)
@@ -256,27 +247,22 @@ class _Functional:
         for r, row in self.weights.items():
             col = [(0, [(c, sorted(pack(w.to_poly()).items())) for c, w in row])]
             _add_row_times(out, m[r], col, top)
-            if self.minus_identity:
-                _add_row_times(out, {r: {0: -1}}, col, top)
         return packing.polynomial(out.get(0, {}))
 
 
-def word_product(
-    factors: Sequence[Factor], below: Optional[int] = None, *, rows: Iterable[int],
-    read: Optional[_Functional] = None,
-) -> Union[Rows, Polynomial]:
-    """The given rows of the product of the ``id + A`` factors, as sparse
-    rows, exact mod eps^below; with ``read``, its value on the packed rows
-    instead.
+def word_product(factors: Sequence[Factor], read: Functional) -> Polynomial:
+    """``read``'s value on M - id, for M the product of the ``id + A``
+    factors.
 
-    Only those rows are carried.  With m_j the smallest eps exponent among
-    the entries of factor j, a term of the prefix ending at factor i is kept
-    only if its exponent plus the sum over j > i of min(0, m_j) stays below
-    ``below``."""
-    packing = _Packing(factors, len(factors), 0 if read is None else read.alpha)
+    Only the rows ``read`` reads are carried, exact mod eps^K for K its
+    ``order``.  With m_j the smallest eps exponent among the entries of
+    factor j, a term of the prefix ending at factor i is kept only if its
+    exponent plus the sum over j > i of min(0, m_j) stays below K."""
+    below = read.order
+    packing = _Packing(factors, len(factors), read.alpha)
     lows = [min(0, low) for low in packing.lows]
     rest = sum(lows)
-    acc = _identity_rows(rows)
+    acc = _identity_rows(read.weights)
     for c, both, low in zip(packing.columns, packing.both, lows):
         rest -= low
         top = packing.top(None if below is None else below - rest)
@@ -291,7 +277,16 @@ def word_product(
             _add_row_times(row, before, c, top)
             if low and below is not None:
                 _prune(row, top)
-    return _finish(acc, packing, below) if read is None else read(acc, packing)
+    # minus the identity: the constant key 0 at (r, r).  Where K <= 0 the
+    # sweep may have dropped that term, but the functional then drops every
+    # product of a key-0 term with a weight, which lies at or above eps^below
+    for r, row in acc.items():
+        one = row.setdefault(r, {})
+        if c := one.get(0, 0) - 1:
+            one[0] = c
+        else:
+            del one[0]
+    return read(acc, packing)
 
 
 def _cheapest_completions(lows: Sequence[float], d: int) -> List[List[float]]:
@@ -307,25 +302,23 @@ def _cheapest_completions(lows: Sequence[float], d: int) -> List[List[float]]:
     return out
 
 
-def nce_matrices(
-    factors: Sequence[Factor], d: int, below: Optional[int] = None, *, rows: Iterable[int],
-    read: Optional[_Functional] = None,
-) -> Union[Rows, Polynomial]:
-    """The given rows of the noncommutative elementary symmetric polynomial
-    of square matrix arguments, as sparse rows, exact mod eps^below; with
-    ``read``, its value on the packed rows instead.
+def nce_matrices(factors: Sequence[Factor], d: int, read: Functional) -> Polynomial:
+    """``read``'s value on the noncommutative elementary symmetric
+    polynomial of square matrix arguments.
 
     Sum over increasing index sequences I_1 < ... < I_d of X_{I_1} ... X_{I_d},
-    computed by one left-to-right dynamic-programming sweep.  ``dp[t]`` still
-    needs d - t of the later factors, so its terms are kept only if their
-    exponent plus the smallest sum of d - t later entry exponents stays below
-    ``below``; it is pruned when that sum grows, and cleared when fewer than
-    d - t factors remain.  Only the given rows are carried.
+    computed by one left-to-right dynamic-programming sweep, exact mod eps^K
+    for K the ``order`` of ``read``.  ``dp[t]`` still needs d - t of the
+    later factors, so its terms are kept only if their exponent plus the
+    smallest sum of d - t later entry exponents stays below K; it is pruned
+    when that sum grows, and cleared when fewer than d - t factors remain.
+    Only the rows ``read`` reads are carried.
     """
     if d < 0:
         raise InvalidParameters("degree must be nonnegative")
-    carried = list(rows)
-    packing = _Packing(factors, d, 0 if read is None else read.alpha)
+    below = read.order
+    carried = list(read.weights)
+    packing = _Packing(factors, d, read.alpha)
     completions = _cheapest_completions(packing.lows, d)
     dp = [_identity_rows(carried)] + [{r: {} for r in carried} for _ in range(d)]
     for i, c in enumerate(packing.columns):
@@ -344,35 +337,7 @@ def nce_matrices(
             prev, cur = dp[t - 1], dp[t]
             for r in carried:
                 _add_row_times(cur[r], prev[r], c, top)
-    return _finish(dp[d], packing, below) if read is None else read(dp[d], packing)
-
-
-def border_functional(
-    product: Callable[[Optional[int], Set[int], _Functional], Polynomial],
-    weights: LWeights,
-    scalar: Coeff,
-    below: Optional[int] = None,
-    minus_identity: bool = False,
-) -> Polynomial:
-    """``scalar * L(M)`` mod eps^below, or ``scalar * L(M - id)`` with
-    ``minus_identity``, where ``product(k, rows, read)`` runs the engine on
-    the given rows of M, exact mod eps^k, and returns ``read``'s value on
-    its packed rows.
-
-    L reads only the rows that hold a nonzero weight, so only those are
-    asked for.  L and the scalar lower an exponent by at most the smallest
-    exponent of a nonzero weight and of the scalar, so M is asked for to
-    that much higher order."""
-    scaled: Dict[int, List[Tuple[int, Coeff]]] = {}
-    for r, row in enumerate(weights):
-        for c, w in enumerate(row):
-            if (w := Coeff.of(w)).terms and (sw := scalar * w).terms:
-                scaled.setdefault(r, []).append((c, sw))
-    if not scaled:
-        return Polynomial.zero()
-    low = min(e for row in scaled.values() for _c, w in row for e, _a in w.terms)
-    read = _Functional(scaled, below, minus_identity)
-    return product(None if below is None else below - low, set(scaled), read)
+    return read(dp[d], packing)
 
 
 def _var(*idx: int) -> Polynomial:
@@ -453,8 +418,6 @@ def parity_factor(i: int, p: Polynomial) -> Factor:
     return {(0, 1) if i % 2 == 1 else (1, 0): p}
 
 
-LWeights = Sequence[Sequence[Union[Coeff, int, Fraction]]]
-
 # the parity-alternating family is the sum of the two top entries of its
 # 2x2 elementary symmetric product
 C_WEIGHTS: LWeights = ((1, 1), (0, 0))
@@ -468,10 +431,7 @@ def gen_C_matrix(n: int, d: int) -> Polynomial:
     if d == 0:
         return Polynomial.const(1)
     factors = [parity_factor(i, _var(i)) for i in range(1, n + 1)]
-    return border_functional(
-        lambda k, rows, read: nce_matrices(factors, d, k, rows=rows, read=read),
-        C_WEIGHTS, COEFF_ONE,
-    )
+    return nce_matrices(factors, d, Functional(C_WEIGHTS, COEFF_ONE))
 
 
 def gen_nce_generic(n: int, d: int) -> Polynomial:
@@ -484,9 +444,7 @@ def gen_nce_generic(n: int, d: int) -> Polynomial:
         {(a - 1, b - 1): _var(a, b, i) for a in range(1, 4) for b in range(1, 4)}
         for i in range(1, n + 1)
     ]
-    return border_functional(
-        lambda k, rows, read: nce_matrices(factors, d, k, rows=rows, read=read), L_sum(), COEFF_ONE
-    )
+    return nce_matrices(factors, d, Functional(L_sum(), COEFF_ONE))
 
 
 def L_sum() -> LWeights:
@@ -522,25 +480,22 @@ def gen_nce_L(n: int, d: int, weights: LWeights | None = None) -> Polynomial:
     factors = [
         zero_diag_factor([_var(a, b, i) for a, b in OFF_DIAGONAL]) for i in range(1, n + 1)
     ]
-    return border_functional(
-        lambda k, rows, read: nce_matrices(factors, d, k, rows=rows, read=read),
-        weights if weights is not None else L_sum(),
-        COEFF_ONE,
-    )
+    return nce_matrices(
+        factors, d, Functional(weights if weights is not None else L_sum(), COEFF_ONE))
 
 
 def gen_E(n: int, d: int) -> Polynomial:
     """Homogeneous degree-d part of the sum of the entries of the product of
-    n all-ones-diagonal 3x3 factors, minus the identity."""
+    n all-ones-diagonal 3x3 factors, minus the identity.  The off-diagonal
+    parts A_i are linear forms, so that part is the sum of the entries of
+    e_d(A_1, ..., A_n), and zero at degree 0."""
     _check(n, d)
+    if d == 0:
+        return Polynomial.zero()
     factors = [
         zero_diag_factor([_var(i, a, b) for a, b in OFF_DIAGONAL]) for i in range(1, n + 1)
     ]
-    total = border_functional(
-        lambda k, rows, read: word_product(factors, k, rows=rows, read=read),
-        L_sum(), COEFF_ONE, minus_identity=True,
-    )
-    return total.homog_component(d)
+    return nce_matrices(factors, d, Functional(L_sum(), COEFF_ONE))
 
 
 @dataclass

@@ -24,19 +24,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .circuit import Circuit, DegreeMismatch, FNode, circuit_to_tree, GradedArity3Repr
 from .families import (
     C_WEIGHTS,
     Factor,
+    Functional,
     L_entry,
     L_sum,
     L_trace,
     LWeights,
     OFF_DIAGONAL,
-    Rows,
-    border_functional,
     nce_matrices,
     parity_factor,
     word_product,
@@ -149,6 +148,8 @@ class Projection:
             )
         forms = self.forms
         if self.family_tag == "C":
+            if self.weights is not None:
+                raise ValueError("a C projection reads C_WEIGHTS and takes no weights")
             factors = [parity_factor(i, p) for i, p in enumerate(forms, start=1)]
             weights = C_WEIGHTS
         elif self.family_tag == "nceL":
@@ -157,23 +158,13 @@ class Projection:
             weights = self.weights if self.weights is not None else L_sum()
         else:
             raise ValueError(f"unknown family tag {self.family_tag!r}")
-        return border_functional(
-            lambda order, rows, read: nce_matrices(factors, self.d, order, rows=rows, read=read),
-            weights,
-            self.scalar,
-            below,
-        )
+        return nce_matrices(factors, self.d, Functional(weights, self.scalar, below))
 
 
-def expand_word(
-    w: MatrixWord, below: Optional[int] = None, rows: Optional[Iterable[int]] = None,
-    read=None,
-) -> Union[Rows, Polynomial]:
-    """The given rows (all ``w.dim`` of them by default) of the product of
-    the ``id + A_i`` factors, as sparse rows, exact mod eps^below (in full
-    when ``below`` is None); with ``read``, its value on the packed rows
-    instead (see ``border_functional``)."""
-    return word_product(w.factors, below, rows=range(w.dim) if rows is None else rows, read=read)
+def expand_word(w: MatrixWord, read: Functional) -> Polynomial:
+    """``read``'s value on (product - id), for the product of the word's
+    ``id + A_i`` factors."""
+    return word_product(w.factors, read)
 
 
 def target_weights(target: Target, dim: int) -> LWeights:
@@ -192,10 +183,8 @@ def border_value(obj: Union[MatrixWord, Projection], below: Optional[int] = None
     exact mod eps^below, or in full when ``below`` is None."""
     if isinstance(obj, Projection):
         return obj.value(below)
-    return border_functional(
-        lambda k, rows, read: expand_word(obj, k, rows, read),
-        target_weights(obj.target, obj.dim), obj.global_scalar, below, minus_identity=True,
-    )
+    return expand_word(
+        obj, Functional(target_weights(obj.target, obj.dim), obj.global_scalar, below))
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +760,7 @@ def format_projection(p: Projection) -> str:
 def parse_projection(text: str) -> Projection:
     tag = n = d = border = None
     scalar = COEFF_ONE
-    weights = None
+    weights = weights_line = None
     forms: Dict[str, Tuple[int, Polynomial]] = {}
     for lineno, line in _lines(text):
         try:
@@ -794,7 +783,7 @@ def parse_projection(text: str) -> Projection:
                 flat = [parse_coeff(t) for t in line[len("weights:"):].split(",")]
                 if len(flat) != 9:
                     raise ArtifactSyntaxError(f"expected 9 weights, got {len(flat)}", lineno)
-                weights = [flat[i * 3:(i + 1) * 3] for i in range(3)]
+                weights, weights_line = [flat[i * 3:(i + 1) * 3] for i in range(3)], lineno
             elif line.startswith("form "):
                 head, colon, body = line.partition(":")
                 name = head[len("form "):].strip()
@@ -814,6 +803,8 @@ def parse_projection(text: str) -> Projection:
             raise ArtifactSyntaxError(str(exc), lineno) from exc
     if tag is None:
         raise ValueError("missing projection header")
+    if tag == "C" and weights is not None:
+        raise ArtifactSyntaxError("a C projection takes no weights", weights_line)
     p = Projection(tag, n, d, [], scalar, border, weights)
     slots = p.slot_names()
     known = set(slots)

@@ -423,12 +423,6 @@ class Polynomial:
                 out[(m, 0, a)] = c
         return Polynomial._normalised(out)
 
-    def mod_eps(self, k: int) -> "Polynomial":
-        """Drop all terms whose eps exponent is >= k (negatives kept)."""
-        return Polynomial._normalised(
-            {key: c for key, c in self.terms.items() if key[1] < k}
-        )
-
     def eval_random(self, point: Mapping[str, Rat], field=None) -> Dict[int, object]:
         """Evaluate x-variables numerically, leaving eps symbolic.
 

@@ -203,24 +203,29 @@ def random_graded_arity3_formula(
     polynomial of odd degree d, roughly ``size`` nodes."""
     if d < 1 or d % 2 == 0:
         raise ValueError("degree must be odd and positive")
+    return _graded_formula(rng, n_vars, d, max(size, 2 * d))
 
-    def gen(deg: int, budget: int) -> FNode:
-        if deg == 1:
-            if budget >= 3 and rng.random() < 0.3:
-                half = (budget - 1) // 2
-                return FNode.add(gen(1, half), gen(1, budget - 1 - half))
-            return FNode.leaf(_random_linear(rng, n_vars))
-        if budget >= 4 * deg and rng.random() < 0.35:
+
+def _graded_formula(rng: random.Random, n_vars: int, deg: int, budget: int) -> FNode:
+    """A graded arity-3 subformula of odd degree ``deg``, roughly ``budget``
+    nodes."""
+    if deg == 1:
+        if budget >= 3 and rng.random() < 0.3:
             half = (budget - 1) // 2
-            return FNode.add(gen(deg, half), gen(deg, budget - 1 - half))
-        d1, d2, d3 = _split_odd_degree(rng, deg)
-        b = max(budget - 1, 3)
-        s1 = max(1, b * d1 // deg)
-        s2 = max(1, b * d2 // deg)
-        s3 = max(1, b - s1 - s2)
-        return FNode.mul3(gen(d1, s1), gen(d2, s2), gen(d3, s3))
-
-    return gen(d, max(size, 2 * d))
+            return FNode.add(_graded_formula(rng, n_vars, 1, half),
+                             _graded_formula(rng, n_vars, 1, budget - 1 - half))
+        return FNode.leaf(_random_linear(rng, n_vars))
+    if budget >= 4 * deg and rng.random() < 0.35:
+        half = (budget - 1) // 2
+        return FNode.add(_graded_formula(rng, n_vars, deg, half),
+                         _graded_formula(rng, n_vars, deg, budget - 1 - half))
+    d1, d2, d3 = _split_odd_degree(rng, deg)
+    b = max(budget - 1, 3)
+    s1 = max(1, b * d1 // deg)
+    s2 = max(1, b * d2 // deg)
+    s3 = max(1, b - s1 - s2)
+    return FNode.mul3(_graded_formula(rng, n_vars, d1, s1), _graded_formula(rng, n_vars, d2, s2),
+                      _graded_formula(rng, n_vars, d3, s3))
 
 
 def random_graded_arity3_circuit(
@@ -235,13 +240,10 @@ def random_graded_arity3_circuit(
     if d < 1 or d % 2 == 0:
         raise ValueError("degree must be odd and positive")
     cb = _CBuilder()
+    # the gates built so far, by degree
     pool: Dict[int, List[str]] = {}
-
-    def add_to_pool(deg: int, gid: str):
-        pool.setdefault(deg, []).append(gid)
-
     for _ in range(max(3, n_vars)):
-        add_to_pool(1, cb.input(_random_linear(rng, n_vars)))
+        pool.setdefault(1, []).append(cb.input(_random_linear(rng, n_vars)))
 
     def rand_scalars() -> Optional[Tuple[Coeff, Coeff]]:
         if not edge_scalars or rng.random() < 0.6:
@@ -251,20 +253,12 @@ def random_graded_arity3_circuit(
         )
         return (pick(), pick())
 
-    def ensure(deg: int) -> str:
-        """A pool gate of the exact odd degree, built bottom-up if missing."""
-        if deg in pool:
-            return rng.choice(pool[deg])
-        gid = cb.emit("mul3", (ensure(deg - 2), ensure(1), ensure(1)))
-        add_to_pool(deg, gid)
-        return gid
-
     while len(cb.gates) < size:
         if rng.random() < 0.4:
             deg = rng.choice(list(pool))
             a = rng.choice(pool[deg])
             b = rng.choice(pool[deg])
-            add_to_pool(deg, cb.emit("add", (a, b), rand_scalars()))
+            pool[deg].append(cb.emit("add", (a, b), rand_scalars()))
         else:
             degs = list(pool)
             d1 = rng.choice(degs)
@@ -277,13 +271,23 @@ def random_graded_arity3_circuit(
             d3 = rng.choice(opts) if opts else 1
             gid = cb.emit(
                 "mul3",
-                (rng.choice(pool[d1]), rng.choice(pool[d2]), ensure(d3)),
+                (rng.choice(pool[d1]), rng.choice(pool[d2]), _pool_gate(rng, cb, pool, d3)),
             )
-            add_to_pool(d1 + d2 + d3, gid)
+            pool.setdefault(d1 + d2 + d3, []).append(gid)
 
-    out = ensure(d)
+    out = _pool_gate(rng, cb, pool, d)
     gates = _restrict_reachable(cb.gates, out)
     return Circuit(gates, out, "circuit", "arity3")
+
+
+def _pool_gate(rng: random.Random, cb: _CBuilder, pool: Dict[int, List[str]], deg: int) -> str:
+    """A pool gate of the exact odd degree, built bottom-up if missing."""
+    if deg in pool:
+        return rng.choice(pool[deg])
+    gid = cb.emit("mul3", (_pool_gate(rng, cb, pool, deg - 2), _pool_gate(rng, cb, pool, 1),
+                           _pool_gate(rng, cb, pool, 1)))
+    pool.setdefault(deg, []).append(gid)
+    return gid
 
 
 def random_arity2_circuit(rng: random.Random, size: int, n_vars: int) -> Circuit:

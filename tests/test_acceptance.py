@@ -18,7 +18,6 @@ from homlin.matrixword import (
     compile_continuant_odd,
     compile_offdiag3,
     compile_trace3,
-    expand_word,
 )
 from homlin.poly import COEFF_ONE, Polynomial
 from homlin.transforms import (
@@ -40,7 +39,7 @@ from homlin.verify import (
     random_graded_arity3_formula,
     verify_border,
 )
-from test_matrixword import dense
+from test_matrixword import expand
 
 
 def _ihl_formula_of_depth(rng, depth, n_vars):
@@ -80,7 +79,7 @@ def test_criterion_2_offdiag_exact():
     for c in _criterion_2_3_formulas():
         w = compile_offdiag3(c, (1, 3))
         assert w.r() <= 4 ** c.depth()
-        m = dense(expand_word(w), 3)
+        m = expand(w)
         for i in range(3):
             m[i][i] = m[i][i] - Polynomial.const(1)
         assert m[0][2] == c.eval()
@@ -302,7 +301,7 @@ def test_criterion_10_identity_fixtures():
     w = MatrixWord(
         3, [factor(1, 2, f), factor(2, 3, g), factor(1, 2, -f), factor(2, 3, -g)]
     )
-    m = dense(expand_word(w), 3)
+    m = expand(w)
     for i in range(3):
         for j in range(3):
             if (i, j) == (0, 2):

@@ -253,6 +253,18 @@ def test_transform_flag_the_pass_does_not_read_exit_2(capsys, product_circ, tmp_
     assert code == 2 and flag in err
 
 
+@pytest.mark.parametrize("pass_name", ["parity", "vf-to-v3p"])
+def test_transform_with_several_outputs_needs_out_before_any_work(capsys, product_circ, tmp_path,
+                                                                   pass_name):
+    code, stdout, err = run(capsys, "transform", "--pass", pass_name, "--in", product_circ)
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: {pass_name} needs --out ")
+    # checked before the input is read
+    code, stdout, err = run(capsys, "transform", "--pass", pass_name,
+                            "--in", str(tmp_path / "missing.circ"))
+    assert code == 2 and stdout == "" and "needs --out" in err
+
+
 def _caterpillar_text(depth: int) -> str:
     """A formula text whose depth is ``depth``: alternating add and mul
     gates, each combining the running value with a fresh leaf."""
@@ -807,6 +819,17 @@ def test_rescale_with_malformed_alpha_exit_2(capsys, product_circ, alpha):
     code, _o, err = run(capsys, "transform", "--pass", "rescale", "--alpha", alpha,
                         "--in", product_circ)
     assert code == 2 and "internal" not in err and alpha in err
+
+
+def test_weights_on_a_C_projection_exit_2_with_line(capsys, tmp_path):
+    proj, target = tmp_path / "p.txt", tmp_path / "t.poly"
+    proj.write_text("projection C n 3 d 1 border 1\nscalar: 1\n"
+                    "weights: 0,0,0,0,0,0,0,0,0\nform x1: x1\nform x3: x3\n")
+    target.write_text("x1 + x3\n")
+    code, out, err = run(capsys, "verify", "--mode", "border", "--in", str(proj),
+                         "--against", str(target))
+    assert code == 2 and out == ""
+    assert "line 3" in err and "takes no weights" in err
 
 
 @pytest.mark.parametrize("old, new", [

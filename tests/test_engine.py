@@ -1,7 +1,8 @@
 """Property tests for the eps-truncated matrix-product engine: every value
 computed mod eps^K equals the exact route's value (``below=None``) reduced
-mod eps^K, and equals an independent dense oracle written here, which
-carries every row, reduced mod eps^K.
+mod eps^K, and equals an independent dense oracle (test_matrixword's), which
+carries every row, reduced mod eps^K.  Whole matrices are compared entry by
+entry, through ``L_entry`` functionals.
 
 Coefficients are rationals with denominators 1, 2, 3, 5 and 24, on terms of
 every x-degree (fractional constants included), so the engine's integral
@@ -11,12 +12,11 @@ and x1^2*x2, alpha^2 and eps^-3..eps^3, on up to eight 2x2 factors (five
 on and just past powers of two."""
 
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homlin.families import nce_matrices, word_product
+from homlin.families import Functional, L_entry, nce_matrices, word_product
 from homlin.matrixword import (
     MatrixWord,
     Projection,
@@ -24,8 +24,17 @@ from homlin.matrixword import (
     expand_word,
     target_weights,
 )
-from homlin.poly import Coeff, Polynomial, parse_coeff, parse_poly
-from test_matrixword import dense, expand, oracle_value_by_substitution, sparse
+from homlin.poly import COEFF_ONE, Coeff, Polynomial, parse_coeff, parse_poly
+from test_matrixword import (
+    dense,
+    entry_values,
+    minus_identity,
+    mod_eps,
+    oracle_nce,
+    oracle_value_by_substitution,
+    oracle_word_product,
+    sparse,
+)
 
 VARS = ("x1", "x2", "x3")
 MONOS = (
@@ -113,21 +122,28 @@ def projections(draw):
 
 
 def mod(m, k):
-    return [[p.mod_eps(k) for p in row] for row in m]
+    return [[mod_eps(p, k) for p in row] for row in m]
 
 
 @settings(max_examples=150, deadline=None)
 @given(words(), ORDERS)
 def test_word_engine_matches_exact_route(w, k):
-    assert expand(w, k) == mod(expand(w), k)
-    assert border_value(w, k) == border_value(w).mod_eps(k)
+    assert entry_values(w, k) == mod(entry_values(w), k)
+    assert border_value(w, k) == mod_eps(border_value(w), k)
 
 
 @settings(max_examples=100, deadline=None)
 @given(projections(), ORDERS)
 def test_projection_engine_matches_exact_route(p, k):
-    assert p.value(k) == p.value().mod_eps(k)
+    assert p.value(k) == mod_eps(p.value(), k)
     assert border_value(p, k) == p.value(k)
+
+
+def nce_entries(factors, d, below=None):
+    """The 2x2 elementary symmetric sum, mod eps^below, entry by entry: the
+    engine's value of each ``L_entry`` functional."""
+    return [[nce_matrices(factors, d, Functional(L_entry(i, j, 2), COEFF_ONE, below))
+             for j in (1, 2)] for i in (1, 2)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -135,8 +151,8 @@ def test_projection_engine_matches_exact_route(p, k):
        st.integers(0, 4), ORDERS)
 def test_nce_engine_matches_exact_route(flat, d, k):
     factors = [sparse([row[:2], row[2:]]) for row in flat]
-    got = dense(nce_matrices(factors, d, k, rows=range(2)), 2)
-    assert got == mod(dense(nce_matrices(factors, d, rows=range(2)), 2), k)
+    got = nce_entries(factors, d, k)
+    assert got == mod(nce_entries(factors, d), k)
     assert got == mod(oracle_nce([[row[:2], row[2:]] for row in flat], d, 2), k)
     for row in got:
         for p in row:
@@ -144,44 +160,9 @@ def test_nce_engine_matches_exact_route(flat, d, k):
 
 
 # ---------------------------------------------------------------------------
-# the dense test oracle: every row of every product, no truncation
+# the dense test oracle (its products are in test_matrixword): every row of
+# every product, no truncation
 # ---------------------------------------------------------------------------
-
-
-def oracle_identity(k):
-    one, zero = Polynomial.const(1), Polynomial.zero()
-    return [[one if i == j else zero for j in range(k)] for i in range(k)]
-
-
-def oracle_mat_mul(a, b):
-    """Test oracle: the plain dense triple-loop product of square matrices."""
-    k = len(a)
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), Polynomial.zero()) for j in range(k)]
-        for i in range(k)
-    ]
-
-
-def oracle_word_product(factors, dim):
-    """Test oracle: the product of the id + A factors, left to right."""
-    one = Polynomial.const(1)
-    acc = oracle_identity(dim)
-    for a in factors:
-        step = [[p + one if i == j else p for j, p in enumerate(row)] for i, row in enumerate(a)]
-        acc = oracle_mat_mul(acc, step)
-    return acc
-
-
-def oracle_nce(factors, d, dim):
-    """Test oracle: the elementary symmetric sum, one product per index
-    subset (small n only)."""
-    total = [[Polynomial.zero()] * dim for _ in range(dim)]
-    for subset in combinations(range(len(factors)), d):
-        prod = oracle_identity(dim)
-        for i in subset:
-            prod = oracle_mat_mul(prod, factors[i])
-        total = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, prod)]
-    return total
 
 
 def oracle_L(m, weights):
@@ -194,9 +175,7 @@ def oracle_L(m, weights):
 
 
 def oracle_word_value(w):
-    one = Polynomial.const(1)
-    m = oracle_word_product([dense(a, w.dim) for a in w.factors], w.dim)
-    m = [[p - one if i == j else p for j, p in enumerate(row)] for i, row in enumerate(m)]
+    m = minus_identity(oracle_word_product([dense(a, w.dim) for a in w.factors], w.dim))
     return oracle_L(m, target_weights(w.target, w.dim)).scale(w.global_scalar)
 
 
@@ -258,7 +237,7 @@ ORACLE_ORDERS = st.sampled_from([None, 0, 1, 3])
 
 
 def reduce(p, k):
-    return p if k is None else p.mod_eps(k)
+    return p if k is None else mod_eps(p, k)
 
 
 @settings(max_examples=150, deadline=None)
@@ -267,8 +246,8 @@ def test_word_value_matches_dense_oracle(w, k):
     got = border_value(w, k)
     assert got == reduce(oracle_word_value(w), k)
     assert_normalised(got)
-    m = expand(w, k)
-    want = oracle_word_product([dense(a, w.dim) for a in w.factors], w.dim)
+    m = entry_values(w, k)
+    want = minus_identity(oracle_word_product([dense(a, w.dim) for a in w.factors], w.dim))
     assert m == [[reduce(p, k) for p in row] for row in want]
     for row in m:
         for p in row:
@@ -308,7 +287,7 @@ def test_projection_value_matches_substitution(p, k):
 def test_nce_clears_states_that_cannot_reach_degree_d():
     # only one factor is left after the first, so e_3 of two factors is 0
     x = {(0, 0): Polynomial.variable("x1"), (1, 1): Polynomial.variable("x2")}
-    assert nce_matrices([x, x], 3, 1, rows=range(2)) == {0: {}, 1: {}}
+    assert nce_matrices([x, x], 3, Functional([[1, 1], [1, 1]], COEFF_ONE, 1)).is_zero()
 
 
 def test_word_engine_skips_pairs_at_or_above_the_order():
@@ -316,8 +295,8 @@ def test_word_engine_skips_pairs_at_or_above_the_order():
     x = Polynomial.variable("x1")
     a, b = x * e(-1) + x * e(1), x + x * e(2)
     w = MatrixWord(1, [{(0, 0): a}, {(0, 0): b}])
-    # (1 + a)(1 + b) = 1 + a + b + a*b, and a*b = x1^2 (eps^-1 + 2 eps + eps^3)
-    assert expand_word(w, 1) == {0: {0: Polynomial.const(1) + x * e(-1) + x + x * x * e(-1)}}
+    # (1 + a)(1 + b) - 1 = a + b + a*b, and a*b = x1^2 (eps^-1 + 2 eps + eps^3)
+    assert expand_word(w, Functional([[1]], COEFF_ONE, 1)) == x * e(-1) + x + x * x * e(-1)
 
 
 def test_packed_fields_hold_the_proven_exponent_bound():
@@ -326,15 +305,19 @@ def test_packed_fields_hold_the_proven_exponent_bound():
     # the values below them, and the product reaches each bound exactly.
     factors = [{(0, 0): parse_poly("x1^2*x2*alpha*eps^-1")} for _ in range(4)]
     want = parse_poly("x1^8*x2^4*alpha^4*eps^-4")
-    assert nce_matrices(factors, 4, rows=[0]) == {0: {0: want}}
-    assert nce_matrices(factors, 4, -3, rows=[0]) == {0: {0: want}}
-    assert nce_matrices(factors, 4, -4, rows=[0]) == {0: {}}
+
+    def read(below=None):
+        return Functional([[1]], COEFF_ONE, below)
+
+    assert nce_matrices(factors, 4, read()) == want
+    assert nce_matrices(factors, 4, read(-3)) == want
+    assert nce_matrices(factors, 4, read(-4)).is_zero()
     binomial = parse_poly(
-        "1 + 4*x1^2*x2*alpha*eps^-1 + 6*x1^4*x2^2*alpha^2*eps^-2"
+        "4*x1^2*x2*alpha*eps^-1 + 6*x1^4*x2^2*alpha^2*eps^-2"
         " + 4*x1^6*x2^3*alpha^3*eps^-3 + x1^8*x2^4*alpha^4*eps^-4"
     )
-    assert word_product(factors, rows=[0]) == {0: {0: binomial}}
-    assert word_product(factors, -2, rows=[0]) == {0: {0: binomial.mod_eps(-2)}}
+    assert word_product(factors, read()) == binomial
+    assert word_product(factors, read(-2)) == mod_eps(binomial, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +361,7 @@ def test_the_key_layout_holds_the_scalar_and_weights(c, k):
         assert border_value(p, k) == reduce(oracle_projection_value(p), k)
     if k is not None:
         for obj in (word, proj_c, proj_l):
-            assert border_value(obj, k) == border_value(obj).mod_eps(k)
+            assert border_value(obj, k) == mod_eps(border_value(obj), k)
             assert_normalised(border_value(obj, k))
 
 

@@ -21,6 +21,7 @@ from homlin.families import (
     gen_nce_generic,
 )
 from homlin.poly import Coeff, Polynomial, parse_poly
+from test_matrixword import oracle_word_product
 
 
 def V(*idx):
@@ -75,6 +76,18 @@ def test_E_1_1_is_offdiagonal_sum():
             if r != c:
                 expected = expected + V(1, r, c)
     assert gen_E(1, 1) == expected
+
+
+def test_E_is_the_degree_d_part_of_the_dense_word_product():
+    # gen_E reads e_d of the off-diagonal parts; the oracle multiplies the
+    # whole word of id + A_i factors and takes the degree-d part of L_sum(M - id)
+    for n in range(1, 5):
+        factors = [[[V(i, r, c) if r != c else Polynomial.zero() for c in range(1, 4)]
+                    for r in range(1, 4)] for i in range(1, n + 1)]
+        m = oracle_word_product(factors, 3)
+        total = sum((p for row in m for p in row), Polynomial.const(-3))
+        for d in range(6):
+            assert gen_E(n, d) == total.homog_component(d), (n, d)
 
 
 def test_nce_generic_degree_one():

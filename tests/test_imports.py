@@ -154,6 +154,37 @@ def test_the_bench_tracer_counts_engine_steps():
     assert tracer.layer_metrics()["families.nce_matrices.steps"] > 0
 
 
+def nce_matrices_calls(sources):
+    """(``module:line``, whether factors and d are passed by position) for
+    every ``nce_matrices`` call in the given ``{module: source}``."""
+    found = []
+    for mod, src in sources.items():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name == "nce_matrices":
+                    head = node.args[:2]
+                    positional = len(head) == 2 and not any(isinstance(a, ast.Starred) for a in head)
+                    found.append((f"{mod}:{node.lineno}", positional))
+    return found
+
+
+def test_call_scanner_flags_factors_or_degree_by_keyword():
+    sources = {"a": "nce_matrices(fs, 3, read)\nf.nce_matrices(fs, d=3, read=r)\n"
+                    "nce_matrices(*args)\nnce_matrices(factors=fs, d=2, read=r)\n"}
+    assert nce_matrices_calls(sources) == [
+        ("a:1", True), ("a:2", False), ("a:3", False), ("a:4", False)]
+
+
+def test_every_nce_matrices_call_passes_factors_and_degree_by_position():
+    # the bench tracer's steps counter reads them as a[0] and a[1], so a
+    # keyword call would raise inside every traced instance that makes it
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC}
+    calls = nce_matrices_calls(sources)
+    assert calls and [where for where, positional in calls if not positional] == []
+
+
 def file_writes(sources):
     """``module.function`` (or ``module`` at top level) of every ``os.open``
     call and every ``open`` call whose mode is not a constant read-only mode

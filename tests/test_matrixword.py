@@ -5,12 +5,13 @@ constructions, family projections, and serialization."""
 import copy
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from homlin.circuit import Circuit, FNode, circuit_to_tree, tree_to_circuit
 from homlin import matrixword
-from homlin.families import L_entry, _Packing, gen_C_comb, gen_nce_L
+from homlin.families import Functional, L_entry, _Packing, gen_C_comb, gen_nce_L
 from homlin.matrixword import (
     ArtifactSyntaxError,
     DiagonalNonzero,
@@ -95,9 +96,61 @@ def oracle_word2(forms):
     return MatrixWord(2, factors, COEFF_ONE, entry_target(1, 2))
 
 
-def expand(w, below=None):
-    """The whole product of a word, as a dense matrix."""
-    return dense(expand_word(w, below), w.dim)
+def mod_eps(p, k):
+    """Test oracle: ``p`` with every term at or above eps^k dropped."""
+    return Polynomial({key: c for key, c in p.terms.items() if key[1] < k})
+
+
+def oracle_identity(k):
+    one, zero = Polynomial.const(1), Polynomial.zero()
+    return [[one if i == j else zero for j in range(k)] for i in range(k)]
+
+
+def oracle_mat_mul(a, b):
+    """Test oracle: the plain dense triple-loop product of square matrices."""
+    k = len(a)
+    return [
+        [sum((a[i][t] * b[t][j] for t in range(k)), Polynomial.zero()) for j in range(k)]
+        for i in range(k)
+    ]
+
+
+def oracle_word_product(factors, dim):
+    """Test oracle: the product of the id + A factors, left to right."""
+    one = Polynomial.const(1)
+    acc = oracle_identity(dim)
+    for a in factors:
+        step = [[p + one if i == j else p for j, p in enumerate(row)] for i, row in enumerate(a)]
+        acc = oracle_mat_mul(acc, step)
+    return acc
+
+
+def oracle_nce(factors, d, dim):
+    """Test oracle: the elementary symmetric sum, one product per index
+    subset (small n only)."""
+    total = [[Polynomial.zero()] * dim for _ in range(dim)]
+    for subset in combinations(range(len(factors)), d):
+        prod = oracle_identity(dim)
+        for i in subset:
+            prod = oracle_mat_mul(prod, factors[i])
+        total = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, prod)]
+    return total
+
+
+def expand(w):
+    """The whole product of a word, as a dense matrix, by the dense oracle."""
+    return oracle_word_product([dense(a, w.dim) for a in w.factors], w.dim)
+
+
+def minus_identity(m):
+    return [[p - q for p, q in zip(r1, r2)] for r1, r2 in zip(m, oracle_identity(len(m)))]
+
+
+def entry_values(w, below=None):
+    """(product - id) of a word, mod eps^below, entry by entry: the engine's
+    value of each ``L_entry`` functional."""
+    return [[expand_word(w, Functional(L_entry(i, j, w.dim), COEFF_ONE, below))
+             for j in range(1, w.dim + 1)] for i in range(1, w.dim + 1)]
 
 
 def matrices_equal(m, expect):
@@ -107,19 +160,25 @@ def matrices_equal(m, expect):
 
 
 # ---------------------------------------------------------------------------
-# expand_word
+# word products
 # ---------------------------------------------------------------------------
 
 
+# each checks the dense oracle and, entry by entry, the engine
+
+
 def test_expand_empty_word_is_identity():
-    m = expand(MatrixWord(3, []))
+    w = MatrixWord(3, [])
+    m = expand(w)
     assert matrices_equal(m, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    assert entry_values(w) == minus_identity(m)
 
 
 def test_expand_two_factor_2x2():
     w = oracle_word2([Polynomial.variable("x1"), Polynomial.variable("x2")])
     m = expand(w)
     assert matrices_equal(m, [["1 + x1*x2", "x1"], ["x2", "1"]])
+    assert entry_values(w) == minus_identity(m)
 
 
 def test_expand_four_factor_commutator_symbolic():
@@ -138,6 +197,7 @@ def test_expand_four_factor_commutator_symbolic():
             if (i, j) == (0, 2):
                 continue
             assert m[i][j] == (Polynomial.const(1) if i == j else zero)
+    assert entry_values(w) == minus_identity(m)
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +525,8 @@ def word2_invariant_holds(forms, expected):
     """Test oracle for the proven eps-precision of the continuant word: the
     limit of (product - id) exists and equals expected * E_upper, i.e. the
     whole 2x2 product is id + expected * E_upper mod eps^1."""
-    one, zero = Polynomial.const(1), Polynomial.zero()
-    m = expand(oracle_word2(forms), below=1)
-    return m == [[one, expected.mod_eps(1)], [zero, one]]
+    zero = Polynomial.zero()
+    return entry_values(oracle_word2(forms), 1) == [[zero, mod_eps(expected, 1)], [zero, zero]]
 
 
 # the oracle expands the whole product, whose cost grows steeply with the
@@ -758,13 +817,13 @@ def test_even_gadget_telescopes_mod_eps3():
     want1 = m_of(P("a1*b1"))
     for i in range(2):
         for j in range(2):
-            assert m1[i][j].mod_eps(3) == want1[i][j].mod_eps(3)
+            assert mod_eps(m1[i][j], 3) == mod_eps(want1[i][j], 3)
 
     both = expand(oracle_word2(gadget("a1", "b1") + gadget("a2", "b2")))
     want = m_of(P("a1*b1 + a2*b2"))
     for i in range(2):
         for j in range(2):
-            assert both[i][j].mod_eps(3) == want[i][j].mod_eps(3)
+            assert mod_eps(both[i][j], 3) == mod_eps(want[i][j], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +928,7 @@ def test_word_serialization_round_trip():
         assert w2.global_scalar == w.global_scalar
         assert w2.target == w.target
         assert len(w2.factors) == len(w.factors)
-        assert expand_word(w2) == expand_word(w)
+        assert entry_values(w2) == entry_values(w)
         assert format_word(w2) == format_word(w)
 
 
@@ -1043,6 +1102,24 @@ def test_malformed_projection_lines_are_rejected_with_line(old, new, line):
     with pytest.raises(ArtifactSyntaxError) as exc:
         parse_projection(_PROJ.replace(old, new))
     assert exc.value.line == line
+
+
+_C_WITH_WEIGHTS = "weights: 0,0,0,0,0,0,0,0,0\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    ("projection C n 3 d 1 border 1\n" + _C_WITH_WEIGHTS + "form x1: x1\nform x3: x3\n", 2),
+    (_C_WITH_WEIGHTS + "projection C n 3 d 1 border 1\nform x1: x1\n", 1),
+])
+def test_a_C_projection_takes_no_weights(text, line):
+    # a C projection's value reads C_WEIGHTS: weights on it would be printed
+    # back by format_projection and ignored by the value
+    with pytest.raises(ArtifactSyntaxError, match="takes no weights") as exc:
+        parse_projection(text)
+    assert exc.value.line == line
+    p = Projection("C", 3, 1, [P("x1"), Polynomial.zero(), P("x3")], weights=[[0] * 3] * 3)
+    with pytest.raises(ValueError, match="takes no weights"):
+        p.value()
 
 
 def test_projection_weights_need_nine_entries():

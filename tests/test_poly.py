@@ -98,11 +98,6 @@ def test_subst_eps_power():
     assert p.subst(3) == EPS(6) * X1 * X2 ** 2 + EPS(-3) * X3 + EPS(3) * Polynomial.alpha(1) + five
 
 
-def test_mod_eps_keeps_negative_exponents():
-    p = EPS(-1) * X1 + X2 + EPS(5) * X3
-    assert p.mod_eps(3) == EPS(-1) * X1 + X2
-
-
 def test_subst_alpha():
     lf = Polynomial.alpha(2) * X1 + Polynomial.alpha(1) * X2 + X3
     c = Coeff.from_rational(Fraction(1, 2))
@@ -237,16 +232,6 @@ def test_linear_substitution_preserves_homogeneous_degree(p, c1, c2, c3):
     for d in p.homog_degrees():
         q = p.homog_component(d).substitute(sigma)
         assert q.is_zero() or q.homog_degrees() == [d]
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_polys(), st.integers(1, 4))
-def test_mod_eps_then_limit(p, k):
-    try:
-        expected = p.eps_limit()
-    except LimitDiverges:
-        return
-    assert p.mod_eps(k).eps_limit() == expected
 
 
 @settings(max_examples=80, deadline=None)

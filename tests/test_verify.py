@@ -1,5 +1,6 @@
 """Tests for the verification harness and its random instance generators."""
 
+import gc
 import random
 
 import pytest
@@ -211,3 +212,17 @@ def test_random_graded_arity3_circuit_valid():
         assert c.basis == "arity3" and c.syntactic_degrees()[c.output_id] == d
         f = c.eval()
         assert f.is_zero() or f.homog_degrees() == [d]
+
+
+@pytest.mark.parametrize("make", [random_graded_arity3_formula, random_graded_arity3_circuit])
+def test_graded_generators_leave_no_cyclic_garbage(make):
+    # no recursive closure holds the builder, pool or rng in a cycle, so
+    # reference counting alone frees what a call leaves behind
+    gc.collect()
+    gc.disable()
+    try:
+        for seed in range(3):
+            make(random.Random(seed), 5, 20, 3)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
