@@ -19,6 +19,8 @@ A ``Circuit`` is valid by construction: each basis admits the kinds that
 the add/negative-cube basis (where alpha-threading consumes them later), and
 a ``formula`` is a tree.  A circuit that breaks one of these rules is never
 built: the constructor raises ``BasisViolation("gate <id>: <reason>")``.
+Every pass and compiler states the rest of its input contract (a shape, a
+basis, IHL leaves) in one ``Circuit.require`` call before it does any work.
 """
 
 from __future__ import annotations
@@ -242,27 +244,31 @@ class Circuit:
                 deg[g.id] = sum(deg[ch] for ch in g.children)
         return deg
 
-    # -- validation --------------------------------------------------------------
-    def validate(self, predicate: str) -> Tuple[bool, Optional[str], str]:
-        """Returns (ok, witness gate id, reason)."""
-        if predicate == "IHL":
-            for g in self.gates:
-                if g.kind == "input":
-                    terms = g.form.terms
-                    if any(not m for m, _e, _a in terms):
-                        return False, g.id, "leaf has a constant part"
-                    if not terms and len(self.gates) > 1:
-                        # a lone zero leaf is the canonical zero formula
-                        return False, g.id, "leaf is not homogeneous linear"
-            return True, None, ""
-        if predicate == "parityHomogeneous":
-            vals = self.eval_gates()
-            for g in self.gates:
-                degs = [d for d in vals[g.id].homog_degrees()]
-                if any(d % 2 == 0 for d in degs) and any(d % 2 == 1 for d in degs):
-                    return False, g.id, "gate mixes even and odd components"
-            return True, None, ""
-        raise ValueError(f"unknown predicate {predicate!r}")
+    # -- input contracts -------------------------------------------------------
+    def ihl_defect(self) -> Optional[str]:
+        """Why this circuit is not input-homogeneous-linear, as ``"gate <id>:
+        <reason>"``, or None: every leaf must be a nonzero homogeneous linear
+        form (a lone zero leaf is the canonical zero formula)."""
+        for g in self.gates:
+            if g.kind == "input":
+                terms = g.form.terms
+                if any(not m for m, _e, _a in terms):
+                    return f"gate {g.id}: leaf has a constant part"
+                if not terms and len(self.gates) > 1:
+                    return f"gate {g.id}: leaf is not homogeneous linear"
+        return None
+
+    def require(self, who: str, *, shape: Optional[str] = None,
+                basis: Optional[str] = None, ihl: bool = False) -> None:
+        """The input contract of a pass or compiler named ``who``: raises
+        ``BasisViolation`` unless this circuit has ``shape`` and ``basis``
+        (when given) and, with ``ihl``, is IHL."""
+        if shape is not None and self.shape != shape:
+            raise BasisViolation(f"{who} expects a {shape}")
+        if basis is not None and self.basis != basis:
+            raise BasisViolation(f"{who} expects the {BASIS_KINDS[basis][0]} basis")
+        if ihl and (defect := self.ihl_defect()) is not None:
+            raise BasisViolation(f"{who} expects an IHL {shape or 'circuit'} ({defect})")
 
 
 def _packed_mul(a: Dict[int, Rat], b: Dict[int, Rat]) -> Dict[int, Rat]:
@@ -320,30 +326,31 @@ class GradedArity3Repr:
             out = out + acc * Fraction(1, d)
         return out
 
+    @staticmethod
+    def part_value(c: "Circuit", who: str, degree: int) -> Polynomial:
+        """The value of part ``c``, which must be an arity-3 IHL circuit that
+        computes zero or a form homogeneous of ``degree``; ``BasisViolation``
+        or ``DegreeMismatch`` names ``who`` otherwise."""
+        c.require(who, basis="arity3", ihl=True)
+        p = c.eval()
+        if p.terms and p.homog_degrees() != [degree]:
+            raise DegreeMismatch(f"{who} computes degrees {p.homog_degrees()}, not {degree}")
+        return p
+
     def validate(self) -> Tuple[bool, str]:
-        for d, c in self.odd_parts.items():
-            if d % 2 != 1:
-                return False, f"odd part at even degree {d}"
-            if c.basis != "arity3":
-                return False, f"odd part {d} is not in the arity-3 basis"
-            ok, gid, reason = c.validate("IHL")
-            if not ok:
-                return False, f"odd part {d}, gate {gid}: {reason}"
-            p = c.eval()
-            if not p.is_zero() and p.homog_degrees() != [d]:
-                return False, f"odd part {d} is not homogeneous of degree {d}"
-        for d, per_var in self.even_parts.items():
-            if d % 2 != 0:
-                return False, f"even part at odd degree {d}"
-            for v, c in per_var.items():
-                if c.basis != "arity3":
-                    return False, f"even part {d}/{v} is not in the arity-3 basis"
-                ok, gid, reason = c.validate("IHL")
-                if not ok:
-                    return False, f"even part {d}/{v}, gate {gid}: {reason}"
-                p = c.eval()
-                if not p.is_zero() and p.homog_degrees() != [d - 1]:
-                    return False, f"even part {d}/{v} not homogeneous of degree {d - 1}"
+        """(True, "") when every part passes ``part_value`` at its odd degree:
+        ``d`` for the odd part of degree ``d``, ``d - 1`` for the derivative
+        parts of degree ``d``; else (False, the first defect)."""
+        parts = [(f"odd part {d}", d, c) for d, c in self.odd_parts.items()] + [
+            (f"even part {d}/{v}", d - 1, c)
+            for d, per_var in self.even_parts.items() for v, c in per_var.items()]
+        for name, degree, c in parts:
+            if degree % 2 == 0:
+                return False, f"{name} is stored at a degree of the wrong parity"
+            try:
+                self.part_value(c, name, degree)
+            except (BasisViolation, DegreeMismatch) as exc:
+                return False, str(exc)
         return True, ""
 
 
@@ -548,6 +555,7 @@ def parse_circuit(text: str) -> Circuit:
     variables: List[str] = []
     gates: List[Gate] = []
     seen: Set[str] = set()
+    given: Set[str] = set()  # the directives that may appear once
     # each distinct input form and edge scalar is parsed once per circuit;
     # the values are immutable, so gates with the same text share them
     forms: Dict[str, Polynomial] = {}
@@ -577,22 +585,26 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitSyntaxError(str(exc), lineno) from exc
             seen.add(gid)
             gates.append(gate)
-        elif head == "shape":
-            if len(words) != 2 or words[1] not in SHAPES:
-                raise CircuitSyntaxError("expected 'shape formula|circuit'", lineno)
-            shape = words[1]
-        elif head == "basis":
-            if len(words) != 2 or words[1] not in BASES:
-                raise CircuitSyntaxError(
-                    "expected 'basis arity2|arity3|addNegCube'", lineno
-                )
-            basis = words[1]
         elif head == "var":
             variables.extend(raw.split()[1:])
-        elif head == "output":
-            if len(words) != 2:
-                raise CircuitSyntaxError("expected 'output <id>'", lineno)
-            output_id = words[1]
+        elif head in ("shape", "basis", "output"):
+            if head in given:
+                raise CircuitSyntaxError(f"'{head}' given twice", lineno)
+            given.add(head)
+            if head == "shape":
+                if len(words) != 2 or words[1] not in SHAPES:
+                    raise CircuitSyntaxError("expected 'shape formula|circuit'", lineno)
+                shape = words[1]
+            elif head == "basis":
+                if len(words) != 2 or words[1] not in BASES:
+                    raise CircuitSyntaxError(
+                        "expected 'basis arity2|arity3|addNegCube'", lineno
+                    )
+                basis = words[1]
+            else:  # output
+                if len(words) != 2:
+                    raise CircuitSyntaxError("expected 'output <id>'", lineno)
+                output_id = words[1]
         else:
             raise CircuitSyntaxError(f"unknown directive {head!r}", lineno)
 

@@ -404,7 +404,8 @@ def cmd_pipeline(args) -> int:
         f"  passes: {' '.join(passes) if passes else '(none)'}",
         f"  target: {' '.join(args.target) if args.target else '(none)'}",
     ]
-    f = c.eval()
+    # the passes preserve f, so it is the value of their output as well
+    f = c.eval() if args.target is not None else None
     current = c
     failed_audit = False
     for idx, name in enumerate(passes, start=1):
@@ -418,8 +419,7 @@ def cmd_pipeline(args) -> int:
         current = result
         path = os.path.join(outdir, f"{idx:02d}-{name}.circ")
         _write_text(path, print_circuit(current))
-        audit = audit_bounds(rep)
-        failed_audit = failed_audit or not audit.verdict
+        failed_audit = failed_audit or not rep.bound_satisfied
         report_lines.append(
             f"  stage {idx} {name}: {rep.input_metrics} -> {rep.output_metrics}; "
             f"bound {rep.bound_formula}: "
@@ -429,7 +429,6 @@ def cmd_pipeline(args) -> int:
     verdict_ok = True
     if args.target is not None:
         try:
-            # the passes preserve f, so it is the value of current as well
             obj = _compile_target(args.target, current, args.d, f)
         except ValueError as exc:
             raise CliError(str(exc)) from exc

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .circuit import Circuit, DegreeMismatch, FNode, circuit_to_tree, GradedArity3Repr
 from .families import (
@@ -56,14 +56,6 @@ from .poly import (
     _var_key,
 )
 from .transforms import _to_anc
-
-
-class NotIHL(ValueError):
-    pass
-
-
-class NotFormula(ValueError):
-    pass
 
 
 class NotOddDegree(ValueError):
@@ -194,14 +186,6 @@ def border_value(obj: Union[MatrixWord, Projection], below: Optional[int] = None
 FactorList = List[Factor]
 
 
-def _require_ihl_formula(c: Circuit, who: str):
-    if c.shape != "formula":
-        raise NotFormula(f"{who} expects a formula")
-    ok, gid, reason = c.validate("IHL")
-    if not ok:
-        raise NotIHL(f"{who} expects an IHL formula (gate {gid}: {reason})")
-
-
 def _require_continuant_leaves(c: Circuit, who: str):
     """The continuant compilers thread gate scalars through ``alpha``, so an
     input form that carries ``alpha`` would be conflated with it; and the
@@ -239,24 +223,21 @@ def _offdiag_lists(
         p1, m1 = _offdiag_lists(node.children[0], pos, scal)
         p2, m2 = _offdiag_lists(node.children[1], pos, scal)
         return p1 + p2, m1 + m2
-    if node.kind == "mul":
-        k = _third_index(i, j)
-        pf, mf = _offdiag_lists(node.children[0], (i, k), scal)
-        pg, mg = _offdiag_lists(node.children[1], (k, j), COEFF_ONE)
-        return pf + pg + mf + mg, mf + pg + pf + mg
-    raise NotFormula(f"off-diagonal compilation expects arity-2 gates, got {node.kind}")
+    # a mul, the one other kind the arity-2 basis admits
+    k = _third_index(i, j)
+    pf, mf = _offdiag_lists(node.children[0], (i, k), scal)
+    pg, mg = _offdiag_lists(node.children[1], (k, j), COEFF_ONE)
+    return pf + pg + mf + mg, mf + pg + pf + mg
 
 
 def compile_offdiag3(
     c: Circuit, target: Tuple[int, int], thread_scalar: Union[Coeff, int, Fraction] = 1
 ) -> MatrixWord:
     """Exact word: product of factors - id = thread_scalar * eval(c) * E(target)."""
+    c.require("compile_offdiag3", shape="formula", basis="arity2", ihl=True)
     i, j = target
     if i == j or not (1 <= i <= 3 and 1 <= j <= 3):
         raise ValueError("target must be an off-diagonal position of a 3x3 matrix")
-    _require_ihl_formula(c, "compile_offdiag3")
-    if c.basis != "arity2":
-        raise NotFormula("compile_offdiag3 expects the arity-2 basis")
     plus, _minus = _offdiag_lists(circuit_to_tree(c), (i, j), Coeff.of(thread_scalar))
     return MatrixWord(3, plus, COEFF_ONE, entry_target(i, j))
 
@@ -279,9 +260,7 @@ def compile_trace3(c: Circuit) -> MatrixWord:
     every factor is unipotent, forcing determinant 1, hence a trace-free
     eps^2 coefficient; the (1,1) entry therefore carries the value while the
     trace would cancel to 0."""
-    _require_ihl_formula(c, "compile_trace3")
-    if c.basis != "arity2":
-        raise NotFormula("compile_trace3 expects the arity-2 basis")
+    c.require("compile_trace3", shape="formula", basis="arity2", ihl=True)
     eps = Coeff.eps(1)
     factors: FactorList = []
     for s in _summands(circuit_to_tree(c)):
@@ -290,10 +269,10 @@ def compile_trace3(c: Circuit) -> MatrixWord:
             pg, mg = _offdiag_lists(g, (1, 2), eps)
             ph, mh = _offdiag_lists(h, (2, 1), eps)
             factors += pg + ph + mg + mh
-        elif s.kind == "input":
-            # degree-1 corner: no product pair exists under IHL, so use the
-            # pair (eps^-1 * l, eps): gadget entries are l and the constant
-            # eps^2, and every entry of the gadget stays O(eps^2)
+        else:
+            # an input, the degree-1 corner: no product pair exists under
+            # IHL, so use the pair (eps^-1 * l, eps): gadget entries are l and
+            # the constant eps^2, and every entry of the gadget stays O(eps^2)
             lf = s.form
             e2 = Polynomial.eps(2)
             factors += [
@@ -302,10 +281,6 @@ def compile_trace3(c: Circuit) -> MatrixWord:
                 _e_factor(1, 2, -lf),
                 _e_factor(2, 1, -e2),
             ]
-        else:
-            raise NotFormula(
-                f"compile_trace3 expects a sum of products, got a {s.kind} gate"
-            )
     return MatrixWord(3, factors, Coeff.eps(-2), entry_target(1, 1))
 
 
@@ -472,17 +447,14 @@ def _cont_odd_word(node: FNode, s: Fraction) -> _Word:
         w = _cont_odd_word(node.children[0], s)
         w.join(_cont_odd_word(node.children[1], s))
         return w
-    if node.kind == "negcube":
-        base = _cont_odd_word(node.children[0], Fraction(1))
-        k = base.cube_power()
-        w = _Word()
-        w.extend_mapped(base, k, (1, -1, 0))
-        w.extend_mapped(base, 3, (_rat(s), 2, 1), reverse=True)
-        w.extend_mapped(base, k, (-1, -1, 0))
-        return w
-    raise NotFormula(
-        f"continuant compilation expects add/negative-cube gates, got {node.kind}"
-    )
+    # a negcube, the one other kind the add/neg-cube basis admits
+    base = _cont_odd_word(node.children[0], Fraction(1))
+    k = base.cube_power()
+    w = _Word()
+    w.extend_mapped(base, k, (1, -1, 0))
+    w.extend_mapped(base, 3, (_rat(s), 2, 1), reverse=True)
+    w.extend_mapped(base, k, (-1, -1, 0))
+    return w
 
 
 def _graded_degree(c: Circuit) -> Optional[int]:
@@ -504,9 +476,7 @@ def compile_continuant_odd(
     be ``c.eval()``), else the evaluated formula.  When no value is given and
     ``d`` is the formula's syntactic degree, the formula is not evaluated: a
     graded IHL formula computes zero or a homogeneous form of that degree."""
-    _require_ihl_formula(c, "compile_continuant_odd")
-    if c.basis != "addNegCube":
-        raise NotFormula("compile_continuant_odd expects the add/neg-cube basis")
+    c.require("compile_continuant_odd", shape="formula", basis="addNegCube", ihl=True)
     _require_continuant_leaves(c, "compile_continuant_odd")
     if d is not None and d < 1:
         raise NotOddDegree(f"degree {d} is not positive")
@@ -529,15 +499,18 @@ def compile_continuant_odd(
 def compile_continuant_even(g: GradedArity3Repr, d: int) -> Projection:
     """Border projection for the even homogeneous degree-d component, built
     from the per-variable derivative circuits via the telescoping diagonal
-    gadget and the homogeneous-function identity."""
+    gadget and the homogeneous-function identity.  Each part must be an
+    arity-3 IHL circuit computing zero or a form of degree ``d - 1``
+    (``GradedArity3Repr.part_value``)."""
     if d % 2 == 1 or d < 2:
         raise NotEvenDegree(f"degree {d} is not a positive even number")
     per_var = g.even_parts.get(d, {})
     word = _Word()
     for v in sorted(per_var, key=_var_key):
-        part = per_var[v]
-        _require_continuant_leaves(part, f"compile_continuant_even (part for {v})")
-        if part.eval().is_zero():
+        part, who = per_var[v], f"compile_continuant_even (part for {v})"
+        value = g.part_value(part, who, d - 1)
+        _require_continuant_leaves(part, who)
+        if not value.terms:
             continue
         # invariant word for alpha * eval(part) / d
         base = _cont_odd_word(_to_anc(circuit_to_tree(part)), Fraction(1, d))
@@ -653,6 +626,13 @@ def _lines(text: str):
             yield lineno, line
 
 
+def _once(head: str, given: Set[str], lineno: int) -> None:
+    """Record a directive that may appear once; a repeat is a syntax error."""
+    if head in given:
+        raise ArtifactSyntaxError(f"'{head}' given twice", lineno)
+    given.add(head)
+
+
 def _int(text: str, what: str, lineno: int, low: int, high: Optional[int] = None) -> int:
     """``text`` as an integer in low..high (no upper end when None)."""
     try:
@@ -697,13 +677,14 @@ def parse_word(text: str) -> MatrixWord:
     parsed: Dict[str, Factor] = {}
     scalar = COEFF_ONE
     target: Target = ("trace",)
+    given: Set[str] = set()
     for lineno, line in _lines(text):
         head, _, body = line.partition(":") if ":" in line else line.partition(" ")
         head, body = head.strip(), body.strip()
         try:
+            if head in ("dim", "scalar", "target"):
+                _once(head, given, lineno)
             if head == "dim":
-                if dim is not None:
-                    raise ArtifactSyntaxError("'dim' given twice", lineno)
                 dim = _int(body, "dim", lineno, 1, 3)
             elif dim is None:
                 raise ArtifactSyntaxError("'dim' must come first", lineno)
@@ -762,6 +743,7 @@ def parse_projection(text: str) -> Projection:
     scalar = COEFF_ONE
     weights = weights_line = None
     forms: Dict[str, Tuple[int, Polynomial]] = {}
+    given: Set[str] = set()
     for lineno, line in _lines(text):
         try:
             if line.startswith("projection"):
@@ -778,8 +760,10 @@ def parse_projection(text: str) -> Projection:
                 d = _int(words[5], "d", lineno, 0)
                 border = bool(_int(words[7], "border", lineno, 0, 1))
             elif line.startswith("scalar:"):
+                _once("scalar", given, lineno)
                 scalar = parse_coeff(line[len("scalar:"):])
             elif line.startswith("weights:"):
+                _once("weights", given, lineno)
                 flat = [parse_coeff(t) for t in line[len("weights:"):].split(",")]
                 if len(flat) != 9:
                     raise ArtifactSyntaxError(f"expected 9 weights, got {len(flat)}", lineno)

@@ -423,36 +423,27 @@ class Polynomial:
                 out[(m, 0, a)] = c
         return Polynomial._normalised(out)
 
-    def eval_random(self, point: Mapping[str, Rat], field=None) -> Dict[int, object]:
-        """Evaluate x-variables numerically, leaving eps symbolic.
+    def eval_random(self, point: Mapping[str, Rat], prime: int) -> Dict[int, int]:
+        """Evaluate x-variables mod ``prime``, leaving eps symbolic.
 
-        Returns {epsExp: value}; values are Fractions, or residues mod the
-        given prime.  alpha must have been substituted away beforehand.
+        Returns {epsExp: residue mod prime}, zero residues dropped.  alpha
+        must have been substituted away beforehand.
         """
-        prime = None
-        if field not in (None, "rational"):
-            prime = int(field)
-        if prime is not None and prime <= max(self.degree(), 0):
+        if prime <= max(self.degree(), 0):
             raise PrimeTooSmall(f"prime {prime} <= degree {self.degree()}")
-        out: Dict[int, object] = {}
+        out: Dict[int, int] = {}
         for (m, e, a), c in self.terms.items():
             if a != 0:
                 raise ValueError("alpha must be substituted before evaluation")
-            if prime is None:
-                val = c
-                for v, exp in m:
-                    val *= Fraction(point[v]) ** exp
-                out[e] = out.get(e, Fraction(0)) + val
-            else:
-                if c.denominator % prime == 0:
-                    raise DenominatorDivisibleByPrime(
-                        f"coefficient {c} has no value mod {prime}: "
-                        f"{prime} divides its denominator"
-                    )
-                val = c.numerator * pow(c.denominator, -1, prime) % prime
-                for v, exp in m:
-                    val = val * pow(int(point[v]) % prime, exp, prime) % prime
-                out[e] = (out.get(e, 0) + val) % prime
+            if c.denominator % prime == 0:
+                raise DenominatorDivisibleByPrime(
+                    f"coefficient {c} has no value mod {prime}: "
+                    f"{prime} divides its denominator"
+                )
+            val = c.numerator * pow(c.denominator, -1, prime) % prime
+            for v, exp in m:
+                val = val * pow(int(point[v]) % prime, exp, prime) % prime
+            out[e] = (out.get(e, 0) + val) % prime
         return {e: v for e, v in out.items() if v != 0}
 
     def __repr__(self):

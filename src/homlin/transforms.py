@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .circuit import (
-    BASIS_KINDS,
     BasisViolation,
     Circuit,
     FNode,
@@ -51,11 +50,6 @@ class PassReport:
 def _metrics(c: Circuit) -> Dict[str, int]:
     depth, mul_depth = c.depths()
     return {"size": c.size(), "depth": depth, "mulDepth": mul_depth}
-
-
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise BasisViolation(msg)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +145,7 @@ def _rescale_tree(node: FNode, alpha: Coeff) -> FNode:
 
 
 def rescale_formula(c: Circuit, alpha: Union[Coeff, Rat]) -> Tuple[Circuit, PassReport]:
-    _require(c.shape == "formula", "rescaleFormula expects a formula")
+    c.require("rescaleFormula", shape="formula")
     out_tree = _rescale_tree(circuit_to_tree(c), Coeff.of(alpha))
     out = tree_to_circuit(out_tree, c.basis, c.variables)
     im, om = _metrics(c), _metrics(out)
@@ -224,8 +218,7 @@ def _brent2(node: FNode, audit: List[Dict[str, int]]) -> FNode:
 
 
 def brent_formula(c: Circuit) -> Tuple[Circuit, PassReport]:
-    _require(c.shape == "formula", "brentFormula expects a formula")
-    _require(c.basis == "arity2", "brentFormula expects the arity-2 basis")
+    c.require("brentFormula", shape="formula", basis="arity2")
     audit: List[Dict[str, int]] = []
     out_tree = _brent2(circuit_to_tree(c), audit)
     out = tree_to_circuit(out_tree, "arity2", c.variables)
@@ -261,38 +254,28 @@ def _ihl_pair(node: FNode) -> Tuple[Coeff, Optional[FNode]]:
         if hb is None:
             return ca + cb, ha
         return ca + cb, FNode.add(ha, hb)
-    if node.kind == "mul":
-        ca, ha = _ihl_pair(node.children[0])
-        cb, hb = _ihl_pair(node.children[1])
-        terms: List[FNode] = []
-        if ha is not None and hb is not None:
-            terms.append(FNode.mul(ha, hb))
-        if hb is not None and not ca.is_zero():
-            terms.append(_rescale_tree(hb, ca))
-        if ha is not None and not cb.is_zero():
-            terms.append(_rescale_tree(ha, cb))
-        hat = balanced_add(terms) if terms else None
-        return ca * cb, hat
-    raise BasisViolation(f"input homogenization expects arity-2 gates, got {node.kind}")
+    # a mul, the one other kind the arity-2 basis admits
+    ca, ha = _ihl_pair(node.children[0])
+    cb, hb = _ihl_pair(node.children[1])
+    terms: List[FNode] = []
+    if ha is not None and hb is not None:
+        terms.append(FNode.mul(ha, hb))
+    if hb is not None and not ca.is_zero():
+        terms.append(_rescale_tree(hb, ca))
+    if ha is not None and not cb.is_zero():
+        terms.append(_rescale_tree(ha, cb))
+    hat = balanced_add(terms) if terms else None
+    return ca * cb, hat
 
 
 def input_homogenize_tree(node: FNode) -> Optional[FNode]:
-    """The IHL tree of ``node - node(0)`` (None for zero).  A gate kind
-    other than arity-2 ones is a BasisViolation, found before ``_brent2``."""
-    stack, seen = [node], set()
-    while stack:
-        n = stack.pop()
-        if n.kind not in BASIS_KINDS["arity2"][1]:
-            raise BasisViolation(f"input homogenization expects arity-2 gates, got {n.kind}")
-        if id(n) not in seen:
-            seen.add(id(n))
-            stack.extend(reversed(n.children))
+    """The IHL tree of ``node - node(0)`` (None for zero), for an arity-2
+    tree."""
     return _ihl_pair(_brent2(node, []))[1]
 
 
 def input_homogenize_formula(c: Circuit) -> Tuple[Circuit, PassReport]:
-    _require(c.shape == "formula", "inputHomogenizeFormula expects a formula")
-    _require(c.basis == "arity2", "inputHomogenizeFormula expects arity-2 gates")
+    c.require("inputHomogenizeFormula", shape="formula", basis="arity2")
     audit: List[Dict[str, int]] = []
     tree = circuit_to_tree(c)
     reduced = _brent2(tree, audit)
@@ -370,7 +353,7 @@ def _restrict_reachable(gates: List[Gate], output_id: str) -> List[Gate]:
 
 
 def input_homogenize_circuit(c: Circuit) -> Tuple[Circuit, PassReport]:
-    _require(c.basis == "arity2", "inputHomogenizeCircuit expects arity-2 gates")
+    c.require("inputHomogenizeCircuit", basis="arity2")
     b = _CBuilder()
     const: Dict[str, Coeff] = {}
     hat: Dict[str, Optional[str]] = {}
@@ -435,19 +418,17 @@ def _to_anc(node: FNode) -> FNode:
         return node
     if node.kind == "add":
         return FNode.add(_to_anc(node.children[0]), _to_anc(node.children[1]))
-    if node.kind == "mul3":
-        conv = [_to_anc(ch) for ch in node.children]
-        cubes = [
-            FNode.negcube(balanced_add([t.scaled(s) for s, t in zip(signs, conv)]), scale=tag)
-            for signs, tag in _CUBE_SIGNS
-        ]
-        return balanced_add(cubes)
-    raise BasisViolation(f"toAddNegCube expects arity-3 gates, got {node.kind}")
+    # a mul3, the one other kind the arity-3 basis admits
+    conv = [_to_anc(ch) for ch in node.children]
+    cubes = [
+        FNode.negcube(balanced_add([t.scaled(s) for s, t in zip(signs, conv)]), scale=tag)
+        for signs, tag in _CUBE_SIGNS
+    ]
+    return balanced_add(cubes)
 
 
 def to_add_negcube(c: Circuit) -> Tuple[Circuit, PassReport]:
-    _require(c.shape == "formula", "toAddNegCube expects a formula")
-    _require(c.basis == "arity3", "toAddNegCube expects the arity-3 basis")
+    c.require("toAddNegCube", shape="formula", basis="arity3")
     out_tree = _to_anc(circuit_to_tree(c))
     out = tree_to_circuit(out_tree, "addNegCube", c.variables)
     im, om = _metrics(c), _metrics(out)
@@ -477,13 +458,12 @@ def _parity_tree(node: FNode) -> Tuple[Optional[FNode], Optional[FNode]]:
         o1, e1 = _parity_tree(node.children[0])
         o2, e2 = _parity_tree(node.children[1])
         return _add_opt(o1, o2), _add_opt(e1, e2)
-    if node.kind == "mul":
-        o1, e1 = _parity_tree(node.children[0])
-        o2, e2 = _parity_tree(node.children[1])
-        odd = _add_opt(_mul_opt(e1, o2), _mul_opt(o1, e2))
-        even = _add_opt(_mul_opt(e1, e2), _mul_opt(o1, o2))
-        return odd, even
-    raise BasisViolation(f"parityHomogenize expects arity-2 gates, got {node.kind}")
+    # a mul, the one other kind the arity-2 basis admits
+    o1, e1 = _parity_tree(node.children[0])
+    o2, e2 = _parity_tree(node.children[1])
+    odd = _add_opt(_mul_opt(e1, o2), _mul_opt(o1, e2))
+    even = _add_opt(_mul_opt(e1, e2), _mul_opt(o1, o2))
+    return odd, even
 
 
 def _add_opt(a: Optional[FNode], b: Optional[FNode]) -> Optional[FNode]:
@@ -501,10 +481,7 @@ def _mul_opt(a: Optional[FNode], b: Optional[FNode]) -> Optional[FNode]:
 
 
 def parity_homogenize(c: Circuit) -> Tuple[ParityPair, PassReport]:
-    _require(c.shape == "formula", "parityHomogenize expects a formula")
-    _require(c.basis == "arity2", "parityHomogenize expects arity-2 gates")
-    ok, gid, reason = c.validate("IHL")
-    _require(ok, f"parityHomogenize expects an IHL formula (gate {gid}: {reason})")
+    c.require("parityHomogenize", shape="formula", basis="arity2", ihl=True)
     odd_t, even_t = _parity_tree(circuit_to_tree(c))
     odd = None if odd_t is None else tree_to_circuit(odd_t, "arity2", c.variables)
     even = None if even_t is None else tree_to_circuit(even_t, "arity2", c.variables)
@@ -514,9 +491,11 @@ def parity_homogenize(c: Circuit) -> Tuple[ParityPair, PassReport]:
     om = {"size": total, "depth": depth, "mulDepth": 0}
     bound = 7 * (2 ** im["mulDepth"]) * im["size"]
     sat = total <= bound
-    for part in (odd, even):
+    for part in (odd, even):  # no gate may mix even and odd components
         if part is not None:
-            sat = sat and part.validate("parityHomogeneous")[0]
+            vals = part.eval_gates()
+            sat = sat and all(len({d % 2 for d in vals[g.id].homog_degrees()}) < 2
+                              for g in part.gates)
     report = PassReport(
         "parity", im, om,
         "combined size <= 7 * 2^mulDepth * s; every gate parity-pure", sat,
@@ -535,17 +514,15 @@ def _ddx(node: FNode, v: str) -> Optional[FNode]:
         return FNode.leaf(d) if d.terms else None
     if node.kind == "add":
         return _add_opt(_ddx(node.children[0], v), _ddx(node.children[1], v))
-    if node.kind == "mul":
-        a, bn = node.children
-        t1 = _mul_opt(_ddx(a, v), bn)
-        t2 = _mul_opt(a, _ddx(bn, v))
-        return _add_opt(t1, t2)
-    raise BasisViolation(f"derivativeFormula expects arity-2 gates, got {node.kind}")
+    # a mul, the one other kind the arity-2 basis admits
+    a, bn = node.children
+    t1 = _mul_opt(_ddx(a, v), bn)
+    t2 = _mul_opt(a, _ddx(bn, v))
+    return _add_opt(t1, t2)
 
 
 def derivative_formula(c: Circuit, v: str) -> Tuple[Circuit, PassReport]:
-    _require(c.shape == "formula", "derivativeFormula expects a formula")
-    _require(c.basis == "arity2", "derivativeFormula expects arity-2 gates")
+    c.require("derivativeFormula", shape="formula", basis="arity2")
     out_tree = _ddx(circuit_to_tree(c), v)
     out = _tree_or_zero(out_tree, c, "arity2")
     im, om = _metrics(c), _metrics(out)
@@ -624,10 +601,7 @@ def _brent3(node: FNode, audit: List[Dict[str, object]]) -> FNode:
 
 
 def brent_arity3(c: Circuit) -> Tuple[Circuit, PassReport]:
-    _require(c.shape == "formula", "brentArity3 expects a formula")
-    _require(c.basis == "arity3", "brentArity3 expects the arity-3 basis")
-    ok, gid, reason = c.validate("IHL")
-    _require(ok, f"brentArity3 expects an IHL formula (gate {gid}: {reason})")
+    c.require("brentArity3", shape="formula", basis="arity3", ihl=True)
     audit: List[Dict[str, object]] = []
     out_tree = _brent3(circuit_to_tree(c), audit)
     out = tree_to_circuit(out_tree, "arity3", c.variables)
@@ -677,8 +651,6 @@ def _splice(node: FNode, b: _CBuilder) -> Union[str, Callable[[str], str]]:
     ``z``'s gate exists, so the gates come out children-first."""
     if node.kind == "input":
         return b.input(node.form)
-    if node.kind not in ("add", "mul"):
-        raise BasisViolation(f"vfToV3p expects arity-2 gates, got {node.kind}")
     f = _splice(node.children[0], b)
     g = _splice(node.children[1], b)
     f_odd, g_odd = isinstance(f, str), isinstance(g, str)
@@ -710,8 +682,7 @@ def _odd_tree_to_arity3(tree: FNode, variables: Sequence[str]) -> Circuit:
 
 
 def vf_to_v3p(c: Circuit) -> Tuple[GradedArity3Repr, PassReport]:
-    _require(c.shape == "formula", "vfToV3p expects a formula")
-    _require(c.basis == "arity2", "vfToV3p expects arity-2 gates")
+    c.require("vfToV3p", shape="formula", basis="arity2")
     f = c.eval()
     const = f.homog_component(0)
     odd_parts: Dict[int, Circuit] = {}
@@ -916,9 +887,7 @@ class _Vsbr:
 
 
 def vsbr_arity3(c: Circuit) -> Tuple[Circuit, PassReport]:
-    _require(c.basis == "arity3", "vsbrArity3 expects the arity-3 basis")
-    ok, gid, reason = c.validate("IHL")
-    _require(ok, f"vsbrArity3 expects an IHL circuit (gate {gid}: {reason})")
+    c.require("vsbrArity3", basis="arity3", ihl=True)
     deg = c.syntactic_degrees()  # raises DegreeMismatch if not graded
     d_out = deg[c.output_id]
     if d_out % 2 == 0:

@@ -167,7 +167,7 @@ def test_criterion_7_vsbr_semantics_and_depth():
         out, rep = vsbr_arity3(c)
         assert out.eval() == c.eval()
         assert out.basis == "arity3"
-        assert out.validate("IHL")[0]
+        assert out.ihl_defect() is None
         assert "fittedC" in rep.details  # measured constant, reported not asserted
 
 

@@ -15,6 +15,7 @@ from homlin.circuit import (
     DegreeMismatch,
     FNode,
     Gate,
+    GradedArity3Repr,
     balanced_add,
     circuit_to_tree,
     parse_circuit,
@@ -81,10 +82,9 @@ def test_degree_mismatch_on_ungraded_add():
 
 def test_validate_ihl():
     ok_c = tree_to_circuit(FNode.add(_leaf("x1"), _leaf("x2")), "arity2")
-    assert ok_c.validate("IHL")[0]
+    assert ok_c.ihl_defect() is None
     bad = tree_to_circuit(FNode.add(_leaf("x1"), FNode.constant(3)), "arity2")
-    ok, gid, _ = bad.validate("IHL")
-    assert not ok and gid is not None
+    assert bad.ihl_defect() == "gate g2: leaf has a constant part"
 
 
 @pytest.mark.parametrize("form, reason", [
@@ -96,7 +96,7 @@ def test_validate_ihl():
 def test_ihl_rejects_a_leaf_with_a_constant_or_a_zero_leaf(form, reason):
     c = parse_circuit(f"gate g1 = input x2\ngate g2 = input {form}\n"
                       "gate g3 = add g1 g2\noutput g3\n")
-    assert c.validate("IHL") == (False, "g2", reason)
+    assert c.ihl_defect() == f"gate g2: {reason}"
 
 
 @pytest.mark.parametrize("tree, basis, reason", [
@@ -131,20 +131,25 @@ def test_a_formula_that_is_no_tree_is_never_built(gates, output, reason):
     assert Circuit(gates, output, "circuit", "arity2").size() == 2
 
 
-def test_validate_parity():
-    mixed = FNode.add(
-        _leaf("x1"), FNode.mul(_leaf("x1"), _leaf("x2"))
-    )  # x1 + x1 x2 mixes parities
-    c = tree_to_circuit(mixed, "arity2")
-    ok, gid, _ = c.validate("parityHomogeneous")
-    assert not ok and gid == c.output_id
+def test_graded_repr_validate_names_the_first_bad_part():
+    x = [_leaf(f"x{i}") for i in (1, 2, 3)]
+    cube = tree_to_circuit(FNode.mul3(*x), "arity3")
+    affine = tree_to_circuit(FNode.leaf(parse_poly("x1 + 1")), "arity3")
+    zero = Polynomial.zero()
+    assert GradedArity3Repr(zero, {3: cube}, {4: {"x1": cube}}).validate() == (True, "")
+    assert GradedArity3Repr(zero, {5: cube}, {}).validate() == (
+        False, "odd part 5 computes degrees [3], not 5")
+    assert GradedArity3Repr(zero, {}, {3: {"x1": cube}}).validate() == (
+        False, "even part 3/x1 is stored at a degree of the wrong parity")
+    assert GradedArity3Repr(zero, {}, {2: {"x2": affine}}).validate() == (
+        False, "even part 2/x2 expects an IHL circuit (gate g1: leaf has a constant part)")
 
 
 def test_ihl_zero_constant_term():
     # IHL circuits can only compute polynomials with zero constant term
     t = FNode.mul(FNode.add(_leaf("x1"), _leaf("x2")), _leaf("x3"))
     c = tree_to_circuit(t, "arity2")
-    assert c.validate("IHL")[0]
+    assert c.ihl_defect() is None
     assert c.eval().constant_part().is_zero()
 
 
@@ -317,6 +322,17 @@ def test_malformed_gate_lines_name_line_and_defect(line, message):
     with pytest.raises(CircuitSyntaxError) as exc:
         parse_circuit(f"gate g1 = input x1\n{line}\noutput g2\n")
     assert exc.value.line == 2 and message in str(exc.value)
+
+
+@pytest.mark.parametrize("again", ["shape circuit", "basis arity2", "output g1"])
+def test_a_repeated_circuit_directive_is_rejected_with_line(again):
+    # the last of the two once won without a word
+    text = "shape formula\nbasis arity3\nvar x2\ngate g1 = input x1\noutput g1\n"
+    with pytest.raises(CircuitSyntaxError, match="given twice") as exc:
+        parse_circuit(f"{text}{again}\n")
+    assert exc.value.line == 6
+    # var lines may repeat: each extends the variable list
+    assert parse_circuit(text + "var x3\n").variables == ("x1", "x2", "x3")
 
 
 def test_gate_id_with_equals_sign_is_a_plain_gate():

@@ -8,11 +8,26 @@ import random
 import pytest
 
 from homlin import cli
-from homlin.circuit import Circuit, FNode, parse_circuit, print_circuit, tree_to_circuit
+from homlin.circuit import (
+    BASIS_KINDS,
+    BasisViolation,
+    Circuit,
+    FNode,
+    GradedArity3Repr,
+    parse_circuit,
+    print_circuit,
+    tree_to_circuit,
+)
 from homlin.cli import main
 from homlin.families import gen_C_comb
-from homlin.poly import Coeff, format_poly, parse_poly
-from homlin.transforms import PASS_NAMES
+from homlin.matrixword import (
+    compile_continuant_even,
+    compile_continuant_odd,
+    compile_offdiag3,
+    compile_trace3,
+)
+from homlin.poly import Coeff, Polynomial, format_poly, parse_poly
+from homlin.transforms import PASS_NAMES, run_pass
 from homlin.verify import (
     random_arity2_circuit,
     random_formula,
@@ -613,6 +628,16 @@ def test_pipeline_continuant_hands_the_compiler_its_value(capsys, tmp_path, monk
     assert len(calls) == 1
 
 
+def test_pipeline_without_a_target_evaluates_nothing(capsys, product_circ, tmp_path,
+                                                     monkeypatch):
+    # f is read only by the verifier, which runs only when there is a target
+    calls = _count_evaluations(monkeypatch)
+    code, out, _e = run(capsys, "pipeline", "--in", product_circ, "--pass", "brent",
+                        "--pass", "ihl-formula", "--out", str(tmp_path / "run"))
+    assert code == 0 and "target: (none)" in out and "ihl-formula" in out
+    assert not calls
+
+
 @pytest.mark.parametrize("d", [[], ["--d", "3"]], ids=["no-d", "d-3"])
 def test_compile_continuant_border_verify_evaluates_once(capsys, tmp_path, monkeypatch, d):
     x1, x2 = FNode.var("x1"), FNode.var("x2")
@@ -821,6 +846,24 @@ def test_rescale_with_malformed_alpha_exit_2(capsys, product_circ, alpha):
     assert code == 2 and "internal" not in err and alpha in err
 
 
+@pytest.mark.parametrize("argv, text, line", [
+    (["verify", "--mode", "border", "--against"],
+     "dim 2\nfactor: (1,2)=x1\nscalar: 2\nscalar: 3\ntarget: trace\n", 4),
+    (["verify", "--mode", "border", "--against"],
+     "dim 2\nfactor: (1,2)=x1\ntarget: trace\ntarget: entry(1,2)\n", 4),
+    (["transform", "--pass", "brent", "--out"],
+     "shape formula\nbasis arity3\nbasis arity2\ngate g1 = input x1\noutput g1\n", 3),
+], ids=["word-scalar", "word-target", "circuit-basis"])
+def test_a_repeated_singleton_directive_exits_2_with_line(capsys, tmp_path, argv, text, line):
+    # each of these once ran on the last of the two lines and exited 0
+    src, other = tmp_path / "in.txt", tmp_path / "other.txt"
+    src.write_text(text)
+    other.write_text("3*x1\n")
+    code, out, err = run(capsys, *argv, str(other), "--in", str(src))
+    assert code == 2 and out == ""
+    assert f"line {line}" in err and "given twice" in err
+
+
 def test_weights_on_a_C_projection_exit_2_with_line(capsys, tmp_path):
     proj, target = tmp_path / "p.txt", tmp_path / "t.poly"
     proj.write_text("projection C n 3 d 1 border 1\nscalar: 1\n"
@@ -848,3 +891,111 @@ def test_word_with_index_outside_the_matrix_exit_2(capsys, product_circ, tmp_pat
     code, out, err = run(capsys, "verify", "--mode", "border", "--in", str(word),
                          "--against", str(target))
     assert code == 2 and out == "" and "line " in err
+
+
+# ---------------------------------------------------------------------------
+# input contracts: every pass and compiler checks its input through
+# Circuit.require, and a violation names the consumer and exits 2
+# ---------------------------------------------------------------------------
+
+
+def _compile_even(part):
+    return compile_continuant_even(GradedArity3Repr(Polynomial.zero(), {}, {4: {"x1": part}}), 4)
+
+
+# (the consumer's name in its messages, its library call, the command that
+# reaches it or None, and its contract: shape, basis, IHL leaves)
+_CONSUMERS = [
+    ("rescaleFormula", lambda c: run_pass("rescale", c, alpha=2),
+     ["transform", "--pass", "rescale", "--alpha", "2"], "formula", None, False),
+    ("inputHomogenizeFormula", lambda c: run_pass("ihl-formula", c),
+     ["transform", "--pass", "ihl-formula"], "formula", "arity2", False),
+    ("inputHomogenizeCircuit", lambda c: run_pass("ihl-circuit", c),
+     ["transform", "--pass", "ihl-circuit"], None, "arity2", False),
+    ("brentFormula", lambda c: run_pass("brent", c),
+     ["transform", "--pass", "brent"], "formula", "arity2", False),
+    ("toAddNegCube", lambda c: run_pass("add-negcube", c),
+     ["transform", "--pass", "add-negcube"], "formula", "arity3", False),
+    ("parityHomogenize", lambda c: run_pass("parity", c),
+     ["transform", "--pass", "parity"], "formula", "arity2", True),
+    ("vfToV3p", lambda c: run_pass("vf-to-v3p", c),
+     ["transform", "--pass", "vf-to-v3p"], "formula", "arity2", False),
+    ("derivativeFormula", lambda c: run_pass("derivative", c, var="x1"),
+     ["transform", "--pass", "derivative", "--var", "x1"], "formula", "arity2", False),
+    ("brentArity3", lambda c: run_pass("brent3", c),
+     ["transform", "--pass", "brent3"], "formula", "arity3", True),
+    ("vsbrArity3", lambda c: run_pass("vsbr3", c),
+     ["transform", "--pass", "vsbr3"], None, "arity3", True),
+    ("compile_offdiag3", lambda c: compile_offdiag3(c, (1, 3)),
+     ["compile", "--target", "offdiag3", "1", "3"], "formula", "arity2", True),
+    ("compile_trace3", compile_trace3,
+     ["compile", "--target", "trace3"], "formula", "arity2", True),
+    ("compile_continuant_odd", compile_continuant_odd,
+     ["compile", "--target", "continuant"], "formula", "addNegCube", True),
+    ("compile_continuant_even (part for x1)", _compile_even, None, None, "arity3", True),
+]
+# one input per basis, built around its first leaf
+_INPUTS = {
+    "arity2": lambda lead: FNode.mul(lead, FNode.var("x2")),
+    "arity3": lambda lead: FNode.mul3(lead, FNode.var("x2"), FNode.var("x3")),
+    "addNegCube": lambda lead: FNode.negcube(lead),
+}
+_OTHER_BASIS = {"arity2": "arity3", "arity3": "arity2", "addNegCube": "arity2"}
+_CONTRACT_CASES = [
+    (consumer, defect)
+    for consumer in _CONSUMERS
+    for defect, applies in zip(("shape", "basis", "ihl"), consumer[3:])
+    if applies
+]
+
+
+def _contract_input(basis, defect=None):
+    """An input that meets a consumer's contract in ``basis``, or breaks it
+    by ``defect``; with the message the consumer must raise for it."""
+    basis = basis or "arity2"
+    if defect == "basis":
+        basis = _OTHER_BASIS[basis]
+    lead = FNode.leaf(parse_poly("x1 + 1")) if defect == "ihl" else FNode.var("x1")
+    c = tree_to_circuit(_INPUTS[basis](lead), basis)
+    if defect == "shape":
+        c = Circuit(c.gates, c.output_id, "circuit", basis)
+    return c
+
+
+def _contract_message(consumer, defect):
+    who, _call, _argv, shape, basis, _ihl = consumer
+    return {
+        "shape": f"{who} expects a {shape}",
+        "basis": f"{who} expects the {BASIS_KINDS[basis or 'arity2'][0]} basis",
+        "ihl": f"{who} expects an IHL {shape or 'circuit'} (gate g1: leaf has a constant part)",
+    }[defect]
+
+
+@pytest.mark.parametrize("consumer", _CONSUMERS, ids=lambda c: c[0].split()[0])
+def test_each_consumer_takes_an_input_that_meets_its_contract(consumer):
+    _who, call, _argv, _shape, basis, _ihl = consumer
+    call(_contract_input(basis))
+
+
+@pytest.mark.parametrize("consumer, defect", _CONTRACT_CASES,
+                         ids=[f"{c[0].split()[0]}-{d}" for c, d in _CONTRACT_CASES])
+def test_each_consumer_rejects_an_input_outside_its_contract(consumer, defect):
+    _who, call, _argv, _shape, basis, _ihl = consumer
+    with pytest.raises(BasisViolation) as exc:
+        call(_contract_input(basis, defect))
+    assert str(exc.value) == _contract_message(consumer, defect)
+
+
+_CLI_CONTRACT_CASES = [(c, d) for c, d in _CONTRACT_CASES if c[2] is not None]
+
+
+@pytest.mark.parametrize("consumer, defect", _CLI_CONTRACT_CASES,
+                         ids=[f"{c[0]}-{d}" for c, d in _CLI_CONTRACT_CASES])
+def test_an_input_outside_a_contract_exits_2_naming_the_consumer(capsys, tmp_path,
+                                                                 consumer, defect):
+    _who, _call, argv, _shape, basis, _ihl = consumer
+    src = tmp_path / "in.circ"
+    src.write_text(print_circuit(_contract_input(basis, defect)))
+    code, out, err = run(capsys, *argv, "--in", str(src), "--out", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err == f"error: {_contract_message(consumer, defect)}\n"

@@ -4,6 +4,7 @@ benchmark's tracer wraps exists."""
 
 import ast
 import importlib.util
+import re
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -227,3 +228,127 @@ def test_every_file_the_package_writes_goes_through_one_writer():
     # truncated on open
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC}
     assert set(file_writes(sources)) == {"cli._write_text"}
+
+
+def contract_checks(sources):
+    """For every pass behind a ``run_pass`` branch (``return <pass>(...)``
+    in ``transforms.run_pass``) and every ``compile_*`` function in
+    ``matrixword``, as ``module.name``: ``"first"`` when its first statement
+    after the docstring is a ``require`` call, ``"called"`` when it reaches
+    ``require`` only through the functions it calls, else None.  Calls are
+    matched by bare name, across all the given ``{module: source}``."""
+    defs, consumers = {}, []
+    for mod, src in sources.items():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.FunctionDef):
+                defs.setdefault(node.name, []).append(node)
+                if mod == "matrixword" and node.name.startswith("compile_"):
+                    consumers.append(f"{mod}.{node.name}")
+                if mod == "transforms" and node.name == "run_pass":
+                    consumers += [f"transforms.{r.value.func.id}" for r in ast.walk(node)
+                                  if isinstance(r, ast.Return) and isinstance(r.value, ast.Call)
+                                  and isinstance(r.value.func, ast.Name)]
+
+    def callees(f):
+        return {c.func.id if isinstance(c.func, ast.Name) else c.func.attr
+                for c in ast.walk(f) if isinstance(c, ast.Call)
+                and isinstance(c.func, (ast.Name, ast.Attribute))}
+
+    def reaches(name, seen):
+        if name == "require":
+            return True
+        if name in seen:
+            return False
+        seen.add(name)
+        return any(reaches(c, seen) for f in defs.get(name, ()) for c in callees(f))
+
+    def first_is_require(f):
+        body = f.body[1:] if ast.get_docstring(f) is not None else f.body
+        head = body[0] if body else None
+        return (isinstance(head, ast.Expr) and isinstance(head.value, ast.Call)
+                and isinstance(head.value.func, ast.Attribute)
+                and head.value.func.attr == "require")
+
+    found = {}
+    for qualname in consumers:
+        f = defs[qualname.split(".")[1]][0]
+        found[qualname] = ("first" if first_is_require(f)
+                           else "called" if reaches(f.name, set()) else None)
+    return found
+
+
+# a hand-built contract message: "<who> expects a formula", "... the <b>
+# basis", "... an IHL circuit", "... arity-2 gates"
+_CONTRACT_WORDING = re.compile(r"expects .*\b(formula|basis|IHL|gates)\b")
+
+
+def contract_raises(sources):
+    """``module.function`` (``module.Class.function`` for a method) of every
+    ``raise`` whose message, a string, an f-string (its placeholders read as
+    ``{}``) or a sum of them, carries contract wording, in the given
+    ``{module: source}``."""
+    found = set()
+
+    def message(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value
+        if isinstance(node, ast.JoinedStr):
+            return "".join(message(v) if isinstance(v, ast.Constant) else "{}"
+                           for v in node.values)
+        if isinstance(node, ast.BinOp):  # "..." + name
+            return message(node.left) + message(node.right)
+        return ""
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and any(_CONTRACT_WORDING.search(message(a)) for a in node.exc.args)):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for mod, src in sources.items():
+        visit(ast.parse(src), mod)
+    return sorted(found)
+
+
+def test_contract_scanners_flag_a_consumer_without_require_and_a_hand_built_message():
+    sources = {
+        "transforms": (
+            "def run_pass(name, c):\n    if name == 'a':\n        return a(c)\n"
+            "    if name == 'b':\n        return b(c)\n    return d(c)\n"
+            "def a(c):\n    '''doc'''\n    c.require('a', shape='formula')\n"
+            "def b(c):\n    n = 1\n    helper(c)\n"
+            "def helper(c):\n    c.require('b')\n"
+            "def d(c):\n    raise BasisViolation(f'{who} expects the {b} basis')\n"),
+        "matrixword": (
+            "def compile_x(c):\n    return _walk(c)\n"
+            "def _walk(n):\n    raise ValueError('walk expects arity-2 gates, got ' + n)\n"
+            "class K:\n    def m(self):\n        raise ValueError(\"k expects a formula\")\n"
+            "    def n(self):\n        raise ValueError(f'{k} expects 2 children')\n"),
+    }
+    assert contract_checks(sources) == {
+        "transforms.a": "first", "transforms.b": "called", "transforms.d": None,
+        "matrixword.compile_x": None}
+    assert contract_raises(sources) == ["matrixword.K.m", "matrixword._walk", "transforms.d"]
+
+
+# consumers whose contract is checked where they read each input, not first
+CHECKED_IN_PLACE = {
+    "matrixword.compile_continuant_even":
+        "checks each even part it reads through GradedArity3Repr.part_value",
+}
+
+
+def test_every_pass_and_compiler_checks_its_contract_through_require():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC}
+    checks = contract_checks(sources)
+    assert len(checks) == 14  # ten passes and four compilers
+    assert {q: how for q, how in checks.items() if how != "first"} == dict.fromkeys(
+        CHECKED_IN_PLACE, "called")
+
+
+def test_only_require_builds_a_contract_message():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC}
+    assert contract_raises(sources) == ["circuit.Circuit.require"]

@@ -9,7 +9,15 @@ from itertools import combinations
 
 import pytest
 
-from homlin.circuit import Circuit, FNode, circuit_to_tree, tree_to_circuit
+from homlin.circuit import (
+    BasisViolation,
+    Circuit,
+    DegreeMismatch,
+    FNode,
+    GradedArity3Repr,
+    circuit_to_tree,
+    tree_to_circuit,
+)
 from homlin import matrixword
 from homlin.families import Functional, L_entry, _Packing, gen_C_comb, gen_nce_L
 from homlin.matrixword import (
@@ -18,8 +26,6 @@ from homlin.matrixword import (
     EntryNotHomogeneousLinear,
     MatrixWord,
     NotEvenDegree,
-    NotFormula,
-    NotIHL,
     NotOddDegree,
     Projection,
     _Word,
@@ -253,12 +259,12 @@ def test_offdiag_rejects_bad_input():
     with pytest.raises(ValueError):
         compile_offdiag3(as_formula(X("x1")), (2, 2))
     affine = as_formula(FNode.leaf(P("x1 + 1")))
-    with pytest.raises(NotIHL):
+    with pytest.raises(BasisViolation):
         compile_offdiag3(affine, (1, 3))
     from homlin.verify import random_arity2_circuit
 
     shared = random_arity2_circuit(random.Random(0), 8, 3)
-    with pytest.raises(NotFormula):
+    with pytest.raises(BasisViolation):
         compile_offdiag3(shared, (1, 3))
 
 
@@ -471,7 +477,7 @@ def test_continuant_odd_evaluates_only_off_the_graded_route(monkeypatch):
 
 def test_continuant_odd_rejects_wrong_basis():
     c = as_formula(FNode.mul(X("x1"), X("x2")))
-    with pytest.raises(NotFormula):
+    with pytest.raises(BasisViolation):
         compile_continuant_odd(c)
 
 
@@ -795,6 +801,28 @@ def test_continuant_even_rejects_odd_degree():
         compile_continuant_even(g, 3)
 
 
+def _even_part(tree):
+    return GradedArity3Repr(Polynomial.zero(), {}, {2: {"x1": tree_to_circuit(tree, "arity3")}})
+
+
+def test_continuant_even_rejects_a_part_with_a_constant_leaf():
+    # such a part once compiled to a projection whose forms parse_projection
+    # refuses, since they are not homogeneous linear
+    g = _even_part(FNode.leaf(P("x2 + 1")))
+    with pytest.raises(BasisViolation) as exc:
+        compile_continuant_even(g, 2)
+    assert str(exc.value) == ("compile_continuant_even (part for x1) expects an IHL circuit "
+                              "(gate g1: leaf has a constant part)")
+
+
+def test_continuant_even_rejects_a_part_of_the_wrong_degree():
+    # the degree-2 component's parts must be of degree 1
+    g = _even_part(FNode.add(X("x2"), FNode.mul3(X("x1"), X("x2"), X("x3"))))
+    with pytest.raises(DegreeMismatch) as exc:
+        compile_continuant_even(g, 2)
+    assert str(exc.value) == "compile_continuant_even (part for x1) computes degrees [1, 3], not 1"
+
+
 def test_even_gadget_telescopes_mod_eps3():
     # (the 4-factor diagonal gadget for (a,b)) == diag(1+eps^2 ab, 1-eps^2 ab)
     # mod eps^3, and two gadgets multiply to the gadget of the sum mod eps^3
@@ -1075,6 +1103,18 @@ def test_malformed_word_lines_are_rejected_with_line(text, line):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize("text, line", [
+    (_WORD + "scalar: 3\n", 6),
+    (_WORD + "target: trace\n", 6),
+    (_WORD.replace("target: entry(1,1)\n", "target: trace\ntarget: entry(1,1)\n"), 6),
+], ids=["scalar", "target", "target-then-entry"])
+def test_a_repeated_word_directive_is_rejected_with_line(text, line):
+    # the last of the two once won without a word
+    with pytest.raises(ArtifactSyntaxError, match="given twice") as exc:
+        parse_word(text)
+    assert exc.value.line == line
+
+
 def test_word_functional_target_round_trips():
     w = MatrixWord(2, [{(0, 1): parse_poly("x1"), (1, 0): parse_poly("x2")}],
                    COEFF_ONE, ("functional", [Coeff.of(1), Coeff.of(0), Coeff.of(0),
@@ -1120,6 +1160,17 @@ def test_a_C_projection_takes_no_weights(text, line):
     p = Projection("C", 3, 1, [P("x1"), Polynomial.zero(), P("x3")], weights=[[0] * 3] * 3)
     with pytest.raises(ValueError, match="takes no weights"):
         p.value()
+
+
+@pytest.mark.parametrize("text, line", [
+    (_PROJ.replace("scalar: eps^-1\n", "scalar: 2\nscalar: eps^-1\n"), 3),
+    ("projection nceL n 1 d 1 border 0\n" + 2 * ("weights: " + ",".join("1" * 9) + "\n"), 3),
+], ids=["scalar", "weights"])
+def test_a_repeated_projection_directive_is_rejected_with_line(text, line):
+    # the last of the two once won without a word
+    with pytest.raises(ArtifactSyntaxError, match="given twice") as exc:
+        parse_projection(text)
+    assert exc.value.line == line
 
 
 def test_projection_weights_need_nine_entries():

@@ -181,8 +181,7 @@ def test_random_ihl_formula_is_ihl():
     rng = random.Random(11)
     for _ in range(20):
         c = tree_to_circuit(random_ihl_formula(rng, rng.randint(1, 20), 4), "arity2")
-        ok, _gid, reason = c.validate("IHL")
-        assert ok, reason
+        assert c.ihl_defect() is None
 
 
 def test_random_formula_sizes():
@@ -199,7 +198,7 @@ def test_random_graded_arity3_formula_homogeneous_odd():
         d = rng.choice([1, 3, 5])
         t = random_graded_arity3_formula(rng, d, rng.randint(3, 25), 4)
         c = tree_to_circuit(t, "arity3")
-        assert c.validate("IHL")[0] and c.syntactic_degrees()[c.output_id] == d
+        assert c.ihl_defect() is None and c.syntactic_degrees()[c.output_id] == d
         f = c.eval()
         assert f.is_zero() or f.homog_degrees() == [d]
 
