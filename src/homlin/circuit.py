@@ -341,12 +341,15 @@ class GradedArity3Repr:
         """(True, "") when every part passes ``part_value`` at its odd degree:
         ``d`` for the odd part of degree ``d``, ``d - 1`` for the derivative
         parts of degree ``d``; else (False, the first defect)."""
+        # the parity of each stored degree, an even one with no parts too
+        for name, degree in [(f"odd part {d}", d) for d in self.odd_parts] + [
+                (f"even part {d}", d - 1) for d in self.even_parts]:
+            if degree % 2 == 0:
+                return False, f"{name} is stored at a degree of the wrong parity"
         parts = [(f"odd part {d}", d, c) for d, c in self.odd_parts.items()] + [
             (f"even part {d}/{v}", d - 1, c)
             for d, per_var in self.even_parts.items() for v, c in per_var.items()]
         for name, degree, c in parts:
-            if degree % 2 == 0:
-                return False, f"{name} is stored at a degree of the wrong parity"
             try:
                 self.part_value(c, name, degree)
             except (BasisViolation, DegreeMismatch) as exc:
@@ -570,6 +573,10 @@ def parse_circuit(text: str) -> Circuit:
         if not words:
             continue
         head = words[0]
+        if head in ("shape", "basis", "output"):
+            if head in given:
+                raise CircuitSyntaxError(f"'{head}' given twice", lineno)
+            given.add(head)
         if head == "gate":
             if len(words) < 4 or words[2] != "=":
                 raise CircuitSyntaxError("expected 'gate <id> = <kind> ...'", lineno)
@@ -585,26 +592,22 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitSyntaxError(str(exc), lineno) from exc
             seen.add(gid)
             gates.append(gate)
+        elif head == "shape":
+            if len(words) != 2 or words[1] not in SHAPES:
+                raise CircuitSyntaxError("expected 'shape formula|circuit'", lineno)
+            shape = words[1]
+        elif head == "basis":
+            if len(words) != 2 or words[1] not in BASES:
+                raise CircuitSyntaxError(
+                    "expected 'basis arity2|arity3|addNegCube'", lineno
+                )
+            basis = words[1]
         elif head == "var":
             variables.extend(raw.split()[1:])
-        elif head in ("shape", "basis", "output"):
-            if head in given:
-                raise CircuitSyntaxError(f"'{head}' given twice", lineno)
-            given.add(head)
-            if head == "shape":
-                if len(words) != 2 or words[1] not in SHAPES:
-                    raise CircuitSyntaxError("expected 'shape formula|circuit'", lineno)
-                shape = words[1]
-            elif head == "basis":
-                if len(words) != 2 or words[1] not in BASES:
-                    raise CircuitSyntaxError(
-                        "expected 'basis arity2|arity3|addNegCube'", lineno
-                    )
-                basis = words[1]
-            else:  # output
-                if len(words) != 2:
-                    raise CircuitSyntaxError("expected 'output <id>'", lineno)
-                output_id = words[1]
+        elif head == "output":
+            if len(words) != 2:
+                raise CircuitSyntaxError("expected 'output <id>'", lineno)
+            output_id = words[1]
         else:
             raise CircuitSyntaxError(f"unknown directive {head!r}", lineno)
 

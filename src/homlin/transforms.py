@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .circuit import (
+    BASIS_KINDS,
     BasisViolation,
     Circuit,
     FNode,
@@ -269,8 +270,18 @@ def _ihl_pair(node: FNode) -> Tuple[Coeff, Optional[FNode]]:
 
 
 def input_homogenize_tree(node: FNode) -> Optional[FNode]:
-    """The IHL tree of ``node - node(0)`` (None for zero), for an arity-2
-    tree."""
+    """The IHL tree of ``node - node(0)`` (None for zero).  A gate kind
+    outside the arity-2 basis is a BasisViolation, as in a circuit, found
+    before ``_brent2`` would read it as a binary product."""
+    name, kinds = BASIS_KINDS["arity2"]
+    stack, seen = [node], set()
+    while stack:
+        n = stack.pop()
+        if n.kind not in kinds:
+            raise BasisViolation(f"input homogenization: {n.kind} gate not in {name} basis")
+        if id(n) not in seen:
+            seen.add(id(n))
+            stack.extend(reversed(n.children))
     return _ihl_pair(_brent2(node, []))[1]
 
 

@@ -140,7 +140,10 @@ def test_graded_repr_validate_names_the_first_bad_part():
     assert GradedArity3Repr(zero, {5: cube}, {}).validate() == (
         False, "odd part 5 computes degrees [3], not 5")
     assert GradedArity3Repr(zero, {}, {3: {"x1": cube}}).validate() == (
-        False, "even part 3/x1 is stored at a degree of the wrong parity")
+        False, "even part 3 is stored at a degree of the wrong parity")
+    # an odd degree among the even parts is wrong even with no parts under it
+    assert GradedArity3Repr(zero, {}, {3: {}}).validate() == (
+        False, "even part 3 is stored at a degree of the wrong parity")
     assert GradedArity3Repr(zero, {}, {2: {"x2": affine}}).validate() == (
         False, "even part 2/x2 expects an IHL circuit (gate g1: leaf has a constant part)")
 

@@ -180,6 +180,17 @@ def test_brent_and_ihl_on_a_repeated_subtree():
     assert input_homogenize_tree(t).eval() == 2 * (X1 + Polynomial.const(1)) * X2
 
 
+@pytest.mark.parametrize("tree, kind", [
+    # _brent2 once read the negative cube's one child list as a pair
+    (FNode.add(FNode.negcube(FNode.mul(leaf("x1"), leaf("x2"))), leaf("x3")), "negcube"),
+    # ... and dropped the third factor of a ternary product
+    (FNode.mul(FNode.mul3(leaf("x1"), leaf("x2"), leaf("x3")), leaf("x4")), "mul3"),
+])
+def test_input_homogenize_tree_rejects_foreign_gate_kinds(tree, kind):
+    with pytest.raises(BasisViolation, match=f"{kind} gate not in arity-2 basis$"):
+        input_homogenize_tree(tree)
+
+
 # ---------------------------------------------------------------------------
 # inputHomogenizeFormula
 # ---------------------------------------------------------------------------
