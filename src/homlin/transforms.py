@@ -158,7 +158,7 @@ def rescale_formula(c: Circuit, alpha: Union[Coeff, Rat]) -> Tuple[Circuit, Pass
 
 
 # ---------------------------------------------------------------------------
-# classical (arity-2) depth reduction for formulas
+# Brent depth reduction for formulas, over either product arity
 # ---------------------------------------------------------------------------
 
 
@@ -180,61 +180,79 @@ def _separator_steps(root: FNode) -> Tuple[list, FNode]:
     return steps, cur
 
 
-def _path_coefficient2(steps: list, i: int) -> Optional[FNode]:
-    """The product of the siblings off the path ``steps[i:]``, which
-    multiplies the separator; None when it is 1.  Module level, as
-    ``circuit._append_gates`` is, and so is ``_path_coefficient3``."""
-    if i == len(steps):
-        return None  # reached v: the coefficient contributes a factor 1
+def _coefficient(steps: list, i: int, pidx: int) -> FNode:
+    """``D``: the product of the siblings off the path ``steps[i:pidx]``
+    times the last sibling at the lowest product ``steps[pidx]``; each
+    product keeps its kind.  Module level, as ``circuit._append_gates`` is."""
     n, ci = steps[i]
     if n.kind == "add":
-        return _path_coefficient2(steps, i + 1)
-    other = n.children[1 - ci]
-    rest = _path_coefficient2(steps, i + 1)
-    return other if rest is None else FNode.mul(rest, other)
+        return _coefficient(steps, i + 1, pidx)
+    kept = n.children[:ci] + n.children[ci + 1:]
+    if i == pidx:
+        return kept[-1]
+    return FNode(n.kind, (_coefficient(steps, i + 1, pidx),) + kept)
 
 
-def _brent2(node: FNode, audit: List[Dict[str, int]]) -> FNode:
+def _brent(node: FNode, audit: List[Dict[str, object]]) -> FNode:
+    """Brent's depth reduction, for ``mul`` and ``mul3`` products alike.
+    With ``v`` the separator and ``p`` the lowest product on the path to it,
+    ``f = D*v*X + B``: ``X`` is ``p``'s siblings of the path but the last
+    (none for ``mul``, one for ``mul3``), ``D`` the product of every other
+    sibling off the path and ``B`` is ``f`` with ``v := 0``.  On a path of
+    additions only, ``f = v + B``."""
     s = node.size()
     if s <= 3:
         return node
     steps, v = _separator_steps(node)
     b_tree = _subst_path(steps, None)
-
-    a_tree = _path_coefficient2(steps, 0)
-    pieces = [t for t in (a_tree, v, b_tree) if t is not None]
+    pidx = max((i for i, (n, _) in enumerate(steps) if n.kind != "add"), default=None)
+    factors = [v]
+    if pidx is not None:
+        p, pci = steps[pidx]
+        siblings = p.children[:pci] + p.children[pci + 1:]
+        factors = [_coefficient(steps, 0, pidx), v, *siblings[:-1]]
+    pieces = factors if b_tree is None else factors + [b_tree]
     audit.append(
         {
             "s": s,
-            "pieces": [p.size() for p in pieces],
-            "withinTwoThirds": all(3 * p.size() <= 2 * s + 3 for p in pieces),
+            "pieces": [q.size() for q in pieces],
+            "withinTwoThirds": all(3 * q.size() <= 2 * s + 3 for q in pieces),
         }
     )
-    main = _brent2(v, audit) if a_tree is None else FNode.mul(
-        _brent2(a_tree, audit), _brent2(v, audit)
-    )
+    reduced = []
+    for q in factors:  # a loop, not a comprehension: no frame per level
+        reduced.append(_brent(q, audit))
+    main = reduced[0] if pidx is None else FNode(p.kind, tuple(reduced))
     if b_tree is None:
         return main
-    return FNode.add(main, _brent2(b_tree, audit))
+    return FNode.add(main, _brent(b_tree, audit))
+
+
+def _brent_pass(c: Circuit, name: str) -> Tuple[Circuit, PassReport]:
+    audit: List[Dict[str, object]] = []
+    out = tree_to_circuit(_brent(circuit_to_tree(c), audit), c.basis, c.variables)
+    im, om = _metrics(c), _metrics(out)
+    log_s = math.log(max(im["size"], 2), 1.5)
+    report = PassReport(
+        name, im, om, "depth <= 2*log_{3/2}(s) + 4",
+        om["depth"] <= 2 * log_s + 4,
+        details={
+            "measuredDepthOverLog": om["depth"] / log_s,
+            "recursionSteps": audit,
+            "allStepsWithinTwoThirds": all(st["withinTwoThirds"] for st in audit),
+        },
+    )
+    return out, report
 
 
 def brent_formula(c: Circuit) -> Tuple[Circuit, PassReport]:
     c.require("brentFormula", shape="formula", basis="arity2")
-    audit: List[Dict[str, int]] = []
-    out_tree = _brent2(circuit_to_tree(c), audit)
-    out = tree_to_circuit(out_tree, "arity2", c.variables)
-    im, om = _metrics(c), _metrics(out)
-    s = max(im["size"], 2)
-    bound = 2 * math.log(s, 1.5) + 4
-    report = PassReport(
-        "brent", im, om, "depth <= 2*log_{3/2}(s) + 4",
-        om["depth"] <= bound,
-        details={
-            "measuredDepthOverLog": om["depth"] / math.log(s, 1.5),
-            "recursionSteps": audit,
-        },
-    )
-    return out, report
+    return _brent_pass(c, "brent")
+
+
+def brent_arity3(c: Circuit) -> Tuple[Circuit, PassReport]:
+    c.require("brentArity3", shape="formula", basis="arity3", ihl=True)
+    return _brent_pass(c, "brent3")
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +290,7 @@ def _ihl_pair(node: FNode) -> Tuple[Coeff, Optional[FNode]]:
 def input_homogenize_tree(node: FNode) -> Optional[FNode]:
     """The IHL tree of ``node - node(0)`` (None for zero).  A gate kind
     outside the arity-2 basis is a BasisViolation, as in a circuit, found
-    before ``_brent2`` would read it as a binary product."""
+    before ``_brent`` would read it as a product."""
     name, kinds = BASIS_KINDS["arity2"]
     stack, seen = [node], set()
     while stack:
@@ -282,14 +300,12 @@ def input_homogenize_tree(node: FNode) -> Optional[FNode]:
         if id(n) not in seen:
             seen.add(id(n))
             stack.extend(reversed(n.children))
-    return _ihl_pair(_brent2(node, []))[1]
+    return _ihl_pair(_brent(node, []))[1]
 
 
 def input_homogenize_formula(c: Circuit) -> Tuple[Circuit, PassReport]:
     c.require("inputHomogenizeFormula", shape="formula", basis="arity2")
-    audit: List[Dict[str, int]] = []
-    tree = circuit_to_tree(c)
-    reduced = _brent2(tree, audit)
+    reduced = _brent(circuit_to_tree(c), [])
     depth_brent = reduced.depth()
     hat = _ihl_pair(reduced)[1]
     out = _tree_or_zero(hat, c, "arity2")
@@ -497,16 +513,16 @@ def parity_homogenize(c: Circuit) -> Tuple[ParityPair, PassReport]:
     odd = None if odd_t is None else tree_to_circuit(odd_t, "arity2", c.variables)
     even = None if even_t is None else tree_to_circuit(even_t, "arity2", c.variables)
     im = _metrics(c)
-    total = (odd.size() if odd else 0) + (even.size() if even else 0)
-    depth = max(odd.depth() if odd else 0, even.depth() if even else 0)
-    om = {"size": total, "depth": depth, "mulDepth": 0}
-    bound = 7 * (2 ** im["mulDepth"]) * im["size"]
-    sat = total <= bound
-    for part in (odd, even):  # no gate may mix even and odd components
-        if part is not None:
-            vals = part.eval_gates()
-            sat = sat and all(len({d % 2 for d in vals[g.id].homog_degrees()}) < 2
-                              for g in part.gates)
+    parts = [part for part in (odd, even) if part is not None]
+    pm = [_metrics(part) for part in parts]
+    om = {"size": sum(m["size"] for m in pm),
+          "depth": max([m["depth"] for m in pm], default=0),
+          "mulDepth": max([m["mulDepth"] for m in pm], default=0)}
+    sat = om["size"] <= 7 * (2 ** im["mulDepth"]) * im["size"]
+    for part in parts:  # no gate may mix even and odd components
+        vals = part.eval_gates()
+        sat = sat and all(len({d % 2 for d in vals[g.id].homog_degrees()}) < 2
+                          for g in part.gates)
     report = PassReport(
         "parity", im, om,
         "combined size <= 7 * 2^mulDepth * s; every gate parity-pure", sat,
@@ -540,92 +556,6 @@ def derivative_formula(c: Circuit, v: str) -> Tuple[Circuit, PassReport]:
     report = PassReport(
         "derivative", im, om, "depth <= 2*delta",
         om["depth"] <= 2 * im["depth"],
-    )
-    return out, report
-
-
-# ---------------------------------------------------------------------------
-# Brent-style depth reduction over the arity-3 basis
-# ---------------------------------------------------------------------------
-
-
-def _lowest_mul3(steps: list) -> Optional[int]:
-    for i in range(len(steps) - 1, -1, -1):
-        if steps[i][0].kind == "mul3":
-            return i
-    return None
-
-
-def _path_coefficient3(steps: list, i: int, pidx: int, y_node: FNode) -> FNode:
-    """The product of the siblings off the path ``steps[i:pidx]``, times
-    ``y_node``, the sibling kept at the lowest ternary product ``pidx``."""
-    if i == pidx:
-        return y_node
-    n, ci = steps[i]
-    if n.kind == "add":
-        return _path_coefficient3(steps, i + 1, pidx, y_node)
-    rest = _path_coefficient3(steps, i + 1, pidx, y_node)
-    kept = [ch for j, ch in enumerate(n.children) if j != ci]
-    return FNode.mul3(rest, kept[0], kept[1])
-
-
-def _brent3(node: FNode, audit: List[Dict[str, object]]) -> FNode:
-    s = node.size()
-    if s <= 3:
-        return node
-    steps, v = _separator_steps(node)
-    b_tree = _subst_path(steps, None)
-    pidx = _lowest_mul3(steps)
-
-    if pidx is None:
-        # only additions above the separator
-        pieces = [p for p in (v, b_tree) if p is not None]
-        audit.append(
-            {
-                "s": s,
-                "case": 1,
-                "pieces": [p.size() for p in pieces],
-                "withinTwoThirds": all(3 * p.size() <= 2 * s + 3 for p in pieces),
-            }
-        )
-        bv = _brent3(v, audit)
-        return bv if b_tree is None else FNode.add(_brent3(b_tree, audit), bv)
-
-    p_node, pci = steps[pidx]
-    others = [ch for i, ch in enumerate(p_node.children) if i != pci]
-    x_node, y_node = others[0], others[1]
-
-    d_tree = _path_coefficient3(steps, 0, pidx, y_node)
-    pieces = [p for p in (d_tree, v, x_node, b_tree) if p is not None]
-    audit.append(
-        {
-            "s": s,
-            "case": 2,
-            "pieces": [p.size() for p in pieces],
-            "withinTwoThirds": all(3 * p.size() <= 2 * s + 3 for p in pieces),
-        }
-    )
-    main = FNode.mul3(_brent3(d_tree, audit), _brent3(v, audit), _brent3(x_node, audit))
-    if b_tree is None:
-        return main
-    return FNode.add(main, _brent3(b_tree, audit))
-
-
-def brent_arity3(c: Circuit) -> Tuple[Circuit, PassReport]:
-    c.require("brentArity3", shape="formula", basis="arity3", ihl=True)
-    audit: List[Dict[str, object]] = []
-    out_tree = _brent3(circuit_to_tree(c), audit)
-    out = tree_to_circuit(out_tree, "arity3", c.variables)
-    im, om = _metrics(c), _metrics(out)
-    s = max(im["size"], 2)
-    bound = 2 * math.log(s, 1.5) + 4
-    report = PassReport(
-        "brent3", im, om, "depth <= 2*log_{3/2}(s) + 4",
-        om["depth"] <= bound,
-        details={
-            "recursionSteps": audit,
-            "allStepsWithinTwoThirds": all(st["withinTwoThirds"] for st in audit),
-        },
     )
     return out, report
 

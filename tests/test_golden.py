@@ -1,9 +1,10 @@
 """Byte-for-byte pins of compiled artifacts.
 
 Each file under ``tests/golden/`` holds the ``format_word`` or
-``format_projection`` text of one small fixed formula.  A change to an
-eps/alpha substitution, a factor layout, an eps power or a formatter that
-alters an artifact fails here; rewrite a file only for an intended change
+``format_projection`` text of one small fixed formula, or the
+``print_circuit`` text of a Brent pass's output.  A change to an eps/alpha
+substitution, a factor layout, an eps power, a formatter or a Brent
+reduction that alters an artifact fails here; rewrite a file only for an intended change
 that ``CHANGES.md`` records, with the file's old and new sha256."""
 
 from fractions import Fraction
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from homlin.circuit import FNode, tree_to_circuit
+from homlin.circuit import FNode, print_circuit, tree_to_circuit
 from homlin.matrixword import (
     compile_continuant_even,
     compile_continuant_odd,
@@ -22,7 +23,7 @@ from homlin.matrixword import (
     word_to_projection,
 )
 from homlin.poly import Coeff
-from homlin.transforms import vf_to_v3p
+from homlin.transforms import brent_arity3, brent_formula, vf_to_v3p
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -85,7 +86,39 @@ def _even_product():
     return compile_continuant_even(g, 2)
 
 
+def _brent_input():
+    # x4 * ((x1 + 2*x2) * (x2 + (-x3 + x1))) + (x1 * (1/2)*x3 + (x4 + x2)):
+    # the reduction meets both a path through products and one of additions
+    return tree_to_circuit(
+        FNode.add(
+            FNode.mul(X("x4"), FNode.mul(FNode.add(X("x1"), X("x2", 2)),
+                                         FNode.add(X("x2"), FNode.add(X("x3", -1), X("x1"))))),
+            FNode.add(FNode.mul(X("x1"), X("x3", Fraction(1, 2))), FNode.add(X("x4"), X("x2"))),
+        ),
+        "arity2",
+    )
+
+
+def _brent3_input():
+    # a graded degree-3 sum of four ternary products, over both kinds of path
+    return tree_to_circuit(
+        FNode.add(
+            FNode.add(
+                FNode.mul3(FNode.add(X("x1"), X("x2", 2)), X("x3"), FNode.add(X("x2"), X("x4", -1))),
+                FNode.mul3(X("x1"), X("x2"), X("x3", Fraction(1, 2))),
+            ),
+            FNode.add(
+                FNode.mul3(X("x4"), X("x1"), X("x2")),
+                FNode.mul3(X("x3"), FNode.add(X("x1"), X("x4")), X("x2", 3)),
+            ),
+        ),
+        "arity3",
+    )
+
+
 ARTIFACTS = {
+    "brent.circ": lambda: print_circuit(brent_formula(_brent_input())[0]),
+    "brent3.circ": lambda: print_circuit(brent_arity3(_brent3_input())[0]),
     "trace3.word": lambda: format_word(compile_trace3(_sum_of_products())),
     "offdiag3_1_3.word": lambda: format_word(compile_offdiag3(_nested_product(), (1, 3))),
     "trace3_d2.projection": lambda: format_projection(

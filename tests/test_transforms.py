@@ -34,9 +34,8 @@ from homlin.transforms import (
     to_add_negcube,
     vf_to_v3p,
     vsbr_arity3,
-    _brent2,
+    _brent,
     _descendants,
-    _lowest_mul3,
     _separator_steps,
     _subst_path,
     input_homogenize_tree,
@@ -176,12 +175,12 @@ def test_brent_and_ihl_on_a_repeated_subtree():
     # occurrence, and zeroing it must leave the second one in place
     m = FNode.mul(FNode.leaf(parse_poly("x1 + 1")), leaf("x2"))
     t = FNode.add(m, m)
-    assert _brent2(t, []).eval() == 2 * (X1 + Polynomial.const(1)) * X2
+    assert _brent(t, []).eval() == 2 * (X1 + Polynomial.const(1)) * X2
     assert input_homogenize_tree(t).eval() == 2 * (X1 + Polynomial.const(1)) * X2
 
 
 @pytest.mark.parametrize("tree, kind", [
-    # _brent2 once read the negative cube's one child list as a pair
+    # _brent once read the negative cube's one child list as a pair
     (FNode.add(FNode.negcube(FNode.mul(leaf("x1"), leaf("x2"))), leaf("x3")), "negcube"),
     # ... and dropped the third factor of a ternary product
     (FNode.mul(FNode.mul3(leaf("x1"), leaf("x2"), leaf("x3")), leaf("x4")), "mul3"),
@@ -362,6 +361,16 @@ def test_parity_random_semantics():
         assert rep.bound_satisfied
 
 
+def test_parity_report_takes_the_largest_part_mul_depth():
+    # add(mul(mul(x1, x2), x3), x1): one odd part, of mulDepth 2
+    t = FNode.add(FNode.mul(FNode.mul(leaf("x1"), leaf("x2")), leaf("x3")), leaf("x1"))
+    pair, rep = parity_homogenize(as_formula(t))
+    assert pair.even is None
+    assert rep.output_metrics == {"size": pair.odd.size(), "depth": pair.odd.depth(),
+                                  "mulDepth": pair.odd.depths()[1]}
+    assert rep.output_metrics["mulDepth"] == 2
+
+
 def test_parity_audit_flags_a_gate_that_mixes_parities(monkeypatch):
     # x1 + x1*x2 mixes an odd and an even component at its root
     mixed = FNode.add(leaf("x1"), FNode.mul(leaf("x1"), leaf("x2")))
@@ -456,49 +465,66 @@ def _replace_nodes(node, repl):
     return FNode(node.kind, kids, node.form, node.scale)
 
 
-def oracle_brent3_linearization(tree):
-    """Test oracle for the case-2 linearization of ``_brent3``: find the
-    separator and, if its lowest strict ancestor product exists, return
-    (v, x, F11, F00), where F11/F00 are realized through the simplifier
-    rules.  None in the additions-only case."""
+def oracle_brent_linearization(tree):
+    """Test oracle for the linearization of ``_brent``: find the separator
+    ``v`` and the lowest product ``p`` on the path to it, and return (v, X,
+    F1, F0).  ``X`` is ``p``'s siblings of the path but the last: none for a
+    binary product, one for a ternary one.  F1 is the formula with ``v`` and
+    ``X`` set to 1, F0 with ``v`` set to 0, both realized through the
+    simplifier rules.  None in the additions-only case."""
     steps, v = _separator_steps(tree)
-    pidx = _lowest_mul3(steps)
+    pidx = next((i for i in reversed(range(len(steps))) if steps[i][0].kind != "add"), None)
     if pidx is None:
         return None
     p_node, pci = steps[pidx]
-    xi = 1 if pci == 0 else 0
+    xs = [i for i in range(len(p_node.children)) if i != pci][:-1]
     one = FNode.constant(1)
-    # F(1,1): x, the product's first other child, becomes 1 as well
-    p11 = FNode("mul3", p_node.children[:xi] + (one,) + p_node.children[xi + 1:],
-                scale=p_node.scale)
-    f11 = _subst_path(steps[:pidx] + [(p11, pci)] + steps[pidx + 1:], one)
-    f00 = _subst_path(steps, None)
-    return v, p_node.children[xi], f11, f00
+    p1 = FNode(p_node.kind, tuple(one if i in xs else ch for i, ch in enumerate(p_node.children)),
+               scale=p_node.scale)
+    f1 = _subst_path(steps[:pidx] + [(p1, pci)] + steps[pidx + 1:], one)
+    f0 = _subst_path(steps, None)
+    return v, [p_node.children[i] for i in xs], f1, f0
+
+
+def _check_linearization(tree):
+    """F(a) == a*(F(1) - F(0)) + F(0) over a binary product, and
+    F(a, b) == a*b*(F(1,1) - F(0,0)) + F(0,0) over a ternary one, with fresh
+    variables a, b substituted for the separator and ``X``; False in the
+    additions-only case."""
+    res = oracle_brent_linearization(tree)
+    if res is None:
+        return False
+    v, xs, f1, f0 = res
+    fresh = dict(zip([id(v)] + [id(x) for x in xs], ["a", "b"]))
+    lhs = _replace_nodes(tree, {k: FNode.var(name) for k, name in fresh.items()}).eval()
+    p1 = f1.eval() if f1 is not None else Polynomial.zero()
+    p0 = f0.eval() if f0 is not None else Polynomial.zero()
+    factor = Polynomial.const(1)
+    for name in fresh.values():
+        factor = factor * Polynomial.variable(name)
+    assert lhs == factor * (p1 - p0) + p0
+    return True
+
+
+def test_brent_linearization_identity():
+    rng = random.Random(61)
+    checked = 0
+    while checked < 20:
+        t = random_formula(rng, rng.randint(12, 40), 3)
+        checked += _check_linearization(t)
 
 
 def test_brent3_linearization_identity():
-    # F(a, b) == a*b*(F(1,1) - F(0,0)) + F(0,0) with fresh variables a, b
-    # substituted for the separator and its product sibling.
     rng = random.Random(61)
     checked = 0
     while checked < 20:
         d = rng.choice([3, 5])
-        t = random_graded_arity3_formula(rng, d, rng.randint(12, 40), 3)
-        res = oracle_brent3_linearization(t)
-        if res is None:
-            continue
-        v, x, f11, f00 = res
-        lhs = _replace_nodes(t, {id(v): FNode.var("a"), id(x): FNode.var("b")}).eval()
-        p11 = f11.eval() if f11 is not None else Polynomial.zero()
-        p00 = f00.eval() if f00 is not None else Polynomial.zero()
-        ab = Polynomial.variable("a") * Polynomial.variable("b")
-        assert lhs == ab * (p11 - p00) + p00
-        checked += 1
+        checked += _check_linearization(random_graded_arity3_formula(rng, d, rng.randint(12, 40), 3))
 
 
 @pytest.mark.parametrize("tree", [leaf("x1"), FNode.add(leaf("x1"), leaf("x2"))])
 def test_brent3_linearization_without_a_product_is_none(tree):
-    assert oracle_brent3_linearization(tree) is None
+    assert oracle_brent_linearization(tree) is None
 
 
 # ---------------------------------------------------------------------------
