@@ -314,6 +314,9 @@ class GradedArity3Repr:
     constant_part: Polynomial
     odd_parts: Dict[int, "Circuit"]
     even_parts: Dict[int, Dict[str, "Circuit"]]
+    # each part's value, keyed by the part, once ``part_value`` checked it
+    _values: Dict["Circuit", Polynomial] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def reassemble(self) -> Polynomial:
         out = self.constant_part
@@ -326,13 +329,16 @@ class GradedArity3Repr:
             out = out + acc * Fraction(1, d)
         return out
 
-    @staticmethod
-    def part_value(c: "Circuit", who: str, degree: int) -> Polynomial:
+    def part_value(self, c: "Circuit", who: str, degree: int) -> Polynomial:
         """The value of part ``c``, which must be an arity-3 IHL circuit that
         computes zero or a form homogeneous of ``degree``; ``BasisViolation``
-        or ``DegreeMismatch`` names ``who`` otherwise."""
-        c.require(who, basis="arity3", ihl=True)
-        p = c.eval()
+        or ``DegreeMismatch`` names ``who`` otherwise.  A part is checked and
+        evaluated the first time it is read; later reads reuse its value and
+        check only its degree."""
+        p = self._values.get(c)
+        if p is None:
+            c.require(who, basis="arity3", ihl=True)
+            p = self._values[c] = c.eval()
         if p.terms and p.homog_degrees() != [degree]:
             raise DegreeMismatch(f"{who} computes degrees {p.homog_degrees()}, not {degree}")
         return p
@@ -362,7 +368,10 @@ class GradedArity3Repr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+_UNSCALED = Fraction(1)  # the scale tag of an untagged node
+
+
+@dataclass(slots=True)
 class FNode:
     """Formula tree node.
 
@@ -372,29 +381,34 @@ class FNode:
 
     A node is never mutated after it is built: passes build new nodes (for
     example with ``scaled``) and share unchanged subtrees, so one node may
-    sit under several parents.  ``size`` and ``depth`` are those of the tree
-    it spells out (a shared subtree counts at every position), computed once
-    from the children when the node is built.
+    sit under several parents.  ``size``, ``depth`` and ``mul_depth`` are
+    those of the tree it spells out (a shared subtree counts at every
+    position), computed once from the children when the node is built.
     """
 
     kind: str
     children: Tuple["FNode", ...] = ()
     form: Optional[Polynomial] = None
-    scale: Fraction = Fraction(1)
+    scale: Fraction = _UNSCALED
     _size: int = field(init=False, repr=False, compare=False)
     _depth: int = field(init=False, repr=False, compare=False)
+    _mul_depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kids = self.children
         if not kids:
-            self._size, self._depth = 1, 0
-        elif len(kids) == 2:
+            self._size, self._depth, self._mul_depth = 1, 0, 0
+            return
+        if len(kids) == 2:
             a, b = kids
             self._size = 1 + a._size + b._size
             self._depth = 1 + (a._depth if a._depth > b._depth else b._depth)
+            m = a._mul_depth if a._mul_depth > b._mul_depth else b._mul_depth
         else:
             self._size = 1 + sum([ch._size for ch in kids])
             self._depth = 1 + max([ch._depth for ch in kids])
+            m = max([ch._mul_depth for ch in kids])
+        self._mul_depth = m + (self.kind in _MUL_KINDS)
 
     @staticmethod
     def leaf(form: Polynomial) -> "FNode":
@@ -403,10 +417,6 @@ class FNode:
     @staticmethod
     def var(name: str, c=1) -> "FNode":
         return FNode("input", form=Polynomial.variable(name).scale(c))
-
-    @staticmethod
-    def constant(c) -> "FNode":
-        return FNode("input", form=Polynomial.const(c))
 
     @staticmethod
     def add(a: "FNode", b: "FNode") -> "FNode":
@@ -441,6 +451,9 @@ class FNode:
 
     def depth(self) -> int:
         return self._depth
+
+    def mul_depth(self) -> int:
+        return self._mul_depth
 
 
 def balanced_add(nodes: Sequence[FNode], op=FNode.add) -> FNode:
@@ -504,9 +517,8 @@ def _tree_node(gid: str, by_id: Mapping[str, Gate], memo: Dict[str, FNode]) -> F
     g = by_id[gid]
     if g.edge_scalars is not None:
         raise BasisViolation("edge scalars have no tree form; fold them first")
-    node = FNode(g.kind, tuple(_tree_node(ch, by_id, memo) for ch in g.children), g.form)
-    if g.scale is not None:
-        node = node.scaled(Fraction(g.scale))
+    scale = _UNSCALED if g.scale is None else Fraction(g.scale)
+    node = FNode(g.kind, tuple(_tree_node(ch, by_id, memo) for ch in g.children), g.form, scale)
     memo[gid] = node
     return node
 

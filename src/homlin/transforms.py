@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import is_
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .circuit import (
@@ -53,6 +54,11 @@ def _metrics(c: Circuit) -> Dict[str, int]:
     return {"size": c.size(), "depth": depth, "mulDepth": mul_depth}
 
 
+def _tree_metrics(t: FNode) -> Dict[str, int]:
+    """``_metrics`` of ``tree_to_circuit(t)``, read off the root."""
+    return {"size": t.size(), "depth": t.depth(), "mulDepth": t.mul_depth()}
+
+
 # ---------------------------------------------------------------------------
 # tree helpers
 # ---------------------------------------------------------------------------
@@ -73,42 +79,53 @@ def simplify(node: FNode) -> Optional[FNode]:
     """The fixed simplifier: ternary product with a zero factor vanishes, an
     addition with a zero child collapses to the other child, a ternary
     product with two constant-1 factors is its third factor, and vanished
-    gates are removed transitively.  ``None`` encodes the zero formula."""
+    gates are removed transitively.  ``None`` encodes the zero formula.
+    Each gate's rule is ``_simplified``, applied once its children are
+    simplified."""
     if node.kind == "input":
         return None if _is_zero_leaf(node) else node
-    kids = [simplify(ch) for ch in node.children]
-    if node.kind == "add":
+    return _simplified(node, [simplify(ch) for ch in node.children])
+
+
+def _simplified(node: FNode, kids: List[Optional[FNode]]) -> Optional[FNode]:
+    """The simplifier's rule at gate ``node``, whose children simplify to
+    ``kids`` (``None`` = 0); ``node`` itself when every child is unchanged."""
+    kind = node.kind
+    if kind == "add":
         a, b = kids
         if a is None or b is None:
             rest = b if a is None else a
             return None if rest is None else rest.scaled(node.scale)
-    elif node.kind in ("mul", "mul3"):
-        if any(k is None for k in kids):
-            return None
-        if node.kind == "mul3":
+    elif kind in ("mul", "mul3", "negcube"):
+        for k in kids:
+            if k is None:
+                return None
+        if kind == "mul3":
             ones = [i for i, k in enumerate(kids) if _is_one_leaf(k)]
             if len(ones) >= 2:
                 rest = [k for i, k in enumerate(kids) if i not in ones[:2]]
                 return rest[0].scaled(node.scale)
-    elif node.kind == "negcube":
-        if kids[0] is None:
-            return None
     else:  # pragma: no cover
-        raise ValueError(node.kind)
-    if all(k is ch for k, ch in zip(kids, node.children)):
+        raise ValueError(kind)
+    if all(map(is_, kids, node.children)):
         return node
-    return FNode(node.kind, tuple(kids), scale=node.scale)
+    return FNode(kind, tuple(kids), scale=node.scale)
 
 
 def _subst_path(steps: list, repl: Optional[FNode]) -> Optional[FNode]:
-    """The tree at the root of ``steps`` with the subtree at the end of the
-    path replaced by ``repl`` (``None`` = 0), simplified.  Only the nodes on
-    the path are rebuilt; ``simplify`` is idempotent, so one run over the
-    result equals simplifying every rebuilt level on the way up."""
-    cur = FNode.constant(0) if repl is None else repl
+    """``simplify`` of the tree at the root of ``steps`` with the subtree at
+    the end of the path replaced by ``repl`` (``None`` = 0), built in one
+    climb of the path from the bottom up: at each step the off-path children
+    are simplified and ``_simplified`` joins them with the value from below.
+    A product above a zero vanishes whatever its other factors are, so they
+    are not read."""
+    cur = None if repl is None else simplify(repl)
     for n, ci in reversed(steps):
-        cur = FNode(n.kind, n.children[:ci] + (cur,) + n.children[ci + 1:], scale=n.scale)
-    return simplify(cur)
+        if cur is None and n.kind != "add":
+            continue
+        kids = [cur if i == ci else simplify(ch) for i, ch in enumerate(n.children)]
+        cur = _simplified(n, kids)
+    return cur
 
 
 def _zero_circuit(variables: Sequence[str] = (), shape: str = "formula",
@@ -117,10 +134,12 @@ def _zero_circuit(variables: Sequence[str] = (), shape: str = "formula",
     return Circuit([g], "g1", shape, basis, variables)
 
 
-def _tree_or_zero(t: Optional[FNode], c: Circuit, basis: str) -> Circuit:
+def _tree_or_zero(t: Optional[FNode], c: Circuit, basis: str) -> Tuple[Circuit, Dict[str, int]]:
+    """The formula of ``t`` (the zero formula for None) and its metrics."""
     if t is None:
-        return _zero_circuit(c.variables, "formula", basis)
-    return tree_to_circuit(t, basis, c.variables)
+        out = _zero_circuit(c.variables, "formula", basis)
+        return out, _metrics(out)
+    return tree_to_circuit(t, basis, c.variables), _tree_metrics(t)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +168,7 @@ def rescale_formula(c: Circuit, alpha: Union[Coeff, Rat]) -> Tuple[Circuit, Pass
     c.require("rescaleFormula", shape="formula")
     out_tree = _rescale_tree(circuit_to_tree(c), Coeff.of(alpha))
     out = tree_to_circuit(out_tree, c.basis, c.variables)
-    im, om = _metrics(c), _metrics(out)
+    im, om = _metrics(c), _tree_metrics(out_tree)
     report = PassReport(
         "rescale", im, om, "size = s, depth = delta (structure unchanged)",
         om["size"] == im["size"] and om["depth"] == im["depth"],
@@ -171,12 +190,13 @@ def _separator_steps(root: FNode) -> Tuple[list, FNode]:
     steps = []
     cur = root
     while 3 * cur.size() > 2 * s and cur.children:
-        idx = max(
-            range(len(cur.children)),
-            key=lambda i: (cur.children[i].size(), -i),
-        )
+        kids = cur.children
+        idx, most = 0, kids[0].size()
+        for i in range(1, len(kids)):
+            if kids[i].size() > most:
+                idx, most = i, kids[i].size()
         steps.append((cur, idx))
-        cur = cur.children[idx]
+        cur = kids[idx]
     return steps, cur
 
 
@@ -230,8 +250,9 @@ def _brent(node: FNode, audit: List[Dict[str, object]]) -> FNode:
 
 def _brent_pass(c: Circuit, name: str) -> Tuple[Circuit, PassReport]:
     audit: List[Dict[str, object]] = []
-    out = tree_to_circuit(_brent(circuit_to_tree(c), audit), c.basis, c.variables)
-    im, om = _metrics(c), _metrics(out)
+    reduced = _brent(circuit_to_tree(c), audit)
+    out = tree_to_circuit(reduced, c.basis, c.variables)
+    im, om = _metrics(c), _tree_metrics(reduced)
     log_s = math.log(max(im["size"], 2), 1.5)
     report = PassReport(
         name, im, om, "depth <= 2*log_{3/2}(s) + 4",
@@ -307,9 +328,8 @@ def input_homogenize_formula(c: Circuit) -> Tuple[Circuit, PassReport]:
     c.require("inputHomogenizeFormula", shape="formula", basis="arity2")
     reduced = _brent(circuit_to_tree(c), [])
     depth_brent = reduced.depth()
-    hat = _ihl_pair(reduced)[1]
-    out = _tree_or_zero(hat, c, "arity2")
-    im, om = _metrics(c), _metrics(out)
+    out, om = _tree_or_zero(_ihl_pair(reduced)[1], c, "arity2")
+    im = _metrics(c)
     report = PassReport(
         "ihl-formula", im, om,
         "depth <= 3*depth(Brent output) + 2",
@@ -458,7 +478,7 @@ def to_add_negcube(c: Circuit) -> Tuple[Circuit, PassReport]:
     c.require("toAddNegCube", shape="formula", basis="arity3")
     out_tree = _to_anc(circuit_to_tree(c))
     out = tree_to_circuit(out_tree, "addNegCube", c.variables)
-    im, om = _metrics(c), _metrics(out)
+    im, om = _metrics(c), _tree_metrics(out_tree)
     bound = 16 * (4 ** im["mulDepth"]) * im["size"]
     report = PassReport(
         "add-negcube", im, om, "size <= 16 * 4^mulDepth * s",
@@ -514,7 +534,7 @@ def parity_homogenize(c: Circuit) -> Tuple[ParityPair, PassReport]:
     even = None if even_t is None else tree_to_circuit(even_t, "arity2", c.variables)
     im = _metrics(c)
     parts = [part for part in (odd, even) if part is not None]
-    pm = [_metrics(part) for part in parts]
+    pm = [_tree_metrics(t) for t in (odd_t, even_t) if t is not None]
     om = {"size": sum(m["size"] for m in pm),
           "depth": max([m["depth"] for m in pm], default=0),
           "mulDepth": max([m["mulDepth"] for m in pm], default=0)}
@@ -550,9 +570,8 @@ def _ddx(node: FNode, v: str) -> Optional[FNode]:
 
 def derivative_formula(c: Circuit, v: str) -> Tuple[Circuit, PassReport]:
     c.require("derivativeFormula", shape="formula", basis="arity2")
-    out_tree = _ddx(circuit_to_tree(c), v)
-    out = _tree_or_zero(out_tree, c, "arity2")
-    im, om = _metrics(c), _metrics(out)
+    out, om = _tree_or_zero(_ddx(circuit_to_tree(c), v), c, "arity2")
+    im = _metrics(c)
     report = PassReport(
         "derivative", im, om, "depth <= 2*delta",
         om["depth"] <= 2 * im["depth"],

@@ -83,7 +83,7 @@ def test_degree_mismatch_on_ungraded_add():
 def test_validate_ihl():
     ok_c = tree_to_circuit(FNode.add(_leaf("x1"), _leaf("x2")), "arity2")
     assert ok_c.ihl_defect() is None
-    bad = tree_to_circuit(FNode.add(_leaf("x1"), FNode.constant(3)), "arity2")
+    bad = tree_to_circuit(FNode.add(_leaf("x1"), FNode.leaf(Polynomial.const(3))), "arity2")
     assert bad.ihl_defect() == "gate g2: leaf has a constant part"
 
 

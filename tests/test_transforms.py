@@ -10,11 +10,14 @@ import pytest
 from homlin.circuit import (
     BasisViolation,
     Circuit,
+    DegreeMismatch,
     FNode,
     Gate,
+    GradedArity3Repr,
     parse_circuit,
     tree_to_circuit,
 )
+from homlin.matrixword import compile_continuant_even
 from homlin.poly import Polynomial, parse_poly
 from homlin import transforms
 from homlin.transforms import (
@@ -36,6 +39,7 @@ from homlin.transforms import (
     vsbr_arity3,
     _brent,
     _descendants,
+    _metrics,
     _separator_steps,
     _subst_path,
     input_homogenize_tree,
@@ -58,6 +62,10 @@ X5 = Polynomial.variable("x5")
 
 def leaf(name, c=1):
     return FNode.var(name, c)
+
+
+def const(c):
+    return FNode.leaf(Polynomial.const(c))
 
 
 def as_formula(tree, basis="arity2"):
@@ -196,7 +204,7 @@ def test_input_homogenize_tree_rejects_foreign_gate_kinds(tree, kind):
 
 
 def test_ihl_formula_strips_constant():
-    t = FNode.add(FNode.mul(leaf("x1"), leaf("x2")), FNode.constant(3))
+    t = FNode.add(FNode.mul(leaf("x1"), leaf("x2")), const(3))
     out, _ = input_homogenize_formula(as_formula(t))
     assert out.eval() == X1 * X2
     assert out.ihl_defect() is None
@@ -213,7 +221,7 @@ def test_ihl_formula_affine_product():
 
 
 def test_ihl_formula_constant_is_zero():
-    out, _ = input_homogenize_formula(as_formula(FNode.constant(5)))
+    out, _ = input_homogenize_formula(as_formula(const(5)))
     assert out.eval().is_zero()
     assert out.ihl_defect() is None
 
@@ -339,7 +347,7 @@ def test_parity_homogeneous_odd_has_no_even_root():
 
 
 def test_parity_requires_ihl():
-    t = FNode.add(leaf("x1"), FNode.constant(2))
+    t = FNode.add(leaf("x1"), const(2))
     with pytest.raises(BasisViolation):
         parity_homogenize(as_formula(t))
 
@@ -478,7 +486,7 @@ def oracle_brent_linearization(tree):
         return None
     p_node, pci = steps[pidx]
     xs = [i for i in range(len(p_node.children)) if i != pci][:-1]
-    one = FNode.constant(1)
+    one = const(1)
     p1 = FNode(p_node.kind, tuple(one if i in xs else ch for i, ch in enumerate(p_node.children)),
                scale=p_node.scale)
     f1 = _subst_path(steps[:pidx] + [(p1, pci)] + steps[pidx + 1:], one)
@@ -574,6 +582,45 @@ def test_vf_to_v3p_random_reassembly():
             q for per in repr_.even_parts.values() for q in per.values()]
         for part in stored:
             assert_spliced(part)
+
+
+def count_evals(monkeypatch):
+    """The circuits whose gates are evaluated from now on, in call order."""
+    calls = []
+    eval_gates = Circuit.eval_gates
+    monkeypatch.setattr(Circuit, "eval_gates", lambda self: calls.append(self) or eval_gates(self))
+    return calls
+
+
+def test_vf_to_v3p_parts_are_evaluated_once_through_continuant_even(monkeypatch):
+    calls = count_evals(monkeypatch)
+    t = FNode.add(FNode.mul(leaf("x1"), leaf("x2")), FNode.mul(leaf("x3"), leaf("x4")))
+    repr_, rep = vf_to_v3p(as_formula(t))
+    compile_continuant_even(repr_, 2)
+    parts = list(repr_.even_parts[2].values())
+    assert rep.bound_satisfied and len(parts) == 4
+    # the input once, then each part once: validate and the compiler share it
+    assert len(calls) == 1 + len(parts)
+    assert sorted(map(id, calls[1:])) == sorted(map(id, parts))
+    # a later read at another degree is still checked
+    with pytest.raises(DegreeMismatch):
+        repr_.part_value(parts[0], "part", 3)
+    assert len(calls) == 1 + len(parts)
+
+
+def test_a_hand_built_graded_repr_is_checked_when_first_read(monkeypatch):
+    calls = count_evals(monkeypatch)
+    part = tree_to_circuit(FNode.mul3(leaf("x1"), leaf("x2"), leaf("x3")), "arity3")
+    affine = tree_to_circuit(FNode.leaf(parse_poly("x1 + 1")), "arity3")
+    good = GradedArity3Repr(Polynomial.zero(), {}, {4: {"x1": part}})
+    compile_continuant_even(good, 4)
+    assert good.validate() == (True, "")
+    assert calls == [part]
+    bad = GradedArity3Repr(Polynomial.zero(), {}, {2: {"x1": affine}})
+    for _ in range(2):  # a part that fails its check is never stored
+        with pytest.raises(BasisViolation):
+            compile_continuant_even(bad, 2)
+    assert calls == [part]
 
 
 def assert_spliced(part):
@@ -743,14 +790,108 @@ def test_vsbr_high_degree_semantics_and_shared_inner_sums():
 
 def test_simplify_rules():
     # ternary product with a zero factor vanishes
-    t = FNode.mul3(leaf("x1"), FNode.constant(0), leaf("x2"))
+    t = FNode.mul3(leaf("x1"), const(0), leaf("x2"))
     assert simplify(t) is None
     # addition with a zero child collapses
-    t = FNode.add(leaf("x1"), FNode.constant(0))
+    t = FNode.add(leaf("x1"), const(0))
     assert simplify(t).eval() == X1
     # two constant-1 factors drop out
-    t = FNode.mul3(FNode.constant(1), FNode.constant(1), leaf("x2"))
+    t = FNode.mul3(const(1), const(1), leaf("x2"))
     assert simplify(t).eval() == X2
+
+
+def oracle_subst_path(steps, repl):
+    """Reference for ``_subst_path``: rebuild every node on the path with
+    ``repl`` (None = 0) at its end, then simplify the whole rebuilt tree."""
+    cur = const(0) if repl is None else repl
+    for n, ci in reversed(steps):
+        cur = FNode(n.kind, n.children[:ci] + (cur,) + n.children[ci + 1:], scale=n.scale)
+    return simplify(cur)
+
+
+# gate kinds of each basis's inner nodes; addNegCube nodes carry scale tags
+INNER_KINDS = {"arity2": ("add", "mul"), "arity3": ("add", "mul3"),
+               "addNegCube": ("add", "negcube")}
+
+
+def random_simplifiable_tree(rng, basis, size):
+    """A tree of ``basis`` with zero and constant-1 leaves among affine ones,
+    and random scale tags in the addNegCube basis."""
+    scale = Fraction(rng.choice([1, 1, 2, -1]), rng.choice([1, 3])) if basis == "addNegCube" else 1
+    if size <= 1:
+        form = rng.choice([Polynomial.zero(), Polynomial.const(1), X1,
+                           X2 + Polynomial.const(1), X3.scale(2)])
+        return FNode("input", form=form, scale=scale)
+    kind = rng.choice(INNER_KINDS[basis])
+    arity = {"add": 2, "mul": 2, "mul3": 3, "negcube": 1}[kind]
+    cuts = sorted(rng.randint(0, size - 1) for _ in range(arity - 1))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [size - 1])]
+    kids = tuple(random_simplifiable_tree(rng, basis, max(k, 1)) for k in sizes)
+    return FNode(kind, kids, scale=scale)
+
+
+def _random_steps(rng, t):
+    """A path of (node, child index) steps from the root to a random node."""
+    steps = []
+    while t.children and rng.random() < 0.85:
+        ci = rng.randrange(len(t.children))
+        steps.append((t, ci))
+        t = t.children[ci]
+    return steps
+
+
+def test_separator_steps_enter_the_first_of_the_largest_children():
+    pair = FNode.add(leaf("x1"), leaf("x2"))
+    t = FNode.mul3(leaf("x3"), pair, FNode.mul(leaf("x4"), leaf("x5")))
+    assert [ci for _n, ci in _separator_steps(t)[0]] == [1]
+    assert [ci for _n, ci in _separator_steps(FNode.mul(pair, pair))[0]] == [0]
+
+
+@pytest.mark.parametrize("basis", sorted(INNER_KINDS))
+def test_subst_path_matches_rebuilding_then_simplifying(basis):
+    rng = random.Random(97)
+    one = const(1)
+    for _ in range(150):
+        t = random_simplifiable_tree(rng, basis, rng.randint(1, 40))
+        for steps in (_separator_steps(t)[0], _random_steps(rng, t)):
+            for repl in (None, one):
+                assert _subst_path(steps, repl) == oracle_subst_path(steps, repl)
+
+
+@pytest.mark.parametrize("basis", sorted(INNER_KINDS))
+def test_tree_metrics_match_the_circuit_sweep(basis):
+    rng = random.Random(101)
+    for _ in range(60):
+        stack = [random_simplifiable_tree(rng, basis, rng.randint(1, 40))]
+        while stack:
+            t = stack.pop()
+            c = tree_to_circuit(t, basis)
+            assert (t.size(), t.depth(), t.mul_depth()) == (c.size(), *c.depths())
+            stack.extend(t.children)
+
+
+def test_formula_pass_output_metrics_match_the_output_circuit():
+    rng = random.Random(103)
+    for _ in range(25):
+        c2 = as_formula(random_formula(rng, rng.randint(1, 50), 3))
+        ci = as_formula(random_ihl_formula(rng, rng.randint(1, 50), 3))
+        c3 = tree_to_circuit(random_graded_arity3_formula(rng, 5, rng.randint(10, 50), 3), "arity3")
+        runs = [("rescale", c2, {"alpha": 3}), ("brent", c2, {}), ("ihl-formula", c2, {}),
+                ("derivative", c2, {"var": "x1"}), ("derivative", c2, {"var": "x9"}),
+                ("parity", ci, {}), ("add-negcube", c3, {}), ("brent3", c3, {})]
+        for name, c, kwargs in runs:
+            out, rep = run_pass(name, c, **kwargs)
+            if name == "parity":
+                pm = [_metrics(p) for p in (out.odd, out.even) if p is not None]
+                want = {"size": sum(m["size"] for m in pm),
+                        "depth": max(m["depth"] for m in pm),
+                        "mulDepth": max(m["mulDepth"] for m in pm)}
+            else:
+                want = _metrics(out)
+            assert rep.output_metrics == want, name
+    # zero outputs: a constant has no IHL part, and x9 does not occur
+    out, rep = input_homogenize_formula(as_formula(const(5)))
+    assert rep.output_metrics == _metrics(out) == {"size": 1, "depth": 0, "mulDepth": 0}
 
 
 def _snapshot(n):
