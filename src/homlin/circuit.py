@@ -103,6 +103,12 @@ class Circuit:
         basis: str,
         variables: Sequence[str] = (),
     ):
+        """Check every gate in one sweep (a fresh id, children defined
+        before it, a kind of the basis, a scale tag only in the addNegCube
+        basis) and, unless ``shape`` is ``circuit``, that the gates make a
+        formula.  The circuit's variables are ``variables`` and those of
+        every input form; the parser and the passes share one form object
+        between gates, so each distinct form object is read once."""
         if shape is not None and shape not in SHAPES:
             raise ValueError(f"unknown shape {shape!r}")
         if basis not in BASIS_KINDS:
@@ -112,7 +118,7 @@ class Circuit:
         self.gates: Tuple[Gate, ...] = tuple(gates)
         self.by_id: Dict[str, Gate] = {}
         by_id = self.by_id
-        vs = set(variables)
+        forms: Dict[int, Polynomial] = {}  # the distinct input forms, by id
         for g in self.gates:
             gid, kind, children, _edges, form, scale = g
             if gid in by_id:
@@ -128,7 +134,7 @@ class Circuit:
                 )
             by_id[gid] = g
             if kind == "input":
-                vs.update(form.variables())
+                forms[id(form)] = form
         if output_id not in by_id:
             raise ValueError(f"unknown output gate {output_id}")
         if shape != "circuit":
@@ -140,6 +146,9 @@ class Circuit:
         self.output_id = output_id
         self.shape = shape
         self.basis = basis
+        vs = set(variables)
+        for form in forms.values():
+            vs.update(form.variables())
         self.variables: Tuple[str, ...] = tuple(sorted(vs, key=_var_key))
 
     # -- evaluation ----------------------------------------------------------
@@ -529,14 +538,20 @@ def _tree_node(gid: str, by_id: Mapping[str, Gate], memo: Dict[str, FNode]) -> F
 
 
 def print_circuit(c: Circuit) -> str:
+    """The circuit text format: ``shape``, ``basis`` and ``var`` lines, one
+    ``gate`` line per gate in order, then ``output``.
+
+    Each distinct leaf form and edge-scalar object is formatted once.  Both
+    caches are keyed by identity, since the parser and the passes share
+    these values between gates and hashing a ``Coeff`` by value builds a
+    frozenset; equal values held by distinct objects format to the same
+    text.  The gates keep every key alive while this runs, so no id is
+    reused."""
     lines = [f"shape {c.shape}", f"basis {c.basis}"]
     if c.variables:
         lines.append("var " + " ".join(c.variables))
-    # Each distinct leaf and edge scalar is formatted once.  Leaves are keyed
-    # by the identity of their form, which passes share between gates; the
-    # gates keep the forms alive while this runs, so no id is reused.
     leaf_text: Dict[int, str] = {}
-    scalar_text: Dict[Coeff, str] = {}
+    scalar_text: Dict[int, str] = {}
     for g in c.gates:
         kind = g.kind
         if kind == "input":
@@ -549,9 +564,9 @@ def print_circuit(c: Circuit) -> str:
             if g.edge_scalars is not None:
                 texts = []
                 for s in g.edge_scalars:
-                    t = scalar_text.get(s)
+                    t = scalar_text.get(id(s))
                     if t is None:
-                        t = scalar_text[s] = format_coeff(s).replace(" ", "")
+                        t = scalar_text[id(s)] = format_coeff(s).replace(" ", "")
                     texts.append(t)
                 body += " [" + " ".join(texts) + "]"
         if g.scale is not None:

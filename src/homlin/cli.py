@@ -13,6 +13,7 @@ files carry no timing information.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import stat
@@ -539,6 +540,21 @@ _PARSER = build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; its exit code.  The cyclic garbage collector is
+    paused while the command runs and restored to the caller's setting on
+    every exit: a command's trees, memos and gate lists hold no reference
+    cycle, so reference counting frees them and a collection finds nothing
+    (``tests/test_cli.py`` checks this for every subcommand)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # a bad flag (2) or --help (0)

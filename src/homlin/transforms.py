@@ -20,6 +20,7 @@ from operator import is_
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .circuit import (
+    _MUL_KINDS,
     BASIS_KINDS,
     BasisViolation,
     Circuit,
@@ -30,7 +31,7 @@ from .circuit import (
     circuit_to_tree,
     tree_to_circuit,
 )
-from .poly import COEFF_ONE, COEFF_ZERO, Coeff, Polynomial, _var_key
+from .poly import _UNIT, COEFF_ONE, COEFF_ZERO, Coeff, Polynomial, _var_key
 
 Rat = Union[int, Fraction]
 
@@ -55,7 +56,9 @@ def _metrics(c: Circuit) -> Dict[str, int]:
 
 
 def _tree_metrics(t: FNode) -> Dict[str, int]:
-    """``_metrics`` of ``tree_to_circuit(t)``, read off the root."""
+    """``_metrics`` of ``tree_to_circuit(t)``, read off the root.  A formula
+    pass reads its input's metrics here too: the tree of a formula has one
+    node per gate, so they are ``_metrics`` of the input."""
     return {"size": t.size(), "depth": t.depth(), "mulDepth": t.mul_depth()}
 
 
@@ -166,9 +169,10 @@ def _rescale_tree(node: FNode, alpha: Coeff) -> FNode:
 
 def rescale_formula(c: Circuit, alpha: Union[Coeff, Rat]) -> Tuple[Circuit, PassReport]:
     c.require("rescaleFormula", shape="formula")
-    out_tree = _rescale_tree(circuit_to_tree(c), Coeff.of(alpha))
+    tree = circuit_to_tree(c)
+    out_tree = _rescale_tree(tree, Coeff.of(alpha))
     out = tree_to_circuit(out_tree, c.basis, c.variables)
-    im, om = _metrics(c), _tree_metrics(out_tree)
+    im, om = _tree_metrics(tree), _tree_metrics(out_tree)
     report = PassReport(
         "rescale", im, om, "size = s, depth = delta (structure unchanged)",
         om["size"] == im["size"] and om["depth"] == im["depth"],
@@ -213,13 +217,14 @@ def _coefficient(steps: list, i: int, pidx: int) -> FNode:
     return FNode(n.kind, (_coefficient(steps, i + 1, pidx),) + kept)
 
 
-def _brent(node: FNode, audit: List[Dict[str, object]]) -> FNode:
+def _brent(node: FNode, audit: Optional[List[Dict[str, object]]]) -> FNode:
     """Brent's depth reduction, for ``mul`` and ``mul3`` products alike.
     With ``v`` the separator and ``p`` the lowest product on the path to it,
     ``f = D*v*X + B``: ``X`` is ``p``'s siblings of the path but the last
     (none for ``mul``, one for ``mul3``), ``D`` the product of every other
     sibling off the path and ``B`` is ``f`` with ``v := 0``.  On a path of
-    additions only, ``f = v + B``."""
+    additions only, ``f = v + B``.  Each level appends its piece sizes to
+    ``audit``, unless ``audit`` is None."""
     s = node.size()
     if s <= 3:
         return node
@@ -231,14 +236,15 @@ def _brent(node: FNode, audit: List[Dict[str, object]]) -> FNode:
         p, pci = steps[pidx]
         siblings = p.children[:pci] + p.children[pci + 1:]
         factors = [_coefficient(steps, 0, pidx), v, *siblings[:-1]]
-    pieces = factors if b_tree is None else factors + [b_tree]
-    audit.append(
-        {
-            "s": s,
-            "pieces": [q.size() for q in pieces],
-            "withinTwoThirds": all(3 * q.size() <= 2 * s + 3 for q in pieces),
-        }
-    )
+    if audit is not None:
+        pieces = factors if b_tree is None else factors + [b_tree]
+        audit.append(
+            {
+                "s": s,
+                "pieces": [q.size() for q in pieces],
+                "withinTwoThirds": all(3 * q.size() <= 2 * s + 3 for q in pieces),
+            }
+        )
     reduced = []
     for q in factors:  # a loop, not a comprehension: no frame per level
         reduced.append(_brent(q, audit))
@@ -250,9 +256,10 @@ def _brent(node: FNode, audit: List[Dict[str, object]]) -> FNode:
 
 def _brent_pass(c: Circuit, name: str) -> Tuple[Circuit, PassReport]:
     audit: List[Dict[str, object]] = []
-    reduced = _brent(circuit_to_tree(c), audit)
+    tree = circuit_to_tree(c)
+    reduced = _brent(tree, audit)
     out = tree_to_circuit(reduced, c.basis, c.variables)
-    im, om = _metrics(c), _tree_metrics(reduced)
+    im, om = _tree_metrics(tree), _tree_metrics(reduced)
     log_s = math.log(max(im["size"], 2), 1.5)
     report = PassReport(
         name, im, om, "depth <= 2*log_{3/2}(s) + 4",
@@ -321,15 +328,16 @@ def input_homogenize_tree(node: FNode) -> Optional[FNode]:
         if id(n) not in seen:
             seen.add(id(n))
             stack.extend(reversed(n.children))
-    return _ihl_pair(_brent(node, []))[1]
+    return _ihl_pair(_brent(node, None))[1]
 
 
 def input_homogenize_formula(c: Circuit) -> Tuple[Circuit, PassReport]:
     c.require("inputHomogenizeFormula", shape="formula", basis="arity2")
-    reduced = _brent(circuit_to_tree(c), [])
+    tree = circuit_to_tree(c)
+    reduced = _brent(tree, None)
     depth_brent = reduced.depth()
     out, om = _tree_or_zero(_ihl_pair(reduced)[1], c, "arity2")
-    im = _metrics(c)
+    im = _tree_metrics(tree)
     report = PassReport(
         "ihl-formula", im, om,
         "depth <= 3*depth(Brent output) + 2",
@@ -345,58 +353,93 @@ def input_homogenize_formula(c: Circuit) -> Tuple[Circuit, PassReport]:
 
 
 class _CBuilder:
+    """A gate list built children first, gate ``g<k>`` the k-th emitted.
+    Each gate's depth and mulDepth are recorded as it is emitted, so a pass
+    reads its output's metrics off the builder (``output``) instead of
+    sweeping the output again."""
+
     def __init__(self):
         self.gates: List[Gate] = []
-        self._n = 0
-
-    def _fresh(self) -> str:
-        self._n += 1
-        return f"g{self._n}"
+        self._depths: Dict[str, Tuple[int, int]] = {}  # (depth, mulDepth) by gate id
 
     def emit(self, kind: str, children: Tuple[str, ...] = (),
              edge_scalars=None, form=None, scale=None) -> str:
-        gid = self._fresh()
-        self.gates.append(Gate(gid, kind, children, edge_scalars, form, scale))
+        gates = self.gates
+        gid = f"g{len(gates) + 1}"
+        gates.append(Gate(gid, kind, children, edge_scalars, form, scale))
+        dm = self._depths
+        if len(children) == 2:  # most gates: no list, no max()
+            (d1, m1), (d2, m2) = dm[children[0]], dm[children[1]]
+            d, m = (d1 if d1 > d2 else d2), (m1 if m1 > m2 else m2)
+        elif children:
+            kids = [dm[ch] for ch in children]
+            d, m = max([d for d, _m in kids]), max([m for _d, m in kids])
+        else:
+            dm[gid] = (0, 0)
+            return gid
+        dm[gid] = (d + 1, m + (kind in _MUL_KINDS))
         return gid
+
+    def output(self, gid: Optional[str], basis: str,
+               variables: Sequence[str]) -> Tuple[Circuit, Dict[str, int]]:
+        """The circuit of the gates ``gid`` reads, with output ``gid`` (the
+        zero circuit for None), and its metrics: a gate's depths count only
+        the gates it reads, so they are the ones recorded at ``gid``."""
+        if gid is None:
+            out = _zero_circuit(variables, "circuit", basis)
+            return out, _metrics(out)
+        out = Circuit(_restrict_reachable(self.gates, gid), gid, "circuit", basis, variables)
+        depth, mul_depth = self._depths[gid]
+        return out, {"size": out.size(), "depth": depth, "mulDepth": mul_depth}
 
     def input(self, form: Polynomial) -> str:
         return self.emit("input", form=form)
 
     def scaled(self, gid: str, c: Coeff) -> str:
-        if c.is_one():
+        if c.terms == _UNIT:
             return gid
         return self.emit("add", (gid, gid), edge_scalars=(c, COEFF_ZERO))
 
     def linear_combo(self, parts: List[Tuple[str, Coeff]]) -> Optional[str]:
-        parts = [(g, s) for g, s in parts if not s.is_zero()]
-        if not parts:
-            return None
-        while len(parts) > 1:
+        """The gate of ``sum(s * g for g, s in parts)``, None when every
+        scalar is zero.  The nonzero parts are added pairwise, level by level
+        (an odd one out joins the next level); a pair of unit scalars is
+        written without edge scalars.  Most calls have one to three parts,
+        so the parts are filtered in a loop (no comprehension frame) and
+        scalars are compared by their term dicts."""
+        live = []
+        for p in parts:
+            if p[1].terms:
+                live.append(p)
+        emit = self.emit
+        while len(live) > 1:
             nxt = []
-            for i in range(0, len(parts) - 1, 2):
-                (g1, s1), (g2, s2) = parts[i], parts[i + 1]
-                scalars = None if (s1.is_one() and s2.is_one()) else (s1, s2)
-                nxt.append((self.emit("add", (g1, g2), edge_scalars=scalars), COEFF_ONE))
-            if len(parts) % 2:
-                nxt.append(parts[-1])
-            parts = nxt
-        return self.scaled(parts[0][0], parts[0][1])
+            for i in range(1, len(live), 2):
+                (g1, s1), (g2, s2) = live[i - 1], live[i]
+                scalars = None if s1.terms == _UNIT == s2.terms else (s1, s2)
+                nxt.append((emit("add", (g1, g2), scalars), COEFF_ONE))
+            if len(live) % 2:
+                nxt.append(live[-1])
+            live = nxt
+        return self.scaled(*live[0]) if live else None
 
     def balanced_sum(self, gids: List[str]) -> Optional[str]:
         return self.linear_combo([(g, COEFF_ONE) for g in gids])
 
 
 def _restrict_reachable(gates: List[Gate], output_id: str) -> List[Gate]:
-    by_id = {g.id: g for g in gates}
-    needed: Set[str] = set()
-    stack = [output_id]
-    while stack:
-        gid = stack.pop()
-        if gid in needed:
-            continue
-        needed.add(gid)
-        stack.extend(by_id[gid].children)
-    return [g for g in gates if g.id in needed]
+    """The gates ``output_id`` reads, itself included, in their order.
+    ``gates`` is children first, so one sweep from the last gate back meets
+    every reader of a gate before the gate: a gate is kept when a kept gate
+    (or the output) reads it."""
+    needed = {output_id}
+    kept = []
+    for g in reversed(gates):
+        if g.id in needed:
+            kept.append(g)
+            needed.update(g.children)
+    kept.reverse()
+    return kept
 
 
 def input_homogenize_circuit(c: Circuit) -> Tuple[Circuit, PassReport]:
@@ -432,13 +475,8 @@ def input_homogenize_circuit(c: Circuit) -> Tuple[Circuit, PassReport]:
             if hat[a] is not None:
                 parts.append((hat[a], t * const[bb]))
             hat[g.id] = b.linear_combo(parts)
-    out_gid = hat[c.output_id]
-    if out_gid is None:
-        out = _zero_circuit(c.variables, "circuit", "arity2")
-    else:
-        gates = _restrict_reachable(b.gates, out_gid)
-        out = Circuit(gates, out_gid, "circuit", "arity2", c.variables)
-    im, om = _metrics(c), _metrics(out)
+    out, om = b.output(hat[c.output_id], "arity2", c.variables)
+    im = _metrics(c)
     report = PassReport(
         "ihl-circuit", im, om, "size <= 6*s and depth <= 3*s",
         om["size"] <= 6 * im["size"] and om["depth"] <= 3 * im["size"],
@@ -476,9 +514,10 @@ def _to_anc(node: FNode) -> FNode:
 
 def to_add_negcube(c: Circuit) -> Tuple[Circuit, PassReport]:
     c.require("toAddNegCube", shape="formula", basis="arity3")
-    out_tree = _to_anc(circuit_to_tree(c))
+    tree = circuit_to_tree(c)
+    out_tree = _to_anc(tree)
     out = tree_to_circuit(out_tree, "addNegCube", c.variables)
-    im, om = _metrics(c), _tree_metrics(out_tree)
+    im, om = _tree_metrics(tree), _tree_metrics(out_tree)
     bound = 16 * (4 ** im["mulDepth"]) * im["size"]
     report = PassReport(
         "add-negcube", im, om, "size <= 16 * 4^mulDepth * s",
@@ -529,10 +568,11 @@ def _mul_opt(a: Optional[FNode], b: Optional[FNode]) -> Optional[FNode]:
 
 def parity_homogenize(c: Circuit) -> Tuple[ParityPair, PassReport]:
     c.require("parityHomogenize", shape="formula", basis="arity2", ihl=True)
-    odd_t, even_t = _parity_tree(circuit_to_tree(c))
+    tree = circuit_to_tree(c)
+    odd_t, even_t = _parity_tree(tree)
     odd = None if odd_t is None else tree_to_circuit(odd_t, "arity2", c.variables)
     even = None if even_t is None else tree_to_circuit(even_t, "arity2", c.variables)
-    im = _metrics(c)
+    im = _tree_metrics(tree)
     parts = [part for part in (odd, even) if part is not None]
     pm = [_tree_metrics(t) for t in (odd_t, even_t) if t is not None]
     om = {"size": sum(m["size"] for m in pm),
@@ -570,8 +610,9 @@ def _ddx(node: FNode, v: str) -> Optional[FNode]:
 
 def derivative_formula(c: Circuit, v: str) -> Tuple[Circuit, PassReport]:
     c.require("derivativeFormula", shape="formula", basis="arity2")
-    out, om = _tree_or_zero(_ddx(circuit_to_tree(c), v), c, "arity2")
-    im = _metrics(c)
+    tree = circuit_to_tree(c)
+    out, om = _tree_or_zero(_ddx(tree, v), c, "arity2")
+    im = _tree_metrics(tree)
     report = PassReport(
         "derivative", im, om, "depth <= 2*delta",
         om["depth"] <= 2 * im["depth"],
@@ -856,13 +897,8 @@ def vsbr_arity3(c: Circuit) -> Tuple[Circuit, PassReport]:
             "an even-degree component independently"
         )
     run = _Vsbr(c, deg)
-    out_gid = run.U(c.output_id)
-    if out_gid is None:
-        out = _zero_circuit(c.variables, "circuit", "arity3")
-    else:
-        gates = _restrict_reachable(run.b.gates, out_gid)
-        out = Circuit(gates, out_gid, "circuit", "arity3", c.variables)
-    im, om = _metrics(c), _metrics(out)
+    out, om = run.b.output(run.U(c.output_id), "arity3", c.variables)
+    im = _metrics(c)
     s = max(im["size"], 2)
     logs = math.log2(s)
     logd = math.log2(max(d_out, 2))

@@ -25,6 +25,7 @@ from homlin.matrixword import (
     compile_continuant_odd,
     compile_offdiag3,
     compile_trace3,
+    format_word,
 )
 from homlin.poly import Coeff, Polynomial, format_poly, parse_poly
 from homlin.transforms import PASS_NAMES, run_pass
@@ -552,44 +553,154 @@ def test_pipeline_continuant(capsys, tmp_path):
     assert "verify (border): pass" in report
 
 
-def _tree_input(make, basis):
-    return lambda rng: tree_to_circuit(make(rng), basis)
+def _text_of(make, basis=None):
+    """An input maker: the text of the circuit ``make(rng)``, or of the
+    formula of the tree ``make(rng)`` in ``basis``."""
+    if basis is None:
+        return lambda rng: print_circuit(make(rng))
+    return lambda rng: print_circuit(tree_to_circuit(make(rng), basis))
 
 
+_F2 = _text_of(lambda rng: random_formula(rng, 40, 4), "arity2")
+_IHL2 = _text_of(lambda rng: random_ihl_formula(rng, 30, 4), "arity2")
+_SMALL_IHL2 = _text_of(lambda rng: random_ihl_formula(rng, 9, 3), "arity2")
+_GRADED3 = _text_of(lambda rng: random_graded_arity3_formula(rng, 5, 20, 3), "arity3")
+_TRACE3_WORD = lambda rng: format_word(compile_trace3(
+    tree_to_circuit(random_ihl_formula(rng, 30, 4), "arity2")))
+
+
+def _transform(pass_name, make, *flags):
+    return (f"transform-{pass_name}", 0,
+            ["transform", "--pass", pass_name, *flags, "--in", "{a}", "--out", "{out}"],
+            {"a": make})
+
+
+# (id, exit code, argv, inputs): each input maker gets its own
+# random.Random(5), and "{name}" in argv is the path of input ``name``
+# ("{out}" a fresh output path), so _IHL2 and _TRACE3_WORD draw one formula
 _GC_CASES = [
-    (["pipeline", "--target", "trace3"],
-     _tree_input(lambda rng: random_ihl_formula(rng, 30, 4), "arity2")),
-    (["pipeline", "--target", "continuant"],
-     _tree_input(lambda rng: random_graded_arity3_formula(rng, 5, 20, 3), "arity3")),
-    (["transform", "--pass", "brent"],
-     _tree_input(lambda rng: random_formula(rng, 40, 4), "arity2")),
-    (["transform", "--pass", "brent3"],
-     _tree_input(lambda rng: random_graded_arity3_formula(rng, 5, 20, 3), "arity3")),
-    (["transform", "--pass", "add-negcube"],
-     _tree_input(lambda rng: random_graded_arity3_formula(rng, 5, 20, 3), "arity3")),
-    (["transform", "--pass", "ihl-circuit"], lambda rng: random_arity2_circuit(rng, 30, 4)),
-    (["transform", "--pass", "vsbr3"], lambda rng: random_graded_arity3_circuit(rng, 7, 30, 3)),
-    (["transform", "--pass", "vf-to-v3p"],
-     _tree_input(lambda rng: random_ihl_formula(rng, 9, 3), "arity2")),
+    ("gen", 0, ["gen", "--family", "C", "--n", "5", "--d", "3", "--out", "{out}"], {}),
+    _transform("rescale", _F2, "--alpha", "3"),
+    _transform("ihl-formula", _F2),
+    _transform("ihl-circuit", _text_of(lambda rng: random_arity2_circuit(rng, 30, 4))),
+    _transform("brent", _F2),
+    _transform("add-negcube", _GRADED3),
+    _transform("parity", _IHL2),
+    _transform("vf-to-v3p", _SMALL_IHL2),
+    _transform("derivative", _F2, "--var", "x1"),
+    _transform("brent3", _GRADED3),
+    _transform("vsbr3", _text_of(lambda rng: random_graded_arity3_circuit(rng, 7, 30, 3))),
+    ("compile-trace3", 0,
+     ["compile", "--target", "trace3", "--verify", "border", "--in", "{a}", "--out", "{out}"],
+     {"a": _IHL2}),
+    ("compile-continuant", 0,
+     ["compile", "--target", "continuant", "--verify", "border", "--in", "{a}", "--out", "{out}"],
+     {"a": _text_of(lambda rng: run_pass("add-negcube", tree_to_circuit(
+         random_graded_arity3_formula(rng, 5, 20, 3), "arity3"))[0])}),
+    ("verify-exact", 0, ["verify", "--in", "{a}", "--against", "{a}"], {"a": _F2}),
+    ("verify-border", 0, ["verify", "--mode", "border", "--in", "{w}", "--against", "{a}"],
+     {"w": _TRACE3_WORD, "a": _IHL2}),
+    ("verify-random", 0, ["verify", "--mode", "random", "--in", "{a}", "--against", "{a}"],
+     {"a": _F2}),
+    ("verify-fails", 1, ["verify", "--in", "{a}", "--against", "{b}"],
+     {"a": _F2, "b": _IHL2}),
+    ("audit", 0, ["audit", "--in", "{j}"],
+     {"j": lambda rng: json.dumps({"value": 58, "bound": 60})}),
+    ("pipeline-trace3", 0, ["pipeline", "--target", "trace3", "--in", "{a}", "--out", "{out}"],
+     {"a": _IHL2}),
+    ("pipeline-continuant", 0,
+     ["pipeline", "--target", "continuant", "--in", "{a}", "--out", "{out}"], {"a": _GRADED3}),
+    ("invalid-input-exit-2", 2,
+     ["transform", "--pass", "brent", "--in", "{a}", "--out", "{out}"],
+     {"a": lambda rng: _caterpillar_text(3).replace(" = mul ", " = pow ")}),
+    ("internal-error-exit-3", 3,
+     ["transform", "--pass", "brent", "--in", "{a}", "--out", "{out}"],
+     {"a": lambda rng: _caterpillar_text(700)}),
 ]
 
 
-@pytest.mark.parametrize("command, make", _GC_CASES, ids=[c[-1] for c, _make in _GC_CASES])
-def test_commands_leave_no_cyclic_garbage(capsys, tmp_path, command, make):
-    # every tree, memo and gate list a command builds is freed by reference
-    # counting alone (no recursive closure holds it in a cycle), so with the
-    # cyclic collector off there is nothing left for it to find
-    src = tmp_path / "in.circ"
-    src.write_text(print_circuit(make(random.Random(5))))
+def test_gc_cases_cover_every_subcommand_and_pass():
+    argvs = [argv for _id, _code, argv, _inputs in _GC_CASES]
+    assert {argv[0] for argv in argvs} == set(cli._PARSER._subparsers._group_actions[0].choices)
+    assert {argv[2] for argv in argvs if argv[0] == "transform"} == set(PASS_NAMES)
+    assert {code for _id, code, _argv, _inputs in _GC_CASES} == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("code, argv, inputs", [case[1:] for case in _GC_CASES],
+                         ids=[case[0] for case in _GC_CASES])
+def test_commands_leave_no_cyclic_garbage(capsys, tmp_path, code, argv, inputs):
+    # every tree, memo, gate list and exception a command builds is freed by
+    # reference counting alone (no recursive closure holds it in a cycle), so
+    # with the cyclic collector off there is nothing left for it to find;
+    # this is why main can pause the collector while a command runs
+    paths = {"out": str(tmp_path / "out")}
+    for name, make in inputs.items():
+        path = tmp_path / f"{name}.in"
+        path.write_text(make(random.Random(5)))
+        paths[name] = str(path)
     gc.collect()
     gc.disable()
     try:
-        code = main([*command, "--in", str(src), "--out", str(tmp_path / "out")])
+        got = main([arg.format(**paths) for arg in argv])
         found = gc.collect()
     finally:
         gc.enable()
-    assert code == 0, capsys.readouterr().err
+    assert got == code, capsys.readouterr().err
     assert found == 0
+
+
+def _gen_raising(exc):
+    def gen(spec):
+        raise exc
+    return gen
+
+
+_GEN = ["gen", "--family", "P", "--n", "2", "--d", "3"]
+
+
+# (exit code, argv, what gen_family does instead of generating, or None)
+@pytest.mark.parametrize("code, argv, gen", [
+    (0, _GEN, None),
+    (0, ["gen", "--help"], None),
+    (1, ["audit", "--in", "{fail}"], None),
+    (2, ["gen", "--family", "P", "--n", "two", "--d", "3"], None),
+    (2, _GEN, _gen_raising(ValueError("bad"))),
+    (3, _GEN, _gen_raising(RuntimeError("bug"))),
+], ids=["exit-0", "help-exit-0", "exit-1", "bad-flag-exit-2", "exit-2", "exit-3"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller-on", "caller-off"])
+def test_main_pauses_the_collector_and_restores_it(capsys, tmp_path, monkeypatch,
+                                                   code, argv, gen, enabled):
+    fail = tmp_path / "fail.json"
+    fail.write_text(json.dumps({"value": 70, "bound": 64}))
+    during = []
+
+    def gen_family(spec, real=cli.gen_family):
+        during.append(gc.isenabled())
+        return real(spec) if gen is None else gen(spec)
+
+    monkeypatch.setattr(cli, "gen_family", gen_family)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        got = main([arg.format(fail=fail) for arg in argv])
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert (got, after) == (code, enabled)
+    assert during == ([False] if argv is _GEN else [])
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller-on", "caller-off"])
+def test_main_restores_the_collector_when_a_command_is_interrupted(monkeypatch, enabled):
+    monkeypatch.setattr(cli, "gen_family", _gen_raising(KeyboardInterrupt()))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            main(_GEN)
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    assert after is enabled
 
 
 def _count_evaluations(monkeypatch):

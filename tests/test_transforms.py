@@ -15,10 +15,11 @@ from homlin.circuit import (
     Gate,
     GradedArity3Repr,
     parse_circuit,
+    print_circuit,
     tree_to_circuit,
 )
 from homlin.matrixword import compile_continuant_even
-from homlin.poly import Polynomial, parse_poly
+from homlin.poly import Coeff, Polynomial, format_coeff, format_poly, parse_poly
 from homlin import transforms
 from homlin.transforms import (
     PASS_NAMES,
@@ -39,7 +40,6 @@ from homlin.transforms import (
     vsbr_arity3,
     _brent,
     _descendants,
-    _metrics,
     _separator_steps,
     _subst_path,
     input_homogenize_tree,
@@ -870,28 +870,158 @@ def test_tree_metrics_match_the_circuit_sweep(basis):
             stack.extend(t.children)
 
 
-def test_formula_pass_output_metrics_match_the_output_circuit():
+def oracle_metrics(c):
+    """Size, depth and mulDepth of ``c`` by a sweep of its gates
+    (``Circuit.depths``), independent of any tree or builder."""
+    depth, mul_depth = c.depths()
+    return {"size": c.size(), "depth": depth, "mulDepth": mul_depth}
+
+
+def _combined_metrics(parts):
+    """The output metrics of a pass with several output circuits."""
+    pm = [oracle_metrics(p) for p in parts]
+    return {"size": sum(m["size"] for m in pm),
+            "depth": max([m["depth"] for m in pm], default=0),
+            "mulDepth": max([m["mulDepth"] for m in pm], default=0)}
+
+
+def _output_metrics(name, out):
+    if name == "parity":
+        return _combined_metrics([p for p in (out.odd, out.even) if p is not None])
+    if name == "vf-to-v3p":  # only the size is reported
+        parts = list(out.odd_parts.values()) + [
+            q for per in out.even_parts.values() for q in per.values()]
+        return {**_combined_metrics(parts), "depth": 0, "mulDepth": 0}
+    return oracle_metrics(out)
+
+
+_ZERO_OUTPUT_RUNS = [
+    # a constant has no IHL part, in a formula and in a circuit
+    ("ihl-formula", "gate g1 = input 5\noutput g1", {}),
+    ("ihl-circuit", "gate g1 = input 3\ngate g2 = input 2\ngate g3 = mul g1 g2\noutput g3", {}),
+    # x9 does not occur
+    ("derivative", "gate g1 = input x1\ngate g2 = input x2\ngate g3 = mul g1 g2\noutput g3",
+     {"var": "x9"}),
+    # m - m: the only frontier product's bracket is 1 - 1 = 0
+    ("vsbr3", "basis arity3\ngate g1 = input x1\ngate g2 = input x2\ngate g3 = input x3\n"
+     "gate g4 = mul3 g1 g2 g3\ngate g5 = add g4 g4 [1 -1]\noutput g5", {}),
+    # x1*x2 has no odd part, and a constant has no parts at all
+    ("parity", "gate g1 = input x1\ngate g2 = input x2\ngate g3 = mul g1 g2\noutput g3", {}),
+    ("vf-to-v3p", "gate g1 = input 4\noutput g1", {}),
+]
+
+
+def test_every_pass_reports_the_metrics_of_a_depths_sweep():
+    # formula passes read their metrics off trees, ihl-circuit and vsbr3 their
+    # output's off the builder; all must equal a sweep of the circuits
     rng = random.Random(103)
+    runs = []
     for _ in range(25):
         c2 = as_formula(random_formula(rng, rng.randint(1, 50), 3))
         ci = as_formula(random_ihl_formula(rng, rng.randint(1, 50), 3))
         c3 = tree_to_circuit(random_graded_arity3_formula(rng, 5, rng.randint(10, 50), 3), "arity3")
-        runs = [("rescale", c2, {"alpha": 3}), ("brent", c2, {}), ("ihl-formula", c2, {}),
-                ("derivative", c2, {"var": "x1"}), ("derivative", c2, {"var": "x9"}),
-                ("parity", ci, {}), ("add-negcube", c3, {}), ("brent3", c3, {})]
-        for name, c, kwargs in runs:
-            out, rep = run_pass(name, c, **kwargs)
-            if name == "parity":
-                pm = [_metrics(p) for p in (out.odd, out.even) if p is not None]
-                want = {"size": sum(m["size"] for m in pm),
-                        "depth": max(m["depth"] for m in pm),
-                        "mulDepth": max(m["mulDepth"] for m in pm)}
-            else:
-                want = _metrics(out)
-            assert rep.output_metrics == want, name
-    # zero outputs: a constant has no IHL part, and x9 does not occur
-    out, rep = input_homogenize_formula(as_formula(const(5)))
-    assert rep.output_metrics == _metrics(out) == {"size": 1, "depth": 0, "mulDepth": 0}
+        runs += [("rescale", c2, {"alpha": 3}), ("brent", c2, {}), ("ihl-formula", c2, {}),
+                 ("derivative", c2, {"var": "x1"}), ("derivative", c2, {"var": "x9"}),
+                 ("parity", ci, {}), ("add-negcube", c3, {}), ("brent3", c3, {}),
+                 ("ihl-circuit", random_arity2_circuit(rng, rng.randint(2, 60), 4), {}),
+                 ("vsbr3", random_graded_arity3_circuit(rng, rng.choice([3, 5, 7]),
+                                                        rng.randint(5, 40), 3), {}),
+                 ("vf-to-v3p", as_formula(random_formula(rng, rng.randint(1, 12), 3)), {})]
+    for name, text, kwargs in _ZERO_OUTPUT_RUNS:
+        runs.append((name, parse_circuit(text), kwargs))
+    assert {name for name, _c, _kw in runs} == set(PASS_NAMES)
+    for name, c, kwargs in runs:
+        out, rep = run_pass(name, c, **kwargs)
+        assert rep.input_metrics == oracle_metrics(c), name
+        assert rep.output_metrics == _output_metrics(name, out), name
+    zero = {"size": 1, "depth": 0, "mulDepth": 0}
+    for name, text, kwargs in _ZERO_OUTPUT_RUNS[:4]:  # the one-circuit passes
+        out, rep = run_pass(name, parse_circuit(text), **kwargs)
+        assert out.eval().is_zero() and rep.output_metrics == zero, name
+
+
+def test_brent_skips_its_audit_record_when_given_none():
+    rng = random.Random(107)
+    for _ in range(20):
+        for t in (random_formula(rng, rng.randint(1, 80), 3),
+                  random_graded_arity3_formula(rng, 5, rng.randint(10, 60), 3)):
+            audit = []
+            assert _brent(t, None) == _brent(t, audit)
+            assert all(st["s"] > 3 for st in audit)
+    _out, rep = brent_formula(as_formula(random_formula(random.Random(1), 60, 3)))
+    assert rep.details["recursionSteps"] and rep.details["allStepsWithinTwoThirds"]
+
+
+def oracle_restrict_reachable(gates, output_id):
+    """Reference for ``_restrict_reachable``: a depth-first search from the
+    output through a table of the gates by id, then the list filtered."""
+    by_id = {g.id: g for g in gates}
+    needed, stack = set(), [output_id]
+    while stack:
+        gid = stack.pop()
+        if gid not in needed:
+            needed.add(gid)
+            stack.extend(by_id[gid].children)
+    return [g for g in gates if g.id in needed]
+
+
+def test_restrict_reachable_matches_a_depth_first_search():
+    rng = random.Random(109)
+    for _ in range(200):
+        basis = rng.choice(sorted(INNER_KINDS))
+        b = transforms._CBuilder()
+        pool = [b.input(X1.scale(k)) for k in range(1, rng.randint(2, 5))]
+        for _ in range(rng.randint(0, 40)):
+            kind = rng.choice(INNER_KINDS[basis])
+            arity = {"add": 2, "mul": 2, "mul3": 3, "negcube": 1}[kind]
+            pool.append(b.emit(kind, tuple(rng.choice(pool) for _ in range(arity))))
+        out = rng.choice(pool)  # often not the last gate: later gates are unreachable
+        kept = transforms._restrict_reachable(b.gates, out)
+        assert kept == oracle_restrict_reachable(b.gates, out)
+        # the builder's output holds those gates, with the depths it recorded
+        c, metrics = b.output(out, basis, ())
+        assert list(c.gates) == kept and metrics == oracle_metrics(c)
+
+
+def oracle_print_circuit(c):
+    """Reference for ``print_circuit``: every leaf form and edge scalar
+    formatted again at each use, with no cache."""
+    lines = [f"shape {c.shape}", f"basis {c.basis}"]
+    if c.variables:
+        lines.append("var " + " ".join(c.variables))
+    for g in c.gates:
+        if g.kind == "input":
+            body = "input " + format_poly(g.form)
+        else:
+            body = g.kind + " " + " ".join(g.children)
+            if g.edge_scalars is not None:
+                body += " [" + " ".join(format_coeff(s).replace(" ", "")
+                                        for s in g.edge_scalars) + "]"
+        if g.scale is not None:
+            body += f" scale {g.scale}"
+        lines.append(f"gate {g.id} = {body}")
+    lines.append(f"output {c.output_id}")
+    return "\n".join(lines) + "\n"
+
+
+def test_print_circuit_matches_an_uncached_printer():
+    # equal scalars held by distinct objects (each gate of random_arity2_circuit
+    # builds its own), shared ones (the ihl-circuit outputs) and scalars with
+    # eps and alpha; the identity-keyed cache must print what no cache prints
+    rng = random.Random(113)
+    eps_alpha = [Coeff({(1, 0): 2}), Coeff({(1, 0): 2}), Coeff({(-2, 1): Fraction(-1, 3)})]
+    for _ in range(40):
+        c = random_arity2_circuit(rng, rng.randint(2, 60), 4)
+        gates = list(c.gates) + [
+            Gate(f"e{i}", "add", (c.output_id, c.output_id),
+                 (eps_alpha[i], eps_alpha[(i + 1) % 3])) for i in range(3)]
+        gates.append(Gate("top", "add", ("e0", "e1")))
+        gates.append(Gate("out", "add", ("top", "e2")))
+        for circ in (c, input_homogenize_circuit(c)[0],
+                     Circuit(gates, "out", "circuit", "arity2")):
+            text = print_circuit(circ)
+            assert text == oracle_print_circuit(circ)
+            assert parse_circuit(text).gates == circ.gates
 
 
 def _snapshot(n):
