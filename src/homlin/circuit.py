@@ -106,9 +106,12 @@ class Circuit:
         """Check every gate in one sweep (a fresh id, children defined
         before it, a kind of the basis, a scale tag only in the addNegCube
         basis) and, unless ``shape`` is ``circuit``, that the gates make a
-        formula.  The circuit's variables are ``variables`` and those of
-        every input form; the parser and the passes share one form object
-        between gates, so each distinct form object is read once."""
+        formula.  The same sweep gives each gate its (depth, mulDepth) from
+        its children's: looking a child's pair up is the check that the child
+        is defined.  The output's pair is kept for ``depths``.  The circuit's
+        variables are ``variables`` and those of every input form; the parser
+        and the passes share one form object between gates, so each distinct
+        form object is read once."""
         if shape is not None and shape not in SHAPES:
             raise ValueError(f"unknown shape {shape!r}")
         if basis not in BASIS_KINDS:
@@ -118,14 +121,22 @@ class Circuit:
         self.gates: Tuple[Gate, ...] = tuple(gates)
         self.by_id: Dict[str, Gate] = {}
         by_id = self.by_id
+        dm: Dict[str, Tuple[int, int]] = {}  # (depth, mulDepth) by gate id
         forms: Dict[int, Polynomial] = {}  # the distinct input forms, by id
         for g in self.gates:
             gid, kind, children, _edges, form, scale = g
             if gid in by_id:
                 raise ValueError(f"duplicate gate id {gid}")
-            for ch in children:
-                if ch not in by_id:
-                    raise CycleError(f"gate {gid} references {ch} before definition")
+            try:
+                if len(children) == 2:  # most gates: no list, no max()
+                    (d, m), (d2, m2) = dm[children[0]], dm[children[1]]
+                    d, m = (d if d > d2 else d2), (m if m > m2 else m2)
+                elif children:
+                    kids = [dm[ch] for ch in children]
+                    d, m = max([p[0] for p in kids]), max([p[1] for p in kids])
+            except KeyError as exc:
+                raise CycleError(
+                    f"gate {gid} references {exc.args[0]} before definition") from None
             if kind not in kinds:
                 raise BasisViolation(f"gate {gid}: {kind} gate not in {name} basis")
             if scale is not None and not scaled:
@@ -133,10 +144,12 @@ class Circuit:
                     f"gate {gid}: scale tags only legal in the addNegCube basis"
                 )
             by_id[gid] = g
+            dm[gid] = (d + 1, m + (kind in _MUL_KINDS)) if children else (0, 0)
             if kind == "input":
                 forms[id(form)] = form
         if output_id not in by_id:
             raise ValueError(f"unknown output gate {output_id}")
+        self._depths: Tuple[int, int] = dm[output_id]
         if shape != "circuit":
             defect = _formula_defect(self.gates, output_id)
             if shape is None:
@@ -212,18 +225,11 @@ class Circuit:
         return len(self.gates)
 
     def depths(self) -> Tuple[int, int]:
-        """(depth, mulDepth) of the output, in one sweep over the gates."""
-        depth: Dict[str, int] = {}
-        mul: Dict[str, int] = {}
-        dget, mget = depth.__getitem__, mul.__getitem__
-        for g in self.gates:
-            kids = g.children
-            if kids:
-                depth[g.id] = 1 + max(map(dget, kids))
-                mul[g.id] = (g.kind in _MUL_KINDS) + max(map(mget, kids))
-            else:
-                depth[g.id] = mul[g.id] = 0
-        return depth[self.output_id], mul[self.output_id]
+        """(depth, mulDepth) of the output: the edges on its longest path to
+        a leaf, and the most product gates (``mul``, ``mul3``, ``negcube``)
+        on one path from it.  The constructor's check sweep records them, so
+        this does no sweep of its own."""
+        return self._depths
 
     def depth(self) -> int:
         return self.depths()[0]
@@ -390,9 +396,12 @@ class FNode:
 
     A node is never mutated after it is built: passes build new nodes (for
     example with ``scaled``) and share unchanged subtrees, so one node may
-    sit under several parents.  ``size``, ``depth`` and ``mul_depth`` are
-    those of the tree it spells out (a shared subtree counts at every
-    position), computed once from the children when the node is built.
+    sit under several parents.  ``size`` and ``depth`` are those of the tree
+    it spells out (a shared subtree counts at every position), computed once
+    from the children when the node is built: Brent's separator walk reads
+    sizes, and ``ihl-formula``'s bound reads the depth of a Brent tree that
+    never becomes a circuit.  A pass reports the metrics of the circuits it
+    reads and writes (``Circuit.depths``), not of its trees.
     """
 
     kind: str
@@ -401,23 +410,18 @@ class FNode:
     scale: Fraction = _UNSCALED
     _size: int = field(init=False, repr=False, compare=False)
     _depth: int = field(init=False, repr=False, compare=False)
-    _mul_depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kids = self.children
         if not kids:
-            self._size, self._depth, self._mul_depth = 1, 0, 0
-            return
-        if len(kids) == 2:
+            self._size, self._depth = 1, 0
+        elif len(kids) == 2:
             a, b = kids
             self._size = 1 + a._size + b._size
             self._depth = 1 + (a._depth if a._depth > b._depth else b._depth)
-            m = a._mul_depth if a._mul_depth > b._mul_depth else b._mul_depth
         else:
             self._size = 1 + sum([ch._size for ch in kids])
             self._depth = 1 + max([ch._depth for ch in kids])
-            m = max([ch._mul_depth for ch in kids])
-        self._mul_depth = m + (self.kind in _MUL_KINDS)
 
     @staticmethod
     def leaf(form: Polynomial) -> "FNode":
@@ -460,9 +464,6 @@ class FNode:
 
     def depth(self) -> int:
         return self._depth
-
-    def mul_depth(self) -> int:
-        return self._mul_depth
 
 
 def balanced_add(nodes: Sequence[FNode], op=FNode.add) -> FNode:

@@ -20,7 +20,6 @@ from operator import is_
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .circuit import (
-    _MUL_KINDS,
     BASIS_KINDS,
     BasisViolation,
     Circuit,
@@ -51,15 +50,9 @@ class PassReport:
 
 
 def _metrics(c: Circuit) -> Dict[str, int]:
+    """The size, depth and mulDepth of ``c``, as the constructor recorded them."""
     depth, mul_depth = c.depths()
     return {"size": c.size(), "depth": depth, "mulDepth": mul_depth}
-
-
-def _tree_metrics(t: FNode) -> Dict[str, int]:
-    """``_metrics`` of ``tree_to_circuit(t)``, read off the root.  A formula
-    pass reads its input's metrics here too: the tree of a formula has one
-    node per gate, so they are ``_metrics`` of the input."""
-    return {"size": t.size(), "depth": t.depth(), "mulDepth": t.mul_depth()}
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +130,11 @@ def _zero_circuit(variables: Sequence[str] = (), shape: str = "formula",
     return Circuit([g], "g1", shape, basis, variables)
 
 
-def _tree_or_zero(t: Optional[FNode], c: Circuit, basis: str) -> Tuple[Circuit, Dict[str, int]]:
-    """The formula of ``t`` (the zero formula for None) and its metrics."""
+def _tree_or_zero(t: Optional[FNode], c: Circuit, basis: str) -> Circuit:
+    """The formula of ``t`` (the zero formula for None)."""
     if t is None:
-        out = _zero_circuit(c.variables, "formula", basis)
-        return out, _metrics(out)
-    return tree_to_circuit(t, basis, c.variables), _tree_metrics(t)
+        return _zero_circuit(c.variables, "formula", basis)
+    return tree_to_circuit(t, basis, c.variables)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +164,7 @@ def rescale_formula(c: Circuit, alpha: Union[Coeff, Rat]) -> Tuple[Circuit, Pass
     tree = circuit_to_tree(c)
     out_tree = _rescale_tree(tree, Coeff.of(alpha))
     out = tree_to_circuit(out_tree, c.basis, c.variables)
-    im, om = _tree_metrics(tree), _tree_metrics(out_tree)
+    im, om = _metrics(c), _metrics(out)
     report = PassReport(
         "rescale", im, om, "size = s, depth = delta (structure unchanged)",
         om["size"] == im["size"] and om["depth"] == im["depth"],
@@ -259,7 +251,7 @@ def _brent_pass(c: Circuit, name: str) -> Tuple[Circuit, PassReport]:
     tree = circuit_to_tree(c)
     reduced = _brent(tree, audit)
     out = tree_to_circuit(reduced, c.basis, c.variables)
-    im, om = _tree_metrics(tree), _tree_metrics(reduced)
+    im, om = _metrics(c), _metrics(out)
     log_s = math.log(max(im["size"], 2), 1.5)
     report = PassReport(
         name, im, om, "depth <= 2*log_{3/2}(s) + 4",
@@ -336,8 +328,8 @@ def input_homogenize_formula(c: Circuit) -> Tuple[Circuit, PassReport]:
     tree = circuit_to_tree(c)
     reduced = _brent(tree, None)
     depth_brent = reduced.depth()
-    out, om = _tree_or_zero(_ihl_pair(reduced)[1], c, "arity2")
-    im = _tree_metrics(tree)
+    out = _tree_or_zero(_ihl_pair(reduced)[1], c, "arity2")
+    im, om = _metrics(c), _metrics(out)
     report = PassReport(
         "ihl-formula", im, om,
         "depth <= 3*depth(Brent output) + 2",
@@ -354,43 +346,24 @@ def input_homogenize_formula(c: Circuit) -> Tuple[Circuit, PassReport]:
 
 class _CBuilder:
     """A gate list built children first, gate ``g<k>`` the k-th emitted.
-    Each gate's depth and mulDepth are recorded as it is emitted, so a pass
-    reads its output's metrics off the builder (``output``) instead of
-    sweeping the output again."""
+    ``output`` turns the gates one gate reads into a ``Circuit``, whose
+    constructor checks them and records their depths."""
 
     def __init__(self):
         self.gates: List[Gate] = []
-        self._depths: Dict[str, Tuple[int, int]] = {}  # (depth, mulDepth) by gate id
 
     def emit(self, kind: str, children: Tuple[str, ...] = (),
              edge_scalars=None, form=None, scale=None) -> str:
-        gates = self.gates
-        gid = f"g{len(gates) + 1}"
-        gates.append(Gate(gid, kind, children, edge_scalars, form, scale))
-        dm = self._depths
-        if len(children) == 2:  # most gates: no list, no max()
-            (d1, m1), (d2, m2) = dm[children[0]], dm[children[1]]
-            d, m = (d1 if d1 > d2 else d2), (m1 if m1 > m2 else m2)
-        elif children:
-            kids = [dm[ch] for ch in children]
-            d, m = max([d for d, _m in kids]), max([m for _d, m in kids])
-        else:
-            dm[gid] = (0, 0)
-            return gid
-        dm[gid] = (d + 1, m + (kind in _MUL_KINDS))
+        gid = f"g{len(self.gates) + 1}"
+        self.gates.append(Gate(gid, kind, children, edge_scalars, form, scale))
         return gid
 
-    def output(self, gid: Optional[str], basis: str,
-               variables: Sequence[str]) -> Tuple[Circuit, Dict[str, int]]:
+    def output(self, gid: Optional[str], basis: str, variables: Sequence[str]) -> Circuit:
         """The circuit of the gates ``gid`` reads, with output ``gid`` (the
-        zero circuit for None), and its metrics: a gate's depths count only
-        the gates it reads, so they are the ones recorded at ``gid``."""
+        zero circuit for None); gates emitted but not read are left out."""
         if gid is None:
-            out = _zero_circuit(variables, "circuit", basis)
-            return out, _metrics(out)
-        out = Circuit(_restrict_reachable(self.gates, gid), gid, "circuit", basis, variables)
-        depth, mul_depth = self._depths[gid]
-        return out, {"size": out.size(), "depth": depth, "mulDepth": mul_depth}
+            return _zero_circuit(variables, "circuit", basis)
+        return Circuit(_restrict_reachable(self.gates, gid), gid, "circuit", basis, variables)
 
     def input(self, form: Polynomial) -> str:
         return self.emit("input", form=form)
@@ -475,8 +448,8 @@ def input_homogenize_circuit(c: Circuit) -> Tuple[Circuit, PassReport]:
             if hat[a] is not None:
                 parts.append((hat[a], t * const[bb]))
             hat[g.id] = b.linear_combo(parts)
-    out, om = b.output(hat[c.output_id], "arity2", c.variables)
-    im = _metrics(c)
+    out = b.output(hat[c.output_id], "arity2", c.variables)
+    im, om = _metrics(c), _metrics(out)
     report = PassReport(
         "ihl-circuit", im, om, "size <= 6*s and depth <= 3*s",
         om["size"] <= 6 * im["size"] and om["depth"] <= 3 * im["size"],
@@ -517,7 +490,7 @@ def to_add_negcube(c: Circuit) -> Tuple[Circuit, PassReport]:
     tree = circuit_to_tree(c)
     out_tree = _to_anc(tree)
     out = tree_to_circuit(out_tree, "addNegCube", c.variables)
-    im, om = _tree_metrics(tree), _tree_metrics(out_tree)
+    im, om = _metrics(c), _metrics(out)
     bound = 16 * (4 ** im["mulDepth"]) * im["size"]
     report = PassReport(
         "add-negcube", im, om, "size <= 16 * 4^mulDepth * s",
@@ -572,9 +545,9 @@ def parity_homogenize(c: Circuit) -> Tuple[ParityPair, PassReport]:
     odd_t, even_t = _parity_tree(tree)
     odd = None if odd_t is None else tree_to_circuit(odd_t, "arity2", c.variables)
     even = None if even_t is None else tree_to_circuit(even_t, "arity2", c.variables)
-    im = _tree_metrics(tree)
+    im = _metrics(c)
     parts = [part for part in (odd, even) if part is not None]
-    pm = [_tree_metrics(t) for t in (odd_t, even_t) if t is not None]
+    pm = [_metrics(part) for part in parts]
     om = {"size": sum(m["size"] for m in pm),
           "depth": max([m["depth"] for m in pm], default=0),
           "mulDepth": max([m["mulDepth"] for m in pm], default=0)}
@@ -611,8 +584,8 @@ def _ddx(node: FNode, v: str) -> Optional[FNode]:
 def derivative_formula(c: Circuit, v: str) -> Tuple[Circuit, PassReport]:
     c.require("derivativeFormula", shape="formula", basis="arity2")
     tree = circuit_to_tree(c)
-    out, om = _tree_or_zero(_ddx(tree, v), c, "arity2")
-    im = _tree_metrics(tree)
+    out = _tree_or_zero(_ddx(tree, v), c, "arity2")
+    im, om = _metrics(c), _metrics(out)
     report = PassReport(
         "derivative", im, om, "depth <= 2*delta",
         om["depth"] <= 2 * im["depth"],
@@ -897,8 +870,8 @@ def vsbr_arity3(c: Circuit) -> Tuple[Circuit, PassReport]:
             "an even-degree component independently"
         )
     run = _Vsbr(c, deg)
-    out, om = run.b.output(run.U(c.output_id), "arity3", c.variables)
-    im = _metrics(c)
+    out = run.b.output(run.U(c.output_id), "arity3", c.variables)
+    im, om = _metrics(c), _metrics(out)
     s = max(im["size"], 2)
     logs = math.log2(s)
     logd = math.log2(max(d_out, 2))

@@ -24,7 +24,7 @@ from .poly import (
     _term_order,
     format_poly,
 )
-from .transforms import PassReport, _CBuilder, _restrict_reachable
+from .transforms import PassReport, _CBuilder
 
 # 2^61 - 1: single-machine-word Mersenne prime; error probability per trial is
 # degree/P, negligible at the sizes this tool handles.
@@ -275,9 +275,7 @@ def random_graded_arity3_circuit(
             )
             pool.setdefault(d1 + d2 + d3, []).append(gid)
 
-    out = _pool_gate(rng, cb, pool, d)
-    gates = _restrict_reachable(cb.gates, out)
-    return Circuit(gates, out, "circuit", "arity3")
+    return cb.output(_pool_gate(rng, cb, pool, d), "arity3", ())
 
 
 def _pool_gate(rng: random.Random, cb: _CBuilder, pool: Dict[int, List[str]], deg: int) -> str:
@@ -313,6 +311,4 @@ def random_arity2_circuit(rng: random.Random, size: int, n_vars: int) -> Circuit
         else:
             pool.append(cb.emit("mul", (a, b)))
 
-    out = pool[-1]
-    gates = _restrict_reachable(cb.gates, out)
-    return Circuit(gates, out, "circuit", "arity2")
+    return cb.output(pool[-1], "arity2", ())

@@ -553,6 +553,17 @@ def test_pipeline_continuant(capsys, tmp_path):
     assert "verify (border): pass" in report
 
 
+def test_pipeline_unknown_pass_exit_2(capsys, product_circ, tmp_path):
+    # argparse's choices reject the name before any work; each target's
+    # canonical passes are registered names, so no other pass name can arrive
+    out = tmp_path / "out"
+    code, _o, err = run(capsys, "pipeline", "--in", product_circ, "--pass", "nosuch",
+                        "--out", str(out))
+    assert code == 2 and "nosuch" in err
+    assert not out.exists()
+    assert {p for ps in cli.CANONICAL_PASSES.values() for p in ps} <= set(PASS_NAMES)
+
+
 def _text_of(make, basis=None):
     """An input maker: the text of the circuit ``make(rng)``, or of the
     formula of the tree ``make(rng)`` in ``basis``."""

@@ -10,6 +10,7 @@ import pytest
 from homlin.circuit import (
     BasisViolation,
     Circuit,
+    CycleError,
     DegreeMismatch,
     FNode,
     Gate,
@@ -858,23 +859,115 @@ def test_subst_path_matches_rebuilding_then_simplifying(basis):
                 assert _subst_path(steps, repl) == oracle_subst_path(steps, repl)
 
 
+def oracle_depths(c):
+    """Reference for ``Circuit.depths``: (depth, mulDepth) of the output by
+    a sweep of every gate, each gate's pair from its children's."""
+    depth, mul = {}, {}
+    for g in c.gates:
+        if g.children:
+            depth[g.id] = 1 + max(depth[ch] for ch in g.children)
+            mul[g.id] = (g.kind in ("mul", "mul3", "negcube")) + max(
+                mul[ch] for ch in g.children)
+        else:
+            depth[g.id] = mul[g.id] = 0
+    return depth[c.output_id], mul[c.output_id]
+
+
+def oracle_metrics(c):
+    """Size, depth and mulDepth of ``c`` by ``oracle_depths``, independent
+    of what the constructor recorded."""
+    depth, mul_depth = oracle_depths(c)
+    return {"size": c.size(), "depth": depth, "mulDepth": mul_depth}
+
+
 @pytest.mark.parametrize("basis", sorted(INNER_KINDS))
 def test_tree_metrics_match_the_circuit_sweep(basis):
+    # a node's size and depth are those of the formula it spells out
     rng = random.Random(101)
     for _ in range(60):
         stack = [random_simplifiable_tree(rng, basis, rng.randint(1, 40))]
         while stack:
             t = stack.pop()
             c = tree_to_circuit(t, basis)
-            assert (t.size(), t.depth(), t.mul_depth()) == (c.size(), *c.depths())
+            assert (t.size(), t.depth()) == (c.size(), oracle_depths(c)[0])
             stack.extend(t.children)
 
 
-def oracle_metrics(c):
-    """Size, depth and mulDepth of ``c`` by a sweep of its gates
-    (``Circuit.depths``), independent of any tree or builder."""
-    depth, mul_depth = c.depths()
-    return {"size": c.size(), "depth": depth, "mulDepth": mul_depth}
+def random_gate_list(rng, basis):
+    """Gates of ``basis`` (shape circuit) where a gate may be read by several
+    later ones, with edge scalars on some additions and, in the addNegCube
+    basis, scale tags."""
+    gates = [Gate(f"g{k}", "input", form=X1.scale(k)) for k in range(1, rng.randint(2, 5))]
+    for _ in range(rng.randint(0, 40)):
+        kind = rng.choice(INNER_KINDS[basis])
+        arity = {"add": 2, "mul": 2, "mul3": 3, "negcube": 1}[kind]
+        kids = tuple(rng.choice(gates).id for _ in range(arity))
+        edges = (Coeff.of(2), Coeff.of(-1)) if kind == "add" and rng.random() < 0.3 else None
+        scale = Fraction(rng.choice([2, -1]), 3) if basis == "addNegCube" and rng.random() < 0.3 else None
+        gates.append(Gate(f"g{len(gates) + 1}", kind, kids, edges, None, scale))
+    return gates
+
+
+@pytest.mark.parametrize("basis", sorted(INNER_KINDS))
+def test_the_constructor_records_the_depths_of_a_gate_sweep(basis):
+    rng = random.Random(127)
+    for _ in range(150):
+        gates = random_gate_list(rng, basis)
+        # every gate as the output: the gates after it are unread, yet counted
+        for g in gates:
+            c = Circuit(gates, g.id, "circuit", basis)
+            assert c.depths() == oracle_depths(c) and c.depth() == c.depths()[0]
+            assert transforms._metrics(c) == oracle_metrics(c)
+            assert c.size() == len(gates)
+    for c in [random_arity2_circuit(rng, rng.randint(2, 60), 4) for _ in range(30)] + [
+            random_graded_arity3_circuit(rng, rng.choice([3, 5, 7]), rng.randint(5, 40), 3)
+            for _ in range(30)]:
+        assert transforms._metrics(c) == oracle_metrics(c)
+        assert parse_circuit(print_circuit(c)).depths() == oracle_depths(c)
+    zero = {"size": 1, "depth": 0, "mulDepth": 0}
+    for b in INNER_KINDS:
+        for shape in ("formula", "circuit"):
+            assert transforms._metrics(transforms._zero_circuit((), shape, b)) == zero
+
+
+def _gates(*specs):
+    """Gates from ``(id, kind, children)`` or ``(id, kind, children, scale)``."""
+    return [Gate(gid, kind, kids, None, X1 if kind == "input" else None, *rest)
+            for gid, kind, kids, *rest in specs]
+
+
+_X = ("g1", "input", ())
+_CONSTRUCTOR_ERRORS = [
+    ([_X, ("g1", "input", ())], "arity2", ValueError, "duplicate gate id g1"),
+    ([_X, ("g2", "mul", ("g1", "g9"))], "arity2", CycleError,
+     "gate g2 references g9 before definition"),
+    ([_X, ("g2", "mul3", ("g1", "g8", "g9"))], "arity3", CycleError,
+     "gate g2 references g8 before definition"),
+    ([_X, ("g2", "add", ("g8", "g9"))], "arity2", CycleError,
+     "gate g2 references g8 before definition"),
+    ([_X, ("g2", "negcube", ("g0",))], "addNegCube", CycleError,
+     "gate g2 references g0 before definition"),
+    ([_X, ("g2", "mul", ("g1", "g1"))], "arity3", BasisViolation,
+     "gate g2: mul gate not in arity-3 basis"),
+    ([("g1", "input", (), Fraction(2))], "arity2", BasisViolation,
+     "gate g1: scale tags only legal in the addNegCube basis"),
+    # a gate with two defects is reported by the first check it fails
+    ([_X, ("g1", "mul", ("g1", "g9"))], "arity2", ValueError, "duplicate gate id g1"),
+    ([_X, ("g2", "negcube", ("g9",))], "arity2", CycleError,
+     "gate g2 references g9 before definition"),
+    ([_X, ("g2", "mul", ("g9", "g1"))], "arity3", CycleError,
+     "gate g2 references g9 before definition"),
+    ([_X, ("g2", "mul3", ("g1", "g1", "g1"), Fraction(3))], "arity2", BasisViolation,
+     "gate g2: mul3 gate not in arity-2 basis"),
+]
+
+
+@pytest.mark.parametrize("specs, basis, error, message", _CONSTRUCTOR_ERRORS)
+def test_the_constructor_keeps_its_checks_and_messages(specs, basis, error, message):
+    gates = _gates(*specs)
+    with pytest.raises(error) as info:
+        Circuit(gates, gates[-1].id, "circuit", basis)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def _combined_metrics(parts):
@@ -912,8 +1005,8 @@ _ZERO_OUTPUT_RUNS = [
 
 
 def test_every_pass_reports_the_metrics_of_a_depths_sweep():
-    # formula passes read their metrics off trees, ihl-circuit and vsbr3 their
-    # output's off the builder; all must equal a sweep of the circuits
+    # every pass reads its metrics off what the constructor recorded for its
+    # input and output circuits; all must equal the oracle's sweep of them
     rng = random.Random(103)
     runs = []
     for _ in range(25):
@@ -978,9 +1071,9 @@ def test_restrict_reachable_matches_a_depth_first_search():
         out = rng.choice(pool)  # often not the last gate: later gates are unreachable
         kept = transforms._restrict_reachable(b.gates, out)
         assert kept == oracle_restrict_reachable(b.gates, out)
-        # the builder's output holds those gates, with the depths it recorded
-        c, metrics = b.output(out, basis, ())
-        assert list(c.gates) == kept and metrics == oracle_metrics(c)
+        # the builder's output holds those gates, and reports their metrics
+        c = b.output(out, basis, ())
+        assert list(c.gates) == kept and transforms._metrics(c) == oracle_metrics(c)
 
 
 def oracle_print_circuit(c):
