@@ -46,6 +46,8 @@ from .poly import (
 )
 
 SHAPES = ("formula", "circuit")
+# the words a line of the circuit format opens with
+DIRECTIVES = frozenset(("shape", "basis", "var", "gate", "output"))
 # basis -> (its name in messages, the gate kinds it admits)
 BASIS_KINDS = {
     "arity2": ("arity-2", frozenset(("input", "add", "mul"))),
@@ -55,11 +57,13 @@ BASIS_KINDS = {
 BASES = tuple(BASIS_KINDS)
 
 
-class CircuitSyntaxError(ValueError):
-    def __init__(self, msg: str, line: int, col: int = 1):
-        super().__init__(f"line {line}, col {col}: {msg}")
+class ArtifactSyntaxError(ValueError):
+    """A malformed line of a circuit, word or projection; the message names
+    the line."""
+
+    def __init__(self, msg: str, line: int):
+        super().__init__(f"line {line}: {msg}")
         self.line = line
-        self.col = col
 
 
 class CycleError(ValueError):
@@ -603,30 +607,30 @@ def parse_circuit(text: str) -> Circuit:
         head = words[0]
         if head in ("shape", "basis", "output"):
             if head in given:
-                raise CircuitSyntaxError(f"'{head}' given twice", lineno)
+                raise ArtifactSyntaxError(f"'{head}' given twice", lineno)
             given.add(head)
         if head == "gate":
             if len(words) < 4 or words[2] != "=":
-                raise CircuitSyntaxError("expected 'gate <id> = <kind> ...'", lineno)
+                raise ArtifactSyntaxError("expected 'gate <id> = <kind> ...'", lineno)
             gid = words[1]
             if gid in seen:
-                raise CircuitSyntaxError(f"duplicate gate id {gid}", lineno)
+                raise ArtifactSyntaxError(f"duplicate gate id {gid}", lineno)
             try:
                 gate = _parse_gate(gid, words[3], words[4] if len(words) == 5 else "",
                                    lineno, seen, forms, scalars)
-            except (CircuitSyntaxError, CycleError):
+            except ArtifactSyntaxError:
                 raise
             except ValueError as exc:
-                raise CircuitSyntaxError(str(exc), lineno) from exc
+                raise ArtifactSyntaxError(str(exc), lineno) from exc
             seen.add(gid)
             gates.append(gate)
         elif head == "shape":
             if len(words) != 2 or words[1] not in SHAPES:
-                raise CircuitSyntaxError("expected 'shape formula|circuit'", lineno)
+                raise ArtifactSyntaxError("expected 'shape formula|circuit'", lineno)
             shape = words[1]
         elif head == "basis":
             if len(words) != 2 or words[1] not in BASES:
-                raise CircuitSyntaxError(
+                raise ArtifactSyntaxError(
                     "expected 'basis arity2|arity3|addNegCube'", lineno
                 )
             basis = words[1]
@@ -634,15 +638,15 @@ def parse_circuit(text: str) -> Circuit:
             variables.extend(raw.split()[1:])
         elif head == "output":
             if len(words) != 2:
-                raise CircuitSyntaxError("expected 'output <id>'", lineno)
+                raise ArtifactSyntaxError("expected 'output <id>'", lineno)
             output_id = words[1]
         else:
-            raise CircuitSyntaxError(f"unknown directive {head!r}", lineno)
+            raise ArtifactSyntaxError(f"unknown directive {head!r}", lineno)
 
     if output_id is None:
-        raise CircuitSyntaxError("missing 'output' line", len(lines) + 1)
+        raise ArtifactSyntaxError("missing 'output' line", len(lines) + 1)
     if output_id not in seen:
-        raise CircuitSyntaxError(f"output gate {output_id} never defined", 1)
+        raise ArtifactSyntaxError(f"output gate {output_id} never defined", 1)
 
     if basis is None:
         basis = _implied_basis(gates)
@@ -685,7 +689,7 @@ def _affine_leaf(text: str, lineno: int) -> Polynomial:
     form = parse_poly(text)
     for m, _e, _a in form.terms:
         if m and (len(m) > 1 or m[0][1] != 1):
-            raise CircuitSyntaxError("input form must be affine", lineno)
+            raise ArtifactSyntaxError("input form must be affine", lineno)
     return form
 
 
@@ -699,7 +703,7 @@ def _parse_gate(gid: str, kind: str, rest: str, lineno: int, seen: Set[str],
         words = rest.split()
         if "scale" in words:
             if words.index("scale") != len(words) - 2:
-                raise CircuitSyntaxError("'scale' takes one rational", lineno)
+                raise ArtifactSyntaxError("'scale' takes one rational", lineno)
             scale = parse_rational(words[-1])
             rest = rest[: rest.rindex("scale")]
     if kind == "input":
@@ -708,21 +712,21 @@ def _parse_gate(gid: str, kind: str, rest: str, lineno: int, seen: Set[str],
         return Gate(gid, "input", (), None, forms[rest], scale)
     arity = _ARITY.get(kind)
     if arity is None:
-        raise CircuitSyntaxError(f"unknown gate kind {kind!r}", lineno)
+        raise ArtifactSyntaxError(f"unknown gate kind {kind!r}", lineno)
     edge_scalars = None
     if "[" in rest:
         open_i = rest.index("[")
         close_i = rest.rfind("]")
         if close_i < open_i:
-            raise CircuitSyntaxError("unbalanced '[' in edge scalars", lineno)
+            raise ArtifactSyntaxError("unbalanced '[' in edge scalars", lineno)
         if rest[close_i + 1:].strip():
-            raise CircuitSyntaxError("unexpected text after ']'", lineno)
+            raise ArtifactSyntaxError("unexpected text after ']'", lineno)
         texts = rest[open_i + 1 : close_i].split()
         rest = rest[:open_i]
         if kind not in ("add", "mul"):
-            raise CircuitSyntaxError("edge scalars only on add/mul gates", lineno)
+            raise ArtifactSyntaxError("edge scalars only on add/mul gates", lineno)
         if len(texts) != arity:
-            raise CircuitSyntaxError(
+            raise ArtifactSyntaxError(
                 f"expected {arity} edge scalars, got {len(texts)}", lineno
             )
         values = []
@@ -734,12 +738,11 @@ def _parse_gate(gid: str, kind: str, rest: str, lineno: int, seen: Set[str],
         edge_scalars = tuple(values)
     children = tuple(rest.split())
     if len(children) != arity:
-        raise CircuitSyntaxError(
+        raise ArtifactSyntaxError(
             f"{kind} expects {arity} children, got {len(children)}", lineno
         )
     for ch in children:
         if ch not in seen:
-            raise CycleError(
-                f"line {lineno}: gate {gid} references {ch} before its definition"
-            )
+            raise ArtifactSyntaxError(
+                f"gate {gid} references {ch} before its definition", lineno)
     return Gate(gid, kind, children, edge_scalars, None, scale)

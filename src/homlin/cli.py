@@ -20,12 +20,7 @@ import stat
 import sys
 from typing import List, Optional, Sequence
 
-from .circuit import (
-    Circuit,
-    CircuitSyntaxError,
-    parse_circuit,
-    print_circuit,
-)
+from .circuit import DIRECTIVES, Circuit, parse_circuit, print_circuit
 from .families import FAMILY_TAGS, FamilySpec, gen_family
 from .matrixword import (
     MatrixWord,
@@ -103,26 +98,27 @@ def _write_text(path: Optional[str], text: str):
 
 
 def load_artifact(path: str):
-    """Parse a serialized artifact by sniffing its header line: circuit
-    ('shape'), matrix word ('dim'), projection ('projection'), else a
-    polynomial."""
+    """Parse a serialized artifact, telling its format from its first line.
+    A line that opens with a directive of the word, projection or circuit
+    format, followed by a word that does not open with an operator, is that
+    format's: a polynomial can continue a name only with one (``gate * x1``
+    or ``var`` alone is a polynomial).  Every other text is a polynomial.
+    A syntax error reads ``<path>: line N: <msg>``."""
     text = _read_text(path)
-    head = ""
+    words: List[str] = []
     for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            head = line.split()[0]
+        words = line.split("#", 1)[0].split()
+        if words:
             break
+    head = words[0] if len(words) > 1 and words[1][0] not in "^*+-" else ""
     try:
-        if head == "shape":
-            return parse_circuit(text)
         if head == "dim":
             return parse_word(text)
         if head == "projection":
             return parse_projection(text)
+        if head in DIRECTIVES:
+            return parse_circuit(text)
         return parse_poly(text)
-    except CircuitSyntaxError:
-        raise
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -186,18 +182,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _parse_field(text: str) -> Optional[int]:
-    if text == "rational":
-        return None
-    if text.startswith("prime:"):
-        try:
-            p = int(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise CliError(f"bad field spec {text!r}") from exc
-        if not _is_prime(p):
-            raise CliError(f"bad prime {p}: not a prime")
-        return p
-    raise CliError(f"unknown field {text!r} (use rational or prime:P)")
+def _parse_field(text: str) -> int:
+    """The prime ``P`` of a ``prime:P`` field spec, the one field of
+    random mode (``--mode exact`` checks over the rationals)."""
+    if not text.startswith("prime:"):
+        raise CliError(f"unknown field {text!r} (use prime:P)")
+    try:
+        p = int(text[len("prime:"):])
+    except ValueError as exc:
+        raise CliError(f"bad field spec {text!r}") from exc
+    if not _is_prime(p):
+        raise CliError(f"bad prime {p}: not a prime")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +251,7 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _check_d(target: Optional[Sequence[str]], d: Optional[int]):
-    """``--d`` is the continuant's degree; no other target reads it."""
-    if d is None or (target is not None and target[0] == "continuant"):
-        return
-    if target is None:
-        raise CliError("--d needs --target continuant; no target was given")
-    raise CliError(f"--d applies only to the continuant target, not {target[0]}")
-
-
-def _compile_target(target: Sequence[str], c: Circuit, d: Optional[int],
-                    value: Optional[Polynomial]):
+def _compile_target(target: Sequence[str], c: Circuit, value: Optional[Polynomial]):
     name = target[0]
     if name == "offdiag3":
         if len(target) != 3:
@@ -280,28 +266,32 @@ def _compile_target(target: Sequence[str], c: Circuit, d: Optional[int],
     if name == "trace3":
         return compile_trace3(c)
     if name == "continuant":
-        return compile_continuant_odd(c, d, value)
+        return compile_continuant_odd(c, value)
     raise CliError(f"unknown compile target {name!r}")
+
+
+def _compile(target: Sequence[str], c: Circuit, f: Optional[Polynomial]):
+    """The compile step of ``compile`` and ``pipeline``: ``c`` compiled to
+    ``target``, as (word or projection, its text, its border verification
+    against ``c``'s value ``f``, or None when ``f`` is None).  A compiler's
+    ``ValueError`` is invalid input, which ``main`` reports with exit 2."""
+    obj = _compile_target(target, c, f)
+    text = format_word(obj) if isinstance(obj, MatrixWord) else format_projection(obj)
+    return obj, text, None if f is None else verify_border(obj, f)
 
 
 def cmd_compile(args) -> int:
     c = load_artifact(args.infile)
     if not isinstance(c, Circuit):
         raise CliError("compile expects a circuit artifact")
-    _check_d(args.target, args.d)
     f = c.eval() if args.verify == "border" else None
-    try:
-        obj = _compile_target(args.target, c, args.d, f)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    obj, text, rep = _compile(args.target, c, f)
     if isinstance(obj, MatrixWord):
         print(f"compiled {args.target[0]}: r = {obj.r()} factors")
-        _write_text(args.out, format_word(obj))
     else:
         print(f"compiled {args.target[0]}: r = {obj.n} forms at degree {obj.d}")
-        _write_text(args.out, format_projection(obj))
-    if f is not None:
-        rep = verify_border(obj, f)
+    _write_text(args.out, text)
+    if rep is not None:
         sys.stdout.write(_render_verify(rep))
         if not rep.verdict:
             return 1
@@ -311,7 +301,7 @@ def cmd_compile(args) -> int:
 def _check_verify_flags(args):
     """A flag that the chosen verification does not read exits 2."""
     oracle = args.against_oracle is not None
-    by_prime = args.mode == "random" and args.field != "rational"
+    by_prime = args.mode == "random"
     beside = "does not apply with --against-oracle"
     random_only = "applies only to --mode random"
     for flag, value, unread, why in (
@@ -319,9 +309,9 @@ def _check_verify_flags(args):
         ("--against", args.against, oracle, beside),
         ("--n", args.n, not oracle, "needs --against-oracle"),
         ("--d", args.d, not oracle, "needs --against-oracle"),
-        ("--seed", args.seed, not by_prime, random_only + " over a prime field"),
-        ("--trials", args.trials, not by_prime, random_only + " over a prime field"),
-        ("--field", args.field, args.mode != "random", random_only),
+        ("--seed", args.seed, not by_prime, random_only),
+        ("--trials", args.trials, not by_prime, random_only),
+        ("--field", args.field, not by_prime, random_only),
     ):
         if value is not None and unread:
             raise CliError(f"{flag} {why}")
@@ -331,6 +321,7 @@ def _check_verify_flags(args):
 
 def cmd_verify(args) -> int:
     _check_verify_flags(args)
+    prime = DEFAULT_PRIME if args.field is None else _parse_field(args.field)
     if args.against_oracle is not None:
         if args.n is None or args.d is None:
             raise CliError("--against-oracle needs --n and --d")
@@ -351,14 +342,11 @@ def cmd_verify(args) -> int:
     else:
         a = _as_polynomial(left)
         b = _as_polynomial(load_artifact(args.against))
-        prime = None
         if args.mode == "random":
-            prime = _parse_field(args.field or "prime:%d" % DEFAULT_PRIME)
-        if prime is None:
-            rep = verify_exact(a, b)
-        else:
             rep = verify_random(a, b, seed=args.seed or 0,
                                 trials=args.trials or DEFAULT_TRIALS, prime=prime)
+        else:
+            rep = verify_exact(a, b)
     sys.stdout.write(_render_verify(rep))
     return 0 if rep.verdict else 1
 
@@ -387,7 +375,6 @@ def cmd_pipeline(args) -> int:
     c = load_artifact(args.infile)
     if not isinstance(c, Circuit):
         raise CliError("pipeline expects a circuit artifact")
-    _check_d(args.target, args.d)
     outdir = args.out
     try:
         os.makedirs(outdir, exist_ok=True)
@@ -426,22 +413,13 @@ def cmd_pipeline(args) -> int:
 
     verdict_ok = True
     if args.target is not None:
-        try:
-            obj = _compile_target(args.target, current, args.d, f)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        obj, text, rep = _compile(args.target, current, f)
         if isinstance(obj, MatrixWord):
-            _write_text(os.path.join(outdir, "word.txt"), format_word(obj))
-            report_lines.append(
-                f"  compile {args.target[0]}: r = {obj.r()} -> word.txt"
-            )
+            artifact, size = "word.txt", f"r = {obj.r()}"
         else:
-            _write_text(os.path.join(outdir, "projection.txt"), format_projection(obj))
-            report_lines.append(
-                f"  compile {args.target[0]}: r = {obj.n}, d = {obj.d} "
-                "-> projection.txt"
-            )
-        rep = verify_border(obj, f)
+            artifact, size = "projection.txt", f"r = {obj.n}, d = {obj.d}"
+        _write_text(os.path.join(outdir, artifact), text)
+        report_lines.append(f"  compile {args.target[0]}: {size} -> {artifact}")
         verdict_ok = rep.verdict
         report_lines.append(
             f"  verify (border): {'pass' if rep.verdict else 'FAIL'}"
@@ -492,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compile", help="compile a circuit to a word/projection")
     c.add_argument("--target", nargs="+", required=True,
                    help="offdiag3 I J | trace3 | continuant")
-    c.add_argument("--d", type=int, default=None)
     c.add_argument("--out", default=None)
     c.add_argument("--verify", choices=["none", "border"], default="none")
     infile(c)
@@ -510,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random mode: trials (default %d)" % DEFAULT_TRIALS)
     v.add_argument("--seed", type=int, default=None, help="random mode: seed (default 0)")
     v.add_argument("--field", default=None,
-                   help="random mode: rational | prime:P (default prime:%d)" % DEFAULT_PRIME)
+                   help="random mode: prime:P (default prime:%d)" % DEFAULT_PRIME)
     infile(v)
     v.set_defaults(fn=cmd_verify)
 
@@ -524,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="may repeat; defaults to the target's canonical passes")
     p.add_argument("--target", nargs="+", default=None,
                    help="offdiag3 I J | trace3 | continuant")
-    p.add_argument("--d", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
     infile(p)
     p.set_defaults(fn=cmd_pipeline)

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .poly import COEFF_ONE, Coeff, KeyLayout, Polynomial, Rat, _var_key
 
-FAMILY_TAGS = ("IMM", "nceGeneric", "nceL", "Ccomb", "Cmatrix", "C", "E", "P", "Q")
+FAMILY_TAGS = ("IMM", "nceGeneric", "nceL", "Ccomb", "C", "E", "P", "Q")
 
 
 class InvalidParameters(ValueError):
@@ -522,7 +522,7 @@ def gen_family(spec: FamilySpec) -> Polynomial:
         return gen_Q(n, d)
     if tag == "IMM":
         return gen_IMM(n, d)
-    if tag in ("C", "Cmatrix"):
+    if tag == "C":
         return gen_C_matrix(n, d)
     if tag == "Ccomb":  # the enumeration, kept as the named oracle
         return gen_C_comb(n, d)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from .circuit import Circuit, DegreeMismatch, FNode, circuit_to_tree, GradedArity3Repr
+from .circuit import ArtifactSyntaxError, Circuit, FNode, circuit_to_tree, GradedArity3Repr
 from .families import (
     C_WEIGHTS,
     Factor,
@@ -230,15 +230,13 @@ def _offdiag_lists(
     return pf + pg + mf + mg, mf + pg + pf + mg
 
 
-def compile_offdiag3(
-    c: Circuit, target: Tuple[int, int], thread_scalar: Union[Coeff, int, Fraction] = 1
-) -> MatrixWord:
-    """Exact word: product of factors - id = thread_scalar * eval(c) * E(target)."""
+def compile_offdiag3(c: Circuit, target: Tuple[int, int]) -> MatrixWord:
+    """Exact word: product of factors - id = eval(c) * E(target)."""
     c.require("compile_offdiag3", shape="formula", basis="arity2", ihl=True)
     i, j = target
     if i == j or not (1 <= i <= 3 and 1 <= j <= 3):
         raise ValueError("target must be an off-diagonal position of a 3x3 matrix")
-    plus, _minus = _offdiag_lists(circuit_to_tree(c), (i, j), Coeff.of(thread_scalar))
+    plus, _minus = _offdiag_lists(circuit_to_tree(c), (i, j), COEFF_ONE)
     return MatrixWord(3, plus, COEFF_ONE, entry_target(i, j))
 
 
@@ -457,40 +455,22 @@ def _cont_odd_word(node: FNode, s: Fraction) -> _Word:
     return w
 
 
-def _graded_degree(c: Circuit) -> Optional[int]:
-    """The output's syntactic degree, or None if the circuit is not graded."""
-    try:
-        return c.syntactic_degrees()[c.output_id]
-    except DegreeMismatch:
-        return None
-
-
-def compile_continuant_odd(
-    c: Circuit, d: Optional[int] = None, value: Optional[Polynomial] = None
-) -> Projection:
+def compile_continuant_odd(c: Circuit, value: Optional[Polynomial] = None) -> Projection:
     """Border projection of the parity-alternating family computing the odd
     homogeneous degree-d polynomial of an add/negative-cube IHL formula.
 
-    ``d`` (by default the top degree of the value, or 1 for zero) is checked
-    against the formula's value: ``value`` when the caller holds it (it must
-    be ``c.eval()``), else the evaluated formula.  When no value is given and
-    ``d`` is the formula's syntactic degree, the formula is not evaluated: a
-    graded IHL formula computes zero or a homogeneous form of that degree."""
+    ``d`` is the top degree of the formula's value (1 for zero): ``value``
+    when the caller holds it (it must be ``c.eval()``), else the evaluated
+    formula.  A value of more than one degree, or of even degree, is
+    ``NotOddDegree``."""
     c.require("compile_continuant_odd", shape="formula", basis="addNegCube", ihl=True)
     _require_continuant_leaves(c, "compile_continuant_odd")
-    if d is not None and d < 1:
-        raise NotOddDegree(f"degree {d} is not positive")
-    homogeneous = True
-    if value is not None or d is None or d != _graded_degree(c):
-        f = c.eval() if value is None else value
-        degs = f.homog_degrees()
-        if d is None:
-            d = degs[-1] if degs else 1
-        homogeneous = f.is_zero() or degs == [d]
+    degs = (c.eval() if value is None else value).homog_degrees()
+    if len(degs) > 1:
+        raise NotOddDegree(f"formula is not homogeneous: degrees {degs}")
+    d = degs[0] if degs else 1
     if d % 2 == 0:
         raise NotOddDegree(f"degree {d} is even")
-    if not homogeneous:
-        raise NotOddDegree(f"formula is not homogeneous of degree {d}")
     word = _cont_odd_word(circuit_to_tree(c), Fraction(1))
     forms = word.mapped(1, (1, 0, 0)).forms()  # alpha -> 1
     return Projection("C", len(forms), d, forms, COEFF_ONE, border=True)
@@ -607,14 +587,6 @@ def format_word(w: MatrixWord) -> str:
         ws = ",".join(format_coeff(Coeff.of(x)).replace(" ", "") for x in w.target[1])
         lines.append(f"target: L({ws})")
     return "\n".join(lines) + "\n"
-
-
-class ArtifactSyntaxError(ValueError):
-    """A malformed word or projection line; the message names the line."""
-
-    def __init__(self, msg: str, line: int):
-        super().__init__(f"line {line}: {msg}")
-        self.line = line
 
 
 def _lines(text: str):

@@ -105,7 +105,8 @@ def test_criterion_4_continuant_odd_pipeline():
         f = c.eval()
         balanced, _rep1 = brent_arity3(c)
         anc, _rep2 = to_add_negcube(balanced)
-        p = compile_continuant_odd(anc, d)
+        p = compile_continuant_odd(anc)
+        assert p.d == d
         rep = verify_border(p, f)
         assert rep.verdict, rep.witness
 

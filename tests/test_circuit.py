@@ -8,10 +8,9 @@ import pytest
 from homlin.circuit import (
     BASES,
     BASIS_KINDS,
+    ArtifactSyntaxError,
     BasisViolation,
     Circuit,
-    CircuitSyntaxError,
-    CycleError,
     DegreeMismatch,
     FNode,
     Gate,
@@ -200,14 +199,16 @@ def test_circuit_edge_scalars_evaluate():
     assert c.eval() == parse_poly("1/2 * x1 + eps^2 * x2")
 
 
-def test_forward_reference_is_cycle_error():
-    text = "gate g1 = add g2 g2\ngate g2 = input x1\noutput g1\n"
-    with pytest.raises(CycleError):
+def test_forward_reference_is_a_syntax_error_with_line():
+    text = "gate g0 = input x2\ngate g1 = add g2 g2\ngate g2 = input x1\noutput g1\n"
+    with pytest.raises(ArtifactSyntaxError) as exc:
         parse_circuit(text)
+    assert exc.value.line == 2
+    assert str(exc.value) == "line 2: gate g1 references g2 before its definition"
 
 
 def test_syntax_error_reports_line():
-    with pytest.raises(CircuitSyntaxError) as exc:
+    with pytest.raises(ArtifactSyntaxError) as exc:
         parse_circuit("gate g1 = input x1\nbogus line here\noutput g1\n")
     assert exc.value.line == 2
 
@@ -289,7 +290,7 @@ def test_circuit_to_tree_shares_shared_gates():
 
 
 def test_juxtaposed_input_terms_are_a_syntax_error_with_line():
-    with pytest.raises(CircuitSyntaxError) as exc:
+    with pytest.raises(ArtifactSyntaxError) as exc:
         parse_circuit("gate g1 = input x1\ngate g2 = input 2 x1\noutput g2\n")
     assert exc.value.line == 2 and "between terms" in str(exc.value)
 
@@ -302,7 +303,7 @@ def test_juxtaposed_input_terms_are_a_syntax_error_with_line():
 ])
 def test_malformed_numbers_are_syntax_errors_with_line(line):
     text = f"basis addNegCube\ngate g1 = input x1\n{line}\noutput g2\n"
-    with pytest.raises(CircuitSyntaxError) as exc:
+    with pytest.raises(ArtifactSyntaxError) as exc:
         parse_circuit(text)
     assert exc.value.line == 3
 
@@ -322,7 +323,7 @@ def test_malformed_numbers_are_syntax_errors_with_line(line):
     ("gate g1 = input x2", "duplicate gate id"),
 ])
 def test_malformed_gate_lines_name_line_and_defect(line, message):
-    with pytest.raises(CircuitSyntaxError) as exc:
+    with pytest.raises(ArtifactSyntaxError) as exc:
         parse_circuit(f"gate g1 = input x1\n{line}\noutput g2\n")
     assert exc.value.line == 2 and message in str(exc.value)
 
@@ -331,7 +332,7 @@ def test_malformed_gate_lines_name_line_and_defect(line, message):
 def test_a_repeated_circuit_directive_is_rejected_with_line(again):
     # the last of the two once won without a word
     text = "shape formula\nbasis arity3\nvar x2\ngate g1 = input x1\noutput g1\n"
-    with pytest.raises(CircuitSyntaxError, match="given twice") as exc:
+    with pytest.raises(ArtifactSyntaxError, match="given twice") as exc:
         parse_circuit(f"{text}{again}\n")
     assert exc.value.line == 6
     # var lines may repeat: each extends the variable list

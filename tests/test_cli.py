@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import random
+import shlex
 
 import pytest
 
@@ -93,7 +94,7 @@ def test_verify_against_oracle(capsys, tmp_path):
     f = tmp_path / "c.txt"
     f.write_text(format_poly(gen_C_comb(5, 3)) + "\n")
     code, out, _ = run(capsys, "verify", "--in", str(f),
-                       "--against-oracle", "Cmatrix", "--n", "5", "--d", "3")
+                       "--against-oracle", "C", "--n", "5", "--d", "3")
     assert code == 0 and "pass" in out
 
 
@@ -171,13 +172,11 @@ def test_verify_random_with_no_trials_exit_2(capsys, tmp_path, trials):
 
 
 @pytest.mark.parametrize("flags, message", [
-    # random-mode flags outside random mode, or over the rational field
+    # random-mode flags outside random mode
     (["--mode", "exact", "--seed", "3", "--trials", "7", "--field", "prime:7"],
-     "--seed applies only to --mode random over a prime field"),
+     "--seed applies only to --mode random"),
     (["--mode", "border", "--field", "prime:7"], "--field applies only to --mode random"),
-    (["--mode", "random", "--field", "rational", "--trials", "4"],
-     "--trials applies only to --mode random over a prime field"),
-    (["--trials", "4"], "--trials applies only to --mode random over a prime field"),
+    (["--trials", "4"], "--trials applies only to --mode random"),
     # --mode and --against beside --against-oracle, --n and --d without it
     (["--mode", "border", "--against-oracle", "P", "--n", "2", "--d", "1"],
      "--mode does not apply with --against-oracle"),
@@ -431,16 +430,6 @@ def _projection_degree(path):
 _CUBES_THAT_CANCEL = FNode.add(FNode.negcube(FNode.var("x1")), FNode.negcube(FNode.var("x1", -1)))
 
 
-@pytest.mark.parametrize("d", ["-1", "-3"])
-def test_compile_continuant_rejects_a_degree_below_1(capsys, tmp_path, d):
-    out = tmp_path / "p.txt"
-    src = _circ(tmp_path, "z.circ", _CUBES_THAT_CANCEL, "addNegCube")
-    code, _o, err = run(capsys, "compile", "--target", "continuant", "--d", d,
-                        "--in", src, "--out", str(out))
-    assert code == 2 and f"degree {d} " in err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("tree", [_CUBES_THAT_CANCEL, FNode.negcube(FNode.var("x1"), scale=0)],
                          ids=["cubes-that-cancel", "scale-0-cube"])
 def test_compile_continuant_of_a_zero_formula_is_degree_1(capsys, tmp_path, tree):
@@ -451,6 +440,17 @@ def test_compile_continuant_of_a_zero_formula_is_degree_1(capsys, tmp_path, tree
     assert code == 0 and _projection_degree(out) == "1"
 
 
+def test_compile_continuant_of_a_mixed_degree_formula_exits_2_naming_its_degrees(capsys,
+                                                                                tmp_path):
+    out = tmp_path / "p.txt"
+    src = _circ(tmp_path, "m.circ", FNode.add(FNode.negcube(FNode.var("x1")), FNode.var("x2")),
+                "addNegCube")
+    code, stdout, err = run(capsys, "compile", "--target", "continuant", "--in", src,
+                            "--out", str(out))
+    assert (code, stdout, err) == (2, "", "error: formula is not homogeneous: degrees [1, 3]\n")
+    assert not out.exists()
+
+
 def test_compile_unknown_target_exit_2(capsys, product_circ):
     code, _o, err = run(capsys, "compile", "--target", "nonsense",
                         "--in", product_circ)
@@ -458,17 +458,23 @@ def test_compile_unknown_target_exit_2(capsys, product_circ):
 
 
 @pytest.mark.parametrize("argv, named", [
-    (("compile", "--target", "offdiag3", "1", "3"), "offdiag3"),
-    (("compile", "--target", "trace3"), "trace3"),
-    (("pipeline", "--target", "trace3"), "trace3"),
-    (("pipeline",), "no target"),
-], ids=["compile-offdiag3", "compile-trace3", "pipeline-trace3", "pipeline-no-target"])
-def test_d_outside_the_continuant_target_exit_2(capsys, product_circ, tmp_path, argv, named):
-    # only the continuant reads --d; elsewhere it must not be dropped silently
+    (["compile", "--target", "continuant", "--d", "3", "--in", "{cube}", "--out", "{out}"],
+     "--d"),
+    (["pipeline", "--target", "continuant", "--d", "3", "--in", "{cube}", "--out", "{out}"],
+     "--d"),
+    # a field is checked before any input is read
+    (["verify", "--mode", "random", "--field", "rational", "--in", "{missing}",
+      "--against", "{cube}"], "rational"),
+    (["gen", "--family", "Cmatrix", "--n", "5", "--d", "3", "--out", "{out}"], "Cmatrix"),
+], ids=["compile-d", "pipeline-d", "verify-field-rational", "gen-Cmatrix"])
+def test_a_knob_the_program_works_out_itself_exits_2(capsys, negcube_circ, tmp_path,
+                                                      argv, named):
+    # the continuant's d is read off the formula, --mode exact checks over
+    # the rationals, and C is the matrix recurrence
     out = tmp_path / "out"
-    code, _o, err = run(capsys, *argv, "--d", "3", "--in", product_circ, "--out", str(out))
-    assert code == 2 and err.count("\n") == 1
-    assert "--d" in err and named in err
+    argv = [a.format(cube=negcube_circ, out=out, missing=tmp_path / "missing") for a in argv]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == "" and named in err
     assert not out.exists()
 
 
@@ -760,12 +766,11 @@ def test_pipeline_without_a_target_evaluates_nothing(capsys, product_circ, tmp_p
     assert not calls
 
 
-@pytest.mark.parametrize("d", [[], ["--d", "3"]], ids=["no-d", "d-3"])
-def test_compile_continuant_border_verify_evaluates_once(capsys, tmp_path, monkeypatch, d):
+def test_compile_continuant_border_verify_evaluates_once(capsys, tmp_path, monkeypatch):
     x1, x2 = FNode.var("x1"), FNode.var("x2")
     src = _circ(tmp_path, "c.circ", FNode.negcube(FNode.add(x1, x2)), "addNegCube")
     calls = _count_evaluations(monkeypatch)
-    code, stdout, _e = run(capsys, "compile", "--target", "continuant", *d, "--in", src,
+    code, stdout, _e = run(capsys, "compile", "--target", "continuant", "--in", src,
                            "--verify", "border", "--out", str(tmp_path / "p.txt"))
     assert code == 0 and "verdict=pass" in stdout
     assert len(calls) == 1
@@ -1013,6 +1018,95 @@ def test_word_with_index_outside_the_matrix_exit_2(capsys, product_circ, tmp_pat
     code, out, err = run(capsys, "verify", "--mode", "border", "--in", str(word),
                          "--against", str(target))
     assert code == 2 and out == "" and "line " in err
+
+
+_PRODUCT_LINES = ["gate g1 = input x1", "gate g2 = input x2", "gate g3 = mul g1 g2"]
+
+
+@pytest.mark.parametrize("opening", ["basis arity2", "var x1 x2", "output g3", None],
+                         ids=["basis", "var", "output", "gate"])
+@pytest.mark.parametrize("argv", [
+    ["transform", "--pass", "brent", "--in", "{src}", "--out", "{out}"],
+    ["compile", "--target", "trace3", "--verify", "border", "--in", "{src}", "--out", "{out}"],
+    ["pipeline", "--target", "trace3", "--in", "{src}", "--out", "{out}"],
+    ["verify", "--in", "{poly}", "--against", "{src}"],
+], ids=["transform", "compile", "pipeline", "verify-against"])
+def test_a_circuit_with_no_shape_line_loads_as_a_circuit(capsys, tmp_path, opening, argv):
+    # shape and basis are optional: a circuit that opened with another
+    # directive was once read as a polynomial and exited 2
+    lines = [opening] if opening else []
+    lines += _PRODUCT_LINES + ([] if opening == "output g3" else ["output g3"])
+    src, poly = tmp_path / "f.circ", tmp_path / "f.poly"
+    src.write_text("\n".join(lines) + "\n")
+    poly.write_text("x1 * x2\n")
+    code, _o, err = run(capsys, *[a.format(src=src, poly=poly, out=tmp_path / "out")
+                                  for a in argv])
+    assert (code, err) == (0, "")
+    assert isinstance(cli.load_artifact(str(src)), Circuit)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("gate * x1\n", "gate*x1"),
+    ("var\n", "var"),
+    ("\ngate ^2 + output - x1\n", "gate^2 + output - x1"),
+    ("shape\n+ basis\n", "shape + basis"),
+    ("dim - x1\n", "dim - x1"),
+], ids=["gate-times", "var", "gate-power", "sum-over-lines", "dim-minus"])
+def test_a_polynomial_in_directive_words_loads_as_a_polynomial(tmp_path, text, want):
+    path = tmp_path / "p.poly"
+    path.write_text(text)
+    assert cli.load_artifact(str(path)) == parse_poly(want)
+
+
+# a defect of each line format, with its line number and message
+_DEFECTS = {
+    "gate-kind": ("shape formula\nbasis arity2\ngate g1 = input x1\ngate g2 = pow g1 g1\n"
+                  "output g2\n", "line 4: unknown gate kind 'pow'"),
+    "undefined-child": ("gate g1 = input x1\ngate g2 = input x2\ngate g3 = mul g1 g9\n"
+                        "output g3\n", "line 3: gate g3 references g9 before its definition"),
+    "word": ("dim 3\nfactor: (0,2)=x1\nscalar: 1\ntarget: entry(1,3)\n",
+             "line 2: row index 0 outside 1..3"),
+    "projection": ("projection C n 2 d 1 border 0\nform x3: x1\n",
+                   "line 2: C projection with n = 2 has no slot x3"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_DEFECTS))
+@pytest.mark.parametrize("broken", ["in", "against"])
+def test_a_syntax_error_names_its_file_and_line(capsys, tmp_path, defect, broken):
+    # with two artifacts, the message says which of them is broken
+    text, message = _DEFECTS[defect]
+    good, bad = tmp_path / "good.poly", tmp_path / "bad.txt"
+    good.write_text("x1\n")
+    bad.write_text(text)
+    paths = {"in": good, "against": good, broken: bad}
+    mode = ["--mode", "border"] if defect in ("word", "projection") and broken == "in" else []
+    code, out, err = run(capsys, "verify", *mode, "--in", str(paths["in"]),
+                         "--against", str(paths["against"]))
+    assert (code, out, err) == (2, "", f"error: {bad}: {message}\n")
+
+
+def _readme_cli_lines():
+    """The ``homlin ...`` lines of the README's CLI code block."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        block = fh.read().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("homlin ")]
+
+
+def test_the_readme_cli_block_has_examples_of_every_subcommand():
+    commands = {shlex.split(line)[1] for line in _readme_cli_lines()}
+    assert commands == set(cli._PARSER._subparsers._group_actions[0].choices)
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_every_readme_cli_example_parses(capsys, line):
+    # only parsed, not run: a flag or choice the parser dropped but the
+    # docs still show fails here
+    try:
+        cli._PARSER.parse_args(shlex.split(line)[1:])
+    except SystemExit:
+        pytest.fail(f"{line}: {capsys.readouterr().err}")
 
 
 # ---------------------------------------------------------------------------

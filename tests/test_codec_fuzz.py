@@ -18,9 +18,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from homlin.circuit import (
     BASES,
+    ArtifactSyntaxError,
     BasisViolation,
     Circuit,
-    CircuitSyntaxError,
     FNode,
     Gate,
     parse_circuit,
@@ -244,7 +244,7 @@ def test_a_parsed_circuit_keeps_its_basis_and_shape(case):
     text, shape, basis = case
     try:
         c = parse_circuit(text)
-    except (BasisViolation, CircuitSyntaxError):
+    except (BasisViolation, ArtifactSyntaxError):
         return
     assert c.basis == (basis or c.basis) and c.shape == (shape or c.shape)
     assert all(g.kind in _ADMITS[c.basis] for g in c.gates)

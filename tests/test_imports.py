@@ -155,6 +155,26 @@ def test_the_bench_tracer_counts_engine_steps():
     assert tracer.layer_metrics()["families.nce_matrices.steps"] > 0
 
 
+def test_the_bench_tracer_sees_every_artifact_parse(tmp_path):
+    # the tracer rebinds module attributes, so the CLI must look each parser
+    # up by name when it loads an artifact, not hold the function objects
+    spans, H = bench_spans()
+    texts = {"w.txt": "dim 2\nfactor: (1,2)=x1\nscalar: 1\ntarget: entry(1,2)\n",
+             "p.txt": "projection C n 1 d 1 border 0\nform x1: x1\n",
+             "c.circ": "basis arity2\ngate g1 = input x1\noutput g1\n"}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    tracer = spans.Tracer()
+    tracer.install(H)
+    try:
+        for name in texts:
+            H.cli.load_artifact(str(tmp_path / name))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert (metrics.get("matrixword.parse.calls"), metrics.get("circuit.parse.calls")) == (2, 1)
+
+
 def nce_matrices_calls(sources):
     """(``module:line``, whether factors and d are passed by position) for
     every ``nce_matrices`` call in the given ``{module: source}``."""

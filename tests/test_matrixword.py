@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 
 from homlin.circuit import (
+    ArtifactSyntaxError,
     BasisViolation,
     Circuit,
     DegreeMismatch,
@@ -21,7 +22,6 @@ from homlin.circuit import (
 from homlin import matrixword
 from homlin.families import Functional, L_entry, _Packing, gen_C_comb, gen_nce_L
 from homlin.matrixword import (
-    ArtifactSyntaxError,
     DiagonalNonzero,
     EntryNotHomogeneousLinear,
     MatrixWord,
@@ -211,8 +211,8 @@ def test_expand_four_factor_commutator_symbolic():
 # ---------------------------------------------------------------------------
 
 
-def offdiag_residue(c, target=(1, 3), thread=1):
-    w = compile_offdiag3(c, target, thread)
+def offdiag_residue(c, target=(1, 3)):
+    w = compile_offdiag3(c, target)
     m = expand(w)
     for i in range(3):
         m[i][i] = m[i][i] - Polynomial.const(1)
@@ -242,10 +242,19 @@ def test_offdiag_depth_two_r_bound():
     assert m[0][2] == c.eval()
 
 
-def test_offdiag_thread_scalar():
-    c = as_formula(FNode.mul(X("x1"), X("x2")))
-    _w, m = offdiag_residue(c, thread=Coeff.eps(1))
-    assert m[0][2] == P("eps * x1*x2")
+def test_offdiag_lists_thread_a_scalar_through_the_left_factor():
+    # compile_trace3 threads eps this way: the pair's products are
+    # id +- eps * g * E(1,3), with every other entry of the residue zero
+    c = as_formula(FNode.mul(X("x1"), FNode.add(X("x2"), X("x3"))))
+    plus, minus = _offdiag_lists(circuit_to_tree(c), (1, 3), Coeff.eps(1))
+    for factors, sign in ((plus, 1), (minus, -1)):
+        m = expand(MatrixWord(3, factors))
+        for i in range(3):
+            for j in range(3):
+                want = Polynomial.const(1) if i == j else Polynomial.zero()
+                if (i, j) == (0, 2):
+                    want = P("eps * x1*x2 + eps * x1*x3").scale(sign)
+                assert m[i][j] == want
 
 
 def test_offdiag_other_targets():
@@ -446,33 +455,33 @@ def test_continuant_odd_alpha_fully_substituted():
         assert all(a == 0 for (_m, _e, a) in lf.terms)
 
 
-def test_continuant_odd_rejects_even_degree_request():
+def test_continuant_odd_rejects_an_even_degree_value():
+    # an IHL add/neg-cube formula computes odd degrees only, so only a held
+    # value can be of even degree
     c = as_formula(FNode.leaf(Polynomial.variable("x1")), "addNegCube")
-    with pytest.raises(NotOddDegree):
-        compile_continuant_odd(c, 2)
+    with pytest.raises(NotOddDegree, match="degree 2 is even"):
+        compile_continuant_odd(c, P("x1^2"))
 
 
-def test_continuant_odd_evaluates_only_off_the_graded_route(monkeypatch):
+def test_continuant_odd_reads_its_degree_off_the_value(monkeypatch):
     calls = []
     eval_gates = Circuit.eval_gates
     monkeypatch.setattr(Circuit, "eval_gates", lambda c: calls.append(c) or eval_gates(c))
     cube = as_formula(FNode.negcube(FNode.add(X("x1"), X("x2"))), "addNegCube")
-    assert compile_continuant_odd(cube, 3).d == 3 and not calls  # graded, d given
-    assert compile_continuant_odd(cube).d == 3 and len(calls) == 1  # d from the value
+    assert compile_continuant_odd(cube).d == 3 and len(calls) == 1  # evaluated
     # -(x1)^3 + (x2 - x2) is not graded but computes a form of degree 3
     ungraded = as_formula(
         FNode.add(FNode.negcube(X("x1")), FNode.add(X("x2"), FNode.var("x2", -1))),
         "addNegCube")
-    assert compile_continuant_odd(ungraded, 3).d == 3 and len(calls) == 2
-    with pytest.raises(NotOddDegree, match="not homogeneous of degree 5"):
-        compile_continuant_odd(ungraded, 5)
-    # a value the caller holds replaces the evaluation on every route
+    assert compile_continuant_odd(ungraded).d == 3 and len(calls) == 2
+    # a value the caller holds replaces the evaluation
     value, calls[:] = ungraded.eval(), []
-    assert compile_continuant_odd(ungraded, None, value).d == 3
-    assert compile_continuant_odd(ungraded, 3, value).d == 3
-    with pytest.raises(NotOddDegree, match="not homogeneous of degree 5"):
-        compile_continuant_odd(ungraded, 5, value)
-    assert not calls
+    assert compile_continuant_odd(ungraded, value).d == 3 and not calls
+    # a value of two degrees is rejected, naming them, held or evaluated
+    mixed = as_formula(FNode.add(FNode.negcube(X("x1")), X("x2")), "addNegCube")
+    for held in (None, mixed.eval()):
+        with pytest.raises(NotOddDegree, match=r"not homogeneous: degrees \[1, 3\]"):
+            compile_continuant_odd(mixed, held)
 
 
 def test_continuant_odd_rejects_wrong_basis():
@@ -488,7 +497,8 @@ def test_continuant_odd_random_pipeline():
         t = random_graded_arity3_formula(rng, d, rng.randint(2, 10), 3)
         c = tree_to_circuit(t, "arity3")
         anc, _rep = to_add_negcube(c)
-        p = compile_continuant_odd(anc, d)
+        p = compile_continuant_odd(anc)
+        assert p.d == d
         rep = verify_border(p, c.eval())
         assert rep.verdict, rep.witness
 
@@ -701,8 +711,8 @@ def test_nested_cube_formulas_verify_with_one_alpha_per_carrying_slot(d, size):
         assert max(alphas) == 1
         assert base.cube_power() == 2 + sum(alphas)
     f = c.eval()
-    p = compile_continuant_odd(anc, d)
-    assert verify_border(p, f).verdict
+    p = compile_continuant_odd(anc)
+    assert p.d == d and verify_border(p, f).verdict
     assert not verify_border(p, f + Polynomial.variable("x1") ** d).verdict
 
 
