@@ -639,14 +639,14 @@ def parse_circuit(text: str) -> Circuit:
         elif head == "output":
             if len(words) != 2:
                 raise ArtifactSyntaxError("expected 'output <id>'", lineno)
-            output_id = words[1]
+            output_id, output_line = words[1], lineno
         else:
             raise ArtifactSyntaxError(f"unknown directive {head!r}", lineno)
 
     if output_id is None:
         raise ArtifactSyntaxError("missing 'output' line", len(lines) + 1)
     if output_id not in seen:
-        raise ArtifactSyntaxError(f"output gate {output_id} never defined", 1)
+        raise ArtifactSyntaxError(f"output gate {output_id} never defined", output_line)
 
     if basis is None:
         basis = _implied_basis(gates)

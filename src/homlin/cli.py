@@ -16,6 +16,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import stat
 import sys
 from typing import List, Optional, Sequence
@@ -97,13 +98,17 @@ def _write_text(path: Optional[str], text: str):
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+_COMMENT = re.compile(r"#.*")
+
+
 def load_artifact(path: str):
     """Parse a serialized artifact, telling its format from its first line.
     A line that opens with a directive of the word, projection or circuit
     format, followed by a word that does not open with an operator, is that
     format's: a polynomial can continue a name only with one (``gate * x1``
     or ``var`` alone is a polynomial).  Every other text is a polynomial.
-    A syntax error reads ``<path>: line N: <msg>``."""
+    Every format takes ``#`` comments to the end of a line.  A syntax error
+    reads ``<path>: line N: <msg>``."""
     text = _read_text(path)
     words: List[str] = []
     for line in text.splitlines():
@@ -118,7 +123,9 @@ def load_artifact(path: str):
             return parse_projection(text)
         if head in DIRECTIVES:
             return parse_circuit(text)
-        return parse_poly(text)
+        # a comment runs from '#' to the end of its line, as in the other
+        # formats; it is blanked, not cut, so an offset still counts in the file
+        return parse_poly(_COMMENT.sub(lambda m: " " * len(m.group()), text))
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
 

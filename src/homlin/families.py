@@ -75,7 +75,8 @@ LWeights = Sequence[Sequence[Union[Coeff, int, Fraction]]]
 # between Polynomial terms and the keys the sweeps work on.  Packing works
 # once per distinct factor object, which the 3x3 compilers share between the
 # positions of their commutator gadgets; the sweeps still step through every
-# position.  The functional applies the weights and the scalar and truncates
+# position, reading its distinct factor's record through a position index.
+# The functional applies the weights and the scalar and truncates
 # on the packed rows, and unpacks the one polynomial they sum to.
 #
 # Partial products are accumulated in place, into dicts that belong to one
@@ -95,52 +96,92 @@ PackedColumn = Tuple[int, List[Tuple[int, Entry]]]
 PackedRow = Dict[int, Terms]
 
 
+def _top_sum(maxima: Dict[int, int], held: Sequence[int], count: int) -> int:
+    """The sum of the ``count`` largest per-position maxima of one exponent,
+    given per distinct factor k as its maximum ``maxima[k]`` (0 when absent)
+    held at ``held[k]`` positions; of all of them when fewer are held."""
+    at: Dict[int, int] = {}  # each maximum, with the positions that hold it
+    for k, x in maxima.items():
+        at[x] = at.get(x, 0) + held[k]
+    total = 0
+    for x in sorted(at, reverse=True):
+        if count <= at[x]:
+            return total + count * x
+        total += at[x] * x
+        count -= at[x]
+    return total
+
+
 class _Packing:
-    """A factor list packed for the engine.  Per position: ``columns``, its
-    nonzero entries grouped by column as sorted (key, coefficient) lists
-    under x -> D*x; ``both``, the rows it reads that it also writes; and
-    ``lows``, its smallest eps exponent (inf for a zero factor).  ``scale``
-    is D, the lcm of the denominators of the entries' non-constant
-    coefficients.
+    """A factor list packed for the engine, once per distinct factor object.
+    ``records[index[i]]`` is position i's record ``(low, columns, both)``:
+    its smallest eps exponent (inf for a zero factor), its nonzero entries
+    grouped by column as sorted (key, coefficient) lists under x -> D*x,
+    and the rows it reads that it also writes.  ``scale`` is D, the lcm of
+    the denominators of the entries' non-constant coefficients.
 
     The key layout serves products of at most ``count`` terms, each from a
-    different factor, times one term of a functional's scalar and weight,
+    different position, times one term of a functional's scalar and weight,
     which adds at most ``alpha`` to the alpha exponent.  So a product's
-    exponent of a variable (or of alpha) is at most ``count`` times the
-    largest one a factor entry holds (plus ``alpha``), and its field is
-    sized for that one bound."""
+    exponent of a variable (or of alpha) is at most the sum of the ``count``
+    largest per-position maxima of that exponent (plus ``alpha``), and its
+    field is sized for that bound.  A distinct factor counts once per
+    position that holds it."""
 
     def __init__(self, factors: Sequence[Factor], count: int, alpha: int = 0):
         # each distinct factor, keyed by identity, is scanned and packed
-        # once; ``factors`` keeps them all alive, so no id is reused meanwhile
-        distinct = {id(f): f for f in factors}
+        # once; ``factors`` keeps them all alive, so no id is reused
+        # meanwhile.  ``index[i]`` is position i's distinct factor, and
+        # ``held[k]`` counts the positions that hold distinct factor k.
+        n = len(factors)
+        if len({id(f) for f in factors}) == n:  # nothing is shared
+            distinct, held, self.index = factors, [1] * n, range(n)
+        else:
+            slots: Dict[int, int] = {}
+            distinct, held, self.index = [], [], []
+            for f in factors:
+                k = slots.get(id(f))
+                if k is None:
+                    k = slots[id(f)] = len(distinct)
+                    distinct.append(f)
+                    held.append(1)
+                else:
+                    held[k] += 1
+                self.index.append(k)
         # one scan of every term, read from the factor dicts: per field, the
-        # largest exponent; per factor, the smallest and largest eps exponent
-        tops: Dict[str, int] = {}
-        a_top = 0
+        # largest exponent in each distinct factor; per factor, the smallest
+        # and largest eps exponent
+        tops: Dict[str, Dict[int, int]] = {}
+        a_tops: Dict[int, int] = {}
         spans: List[Tuple[float, int]] = []
         dens = set()
-        for f in distinct.values():
-            e_most, low = 0, math.inf
+        for k, f in enumerate(distinct):
+            e_most, low, a_most = 0, math.inf, 0
             for p in f.values():
                 for (mono, e, a), c in p.terms.items():
                     if e < low:
                         low = e
                     if e > e_most:
                         e_most = e
-                    if a > a_top:
-                        a_top = a
+                    if a > a_most:
+                        a_most = a
                     if mono and type(c) is not int:
                         dens.add(c.denominator)
                     for v, x in mono:
-                        if x > tops.get(v, 0):
-                            tops[v] = x
+                        top = tops.get(v)
+                        if top is None:
+                            tops[v] = {k: x}
+                        elif x > top.get(k, 0):
+                            top[k] = x
+            if a_most:
+                a_tops[k] = a_most
             spans.append((low, e_most))
         self.scale = scale = math.lcm(*dens)
         self.layout = layout = KeyLayout(
-            {v: count * tops[v] for v in sorted(tops, key=_var_key)}, count * a_top + alpha)
-        steps: Dict[int, Tuple[float, int, List[PackedColumn], Tuple[int, ...]]] = {}
-        for (key, f), (low, e_most) in zip(distinct.items(), spans):
+            {v: _top_sum(tops[v], held, count) for v in sorted(tops, key=_var_key)},
+            _top_sum(a_tops, held, count) + alpha)
+        self.records: List[Tuple[float, List[PackedColumn], Tuple[int, ...]]] = []
+        for f, (low, _e_most) in zip(distinct, spans):
             if len(f) == 1:  # every trace3, offdiag3 and continuant factor
                 ((t, j), p), = f.items()
                 cols = [(j, [(t, sorted(layout.pack(p, scale).items()))])]
@@ -152,13 +193,11 @@ class _Packing:
                     by_col.setdefault(j, []).append((t, entry))
                 cols = sorted(by_col.items())
                 both = tuple({t for t, _j in f}.intersection(by_col))
-            steps[key] = low, e_most, cols, both
-        # per position, as the sweeps read them
-        self.lows, highs, self.columns, self.both = (
-            zip(*map(steps.__getitem__, map(id, factors))) if factors else ((),) * 4)
-        # a product term's eps exponent is at most the sum of the factors'
+            self.records.append((low, cols, both))
+        # a product term's eps exponent is at most the sum of the positions'
         # largest positive ones, so no key reaches this one
-        self.ceiling = (sum(highs) + 1) << layout.shift
+        highs = sum(e_most * n for (_low, e_most), n in zip(spans, held))
+        self.ceiling = (highs + 1) << layout.shift
 
     def top(self, below: Optional[int]) -> int:
         """The key bound of eps^below; the ceiling when ``below`` is None."""
@@ -260,10 +299,10 @@ def word_product(factors: Sequence[Factor], read: Functional) -> Polynomial:
     exponent plus the sum over j > i of min(0, m_j) stays below K."""
     below = read.order
     packing = _Packing(factors, len(factors), read.alpha)
-    lows = [min(0, low) for low in packing.lows]
-    rest = sum(lows)
+    steps = [(min(0, low), c, both) for low, c, both in packing.records]
+    rest = sum(steps[k][0] for k in packing.index)
     acc = _identity_rows(read.weights)
-    for c, both, low in zip(packing.columns, packing.both, lows):
+    for low, c, both in map(steps.__getitem__, packing.index):
         rest -= low
         top = packing.top(None if below is None else below - rest)
         # acc * (id + A) = acc + acc * A, row by row.  An entry this factor
@@ -319,19 +358,21 @@ def nce_matrices(factors: Sequence[Factor], d: int, read: Functional) -> Polynom
     below = read.order
     carried = list(read.weights)
     packing = _Packing(factors, d, read.alpha)
-    completions = _cheapest_completions(packing.lows, d)
+    steps = list(map(packing.records.__getitem__, packing.index))
+    completions = _cheapest_completions([low for low, _c, _both in steps], d)
     dp = [_identity_rows(carried)] + [{r: {} for r in carried} for _ in range(d)]
-    for i, c in enumerate(packing.columns):
+    for i, (_low, c, _both) in enumerate(steps):
         if not c:
             continue  # a zero factor adds nothing and leaves every bound as it is
+        here, after = completions[i], completions[i + 1]
         # descending t: dp[t - 1] is read before this factor updates it
         for t in range(min(d, i + 1), 0, -1):
-            need = completions[i + 1][d - t]
+            need = after[d - t]
             if need == math.inf:
                 dp[t] = {r: {} for r in carried}
                 continue
             top = packing.top(None if below is None else below - need)
-            if below is not None and need != completions[i][d - t]:
+            if below is not None and need != here[d - t]:
                 for row in dp[t].values():
                     _prune(row, top)
             prev, cur = dp[t - 1], dp[t]

@@ -9,7 +9,8 @@ Three constructions are provided:
   ``f * (E(1,1) - E(2,2))``.  Because every factor is unipotent the product
   has determinant 1, so the eps^2 coefficient is trace-free and the plain
   trace functional provably recovers 0; the word therefore targets the
-  (1,1) entry;
+  (1,1) entry.  Both 3x3 compilers merge adjacent factors on one entry
+  as they join their lists (``_joined``);
 * ``compile_continuant_odd`` / ``compile_continuant_even`` — 2x2 words of
   strictly alternating upper/lower factors whose parity-alternating
   elementary-symmetric value border-computes the target polynomial, returned
@@ -202,36 +203,82 @@ def _require_continuant_leaves(c: Circuit, who: str):
                                      "eps power, which breaks the word invariant")
 
 
-def _e_factor(i: int, j: int, p: Polynomial) -> Factor:
-    return {(i - 1, j - 1): p} if p.terms else {}
+def _e_factors(i: int, j: int, p: Polynomial) -> FactorList:
+    """The one-factor list ``id + p * E(i,j)``; empty when p is zero, since
+    an identity factor changes neither the product nor any ``e_d``."""
+    return [{(i - 1, j - 1): p}] if p.terms else []
 
 
 def _third_index(i: int, j: int) -> int:
     return ({1, 2, 3} - {i, j}).pop()
 
 
+# Every factor the 3x3 compilers build holds one off-diagonal entry, and two
+# adjacent factors on the same entry are merged into one as the lists are
+# joined: with E = E(i,j), i != j, E^2 = 0, so
+#
+# * the product is unchanged: (id + aE)(id + bE) = id + (a + b)E + ab E^2
+#   = id + (a + b)E;
+# * so is the elementary symmetric value e_d, at every d: a term that uses
+#   both factors holds aE * bE = 0, and every other term uses at most one of
+#   them, at the same place in its product, so the terms sum to those of the
+#   shorter list with (a + b)E there.
+#
+# So compile_offdiag3's exact identity, trace3's border limit and the nceL
+# value of ``word_to_projection`` all hold as for the word built in full.  A
+# sum that cancels to zero is an identity factor and is dropped, which can
+# bring two more same-entry factors together: the merge cascades outward.
+# Each list joined is already merged, so only its seam can merge, and a join
+# is linear in its output.  The rewriting is confluent, so the result is the
+# word built in full and merged once by a flat stack pass, factor for
+# factor.  Merging at the seams of the recursion rather than once at the end
+# keeps factor sharing: a merged dict is built once and shared by every
+# ancestor list that holds it, as the commutator gadgets share their parts.
+
+
+def _joined(*lists: FactorList) -> FactorList:
+    """The concatenation of merged factor lists, merged at each seam (see
+    above).  No list or factor dict is changed; a merged entry is a new
+    dict."""
+    out: FactorList = []
+    for factors in lists:
+        k = 0
+        while out and k < len(factors) and out[-1].keys() == factors[k].keys():
+            ((t, a),) = out.pop().items()
+            s = a + factors[k][t]
+            k += 1
+            if s.terms:
+                out.append({t: s})
+                break
+        out += factors[k:] if k else factors
+    return out
+
+
 def _offdiag_lists(
     node: FNode, pos: Tuple[int, int], scal: Coeff
 ) -> Tuple[FactorList, FactorList]:
-    """Dual word lists (plus, minus) whose products are exactly
+    """Dual merged word lists (plus, minus) whose products are exactly
     ``id + scal*g*E(pos)`` and ``id - scal*g*E(pos)``."""
     i, j = pos
     if node.kind == "input":
         p = node.form.scale(scal)
-        return [_e_factor(i, j, p)], [_e_factor(i, j, -p)]
+        return _e_factors(i, j, p), _e_factors(i, j, -p)
     if node.kind == "add":
         p1, m1 = _offdiag_lists(node.children[0], pos, scal)
         p2, m2 = _offdiag_lists(node.children[1], pos, scal)
-        return p1 + p2, m1 + m2
+        return _joined(p1, p2), _joined(m1, m2)
     # a mul, the one other kind the arity-2 basis admits
     k = _third_index(i, j)
     pf, mf = _offdiag_lists(node.children[0], (i, k), scal)
     pg, mg = _offdiag_lists(node.children[1], (k, j), COEFF_ONE)
-    return pf + pg + mf + mg, mf + pg + pf + mg
+    return _joined(pf, pg, mf, mg), _joined(mf, pg, pf, mg)
 
 
 def compile_offdiag3(c: Circuit, target: Tuple[int, int]) -> MatrixWord:
-    """Exact word: product of factors - id = eval(c) * E(target)."""
+    """Exact word: product of factors - id = eval(c) * E(target).  Adjacent
+    factors on one entry are merged (see ``_joined``), so no two neighbours
+    share an entry and no factor is the identity; a formula whose value
+    cancels can give the empty word."""
     c.require("compile_offdiag3", shape="formula", basis="arity2", ihl=True)
     i, j = target
     if i == j or not (1 <= i <= 3 and 1 <= j <= 3):
@@ -257,29 +304,27 @@ def compile_trace3(c: Circuit) -> MatrixWord:
     The eps-limit of scalar*(product - id) is eval(c) * (E(1,1) - E(2,2)):
     every factor is unipotent, forcing determinant 1, hence a trace-free
     eps^2 coefficient; the (1,1) entry therefore carries the value while the
-    trace would cancel to 0."""
+    trace would cancel to 0.  Each summand gives one block, the blocks are
+    joined in order, and adjacent factors on one entry are merged at every
+    seam, inside a block and between blocks (see ``_joined``)."""
     c.require("compile_trace3", shape="formula", basis="arity2", ihl=True)
     eps = Coeff.eps(1)
-    factors: FactorList = []
+    blocks: List[FactorList] = []
     for s in _summands(circuit_to_tree(c)):
         if s.kind == "mul":
             g, h = s.children
             pg, mg = _offdiag_lists(g, (1, 2), eps)
             ph, mh = _offdiag_lists(h, (2, 1), eps)
-            factors += pg + ph + mg + mh
+            blocks.append(_joined(pg, ph, mg, mh))
         else:
             # an input, the degree-1 corner: no product pair exists under
             # IHL, so use the pair (eps^-1 * l, eps): gadget entries are l and
             # the constant eps^2, and every entry of the gadget stays O(eps^2)
             lf = s.form
             e2 = Polynomial.eps(2)
-            factors += [
-                _e_factor(1, 2, lf),
-                _e_factor(2, 1, e2),
-                _e_factor(1, 2, -lf),
-                _e_factor(2, 1, -e2),
-            ]
-    return MatrixWord(3, factors, Coeff.eps(-2), entry_target(1, 1))
+            blocks.append(_joined(_e_factors(1, 2, lf), _e_factors(2, 1, e2),
+                                  _e_factors(1, 2, -lf), _e_factors(2, 1, -e2)))
+    return MatrixWord(3, _joined(*blocks), Coeff.eps(-2), entry_target(1, 1))
 
 
 # ---------------------------------------------------------------------------

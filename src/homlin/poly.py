@@ -301,7 +301,17 @@ class Polynomial:
         return out
 
     def scale(self, c: Union[Coeff, Rat]) -> "Polynomial":
-        return self * Coeff.of(c)
+        c = Coeff.of(c)
+        if len(c.terms) != 1:
+            return self * c
+        # one term v * eps^e * alpha^a moves each key on its own, so no two
+        # products meet at one key; values are immutable, so a unit scalar
+        # returns the operand
+        ((e, a), v), = c.terms.items()
+        if v == 1 and not e and not a:
+            return self
+        return Polynomial._normalised(_clean(
+            {(m, e1 + e, a1 + a): c1 * v for (m, e1, a1), c1 in self.terms.items()}))
 
     def scale_vars(self, c: Rat) -> "Polynomial":
         """``p(c*x)``: each term of x-degree k times c^k; eps and alpha are

@@ -128,6 +128,27 @@ def test_verify_circuit_against_polynomial(capsys, product_circ, tmp_path):
     assert code == 0
 
 
+def test_verify_reads_comments_in_polynomial_artifacts(capsys, tmp_path):
+    a, b = tmp_path / "a.poly", tmp_path / "b.poly"
+    a.write_text("# the product\nx1 * x2\n")
+    b.write_text("x2 * x1  # the same, reordered\n")
+    code, out, _ = run(capsys, "verify", "--in", str(a), "--against", str(b))
+    assert code == 0 and "verdict=pass" in out
+    # a comment is blanked, not cut: an error's offset counts in the file
+    b.write_text("# c\nx1 * $\n")
+    code, out, err = run(capsys, "verify", "--in", str(a), "--against", str(b))
+    assert (code, out) == (2, "")
+    assert err == f"error: {b}: bad character at offset 9: '$'\n"
+
+
+def test_an_undefined_output_names_its_own_line(capsys, tmp_path):
+    bad = tmp_path / "bad.circ"
+    bad.write_text("var x1\ngate g1 = input x1\n\noutput g7\n")
+    code, out, err = run(capsys, "compile", "--target", "trace3", "--in", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: line 4: output gate g7 never defined\n"
+
+
 def test_verify_missing_reference_exit_2(capsys, product_circ):
     code, _o, err = run(capsys, "verify", "--in", product_circ)
     assert code == 2 and "against" in err

@@ -404,11 +404,134 @@ def test_trace3_border_verifies_a_large_word():
     for name in ("brent", "ihl-formula"):
         c, _report = run_pass(name, c)
     w = compile_trace3(c)
-    assert w.r() == 502
+    assert w.r() == 392
     f = c.eval()
     assert verify_border(w, f).verdict
     rep = verify_border(w, f + P("x1^2*x2"))
     assert not rep.verdict and rep.witness
+
+
+# ---------------------------------------------------------------------------
+# seam merging in the 3x3 compilers
+# ---------------------------------------------------------------------------
+
+
+def oracle_merged_word(factors):
+    """Test oracle: one flat stack pass over a factor list.  An identity
+    (empty) factor is dropped; a factor on the same single entry as the last
+    one kept is added into it, and a sum that cancels is dropped, so the
+    next factor meets the one below."""
+    out = []
+    for f in factors:
+        if not f:
+            continue
+        if out and len(f) == 1 and out[-1].keys() == f.keys():
+            ((t, a),) = out.pop().items()
+            if (s := a + f[t]).terms:
+                out.append({t: s})
+        else:
+            out.append(f)
+    return out
+
+
+def unmerged(compile_word, *args):
+    """The word a 3x3 compiler builds in full: every seam a plain
+    concatenation, a zero leaf an identity factor."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(matrixword, "_joined", lambda *lists: [f for fs in lists for f in fs])
+        m.setattr(matrixword, "_e_factors",
+                  lambda i, j, p: [{(i - 1, j - 1): p} if p.terms else {}])
+        return compile_word(*args)
+
+
+def _offdiag13(c):
+    return compile_offdiag3(c, (1, 3))
+
+
+def _cancelling_formula(rng, size):
+    """A random arity-2 formula over the leaves +-x1 and +-x2, so that sums
+    cancel and seams merge and drop factors."""
+    if size <= 1:
+        return FNode.var(rng.choice(("x1", "x2")), rng.choice((1, -1)))
+    left = rng.randint(1, size - 1)
+    op = FNode.add if rng.random() < 0.5 else FNode.mul
+    return op(_cancelling_formula(rng, left), _cancelling_formula(rng, size - 1 - left))
+
+
+def _seeded_formulas():
+    for seed in range(30):
+        rng = random.Random(seed)
+        yield as_formula(random_ihl_formula(rng, rng.randint(1, 25), 4))
+        yield as_formula(_cancelling_formula(rng, rng.randint(2, 12)))
+
+
+def test_seam_merged_words_equal_the_flat_oracle():
+    shorter = 0
+    for c in _seeded_formulas():
+        for compile_word in (_offdiag13, compile_trace3):
+            w, full = compile_word(c), unmerged(compile_word, c)
+            assert w.factors == oracle_merged_word(full.factors)
+            assert all(len(a) == 1 for a in w.factors)
+            assert all(a.keys() != b.keys() for a, b in zip(w.factors, w.factors[1:]))
+            assert (w.global_scalar, w.target) == (full.global_scalar, full.target)
+            shorter += w.r() < full.r()
+    assert shorter > 30
+
+
+def test_seam_merging_keeps_the_product_and_every_e_d():
+    for c in _seeded_formulas():
+        for compile_word in (_offdiag13, compile_trace3):
+            w, full = compile_word(c), unmerged(compile_word, c)
+            if full.r() <= 24:
+                assert expand(w) == expand(full)
+        # the offdiag3 words are exact and homogeneous linear, so they map
+        # onto nceL; e_d reads every factor subset, not only the product
+        w, full = _offdiag13(c), unmerged(_offdiag13, c)
+        if full.r() <= 24:
+            for d in (1, 2, 3):
+                # zero factors pad the merged word: they add nothing to e_d
+                assert (word_to_projection(w, d, n=full.r()).value()
+                        == word_to_projection(full, d).value())
+
+
+def test_a_cancelling_seam_drops_factors_and_cascades():
+    # (x1 - x1) * x2 is x1, -x1, x2, -x1, x1, -x2 in full: its left lists
+    # cancel, which brings x2 and -x2 together, and they cancel in turn
+    zero = FNode.mul(FNode.add(X("x1"), FNode.var("x1", -1)), X("x2"))
+    c = as_formula(FNode.add(X("x3"), FNode.add(zero, X("x4"))))
+    assert unmerged(_offdiag13, c).r() == 8
+    w = _offdiag13(c)
+    assert w.factors == [{(0, 2): P("x3 + x4")}]
+    assert verify_border(w, P("x3 + x4")).verdict
+    # in ((-x2 * x2) * (x1 - x1)) * x2, one seam of the root's commutator
+    # cancels a pair and then merges the pair behind it
+    t = FNode.mul(FNode.mul(FNode.mul(FNode.var("x2", -1), X("x2")),
+                            FNode.add(X("x1"), FNode.var("x1", -1))), X("x2"))
+    c = as_formula(t)
+    w = _offdiag13(c)
+    assert w.factors == oracle_merged_word(unmerged(_offdiag13, c).factors)
+    assert w.r() == 12 and verify_border(w, Polynomial.zero()).verdict
+    for compile_word in (_offdiag13, compile_trace3):
+        w = compile_word(as_formula(zero))
+        assert w.r() == 0 and unmerged(compile_word, as_formula(zero)).r() > 0
+        text = format_word(w)
+        assert "factor" not in text
+        w2 = parse_word(text)
+        assert (w2.factors, w2.global_scalar, w2.target) == ([], w.global_scalar, w.target)
+        assert format_word(w2) == text
+        for word in (w, w2):
+            assert verify_border(word, Polynomial.zero()).verdict
+            assert not verify_border(word, P("x1*x2")).verdict
+
+
+def test_merged_words_round_trip_and_verify():
+    for c in _seeded_formulas():
+        f = c.eval()
+        for compile_word in (_offdiag13, compile_trace3):
+            w = compile_word(c)
+            w2 = parse_word(format_word(w))
+            assert w2.factors == w.factors and format_word(w2) == format_word(w)
+            assert verify_border(w2, f).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -1015,11 +1138,26 @@ def test_shared_factors_pack_like_unshared_ones():
     for w in words:
         for count in (1, w.r()):
             a, b = _Packing(w.factors, count, 2), _Packing(_unshared(w).factors, count, 2)
-            assert list(a.lows) == list(b.lows) and list(a.both) == list(b.both)
-            assert list(a.columns) == list(b.columns)
+            assert [a.records[i] for i in a.index] == [b.records[i] for i in b.index]
             assert (a.scale, a.ceiling) == (b.scale, b.ceiling)
             assert ((a.layout.fields, a.layout.alpha_shift, a.layout.shift)
                     == (b.layout.fields, b.layout.alpha_shift, b.layout.shift))
+
+
+def test_a_key_field_holds_the_count_largest_position_maxima():
+    # a product of two terms from different positions reaches, per field,
+    # the sum of the two largest per-position maxima, plus the functional's
+    # alpha; a factor held at two positions counts twice
+    a, b = {(0, 1): P("x1^5 + x2 * alpha^2")}, {(1, 0): P("x1")}
+    layout = _Packing([a, b, a], 2, 1).layout
+    # x1: 5 + 5 in 4 bits, x2: 1 + 1 in 2, alpha: 2 + 2 + 1 in 3
+    assert layout.fields == [("x1", 0, 15), ("x2", 4, 3)]
+    assert (layout.alpha_shift, layout.shift) == (6, 9)
+    layout = _Packing([a, b], 2, 1).layout
+    # x1: 5 + 1 in 3 bits, x2: 1 in 1, alpha: 2 + 1 in 2; twice the largest
+    # maximum would take 4, 2 and 3
+    assert layout.fields == [("x1", 0, 7), ("x2", 3, 1)]
+    assert (layout.alpha_shift, layout.shift) == (4, 6)
 
 
 def _counted(monkeypatch, name):
