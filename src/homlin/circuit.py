@@ -337,17 +337,6 @@ class GradedArity3Repr:
     _values: Dict["Circuit", Polynomial] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    def reassemble(self) -> Polynomial:
-        out = self.constant_part
-        for d in sorted(self.odd_parts):
-            out = out + self.odd_parts[d].eval()
-        for d in sorted(self.even_parts):
-            acc = Polynomial.zero()
-            for v in sorted(self.even_parts[d], key=_var_key):
-                acc = acc + Polynomial.variable(v) * self.even_parts[d][v].eval()
-            out = out + acc * Fraction(1, d)
-        return out
-
     def part_value(self, c: "Circuit", who: str, degree: int) -> Polynomial:
         """The value of part ``c``, which must be an arity-3 IHL circuit that
         computes zero or a form homogeneous of ``degree``; ``BasisViolation``
@@ -442,10 +431,6 @@ class FNode:
     @staticmethod
     def mul(a: "FNode", b: "FNode") -> "FNode":
         return FNode("mul", (a, b))
-
-    @staticmethod
-    def mul3(a: "FNode", b: "FNode", c: "FNode") -> "FNode":
-        return FNode("mul3", (a, b, c))
 
     @staticmethod
     def negcube(a: "FNode", scale: Fraction = Fraction(1)) -> "FNode":

@@ -67,15 +67,6 @@ class NotEvenDegree(ValueError):
     pass
 
 
-class DiagonalNonzero(ValueError):
-    pass
-
-
-class EntryNotHomogeneousLinear(ValueError):
-    """A factor entry that a family projection cannot carry as a linear form
-    (such as the constant eps^2 of trace3's degree-one gadget)."""
-
-
 # ---------------------------------------------------------------------------
 # word and projection types
 # ---------------------------------------------------------------------------
@@ -224,16 +215,17 @@ def _third_index(i: int, j: int) -> int:
 #   them, at the same place in its product, so the terms sum to those of the
 #   shorter list with (a + b)E there.
 #
-# So compile_offdiag3's exact identity, trace3's border limit and the nceL
-# value of ``word_to_projection`` all hold as for the word built in full.  A
-# sum that cancels to zero is an identity factor and is dropped, which can
-# bring two more same-entry factors together: the merge cascades outward.
-# Each list joined is already merged, so only its seam can merge, and a join
-# is linear in its output.  The rewriting is confluent, so the result is the
-# word built in full and merged once by a flat stack pass, factor for
-# factor.  Merging at the seams of the recursion rather than once at the end
-# keeps factor sharing: a merged dict is built once and shared by every
-# ancestor list that holds it, as the commutator gadgets share their parts.
+# So compile_offdiag3's exact identity, trace3's border limit and the word's
+# nceL value (the tests' ``oracle_word_to_projection``) all hold as for the
+# word built in full.  A sum that cancels to zero is an identity factor and
+# is dropped, which can bring two more same-entry factors together: the
+# merge cascades outward.  Each list joined is already merged, so only its
+# seam can merge, and a join is linear in its output.  The rewriting is
+# confluent, so the result is the word built in full and merged once by a
+# flat stack pass, factor for factor.  Merging at the seams of the recursion
+# rather than once at the end keeps factor sharing: a merged dict is built
+# once and shared by every ancestor list that holds it, as the commutator
+# gadgets share their parts.
 
 
 def _joined(*lists: FactorList) -> FactorList:
@@ -343,8 +335,7 @@ def compile_trace3(c: Circuit) -> MatrixWord:
 # -eps^-1 in a cube's outer blocks, s * eps^2 * alpha in its middle block,
 # +-eps in the even b-blocks, and alpha itself under a plain eps power.  So
 # the ring map eps -> eps^k, alpha -> that image sends each term on its own,
-# (m, e, a) -> (m, k*e + ie*a, ia*a) with its value times ic^a, and a slot is
-# never rebuilt through ``Polynomial.subst``.
+# (m, e, a) -> (m, k*e + ie*a, ia*a) with its value times ic^a.
 #
 # Every interior zero slot is absorbed as soon as it appears: three slots
 # x, 0, y become the one slot x + y, at the position of x.  This changes
@@ -550,60 +541,6 @@ def compile_continuant_even(g: GradedArity3Repr, d: int) -> Projection:
         word.push({})
     forms = word.mapped(d // 2, (1, 0, 1)).forms()
     return Projection("C", len(forms), d, forms, Coeff.eps(-d), border=True)
-
-
-# ---------------------------------------------------------------------------
-# word -> family projection
-# ---------------------------------------------------------------------------
-
-
-def word_to_projection(
-    w: MatrixWord,
-    d: int,
-    n: Optional[int] = None,
-    weights: Optional[LWeights] = None,
-) -> Projection:
-    """Map a 3x3 word onto the zero-diagonal elementary-symmetric family at
-    degree d: each factor's six off-diagonal entries fill one factor's
-    variable slots (after the eps -> eps^d substitution), unused factors get
-    zero forms, and the word's scalar is kept separate (no d-th root is ever
-    taken).
-
-    A word whose factors and scalar carry no eps, as every
-    ``compile_offdiag3`` word, maps to an exact projection (``border 0``)
-    with its entries as they are."""
-    if w.dim != 3:
-        raise ValueError("family projection needs a 3x3 word")
-    if d < 1:
-        raise ValueError("degree must be positive")
-    r = w.r()
-    if n is None:
-        n = r
-    if n < r:
-        raise ValueError(f"need at least {r} factor slots, got {n}")
-    if weights is None:
-        weights = target_weights(w.target, 3)
-    border = any(e for (e, _a) in w.global_scalar.terms) or any(
-        e for a in w.factors for p in a.values() for (_m, e, _a) in p.terms
-    )
-    zero = Polynomial.zero()
-    forms: List[Polynomial] = []
-    for k, a in enumerate(w.factors, 1):
-        for i in range(3):
-            if (i, i) in a:
-                raise DiagonalNonzero(f"factor entry ({i + 1},{i + 1}) = {format_poly(a[i, i])}")
-        for i, j in OFF_DIAGONAL:
-            p = a.get((i - 1, j - 1), zero)
-            if not p.constant_part().is_zero() or p.degree() > 1:
-                raise EntryNotHomogeneousLinear(
-                    f"factor {k} entry ({i},{j}) is not homogeneous linear: {format_poly(p)}"
-                )
-            forms.append(p.subst(d) if border else p)
-    forms += [zero] * (len(OFF_DIAGONAL) * (n - r))
-    scalar = w.global_scalar
-    if border:
-        scalar = scalar.to_poly().subst(d).constant_part()
-    return Projection("nceL", n, d, forms, scalar, border=border, weights=weights)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,8 @@ Representation:
 A linear form (an input leaf's form, a projection slot) is a ``Polynomial``
 whose monomials all have the form ``((varName, 1),)``, plus, in a leaf's form,
 the empty monomial of its constant.
-``Polynomial.subst`` is the eps/alpha ring map for forms and scalars (a
-scalar goes through it as a constant polynomial); the continuant compilers
-map their word slots term by term with ``matrixword._map_terms`` instead.
+The one eps/alpha ring map is ``matrixword._map_terms``, with which the
+continuant compilers map their word slots term by term.
 
 The public constructors ``Coeff(...)`` and ``Polynomial(...)`` accept any
 rational values and normalise them.  Every internal result is wrapped by the
@@ -162,10 +161,6 @@ class Coeff:
     @staticmethod
     def eps(k: int = 1) -> "Coeff":
         return Coeff._normalised({(k, 0): 1})
-
-    @staticmethod
-    def alpha(k: int = 1) -> "Coeff":
-        return Coeff({(0, k): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -402,24 +397,6 @@ class Polynomial:
                     break
             out = out + term
         return out
-
-    def subst(self, eps_power: int = 1, alpha: Union[Coeff, Rat, None] = None) -> "Polynomial":
-        """The ring map eps -> eps^eps_power, alpha -> ``alpha`` (alpha is
-        kept when None); the x-variables are fixed.  The image of alpha is
-        not itself substituted."""
-        image = Coeff.alpha() if alpha is None else Coeff.of(alpha)
-        # image ** a for every alpha exponent a that occurs, built up once
-        powers = [COEFF_ONE]
-        for _ in range(max((a for _m, _e, a in self.terms), default=0)):
-            powers.append(powers[-1] * image)
-        out: Dict[Tuple[Mono, int, int], Rat] = {}
-        get = out.get
-        for (m, e, a), c in self.terms.items():
-            e *= eps_power
-            for (e2, a2), c2 in powers[a].terms.items():
-                key = (m, e + e2, a2)
-                out[key] = get(key, 0) + c * c2
-        return Polynomial._normalised(_clean(out))
 
     def eps_limit(self) -> "Polynomial":
         """Set eps = 0: keep epsExp 0 parts, error on surviving negatives."""

@@ -30,9 +30,7 @@ from .circuit import (
     circuit_to_tree,
     tree_to_circuit,
 )
-from .poly import _UNIT, COEFF_ONE, COEFF_ZERO, Coeff, Polynomial, _var_key
-
-Rat = Union[int, Fraction]
+from .poly import _UNIT, COEFF_ONE, COEFF_ZERO, Coeff, Polynomial, Rat, _var_key
 
 
 class NeedsRootExtraction(ValueError):

@@ -44,9 +44,9 @@ def test_eval_negcube():
 
 def test_eval_mul3_distributes():
     # oracle: (x1+x2)*x1*x3 = x1^2 x3 + x1 x2 x3
-    t = FNode.mul3(
+    t = FNode("mul3", (
         FNode.leaf(parse_poly("x1 + x2")), _leaf("x1"), _leaf("x3")
-    )
+    ))
     assert t.eval() == X1 * X1 * X3 + X1 * X2 * X3
 
 
@@ -58,7 +58,7 @@ def test_metrics_single_input():
 
 
 def test_metrics_mul3():
-    t = FNode.mul3(_leaf("x1"), _leaf("x2"), _leaf("x3"))
+    t = FNode("mul3", (_leaf("x1"), _leaf("x2"), _leaf("x3")))
     c = tree_to_circuit(t, "arity3")
     assert c.size() == 4
     assert c.depth() == 1
@@ -66,14 +66,14 @@ def test_metrics_mul3():
 
 
 def test_metrics_nested_mul3_degree():
-    inner = FNode.mul3(_leaf("x1"), _leaf("x2"), _leaf("x3"))
-    t = FNode.mul3(inner, _leaf("x1"), _leaf("x2"))
+    inner = FNode("mul3", (_leaf("x1"), _leaf("x2"), _leaf("x3")))
+    t = FNode("mul3", (inner, _leaf("x1"), _leaf("x2")))
     c = tree_to_circuit(t, "arity3")
     assert c.syntactic_degrees()[c.output_id] == 5
 
 
 def test_degree_mismatch_on_ungraded_add():
-    t = FNode.add(_leaf("x1"), FNode.mul3(_leaf("x1"), _leaf("x2"), _leaf("x3")))
+    t = FNode.add(_leaf("x1"), FNode("mul3", (_leaf("x1"), _leaf("x2"), _leaf("x3"))))
     c = tree_to_circuit(t, "arity3")
     with pytest.raises(DegreeMismatch, match="add gate g6 has children of degrees"):
         c.syntactic_degrees()
@@ -101,10 +101,10 @@ def test_ihl_rejects_a_leaf_with_a_constant_or_a_zero_leaf(form, reason):
 @pytest.mark.parametrize("tree, basis, reason", [
     (FNode.mul(_leaf("x1"), _leaf("x2")), "arity3", "gate g3: mul gate not in arity-3 basis"),
     (FNode.negcube(_leaf("x1")), "arity3", "gate g2: negcube gate not in arity-3 basis"),
-    (FNode.mul3(_leaf("x1"), _leaf("x2"), _leaf("x3")), "addNegCube",
+    (FNode("mul3", (_leaf("x1"), _leaf("x2"), _leaf("x3"))), "addNegCube",
      "gate g4: mul3 gate not in add/neg-cube basis"),
     (FNode.negcube(_leaf("x1")), "arity2", "gate g2: negcube gate not in arity-2 basis"),
-    (FNode.mul3(_leaf("x1"), _leaf("x2"), _leaf("x3")), "arity2",
+    (FNode("mul3", (_leaf("x1"), _leaf("x2"), _leaf("x3"))), "arity2",
      "gate g4: mul3 gate not in arity-2 basis"),
     (FNode.mul(_leaf("x1"), _leaf("x2")).scaled(2), "arity2",
      "gate g3: scale tags only legal in the addNegCube basis"),
@@ -132,7 +132,7 @@ def test_a_formula_that_is_no_tree_is_never_built(gates, output, reason):
 
 def test_graded_repr_validate_names_the_first_bad_part():
     x = [_leaf(f"x{i}") for i in (1, 2, 3)]
-    cube = tree_to_circuit(FNode.mul3(*x), "arity3")
+    cube = tree_to_circuit(FNode("mul3", tuple(x)), "arity3")
     affine = tree_to_circuit(FNode.leaf(parse_poly("x1 + 1")), "arity3")
     zero = Polynomial.zero()
     assert GradedArity3Repr(zero, {3: cube}, {4: {"x1": cube}}).validate() == (True, "")
@@ -269,7 +269,7 @@ def test_an_affine_leaf_round_trips_byte_identically(form, printed):
 def test_round_trip_preserves_eval_random_trees():
     import random
 
-    from homlin.verify import random_formula
+    from generators import random_formula
 
     rng = random.Random(5)
     for _ in range(15):
@@ -371,7 +371,7 @@ def test_gate_is_an_immutable_value_with_keyword_construction():
 
 @pytest.mark.parametrize("product, basis", [
     (FNode.mul, "arity2"),
-    (lambda a, b: FNode.mul3(a, b, _leaf("x4")), "arity3"),
+    (lambda a, b: FNode("mul3", (a, b, _leaf("x4"))), "arity3"),
 ])
 def test_depths_counts_all_gates_and_product_gates_in_one_sweep(product, basis):
     t = FNode.add(product(_leaf("x1"), product(_leaf("x2"), _leaf("x3"))), _leaf("x3"))

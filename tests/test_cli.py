@@ -28,9 +28,9 @@ from homlin.matrixword import (
     compile_trace3,
     format_word,
 )
-from homlin.poly import Coeff, Polynomial, format_poly, parse_poly
+from homlin.poly import Polynomial, format_poly, parse_poly
 from homlin.transforms import PASS_NAMES, run_pass
-from homlin.verify import (
+from generators import (
     random_arity2_circuit,
     random_formula,
     random_graded_arity3_circuit,
@@ -407,7 +407,7 @@ def test_compile_continuant_alpha_carrying_leaf_exit_2(capsys, tmp_path):
     # alpha is the compiler's scalar parameter: the leaf x1 * alpha is
     # invalid input, not a projection that fails verification
     c = tree_to_circuit(
-        FNode.negcube(FNode.leaf(parse_poly("x1").scale(Coeff.alpha(1)))), "addNegCube")
+        FNode.negcube(FNode.leaf(parse_poly("alpha * x1"))), "addNegCube")
     src = tmp_path / "c.circ"
     src.write_text(print_circuit(c))
     code, out, err = run(capsys, "compile", "--target", "continuant", "--verify", "border",
@@ -567,7 +567,7 @@ def test_pipeline_trace3(capsys, product_circ, tmp_path):
 
 
 def test_pipeline_continuant(capsys, tmp_path):
-    t = FNode.mul3(FNode.var("x1"), FNode.var("x2"), FNode.var("x3"))
+    t = FNode("mul3", (FNode.var("x1"), FNode.var("x2"), FNode.var("x3")))
     path = tmp_path / "m3.circ"
     path.write_text(print_circuit(tree_to_circuit(t, "arity3")))
     out = tmp_path / "run"
@@ -755,7 +755,8 @@ def _count_evaluations(monkeypatch):
 
 def test_pipeline_continuant_evaluates_a_graded_formula_once(capsys, tmp_path, monkeypatch):
     x = [FNode.var(f"x{i}") for i in (1, 2, 3)]
-    src = _circ(tmp_path, "m.circ", FNode.add(FNode.mul3(*x), FNode.mul3(x[0], x[0], x[1])),
+    src = _circ(tmp_path, "m.circ",
+                FNode.add(FNode("mul3", tuple(x)), FNode("mul3", (x[0], x[0], x[1]))),
                 "arity3")
     calls = _count_evaluations(monkeypatch)
     code, _o, _e = run(capsys, "pipeline", "--in", src, "--target", "continuant",
@@ -768,7 +769,7 @@ def test_pipeline_continuant_hands_the_compiler_its_value(capsys, tmp_path, monk
     # x1 * x2 * (x1 x2 x3): add-negcube writes Waring cubes of mixed-degree
     # sums, so the compiled formula is not graded
     x = [FNode.var(f"x{i}") for i in (1, 2, 3)]
-    src = _circ(tmp_path, "m.circ", FNode.mul3(x[0], x[1], FNode.mul3(*x)), "arity3")
+    src = _circ(tmp_path, "m.circ", FNode("mul3", (x[0], x[1], FNode("mul3", tuple(x)))), "arity3")
     calls = _count_evaluations(monkeypatch)
     out = tmp_path / "run"
     code, _o, _e = run(capsys, "pipeline", "--in", src, "--target", "continuant",
@@ -799,7 +800,7 @@ def test_compile_continuant_border_verify_evaluates_once(capsys, tmp_path, monke
 
 def test_pipeline_continuant_of_a_zero_formula_is_degree_1(capsys, tmp_path):
     x1 = FNode.var("x1")
-    t = FNode.add(FNode.mul3(x1, x1, x1), FNode.mul3(FNode.var("x1", -1), x1, x1))
+    t = FNode.add(FNode("mul3", (x1, x1, x1)), FNode("mul3", (FNode.var("x1", -1), x1, x1)))
     out = tmp_path / "run"
     code, _o, _e = run(capsys, "pipeline", "--in", _circ(tmp_path, "z.circ", t, "arity3"),
                        "--target", "continuant", "--out", str(out))
@@ -1174,7 +1175,7 @@ _CONSUMERS = [
 # one input per basis, built around its first leaf
 _INPUTS = {
     "arity2": lambda lead: FNode.mul(lead, FNode.var("x2")),
-    "arity3": lambda lead: FNode.mul3(lead, FNode.var("x2"), FNode.var("x3")),
+    "arity3": lambda lead: FNode("mul3", (lead, FNode.var("x2"), FNode.var("x3"))),
     "addNegCube": lambda lead: FNode.negcube(lead),
 }
 _OTHER_BASIS = {"arity2": "arity3", "arity3": "arity2", "addNegCube": "arity2"}

@@ -41,7 +41,7 @@ from homlin.matrixword import (
 )
 from homlin.poly import Coeff, Polynomial, format_poly
 from homlin.transforms import to_add_negcube
-from homlin.verify import random_arity2_circuit, random_formula, random_graded_arity3_circuit
+from generators import random_arity2_circuit, random_formula, random_graded_arity3_circuit
 from test_matrixword import sparse
 
 # bounded example counts keep the whole file to a few seconds
@@ -286,12 +286,12 @@ def _x(name, c=1):
 
 def _circuit_texts():
     rng = random.Random(3)
-    arity3 = FNode.add(FNode.mul3(_x("x1"), _x("x2", 2), _x("x3")), _x("x1", Fraction(-1, 2)))
+    arity3 = FNode.add(FNode("mul3", (_x("x1"), _x("x2", 2), _x("x3"))), _x("x1", Fraction(-1, 2)))
     return [
         print_circuit(tree_to_circuit(random_formula(rng, 7, 3), "arity2")),
         print_circuit(random_arity2_circuit(rng, 6, 3)),
         print_circuit(tree_to_circuit(arity3, "arity3")),
-        print_circuit(to_add_negcube(tree_to_circuit(FNode.mul3(_x("x1"), _x("x2"), _x("x3")),
+        print_circuit(to_add_negcube(tree_to_circuit(FNode("mul3", (_x("x1"), _x("x2"), _x("x3"))),
                                                      "arity3"))[0]),
         print_circuit(random_graded_arity3_circuit(rng, 3, 8, 3)),
     ]

@@ -20,10 +20,10 @@ from homlin.matrixword import (
     compile_trace3,
     format_projection,
     format_word,
-    word_to_projection,
 )
 from homlin.poly import Coeff
 from homlin.transforms import brent_arity3, brent_formula, vf_to_v3p
+from test_matrixword import oracle_word_to_projection
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -104,12 +104,13 @@ def _brent3_input():
     return tree_to_circuit(
         FNode.add(
             FNode.add(
-                FNode.mul3(FNode.add(X("x1"), X("x2", 2)), X("x3"), FNode.add(X("x2"), X("x4", -1))),
-                FNode.mul3(X("x1"), X("x2"), X("x3", Fraction(1, 2))),
+                FNode("mul3", (FNode.add(X("x1"), X("x2", 2)), X("x3"),
+                               FNode.add(X("x2"), X("x4", -1)))),
+                FNode("mul3", (X("x1"), X("x2"), X("x3", Fraction(1, 2)))),
             ),
             FNode.add(
-                FNode.mul3(X("x4"), X("x1"), X("x2")),
-                FNode.mul3(X("x3"), FNode.add(X("x1"), X("x4")), X("x2", 3)),
+                FNode("mul3", (X("x4"), X("x1"), X("x2"))),
+                FNode("mul3", (X("x3"), FNode.add(X("x1"), X("x4")), X("x2", 3))),
             ),
         ),
         "arity3",
@@ -122,7 +123,7 @@ ARTIFACTS = {
     "trace3.word": lambda: format_word(compile_trace3(_sum_of_products())),
     "offdiag3_1_3.word": lambda: format_word(compile_offdiag3(_nested_product(), (1, 3))),
     "trace3_d2.projection": lambda: format_projection(
-        word_to_projection(compile_trace3(_sum_of_products()), d=2)
+        oracle_word_to_projection(compile_trace3(_sum_of_products()), d=2)
     ),
     "continuant_odd.projection": lambda: format_projection(
         compile_continuant_odd(_scaled_cubes())

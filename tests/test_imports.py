@@ -5,7 +5,6 @@ benchmark's tracer wraps exists."""
 import ast
 import importlib.util
 import re
-from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -44,57 +43,73 @@ def test_no_unused_imports(path):
 
 SRC = sorted(ROOT.glob("src/homlin/*.py"))
 
-# Public library entry points that no package code calls, with the reason
-# each stays in the package.
-ENTRY_POINTS = {
-    "circuit.GradedArity3Repr.reassemble":
-        "the documented inverse of vf-to-v3p's graded decomposition",
-    "matrixword.word_to_projection": "maps a 3x3 word onto the nceL family for library callers",
-    "verify.random_formula": "seeded generator of affine arity-2 formulas",
-    "verify.random_ihl_formula": "seeded generator of IHL arity-2 formulas",
-    "verify.random_arity2_circuit": "seeded generator of arity-2 circuits",
-    "verify.random_graded_arity3_formula": "seeded generator of graded arity-3 formulas",
-    "verify.random_graded_arity3_circuit": "seeded generator of graded arity-3 circuits",
-}
+
+def _mentions(*nodes):
+    """Every name and attribute name the given nodes mention."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for node in nodes for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def unreferenced_defs(sources):
+def unreached_defs(sources, roots):
     """The top-level functions and class methods (dunders aside) of the
-    given ``{module: source}`` whose name no code mentions outside their own
-    ``def``, as ``module.name`` or ``module.Class.name``."""
-    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    given ``{module: source}``, as ``module.name`` or ``module.Class.name``,
+    that no reached code mentions.  Reached are the ``roots`` (qualified the
+    same way), module-level and class-level statements, dunder methods, and,
+    transitively, every def whose bare name reached code mentions."""
+    defs, live = {}, set()
+    for mod, src in sources.items():
+        for node in ast.parse(src).body:
+            if isinstance(node, ast.FunctionDef):
+                defs[f"{mod}.{node.name}"] = node
+            elif isinstance(node, ast.ClassDef):
+                live |= _mentions(*node.bases, *node.keywords, *node.decorator_list)
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        live |= _mentions(item)
+                    elif item.name.startswith("__") and item.name.endswith("__"):
+                        live |= _mentions(item)
+                    else:
+                        defs[f"{mod}.{node.name}.{item.name}"] = item
+            else:
+                live |= _mentions(node)
+    unreached = dict(defs)
+    while reach := [q for q, f in unreached.items() if q in roots or f.name in live]:
+        for q in reach:
+            live |= _mentions(unreached.pop(q))
+    return sorted(unreached)
 
-    def names(node):
-        return Counter(
-            n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
-        )
 
-    everywhere = sum((names(t) for t in trees.values()), Counter())
-    found = []
-    for mod, tree in trees.items():
-        defs = []
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef):
-                defs += [(f"{mod}.{node.name}.{f.name}", f) for f in node.body
-                         if isinstance(f, ast.FunctionDef)]
-            elif isinstance(node, ast.FunctionDef):
-                defs.append((f"{mod}.{node.name}", node))
-        for qualname, f in defs:
-            if f.name.startswith("__") and f.name.endswith("__"):
-                continue
-            if everywhere[f.name] == names(f)[f.name]:
-                found.append(qualname)
-    return sorted(found)
-
-
-def test_reachability_scanner_flags_an_unreferenced_def():
+def test_reachability_scanner_flags_a_dead_chain():
     sources = {
-        "a": "def used():\n    return 1\n\ndef dead():\n    return dead()\n",
+        "a": "def used():\n    return helper()\n\ndef helper():\n    return 1\n\n"
+             "def dead():\n    return chained() + dead()\n\ndef chained():\n    return 2\n",
         "b": "import a\n\nclass K:\n    def m(self):\n        return a.used()\n"
-             "    def __eq__(self, other):\n        return True\n",
+             "    def __eq__(self, other):\n        return self.n()\n    def n(self):\n"
+             "        return True\n\nTABLE = {'k': a.listed}\n\ndef listed():\n    return 3\n",
     }
-    assert unreferenced_defs(sources) == ["a.dead", "b.K.m"]
+    assert unreached_defs(sources, {"b.K.m"}) == ["a.chained", "a.dead"]
+    assert unreached_defs(sources, set()) == ["a.chained", "a.dead", "a.helper", "a.used", "b.K.m"]
+
+
+def bench_calls(sources):
+    """``module.name`` of every homlin name the given bench ``{module:
+    source}`` imports (``from homlin.m import n``) or reads off its homlin
+    namespace (``H.m.n``)."""
+    found = set()
+    for src in sources.values():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("homlin."):
+                found |= {f"{node.module.split('.')[-1]}.{a.name}" for a in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                  and isinstance(node.value.value, ast.Name) and node.value.value.id == "H"):
+                found.add(f"{node.value.attr}.{node.attr}")
+    return found
+
+
+def test_bench_call_scanner_reads_imports_and_the_homlin_namespace():
+    sources = {"a": "def f(H):\n    from homlin.cli import main\n    from os import path\n"
+                    "    return H.verify.verify_border(H.poly.parse_poly('x1'), H.x)\n"}
+    assert bench_calls(sources) == {"cli.main", "verify.verify_border", "poly.parse_poly"}
 
 
 def wrapped_by_bench():
@@ -110,12 +125,11 @@ def wrapped_by_bench():
     return out
 
 
-def test_every_function_is_referenced_wrapped_or_an_entry_point():
+def test_every_function_is_reached_from_a_command_or_the_bench():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC if p.name != "__init__.py"}
-    unreached = set(unreferenced_defs(sources)) - wrapped_by_bench()
-    assert sorted(unreached - set(ENTRY_POINTS)) == []
-    # an entry point that gains a caller leaves the list
-    assert sorted(set(ENTRY_POINTS) - unreached) == []
+    bench = {p.stem: p.read_text(encoding="utf-8") for p in ROOT.glob("bench/*.py")}
+    roots = {"cli.main"} | bench_calls(bench) | wrapped_by_bench()
+    assert unreached_defs(sources, roots) == []
 
 
 def bench_spans():

@@ -20,10 +20,8 @@ from homlin.circuit import (
     tree_to_circuit,
 )
 from homlin import matrixword
-from homlin.families import Functional, L_entry, _Packing, gen_C_comb, gen_nce_L
+from homlin.families import OFF_DIAGONAL, Functional, L_entry, _Packing, gen_C_comb, gen_nce_L
 from homlin.matrixword import (
-    DiagonalNonzero,
-    EntryNotHomogeneousLinear,
     MatrixWord,
     NotEvenDegree,
     NotOddDegree,
@@ -43,7 +41,7 @@ from homlin.matrixword import (
     format_word,
     parse_projection,
     parse_word,
-    word_to_projection,
+    target_weights,
 )
 from homlin.poly import (
     COEFF_ONE,
@@ -53,11 +51,11 @@ from homlin.poly import (
     parse_poly,
 )
 from homlin.transforms import run_pass, to_add_negcube, vf_to_v3p
-from homlin.verify import (
-    random_graded_arity3_formula,
-    random_ihl_formula,
-    verify_border,
-)
+from homlin.verify import verify_border
+from generators import random_graded_arity3_formula, random_ihl_formula
+from test_poly import oracle_subst
+
+ALPHA = Coeff({(0, 1): 1})
 
 
 def as_formula(tree, basis="arity2"):
@@ -270,7 +268,7 @@ def test_offdiag_rejects_bad_input():
     affine = as_formula(FNode.leaf(P("x1 + 1")))
     with pytest.raises(BasisViolation):
         compile_offdiag3(affine, (1, 3))
-    from homlin.verify import random_arity2_circuit
+    from generators import random_arity2_circuit
 
     shared = random_arity2_circuit(random.Random(0), 8, 3)
     with pytest.raises(BasisViolation):
@@ -489,9 +487,8 @@ def test_seam_merging_keeps_the_product_and_every_e_d():
         w, full = _offdiag13(c), unmerged(_offdiag13, c)
         if full.r() <= 24:
             for d in (1, 2, 3):
-                # zero factors pad the merged word: they add nothing to e_d
-                assert (word_to_projection(w, d, n=full.r()).value()
-                        == word_to_projection(full, d).value())
+                assert (oracle_word_to_projection(w, d).value()
+                        == oracle_word_to_projection(full, d).value())
 
 
 def test_a_cancelling_seam_drops_factors_and_cascades():
@@ -630,7 +627,7 @@ def test_continuant_compilers_reject_an_alpha_carrying_input_form():
     # alpha threads the gate scalars, so a leaf carrying it would be read as
     # one of them: x1 * alpha under a cube compiled to a projection that
     # failed verification against the formula's own value
-    x1_alpha = FNode.leaf(Polynomial.variable("x1").scale(Coeff.alpha(1)))
+    x1_alpha = FNode.leaf(Polynomial.variable("x1").scale(ALPHA))
     with pytest.raises(ValueError, match="gate g1's input form carries alpha"):
         compile_continuant_odd(as_formula(FNode.negcube(x1_alpha), "addNegCube"))
     with pytest.raises(ValueError, match=r"\(part for x1\): gate g1's input form"):
@@ -704,7 +701,7 @@ def test_cont_odd_word_meets_the_invariant_with_the_proven_precision():
             word = _cont_odd_word(t, Fraction(1)).forms()
             assert_no_interior_zero(word)
             assert len(word) % 2 == 1
-            assert word2_invariant_holds(word, t.eval().scale(Coeff.alpha(1))), t
+            assert word2_invariant_holds(word, t.eval().scale(ALPHA)), t
             cubes += t.kind == "negcube"
     assert cubes >= 200
 
@@ -714,7 +711,7 @@ def oracle_cont_odd_word(node, s):
     by substituting into whole forms at every negative cube."""
     s = s * node.scale
     if node.kind == "input":
-        return [node.form.scale(Coeff.alpha(1) * s)]
+        return [node.form.scale(ALPHA * s)]
     if node.kind == "add":
         w1 = oracle_cont_odd_word(node.children[0], s)
         w2 = oracle_cont_odd_word(node.children[1], s)
@@ -724,14 +721,14 @@ def oracle_cont_odd_word(node, s):
     # alpha exponent
     k = 2 + sum(max((a for (_m, _e, a) in lf.terms), default=0)
                 for lf in oracle_absorbed(base))
-    block1 = [lf.subst(k, Coeff.eps(-1)) for lf in base]
-    block2 = [lf.subst(3, Coeff({(2, 1): s})) for lf in reversed(base)]
-    block3 = [lf.subst(k, -Coeff.eps(-1)) for lf in base]
+    block1 = [oracle_subst(lf, k, Coeff.eps(-1)) for lf in base]
+    block2 = [oracle_subst(lf, 3, Coeff({(2, 1): s})) for lf in reversed(base)]
+    block3 = [oracle_subst(lf, k, -Coeff.eps(-1)) for lf in base]
     return block1 + block2 + block3
 
 
 # leaf scalars: rational, and carrying eps, eps^-1 or alpha
-_LEAF_SCALARS = [1, 2, Fraction(-3, 5), Coeff.eps(1), Coeff.eps(-1), Coeff.alpha(1),
+_LEAF_SCALARS = [1, 2, Fraction(-3, 5), Coeff.eps(1), Coeff.eps(-1), ALPHA,
                  Coeff({(1, 1): 2, (0, 0): 1})]
 _SCALE_TAGS = [Fraction(1), Fraction(0), Fraction(-1, 24), Fraction(3, 2)]
 
@@ -775,7 +772,7 @@ def assert_matches_oracle(tree, s):
     assert_no_interior_zero(got)
     assert len(got) % 2 == len(want) % 2 == 1
     assert word.mapped(1, (1, 0, 0)).forms() == oracle_absorbed(
-        [lf.subst(alpha=1) for lf in want])
+        [oracle_subst(lf, alpha=1) for lf in want])
     return len(want), len(got)
 
 
@@ -815,7 +812,7 @@ def test_cube_power_sums_the_largest_alpha_exponent_of_each_absorbed_slot():
     # a slot's largest exponent counts, not its number of terms
     x2 = Polynomial.variable("x2")
     tree = FNode.add(FNode.leaf(x2.scale(Coeff.eps(1))),
-                     FNode.leaf(x2.scale(Coeff.alpha(1)) + Polynomial.variable("x3")))
+                     FNode.leaf(x2.scale(ALPHA) + Polynomial.variable("x3")))
     assert cube_power(tree) == 4
     assert_matches_oracle(FNode.negcube(tree), Fraction(1))
 
@@ -950,7 +947,7 @@ def test_continuant_even_rejects_a_part_with_a_constant_leaf():
 
 def test_continuant_even_rejects_a_part_of_the_wrong_degree():
     # the degree-2 component's parts must be of degree 1
-    g = _even_part(FNode.add(X("x2"), FNode.mul3(X("x1"), X("x2"), X("x3"))))
+    g = _even_part(FNode.add(X("x2"), FNode("mul3", (X("x1"), X("x2"), X("x3")))))
     with pytest.raises(DegreeMismatch) as exc:
         compile_continuant_even(g, 2)
     assert str(exc.value) == "compile_continuant_even (part for x1) computes degrees [1, 3], not 1"
@@ -988,14 +985,33 @@ def test_even_gadget_telescopes_mod_eps3():
 
 
 # ---------------------------------------------------------------------------
-# word_to_projection
+# word -> nceL projection (a test oracle)
 # ---------------------------------------------------------------------------
+
+
+def oracle_word_to_projection(w, d):
+    """Test oracle: a 3x3 word with zero-diagonal, homogeneous linear factor
+    entries as an nceL projection at degree d.  Each factor's six
+    off-diagonal entries fill one factor's slots and the word's scalar is
+    kept apart (no d-th root is taken).  A word that carries eps maps under
+    eps -> eps^d, its scalar too, to a border projection; an eps-free word,
+    as every ``compile_offdiag3`` word, maps as it is to an exact one."""
+    border = any(e for (e, _a) in w.global_scalar.terms) or any(
+        e for a in w.factors for p in a.values() for (_m, e, _a) in p.terms)
+    zero = Polynomial.zero()
+    forms = [a.get((i - 1, j - 1), zero) for a in w.factors for i, j in OFF_DIAGONAL]
+    scalar = w.global_scalar
+    if border:
+        forms = [oracle_subst(p, d) for p in forms]
+        scalar = oracle_subst(scalar.to_poly(), d).constant_part()
+    return Projection("nceL", w.r(), d, forms, scalar, border=border,
+                      weights=target_weights(w.target, 3))
 
 
 def test_word_to_projection_offdiag_product():
     c = as_formula(FNode.mul(X("x1"), X("x2")))
     w = compile_offdiag3(c, (1, 3))
-    p = word_to_projection(w, d=2)
+    p = oracle_word_to_projection(w, d=2)
     assert p.family_tag == "nceL" and p.n == w.r()
     assert len(p.forms) == 6 * p.n
     assert p.weights == L_entry(1, 3)
@@ -1012,7 +1028,7 @@ def test_word_to_projection_of_an_eps_free_word_is_exact(tree):
     # e_d of the factors of id + f * E(1,3) is f * E(1,3): no eps, no limit
     c = as_formula(tree)
     f = c.eval()
-    p = word_to_projection(compile_offdiag3(c, (1, 3)), d=f.degree())
+    p = oracle_word_to_projection(compile_offdiag3(c, (1, 3)), d=f.degree())
     assert p.border is False and p.scalar == COEFF_ONE
     assert p.value() == f
     text = format_projection(p)
@@ -1023,19 +1039,10 @@ def test_word_to_projection_of_an_eps_free_word_is_exact(tree):
     assert q.value() == f
 
 
-def test_word_to_projection_zero_slot_padding():
-    c = as_formula(FNode.mul(X("x1"), X("x2")))
-    w = compile_offdiag3(c, (1, 3))
-    p = word_to_projection(w, d=2)
-    padded = word_to_projection(w, d=2, n=w.r() + 2)
-    assert padded.n == w.r() + 2
-    assert padded.value() == p.value()
-
-
 def test_word_to_projection_keeps_trace3_scalar():
     c = as_formula(FNode.mul(X("x1"), X("x2")))
     w = compile_trace3(c)
-    p = word_to_projection(w, d=2)
+    p = oracle_word_to_projection(w, d=2)
     assert p.scalar == Coeff.eps(-4)  # eps^-2 after eps -> eps^2
     assert verify_border(p, P("x1*x2")).verdict
 
@@ -1047,20 +1054,6 @@ def test_projection_with_wrong_form_count_fails_loudly(tag, count):
         p.value()
     with pytest.raises(ValueError):
         format_projection(p)
-
-
-def test_word_to_projection_rejects_nonzero_diagonal():
-    m = {(1, 1): Polynomial.variable("x1")}
-    w = MatrixWord(3, [m], COEFF_ONE, entry_target(1, 1))
-    with pytest.raises(DiagonalNonzero):
-        word_to_projection(w, d=1)
-
-
-def test_word_to_projection_names_a_constant_gadget_entry():
-    # a degree-1 summand compiles to a gadget with the constant entry eps^2
-    w = compile_trace3(as_formula(X("x1")))
-    with pytest.raises(EntryNotHomogeneousLinear, match=r"factor 2 entry \(2,1\).*eps\^2"):
-        word_to_projection(w, d=1)
 
 
 def test_nce_projection_matches_family_oracle():
@@ -1194,7 +1187,7 @@ def test_projection_serialization_round_trip():
 
     c2 = as_formula(FNode.mul(X("x1"), X("x2")))
     w = compile_trace3(c2)
-    q = word_to_projection(w, d=2)
+    q = oracle_word_to_projection(w, d=2)
     q2 = parse_projection(format_projection(q))
     assert q2.weights is not None
     assert q2.value() == q.value()

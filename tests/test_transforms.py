@@ -45,14 +45,14 @@ from homlin.transforms import (
     _subst_path,
     input_homogenize_tree,
 )
-from homlin.verify import (
+from generators import (
     random_arity2_circuit,
     random_formula,
     random_graded_arity3_circuit,
     random_graded_arity3_formula,
     random_ihl_formula,
 )
-from test_acceptance import oracle_bracket_poly
+from test_acceptance import oracle_bracket_poly, oracle_reassemble
 
 X1 = Polynomial.variable("x1")
 X2 = Polynomial.variable("x2")
@@ -192,7 +192,7 @@ def test_brent_and_ihl_on_a_repeated_subtree():
     # _brent once read the negative cube's one child list as a pair
     (FNode.add(FNode.negcube(FNode.mul(leaf("x1"), leaf("x2"))), leaf("x3")), "negcube"),
     # ... and dropped the third factor of a ternary product
-    (FNode.mul(FNode.mul3(leaf("x1"), leaf("x2"), leaf("x3")), leaf("x4")), "mul3"),
+    (FNode.mul(FNode("mul3", (leaf("x1"), leaf("x2"), leaf("x3"))), leaf("x4")), "mul3"),
 ])
 def test_input_homogenize_tree_rejects_foreign_gate_kinds(tree, kind):
     with pytest.raises(BasisViolation, match=f"{kind} gate not in arity-2 basis$"):
@@ -298,7 +298,7 @@ def test_cube_identity():
 
 
 def test_add_negcube_single_mul3():
-    t = FNode.mul3(leaf("x1"), leaf("x2"), leaf("x3"))
+    t = FNode("mul3", (leaf("x1"), leaf("x2"), leaf("x3")))
     c = tree_to_circuit(t, "arity3")
     out, rep = to_add_negcube(c)
     assert out.basis == "addNegCube"
@@ -439,9 +439,9 @@ def test_brent3_small_formula_unchanged():
 
 
 def test_brent3_deep_mul3_comb():
-    t = FNode.mul3(leaf("x1"), leaf("x2"), leaf("x3"))
+    t = FNode("mul3", (leaf("x1"), leaf("x2"), leaf("x3")))
     for i in range(12):
-        t = FNode.mul3(t, leaf(f"x{i % 3 + 1}"), leaf(f"x{(i + 1) % 3 + 1}"))
+        t = FNode("mul3", (t, leaf(f"x{i % 3 + 1}"), leaf(f"x{(i + 1) % 3 + 1}")))
     c = tree_to_circuit(t, "arity3")
     out, rep = brent_arity3(c)
     assert out.eval() == c.eval()
@@ -548,7 +548,7 @@ def test_vf_to_v3p_even_degree_two():
     assert set(repr_.even_parts) == {2}
     assert repr_.even_parts[2]["x1"].eval() == X2
     assert repr_.even_parts[2]["x2"].eval() == X1
-    assert repr_.reassemble() == X1 * X2
+    assert oracle_reassemble(repr_) == X1 * X2
 
 
 def test_vf_to_v3p_odd_single_mul3():
@@ -567,7 +567,7 @@ def test_vf_to_v3p_mixed_degrees():
     assert set(repr_.odd_parts) == {1, 3}
     assert repr_.odd_parts[1].eval() == X1
     assert repr_.odd_parts[3].eval() == X1 * X2 * X3
-    assert repr_.reassemble() == X1 + X1 * X2 * X3
+    assert oracle_reassemble(repr_) == X1 + X1 * X2 * X3
 
 
 def test_vf_to_v3p_random_reassembly():
@@ -575,7 +575,7 @@ def test_vf_to_v3p_random_reassembly():
     for _ in range(50):
         c = as_formula(random_formula(rng, rng.randint(1, 22), 3))
         repr_, rep = vf_to_v3p(c)
-        assert repr_.reassemble() == c.eval()
+        assert oracle_reassemble(repr_) == c.eval()
         ok, reason = repr_.validate()
         assert ok, reason
         assert rep.bound_satisfied
@@ -611,7 +611,7 @@ def test_vf_to_v3p_parts_are_evaluated_once_through_continuant_even(monkeypatch)
 
 def test_a_hand_built_graded_repr_is_checked_when_first_read(monkeypatch):
     calls = count_evals(monkeypatch)
-    part = tree_to_circuit(FNode.mul3(leaf("x1"), leaf("x2"), leaf("x3")), "arity3")
+    part = tree_to_circuit(FNode("mul3", (leaf("x1"), leaf("x2"), leaf("x3"))), "arity3")
     affine = tree_to_circuit(FNode.leaf(parse_poly("x1 + 1")), "arity3")
     good = GradedArity3Repr(Polynomial.zero(), {}, {4: {"x1": part}})
     compile_continuant_even(good, 4)
@@ -665,9 +665,9 @@ def test_formula_from_poly_round_trip():
 
 
 def test_vsbr_nested_mul3():
-    t = FNode.mul3(
-        FNode.mul3(leaf("x1"), leaf("x2"), leaf("x3")), leaf("x4"), leaf("x5")
-    )
+    t = FNode("mul3", (
+        FNode("mul3", (leaf("x1"), leaf("x2"), leaf("x3"))), leaf("x4"), leaf("x5")
+    ))
     c = tree_to_circuit(t, "arity3")
     out, rep = vsbr_arity3(c)
     assert out.eval() == X1 * X2 * X3 * X4 * X5
@@ -689,7 +689,7 @@ def test_vsbr_shared_gate_degree_nine():
 
 
 def test_bracket_self_is_z():
-    t = FNode.mul3(leaf("x1"), leaf("x2"), leaf("x3"))
+    t = FNode("mul3", (leaf("x1"), leaf("x2"), leaf("x3")))
     c = tree_to_circuit(t, "arity3")
     assert oracle_bracket_poly(c, c.output_id, c.output_id) == Polynomial.variable("z")
 
@@ -791,13 +791,13 @@ def test_vsbr_high_degree_semantics_and_shared_inner_sums():
 
 def test_simplify_rules():
     # ternary product with a zero factor vanishes
-    t = FNode.mul3(leaf("x1"), const(0), leaf("x2"))
+    t = FNode("mul3", (leaf("x1"), const(0), leaf("x2")))
     assert simplify(t) is None
     # addition with a zero child collapses
     t = FNode.add(leaf("x1"), const(0))
     assert simplify(t).eval() == X1
     # two constant-1 factors drop out
-    t = FNode.mul3(const(1), const(1), leaf("x2"))
+    t = FNode("mul3", (const(1), const(1), leaf("x2")))
     assert simplify(t).eval() == X2
 
 
@@ -843,7 +843,7 @@ def _random_steps(rng, t):
 
 def test_separator_steps_enter_the_first_of_the_largest_children():
     pair = FNode.add(leaf("x1"), leaf("x2"))
-    t = FNode.mul3(leaf("x3"), pair, FNode.mul(leaf("x4"), leaf("x5")))
+    t = FNode("mul3", (leaf("x3"), pair, FNode.mul(leaf("x4"), leaf("x5"))))
     assert [ci for _n, ci in _separator_steps(t)[0]] == [1]
     assert [ci for _n, ci in _separator_steps(FNode.mul(pair, pair))[0]] == [0]
 

@@ -1,26 +1,30 @@
-"""Tests for the verification harness and its random instance generators."""
+"""Tests for the verification harness and the tests' random instance
+generators."""
 
 import gc
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
-from homlin.circuit import FNode, tree_to_circuit
-from homlin.matrixword import MatrixWord, compile_continuant_odd, compile_trace3
+from homlin.circuit import FNode, print_circuit, tree_to_circuit
+from homlin.matrixword import MatrixWord, compile_continuant_odd, compile_trace3, parse_word
 from homlin.poly import Coeff, Polynomial, parse_poly
-from homlin.transforms import input_homogenize_circuit
 from homlin.verify import (
     DEFAULT_PRIME,
     VerifyReport,
     audit_bounds,
+    verify_border,
+    verify_exact,
+    verify_random,
+)
+from generators import (
     random_arity2_circuit,
     random_formula,
     random_graded_arity3_circuit,
     random_graded_arity3_formula,
     random_ihl_formula,
-    verify_border,
-    verify_exact,
-    verify_random,
 )
 
 P = parse_poly
@@ -96,6 +100,17 @@ def test_border_truncated_value_keeps_a_diverging_term():
     assert "eps^-1" in rep.witness
 
 
+def test_border_golden_word_compares_its_target_degrees_and_the_union_on_a_failure():
+    # tests/golden/trace3.word compiles (x1 + 2*x2)*(x2 - x3) + (1/2)*x1*x3
+    w = parse_word((Path(__file__).parent / "golden" / "trace3.word").read_text())
+    target = P("x1*x2 - 1/2*x1*x3 + 2*x2^2 - 2*x2*x3")
+    rep = verify_border(w, target)
+    assert rep.verdict and rep.details == {"truncationOrder": 1, "degreesCompared": [2]}
+    rep = verify_border(w, target + P("x3"))
+    assert not rep.verdict and rep.witness == "-x3"
+    assert rep.details == {"truncationOrder": 1, "degreesCompared": [1, 2]}
+
+
 def test_border_rejects_eps_target():
     c = tree_to_circuit(FNode.var("x1"), "arity2")
     with pytest.raises(ValueError):
@@ -164,14 +179,6 @@ def test_verify_random_rejects_fewer_than_one_trial():
             verify_random(P("x1^2"), P("x1^3"), trials=trials)
 
 
-def test_audit_pass_report():
-    c = random_arity2_circuit(random.Random(3), 10, 3)
-    _out, rep = input_homogenize_circuit(c)
-    audited = audit_bounds(rep)
-    assert audited.verdict and audited.mode == "audit"
-    assert "bound" in audited.details
-
-
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -211,6 +218,36 @@ def test_random_graded_arity3_circuit_valid():
         assert c.basis == "arity3" and c.syntactic_degrees()[c.output_id] == d
         f = c.eval()
         assert f.is_zero() or f.homog_degrees() == [d]
+
+
+# each generator's draws at seeds 1 and 2, printed as circuits (sizes, then
+# degrees for the graded ones, rise with k), so a change to a generator that
+# moves the inputs of the seeded and hypothesis tests fails here
+GENERATOR_DRAWS = {
+    random_formula: (lambda rng, k: tree_to_circuit(random_formula(rng, k, 4), "arity2"),
+                     (1, 7, 25), "a42609d90828b351"),
+    random_ihl_formula: (lambda rng, k: tree_to_circuit(random_ihl_formula(rng, k, 4), "arity2"),
+                         (1, 7, 25), "f13ae6d34d8b2bfb"),
+    random_arity2_circuit: (lambda rng, k: random_arity2_circuit(rng, k, 4),
+                            (3, 12, 40), "24dcc92ec056af19"),
+    random_graded_arity3_formula: (
+        lambda rng, k: tree_to_circuit(
+            random_graded_arity3_formula(rng, 2 * (k // 10) + 1, k, 4), "arity3"),
+        (3, 20, 45), "b7aaf86782e122fc"),
+    random_graded_arity3_circuit: (
+        lambda rng, k: random_graded_arity3_circuit(rng, 2 * (k // 10) + 3, k, 4),
+        (5, 20, 45), "284d7b626b9c39fb"),
+}
+
+
+@pytest.mark.parametrize("make", GENERATOR_DRAWS, ids=lambda f: f.__name__)
+def test_generator_draws_are_pinned(make):
+    draw, sizes, digest = GENERATOR_DRAWS[make]
+    h = hashlib.sha256()
+    for seed in (1, 2):
+        for k in sizes:
+            h.update(print_circuit(draw(random.Random(seed), k)).encode())
+    assert h.hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("make", [random_graded_arity3_formula, random_graded_arity3_circuit])
