@@ -256,10 +256,6 @@ class Polynomial:
     def eps(k: int = 1) -> "Polynomial":
         return Polynomial._normalised({((), k, 0): 1})
 
-    @staticmethod
-    def alpha(k: int = 1) -> "Polynomial":
-        return Polynomial._normalised({((), 0, k): 1})
-
     # -- ring operations ---------------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not other.terms:

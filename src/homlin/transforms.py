@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from operator import is_
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -30,7 +31,7 @@ from .circuit import (
     circuit_to_tree,
     tree_to_circuit,
 )
-from .poly import _UNIT, COEFF_ONE, COEFF_ZERO, Coeff, Polynomial, Rat, _var_key
+from .poly import _UNIT, COEFF_ONE, COEFF_ZERO, Coeff, Polynomial, Rat, _clean, _var_key
 
 
 class NeedsRootExtraction(ValueError):
@@ -59,6 +60,10 @@ def _metrics(c: Circuit) -> Dict[str, int]:
 
 
 _ONE = Polynomial.const(1)
+
+
+def _is_input(n: FNode) -> bool:
+    return n.kind == "input"
 
 
 def _is_zero_leaf(n: FNode) -> bool:
@@ -104,6 +109,33 @@ def _simplified(node: FNode, kids: List[Optional[FNode]]) -> Optional[FNode]:
     if all(map(is_, kids, node.children)):
         return node
     return FNode(kind, tuple(kids), scale=node.scale)
+
+
+def _folded_sum(nodes: Sequence[FNode]) -> FNode:
+    """The balanced sum of ``nodes`` with each maximal run of adjacent
+    ``input`` nodes folded into one unscaled input holding the run's value,
+    the sum of ``scale * form`` over the run: a sum of linear leaves is one
+    linear form, so a leaf saves the run's add gates.  A run that sums to
+    zero is kept as it is, since a zero leaf would break the IHL contract."""
+    out: List[FNode] = []
+    for leaves, group in groupby(nodes, key=_is_input):
+        run = list(group)
+        if leaves and len(run) > 1:
+            # one term dict for the run: a scale tag is a Fraction, read as
+            # an int when integral, that multiplies each value; the run's
+            # sum is cleaned once
+            acc: Dict[tuple, Rat] = {}
+            get = acc.get
+            for n in run:
+                s = n.scale
+                s = s.numerator if s.denominator == 1 else s
+                for k, c in n.form.terms.items():
+                    acc[k] = get(k, 0) + (c if s == 1 else c * s)
+            total = _clean(acc)
+            if total:
+                run = [FNode.leaf(Polynomial._normalised(total))]
+        out += run
+    return balanced_add(out)
 
 
 def _subst_path(steps: list, repl: Optional[FNode]) -> Optional[FNode]:
@@ -290,7 +322,7 @@ def _ihl_pair(node: FNode) -> Tuple[Coeff, Optional[FNode]]:
             return ca + cb, hb
         if hb is None:
             return ca + cb, ha
-        return ca + cb, FNode.add(ha, hb)
+        return ca + cb, _folded_sum([ha, hb])
     # a mul, the one other kind the arity-2 basis admits
     ca, ha = _ihl_pair(node.children[0])
     cb, hb = _ihl_pair(node.children[1])
@@ -301,7 +333,7 @@ def _ihl_pair(node: FNode) -> Tuple[Coeff, Optional[FNode]]:
         terms.append(_rescale_tree(hb, ca))
     if ha is not None and not cb.is_zero():
         terms.append(_rescale_tree(ha, cb))
-    hat = balanced_add(terms) if terms else None
+    hat = _folded_sum(terms) if terms else None
     return ca * cb, hat
 
 
@@ -477,7 +509,7 @@ def _to_anc(node: FNode) -> FNode:
     # a mul3, the one other kind the arity-3 basis admits
     conv = [_to_anc(ch) for ch in node.children]
     cubes = [
-        FNode.negcube(balanced_add([t.scaled(s) for s, t in zip(signs, conv)]), scale=tag)
+        FNode.negcube(_folded_sum([t.scaled(s) for s, t in zip(signs, conv)]), scale=tag)
         for signs, tag in _CUBE_SIGNS
     ]
     return balanced_add(cubes)

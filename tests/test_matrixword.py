@@ -16,10 +16,11 @@ from homlin.circuit import (
     DegreeMismatch,
     FNode,
     GradedArity3Repr,
+    balanced_add,
     circuit_to_tree,
     tree_to_circuit,
 )
-from homlin import matrixword
+from homlin import matrixword, transforms
 from homlin.families import OFF_DIAGONAL, Functional, L_entry, _Packing, gen_C_comb, gen_nce_L
 from homlin.matrixword import (
     MatrixWord,
@@ -442,6 +443,20 @@ def unmerged(compile_word, *args):
         return compile_word(*args)
 
 
+def oracle_unfolded_sum(nodes):
+    """Test oracle: the balanced sum of ``nodes`` with no leaf folded, as
+    add-negcube's cube arguments and the IHL split's sums were built before
+    ``transforms._folded_sum``."""
+    return balanced_add(nodes)
+
+
+def unfolded(run, *args):
+    """``run(*args)`` with every pass sum built by ``oracle_unfolded_sum``."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(transforms, "_folded_sum", oracle_unfolded_sum)
+        return run(*args)
+
+
 def _offdiag13(c):
     return compile_offdiag3(c, (1, 3))
 
@@ -687,12 +702,28 @@ def test_cont_odd_word_meets_the_invariant_with_the_proven_precision():
         FNode.add(FNode.negcube(FNode.add(X("x1"), X("x2")), Fraction(3, 2)),
                   FNode.negcube(FNode.negcube(X("x3")), Fraction(-1))),
     ]
+    # the cube trees of the unfolded route: folded cube arguments bring
+    # nested cubes under ORACLE_MAX_FACTORS, whose oracle expansions take
+    # seconds each (about 60 s in all for these draws)
     rng = random.Random(5)
     for d in (3, 5, 7):
         for _ in range(3):
             t = random_graded_arity3_formula(rng, d, rng.randint(3, 9), 3)
-            anc, _rep = to_add_negcube(tree_to_circuit(t, "arity3"))
+            anc, _rep = unfolded(to_add_negcube, tree_to_circuit(t, "arity3"))
             trees.append(circuit_to_tree(anc))
+    # and small trees of the folded route, cubes of one folded leaf each at
+    # d = 3 and a nested cube at d = 5
+    mul3 = lambda a, b, c: FNode("mul3", (a, b, c))  # noqa: E731
+    folded = [
+        mul3(X("x2"), mul3(X("x1"), X("x1"), X("x3")), FNode.leaf(parse_poly("x1 + 2*x3"))),
+        FNode.add(mul3(X("x1"), X("x2"), X("x3")),
+                  mul3(X("x3"), X("x3"), FNode.leaf(parse_poly("x1 - x2")))),
+    ]
+    rng = random.Random(6)
+    folded += [random_graded_arity3_formula(rng, 3, rng.randint(3, 6), 3) for _ in range(3)]
+    for t in folded:
+        anc, _rep = to_add_negcube(tree_to_circuit(t, "arity3"))
+        trees.append(circuit_to_tree(anc))
     cubes = 0
     for tree in trees:
         for t in _subtrees(tree, {}):

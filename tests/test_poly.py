@@ -28,6 +28,11 @@ Y2 = Polynomial.variable("y2")
 EPS = Polynomial.eps
 
 
+def ALPHA(k=1):
+    """alpha^k, as a polynomial."""
+    return Polynomial({((), 0, k): 1})
+
+
 def test_add_same_variable():
     assert X1 + X1 == parse_poly("2 * x1")
 
@@ -95,7 +100,7 @@ def oracle_subst(p, eps_power=1, alpha=None):
     ``alpha`` (kept when None), term by term through the ring's own
     arithmetic; the x-variables are fixed.  The independent check on the
     continuant compilers' slot map ``matrixword._map_terms``."""
-    image = Polynomial.alpha() if alpha is None else Polynomial.const(alpha)
+    image = ALPHA() if alpha is None else Polynomial.const(alpha)
     out = Polynomial.zero()
     for (m, e, a), c in p.terms.items():
         out = out + Polynomial({(m, e * eps_power, 0): c}) * image ** a
@@ -106,17 +111,17 @@ def test_subst_eps_power():
     lf = EPS(2) * X1 + EPS(-1) * X2
     assert oracle_subst(lf, 3) == EPS(6) * X1 + EPS(-3) * X2
     five = Polynomial.const(5)
-    p = EPS(2) * X1 * X2 ** 2 + EPS(-1) * X3 + EPS(1) * Polynomial.alpha(1) + five
+    p = EPS(2) * X1 * X2 ** 2 + EPS(-1) * X3 + EPS(1) * ALPHA(1) + five
     assert oracle_subst(p, 3) == (EPS(6) * X1 * X2 ** 2 + EPS(-3) * X3
-                                  + EPS(3) * Polynomial.alpha(1) + five)
+                                  + EPS(3) * ALPHA(1) + five)
 
 
 def test_subst_alpha():
-    lf = Polynomial.alpha(2) * X1 + Polynomial.alpha(1) * X2 + X3
+    lf = ALPHA(2) * X1 + ALPHA(1) * X2 + X3
     c = Coeff.from_rational(Fraction(1, 2))
     expected = Fraction(1, 4) * X1 + Fraction(1, 2) * X2 + X3
     assert oracle_subst(lf, alpha=c) == expected
-    p = Polynomial.alpha(2) * X1 * X2 + EPS(1) * Polynomial.alpha(1) * X3 ** 2 + Polynomial.alpha(1)
+    p = ALPHA(2) * X1 * X2 + EPS(1) * ALPHA(1) * X3 ** 2 + ALPHA(1)
     half = Polynomial.const(Fraction(1, 2))
     expected = Fraction(1, 4) * X1 * X2 + half * EPS(1) * X3 ** 2 + half
     assert oracle_subst(p, alpha=c) == expected
@@ -177,7 +182,7 @@ def test_scale_vars_scales_each_term_by_its_degree():
 
 def test_eval_random_rejects_alpha():
     with pytest.raises(ValueError):
-        (Polynomial.alpha(1) * X1).eval_random({"x1": 1}, 101)
+        (ALPHA(1) * X1).eval_random({"x1": 1}, 101)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +263,7 @@ def test_parse_examples():
         Polynomial.const(Fraction(3, 2))
         * X1 ** 2
         * Polynomial.eps(-1)
-        * Polynomial.alpha(2)
+        * ALPHA(2)
     )
     assert parse_poly("x1 - x2 + 1") == X1 - X2 + Polynomial.const(1)
     assert parse_poly("") == Polynomial.zero()

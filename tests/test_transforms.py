@@ -19,9 +19,15 @@ from homlin.circuit import (
     print_circuit,
     tree_to_circuit,
 )
-from homlin.matrixword import compile_continuant_even
+from homlin.matrixword import (
+    compile_continuant_even,
+    compile_continuant_odd,
+    compile_trace3,
+    format_projection,
+)
 from homlin.poly import Coeff, Polynomial, format_coeff, format_poly, parse_poly
 from homlin import transforms
+from homlin.verify import verify_border
 from homlin.transforms import (
     PASS_NAMES,
     NeedsRootExtraction,
@@ -46,6 +52,7 @@ from homlin.transforms import (
     input_homogenize_tree,
 )
 from generators import (
+    _random_linear,
     random_arity2_circuit,
     random_formula,
     random_graded_arity3_circuit,
@@ -53,6 +60,7 @@ from generators import (
     random_ihl_formula,
 )
 from test_acceptance import oracle_bracket_poly, oracle_reassemble
+from test_matrixword import unfolded
 
 X1 = Polynomial.variable("x1")
 X2 = Polynomial.variable("x2")
@@ -325,6 +333,136 @@ def test_add_negcube_random_semantics():
         assert out.basis == "addNegCube"
         assert out.ihl_defect() is None
         assert rep.bound_satisfied
+
+
+# ---------------------------------------------------------------------------
+# folding adjacent linear leaves of a sum into one leaf
+# ---------------------------------------------------------------------------
+
+
+def kinds(c):
+    return [g.kind for g in c.gates]
+
+
+def test_add_negcube_of_a_leaf_level_product_is_eleven_gates():
+    c = tree_to_circuit(FNode("mul3", (leaf("x1"), leaf("x2", 2), leaf("x3"))), "arity3")
+    out, rep = to_add_negcube(c)
+    assert out.size() == 11 and unfolded(to_add_negcube, c)[0].size() == 27
+    assert kinds(out).count("input") == 4 and kinds(out).count("negcube") == 4
+    assert out.eval() == 2 * X1 * X2 * X3
+    assert out.ihl_defect() is None and rep.bound_satisfied
+    # each cube argument is one unscaled leaf, x1 +- 2*x2 +- x3
+    args = {g.form for g in out.gates if g.kind == "input"}
+    assert args == {X1 + 2 * X2 + X3, X1 + 2 * X2 - X3, X1 - 2 * X2 + X3, X1 - 2 * X2 - X3}
+    assert all(g.scale is None for g in out.gates if g.kind == "input")
+
+
+def test_add_negcube_fold_keeps_the_value_and_never_grows():
+    rng = random.Random(331)
+    smaller = 0
+    for _ in range(40):
+        d = rng.choice([1, 3, 3, 5])
+        t = random_graded_arity3_formula(rng, d, rng.randint(2 * d, 40), 4)
+        c = tree_to_circuit(t, "arity3")
+        out, rep = to_add_negcube(c)
+        base, _ = unfolded(to_add_negcube, c)
+        assert out.eval() == c.eval()
+        assert out.ihl_defect() is None and rep.bound_satisfied
+        assert out.size() <= base.size()
+        smaller += out.size() < base.size()
+    assert smaller > 20
+
+
+def test_a_cancelling_run_stays_unfolded():
+    # x1 - x1 next to a sum: that run of the cube arguments sums to zero
+    t = FNode("mul3", (leaf("x1"), leaf("x1"), FNode.add(leaf("x2"), leaf("x3"))))
+    out, _ = to_add_negcube(tree_to_circuit(t, "arity3"))
+    assert out.eval() == X1 * X1 * (X2 + X3)
+    assert out.ihl_defect() is None
+    assert all(g.form.terms for g in out.gates if g.kind == "input")
+    # the two cubes whose run is x1 + x1 fold it and save two gates each;
+    # the two whose run is x1 - x1 keep both leaves
+    assert out.size() == unfolded(to_add_negcube, tree_to_circuit(t, "arity3"))[0].size() - 4
+    assert sum(g.kind == "input" and g.form == X1 and g.scale == -1 for g in out.gates) == 2
+    # the IHL split of (x1 + 1) + -x1: x1 and -x1 stay two leaves
+    c = as_formula(FNode.add(FNode.leaf(X1 + Polynomial.const(1)), leaf("x1", -1)))
+    out, _ = input_homogenize_formula(c)
+    assert kinds(out) == ["input", "input", "add"]
+    assert out.ihl_defect() is None and out.eval().is_zero()
+
+
+def test_ihl_split_folds_linear_sums_into_one_leaf():
+    # (x1 + x2) + 3*x3 and (x1 + 1) * (x2 + 2): the degree-1 sum
+    # 2*x1 + x2 of the product is one leaf too
+    c = as_formula(FNode.add(FNode.add(leaf("x1"), leaf("x2")), leaf("x3", 3)))
+    out, _ = input_homogenize_formula(c)
+    assert kinds(out) == ["input"] and out.eval() == X1 + X2 + 3 * X3
+    t = FNode.mul(FNode.leaf(X1 + Polynomial.const(1)), FNode.leaf(X2 + Polynomial.const(2)))
+    out, _ = input_homogenize_formula(as_formula(t))
+    assert kinds(out) == ["input", "input", "mul", "input", "add"]
+    assert out.gates[3].form == 2 * X1 + X2
+
+
+def graded_arity2_formula(rng, d, n_vars):
+    """A seeded arity-2 formula homogeneous of degree ``d``, with IHL
+    leaves; its degree-1 parts are often sums of leaves."""
+    if d == 1:
+        if rng.random() < 0.4:
+            return FNode.add(graded_arity2_formula(rng, 1, n_vars),
+                             graded_arity2_formula(rng, 1, n_vars))
+        return FNode.leaf(_random_linear(rng, n_vars))
+    if rng.random() < 0.3:
+        return FNode.add(graded_arity2_formula(rng, d, n_vars),
+                         graded_arity2_formula(rng, d, n_vars))
+    k = rng.randint(1, d - 1)
+    return FNode.mul(graded_arity2_formula(rng, k, n_vars),
+                     graded_arity2_formula(rng, d - k, n_vars))
+
+
+def _odd_projection(c):
+    return compile_continuant_odd(to_add_negcube(brent_arity3(c)[0])[0])
+
+
+def _even_projection(c, d):
+    return compile_continuant_even(vf_to_v3p(c)[0], d)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_odd_continuant_projections_are_byte_identical_to_the_unfolded_route(d):
+    rng = random.Random(700 + d)
+    for _ in range(6):
+        t = random_graded_arity3_formula(rng, d, rng.randint(2 * d, 24 - d), 4)
+        c = tree_to_circuit(t, "arity3")
+        assert (format_projection(_odd_projection(c))
+                == format_projection(unfolded(_odd_projection, c)))
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_even_continuant_projections_are_byte_identical_to_the_unfolded_route(d):
+    rng = random.Random(800 + d)
+    for _ in range(8):
+        c = as_formula(graded_arity2_formula(rng, d, 4))
+        assert (format_projection(_even_projection(c, d))
+                == format_projection(unfolded(_even_projection, c, d)))
+
+
+def _trace3_word(c):
+    return compile_trace3(input_homogenize_formula(brent_formula(c)[0])[0])
+
+
+def test_trace3_words_of_the_folded_split_verify_and_never_grow():
+    rng = random.Random(977)
+    shorter = 0
+    for _ in range(25):
+        c = as_formula(random_formula(rng, rng.randint(1, 14), 3))
+        f = c.eval()
+        f = f - f.homog_component(0)
+        w, base = _trace3_word(c), unfolded(_trace3_word, c)
+        assert w.r() <= base.r()
+        shorter += w.r() < base.r()
+        assert verify_border(w, f).verdict
+        assert not verify_border(w, f + X1 ** 2).verdict
+    assert shorter > 5
 
 
 # ---------------------------------------------------------------------------
