@@ -62,7 +62,9 @@ def _metrics(c: Circuit) -> Dict[str, int]:
 _ONE = Polynomial.const(1)
 
 
-def _is_input(n: FNode) -> bool:
+def _foldable(n: FNode) -> bool:
+    """An ``input`` node: every fold sums these into one leaf (a sum of
+    affine leaves is one affine form), and nothing else."""
     return n.kind == "input"
 
 
@@ -76,11 +78,12 @@ def _is_one_leaf(n: FNode) -> bool:
 
 def simplify(node: FNode) -> Optional[FNode]:
     """The fixed simplifier: ternary product with a zero factor vanishes, an
-    addition with a zero child collapses to the other child, a ternary
-    product with two constant-1 factors is its third factor, and vanished
-    gates are removed transitively.  ``None`` encodes the zero formula.
-    Each gate's rule is ``_simplified``, applied once its children are
-    simplified."""
+    addition with a zero child collapses to the other child, an addition of
+    two leaves is one leaf holding their sum (zero when it cancels), a
+    ternary product with two constant-1 factors is its third factor, and
+    vanished gates are removed transitively.  ``None`` encodes the zero
+    formula.  Each gate's rule is ``_simplified``, applied once its children
+    are simplified."""
     if node.kind == "input":
         return None if _is_zero_leaf(node) else node
     return _simplified(node, [simplify(ch) for ch in node.children])
@@ -88,13 +91,17 @@ def simplify(node: FNode) -> Optional[FNode]:
 
 def _simplified(node: FNode, kids: List[Optional[FNode]]) -> Optional[FNode]:
     """The simplifier's rule at gate ``node``, whose children simplify to
-    ``kids`` (``None`` = 0); ``node`` itself when every child is unchanged."""
+    ``kids`` (``None`` = 0); ``node`` itself when every child is unchanged
+    and no rule applies."""
     kind = node.kind
     if kind == "add":
         a, b = kids
         if a is None or b is None:
             rest = b if a is None else a
             return None if rest is None else rest.scaled(node.scale)
+        if _foldable(a) and _foldable(b):
+            form = _affine_sum(kids, node.scale)
+            return None if form is None else FNode.leaf(form)
     elif kind in ("mul", "mul3", "negcube"):
         for k in kids:
             if k is None:
@@ -111,29 +118,43 @@ def _simplified(node: FNode, kids: List[Optional[FNode]]) -> Optional[FNode]:
     return FNode(kind, tuple(kids), scale=node.scale)
 
 
+def _affine_sum(leaves: Sequence[FNode], scale: Rat = 1) -> Optional[Polynomial]:
+    """The affine form ``scale * sum(n.scale * n.form)`` of the ``input``
+    nodes ``leaves``, None when it cancels."""
+    # one term dict for the sum: a scale tag is a Fraction, read as an int
+    # when integral, that multiplies each value; the sum is cleaned once
+    acc: Dict[tuple, Rat] = {}
+    get = acc.get
+    for n in leaves:
+        s = n.scale if scale == 1 else n.scale * scale
+        s = s.numerator if s.denominator == 1 else s
+        for k, c in n.form.terms.items():
+            acc[k] = get(k, 0) + (c if s == 1 else c * s)
+    total = _clean(acc)
+    return Polynomial._normalised(total) if total else None
+
+
+def _folded_add(a: FNode, b: FNode) -> FNode:
+    """``a + b``, as one unscaled leaf when both are ``input`` nodes whose
+    sum does not cancel; a zero leaf would break the IHL contract."""
+    if _foldable(a) and _foldable(b):
+        form = _affine_sum((a, b))
+        if form is not None:
+            return FNode.leaf(form)
+    return FNode.add(a, b)
+
+
 def _folded_sum(nodes: Sequence[FNode]) -> FNode:
     """The balanced sum of ``nodes`` with each maximal run of adjacent
-    ``input`` nodes folded into one unscaled input holding the run's value,
-    the sum of ``scale * form`` over the run: a sum of linear leaves is one
-    linear form, so a leaf saves the run's add gates.  A run that sums to
-    zero is kept as it is, since a zero leaf would break the IHL contract."""
+    ``input`` nodes folded into one unscaled input holding the run's value
+    (``_affine_sum``); a run that sums to zero is kept as it is."""
     out: List[FNode] = []
-    for leaves, group in groupby(nodes, key=_is_input):
+    for leaves, group in groupby(nodes, key=_foldable):
         run = list(group)
         if leaves and len(run) > 1:
-            # one term dict for the run: a scale tag is a Fraction, read as
-            # an int when integral, that multiplies each value; the run's
-            # sum is cleaned once
-            acc: Dict[tuple, Rat] = {}
-            get = acc.get
-            for n in run:
-                s = n.scale
-                s = s.numerator if s.denominator == 1 else s
-                for k, c in n.form.terms.items():
-                    acc[k] = get(k, 0) + (c if s == 1 else c * s)
-            total = _clean(acc)
-            if total:
-                run = [FNode.leaf(Polynomial._normalised(total))]
+            form = _affine_sum(run)
+            if form is not None:
+                run = [FNode.leaf(form)]
         out += run
     return balanced_add(out)
 
@@ -246,10 +267,12 @@ def _brent(node: FNode, audit: Optional[List[Dict[str, object]]]) -> FNode:
     (none for ``mul``, one for ``mul3``), ``D`` the product of every other
     sibling off the path and ``B`` is ``f`` with ``v := 0``.  On a path of
     additions only, ``f = v + B``.  Each level appends its piece sizes to
-    ``audit``, unless ``audit`` is None."""
+    ``audit``, unless ``audit`` is None.  A formula of at most 3 nodes is
+    kept as it is, but for a sum of two leaves, which becomes one leaf
+    (``_folded_add``), as at the final join ``main + B``."""
     s = node.size()
     if s <= 3:
-        return node
+        return _folded_add(*node.children) if node.kind == "add" else node
     steps, v = _separator_steps(node)
     b_tree = _subst_path(steps, None)
     pidx = max((i for i, (n, _) in enumerate(steps) if n.kind != "add"), default=None)
@@ -273,7 +296,7 @@ def _brent(node: FNode, audit: Optional[List[Dict[str, object]]]) -> FNode:
     main = reduced[0] if pidx is None else FNode(p.kind, tuple(reduced))
     if b_tree is None:
         return main
-    return FNode.add(main, _brent(b_tree, audit))
+    return _folded_add(main, _brent(b_tree, audit))
 
 
 def _brent_pass(c: Circuit, name: str) -> Tuple[Circuit, PassReport]:
@@ -505,7 +528,7 @@ def _to_anc(node: FNode) -> FNode:
     if node.kind == "input":
         return node
     if node.kind == "add":
-        return FNode.add(_to_anc(node.children[0]), _to_anc(node.children[1]))
+        return _folded_add(_to_anc(node.children[0]), _to_anc(node.children[1]))
     # a mul3, the one other kind the arity-3 basis admits
     conv = [_to_anc(ch) for ch in node.children]
     cubes = [

@@ -47,6 +47,30 @@ def random_ihl_formula(rng: random.Random, size: int, n_vars: int) -> FNode:
     )
 
 
+def random_caterpillar(rng: random.Random, spine: int, ops: Tuple[str, ...],
+                       n_vars: int, with_const: bool = False) -> FNode:
+    """A formula of depth ``spine``: each step of the spine combines the
+    running value with fresh leaves (two for a ``mul3``, one otherwise)
+    through an op of ``ops``, each op used equally often in a seeded order,
+    the running value on a random side.  Leaves are linear, or affine with
+    ``with_const``."""
+    def fresh() -> FNode:
+        form = _random_linear(rng, n_vars)
+        if with_const:
+            form = form + Polynomial.const(rng.choice([0, 0, 1, -1, 2]))
+        return FNode.leaf(form)
+
+    steps = [ops[i % len(ops)] for i in range(spine)]
+    rng.shuffle(steps)
+    acc = fresh()
+    for kind in steps:
+        kids = [acc] + [fresh() for _ in range(2 if kind == "mul3" else 1)]
+        if rng.random() < 0.5:
+            kids.reverse()
+        acc = FNode(kind, tuple(kids))
+    return acc
+
+
 def _split_odd_degree(rng: random.Random, d: int) -> Tuple[int, int, int]:
     """Three odd positive parts summing to the odd d >= 3."""
     d1 = rng.randrange(1, d - 1, 2)

@@ -16,7 +16,6 @@ from homlin.circuit import (
     DegreeMismatch,
     FNode,
     GradedArity3Repr,
-    balanced_add,
     circuit_to_tree,
     tree_to_circuit,
 )
@@ -403,7 +402,7 @@ def test_trace3_border_verifies_a_large_word():
     for name in ("brent", "ihl-formula"):
         c, _report = run_pass(name, c)
     w = compile_trace3(c)
-    assert w.r() == 392
+    assert w.r() == 376
     f = c.eval()
     assert verify_border(w, f).verdict
     rep = verify_border(w, f + P("x1^2*x2"))
@@ -443,17 +442,14 @@ def unmerged(compile_word, *args):
         return compile_word(*args)
 
 
-def oracle_unfolded_sum(nodes):
-    """Test oracle: the balanced sum of ``nodes`` with no leaf folded, as
-    add-negcube's cube arguments and the IHL split's sums were built before
-    ``transforms._folded_sum``."""
-    return balanced_add(nodes)
-
-
 def unfolded(run, *args):
-    """``run(*args)`` with every pass sum built by ``oracle_unfolded_sum``."""
+    """Test oracle: ``run(*args)`` on the route with no fold, as the passes
+    ran before they folded affine leaves.  No node reads as foldable
+    (``transforms._foldable``), so every sum is an add tree of its parts:
+    the simplifier's and add-negcube's adds, Brent's final join,
+    add-negcube's cube arguments and both sums of the IHL split."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(transforms, "_folded_sum", oracle_unfolded_sum)
+        m.setattr(transforms, "_foldable", lambda n: False)
         return run(*args)
 
 
@@ -680,10 +676,15 @@ def word2_invariant_holds(forms, expected):
     return entry_values(oracle_word2(forms), 1) == [[zero, mod_eps(expected, 1)], [zero, zero]]
 
 
-# the oracle expands the whole product, whose cost grows steeply with the
-# word length (seconds for one 200-factor cube word); longer words are left
-# to verify_border on the projection of their formula
+# the projection-value oracle expands the whole unabsorbed word, whose cost
+# grows steeply with its length (seconds for one 200-factor cube word);
+# longer words are left to verify_border on the projection of their formula
 ORACLE_MAX_FACTORS = 120
+
+# the invariant check expands the absorbed word mod eps^1, at a cost that
+# follows the word's terms, not its length: a cube nested in a cube takes
+# about 0.05 s at 70-80 terms and 1-3 s at 110-150 terms, at 27 to 53 slots
+ORACLE_MAX_TERMS = 80
 
 
 def _subtrees(node, seen):
@@ -702,15 +703,15 @@ def test_cont_odd_word_meets_the_invariant_with_the_proven_precision():
         FNode.add(FNode.negcube(FNode.add(X("x1"), X("x2")), Fraction(3, 2)),
                   FNode.negcube(FNode.negcube(X("x3")), Fraction(-1))),
     ]
-    # the cube trees of the unfolded route: folded cube arguments bring
-    # nested cubes under ORACLE_MAX_FACTORS, whose oracle expansions take
-    # seconds each (about 60 s in all for these draws)
+    # the cube trees of the folded route, which the pass emits, and of the
+    # unfolded one
     rng = random.Random(5)
     for d in (3, 5, 7):
         for _ in range(3):
             t = random_graded_arity3_formula(rng, d, rng.randint(3, 9), 3)
-            anc, _rep = unfolded(to_add_negcube, tree_to_circuit(t, "arity3"))
-            trees.append(circuit_to_tree(anc))
+            c = tree_to_circuit(t, "arity3")
+            for anc, _rep in (to_add_negcube(c), unfolded(to_add_negcube, c)):
+                trees.append(circuit_to_tree(anc))
     # and small trees of the folded route, cubes of one folded leaf each at
     # d = 3 and a nested cube at d = 5
     mul3 = lambda a, b, c: FNode("mul3", (a, b, c))  # noqa: E731
@@ -724,17 +725,25 @@ def test_cont_odd_word_meets_the_invariant_with_the_proven_precision():
     for t in folded:
         anc, _rep = to_add_negcube(tree_to_circuit(t, "arity3"))
         trees.append(circuit_to_tree(anc))
-    cubes = 0
+    # a subtree recurs in each of the four cubes above it, so each distinct
+    # word and value is checked once
+    checked = set()
+    cubes = nested = 0
     for tree in trees:
         for t in _subtrees(tree, {}):
-            if len(oracle_cont_odd_word(t, Fraction(1))) > ORACLE_MAX_FACTORS:
-                continue  # the unabsorbed length
             word = _cont_odd_word(t, Fraction(1)).forms()
-            assert_no_interior_zero(word)
-            assert len(word) % 2 == 1
-            assert word2_invariant_holds(word, t.eval().scale(ALPHA)), t
-            cubes += t.kind == "negcube"
-    assert cubes >= 200
+            if sum(len(lf.terms) for lf in word) > ORACLE_MAX_TERMS:
+                continue
+            value = t.eval().scale(ALPHA)
+            if (key := (tuple(word), value)) not in checked:
+                assert_no_interior_zero(word)
+                assert len(word) % 2 == 1
+                assert word2_invariant_holds(word, value), t
+                checked.add(key)
+            if t.kind == "negcube":
+                cubes += 1
+                nested += any(u.kind == "negcube" for u in _subtrees(t.children[0], {}))
+    assert cubes >= 400 and nested >= 60
 
 
 def oracle_cont_odd_word(node, s):

@@ -54,6 +54,7 @@ from homlin.transforms import (
 from generators import (
     _random_linear,
     random_arity2_circuit,
+    random_caterpillar,
     random_formula,
     random_graded_arity3_circuit,
     random_graded_arity3_formula,
@@ -336,7 +337,7 @@ def test_add_negcube_random_semantics():
 
 
 # ---------------------------------------------------------------------------
-# folding adjacent linear leaves of a sum into one leaf
+# folding affine sums into one leaf
 # ---------------------------------------------------------------------------
 
 
@@ -374,21 +375,28 @@ def test_add_negcube_fold_keeps_the_value_and_never_grows():
 
 
 def test_a_cancelling_run_stays_unfolded():
-    # x1 - x1 next to a sum: that run of the cube arguments sums to zero
-    t = FNode("mul3", (leaf("x1"), leaf("x1"), FNode.add(leaf("x2"), leaf("x3"))))
-    out, _ = to_add_negcube(tree_to_circuit(t, "arity3"))
-    assert out.eval() == X1 * X1 * (X2 + X3)
+    # mul3(x1, x1, x1 + x1): add-negcube folds the sum to the leaf 2*x1, and
+    # the cube argument x1 + x1 - 2*x1 cancels, so it stays an add tree
+    c = tree_to_circuit(FNode("mul3", (leaf("x1"), leaf("x1"), FNode.add(leaf("x1"), leaf("x1")))),
+                        "arity3")
+    out, _ = to_add_negcube(c)
+    assert out.eval() == 2 * X1 ** 3
     assert out.ihl_defect() is None
     assert all(g.form.terms for g in out.gates if g.kind == "input")
-    # the two cubes whose run is x1 + x1 fold it and save two gates each;
-    # the two whose run is x1 - x1 keep both leaves
-    assert out.size() == unfolded(to_add_negcube, tree_to_circuit(t, "arity3"))[0].size() - 4
-    assert sum(g.kind == "input" and g.form == X1 and g.scale == -1 for g in out.gates) == 2
+    # three cubes of one leaf, 4*x1, 2*x1 and -2*x1, and one of the five
+    # gates x1 + x1 - 2*x1: 15 gates, where the unfolded route took 35
+    args = [out.by_id[g.children[0]] for g in out.gates if g.kind == "negcube"]
+    assert sorted(a.kind for a in args) == ["add", "input", "input", "input"]
+    assert out.size() == 15 and unfolded(to_add_negcube, c)[0].size() == 35
     # the IHL split of (x1 + 1) + -x1: x1 and -x1 stay two leaves
-    c = as_formula(FNode.add(FNode.leaf(X1 + Polynomial.const(1)), leaf("x1", -1)))
-    out, _ = input_homogenize_formula(c)
-    assert kinds(out) == ["input", "input", "add"]
-    assert out.ihl_defect() is None and out.eval().is_zero()
+    pair = FNode.add(FNode.leaf(X1 + Polynomial.const(1)), leaf("x1", -1))
+    c0, hat = transforms._ihl_pair(pair)
+    assert c0 == Coeff.of(1) and kinds(as_formula(hat)) == ["input", "input", "add"]
+    assert as_formula(hat).ihl_defect() is None and hat.eval().is_zero()
+    # ihl-formula's Brent folds that sum to the leaf 1 first, so its IHL
+    # part is the zero formula
+    out, _ = input_homogenize_formula(as_formula(pair))
+    assert kinds(out) == ["input"] and out.eval().is_zero()
 
 
 def test_ihl_split_folds_linear_sums_into_one_leaf():
@@ -463,6 +471,148 @@ def test_trace3_words_of_the_folded_split_verify_and_never_grow():
         assert verify_border(w, f).verdict
         assert not verify_border(w, f + X1 ** 2).verdict
     assert shorter > 5
+
+
+def seeded_fold_runs(seed, n):
+    """(pass, input, IHL promised) for each pass that folds affine sums, on
+    ``n`` seeded arity-2 and graded arity-3 formulas."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        c2 = as_formula(random_formula(rng, rng.randint(1, 80), 4))
+        d = rng.choice([1, 3, 5, 7])
+        t3 = random_graded_arity3_formula(rng, d, rng.randint(2 * d, 60), 4)
+        c3 = tree_to_circuit(t3, "arity3")
+        yield brent_formula, c2, False
+        yield input_homogenize_formula, c2, True
+        yield brent_arity3, c3, True
+        yield to_add_negcube, c3, True
+
+
+def test_folded_passes_keep_the_value_and_shrink():
+    # add-negcube folds subtree by subtree, so it never grows.  Brent's
+    # separator walk reads sizes, so a smaller B can move a later separator
+    # and split a product over a sum: one brent3 output here grows from 30
+    # to 31 gates (over 800 draws per pass, one brent3 and one ihl-formula
+    # output grew, by at most 3.3%)
+    smaller = dict.fromkeys(("brent", "ihl-formula", "brent3", "add-negcube"), 0)
+    total = {name: [0, 0] for name in smaller}
+    for run, c, ihl in seeded_fold_runs(409, 40):
+        out, rep = run(c)
+        base, _ = unfolded(run, c)
+        assert out.eval() == base.eval()
+        assert rep.bound_satisfied
+        assert not ihl or out.ihl_defect() is None
+        if rep.pass_name == "add-negcube":
+            assert out.size() <= base.size()
+        assert out.size() <= 1.05 * base.size()
+        smaller[rep.pass_name] += out.size() < base.size()
+        total[rep.pass_name][0] += out.size()
+        total[rep.pass_name][1] += base.size()
+    assert min(smaller.values()) >= 20, smaller
+    assert all(folded < 0.85 * base for folded, base in total.values()), total
+
+
+def affine_values(c):
+    """The value of each gate of the formula ``c`` (no edge scalars) that
+    reads only input and add gates."""
+    val = {}
+    for g in c.gates:
+        tag = g.scale if g.scale is not None else 1
+        if g.kind == "input":
+            val[g.id] = g.form.scale(tag)
+        elif g.kind == "add" and all(ch in val for ch in g.children):
+            a, b = g.children
+            val[g.id] = (val[a] + val[b]).scale(tag)
+    return val
+
+
+def leaf_sums(c):
+    """The add gates of ``c`` over two input gates."""
+    return [g.id for g in c.gates
+            if g.kind == "add" and all(c.by_id[ch].kind == "input" for ch in g.children)]
+
+
+def unfolded_leaf_sums(c):
+    """The add gates over two input gates that a fold would have made one
+    leaf: a fold keeps a sum that cancels as a whole, so an add of two
+    leaves stays only when it, or an all-affine sum above it, is zero."""
+    val = affine_values(c)
+    parent = {ch: g.id for g in c.gates if g.kind == "add" and g.id in val for ch in g.children}
+    left = []
+    for x in leaf_sums(c):
+        gid = x
+        while not val[x].is_zero() and x in parent:
+            x = parent[x]
+        if not val[x].is_zero():
+            left.append(gid)
+    return left
+
+
+def test_no_pass_output_holds_a_sum_of_two_leaves_that_does_not_cancel():
+    held = 0
+    for run, c, _ihl in seeded_fold_runs(83, 40):
+        out, _rep = run(c)
+        assert unfolded_leaf_sums(out) == [], run.__name__
+        held += len(unfolded_leaf_sums(unfolded(run, c)[0]))
+    assert held >= 100  # the check sees the sums the unfolded route keeps
+    # a run that cancels is kept: x1 + x1 - 2*x1 in add-negcube, x3 - x3
+    # at Brent's size-3 base case
+    t = FNode("mul3", (leaf("x1"), leaf("x1"), FNode.add(leaf("x1"), leaf("x1"))))
+    out, _rep = to_add_negcube(tree_to_circuit(t, "arity3"))
+    assert len(leaf_sums(out)) == 1 and unfolded_leaf_sums(out) == []
+    out, _rep = brent_formula(as_formula(FNode.add(leaf("x3"), leaf("x3", -1))))
+    assert leaf_sums(out) == ["g3"] and unfolded_leaf_sums(out) == []
+
+
+def test_a_cancelling_sum_in_brents_b_is_the_zero_formula():
+    pair = FNode.add(leaf("x3"), leaf("x3", -1))
+    assert simplify(pair) is None
+    # the separator is the product, so B = pair, which simplifies to zero:
+    # the output is the product alone, each of its sums one leaf
+    prod = FNode.mul(FNode.add(leaf("x1"), leaf("x2")), FNode.add(leaf("x2"), leaf("x4")))
+    c = as_formula(FNode.add(prod, pair))
+    out, rep = brent_formula(c)
+    assert out.eval() == (X1 + X2) * (X2 + X4)
+    assert rep.details["recursionSteps"][0]["pieces"] == [7]
+    assert kinds(out) == ["input", "input", "mul"]
+    base, _ = unfolded(brent_formula, c)
+    assert base.size() == 11 and "x3" in print_circuit(base)
+
+
+def value_at(c, point):
+    """Test oracle: the exact value of an eps- and alpha-free formula
+    without edge scalars at ``point``, a map from variable names to
+    integers, gate by gate."""
+    val = {}
+    for g in c.gates:
+        kids = [val[ch] for ch in g.children]
+        if g.kind == "input":
+            v = sum(coef * math.prod(point[x] ** k for x, k in mono)
+                    for (mono, _e, _a), coef in g.form.terms.items())
+        elif g.kind == "add":
+            v = sum(kids)
+        elif g.kind == "negcube":
+            v = -kids[0] ** 3
+        else:  # a mul or mul3
+            v = math.prod(kids)
+        val[g.id] = v if g.scale is None else g.scale * v
+    return val[c.output_id]
+
+
+@pytest.mark.parametrize("spine", [40, 150, 400])
+def test_brent_bounds_hold_on_caterpillars(spine):
+    rng = random.Random(spine)
+    points = [{f"x{i}": rng.randint(-3, 3) for i in range(1, 5)} for _ in range(2)]
+    for run, ops, basis in ((brent_formula, ("add", "mul"), "arity2"),
+                            (brent_arity3, ("add", "mul3"), "arity3")):
+        c = tree_to_circuit(random_caterpillar(rng, spine, ops, 4, basis == "arity2"), basis)
+        assert c.depth() == spine
+        out, rep = run(c)
+        assert rep.bound_satisfied and rep.details["allStepsWithinTwoThirds"]
+        assert all(value_at(out, p) == value_at(c, p) for p in points)
+        assert basis == "arity2" or out.ihl_defect() is None
+        assert unfolded_leaf_sums(out) == []
+        assert out.size() <= unfolded(run, c)[0].size()
 
 
 # ---------------------------------------------------------------------------
@@ -568,12 +718,12 @@ def test_derivative_random_against_poly_oracle():
 # ---------------------------------------------------------------------------
 
 
-def test_brent3_small_formula_unchanged():
-    t = FNode.add(leaf("x1"), leaf("x2"))
-    c = tree_to_circuit(t, "arity3")
+def test_brent3_small_sum_is_one_leaf_unless_it_cancels():
+    out, _ = brent_arity3(tree_to_circuit(FNode.add(leaf("x1"), leaf("x2")), "arity3"))
+    assert kinds(out) == ["input"] and out.eval() == X1 + X2
+    c = tree_to_circuit(FNode.add(leaf("x1"), leaf("x1", -1)), "arity3")
     out, _ = brent_arity3(c)
-    assert out.size() == c.size()
-    assert out.eval() == c.eval()
+    assert print_circuit(out) == print_circuit(c)
 
 
 def test_brent3_deep_mul3_comb():
@@ -937,6 +1087,10 @@ def test_simplify_rules():
     # two constant-1 factors drop out
     t = FNode("mul3", (const(1), const(1), leaf("x2")))
     assert simplify(t).eval() == X2
+    # an addition of two leaves is one leaf, tags and all, or zero
+    t = FNode("add", (leaf("x1"), leaf("x2").scaled(2)), scale=Fraction(1, 3))
+    assert simplify(t) == FNode.leaf(X1.scale(Fraction(1, 3)) + X2.scale(Fraction(2, 3)))
+    assert simplify(FNode.add(leaf("x1", 2), leaf("x1").scaled(-2))) is None
 
 
 def oracle_subst_path(steps, repl):
@@ -984,6 +1138,17 @@ def test_separator_steps_enter_the_first_of_the_largest_children():
     t = FNode("mul3", (leaf("x3"), pair, FNode.mul(leaf("x4"), leaf("x5"))))
     assert [ci for _n, ci in _separator_steps(t)[0]] == [1]
     assert [ci for _n, ci in _separator_steps(FNode.mul(pair, pair))[0]] == [0]
+
+
+@pytest.mark.parametrize("basis", sorted(INNER_KINDS))
+def test_simplify_keeps_the_value(basis):
+    rng = random.Random(41)
+    for _ in range(100):
+        t = random_simplifiable_tree(rng, basis, rng.randint(1, 25))
+        s = simplify(t)
+        for point in ({"x1": 2, "x2": -1, "x3": 3}, {"x1": -3, "x2": 5, "x3": 1}):
+            want = value_at(tree_to_circuit(t, basis), point)
+            assert (0 if s is None else value_at(tree_to_circuit(s, basis), point)) == want
 
 
 @pytest.mark.parametrize("basis", sorted(INNER_KINDS))
