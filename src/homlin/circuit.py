@@ -235,9 +235,6 @@ class Circuit:
         this does no sweep of its own."""
         return self._depths
 
-    def depth(self) -> int:
-        return self.depths()[0]
-
     def syntactic_degrees(self) -> Dict[str, int]:
         """Per-gate syntactic degree for graded arity-3 IHL circuits.
 
@@ -435,12 +432,6 @@ class FNode:
     @staticmethod
     def negcube(a: "FNode", scale: Fraction = Fraction(1)) -> "FNode":
         return FNode("negcube", (a,), scale=scale)
-
-    def eval(self) -> Polynomial:
-        """The tree's polynomial, evaluated through its gate list in the
-        basis its gates imply (see ``_implied_basis``)."""
-        gates = _tree_gates(self)
-        return Circuit(gates, gates[-1].id, "formula", _implied_basis(gates)).eval()
 
     def scaled(self, s) -> "FNode":
         """This node with its scale tag multiplied by ``s``."""

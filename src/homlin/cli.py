@@ -22,7 +22,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from .circuit import DIRECTIVES, Circuit, parse_circuit, print_circuit
-from .families import FAMILY_TAGS, FamilySpec, gen_family
+from .families import FAMILY_TAGS, gen_family
 from .matrixword import (
     MatrixWord,
     Projection,
@@ -209,8 +209,7 @@ def _parse_field(text: str) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = FamilySpec(args.family, args.n, args.d)
-    p = gen_family(spec)
+    p = gen_family(args.family, args.n, args.d)
     _write_text(args.out, format_poly(p) + "\n")
     return 0
 
@@ -333,7 +332,7 @@ def cmd_verify(args) -> int:
         if args.n is None or args.d is None:
             raise CliError("--against-oracle needs --n and --d")
         got = _as_polynomial(load_artifact(args.infile))
-        want = gen_family(FamilySpec(args.against_oracle, args.n, args.d))
+        want = gen_family(args.against_oracle, args.n, args.d)
         rep = verify_exact(got, want)
         sys.stdout.write(_render_verify(rep))
         return 0 if rep.verdict else 1

@@ -1,6 +1,11 @@
 """Generators for the reference graded polynomial families.
 
 These are the independent oracles the compilations are verified against.
+The matrix families (C, nceL, nceGeneric, E) are rows of one table,
+``MATRIX_FAMILIES``: each row gives the matrix size, the slots of each
+factor and their variable names, the default weights of the functional and
+the value at degree 0.  ``gen`` fills the slots with the variables and a
+projection with its linear forms, and ``family_value`` evaluates both.
 Variable naming schemes (stable, used by projections and golden files):
 
   P        x1 .. xn
@@ -12,17 +17,17 @@ Variable naming schemes (stable, used by projections and golden files):
            xa_b_i          (entry (a,b) of the i-th factor; nceL omits a=b)
   E        xi_r_c          (off-diagonal entry (r,c) of the i-th factor)
 
-Elementary-symmetric-type families with d > n are zero (empty index set);
-nceL, nceGeneric and C return 1 at degree 0 (empty-product convention).
+Elementary-symmetric-type families with d > n are zero (empty index set).
+At degree 0, nceL, nceGeneric and C (and Ccomb) are scalar * 1 (the
+empty-product convention), E is 0.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, cycle
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .poly import COEFF_ONE, Coeff, KeyLayout, Polynomial, Rat, _var_key
@@ -451,47 +456,6 @@ def gen_C_comb(n: int, d: int) -> Polynomial:
     return out
 
 
-def parity_factor(i: int, p: Polynomial) -> Factor:
-    """The 2x2 factor at (1-based) slot i of a parity-alternating word: p in
-    the upper-triangular position for odd i, the lower one for even i."""
-    if not p.terms:
-        return {}
-    return {(0, 1) if i % 2 == 1 else (1, 0): p}
-
-
-# the parity-alternating family is the sum of the two top entries of its
-# 2x2 elementary symmetric product
-C_WEIGHTS: LWeights = ((1, 1), (0, 0))
-
-
-def gen_C_matrix(n: int, d: int) -> Polynomial:
-    """The same family through its 2x2 matrix-word definition: the word of
-    parity-shaped factors fed to the noncommutative elementary symmetric
-    polynomial, read off through C_WEIGHTS."""
-    _check(n, d)
-    if d == 0:
-        return Polynomial.const(1)
-    factors = [parity_factor(i, _var(i)) for i in range(1, n + 1)]
-    return nce_matrices(factors, d, Functional(C_WEIGHTS, COEFF_ONE))
-
-
-def gen_nce_generic(n: int, d: int) -> Polynomial:
-    """Sum of all 9 entries of the elementary symmetric polynomial in n
-    generic 3x3 matrices (9 fresh variables each)."""
-    _check(n, d)
-    if d == 0:
-        return Polynomial.const(1)
-    factors = [
-        {(a - 1, b - 1): _var(a, b, i) for a in range(1, 4) for b in range(1, 4)}
-        for i in range(1, n + 1)
-    ]
-    return nce_matrices(factors, d, Functional(L_sum(), COEFF_ONE))
-
-
-def L_sum() -> LWeights:
-    return [[1] * 3 for _ in range(3)]
-
-
 def L_trace(dim: int = 3) -> LWeights:
     return [[1 if r == c else 0 for c in range(dim)] for r in range(dim)]
 
@@ -500,54 +464,77 @@ def L_entry(i: int, j: int, dim: int = 3) -> LWeights:
     return [[1 if (r, c) == (i - 1, j - 1) else 0 for c in range(dim)] for r in range(dim)]
 
 
-# the (row, column) positions of a zero-diagonal 3x3 factor, in the order its
-# entries are listed: the nceL variable slots and a projection's forms
-OFF_DIAGONAL = tuple((a, b) for a in range(1, 4) for b in range(1, 4) if a != b)
+# the positions of a zero-diagonal 3x3 factor's slots, in their listed order
+_OFF = tuple((a, b) for a in range(3) for b in range(3) if a != b)
+_L_SUM = ((1, 1, 1),) * 3
+
+# The matrix families.  Each is  scalar * L(e_d(X_1, ..., X_n)),  the
+# functional L of the noncommutative elementary symmetric polynomial in n
+# square factors X_i whose nonzero entries are slots: ``gen`` fills them with
+# the family's variables, a projection with its linear forms.  Per tag:
+#   dim        the matrix size;
+#   slots      the 0-based (row, column) positions of factor i's slots, in
+#              their listed order: slots[(i - 1) % len(slots)] for 1-based i;
+#   name       a slot's variable, formatted with i and 1-based row a, column b;
+#   weights    the default L, as a dim x dim matrix;
+#   empty      the value at degree 0 (the empty product), times the scalar;
+#   projected  None where no projection targets the family, False where a
+#              projection reads the default L alone, True where it may list
+#              its own (nceL, whose L is a parameter of the family).
+# C is the parity-alternating family (a 2x2 word of upper-triangular factors
+# at odd i and lower-triangular ones at even i, read off by the sum of its two
+# top entries); nceL and E take zero-diagonal factors, nceGeneric full ones.
+# Elementary-symmetric sums with d > n are zero (empty index set).
+MATRIX_FAMILIES = {
+    "C": (2, (((0, 1),), ((1, 0),)), "x{i}", ((1, 1), (0, 0)), 1, False),
+    "nceL": (3, (_OFF,), "x{a}_{b}_{i}", _L_SUM, 1, True),
+    "nceGeneric": (3, (tuple((a, b) for a in range(3) for b in range(3)),), "x{a}_{b}_{i}",
+                   _L_SUM, 1, None),
+    "E": (3, (_OFF,), "x{i}_{a}_{b}", _L_SUM, 0, None),
+}
+# the families a projection may target
+PROJECTION_TAGS = tuple(tag for tag, row in MATRIX_FAMILIES.items() if row[5] is not None)
 
 
-def zero_diag_factor(entries: Sequence[Polynomial]) -> Factor:
-    """The 3x3 factor with zero diagonal and ``entries`` at OFF_DIAGONAL."""
-    return {
-        (a - 1, b - 1): p for (a, b), p in zip(OFF_DIAGONAL, entries, strict=True) if p.terms
-    }
+def _family(tag: str) -> tuple:
+    row = MATRIX_FAMILIES.get(tag)
+    if row is None:
+        raise InvalidParameters(f"unknown family tag {tag!r}")
+    return row
 
 
-def gen_nce_L(n: int, d: int, weights: LWeights | None = None) -> Polynomial:
-    """L applied to the elementary symmetric polynomial in n zero-diagonal
-    3x3 matrices of 6 fresh variables each; degree 0 is fixed to 1."""
-    _check(n, d)
-    if d == 0:
-        return Polynomial.const(1)
-    factors = [
-        zero_diag_factor([_var(a, b, i) for a, b in OFF_DIAGONAL]) for i in range(1, n + 1)
-    ]
-    return nce_matrices(
-        factors, d, Functional(weights if weights is not None else L_sum(), COEFF_ONE))
+def slot_names(tag: str, n: int) -> List[str]:
+    """The variables of the slots of family ``tag`` with n factors, in order."""
+    _dim, slots, name, *_ = _family(tag)
+    return [name.format(i=i, a=r + 1, b=c + 1)
+            for i, positions in zip(range(1, n + 1), cycle(slots)) for r, c in positions]
 
 
-def gen_E(n: int, d: int) -> Polynomial:
-    """Homogeneous degree-d part of the sum of the entries of the product of
-    n all-ones-diagonal 3x3 factors, minus the identity.  The off-diagonal
-    parts A_i are linear forms, so that part is the sum of the entries of
-    e_d(A_1, ..., A_n), and zero at degree 0."""
-    _check(n, d)
-    if d == 0:
-        return Polynomial.zero()
-    factors = [
-        zero_diag_factor([_var(i, a, b) for a, b in OFF_DIAGONAL]) for i in range(1, n + 1)
-    ]
-    return nce_matrices(factors, d, Functional(L_sum(), COEFF_ONE))
-
-
-@dataclass
-class FamilySpec:
-    tag: str
-    n: int
-    d: int
-
-    def __post_init__(self):
-        if self.tag not in FAMILY_TAGS:
-            raise InvalidParameters(f"unknown family tag {self.tag!r}")
+def family_value(tag: str, n: int, d: int, forms: Sequence[Polynomial],
+                 scalar: Coeff = COEFF_ONE, weights: Optional[LWeights] = None,
+                 below: Optional[int] = None) -> Polynomial:
+    """``scalar * L(e_d(X_1, ..., X_n))`` for family ``tag`` with ``forms``
+    in its slots, in ``slot_names`` order, and L the given weights (the
+    family's default when None); exact mod eps^below, or in full when
+    ``below`` is None."""
+    _dim, slots, _name, default, empty, projected = _family(tag)
+    width = len(slots[0])
+    if len(forms) != n * width:
+        raise ValueError(f"{tag} projection with n = {n} has {len(forms)} forms")
+    if weights is None:
+        weights = default
+    elif not projected:
+        raise ValueError(f"a {tag} projection takes no weights")
+    if d == 0:  # the empty product, its terms from eps^below on dropped
+        value = scalar * empty
+        return Coeff({(e, a): c for (e, a), c in value.terms.items()
+                      if below is None or e < below}).to_poly()
+    if width == 1:  # one slot per factor (C): each factor is built directly
+        factors = [{at: p} if p.terms else {} for (at,), p in zip(cycle(slots), forms)]
+    else:
+        factors = [{at: p for at, p in zip(positions, forms[k:k + width]) if p.terms}
+                   for k, positions in zip(range(0, len(forms), width), cycle(slots))]
+    return nce_matrices(factors, d, Functional(weights, scalar, below))
 
 
 def _check(n: int, d: int):
@@ -555,22 +542,12 @@ def _check(n: int, d: int):
         raise InvalidParameters(f"need n >= 1 and d >= 0, got n={n}, d={d}")
 
 
-def gen_family(spec: FamilySpec) -> Polynomial:
-    tag, n, d = spec.tag, spec.n, spec.d
-    if tag == "P":
-        return gen_P(n, d)
-    if tag == "Q":
-        return gen_Q(n, d)
-    if tag == "IMM":
-        return gen_IMM(n, d)
-    if tag == "C":
-        return gen_C_matrix(n, d)
-    if tag == "Ccomb":  # the enumeration, kept as the named oracle
-        return gen_C_comb(n, d)
-    if tag == "nceGeneric":
-        return gen_nce_generic(n, d)
-    if tag == "nceL":
-        return gen_nce_L(n, d)
-    if tag == "E":
-        return gen_E(n, d)
-    raise InvalidParameters(tag)  # pragma: no cover
+def gen_family(tag: str, n: int, d: int) -> Polynomial:
+    """The family ``tag`` in its own variables."""
+    if tag not in FAMILY_TAGS:
+        raise InvalidParameters(f"unknown family tag {tag!r}")
+    if tag in MATRIX_FAMILIES:
+        _check(n, d)
+        return family_value(tag, n, d, [Polynomial.variable(v) for v in slot_names(tag, n)])
+    # Ccomb is the enumeration of C, kept as the named oracle
+    return {"P": gen_P, "Q": gen_Q, "IMM": gen_IMM, "Ccomb": gen_C_comb}[tag](n, d)

@@ -29,18 +29,16 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .circuit import ArtifactSyntaxError, Circuit, FNode, circuit_to_tree, GradedArity3Repr
 from .families import (
-    C_WEIGHTS,
+    MATRIX_FAMILIES,
+    PROJECTION_TAGS,
     Factor,
     Functional,
     L_entry,
-    L_sum,
     L_trace,
     LWeights,
-    OFF_DIAGONAL,
-    nce_matrices,
-    parity_factor,
+    family_value,
+    slot_names,
     word_product,
-    zero_diag_factor,
 )
 from .poly import (
     COEFF_ONE,
@@ -111,38 +109,16 @@ class Projection:
     weights: Optional[LWeights] = None  # nceL functional
 
     def slot_names(self) -> List[str]:
-        if self.family_tag == "C":
-            return [f"x{i}" for i in range(1, self.n + 1)]
-        return [f"x{a}_{b}_{i}" for i in range(1, self.n + 1) for a, b in OFF_DIAGONAL]
+        return slot_names(self.family_tag, self.n)
 
     def value(self, below: Optional[int] = None) -> Polynomial:
         """The projected family value, scaled; exact mod eps^below, or in
-        full when ``below`` is None.
-
-        Evaluated directly on the substituted forms, by the elementary
-        symmetric matrix recurrence over the family's factors (2x2
-        parity-alternating or 3x3 zero-diagonal), rather than by
-        substituting into the monomial expansion, whose size explodes with
-        the slot count; the two routes agree and are cross-checked on small
-        instances in the tests.
-        """
-        if len(self.forms) != len(self.slot_names()):
-            raise ValueError(
-                f"{self.family_tag} projection with n = {self.n} has {len(self.forms)} forms"
-            )
-        forms = self.forms
-        if self.family_tag == "C":
-            if self.weights is not None:
-                raise ValueError("a C projection reads C_WEIGHTS and takes no weights")
-            factors = [parity_factor(i, p) for i, p in enumerate(forms, start=1)]
-            weights = C_WEIGHTS
-        elif self.family_tag == "nceL":
-            k = len(OFF_DIAGONAL)
-            factors = [zero_diag_factor(forms[k * i:k * (i + 1)]) for i in range(self.n)]
-            weights = self.weights if self.weights is not None else L_sum()
-        else:
-            raise ValueError(f"unknown family tag {self.family_tag!r}")
-        return nce_matrices(factors, self.d, Functional(weights, self.scalar, below))
+        full when ``below`` is None.  Evaluated by the elementary symmetric
+        matrix recurrence on the forms (``family_value``), never through the
+        family's monomial expansion, whose size explodes with the slot
+        count; the tests cross-check the two routes on small instances."""
+        return family_value(self.family_tag, self.n, self.d, self.forms, self.scalar,
+                            self.weights, below)
 
 
 def expand_word(w: MatrixWord, read: Functional) -> Polynomial:
@@ -323,9 +299,9 @@ def compile_trace3(c: Circuit) -> MatrixWord:
 # 2x2 alternating-word border construction
 # ---------------------------------------------------------------------------
 #
-# A 2x2 word is kept as a list of linear forms, laid out as matrices by
-# ``parity_factor`` (upper-triangular at odd slots, lower-triangular at even
-# ones).  Every recursive invariant word has odd length, starts
+# A 2x2 word is kept as a list of linear forms, laid out as matrices by the
+# ``C`` family's slots (upper-triangular at odd slots, lower-triangular at
+# even ones).  Every recursive invariant word has odd length, starts
 # upper-triangular, and satisfies: the eps-limit of (product - id) exists and
 # equals alpha * value * E_upper exactly.
 #
@@ -692,6 +668,11 @@ def format_projection(p: Projection) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the size of the functional a ``weights:`` line lists, row by row: that of
+# the one projection family whose L is a parameter (nceL)
+_LISTED, = {dim for dim, *_, projected in MATRIX_FAMILIES.values() if projected}
+
+
 def parse_projection(text: str) -> Projection:
     tag = n = d = border = None
     scalar = COEFF_ONE
@@ -706,9 +687,10 @@ def parse_projection(text: str) -> Projection:
                 words = line.split()
                 if len(words) != 8 or words[2::2] != ["n", "d", "border"]:
                     raise ArtifactSyntaxError(
-                        "expected 'projection C|nceL n <n> d <d> border 0|1'", lineno)
+                        f"expected 'projection {'|'.join(PROJECTION_TAGS)} n <n> d <d> border 0|1'",
+                        lineno)
                 tag = words[1]
-                if tag not in ("C", "nceL"):
+                if tag not in PROJECTION_TAGS:
                     raise ArtifactSyntaxError(f"unknown family tag {tag!r}", lineno)
                 n = _int(words[3], "n", lineno, 1)
                 d = _int(words[5], "d", lineno, 0)
@@ -719,9 +701,10 @@ def parse_projection(text: str) -> Projection:
             elif line.startswith("weights:"):
                 _once("weights", given, lineno)
                 flat = [parse_coeff(t) for t in line[len("weights:"):].split(",")]
-                if len(flat) != 9:
-                    raise ArtifactSyntaxError(f"expected 9 weights, got {len(flat)}", lineno)
-                weights, weights_line = [flat[i * 3:(i + 1) * 3] for i in range(3)], lineno
+                k = _LISTED
+                if len(flat) != k * k:
+                    raise ArtifactSyntaxError(f"expected {k * k} weights, got {len(flat)}", lineno)
+                weights, weights_line = [flat[i * k:(i + 1) * k] for i in range(k)], lineno
             elif line.startswith("form "):
                 head, colon, body = line.partition(":")
                 name = head[len("form "):].strip()
@@ -741,8 +724,8 @@ def parse_projection(text: str) -> Projection:
             raise ArtifactSyntaxError(str(exc), lineno) from exc
     if tag is None:
         raise ValueError("missing projection header")
-    if tag == "C" and weights is not None:
-        raise ArtifactSyntaxError("a C projection takes no weights", weights_line)
+    if weights is not None and not MATRIX_FAMILIES[tag][5]:
+        raise ArtifactSyntaxError(f"a {tag} projection takes no weights", weights_line)
     p = Projection(tag, n, d, [], scalar, border, weights)
     slots = p.slot_names()
     known = set(slots)

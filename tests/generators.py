@@ -9,9 +9,16 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from homlin.circuit import Circuit, FNode
+from homlin.circuit import Circuit, FNode, _implied_basis, _tree_gates
 from homlin.poly import Coeff, Polynomial
 from homlin.transforms import _CBuilder
+
+
+def tree_value(t: FNode) -> Polynomial:
+    """The polynomial of a formula tree, evaluated through its gate list in
+    the basis its gates imply."""
+    gates = _tree_gates(t)
+    return Circuit(gates, gates[-1].id, "formula", _implied_basis(gates)).eval()
 
 
 def _random_linear(rng: random.Random, n_vars: int, width: int = 2) -> Polynomial:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from homlin.circuit import BasisViolation, FNode, tree_to_circuit
-from homlin.families import gen_C_comb, gen_C_matrix
+from homlin.families import gen_C_comb, gen_family
 from homlin.matrixword import (
     MatrixWord,
     compile_continuant_even,
@@ -62,7 +62,7 @@ def test_criterion_1_input_homogenization():
         want = f - f.constant_part().to_poly()
         assert out.eval() == want
         assert out.size() <= 6 * s
-        assert out.depth() <= 3 * s
+        assert out.depths()[0] <= 3 * s
         assert rep.bound_satisfied
 
 
@@ -78,7 +78,7 @@ def _criterion_2_3_formulas():
 def test_criterion_2_offdiag_exact():
     for c in _criterion_2_3_formulas():
         w = compile_offdiag3(c, (1, 3))
-        assert w.r() <= 4 ** c.depth()
+        assert w.r() <= 4 ** c.depths()[0]
         m = expand(w)
         for i in range(3):
             m[i][i] = m[i][i] - Polynomial.const(1)
@@ -155,7 +155,7 @@ def test_criterion_6_brent_arity3():
         c = tree_to_circuit(t, "arity3")
         out, rep = brent_arity3(c)
         s = c.size()
-        assert out.depth() <= 2 * math.log(s, 1.5) + 4
+        assert out.depths()[0] <= 2 * math.log(s, 1.5) + 4
         assert out.eval() == c.eval()
         assert rep.bound_satisfied  # per-step recursion audits
 
@@ -281,7 +281,7 @@ def test_criterion_8_vf_to_v3p():
 def test_criterion_9_family_oracles():
     for n in range(1, 10):
         for d in range(1, n + 1):
-            assert gen_C_comb(n, d) == gen_C_matrix(n, d)
+            assert gen_C_comb(n, d) == gen_family("C", n, d)
     for n in range(2, 10):
         for d in range(0, n + 1):
             if n % 2 != d % 2:

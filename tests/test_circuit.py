@@ -22,6 +22,7 @@ from homlin.circuit import (
     tree_to_circuit,
 )
 from homlin.poly import COEFF_ONE, Coeff, Polynomial, parse_poly
+from generators import tree_value
 
 X1 = Polynomial.variable("x1")
 X2 = Polynomial.variable("x2")
@@ -34,12 +35,12 @@ def _leaf(name, c=1):
 
 def test_eval_mul():
     t = FNode.mul(_leaf("x1"), _leaf("x2"))
-    assert t.eval() == X1 * X2
+    assert tree_value(t) == X1 * X2
 
 
 def test_eval_negcube():
     t = FNode.negcube(_leaf("x1"))
-    assert t.eval() == -(X1 ** 3)
+    assert tree_value(t) == -(X1 ** 3)
 
 
 def test_eval_mul3_distributes():
@@ -47,13 +48,13 @@ def test_eval_mul3_distributes():
     t = FNode("mul3", (
         FNode.leaf(parse_poly("x1 + x2")), _leaf("x1"), _leaf("x3")
     ))
-    assert t.eval() == X1 * X1 * X3 + X1 * X2 * X3
+    assert tree_value(t) == X1 * X1 * X3 + X1 * X2 * X3
 
 
 def test_metrics_single_input():
     c = tree_to_circuit(_leaf("x1"), "arity2")
     assert c.size() == 1
-    assert c.depth() == 0
+    assert c.depths()[0] == 0
     assert c.syntactic_degrees()[c.output_id] == 1
 
 
@@ -61,7 +62,7 @@ def test_metrics_mul3():
     t = FNode("mul3", (_leaf("x1"), _leaf("x2"), _leaf("x3")))
     c = tree_to_circuit(t, "arity3")
     assert c.size() == 4
-    assert c.depth() == 1
+    assert c.depths()[0] == 1
     assert c.syntactic_degrees()[c.output_id] == 3
 
 
@@ -159,7 +160,7 @@ def test_balanced_add_is_logarithmic():
     leaves = [_leaf(f"x{i}") for i in range(1, 33)]
     t = balanced_add(leaves)
     assert t.depth() == 5
-    assert t.eval() == sum(
+    assert tree_value(t) == sum(
         (Polynomial.variable(f"x{i}") for i in range(1, 33)), Polynomial.zero()
     )
 
@@ -284,7 +285,7 @@ def test_circuit_to_tree_shares_shared_gates():
     g2 = Gate("g2", "mul", children=("g1", "g1"))
     c = Circuit([g1, g2], "g2", "circuit", "arity2")
     t = circuit_to_tree(c)
-    assert t.eval() == X1 * X1
+    assert tree_value(t) == X1 * X1
     assert t.size() == 3
     assert t.children[0] is t.children[1]
 
@@ -376,13 +377,13 @@ def test_gate_is_an_immutable_value_with_keyword_construction():
 def test_depths_counts_all_gates_and_product_gates_in_one_sweep(product, basis):
     t = FNode.add(product(_leaf("x1"), product(_leaf("x2"), _leaf("x3"))), _leaf("x3"))
     c = tree_to_circuit(t, basis)
-    assert c.depths() == (3, 2) and c.depth() == 3
+    assert c.depths() == (3, 2)
 
 
 def test_depths_count_a_negative_cube_as_a_product_gate():
     t = FNode.add(FNode.negcube(FNode.add(FNode.negcube(_leaf("x1")), _leaf("x2"))), _leaf("x3"))
     c = tree_to_circuit(t, "addNegCube")
-    assert c.depths() == (4, 2) and c.depth() == 4
+    assert c.depths() == (4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +474,7 @@ def test_packed_evaluator_matches_the_polynomial_sweep(basis, seed):
     assert c.eval() == want[c.output_id]
     # the tree view carries no edge scalars; its evaluation agrees too
     bare = random_circuit(rng, basis, rng.randint(3, 12), edges=False)
-    assert circuit_to_tree(bare).eval() == oracle_eval_gates(bare)[bare.output_id]
+    assert tree_value(circuit_to_tree(bare)) == oracle_eval_gates(bare)[bare.output_id]
 
 
 @pytest.mark.parametrize("basis", BASES)

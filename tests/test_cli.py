@@ -688,7 +688,7 @@ def test_commands_leave_no_cyclic_garbage(capsys, tmp_path, code, argv, inputs):
 
 
 def _gen_raising(exc):
-    def gen(spec):
+    def gen(tag, n, d):
         raise exc
     return gen
 
@@ -712,9 +712,9 @@ def test_main_pauses_the_collector_and_restores_it(capsys, tmp_path, monkeypatch
     fail.write_text(json.dumps({"value": 70, "bound": 64}))
     during = []
 
-    def gen_family(spec, real=cli.gen_family):
+    def gen_family(tag, n, d, real=cli.gen_family):
         during.append(gc.isenabled())
-        return real(spec) if gen is None else gen(spec)
+        return real(tag, n, d) if gen is None else gen(tag, n, d)
 
     monkeypatch.setattr(cli, "gen_family", gen_family)
     (gc.enable if enabled else gc.disable)()
@@ -1022,6 +1022,19 @@ def test_weights_on_a_C_projection_exit_2_with_line(capsys, tmp_path):
                          "--against", str(target))
     assert code == 2 and out == ""
     assert "line 3" in err and "takes no weights" in err
+
+
+@pytest.mark.parametrize("tag, form", [("nceL", "x1_2_1"), ("C", "x1")])
+def test_a_degree_zero_projection_verifies_against_gen(capsys, tmp_path, tag, form):
+    # an nceL projection at d = 0 once read L_sum(id) = 3, not gen's 1, and
+    # failed with witness 2
+    proj, target = tmp_path / "p.txt", tmp_path / "t.poly"
+    proj.write_text(f"projection {tag} n 1 d 0 border 0\nscalar: 1\nform {form}: x1\n")
+    assert run(capsys, "gen", "--family", tag, "--n", "1", "--d", "0", "--out", str(target))[0] == 0
+    assert target.read_text() == "1\n"
+    code, out, _err = run(capsys, "verify", "--mode", "border", "--in", str(proj),
+                          "--against", str(target))
+    assert code == 0 and "verdict=pass" in out
 
 
 @pytest.mark.parametrize("old, new", [

@@ -186,6 +186,8 @@ OFF = [(a, b) for a in range(3) for b in range(3) if a != b]
 
 
 def oracle_projection_value(p):
+    if p.d == 0:  # C and nceL are 1 at degree 0, whatever L reads off the identity
+        return Polynomial.const(p.scalar)
     polys = p.forms
     if p.family_tag == "C":
         factors = []

@@ -6,22 +6,22 @@ import pytest
 
 from homlin import families
 from homlin.families import (
-    FamilySpec,
+    MATRIX_FAMILIES,
+    PROJECTION_TAGS,
     InvalidParameters,
     L_entry,
     L_trace,
+    family_value,
     gen_C_comb,
-    gen_C_matrix,
-    gen_E,
     gen_IMM,
     gen_P,
     gen_Q,
     gen_family,
-    gen_nce_L,
-    gen_nce_generic,
+    slot_names,
 )
-from homlin.poly import Coeff, Polynomial, parse_poly
-from test_matrixword import oracle_word_product
+from homlin.matrixword import Projection
+from homlin.poly import Coeff, Polynomial, parse_coeff, parse_poly
+from test_matrixword import family_in_variables, oracle_word_product
 
 
 def V(*idx):
@@ -75,11 +75,11 @@ def test_E_1_1_is_offdiagonal_sum():
         for c in range(1, 4):
             if r != c:
                 expected = expected + V(1, r, c)
-    assert gen_E(1, 1) == expected
+    assert gen_family("E", 1, 1) == expected
 
 
 def test_E_is_the_degree_d_part_of_the_dense_word_product():
-    # gen_E reads e_d of the off-diagonal parts; the oracle multiplies the
+    # E reads e_d of the off-diagonal parts; the oracle multiplies the
     # whole word of id + A_i factors and takes the degree-d part of L_sum(M - id)
     for n in range(1, 5):
         factors = [[[V(i, r, c) if r != c else Polynomial.zero() for c in range(1, 4)]
@@ -87,11 +87,11 @@ def test_E_is_the_degree_d_part_of_the_dense_word_product():
         m = oracle_word_product(factors, 3)
         total = sum((p for row in m for p in row), Polynomial.const(-3))
         for d in range(6):
-            assert gen_E(n, d) == total.homog_component(d), (n, d)
+            assert gen_family("E", n, d) == total.homog_component(d), (n, d)
 
 
 def test_nce_generic_degree_one():
-    p = gen_nce_generic(2, 1)
+    p = gen_family("nceGeneric", 2, 1)
     expected = Polynomial.zero()
     for i in range(1, 3):
         for a in range(1, 4):
@@ -101,20 +101,20 @@ def test_nce_generic_degree_one():
 
 
 def test_nce_degree_zero_convention():
-    assert gen_nce_L(3, 0) == Polynomial.const(1)
-    assert gen_nce_generic(3, 0) == Polynomial.const(1)
+    assert gen_family("nceL", 3, 0) == Polynomial.const(1)
+    assert gen_family("nceGeneric", 3, 0) == Polynomial.const(1)
     assert gen_C_comb(3, 0) == Polynomial.const(1)
 
 
 def test_nce_degree_above_n_is_zero():
-    assert gen_nce_L(2, 3).is_zero()
+    assert gen_family("nceL", 2, 3).is_zero()
     assert gen_C_comb(3, 4).is_zero()
 
 
 def test_oracle_equivalence_Ccomb_Cmatrix():
     for n in range(1, 10):
         for d in range(1, n + 1):
-            assert gen_C_comb(n, d) == gen_C_matrix(n, d), (n, d)
+            assert gen_C_comb(n, d) == gen_family("C", n, d), (n, d)
 
 
 def test_parity_lemma():
@@ -136,9 +136,9 @@ def test_homogeneity_of_all_families():
         (gen_Q(2, 3), 3),
         (gen_IMM(2, 3), 3),
         (gen_C_comb(6, 4), 4),
-        (gen_nce_generic(3, 2), 2),
-        (gen_nce_L(3, 2), 2),
-        (gen_E(2, 2), 2),
+        (gen_family("nceGeneric", 3, 2), 2),
+        (gen_family("nceL", 3, 2), 2),
+        (gen_family("E", 2, 2), 2),
     ]
     for p, d in cases:
         assert p.is_zero() or p.homog_degrees() == [d]
@@ -149,26 +149,26 @@ def test_nceL_specializes_nceGeneric():
     # applying the all-ones functional gives the zero-diagonal family
     for n in range(1, 5):
         for d in range(0, 4):
-            generic = gen_nce_generic(n, d)
+            generic = gen_family("nceGeneric", n, d)
             sigma = {
                 f"x{a}_{a}_{i}": Polynomial.zero()
                 for a in range(1, 4)
                 for i in range(1, n + 1)
             }
-            assert generic.substitute(sigma) == gen_nce_L(n, d), (n, d)
+            assert generic.substitute(sigma) == gen_family("nceL", n, d), (n, d)
 
 
 def test_L_variants():
-    p_tr = gen_nce_L(2, 2, L_trace())
-    p_13 = gen_nce_L(2, 2, L_entry(1, 3))
+    p_tr = family_in_variables("nceL", 2, 2, L_trace())
+    p_13 = family_in_variables("nceL", 2, 2, L_entry(1, 3))
     assert p_tr != p_13
-    full = gen_nce_L(2, 2)
+    full = gen_family("nceL", 2, 2)
     # sum functional equals trace + all six off-diagonal entry functionals
     acc = p_tr
     for r in range(1, 4):
         for c in range(1, 4):
             if r != c:
-                acc = acc + gen_nce_L(2, 2, L_entry(r, c))
+                acc = acc + family_in_variables("nceL", 2, 2, L_entry(r, c))
     assert acc == full
 
 
@@ -202,11 +202,13 @@ def test_varphi_single_entry_P():
 
 
 def test_gen_family_dispatch_and_errors():
-    assert gen_family(FamilySpec("C", 5, 3)) == gen_C_comb(5, 3)
+    assert gen_family("C", 5, 3) == gen_C_comb(5, 3)
+    with pytest.raises(InvalidParameters, match="unknown family tag 'bogus'"):
+        gen_family("bogus", 1, 1)
     with pytest.raises(InvalidParameters):
-        FamilySpec("bogus", 1, 1)
-    with pytest.raises(InvalidParameters):
-        gen_family(FamilySpec("P", 0, 2))
+        gen_family("P", 0, 2)
+    with pytest.raises(InvalidParameters, match="need n >= 1"):
+        gen_family("nceL", 0, 2)
 
 
 def test_family_C_is_generated_by_the_matrix_recurrence(monkeypatch):
@@ -218,6 +220,38 @@ def test_family_C_is_generated_by_the_matrix_recurrence(monkeypatch):
         raise AssertionError("the enumeration ran")
 
     monkeypatch.setattr(families, "gen_C_comb", enumeration)
-    assert gen_family(FamilySpec("C", 9, 5)) == want
+    assert gen_family("C", 9, 5) == want
     with pytest.raises(AssertionError, match="the enumeration ran"):
-        gen_family(FamilySpec("Ccomb", 9, 5))
+        gen_family("Ccomb", 9, 5)
+
+
+@pytest.mark.parametrize("tag", PROJECTION_TAGS)
+def test_a_projection_at_degree_zero_is_the_scalar_times_the_family(tag):
+    # an nceL projection at d = 0 once read L_sum(id) = 3 where gen printed 1
+    for n in range(1, 4):
+        forms = [Polynomial.variable(f"x{k}") for k in range(len(slot_names(tag, n)))]
+        for scalar in map(parse_coeff, ["1", "eps^-1", "-2 * alpha", "0"]):
+            p = Projection(tag, n, 0, forms, scalar)
+            assert p.value() == gen_family(tag, n, 0).scale(scalar), (tag, n, scalar)
+
+
+def test_every_matrix_family_reads_its_slots_and_its_degree_zero_value():
+    for tag, (dim, slots, _name, _weights, empty, _projected) in MATRIX_FAMILIES.items():
+        for n in range(1, 4):
+            names = slot_names(tag, n)
+            assert len(set(names)) == len(names) == n * len(slots[0]), (tag, n)
+            assert all(r < dim and c < dim for positions in slots for r, c in positions)
+            assert gen_family(tag, n, 0) == Polynomial.const(empty), (tag, n)
+            used = set().union(*(gen_family(tag, n, d).variables() for d in range(1, n + 1)))
+            assert used == set(names), (tag, n)
+
+
+def test_family_value_checks_its_forms_and_weights():
+    x = [Polynomial.variable(f"x{i}") for i in range(1, 7)]
+    with pytest.raises(ValueError, match="C projection with n = 2 has 3 forms"):
+        family_value("C", 2, 1, x[:3])
+    with pytest.raises(ValueError, match="a C projection takes no weights"):
+        family_value("C", 2, 1, x[:2], weights=L_trace(2))
+    with pytest.raises(InvalidParameters, match="unknown family tag 'bogus'"):
+        family_value("bogus", 1, 1, x)
+    assert family_value("nceL", 1, 1, x, weights=L_entry(1, 2)) == x[0]

@@ -11,8 +11,10 @@ from types import SimpleNamespace
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+# the benchmark's scripts are read, never changed, by these checks
 FILES = sorted(
-    p for p in [*ROOT.glob("src/homlin/*.py"), *ROOT.glob("tests/*.py")]
+    p for p in [*ROOT.glob("src/homlin/*.py"), *ROOT.glob("tests/*.py"),
+                *ROOT.glob("bench/*.py"), *ROOT.glob("bench/tests/*.py")]
     if p.name != "__init__.py"
 )
 
@@ -36,7 +38,7 @@ def test_scanner_flags_an_unused_import():
         (1, "os"), (2, "Dict")]
 
 
-@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)).removeprefix("src/"))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -45,9 +47,16 @@ SRC = sorted(ROOT.glob("src/homlin/*.py"))
 
 
 def _mentions(*nodes):
-    """Every name and attribute name the given nodes mention."""
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for node in nodes for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+    """The bare names and the attribute names the given nodes mention, as
+    two sets."""
+    names, attrs = set(), set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                attrs.add(n.attr)
+    return names, attrs
 
 
 def unreached_defs(sources, roots):
@@ -55,27 +64,36 @@ def unreached_defs(sources, roots):
     given ``{module: source}``, as ``module.name`` or ``module.Class.name``,
     that no reached code mentions.  Reached are the ``roots`` (qualified the
     same way), module-level and class-level statements, dunder methods, and,
-    transitively, every def whose bare name reached code mentions."""
-    defs, live = {}, set()
+    transitively, every function whose name reached code mentions and every
+    method whose name it mentions as an attribute (``x.name``): a bare name
+    is a parameter or a local as often as a method."""
+    defs, names, attrs = {}, set(), set()
+
+    def mention(*nodes):
+        found_names, found_attrs = _mentions(*nodes)
+        names.update(found_names)
+        attrs.update(found_attrs)
+
     for mod, src in sources.items():
         for node in ast.parse(src).body:
             if isinstance(node, ast.FunctionDef):
-                defs[f"{mod}.{node.name}"] = node
+                defs[f"{mod}.{node.name}"] = (node, False)
             elif isinstance(node, ast.ClassDef):
-                live |= _mentions(*node.bases, *node.keywords, *node.decorator_list)
+                mention(*node.bases, *node.keywords, *node.decorator_list)
                 for item in node.body:
                     if not isinstance(item, ast.FunctionDef):
-                        live |= _mentions(item)
+                        mention(item)
                     elif item.name.startswith("__") and item.name.endswith("__"):
-                        live |= _mentions(item)
+                        mention(item)
                     else:
-                        defs[f"{mod}.{node.name}.{item.name}"] = item
+                        defs[f"{mod}.{node.name}.{item.name}"] = (item, True)
             else:
-                live |= _mentions(node)
+                mention(node)
     unreached = dict(defs)
-    while reach := [q for q, f in unreached.items() if q in roots or f.name in live]:
+    while reach := [q for q, (f, method) in unreached.items()
+                    if q in roots or f.name in attrs or (not method and f.name in names)]:
         for q in reach:
-            live |= _mentions(unreached.pop(q))
+            mention(unreached.pop(q)[0])
     return sorted(unreached)
 
 
@@ -89,6 +107,17 @@ def test_reachability_scanner_flags_a_dead_chain():
     }
     assert unreached_defs(sources, {"b.K.m"}) == ["a.chained", "a.dead"]
     assert unreached_defs(sources, set()) == ["a.chained", "a.dead", "a.helper", "a.used", "b.K.m"]
+
+
+def test_reachability_scanner_reads_a_bare_name_as_no_call_of_a_method():
+    # a method no code calls, whose name is a parameter of reached code (as
+    # Polynomial.alpha was), is unreached; one read as an attribute is not
+    sources = {"poly": "class Polynomial:\n    def alpha(self):\n        return 1\n"
+                       "    def scale(self, c):\n        return c\n\n"
+                       "def run(p, alpha):\n    return p.scale(alpha)\n"}
+    assert unreached_defs(sources, {"poly.run"}) == ["poly.Polynomial.alpha"]
+    sources["poly"] += "\ndef main(p):\n    return p.alpha()\n"
+    assert unreached_defs(sources, {"poly.run", "poly.main"}) == []
 
 
 def bench_calls(sources):

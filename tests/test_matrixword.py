@@ -20,7 +20,9 @@ from homlin.circuit import (
     tree_to_circuit,
 )
 from homlin import matrixword, transforms
-from homlin.families import OFF_DIAGONAL, Functional, L_entry, _Packing, gen_C_comb, gen_nce_L
+from homlin.families import (
+    Functional, L_entry, _Packing, family_value, gen_C_comb, slot_names,
+)
 from homlin.matrixword import (
     MatrixWord,
     NotEvenDegree,
@@ -52,7 +54,7 @@ from homlin.poly import (
 )
 from homlin.transforms import run_pass, to_add_negcube, vf_to_v3p
 from homlin.verify import verify_border
-from generators import random_graded_arity3_formula, random_ihl_formula
+from generators import random_graded_arity3_formula, random_ihl_formula, tree_value
 from test_poly import oracle_subst
 
 ALPHA = Coeff({(0, 1): 1})
@@ -286,7 +288,7 @@ def test_offdiag_random_exactness_and_bound():
             for j in range(3):
                 if (i, j) != (0, 2):
                     assert m[i][j].is_zero()
-        assert w.r() <= 4 ** c.depth()
+        assert w.r() <= 4 ** c.depths()[0]
 
 
 def test_offdiag_duality_minus_word():
@@ -315,8 +317,16 @@ def oracle_value_by_substitution(p):
     """Test oracle: a projection's value by substituting its forms into the
     family's monomial expansion; exponential in the slot count, so for small
     n only."""
-    family = gen_C_comb(p.n, p.d) if p.family_tag == "C" else gen_nce_L(p.n, p.d, p.weights)
+    family = (gen_C_comb(p.n, p.d) if p.family_tag == "C"
+              else family_in_variables(p.family_tag, p.n, p.d, p.weights))
     return family.substitute(dict(zip(p.slot_names(), p.forms))).scale(p.scalar)
+
+
+def family_in_variables(tag, n, d, weights=None):
+    """The family ``tag`` in its own variables, read off through ``weights``
+    (its default functional when None)."""
+    return family_value(tag, n, d, [Polynomial.variable(v) for v in slot_names(tag, n)],
+                        weights=weights)
 
 
 def test_transpose_reverse_symmetry():
@@ -734,7 +744,7 @@ def test_cont_odd_word_meets_the_invariant_with_the_proven_precision():
             word = _cont_odd_word(t, Fraction(1)).forms()
             if sum(len(lf.terms) for lf in word) > ORACLE_MAX_TERMS:
                 continue
-            value = t.eval().scale(ALPHA)
+            value = tree_value(t).scale(ALPHA)
             if (key := (tuple(word), value)) not in checked:
                 assert_no_interior_zero(word)
                 assert len(word) % 2 == 1
@@ -1039,7 +1049,7 @@ def oracle_word_to_projection(w, d):
     border = any(e for (e, _a) in w.global_scalar.terms) or any(
         e for a in w.factors for p in a.values() for (_m, e, _a) in p.terms)
     zero = Polynomial.zero()
-    forms = [a.get((i - 1, j - 1), zero) for a in w.factors for i, j in OFF_DIAGONAL]
+    forms = [a.get((i, j), zero) for a in w.factors for i in range(3) for j in range(3) if i != j]
     scalar = w.global_scalar
     if border:
         forms = [oracle_subst(p, d) for p in forms]
@@ -1106,7 +1116,7 @@ def test_nce_projection_matches_family_oracle():
                 if a != b:
                     forms.append(Polynomial.variable(f"x{a}_{b}_{i}"))
     p = Projection("nceL", n, d, forms, weights=L_entry(1, 2))
-    assert p.value() == gen_nce_L(n, d, L_entry(1, 2))
+    assert p.value() == family_in_variables("nceL", n, d, L_entry(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ from generators import (
     random_graded_arity3_circuit,
     random_graded_arity3_formula,
     random_ihl_formula,
+    tree_value,
 )
 from test_acceptance import oracle_bracket_poly, oracle_reassemble
 from test_matrixword import unfolded
@@ -160,10 +161,10 @@ def test_brent_add_comb_64_leaves():
         t = FNode.add(t, leaf(f"x{i}"))
         expected = expected + Polynomial.variable(f"x{i}")
     c = as_formula(t)
-    assert c.depth() == 63
+    assert c.depths()[0] == 63
     out, rep = brent_formula(c)
     assert out.eval() == expected
-    assert out.depth() <= 2 * math.log(c.size(), 1.5) + 4
+    assert out.depths()[0] <= 2 * math.log(c.size(), 1.5) + 4
     assert rep.bound_satisfied
     assert all(st["withinTwoThirds"] for st in rep.details["recursionSteps"])
 
@@ -193,8 +194,8 @@ def test_brent_and_ihl_on_a_repeated_subtree():
     # occurrence, and zeroing it must leave the second one in place
     m = FNode.mul(FNode.leaf(parse_poly("x1 + 1")), leaf("x2"))
     t = FNode.add(m, m)
-    assert _brent(t, []).eval() == 2 * (X1 + Polynomial.const(1)) * X2
-    assert input_homogenize_tree(t).eval() == 2 * (X1 + Polynomial.const(1)) * X2
+    assert tree_value(_brent(t, [])) == 2 * (X1 + Polynomial.const(1)) * X2
+    assert tree_value(input_homogenize_tree(t)) == 2 * (X1 + Polynomial.const(1)) * X2
 
 
 @pytest.mark.parametrize("tree, kind", [
@@ -291,7 +292,7 @@ def test_ihl_circuit_random_semantics_and_bounds():
         assert out.eval() == f - f.constant_part().to_poly()
         assert out.ihl_defect() is None
         assert out.size() <= 6 * c.size()
-        assert out.depth() <= 3 * c.size()
+        assert out.depths()[0] <= 3 * c.size()
         assert rep.bound_satisfied
 
 
@@ -392,7 +393,7 @@ def test_a_cancelling_run_stays_unfolded():
     pair = FNode.add(FNode.leaf(X1 + Polynomial.const(1)), leaf("x1", -1))
     c0, hat = transforms._ihl_pair(pair)
     assert c0 == Coeff.of(1) and kinds(as_formula(hat)) == ["input", "input", "add"]
-    assert as_formula(hat).ihl_defect() is None and hat.eval().is_zero()
+    assert as_formula(hat).ihl_defect() is None and tree_value(hat).is_zero()
     # ihl-formula's Brent folds that sum to the leaf 1 first, so its IHL
     # part is the zero formula
     out, _ = input_homogenize_formula(as_formula(pair))
@@ -458,7 +459,12 @@ def _trace3_word(c):
     return compile_trace3(input_homogenize_formula(brent_formula(c)[0])[0])
 
 
-def test_trace3_words_of_the_folded_split_verify_and_never_grow():
+def test_trace3_words_of_the_folded_split_verify_and_are_no_longer_on_25_seeded_formulas():
+    """On these 25 seeded formulas of at most 14 nodes the folded route's
+    words are never longer than the unfolded route's.  That is no general
+    property: Brent's separators read node counts, so on the words of
+    ``random_ihl_formula(Random(s), s, 6)`` the folded route is longer at
+    s = 26 (r 94 -> 96) and s = 236 (r 1,256 -> 1,644), among others."""
     rng = random.Random(977)
     shorter = 0
     for _ in range(25):
@@ -606,7 +612,7 @@ def test_brent_bounds_hold_on_caterpillars(spine):
     for run, ops, basis in ((brent_formula, ("add", "mul"), "arity2"),
                             (brent_arity3, ("add", "mul3"), "arity3")):
         c = tree_to_circuit(random_caterpillar(rng, spine, ops, 4, basis == "arity2"), basis)
-        assert c.depth() == spine
+        assert c.depths()[0] == spine
         out, rep = run(c)
         assert rep.bound_satisfied and rep.details["allStepsWithinTwoThirds"]
         assert all(value_at(out, p) == value_at(c, p) for p in points)
@@ -663,7 +669,7 @@ def test_parity_report_takes_the_largest_part_mul_depth():
     t = FNode.add(FNode.mul(FNode.mul(leaf("x1"), leaf("x2")), leaf("x3")), leaf("x1"))
     pair, rep = parity_homogenize(as_formula(t))
     assert pair.even is None
-    assert rep.output_metrics == {"size": pair.odd.size(), "depth": pair.odd.depth(),
+    assert rep.output_metrics == {"size": pair.odd.size(), "depth": pair.odd.depths()[0],
                                   "mulDepth": pair.odd.depths()[1]}
     assert rep.output_metrics["mulDepth"] == 2
 
@@ -698,7 +704,7 @@ def test_derivative_square_depth():
     c = as_formula(t)
     out, rep = derivative_formula(c, "x1")
     assert out.eval() == 2 * X1 * X2
-    assert out.depth() <= 2 * c.depth()
+    assert out.depths()[0] <= 2 * c.depths()[0]
     assert rep.bound_satisfied
 
 
@@ -709,7 +715,7 @@ def test_derivative_random_against_poly_oracle():
         v = f"x{rng.randint(1, 4)}"
         out, rep = derivative_formula(c, v)
         assert out.eval() == c.eval().partial_derivative(v)
-        assert out.depth() <= 2 * c.depth()
+        assert out.depths()[0] <= 2 * c.depths()[0]
         assert rep.bound_satisfied
 
 
@@ -733,7 +739,7 @@ def test_brent3_deep_mul3_comb():
     c = tree_to_circuit(t, "arity3")
     out, rep = brent_arity3(c)
     assert out.eval() == c.eval()
-    assert out.depth() <= 2 * math.log(c.size(), 1.5) + 4
+    assert out.depths()[0] <= 2 * math.log(c.size(), 1.5) + 4
     assert rep.bound_satisfied
     assert rep.details["allStepsWithinTwoThirds"]
 
@@ -746,7 +752,7 @@ def test_brent3_random_semantics_and_depth():
         c = tree_to_circuit(t, "arity3")
         out, rep = brent_arity3(c)
         assert out.eval() == c.eval()
-        assert out.depth() <= 2 * math.log(max(c.size(), 2), 1.5) + 4
+        assert out.depths()[0] <= 2 * math.log(max(c.size(), 2), 1.5) + 4
         assert out.ihl_defect() is None
         assert out.basis == "arity3"
         assert out.syntactic_degrees()[out.output_id] == d
@@ -793,9 +799,9 @@ def _check_linearization(tree):
         return False
     v, xs, f1, f0 = res
     fresh = dict(zip([id(v)] + [id(x) for x in xs], ["a", "b"]))
-    lhs = _replace_nodes(tree, {k: FNode.var(name) for k, name in fresh.items()}).eval()
-    p1 = f1.eval() if f1 is not None else Polynomial.zero()
-    p0 = f0.eval() if f0 is not None else Polynomial.zero()
+    lhs = tree_value(_replace_nodes(tree, {k: FNode.var(name) for k, name in fresh.items()}))
+    p1 = tree_value(f1) if f1 is not None else Polynomial.zero()
+    p0 = tree_value(f0) if f0 is not None else Polynomial.zero()
     factor = Polynomial.const(1)
     for name in fresh.values():
         factor = factor * Polynomial.variable(name)
@@ -934,7 +940,7 @@ def test_splice_of_an_even_times_odd_product():
         tree = FNode.mul(FNode.mul(a, b), c)
         assert transforms._parity_tree(tree) == (tree, None)
         part = transforms._odd_tree_to_arity3(tree, ())
-        assert part.eval() == tree.eval()
+        assert part.eval() == tree_value(tree)
         assert_spliced(part)
 
 
@@ -943,7 +949,7 @@ def test_formula_from_poly_round_trip():
     for _ in range(20):
         p = as_formula(random_formula(rng, rng.randint(1, 20), 3)).eval()
         t = formula_from_poly(p)
-        got = t.eval() if t is not None else Polynomial.zero()
+        got = tree_value(t) if t is not None else Polynomial.zero()
         assert got == p
 
 
@@ -1083,10 +1089,10 @@ def test_simplify_rules():
     assert simplify(t) is None
     # addition with a zero child collapses
     t = FNode.add(leaf("x1"), const(0))
-    assert simplify(t).eval() == X1
+    assert tree_value(simplify(t)) == X1
     # two constant-1 factors drop out
     t = FNode("mul3", (const(1), const(1), leaf("x2")))
-    assert simplify(t).eval() == X2
+    assert tree_value(simplify(t)) == X2
     # an addition of two leaves is one leaf, tags and all, or zero
     t = FNode("add", (leaf("x1"), leaf("x2").scaled(2)), scale=Fraction(1, 3))
     assert simplify(t) == FNode.leaf(X1.scale(Fraction(1, 3)) + X2.scale(Fraction(2, 3)))
@@ -1219,7 +1225,7 @@ def test_the_constructor_records_the_depths_of_a_gate_sweep(basis):
         # every gate as the output: the gates after it are unread, yet counted
         for g in gates:
             c = Circuit(gates, g.id, "circuit", basis)
-            assert c.depths() == oracle_depths(c) and c.depth() == c.depths()[0]
+            assert c.depths() == oracle_depths(c)
             assert transforms._metrics(c) == oracle_metrics(c)
             assert c.size() == len(gates)
     for c in [random_arity2_circuit(rng, rng.randint(2, 60), 4) for _ in range(30)] + [
