@@ -21,7 +21,6 @@ from operator import is_
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .circuit import (
-    BASIS_KINDS,
     BasisViolation,
     Circuit,
     FNode,
@@ -360,22 +359,6 @@ def _ihl_pair(node: FNode) -> Tuple[Coeff, Optional[FNode]]:
     return ca * cb, hat
 
 
-def input_homogenize_tree(node: FNode) -> Optional[FNode]:
-    """The IHL tree of ``node - node(0)`` (None for zero).  A gate kind
-    outside the arity-2 basis is a BasisViolation, as in a circuit, found
-    before ``_brent`` would read it as a product."""
-    name, kinds = BASIS_KINDS["arity2"]
-    stack, seen = [node], set()
-    while stack:
-        n = stack.pop()
-        if n.kind not in kinds:
-            raise BasisViolation(f"input homogenization: {n.kind} gate not in {name} basis")
-        if id(n) not in seen:
-            seen.add(id(n))
-            stack.extend(reversed(n.children))
-    return _ihl_pair(_brent(node, None))[1]
-
-
 def input_homogenize_formula(c: Circuit) -> Tuple[Circuit, PassReport]:
     c.require("inputHomogenizeFormula", shape="formula", basis="arity2")
     tree = circuit_to_tree(c)
@@ -653,7 +636,8 @@ def derivative_formula(c: Circuit, v: str) -> Tuple[Circuit, PassReport]:
 
 def formula_from_poly(p: Polynomial) -> Optional[FNode]:
     """A balanced formula summing one product per monomial (the coefficient is
-    folded into the first leaf)."""
+    folded into the first leaf); the terms without a product, the degree-1
+    and constant ones, are summed into one leaf (``_folded_sum``)."""
     terms = []
     for (mono, e, a), coeff in sorted(p.terms.items()):
         c = Polynomial._normalised({((), e, a): coeff})
@@ -666,12 +650,13 @@ def formula_from_poly(p: Polynomial) -> Optional[FNode]:
             continue
         leaves[0] = FNode.leaf(Polynomial.variable(mono[0][0]) * c)
         terms.append(balanced_add(leaves, FNode.mul))
-    return balanced_add(terms) if terms else None
+    return _folded_sum(terms) if terms else None
 
 
 def _splice(node: FNode, b: _CBuilder) -> Union[str, Callable[[str], str]]:
-    """Emit an IHL arity-2 parity tree as arity-3 gates.  An odd fragment is
-    emitted at once and returned as its gate id.  An even fragment computes
+    """Emit an IHL arity-2 tree, whose every add joins two parts of one
+    parity, as arity-3 gates.  An odd fragment is emitted at once and
+    returned as its gate id.  An even fragment computes
     ``z`` times its value, so it cannot be emitted before ``z`` exists; it is
     returned as a function that takes ``z``'s gate id, emits the fragment and
     returns its output gate.  Each such function is called exactly once, after
@@ -682,7 +667,7 @@ def _splice(node: FNode, b: _CBuilder) -> Union[str, Callable[[str], str]]:
     g = _splice(node.children[1], b)
     f_odd, g_odd = isinstance(f, str), isinstance(g, str)
     if node.kind == "add":
-        if f_odd != g_odd:  # pragma: no cover - guarded by parity homogenization
+        if f_odd != g_odd:  # pragma: no cover - not in a homogeneous part
             raise BasisViolation("addition mixes parities")
         if f_odd:
             return b.emit("add", (f, g))
@@ -698,13 +683,11 @@ def _splice(node: FNode, b: _CBuilder) -> Union[str, Callable[[str], str]]:
 
 
 def _odd_tree_to_arity3(tree: FNode, variables: Sequence[str]) -> Circuit:
-    """Parity-homogenize an IHL formula for a homogeneous odd polynomial and
-    convert it to an IHL circuit over the arity-3 basis by z-splicing."""
-    odd_t, _even_t = _parity_tree(tree)
-    if odd_t is None:
-        return _zero_circuit(variables, "circuit", "arity3")
+    """The IHL circuit over the arity-3 basis of ``tree``, an IHL formula
+    of odd parity whose every add joins two parts of one parity, such as
+    ``formula_from_poly`` of a homogeneous odd polynomial, by z-splicing."""
     b = _CBuilder()
-    out_gid = _splice(odd_t, b)
+    out_gid = _splice(tree, b)
     return Circuit(b.gates, out_gid, "circuit", "arity3", variables)
 
 
@@ -718,21 +701,14 @@ def vf_to_v3p(c: Circuit) -> Tuple[GradedArity3Repr, PassReport]:
         if d < 1:
             continue
         fd = f.homog_component(d)
-        base = formula_from_poly(fd)
         if d % 2 == 1:
-            ihl = input_homogenize_tree(base)
-            odd_parts[d] = _odd_tree_to_arity3(ihl, c.variables)
+            odd_parts[d] = _odd_tree_to_arity3(formula_from_poly(fd), c.variables)
         else:
-            per_var: Dict[str, Circuit] = {}
-            for v in sorted(fd.variables(), key=_var_key):
-                dtree = _ddx(base, v)
-                if dtree is None:
-                    continue
-                ihl = input_homogenize_tree(dtree)
-                if ihl is None:
-                    continue
-                per_var[v] = _odd_tree_to_arity3(ihl, c.variables)
-            even_parts[d] = per_var
+            # each variable of fd has a nonzero derivative, of odd degree d - 1
+            even_parts[d] = {
+                v: _odd_tree_to_arity3(formula_from_poly(fd.partial_derivative(v)), c.variables)
+                for v in sorted(fd.variables(), key=_var_key)
+            }
     repr_ = GradedArity3Repr(const, odd_parts, even_parts)
     ok, reason = repr_.validate()
     im = _metrics(c)

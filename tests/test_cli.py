@@ -256,6 +256,27 @@ def test_transform_vf_to_v3p_writes_components(capsys, tmp_path):
     assert parse_circuit((tmp_path / "v3p.even.2.x1").read_text()).eval() == parse_poly("x2")
 
 
+@pytest.mark.parametrize("helper", ["_brent", "_ihl_pair", "_ddx", "_parity_tree"])
+def test_transform_vf_to_v3p_needs_no_tree_pass(capsys, tmp_path, monkeypatch, helper):
+    # each part is spliced from its polynomial's formula: no Brent, IHL
+    # split, derivative tree or parity split runs on the way
+    def boom(*args):
+        raise AssertionError(helper)
+
+    monkeypatch.setattr(f"homlin.transforms.{helper}", boom)
+    t = FNode.mul(FNode.leaf(parse_poly("x1 + x2 + 1")),
+                  FNode.mul(FNode.var("x2"), FNode.var("x3")))
+    path = tmp_path / "f.circ"
+    path.write_text(print_circuit(tree_to_circuit(t, "arity2")))
+    out = tmp_path / "v3p"
+    code, stdout, _ = run(capsys, "transform", "--pass", "vf-to-v3p",
+                          "--in", str(path), "--out", str(out))
+    assert code == 0 and "wrote components" in stdout
+    part = lambda name: parse_circuit((tmp_path / f"v3p.{name}").read_text()).eval()
+    assert part("odd.3") == parse_poly("x1*x2*x3 + x2^2*x3")
+    assert part("even.2.x3") == parse_poly("x2")
+
+
 def test_transform_rejects_polynomial_input(capsys, tmp_path):
     p = tmp_path / "p.txt"
     p.write_text("x1 + x2\n")

@@ -49,7 +49,6 @@ from homlin.transforms import (
     _descendants,
     _separator_steps,
     _subst_path,
-    input_homogenize_tree,
 )
 from generators import (
     _random_linear,
@@ -195,18 +194,8 @@ def test_brent_and_ihl_on_a_repeated_subtree():
     m = FNode.mul(FNode.leaf(parse_poly("x1 + 1")), leaf("x2"))
     t = FNode.add(m, m)
     assert tree_value(_brent(t, [])) == 2 * (X1 + Polynomial.const(1)) * X2
-    assert tree_value(input_homogenize_tree(t)) == 2 * (X1 + Polynomial.const(1)) * X2
-
-
-@pytest.mark.parametrize("tree, kind", [
-    # _brent once read the negative cube's one child list as a pair
-    (FNode.add(FNode.negcube(FNode.mul(leaf("x1"), leaf("x2"))), leaf("x3")), "negcube"),
-    # ... and dropped the third factor of a ternary product
-    (FNode.mul(FNode("mul3", (leaf("x1"), leaf("x2"), leaf("x3"))), leaf("x4")), "mul3"),
-])
-def test_input_homogenize_tree_rejects_foreign_gate_kinds(tree, kind):
-    with pytest.raises(BasisViolation, match=f"{kind} gate not in arity-2 basis$"):
-        input_homogenize_tree(tree)
+    c0, hat = transforms._ihl_pair(t)
+    assert c0.is_zero() and tree_value(hat) == 2 * (X1 + Polynomial.const(1)) * X2
 
 
 # ---------------------------------------------------------------------------
@@ -864,19 +853,53 @@ def test_vf_to_v3p_mixed_degrees():
     assert oracle_reassemble(repr_) == X1 + X1 * X2 * X3
 
 
+def graded_parts(repr_, f):
+    """(part, polynomial it must compute, degree of that polynomial) for
+    each stored part of ``repr_``, the graded form of ``f``."""
+    for d, part in repr_.odd_parts.items():
+        yield part, f.homog_component(d), d
+    for d, per in repr_.even_parts.items():
+        fd = f.homog_component(d)
+        assert set(per) == fd.variables()
+        for v, part in per.items():
+            yield part, fd.partial_derivative(v), d - 1
+
+
 def test_vf_to_v3p_random_reassembly():
+    # each part is formula_from_poly of its polynomial, spliced: a degree-k
+    # polynomial of T terms is a tree of 2kT - 1 nodes, and the splice
+    # emits at most one gate per node
     rng = random.Random(67)
-    for _ in range(50):
-        c = as_formula(random_formula(rng, rng.randint(1, 22), 3))
+    linear = 0
+    for _ in range(60):
+        c = as_formula(random_formula(rng, rng.randint(1, 24), 3))
+        f = c.eval()
         repr_, rep = vf_to_v3p(c)
-        assert oracle_reassemble(repr_) == c.eval()
+        assert oracle_reassemble(repr_) == f
         ok, reason = repr_.validate()
-        assert ok, reason
-        assert rep.bound_satisfied
-        stored = list(repr_.odd_parts.values()) + [
-            q for per in repr_.even_parts.values() for q in per.values()]
-        for part in stored:
+        assert ok and rep.bound_satisfied, reason
+        for part, p, k in graded_parts(repr_, f):
+            assert part.eval() == p
+            assert part.size() <= 2 * k * len(p.terms) - 1
             assert_spliced(part)
+        if 1 in repr_.odd_parts:
+            linear += 1
+            assert kinds(repr_.odd_parts[1]) == ["input"]
+    assert linear >= 20
+
+
+def test_the_parity_split_is_the_identity_on_a_homogeneous_odd_polynomial():
+    # why vf-to-v3p splices formula_from_poly's tree with no parity split
+    rng = random.Random(139)
+    seen = 0
+    for _ in range(40):
+        f = as_formula(random_formula(rng, rng.randint(1, 24), 3)).eval()
+        for d in f.homog_degrees():
+            if d % 2 == 1:
+                t = formula_from_poly(f.homog_component(d))
+                assert transforms._parity_tree(t) == (t, None)
+                seen += 1
+    assert seen >= 40
 
 
 def count_evals(monkeypatch):
