@@ -239,7 +239,7 @@ class Circuit:
         """Per-gate syntactic degree for graded arity-3 IHL circuits.
 
         Leaves have degree 1; addition children must agree; ternary products
-        sum; negative cubes triple.  Raises DegreeMismatch otherwise.
+        sum.  Raises DegreeMismatch otherwise.
         """
         deg: Dict[str, int] = {}
         for g in self.gates:
@@ -252,11 +252,7 @@ class Circuit:
                         f"add gate {g.id} has children of degrees {sorted(ds)}"
                     )
                 deg[g.id] = ds.pop()
-            elif g.kind == "mul3":
-                deg[g.id] = sum(deg[ch] for ch in g.children)
-            elif g.kind == "negcube":
-                deg[g.id] = 3 * deg[g.children[0]]
-            else:
+            else:  # a mul3, the one other kind the arity-3 basis admits
                 deg[g.id] = sum(deg[ch] for ch in g.children)
         return deg
 

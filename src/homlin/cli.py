@@ -19,7 +19,7 @@ import os
 import re
 import stat
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .circuit import DIRECTIVES, Circuit, parse_circuit, print_circuit
 from .families import FAMILY_TAGS, gen_family
@@ -35,7 +35,7 @@ from .matrixword import (
     parse_word,
 )
 from .poly import Polynomial, format_poly, parse_poly, parse_rational
-from .transforms import PASS_NAMES, ParityPair, PassReport, run_pass
+from .transforms import PASSES, PassReport, run_pass
 from .verify import (
     DEFAULT_PRIME,
     DEFAULT_TRIALS,
@@ -214,38 +214,36 @@ def cmd_gen(args) -> int:
     return 0
 
 
-# the pass that reads each pass-specific flag of ``transform``
-_PASS_OPTIONS = {"alpha": "rescale", "var": "derivative"}
-# the passes that write several outputs, so need --out to name them
-_OUT_PREFIX = {"parity": "to name the two outputs", "vf-to-v3p": "as an output prefix"}
+# how the text of each flag a pass reads is read (``transforms.PASSES``
+# names the pass)
+_FLAG_TYPES = {"alpha": parse_rational, "var": str}
 
 
 def cmd_transform(args) -> int:
-    for flag, reader in _PASS_OPTIONS.items():
-        if getattr(args, flag) is not None and args.pass_name != reader:
-            raise CliError(f"--{flag} applies only to the {reader} pass, not {args.pass_name}")
-    if args.out is None and args.pass_name in _OUT_PREFIX:
-        raise CliError(f"{args.pass_name} needs --out {_OUT_PREFIX[args.pass_name]}")
+    row = PASSES[args.pass_name]
+    for reader, other in PASSES.items():
+        if other.flag not in (None, row.flag) and getattr(args, other.flag) is not None:
+            raise CliError(f"--{other.flag} applies only to the {reader} pass, not {args.pass_name}")
+    if row.flag is not None and getattr(args, row.flag) is None:
+        raise CliError(f"{args.pass_name} needs --{row.flag}")
+    if args.out is None and row.writes != "circuit":
+        raise CliError(f"{args.pass_name} needs --out as a prefix for its {row.writes} outputs")
     c = load_artifact(args.infile)
     if not isinstance(c, Circuit):
         raise CliError("transform expects a circuit artifact")
-    kwargs = {}
-    if args.alpha is not None:
-        kwargs["alpha"] = parse_rational(args.alpha)
-    if args.var is not None:
-        kwargs["var"] = args.var
+    kwargs = {} if row.flag is None else {row.flag: _FLAG_TYPES[row.flag](getattr(args, row.flag))}
     result, report = run_pass(args.pass_name, c, **kwargs)
     sys.stdout.write(_render_pass_report(report))
-    if isinstance(result, Circuit):
+    if row.writes == "circuit":
         _write_text(args.out, print_circuit(result))
-    elif isinstance(result, ParityPair):
+    elif row.writes == "parity":
         for tag, part in (("odd", result.odd), ("even", result.even)):
             if part is not None:
                 _write_text(f"{args.out}.{tag}", print_circuit(part))
                 print(f"wrote {args.out}.{tag}")
             else:
                 print(f"{tag} component: zero (not written)")
-    else:  # vf-to-v3p's GradedArity3Repr
+    else:  # graded: vf-to-v3p's GradedArity3Repr
         _write_text(f"{args.out}.const", format_poly(result.constant_part) + "\n")
         for d in sorted(result.odd_parts):
             _write_text(f"{args.out}.odd.{d}", print_circuit(result.odd_parts[d]))
@@ -257,41 +255,60 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _compile_target(target: Sequence[str], c: Circuit, value: Optional[Polynomial]):
-    name = target[0]
-    if name == "offdiag3":
-        if len(target) != 3:
-            raise CliError("offdiag3 target needs two indices, e.g. offdiag3 1 3")
-        try:
-            i, j = int(target[1]), int(target[2])
-        except ValueError as exc:
-            raise CliError("offdiag3 indices must be integers") from exc
-        return compile_offdiag3(c, (i, j))
-    if len(target) != 1:
-        raise CliError(f"target {name} takes no indices")
-    if name == "trace3":
-        return compile_trace3(c)
-    if name == "continuant":
-        return compile_continuant_odd(c, value)
-    raise CliError(f"unknown compile target {name!r}")
+class _Target(NamedTuple):
+    """A compile target: ``compiler`` returns its compiler as this module
+    binds it when it compiles, so a compiler rebound by name is the one run;
+    ``passes``, those ``pipeline`` runs before it when given none;
+    ``indices``, how many integers follow its name, passed to the compiler
+    as one tuple; and ``value``, whether the compiler takes the circuit's
+    value instead (the value saves it an evaluation)."""
+    compiler: Callable[[], Callable]
+    passes: Tuple[str, ...]
+    indices: int = 0
+    value: bool = False
 
 
-def _compile(target: Sequence[str], c: Circuit, f: Optional[Polynomial]):
+TARGETS = {
+    "offdiag3": _Target(lambda: compile_offdiag3, ("brent", "ihl-formula"), indices=2),
+    "trace3": _Target(lambda: compile_trace3, ("brent", "ihl-formula")),
+    "continuant": _Target(lambda: compile_continuant_odd, ("brent3", "add-negcube"), value=True),
+}
+_TARGET_HELP = " | ".join(" ".join([name, *"IJ"[:t.indices]]) for name, t in TARGETS.items())
+
+
+def _parse_target(target: Sequence[str]) -> Tuple[_Target, Tuple[int, ...]]:
+    """The row of ``target``'s name and its integer indices."""
+    name, indices = target[0], target[1:]
+    row = TARGETS.get(name)
+    if row is None:
+        raise CliError(f"unknown compile target {name!r}")
+    if len(indices) != row.indices:
+        raise CliError(f"target {name} takes {row.indices or 'no'} indices, got {len(indices)}")
+    try:
+        return row, tuple(int(i) for i in indices)
+    except ValueError as exc:
+        raise CliError(f"{name} indices must be integers") from exc
+
+
+def _compile(target: Tuple[_Target, Tuple[int, ...]], c: Circuit, f: Optional[Polynomial]):
     """The compile step of ``compile`` and ``pipeline``: ``c`` compiled to
-    ``target``, as (word or projection, its text, its border verification
-    against ``c``'s value ``f``, or None when ``f`` is None).  A compiler's
-    ``ValueError`` is invalid input, which ``main`` reports with exit 2."""
-    obj = _compile_target(target, c, f)
+    ``target`` (``_parse_target``), as (word or projection, its text, its
+    border verification against ``c``'s value ``f``, or None when ``f`` is
+    None).  A compiler's ``ValueError`` is invalid input, which ``main``
+    reports with exit 2."""
+    row, indices = target
+    obj = row.compiler()(c, *((indices,) if indices else (f,) if row.value else ()))
     text = format_word(obj) if isinstance(obj, MatrixWord) else format_projection(obj)
     return obj, text, None if f is None else verify_border(obj, f)
 
 
 def cmd_compile(args) -> int:
+    target = _parse_target(args.target)
     c = load_artifact(args.infile)
     if not isinstance(c, Circuit):
         raise CliError("compile expects a circuit artifact")
     f = c.eval() if args.verify == "border" else None
-    obj, text, rep = _compile(args.target, c, f)
+    obj, text, rep = _compile(target, c, f)
     if isinstance(obj, MatrixWord):
         print(f"compiled {args.target[0]}: r = {obj.r()} factors")
     else:
@@ -370,14 +387,8 @@ def cmd_audit(args) -> int:
     return 0 if rep.verdict else 1
 
 
-CANONICAL_PASSES = {
-    "offdiag3": ["brent", "ihl-formula"],
-    "trace3": ["brent", "ihl-formula"],
-    "continuant": ["brent3", "add-negcube"],
-}
-
-
 def cmd_pipeline(args) -> int:
+    target = None if args.target is None else _parse_target(args.target)
     c = load_artifact(args.infile)
     if not isinstance(c, Circuit):
         raise CliError("pipeline expects a circuit artifact")
@@ -386,9 +397,7 @@ def cmd_pipeline(args) -> int:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         raise CliError(f"cannot create directory {outdir}: {exc.strerror or exc}") from exc
-    passes: List[str] = list(args.passes or [])
-    if not passes and args.target is not None:
-        passes = CANONICAL_PASSES.get(args.target[0], [])
+    passes = args.passes or (target[0].passes if target else [])
 
     report_lines = [
         f"pipeline input={args.infile}",
@@ -396,7 +405,7 @@ def cmd_pipeline(args) -> int:
         f"  target: {' '.join(args.target) if args.target else '(none)'}",
     ]
     # the passes preserve f, so it is the value of their output as well
-    f = c.eval() if args.target is not None else None
+    f = c.eval() if target is not None else None
     current = c
     failed_audit = False
     for idx, name in enumerate(passes, start=1):
@@ -404,9 +413,6 @@ def cmd_pipeline(args) -> int:
             result, rep = run_pass(name, current)
         except ValueError as exc:
             raise CliError(f"pass {name}: {exc}") from exc
-        if not isinstance(result, Circuit):
-            raise CliError(f"pass {name} does not produce a circuit; "
-                           "run it through 'transform' instead")
         current = result
         path = os.path.join(outdir, f"{idx:02d}-{name}.circ")
         _write_text(path, print_circuit(current))
@@ -418,8 +424,8 @@ def cmd_pipeline(args) -> int:
         )
 
     verdict_ok = True
-    if args.target is not None:
-        obj, text, rep = _compile(args.target, current, f)
+    if target is not None:
+        obj, text, rep = _compile(target, current, f)
         if isinstance(obj, MatrixWord):
             artifact, size = "word.txt", f"r = {obj.r()}"
         else:
@@ -465,17 +471,17 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(fn=cmd_gen)
 
     t = sub.add_parser("transform", help="run a named transformation pass")
-    t.add_argument("--pass", dest="pass_name", required=True,
-                   choices=list(PASS_NAMES))
+    t.add_argument("--pass", dest="pass_name", required=True, choices=list(PASSES))
     t.add_argument("--out", default=None)
-    t.add_argument("--alpha", default=None, help="scalar for the rescale pass")
-    t.add_argument("--var", default=None, help="variable for the derivative pass")
+    for name, row in PASSES.items():
+        if row.flag is not None:
+            t.add_argument(f"--{row.flag}", default=None,
+                           help=f"read by the {name} pass, which needs it")
     infile(t)
     t.set_defaults(fn=cmd_transform)
 
     c = sub.add_parser("compile", help="compile a circuit to a word/projection")
-    c.add_argument("--target", nargs="+", required=True,
-                   help="offdiag3 I J | trace3 | continuant")
+    c.add_argument("--target", nargs="+", required=True, help=_TARGET_HELP)
     c.add_argument("--out", default=None)
     c.add_argument("--verify", choices=["none", "border"], default="none")
     infile(c)
@@ -503,10 +509,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run passes, compile, verify, report")
     p.add_argument("--pass", dest="passes", action="append", default=None,
-                   choices=list(PASS_NAMES),
-                   help="may repeat; defaults to the target's canonical passes")
-    p.add_argument("--target", nargs="+", default=None,
-                   help="offdiag3 I J | trace3 | continuant")
+                   choices=[n for n, r in PASSES.items() if r.writes == "circuit" and r.flag is None],
+                   help="a pass that writes a circuit and reads no flag; may repeat; "
+                   "defaults to the target's canonical passes")
+    p.add_argument("--target", nargs="+", default=None, help=_TARGET_HELP)
     p.add_argument("--out", required=True, help="output directory")
     infile(p)
     p.set_defaults(fn=cmd_pipeline)

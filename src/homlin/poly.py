@@ -174,9 +174,6 @@ class Coeff:
     def __neg__(self) -> "Coeff":
         return Coeff._normalised({k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other: "Coeff") -> "Coeff":
-        return self + (-other)
-
     def __mul__(self, other: Union["Coeff", Rat]) -> "Coeff":
         other = Coeff.of(other)
         # values are immutable, so a unit or zero factor returns an operand

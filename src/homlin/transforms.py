@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 from operator import is_
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .circuit import (
     BasisViolation,
@@ -411,26 +411,21 @@ class _CBuilder:
 
     def linear_combo(self, parts: List[Tuple[str, Coeff]]) -> Optional[str]:
         """The gate of ``sum(s * g for g, s in parts)``, None when every
-        scalar is zero.  The nonzero parts are added pairwise, level by level
-        (an odd one out joins the next level); a pair of unit scalars is
-        written without edge scalars.  Most calls have one to three parts,
-        so the parts are filtered in a loop (no comprehension frame) and
-        scalars are compared by their term dicts."""
+        scalar is zero: the nonzero parts are summed by ``balanced_add``.
+        Most calls have one to three parts, so the parts are filtered in a
+        loop (no comprehension frame) and scalars are compared by their term
+        dicts."""
         live = []
         for p in parts:
             if p[1].terms:
                 live.append(p)
-        emit = self.emit
-        while len(live) > 1:
-            nxt = []
-            for i in range(1, len(live), 2):
-                (g1, s1), (g2, s2) = live[i - 1], live[i]
-                scalars = None if s1.terms == _UNIT == s2.terms else (s1, s2)
-                nxt.append((emit("add", (g1, g2), scalars), COEFF_ONE))
-            if len(live) % 2:
-                nxt.append(live[-1])
-            live = nxt
-        return self.scaled(*live[0]) if live else None
+        return self.scaled(*balanced_add(live, self._add_pair)) if live else None
+
+    def _add_pair(self, p: Tuple[str, Coeff], q: Tuple[str, Coeff]) -> Tuple[str, Coeff]:
+        """The add gate of two scaled parts, as a part of unit scalar; a pair
+        of unit scalars is written without edge scalars."""
+        scalars = None if p[1].terms == _UNIT == q[1].terms else (p[1], q[1])
+        return self.emit("add", (p[0], q[0]), scalars), COEFF_ONE
 
     def balanced_sum(self, gids: List[str]) -> Optional[str]:
         return self.linear_combo([(g, COEFF_ONE) for g in gids])
@@ -683,12 +678,14 @@ def _splice(node: FNode, b: _CBuilder) -> Union[str, Callable[[str], str]]:
 
 
 def _odd_tree_to_arity3(tree: FNode, variables: Sequence[str]) -> Circuit:
-    """The IHL circuit over the arity-3 basis of ``tree``, an IHL formula
-    of odd parity whose every add joins two parts of one parity, such as
-    ``formula_from_poly`` of a homogeneous odd polynomial, by z-splicing."""
+    """The IHL gates over the arity-3 basis of ``tree``, an IHL formula of
+    odd parity whose every add joins two parts of one parity, such as
+    ``formula_from_poly`` of a homogeneous odd polynomial, by z-splicing.
+    Its shape is inferred: a formula unless a splice reads a gate twice,
+    which no ``formula_from_poly`` tree makes."""
     b = _CBuilder()
     out_gid = _splice(tree, b)
-    return Circuit(b.gates, out_gid, "circuit", "arity3", variables)
+    return Circuit(b.gates, out_gid, None, "arity3", variables)
 
 
 def vf_to_v3p(c: Circuit) -> Tuple[GradedArity3Repr, PassReport]:
@@ -917,43 +914,42 @@ def vsbr_arity3(c: Circuit) -> Tuple[Circuit, PassReport]:
 # pass registry for the command line
 # ---------------------------------------------------------------------------
 
-PASS_NAMES = (
-    "rescale",
-    "ihl-formula",
-    "ihl-circuit",
-    "brent",
-    "add-negcube",
-    "parity",
-    "vf-to-v3p",
-    "derivative",
-    "brent3",
-    "vsbr3",
-)
+
+class PassRow(NamedTuple):
+    """One pass: ``function`` returns the pass function as this module
+    binds it when the pass runs, so a function rebound by name (as the
+    benchmark's tracer rebinds them) is the one run; ``flag``, the one
+    option it reads and requires (None for none); and what it ``writes``:
+    a ``circuit``, a ``parity`` pair or ``graded`` parts."""
+    function: Callable[[], Callable]
+    flag: Optional[str]
+    writes: str
+
+
+PASSES = {
+    "rescale": PassRow(lambda: rescale_formula, "alpha", "circuit"),
+    "ihl-formula": PassRow(lambda: input_homogenize_formula, None, "circuit"),
+    "ihl-circuit": PassRow(lambda: input_homogenize_circuit, None, "circuit"),
+    "brent": PassRow(lambda: brent_formula, None, "circuit"),
+    "add-negcube": PassRow(lambda: to_add_negcube, None, "circuit"),
+    "parity": PassRow(lambda: parity_homogenize, None, "parity"),
+    "vf-to-v3p": PassRow(lambda: vf_to_v3p, None, "graded"),
+    "derivative": PassRow(lambda: derivative_formula, "var", "circuit"),
+    "brent3": PassRow(lambda: brent_arity3, None, "circuit"),
+    "vsbr3": PassRow(lambda: vsbr_arity3, None, "circuit"),
+}
+PASS_NAMES = tuple(PASSES)
 
 
 def run_pass(name: str, c: Circuit, **kwargs):
-    """Dispatch a named pass.  Returns (result, PassReport); the result is a
-    Circuit except for parity (ParityPair) and vf-to-v3p (GradedArity3Repr)."""
-    if name == "rescale":
-        return rescale_formula(c, kwargs.get("alpha", 1))
-    if name == "ihl-formula":
-        return input_homogenize_formula(c)
-    if name == "ihl-circuit":
-        return input_homogenize_circuit(c)
-    if name == "brent":
-        return brent_formula(c)
-    if name == "add-negcube":
-        return to_add_negcube(c)
-    if name == "parity":
-        return parity_homogenize(c)
-    if name == "vf-to-v3p":
-        return vf_to_v3p(c)
-    if name == "derivative":
-        if "var" not in kwargs:
-            raise ValueError("derivative pass needs a variable name")
-        return derivative_formula(c, kwargs["var"])
-    if name == "brent3":
-        return brent_arity3(c)
-    if name == "vsbr3":
-        return vsbr_arity3(c)
-    raise ValueError(f"unknown pass {name!r}")
+    """Run the pass ``name`` on ``c``: (result, PassReport), the result a
+    Circuit, ParityPair or GradedArity3Repr as its row ``writes``.  The
+    row's flag is a required keyword; no other keyword is read."""
+    row = PASSES.get(name)
+    if row is None:
+        raise ValueError(f"unknown pass {name!r}")
+    if row.flag is None:
+        return row.function()(c)
+    if row.flag not in kwargs:
+        raise ValueError(f"the {name} pass needs {row.flag}")
+    return row.function()(c, kwargs[row.flag])

@@ -8,7 +8,7 @@ import shlex
 
 import pytest
 
-from homlin import cli
+from homlin import cli, transforms
 from homlin.circuit import (
     BASIS_KINDS,
     BasisViolation,
@@ -29,7 +29,7 @@ from homlin.matrixword import (
     format_word,
 )
 from homlin.poly import Polynomial, format_poly, parse_poly
-from homlin.transforms import PASS_NAMES, run_pass
+from homlin.transforms import PASS_NAMES, PASSES, run_pass
 from generators import (
     random_arity2_circuit,
     random_formula,
@@ -306,6 +306,20 @@ def test_transform_flag_the_pass_does_not_read_exit_2(capsys, product_circ, tmp_
     assert err == f"error: {flag} applies only to the {reader} pass, not {pass_name}\n"
     # checked before any work: the input is not even read
     code, _o, err = run(capsys, "transform", "--pass", pass_name, flag, value,
+                        "--in", str(tmp_path / "missing.circ"))
+    assert code == 2 and flag in err
+
+
+@pytest.mark.parametrize("pass_name, flag", [("rescale", "--alpha"), ("derivative", "--var")])
+def test_transform_without_the_flag_its_pass_needs_exit_2(capsys, product_circ, tmp_path,
+                                                          pass_name, flag):
+    out = tmp_path / "out.circ"
+    code, stdout, err = run(capsys, "transform", "--pass", pass_name,
+                            "--in", product_circ, "--out", str(out))
+    assert (code, stdout, err) == (2, "", f"error: {pass_name} needs {flag}\n")
+    assert not out.exists()
+    # checked before the input is read
+    code, _o, err = run(capsys, "transform", "--pass", pass_name,
                         "--in", str(tmp_path / "missing.circ"))
     assert code == 2 and flag in err
 
@@ -601,15 +615,97 @@ def test_pipeline_continuant(capsys, tmp_path):
     assert "verify (border): pass" in report
 
 
-def test_pipeline_unknown_pass_exit_2(capsys, product_circ, tmp_path):
-    # argparse's choices reject the name before any work; each target's
-    # canonical passes are registered names, so no other pass name can arrive
+def _pipeline_passes():
+    """The ``--pass`` choices of ``pipeline``."""
+    sub = cli._PARSER._subparsers._group_actions[0].choices["pipeline"]
+    return next(a.choices for a in sub._actions if a.dest == "passes")
+
+
+@pytest.mark.parametrize("name", ["nosuch", "rescale", "derivative", "parity", "vf-to-v3p"])
+def test_pipeline_unknown_pass_exit_2(capsys, product_circ, tmp_path, name):
+    # argparse's choices reject the name before any work: a pipeline stage
+    # must write a circuit and read no flag, so rescale, derivative, parity
+    # and vf-to-v3p are no choices; each target's default passes are ones
     out = tmp_path / "out"
-    code, _o, err = run(capsys, "pipeline", "--in", product_circ, "--pass", "nosuch",
+    code, _o, err = run(capsys, "pipeline", "--in", product_circ, "--pass", name,
                         "--out", str(out))
-    assert code == 2 and "nosuch" in err
+    assert code == 2 and name in err
     assert not out.exists()
-    assert {p for ps in cli.CANONICAL_PASSES.values() for p in ps} <= set(PASS_NAMES)
+    assert {p for t in cli.TARGETS.values() for p in t.passes} <= set(_pipeline_passes())
+
+
+def test_pipeline_offers_the_passes_that_write_a_circuit_and_read_no_flag():
+    assert sorted(_pipeline_passes()) == [
+        "add-negcube", "brent", "brent3", "ihl-circuit", "ihl-formula", "vsbr3"]
+
+
+def test_pipeline_exits_1_on_a_violated_pass_bound(capsys, product_circ, tmp_path, monkeypatch):
+    # the pass is rebound by name, as the benchmark's tracer rebinds it, and
+    # run_pass reads the name when it runs
+    def violating(c, brent=transforms.brent_formula):
+        out, rep = brent(c)
+        rep.bound_satisfied = False
+        return out, rep
+
+    monkeypatch.setattr(transforms, "brent_formula", violating)
+    out = tmp_path / "run"
+    code, stdout, _ = run(capsys, "pipeline", "--in", product_circ,
+                          "--target", "trace3", "--out", str(out))
+    assert code == 1
+    assert "stage 1 brent" in stdout and "VIOLATED" in stdout
+    assert "verify (border): pass" in stdout and (out / "word.txt").exists()
+
+
+def _wrong_trace3(c):
+    """The trace3 word of x1, whatever ``c`` computes."""
+    return compile_trace3(tree_to_circuit(FNode.var("x1"), "arity2"))
+
+
+def test_compile_and_pipeline_exit_1_on_a_wrong_word(capsys, product_circ, tmp_path, monkeypatch):
+    # the compiler is rebound by name in cli, as the benchmark's tracer
+    # rebinds it, and the target table reads the name when it compiles
+    monkeypatch.setattr(cli, "compile_trace3", _wrong_trace3)
+    word = tmp_path / "w.txt"
+    code, stdout, _ = run(capsys, "compile", "--target", "trace3", "--verify", "border",
+                          "--in", product_circ, "--out", str(word))
+    assert code == 1 and "verdict=FAIL" in stdout and word.exists()
+    out = tmp_path / "run"
+    code, stdout, _ = run(capsys, "pipeline", "--in", product_circ,
+                          "--target", "trace3", "--out", str(out))
+    assert code == 1 and "verify (border): FAIL" in stdout
+    assert "VIOLATED" not in stdout and (out / "word.txt").exists()
+
+
+@pytest.mark.parametrize("target, message", [
+    (["offdiag3"], "target offdiag3 takes 2 indices, got 0"),
+    (["offdiag3", "1"], "target offdiag3 takes 2 indices, got 1"),
+    (["offdiag3", "1", "2", "3"], "target offdiag3 takes 2 indices, got 3"),
+    (["offdiag3", "1", "b"], "offdiag3 indices must be integers"),
+    (["trace3", "1"], "target trace3 takes no indices, got 1"),
+    (["continuant", "1", "3"], "target continuant takes no indices, got 2"),
+    (["nosuch"], "unknown compile target 'nosuch'"),
+])
+def test_target_errors_exit_2_before_any_file_is_written(capsys, product_circ, tmp_path,
+                                                         target, message):
+    for command in ("compile", "pipeline"):
+        out = tmp_path / command
+        code, stdout, err = run(capsys, command, "--target", *target, "--in", product_circ,
+                                "--out", str(out))
+        assert (code, stdout, err) == (2, "", f"error: {message}\n"), command
+        assert not out.exists(), command
+
+
+def test_compile_offdiag3_on_the_diagonal_exit_2(capsys, product_circ):
+    code, stdout, err = run(capsys, "compile", "--target", "offdiag3", "2", "2",
+                            "--in", product_circ)
+    assert (code, stdout) == (2, "")
+    assert err == "error: target must be an off-diagonal position of a 3x3 matrix\n"
+
+
+@pytest.mark.parametrize("command", ["compile", "pipeline"])
+def test_target_help_names_each_target_with_its_indices(capsys, command):
+    code, stdout, _ = run(capsys, command, "--help")
+    assert code == 0 and "offdiag3 I J | trace3 | continuant" in " ".join(stdout.split())
 
 
 def _text_of(make, basis=None):
@@ -971,12 +1067,14 @@ _OUTSIDE_ARITY2 = {
                    "gate g4 = mul3 g1 g2 g3\ngate g5 = input x4\ngate g6 = mul g4 g5\n"
                    "output g6\n"),
 }
-_PASS_FLAGS = {"rescale": ["--alpha", "2"], "derivative": ["--var", "x1"]}
+# a value of each flag a pass reads
+_FLAG_VALUE = {"alpha": "2", "var": "x1"}
 
 
 @pytest.mark.parametrize("kind", sorted(_OUTSIDE_ARITY2))
 @pytest.mark.parametrize("argv", [
-    *(["transform", "--pass", p, *_PASS_FLAGS.get(p, [])] for p in PASS_NAMES),
+    *(["transform", "--pass", p, *([f"--{r.flag}", _FLAG_VALUE[r.flag]] if r.flag else [])]
+      for p, r in PASSES.items()),
     *(["pipeline", "--target", *t] for t in (["offdiag3", "1", "3"], ["trace3"], ["continuant"])),
 ], ids=" ".join)
 def test_a_gate_outside_the_declared_basis_exits_2(capsys, tmp_path, kind, argv):

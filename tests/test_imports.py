@@ -294,8 +294,8 @@ def test_every_file_the_package_writes_goes_through_one_writer():
 
 
 def contract_checks(sources):
-    """For every pass behind a ``run_pass`` branch (``return <pass>(...)``
-    in ``transforms.run_pass``) and every ``compile_*`` function in
+    """For every pass of the ``transforms.PASSES`` table (the name its row's
+    ``lambda: <pass>`` returns) and every ``compile_*`` function in
     ``matrixword``, as ``module.name``: ``"first"`` when its first statement
     after the docstring is a ``require`` call, ``"called"`` when it reaches
     ``require`` only through the functions it calls, else None.  Calls are
@@ -307,10 +307,10 @@ def contract_checks(sources):
                 defs.setdefault(node.name, []).append(node)
                 if mod == "matrixword" and node.name.startswith("compile_"):
                     consumers.append(f"{mod}.{node.name}")
-                if mod == "transforms" and node.name == "run_pass":
-                    consumers += [f"transforms.{r.value.func.id}" for r in ast.walk(node)
-                                  if isinstance(r, ast.Return) and isinstance(r.value, ast.Call)
-                                  and isinstance(r.value.func, ast.Name)]
+            if (mod == "transforms" and isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["PASSES"]):
+                consumers += [f"transforms.{f.body.id}" for f in ast.walk(node)
+                              if isinstance(f, ast.Lambda) and isinstance(f.body, ast.Name)]
 
     def callees(f):
         return {c.func.id if isinstance(c.func, ast.Name) else c.func.attr
@@ -379,8 +379,9 @@ def contract_raises(sources):
 def test_contract_scanners_flag_a_consumer_without_require_and_a_hand_built_message():
     sources = {
         "transforms": (
-            "def run_pass(name, c):\n    if name == 'a':\n        return a(c)\n"
-            "    if name == 'b':\n        return b(c)\n    return d(c)\n"
+            "PASSES = {'a': Row(lambda: a, None), 'b': Row(lambda: b, 'x'),\n"
+            "                'd': Row(lambda: d, None)}\n"
+            "OTHER = {'e': Row(lambda: e, None)}\n"
             "def a(c):\n    '''doc'''\n    c.require('a', shape='formula')\n"
             "def b(c):\n    n = 1\n    helper(c)\n"
             "def helper(c):\n    c.require('b')\n"

@@ -888,6 +888,25 @@ def test_vf_to_v3p_random_reassembly():
     assert linear >= 20
 
 
+def test_every_vf_to_v3p_part_is_a_formula_that_brent3_and_add_negcube_take():
+    # each part is written with its real shape, so the arity-3 formula route
+    # runs on it: brent3, then add-negcube, each keeping the value and its bound
+    rng = random.Random(151)
+    parts = 0
+    for _ in range(25):
+        c = as_formula(random_formula(rng, rng.randint(1, 16), 3))
+        f = c.eval()
+        repr_, _rep = vf_to_v3p(c)
+        for part, p, _k in graded_parts(repr_, f):
+            assert part.shape == "formula"
+            balanced, rep3 = brent_arity3(part)
+            anc, rep_anc = to_add_negcube(balanced)
+            assert rep3.bound_satisfied and rep_anc.bound_satisfied
+            assert balanced.eval() == anc.eval() == p
+            parts += 1
+    assert parts >= 60
+
+
 def test_the_parity_split_is_the_identity_on_a_homogeneous_odd_polynomial():
     # why vf-to-v3p splices formula_from_poly's tree with no parity split
     rng = random.Random(139)
@@ -1494,7 +1513,9 @@ def test_run_pass_dispatch():
     c = as_formula(FNode.mul(leaf("x1"), leaf("x2")))
     out, rep = run_pass("rescale", c, alpha=2)
     assert out.eval() == 2 * X1 * X2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown pass 'bogus'"):
         run_pass("bogus", c)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the derivative pass needs var"):
         run_pass("derivative", c)
+    with pytest.raises(ValueError, match="the rescale pass needs alpha"):
+        run_pass("rescale", c)
