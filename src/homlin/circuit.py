@@ -15,10 +15,11 @@ scalars in circuit shape), ``mul`` (binary), ``mul3`` (ternary) and
 ``negcube`` (unary, computes -x^3).  ``input`` is the one leaf kind.
 
 A ``Circuit`` is valid by construction: each basis admits the kinds that
-``BASIS_KINDS`` gives it, gate-level rational scale tags are only legal in
-the add/negative-cube basis (where alpha-threading consumes them later), and
-a ``formula`` is a tree.  A circuit that breaks one of these rules is never
-built: the constructor raises ``BasisViolation("gate <id>: <reason>")``.
+``BASIS_KINDS`` gives it, each gate has its kind's number of children,
+gate-level rational scale tags are only legal in the add/negative-cube basis
+(where alpha-threading consumes them later), and a ``formula`` is a tree.  A
+circuit that breaks one of these rules is never built: the constructor
+raises ``BasisViolation("gate <id>: <reason>")``.
 Every pass and compiler states the rest of its input contract (a shape, a
 basis, IHL leaves) in one ``Circuit.require`` call before it does any work.
 """
@@ -78,7 +79,7 @@ class DegreeMismatch(ValueError):
     pass
 
 
-_ARITY = {"add": 2, "mul": 2, "mul3": 3, "negcube": 1}
+_ARITY = {"input": 0, "add": 2, "mul": 2, "mul3": 3, "negcube": 1}
 _MUL_KINDS = frozenset(("mul", "mul3", "negcube"))
 
 
@@ -108,19 +109,21 @@ class Circuit:
         variables: Sequence[str] = (),
     ):
         """Check every gate in one sweep (a fresh id, children defined
-        before it, a kind of the basis, a scale tag only in the addNegCube
-        basis) and, unless ``shape`` is ``circuit``, that the gates make a
-        formula.  The same sweep gives each gate its (depth, mulDepth) from
-        its children's: looking a child's pair up is the check that the child
-        is defined.  The output's pair is kept for ``depths``.  The circuit's
-        variables are ``variables`` and those of every input form; the parser
-        and the passes share one form object between gates, so each distinct
-        form object is read once."""
+        before it, a kind of the basis with its number of children, a scale
+        tag only in the addNegCube basis) and, unless ``shape`` is
+        ``circuit``, that the gates make a formula.  The same sweep gives
+        each gate its (depth, mulDepth) from its children's: looking a
+        child's pair up is the check that the child is defined.  The
+        output's pair is kept for ``depths``.  The circuit's variables are
+        ``variables`` and those of every input form; the parser and the
+        passes share one form object between gates, so each distinct form
+        object is read once."""
         if shape is not None and shape not in SHAPES:
             raise ValueError(f"unknown shape {shape!r}")
         if basis not in BASIS_KINDS:
             raise ValueError(f"unknown basis {basis!r}")
         name, kinds = BASIS_KINDS[basis]
+        arity = {kind: _ARITY[kind] for kind in kinds}  # of each kind the basis admits
         scaled = basis == "addNegCube"
         self.gates: Tuple[Gate, ...] = tuple(gates)
         self.by_id: Dict[str, Gate] = {}
@@ -141,8 +144,12 @@ class Circuit:
             except KeyError as exc:
                 raise CycleError(
                     f"gate {gid} references {exc.args[0]} before definition") from None
-            if kind not in kinds:
+            n = arity.get(kind)
+            if n is None:
                 raise BasisViolation(f"gate {gid}: {kind} gate not in {name} basis")
+            if len(children) != n:
+                raise BasisViolation(
+                    f"gate {gid}: {kind} expects {n} children, got {len(children)}")
             if scale is not None and not scaled:
                 raise BasisViolation(
                     f"gate {gid}: scale tags only legal in the addNegCube basis"

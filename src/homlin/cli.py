@@ -392,11 +392,6 @@ def cmd_pipeline(args) -> int:
     c = load_artifact(args.infile)
     if not isinstance(c, Circuit):
         raise CliError("pipeline expects a circuit artifact")
-    outdir = args.out
-    try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot create directory {outdir}: {exc.strerror or exc}") from exc
     passes = args.passes or (target[0].passes if target else [])
 
     report_lines = [
@@ -408,14 +403,16 @@ def cmd_pipeline(args) -> int:
     f = c.eval() if target is not None else None
     current = c
     failed_audit = False
+    # (file name, text) of each artifact, written once every step has run, so
+    # a step that raises leaves no partial run directory
+    files: List[Tuple[str, str]] = []
     for idx, name in enumerate(passes, start=1):
         try:
             result, rep = run_pass(name, current)
         except ValueError as exc:
             raise CliError(f"pass {name}: {exc}") from exc
         current = result
-        path = os.path.join(outdir, f"{idx:02d}-{name}.circ")
-        _write_text(path, print_circuit(current))
+        files.append((f"{idx:02d}-{name}.circ", print_circuit(current)))
         failed_audit = failed_audit or not rep.bound_satisfied
         report_lines.append(
             f"  stage {idx} {name}: {rep.input_metrics} -> {rep.output_metrics}; "
@@ -430,7 +427,7 @@ def cmd_pipeline(args) -> int:
             artifact, size = "word.txt", f"r = {obj.r()}"
         else:
             artifact, size = "projection.txt", f"r = {obj.n}, d = {obj.d}"
-        _write_text(os.path.join(outdir, artifact), text)
+        files.append((artifact, text))
         report_lines.append(f"  compile {args.target[0]}: {size} -> {artifact}")
         verdict_ok = rep.verdict
         report_lines.append(
@@ -439,7 +436,13 @@ def cmd_pipeline(args) -> int:
         )
 
     report = "\n".join(report_lines) + "\n"
-    _write_text(os.path.join(outdir, "report.txt"), report)
+    files.append(("report.txt", report))
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create directory {args.out}: {exc.strerror or exc}") from exc
+    for name, text in files:
+        _write_text(os.path.join(args.out, name), text)
     sys.stdout.write(report)
     if not verdict_ok or failed_audit:
         return 1

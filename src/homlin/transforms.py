@@ -14,6 +14,7 @@ indices from the root), never by object identity.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
@@ -21,7 +22,6 @@ from operator import is_
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .circuit import (
-    BasisViolation,
     Circuit,
     FNode,
     Gate,
@@ -630,68 +630,38 @@ def derivative_formula(c: Circuit, v: str) -> Tuple[Circuit, PassReport]:
 
 
 def formula_from_poly(p: Polynomial) -> Optional[FNode]:
-    """A balanced formula summing one product per monomial (the coefficient is
-    folded into the first leaf); the terms without a product, the degree-1
-    and constant ones, are summed into one leaf (``_folded_sum``)."""
+    """A formula over the arity-3 basis computing ``p``, whose every monomial
+    has odd degree: a balanced sum of one product per monomial.  A degree-k
+    monomial is its k leaves, the coefficient folded into the first, taken
+    three at a time from a FIFO queue into ``mul3`` nodes that join the
+    queue's end.  With equal weights this is Huffman's rule, so its
+    (k - 1) / 2 products nest ceil(log_3 k) deep.  The degree-1 terms, which
+    have no product, are summed into one leaf (``_folded_sum``).  A monomial
+    of even degree, a constant too, is a ``ValueError``."""
     terms = []
     for (mono, e, a), coeff in sorted(p.terms.items()):
+        names = [var for var, k in mono for _ in range(k)]
+        if len(names) % 2 == 0:
+            raise ValueError(f"a monomial of even degree {len(names)} has no arity-3 product")
         c = Polynomial._normalised({((), e, a): coeff})
-        leaves: List[FNode] = []
-        for var, k in mono:
-            for _ in range(k):
-                leaves.append(FNode.var(var))
-        if not leaves:
-            terms.append(FNode.leaf(c))
-            continue
-        leaves[0] = FNode.leaf(Polynomial.variable(mono[0][0]) * c)
-        terms.append(balanced_add(leaves, FNode.mul))
+        queue = deque([FNode.leaf(Polynomial.variable(names[0]) * c)])
+        queue.extend(FNode.var(v) for v in names[1:])
+        while len(queue) > 1:
+            queue.append(FNode("mul3", (queue.popleft(), queue.popleft(), queue.popleft())))
+        terms.append(queue[0])
     return _folded_sum(terms) if terms else None
 
 
-def _splice(node: FNode, b: _CBuilder) -> Union[str, Callable[[str], str]]:
-    """Emit an IHL arity-2 tree, whose every add joins two parts of one
-    parity, as arity-3 gates.  An odd fragment is emitted at once and
-    returned as its gate id.  An even fragment computes
-    ``z`` times its value, so it cannot be emitted before ``z`` exists; it is
-    returned as a function that takes ``z``'s gate id, emits the fragment and
-    returns its output gate.  Each such function is called exactly once, after
-    ``z``'s gate exists, so the gates come out children-first."""
-    if node.kind == "input":
-        return b.input(node.form)
-    f = _splice(node.children[0], b)
-    g = _splice(node.children[1], b)
-    f_odd, g_odd = isinstance(f, str), isinstance(g, str)
-    if node.kind == "add":
-        if f_odd != g_odd:  # pragma: no cover - not in a homogeneous part
-            raise BasisViolation("addition mixes parities")
-        if f_odd:
-            return b.emit("add", (f, g))
-        return lambda z: b.emit("add", (f(z), g(z)))
-    if f_odd and g_odd:
-        return lambda z: b.emit("mul3", (z, f, g))
-    if f_odd:  # odd times even: the odd output is the even fragment's z
-        return g(f)
-    if g_odd:
-        return f(g)
-    # even times even computes z * f * g: f's output is g's z
-    return lambda z: g(f(z))
-
-
-def _odd_tree_to_arity3(tree: FNode, variables: Sequence[str]) -> Circuit:
-    """The IHL gates over the arity-3 basis of ``tree``, an IHL formula of
-    odd parity whose every add joins two parts of one parity, such as
-    ``formula_from_poly`` of a homogeneous odd polynomial, by z-splicing.
-    Its shape is inferred: a formula unless a splice reads a gate twice,
-    which no ``formula_from_poly`` tree makes."""
-    b = _CBuilder()
-    out_gid = _splice(tree, b)
-    return Circuit(b.gates, out_gid, None, "arity3", variables)
-
-
 def vf_to_v3p(c: Circuit) -> Tuple[GradedArity3Repr, PassReport]:
+    """The graded arity-3 form of the arity-2 formula ``c``, from its value
+    ``f``: the constant ``f_0``; for each odd degree d, ``f_d`` as one part;
+    for each even d, one part per variable v of ``f_d``, its partial
+    derivative, which is nonzero and of odd degree d - 1.  Each part is the
+    arity-3 formula ``formula_from_poly`` writes for its polynomial."""
     c.require("vfToV3p", shape="formula", basis="arity2")
     f = c.eval()
     const = f.homog_component(0)
+    part = lambda p: tree_to_circuit(formula_from_poly(p), "arity3", c.variables)
     odd_parts: Dict[int, Circuit] = {}
     even_parts: Dict[int, Dict[str, Circuit]] = {}
     for d in f.homog_degrees():
@@ -699,13 +669,10 @@ def vf_to_v3p(c: Circuit) -> Tuple[GradedArity3Repr, PassReport]:
             continue
         fd = f.homog_component(d)
         if d % 2 == 1:
-            odd_parts[d] = _odd_tree_to_arity3(formula_from_poly(fd), c.variables)
+            odd_parts[d] = part(fd)
         else:
-            # each variable of fd has a nonzero derivative, of odd degree d - 1
-            even_parts[d] = {
-                v: _odd_tree_to_arity3(formula_from_poly(fd.partial_derivative(v)), c.variables)
-                for v in sorted(fd.variables(), key=_var_key)
-            }
+            even_parts[d] = {v: part(fd.partial_derivative(v))
+                             for v in sorted(fd.variables(), key=_var_key)}
     repr_ = GradedArity3Repr(const, odd_parts, even_parts)
     ok, reason = repr_.validate()
     im = _metrics(c)

@@ -116,6 +116,19 @@ def test_a_circuit_outside_its_basis_is_never_built(tree, basis, reason):
     assert str(exc.value) == reason
 
 
+def test_a_gate_with_the_wrong_number_of_children_is_never_built():
+    # a two-child mul3 would print a line the parser rejects, and a one-child
+    # add would fail in eval()
+    with pytest.raises(BasisViolation) as exc:
+        tree_to_circuit(FNode("mul3", (_leaf("x1"), _leaf("x2"))), "arity3")
+    assert str(exc.value) == "gate g3: mul3 expects 3 children, got 2"
+    gates = [Gate("g1", "input", form=X1), Gate("g2", "add", ("g1",))]
+    for shape in ("formula", "circuit"):
+        with pytest.raises(BasisViolation) as exc:
+            Circuit(gates, "g2", shape, "arity2")
+        assert str(exc.value) == "gate g2: add expects 2 children, got 1"
+
+
 @pytest.mark.parametrize("gates, output, reason", [
     ([Gate("g1", "input", form=X1), Gate("g2", "mul", ("g1", "g1"))], "g2",
      "gate g1: gate has 2 parents"),

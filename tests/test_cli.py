@@ -258,7 +258,7 @@ def test_transform_vf_to_v3p_writes_components(capsys, tmp_path):
 
 @pytest.mark.parametrize("helper", ["_brent", "_ihl_pair", "_ddx", "_parity_tree"])
 def test_transform_vf_to_v3p_needs_no_tree_pass(capsys, tmp_path, monkeypatch, helper):
-    # each part is spliced from its polynomial's formula: no Brent, IHL
+    # each part is written from its polynomial's formula: no Brent, IHL
     # split, derivative tree or parity split runs on the way
     def boom(*args):
         raise AssertionError(helper)
@@ -653,7 +653,25 @@ def test_pipeline_exits_1_on_a_violated_pass_bound(capsys, product_circ, tmp_pat
                           "--target", "trace3", "--out", str(out))
     assert code == 1
     assert "stage 1 brent" in stdout and "VIOLATED" in stdout
-    assert "verify (border): pass" in stdout and (out / "word.txt").exists()
+    assert "verify (border): pass" in stdout
+    assert sorted(p.name for p in out.iterdir()) == [
+        "01-brent.circ", "02-ihl-formula.circ", "report.txt", "word.txt"]
+
+
+def test_pipeline_writes_each_stage_then_the_artifact_then_the_report(capsys, product_circ,
+                                                                      tmp_path, monkeypatch):
+    written = []
+    write = cli._write_text
+
+    def recording(path, text):
+        written.append(os.path.basename(path))
+        write(path, text)
+
+    monkeypatch.setattr(cli, "_write_text", recording)
+    code, _o, _e = run(capsys, "pipeline", "--in", product_circ, "--target", "trace3",
+                       "--out", str(tmp_path / "run"))
+    assert code == 0
+    assert written == ["01-brent.circ", "02-ihl-formula.circ", "word.txt", "report.txt"]
 
 
 def _wrong_trace3(c):
@@ -676,22 +694,40 @@ def test_compile_and_pipeline_exit_1_on_a_wrong_word(capsys, product_circ, tmp_p
     assert "VIOLATED" not in stdout and (out / "word.txt").exists()
 
 
-@pytest.mark.parametrize("target, message", [
-    (["offdiag3"], "target offdiag3 takes 2 indices, got 0"),
-    (["offdiag3", "1"], "target offdiag3 takes 2 indices, got 1"),
-    (["offdiag3", "1", "2", "3"], "target offdiag3 takes 2 indices, got 3"),
-    (["offdiag3", "1", "b"], "offdiag3 indices must be integers"),
-    (["trace3", "1"], "target trace3 takes no indices, got 1"),
-    (["continuant", "1", "3"], "target continuant takes no indices, got 2"),
-    (["nosuch"], "unknown compile target 'nosuch'"),
+# x1*x2*x3 + x1 over the arity-3 basis: brent3 and add-negcube take it, and
+# the continuant compilers reject it
+_ARITY3_SUM = tree_to_circuit(
+    FNode.add(FNode("mul3", (FNode.var("x1"), FNode.var("x2"), FNode.var("x3"))), FNode.var("x1")),
+    "arity3")
+
+
+@pytest.mark.parametrize("target, source, message", [
+    (["offdiag3"], None, "target offdiag3 takes 2 indices, got 0"),
+    (["offdiag3", "1"], None, "target offdiag3 takes 2 indices, got 1"),
+    (["offdiag3", "1", "2", "3"], None, "target offdiag3 takes 2 indices, got 3"),
+    (["offdiag3", "1", "b"], None, "offdiag3 indices must be integers"),
+    (["trace3", "1"], None, "target trace3 takes no indices, got 1"),
+    (["continuant", "1", "3"], None, "target continuant takes no indices, got 2"),
+    (["nosuch"], None, "unknown compile target 'nosuch'"),
+    # the compiler raises these once pipeline's passes have run, and its run
+    # directory is written only after the compiler returns
+    (["offdiag3", "2", "2"], None, "target must be an off-diagonal position of a 3x3 matrix"),
+    (["continuant"], _ARITY3_SUM,
+     {"compile": "compile_continuant_odd expects the add/neg-cube basis",
+      "pipeline": "formula is not homogeneous: degrees [1, 3]"}),
 ])
 def test_target_errors_exit_2_before_any_file_is_written(capsys, product_circ, tmp_path,
-                                                         target, message):
+                                                         target, source, message):
+    path = product_circ
+    if source is not None:
+        path = tmp_path / "source.circ"
+        path.write_text(print_circuit(source))
     for command in ("compile", "pipeline"):
         out = tmp_path / command
-        code, stdout, err = run(capsys, command, "--target", *target, "--in", product_circ,
+        code, stdout, err = run(capsys, command, "--target", *target, "--in", str(path),
                                 "--out", str(out))
-        assert (code, stdout, err) == (2, "", f"error: {message}\n"), command
+        want = message[command] if isinstance(message, dict) else message
+        assert (code, stdout, err) == (2, "", f"error: {want}\n"), command
         assert not out.exists(), command
 
 

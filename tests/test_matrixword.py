@@ -16,6 +16,7 @@ from homlin.circuit import (
     DegreeMismatch,
     FNode,
     GradedArity3Repr,
+    balanced_add,
     circuit_to_tree,
     tree_to_circuit,
 )
@@ -973,6 +974,17 @@ def test_continuant_even_degree_four():
     p = even_projection(t, 4)
     assert p.scalar == Coeff.eps(-4)
     assert verify_border(p, P("x1*x2*x3*x4")).verdict
+
+
+@pytest.mark.parametrize("names, n", [(["x1"] * 8, 308), (["x1", "x2", "x3", "x4"] * 2, 1520)])
+def test_continuant_even_of_a_degree_8_monomial_has_pinned_size(names, n):
+    # each part is a degree-7 monomial, its mul3 products nested
+    # ceil(log_3 7) = 2 deep; n grows about 6x with each extra level
+    f = P("*".join(names))
+    p = even_projection(balanced_add([X(v) for v in names], FNode.mul), 8)
+    assert p.n == n
+    assert verify_border(p, f).verdict
+    assert not verify_border(p, f + P("x1^8")).verdict
 
 
 def test_continuant_even_rejects_odd_degree():

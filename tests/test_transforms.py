@@ -1,6 +1,8 @@
 """Tests for every source-to-source pass: fixed examples, semantic
 preservation on random instances, validity transport, and bound audits."""
 
+import collections
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,6 +17,7 @@ from homlin.circuit import (
     FNode,
     Gate,
     GradedArity3Repr,
+    circuit_to_tree,
     parse_circuit,
     print_circuit,
     tree_to_circuit,
@@ -866,9 +869,8 @@ def graded_parts(repr_, f):
 
 
 def test_vf_to_v3p_random_reassembly():
-    # each part is formula_from_poly of its polynomial, spliced: a degree-k
-    # polynomial of T terms is a tree of 2kT - 1 nodes, and the splice
-    # emits at most one gate per node
+    # each part is formula_from_poly of its polynomial: a degree-k monomial
+    # is k leaves and (k - 1) / 2 products, and T terms take T - 1 adds
     rng = random.Random(67)
     linear = 0
     for _ in range(60):
@@ -881,7 +883,7 @@ def test_vf_to_v3p_random_reassembly():
         for part, p, k in graded_parts(repr_, f):
             assert part.eval() == p
             assert part.size() <= 2 * k * len(p.terms) - 1
-            assert_spliced(part)
+            assert_arity3_formula(part)
         if 1 in repr_.odd_parts:
             linear += 1
             assert kinds(repr_.odd_parts[1]) == ["input"]
@@ -907,18 +909,41 @@ def test_every_vf_to_v3p_part_is_a_formula_that_brent3_and_add_negcube_take():
     assert parts >= 60
 
 
-def test_the_parity_split_is_the_identity_on_a_homogeneous_odd_polynomial():
-    # why vf-to-v3p splices formula_from_poly's tree with no parity split
-    rng = random.Random(139)
-    seen = 0
+def _ceil_log3(k):
+    return next(t for t in itertools.count() if 3 ** t >= k)
+
+
+def _leaf_count(node):
+    """The leaves of a product of leaves."""
+    if node.kind == "input":
+        return 1
+    assert node.kind == "mul3"
+    return sum(_leaf_count(ch) for ch in node.children)
+
+
+def _products(node):
+    """(degree, depth) of each product of a sum of products."""
+    if node.kind == "add":
+        return [p for ch in node.children for p in _products(ch)]
+    if node.kind == "mul3":
+        return [(_leaf_count(node), node.depth())]
+    return []
+
+
+def test_every_vf_to_v3p_product_nests_ceil_log3_of_its_degree_deep():
+    # formula_from_poly takes a monomial's leaves three at a time from a
+    # queue, so x1^7 nests 2 deep, not the 3 of a chain
+    rng = random.Random(157)
+    degrees = collections.Counter()
     for _ in range(40):
-        f = as_formula(random_formula(rng, rng.randint(1, 24), 3)).eval()
-        for d in f.homog_degrees():
-            if d % 2 == 1:
-                t = formula_from_poly(f.homog_component(d))
-                assert transforms._parity_tree(t) == (t, None)
-                seen += 1
-    assert seen >= 40
+        c = as_formula(random_formula(rng, rng.randint(8, 32), 3))
+        f = c.eval()
+        repr_, _rep = vf_to_v3p(c)
+        for part, _p, _k in graded_parts(repr_, f):
+            for k, depth in _products(circuit_to_tree(part)):
+                assert depth == _ceil_log3(k), (k, depth)
+                degrees[k] += 1
+    assert min(degrees[k] for k in (3, 5, 7, 9, 11)) >= 20, degrees
 
 
 def count_evals(monkeypatch):
@@ -960,39 +985,30 @@ def test_a_hand_built_graded_repr_is_checked_when_first_read(monkeypatch):
     assert calls == [part]
 
 
-def assert_spliced(part):
-    """The splice emits only gates the output reads, in the arity-3 IHL kinds."""
+def assert_arity3_formula(part):
+    """Every gate of ``part`` is one its output reads, of an arity-3 IHL kind."""
     assert len(transforms._restrict_reachable(part.gates, part.output_id)) == part.size()
     assert {g.kind for g in part.gates} <= {"input", "add", "mul3"}
 
 
-def _odd_ihl_formula(rng):
-    while True:
-        odd = transforms._parity_tree(random_ihl_formula(rng, rng.randint(1, 8), 4))[0]
-        if odd is not None:
-            return odd
-
-
-def test_splice_of_an_even_times_odd_product():
-    # with a, b and c odd, (a*b)*c is an even fragment times an odd one: the
-    # fragment's mul3 reads c's gate as its z, and c is spliced after a and b
-    rng = random.Random(73)
-    for _ in range(20):
-        a, b, c = _odd_ihl_formula(rng), _odd_ihl_formula(rng), _odd_ihl_formula(rng)
-        tree = FNode.mul(FNode.mul(a, b), c)
-        assert transforms._parity_tree(tree) == (tree, None)
-        part = transforms._odd_tree_to_arity3(tree, ())
-        assert part.eval() == tree_value(tree)
-        assert_spliced(part)
-
-
 def test_formula_from_poly_round_trip():
+    # on the odd-degree terms of each draw, homogeneous or not
     rng = random.Random(71)
     for _ in range(20):
-        p = as_formula(random_formula(rng, rng.randint(1, 20), 3)).eval()
+        f = as_formula(random_formula(rng, rng.randint(1, 20), 3)).eval()
+        p = Polynomial.zero()
+        for d in f.homog_degrees():
+            if d % 2 == 1:
+                p = p + f.homog_component(d)
         t = formula_from_poly(p)
         got = tree_value(t) if t is not None else Polynomial.zero()
         assert got == p
+
+
+@pytest.mark.parametrize("text", ["x1*x2", "x1 + 1", "x1^3 + x2^4", "2"])
+def test_formula_from_poly_rejects_a_monomial_of_even_degree(text):
+    with pytest.raises(ValueError, match="even degree"):
+        formula_from_poly(parse_poly(text))
 
 
 # ---------------------------------------------------------------------------
